@@ -196,6 +196,21 @@ func WithWorkers(n int) RunOption { return core.WithWorkers(n) }
 // diffed against). Results are bit-identical with or without it.
 func WithNoSkip() RunOption { return core.WithNoSkip() }
 
+// Frontend is a bounded, content-addressed memo of front-end products:
+// rendered frames keyed by (scene, RenderOptions) and compute workloads
+// keyed by name. Runs that share one (crispd's jobs, sweep tasks and
+// checkpoint retries do) build each trace once and replay it read-only.
+type Frontend = core.Frontend
+
+// NewFrontend returns an empty Frontend with the fixed 64 MiB budget.
+func NewFrontend() *Frontend { return core.NewFrontend() }
+
+// WithFrontend makes RunPair, RunMix and Resume build their named scene
+// and compute workloads through f. Results are bit-identical with or
+// without it. RenderScene and BuildCompute stay uncached: what they
+// return belongs to the caller.
+func WithFrontend(f *Frontend) RunOption { return core.WithFrontend(f) }
+
 // WithCycleBudget caps the run at n simulated cycles; crossing the budget
 // fails the run with a budget SimError carrying a crash dump (0 = off).
 func WithCycleBudget(n int64) RunOption { return core.WithCycleBudget(n) }

@@ -153,6 +153,11 @@ type Job struct {
 	// a host knob: results, digests, and checkpoints are bit-identical
 	// with skipping on or off, so it exists to diff the fast path against.
 	NoSkip bool
+	// Frontend, when non-nil, is where the by-name entry points
+	// (RunPairContext, RunMixContext, ResumeContext) look up and keep the
+	// frames and compute workloads they build. Run itself never consults
+	// it: a Job's Graphics/Compute/Tenants are already built.
+	Frontend *Frontend
 
 	// SceneName and ComputeName record how Graphics/Compute were built
 	// (RunPair sets them). They make checkpoints self-describing: a
@@ -513,7 +518,9 @@ func BuildPolicyWS(g *gpu.GPU, kind PolicyKind, totalTasks int) (gpu.Policy, *pa
 }
 
 // RenderScene renders a named scene workload with the given options,
-// producing the graphics traces a Job consumes.
+// producing the graphics traces a Job consumes. It always renders: the
+// result is the caller's to keep or modify (Frontend.Frame is the shared,
+// memoized counterpart).
 func RenderScene(name string, opts render.Options) (*render.Result, error) {
 	f, err := scene.ByName(name)
 	if err != nil {
@@ -558,6 +565,21 @@ func WithWorkers(n int) RunOption { return func(j *Job) { j.Workers = n } }
 // oracle path); results are bit-identical either way.
 func WithNoSkip() RunOption { return func(j *Job) { j.NoSkip = true } }
 
+// WithFrontend builds the run's named scene and compute workloads through
+// f, so runs sharing f render each (scene, options) and build each
+// workload once. Results are bit-identical with or without it.
+func WithFrontend(f *Frontend) RunOption { return func(j *Job) { j.Frontend = f } }
+
+// frontendOf extracts the Frontend a run was given, for entry points that
+// must build workloads before they have a Job to apply options to.
+func frontendOf(runOpts []RunOption) *Frontend {
+	var probe Job
+	for _, o := range runOpts {
+		o(&probe)
+	}
+	return probe.Frontend
+}
+
 // RunPair is the one-call convenience: render sceneName (may be ""),
 // build computeName (may be ""), and run them under policy on cfg.
 func RunPair(cfg config.GPU, sceneName, computeName string, policy PolicyKind, opts render.Options, runOpts ...RunOption) (*Result, error) {
@@ -573,7 +595,7 @@ func RunPairContext(ctx context.Context, cfg config.GPU, sceneName, computeName 
 		o(&job)
 	}
 	if sceneName != "" {
-		res, err := RenderScene(sceneName, opts)
+		res, err := job.Frontend.Frame(sceneName, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -582,7 +604,7 @@ func RunPairContext(ctx context.Context, cfg config.GPU, sceneName, computeName 
 		job.RenderOpts = opts
 	}
 	if computeName != "" {
-		w, err := compute.ByName(computeName, ComputeStreamBase)
+		w, err := job.Frontend.Compute(computeName)
 		if err != nil {
 			return nil, err
 		}

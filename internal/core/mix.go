@@ -36,7 +36,7 @@ type Tenant struct {
 }
 
 // MixEnv lets callers override how workloads are materialized when
-// lowering a mix (e.g. the experiments package injects its frame cache).
+// lowering a mix (Frontend.MixEnv routes them through a cache).
 // Overrides must produce bit-identical results to the by-name builders —
 // the mix spec resumes and re-runs through them.
 type MixEnv struct {
@@ -222,7 +222,7 @@ func RunMix(cfg config.GPU, mix scenario.MixSpec, policy PolicyKind, opts render
 
 // RunMixContext is RunMix with cooperative cancellation.
 func RunMixContext(ctx context.Context, cfg config.GPU, mix scenario.MixSpec, policy PolicyKind, opts render.Options, runOpts ...RunOption) (*Result, error) {
-	job, err := BuildMixJob(cfg, mix, policy, opts)
+	job, err := BuildMixJobEnv(cfg, mix, policy, opts, frontendOf(runOpts).MixEnv())
 	if err != nil {
 		return nil, err
 	}

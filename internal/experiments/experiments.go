@@ -57,42 +57,19 @@ var RenderScenes = []string{"SPH", "PL", "MT", "SPL", "PT", "IT"}
 // ComputeWorkloads lists the compute workloads.
 var ComputeWorkloads = []string{"VIO", "HOLO", "NN"}
 
-// frameKey identifies one cached render.
-type frameKey struct {
-	scene string
-	w, h  int
-	lod   bool
-	ref   bool
-}
-
-var (
-	frameMu    sync.Mutex
-	frameCache = map[frameKey]*render.Result{}
-)
+// frontend memoizes the experiments' rendered frames and compute
+// workloads: every figure replays the same few traces under many policies
+// and configurations. Lookups of different scenes build concurrently.
+var frontend = core.NewFrontend()
 
 // Frame renders (and caches) a scene at the given size and LoD setting.
 // CollectRefTex is always enabled so validation metrics are available.
 func Frame(sceneName string, w, h int, lod bool) (*render.Result, error) {
-	key := frameKey{sceneName, w, h, lod, true}
-	frameMu.Lock()
-	defer frameMu.Unlock()
-	if r, ok := frameCache[key]; ok {
-		return r, nil
-	}
 	opts := render.DefaultOptions()
 	opts.W, opts.H = w, h
 	opts.LoD = lod
 	opts.CollectRefTex = true
-	f, err := scene.ByName(sceneName)
-	if err != nil {
-		return nil, err
-	}
-	res, err := render.RenderFrame(f, opts)
-	if err != nil {
-		return nil, err
-	}
-	frameCache[key] = res
-	return res, nil
+	return frontend.Frame(sceneName, opts)
 }
 
 // MaterialKinds maps drawcall names to their material kind for a scene
@@ -109,14 +86,17 @@ func MaterialKinds(sceneName string) (map[string]render.MaterialKind, error) {
 	return kinds, nil
 }
 
-// simKey identifies one cached simulation.
+// simKey identifies one cached simulation. The configuration is keyed by
+// content, not by name: a tweaked config that keeps its preset's name (the
+// narrowed RTX3070 of BenchmarkSimulatorSpeedMemBound) is a different
+// simulation.
 type simKey struct {
-	gpuName string
-	scene   string
-	w, h    int
-	lod     bool
-	comp    string
-	policy  core.PolicyKind
+	cfgDigest string
+	scene     string
+	w, h      int
+	lod       bool
+	comp      string
+	policy    core.PolicyKind
 }
 
 var (
@@ -126,7 +106,7 @@ var (
 
 // Simulate runs (and caches) a graphics/compute pair under a policy.
 func Simulate(cfg config.GPU, sceneName string, w, h int, lod bool, computeName string, policy core.PolicyKind) (*core.Result, error) {
-	key := simKey{cfg.Name, sceneName, w, h, lod, computeName, policy}
+	key := simKey{config.Digest(cfg), sceneName, w, h, lod, computeName, policy}
 	simMu.Lock()
 	if r, ok := simCache[key]; ok {
 		simMu.Unlock()
@@ -143,7 +123,7 @@ func Simulate(cfg config.GPU, sceneName string, w, h int, lod bool, computeName 
 		job.Graphics = gfx
 	}
 	if computeName != "" {
-		comp, err := compute.ByName(computeName, core.ComputeStreamBase)
+		comp, err := frontend.Compute(computeName)
 		if err != nil {
 			return nil, err
 		}
@@ -160,6 +140,7 @@ func Simulate(cfg config.GPU, sceneName string, w, h int, lod bool, computeName 
 }
 
 // buildCompute constructs a compute workload on the conventional stream.
+// The result is the caller's own (case studies edit kernel lists).
 func buildCompute(name string) (*compute.Workload, error) {
 	return compute.ByName(name, core.ComputeStreamBase)
 }
@@ -167,9 +148,7 @@ func buildCompute(name string) (*compute.Workload, error) {
 // ResetCaches drops all memoized renders and simulations (tests use this
 // to bound memory).
 func ResetCaches() {
-	frameMu.Lock()
-	frameCache = map[frameKey]*render.Result{}
-	frameMu.Unlock()
+	frontend.Reset()
 	simMu.Lock()
 	simCache = map[simKey]*core.Result{}
 	simMu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"crisp/internal/config"
 	"crisp/internal/core"
 )
 
@@ -40,6 +41,32 @@ func TestFrameCaching(t *testing.T) {
 	}
 	if a == c {
 		t.Error("LoD setting must key the cache")
+	}
+}
+
+// TestSimulateKeysConfigByContent: a tweaked config that keeps its
+// preset's name is a different simulation. Keyed on the name, the second
+// call returned the preset's cached result.
+func TestSimulateKeysConfigByContent(t *testing.T) {
+	preset := config.JetsonOrin()
+	small := preset
+	small.L2Size = preset.L2Size / 16
+	a, err := Simulate(preset, "", 0, 0, true, "VIO", core.PolicySerial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Simulate(small, "", 0, 0, true, "VIO", core.PolicySerial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatalf("configs named %q with L2Size %d and %d shared one cached result", preset.Name, preset.L2Size, small.L2Size)
+	}
+	if a.Cycles == b.Cycles {
+		t.Errorf("a 16x smaller L2 left VIO at %d cycles: the second run did not use its own config", a.Cycles)
+	}
+	if again, _ := Simulate(small, "", 0, 0, true, "VIO", core.PolicySerial); again != b {
+		t.Error("Simulate did not memoize the tweaked config")
 	}
 }
 

@@ -33,20 +33,11 @@ type QoSResult struct {
 	Slowdown map[core.PolicyKind]map[string]float64
 }
 
-// qosMixEnv routes mix workload materialization through the experiment
-// caches, so repeated policies reuse one rendered frame.
-func qosMixEnv() core.MixEnv {
-	return core.MixEnv{
-		Render: func(name string, opts render.Options) (*render.Result, error) {
-			return Frame(name, opts.W, opts.H, opts.LoD)
-		},
-		Compute: buildCompute,
-	}
-}
-
-// runQoSMix lowers and runs one mix with the experiment's host knobs.
+// runQoSMix lowers and runs one mix with the experiment's host knobs,
+// its workloads built through the experiment cache so repeated policies
+// reuse one rendered frame.
 func runQoSMix(cfg config.GPU, mix scenario.MixSpec, pol core.PolicyKind, opts render.Options) (*core.Result, error) {
-	job, err := core.BuildMixJobEnv(cfg, mix, pol, opts, qosMixEnv())
+	job, err := core.BuildMixJobEnv(cfg, mix, pol, opts, frontend.MixEnv())
 	if err != nil {
 		return nil, err
 	}

@@ -19,8 +19,8 @@ import (
 // Its streams are exactly the GPU streams whose ids fall in
 // [FirstStream, LastStream].
 type QoSInstance struct {
-	Arrival  int64 // absolute arrival cycle (== the streams' NotBefore)
-	Deadline int64 // absolute deadline cycle; 0 = none
+	Arrival                 int64 // absolute arrival cycle (== the streams' NotBefore)
+	Deadline                int64 // absolute deadline cycle; 0 = none
 	FirstStream, LastStream int
 }
 

@@ -42,8 +42,8 @@ const (
 	OpSEL // predicated select
 
 	// Special function unit (SFU / MUFU.*).
-	OpMUFURCP  // reciprocal
-	OpMUFURSQ  // reciprocal square root
+	OpMUFURCP // reciprocal
+	OpMUFURSQ // reciprocal square root
 	OpMUFUSIN
 	OpMUFUCOS
 	OpMUFUEX2

@@ -45,12 +45,12 @@ func TestMemoryClassification(t *testing.T) {
 
 func TestSpaces(t *testing.T) {
 	cases := map[Opcode]Space{
-		OpLDG: SpaceGlobal,
-		OpSTG: SpaceGlobal,
-		OpLDS: SpaceShared,
-		OpSTS: SpaceShared,
-		OpLDC: SpaceConst,
-		OpTEX: SpaceTexture,
+		OpLDG:  SpaceGlobal,
+		OpSTG:  SpaceGlobal,
+		OpLDS:  SpaceShared,
+		OpSTS:  SpaceShared,
+		OpLDC:  SpaceConst,
+		OpTEX:  SpaceTexture,
 		OpFADD: SpaceNone,
 	}
 	for op, want := range cases {

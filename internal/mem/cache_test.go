@@ -71,9 +71,9 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheWritebackOnDirtyEviction(t *testing.T) {
-	c := mustCache(t, 2*128, 2, 128) // 1 set, 2 ways
-	c.Access(1, 0, true, trace.ClassCompute, 0, -1)     // dirty
-	c.Access(2, 128, false, trace.ClassCompute, 0, -1)  // clean
+	c := mustCache(t, 2*128, 2, 128)                   // 1 set, 2 ways
+	c.Access(1, 0, true, trace.ClassCompute, 0, -1)    // dirty
+	c.Access(2, 128, false, trace.ClassCompute, 0, -1) // clean
 	res := c.Access(3, 256, false, trace.ClassCompute, 0, -1)
 	if !res.Writeback || res.WritebackLine != 0 {
 		t.Errorf("expected writeback of line 0, got %+v", res)

@@ -6,13 +6,13 @@ package mem
 // From the counters one can read how many hits a stream would retain if it
 // were allotted any number of ways (or, scaled, any fraction of sets).
 type UMON struct {
-	assoc      int
-	sampleMod  int // sample one in sampleMod sets
-	stacks     map[uint64][]uint64
-	WayHits    []int64 // hits at each LRU stack depth
-	Accesses   int64
-	Misses     int64
-	maxStacks  int
+	assoc     int
+	sampleMod int // sample one in sampleMod sets
+	stacks    map[uint64][]uint64
+	WayHits   []int64 // hits at each LRU stack depth
+	Accesses  int64
+	Misses    int64
+	maxStacks int
 }
 
 // NewUMON builds a monitor with the cache's associativity, sampling one in

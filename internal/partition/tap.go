@@ -118,7 +118,7 @@ func (t *TAP) Tick(now int64) {
 				w1++
 			}
 		}
-		sets0 = t.setsPerBank * (w0*256/assoc) / 256
+		sets0 = t.setsPerBank * (w0 * 256 / assoc) / 256
 		if sets0 < quarter {
 			sets0 = quarter
 		}

@@ -37,6 +37,8 @@ type runParams struct {
 	progressInterval int64
 	runWorkers       int
 	killAt           int64
+	// frontend is the server's trace cache (nil in a worker process).
+	frontend *crisp.Frontend
 }
 
 // paramsFor merges the server defaults into one attempt's parameters.
@@ -51,6 +53,7 @@ func (s *Server) paramsFor(r *resolved, resumeFrom, checkpointDir string, killAt
 		progressInterval: s.cfg.ProgressInterval,
 		runWorkers:       s.cfg.RunWorkers,
 		killAt:           killAt,
+		frontend:         s.frontend,
 	}
 	if p.budget == 0 {
 		p.budget = s.cfg.DefaultBudget
@@ -96,6 +99,7 @@ func runDirect(ctx context.Context, p runParams, h attemptHooks) (*StoredResult,
 	runOpts := []crisp.RunOption{
 		crisp.WithMetrics(p.progressInterval),
 		crisp.WithMetricsSink(sink),
+		crisp.WithFrontend(p.frontend),
 	}
 	if p.budget > 0 {
 		runOpts = append(runOpts, crisp.WithCycleBudget(p.budget))

@@ -400,6 +400,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE crispd_cached_results gauge\ncrispd_cached_results %d\n", st.CachedResults)
 	fmt.Fprintf(w, "# HELP crispd_cache_hit_rate Cache hits over cache lookups (hits + executions).\n")
 	fmt.Fprintf(w, "# TYPE crispd_cache_hit_rate gauge\ncrispd_cache_hit_rate %.6f\n", hitRate)
+	fmt.Fprintf(w, "# HELP crispd_frontend_hits_total Front-end lookups (rendered frames, compute workloads) answered from the trace cache.\n")
+	fmt.Fprintf(w, "# TYPE crispd_frontend_hits_total counter\ncrispd_frontend_hits_total %d\n", st.Frontend.Hits)
+	fmt.Fprintf(w, "# HELP crispd_frontend_misses_total Front-end products built (trace cache misses).\n")
+	fmt.Fprintf(w, "# TYPE crispd_frontend_misses_total counter\ncrispd_frontend_misses_total %d\n", st.Frontend.Misses)
+	fmt.Fprintf(w, "# HELP crispd_frontend_evictions_total Front-end products evicted to stay under the 64 MiB budget.\n")
+	fmt.Fprintf(w, "# TYPE crispd_frontend_evictions_total counter\ncrispd_frontend_evictions_total %d\n", st.Frontend.Evictions)
+	fmt.Fprintf(w, "# HELP crispd_frontend_bytes Bytes of traces the front-end cache retains.\n")
+	fmt.Fprintf(w, "# TYPE crispd_frontend_bytes gauge\ncrispd_frontend_bytes %d\n", st.Frontend.Bytes)
 	fmt.Fprintf(w, "# TYPE crispd_jobs_per_sec gauge\ncrispd_jobs_per_sec %.6f\n", jobsPerSec)
 	fmt.Fprintf(w, "# TYPE crispd_draining gauge\ncrispd_draining %d\n", draining)
 	ready := 0

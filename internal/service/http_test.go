@@ -137,10 +137,18 @@ func TestHTTPLifecycle(t *testing.T) {
 		"crispd_cache_hits_total 1",
 		"crispd_jobs_total{state=\"done\"} 2",
 		"crispd_draining 0",
+		// One render, never looked up again: the resubmission was answered
+		// a tier earlier, by the result cache.
+		"crispd_frontend_misses_total 1",
+		"crispd_frontend_hits_total 0",
+		"crispd_frontend_evictions_total 0",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
+	}
+	if _, rest, ok := strings.Cut(metrics, "\ncrispd_frontend_bytes "); !ok || rest[0] < '1' || rest[0] > '9' {
+		t.Errorf("crispd_frontend_bytes should read the retained frame's size:\n%s", metrics)
 	}
 
 	// Health.

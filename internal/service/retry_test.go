@@ -78,6 +78,12 @@ func TestRetryResumesFromCheckpoint(t *testing.T) {
 		t.Errorf("recovered result (cycles %d, digest %s) != uninterrupted (cycles %d, digest %s)",
 			sr.Cycles, sr.StatsDigest, wantCycles, wantDigest)
 	}
+	// The first attempt rendered SPL and built VIO; the retry must find
+	// both in the server's trace cache instead of paying the front end
+	// again before it restores the checkpoint.
+	if fe := st.Frontend; fe.Misses != 2 || fe.Hits < 2 {
+		t.Errorf("front end across the retry: %d builds, %d hits; want the 2 builds of the first attempt and >= 2 hits from the resume", fe.Misses, fe.Hits)
+	}
 }
 
 // TestChaosCorruptFallsBack layers checkpoint corruption on top of the

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	crisp "crisp"
+	"crisp/internal/core"
 	"crisp/internal/obs"
 	"crisp/internal/robust"
 	"crisp/internal/robust/chaos"
@@ -316,6 +317,12 @@ type Server struct {
 	coord *coordinator
 
 	cache *resultCache
+	// frontend is the second cache tier: trace key → front-end product.
+	// Every in-process attempt (worker-pool jobs, fleet shards, retries
+	// from a checkpoint) builds its frame and compute workload through it,
+	// so a scene is rendered once per server, not once per job. Isolated
+	// children are one process per attempt and stay uncached.
+	frontend *crisp.Frontend
 	// series holds completed jobs' interval series by job digest (the
 	// retained window of the primary execution's timeline), mirrored to
 	// <stateDir>/results/<digest>.series.json when persistence is on.
@@ -357,6 +364,7 @@ func New(cfg Config) (*Server, error) {
 		inflight:   make(map[string]*Job),
 		stop:       make(chan struct{}),
 		cache:      newResultCache(""),
+		frontend:   crisp.NewFrontend(),
 		series:     make(map[string][]obs.Sample),
 		chaosCtrl:  chaos.NewController(cfg.Chaos),
 		launchedAt: time.Now(),
@@ -1089,6 +1097,10 @@ type Stats struct {
 	// Fleet is the sweep tier's counter snapshot (leases, revocations,
 	// checkpoint handoffs, federation).
 	Fleet FleetStats
+
+	// Frontend is the trace cache's counter snapshot: lookups answered
+	// without building, builds, evictions, and bytes retained.
+	Frontend core.FrontendStats
 }
 
 // Snapshot returns current server statistics.
@@ -1129,6 +1141,7 @@ func (s *Server) Snapshot() Stats {
 	st.CheckpointFallbacks = s.fallbacks.Load()
 	st.ChaosKills, st.ChaosCorruptions = s.chaosCtrl.Stats()
 	st.Fleet = s.coord.stats()
+	st.Frontend = s.frontend.Stats()
 	st.CachedResults = s.cache.len()
 	st.Ready = s.Ready()
 	st.UptimeSec = time.Since(s.launchedAt).Seconds()

@@ -107,13 +107,19 @@ func (c *Ctx) un(op isa.Opcode, a Val, f func(x float32) float32) Val {
 }
 
 // Add returns a+b (FADD).
-func (c *Ctx) Add(a, b Val) Val { return c.bin(isa.OpFADD, a, b, func(x, y float32) float32 { return x + y }) }
+func (c *Ctx) Add(a, b Val) Val {
+	return c.bin(isa.OpFADD, a, b, func(x, y float32) float32 { return x + y })
+}
 
 // Sub returns a-b (FADD with negated operand).
-func (c *Ctx) Sub(a, b Val) Val { return c.bin(isa.OpFADD, a, b, func(x, y float32) float32 { return x - y }) }
+func (c *Ctx) Sub(a, b Val) Val {
+	return c.bin(isa.OpFADD, a, b, func(x, y float32) float32 { return x - y })
+}
 
 // Mul returns a*b (FMUL).
-func (c *Ctx) Mul(a, b Val) Val { return c.bin(isa.OpFMUL, a, b, func(x, y float32) float32 { return x * y }) }
+func (c *Ctx) Mul(a, b Val) Val {
+	return c.bin(isa.OpFMUL, a, b, func(x, y float32) float32 { return x * y })
+}
 
 // FMA returns a*b+d (FFMA).
 func (c *Ctx) FMA(a, b, d Val) Val {

@@ -309,7 +309,6 @@ func TestTensorOp(t *testing.T) {
 	}
 }
 
-
 func TestSelect(t *testing.T) {
 	c, b := newWarpCtx()
 	var xs [Lanes]float32

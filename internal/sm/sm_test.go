@@ -461,9 +461,9 @@ func TestSharedBankConflicts(t *testing.T) {
 		c.IssueCTA(0, mk(stride), 0, 0, nil)
 		return runCore(t, c)
 	}
-	clean := run(1)   // stride-1 words: all banks distinct
-	broad := run(0)   // same word: broadcast
-	worst := run(32)  // stride-32 words: every lane hits bank 0
+	clean := run(1)  // stride-1 words: all banks distinct
+	broad := run(0)  // same word: broadcast
+	worst := run(32) // stride-32 words: every lane hits bank 0
 	if broad > clean+8 {
 		t.Errorf("broadcast (%d) should match conflict-free (%d)", broad, clean)
 	}

@@ -14,6 +14,7 @@ package trace
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"crisp/internal/isa"
 )
@@ -253,4 +254,25 @@ func (k *Kernel) TexLinesPerCTA() []int {
 		out = append(out, len(lines))
 	}
 	return out
+}
+
+// SizeBytes reports the heap the kernel's trace holds: the kernel header,
+// its name, and every CTA, warp, instruction and address slice at its
+// capacity. A backing array that two instructions shared would be counted
+// once per instruction — an upper bound, the safe side for a cache budget;
+// no front end shares one today, so the walk is exact.
+func (k *Kernel) SizeBytes() int64 {
+	n := int64(unsafe.Sizeof(*k)) + int64(len(k.Name)) + int64(cap(k.CTAs))*int64(unsafe.Sizeof(CTA{}))
+	for i := range k.CTAs {
+		warps := k.CTAs[i].Warps
+		n += int64(cap(warps)) * int64(unsafe.Sizeof(Warp{}))
+		for j := range warps {
+			insts := warps[j].Insts
+			n += int64(cap(insts)) * int64(unsafe.Sizeof(Inst{}))
+			for l := range insts {
+				n += int64(cap(insts[l].Addrs)) * 8
+			}
+		}
+	}
+	return n
 }
