@@ -14,7 +14,9 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -533,6 +535,22 @@ type benchEntry struct {
 	// the sim-cycles/s ratio over the -no-skip oracle.
 	SkipRatio float64 `json:"skip_ratio,omitempty"`
 	SpeedupX  float64 `json:"speedup_x,omitempty"`
+	// Where the row was measured, stamped by writeBenchSnapshot: a speed
+	// is only comparable with one from a host that had the CPUs the row's
+	// GOMAXPROCS asks for, on a known toolchain and commit.
+	NumCPU    int    `json:"num_cpu"`
+	GoVersion string `json:"go_version"`
+	Commit    string `json:"commit"`
+}
+
+// benchCommit names the commit a snapshot row was measured at: the work
+// tree's HEAD as git describes it (test binaries carry no VCS stamp),
+// with "-dirty" when the tree holds uncommitted changes, else "unknown".
+func benchCommit() string {
+	if out, err := exec.Command("git", "describe", "--always", "--dirty").Output(); err == nil {
+		return strings.TrimSpace(string(out))
+	}
+	return "unknown"
 }
 
 // writeBenchSnapshot upserts entry into the JSON array at
@@ -543,9 +561,18 @@ type benchEntry struct {
 // at run time rather than inferred from the row label because under
 // -benchtime 1x the framework reuses the preliminary iteration — which
 // ran at the previous sweep point's CPU count — for the first row.
+//
+// A row whose GOMAXPROCS exceeds the host's CPUs is not written: it would
+// record oversubscription (-cpu 4 on a two-CPU box), not the engine, and
+// read as "-j4 is slower than -j1" to whoever compares against it later.
 func writeBenchSnapshot(b *testing.B, entry benchEntry) {
 	path := os.Getenv("CRISP_BENCH_JSON")
 	if path == "" {
+		return
+	}
+	entry.NumCPU, entry.GoVersion, entry.Commit = runtime.NumCPU(), runtime.Version(), benchCommit()
+	if entry.GOMAXPROCS > entry.NumCPU {
+		b.Logf("not recording %s at GOMAXPROCS=%d: this host has %d CPUs", entry.Bench, entry.GOMAXPROCS, entry.NumCPU)
 		return
 	}
 	var entries []benchEntry

@@ -224,6 +224,14 @@ type Result struct {
 	StepsSkipped   int64
 	BulkStallSlots int64
 	SleepHist      []int64
+	// DispatchSweeps/DispatchSkipped count run-loop iterations by what the
+	// global CTA scheduler did in them: swept the SMs for placeable CTAs,
+	// or skipped the sweep because nothing placement reads had moved since
+	// the last one (zero under NoSkip). Like the step counters they
+	// describe the host's work, not the simulation: never part of a
+	// snapshot or digest, and counted from zero again after a resume.
+	DispatchSweeps  int64
+	DispatchSkipped int64
 	// Kernels lists every completed kernel launch in completion order.
 	Kernels []gpu.KernelStat
 	// WS exposes warped-slicer state when that policy ran.
@@ -428,6 +436,7 @@ func (j *Job) runOn(ctx context.Context, g *gpu.GPU, res *Result) (*Result, erro
 	res.EmptySlots = g.EmptySlots()
 	res.StepsExecuted, res.StepsSkipped, res.BulkStallSlots = g.SkipCounters()
 	res.SleepHist = g.SleepHist()
+	res.DispatchSweeps, res.DispatchSkipped = g.DispatchCounters()
 	res.Kernels = g.KernelStats()
 
 	comp := g.Mem().L2Composition()

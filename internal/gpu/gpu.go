@@ -9,6 +9,13 @@
 // behaves like stock Accel-Sim: it drains CTAs from one kernel exhaustively
 // before moving to the next, so concurrency only arises when a kernel
 // cannot fill the machine or a policy reserves resources.
+//
+// The CTA scheduler is event-driven: stream activation, kernel launch and
+// CTA placement each end at a fixpoint, and the run loop reruns one only
+// after an event that could move it (a warp retired, a kernel launched or
+// finished, the policy ticked, a tenant arrived) — see dispatch. NoSkip
+// reruns all three every iteration, which is the oracle the event-driven
+// path is diffed against.
 package gpu
 
 import (
@@ -56,12 +63,21 @@ type StateSnapshotter interface {
 
 // Policy is a GPU partitioning scheme. Implementations live in
 // internal/partition; the zero policy (nil) shares everything.
+//
+// AllowSM and Limit must be pure functions of state the policy writes only
+// in OnLaunch and Tick: they may not read the cycle, SM counters or
+// anything else that moves between those calls. The CTA dispatcher relies
+// on it — after a sweep it re-asks only after an OnLaunch, a Tick, a warp
+// retire or a new launch — and a policy that breaks it diverges from the
+// -no-skip oracle, which re-asks every iteration.
 type Policy interface {
 	Name() string
-	// AllowSM reports whether the task may place CTAs on the SM.
+	// AllowSM reports whether the task may place CTAs on the SM. Its
+	// answer may change only in OnLaunch/Tick (see above).
 	AllowSM(smID, task int) bool
 	// Limit returns the intra-SM resource envelope for the task on the
-	// SM; ok=false means "no intra-SM limit" (whole SM).
+	// SM; ok=false means "no intra-SM limit" (whole SM). Like AllowSM, its
+	// answer may change only in OnLaunch/Tick.
 	Limit(smID, task int) (res sm.Resources, ok bool)
 	// OnLaunch runs when a kernel begins issuing CTAs (kernel launches
 	// and, for graphics, new drawcall batches) so dynamic policies can
@@ -213,9 +229,25 @@ type GPU struct {
 	qosArrCursor int
 
 	// nextArrival is the earliest NotBefore among streams that have not
-	// yet arrived, recomputed by activateStreams each iteration; the run
-	// loop clamps its time jumps to it so arrivals behave as wake events.
+	// yet arrived, recomputed by activateStreams; the run loop clamps its
+	// time jumps to it so arrivals behave as wake events.
 	nextArrival int64
+
+	// Event flags of the CTA scheduler (see dispatch): which of its passes
+	// has an input that moved since the pass last ran. Derived state —
+	// never serialized or digested — and set at the top of RunContext, so
+	// a resumed run's first iteration runs every pass.
+	streamsDirty bool  // a stream advanced: rerun activateStreams and launchReady
+	placeDirty   bool  // a launch, a retire or the policy moved placement: rerun issueCTAs
+	retiredSeen  int64 // Σ cores' RetiredWarps when placeDirty was last derived from it
+	// dispatchSweeps/dispatchSkipped count run-loop iterations whose CTA
+	// placement sweep ran / was skipped at a fixpoint. Observability only.
+	dispatchSweeps  int64
+	dispatchSkipped int64
+	// Scratch reused across calls: activateStreams' per-task active-stream
+	// counts and issueCTAs' priority-ordered copy of running.
+	activeByTask []int
+	order        []*launch
 
 	// loop holds the run loop's cursor state; a field (not locals) so
 	// checkpoints can carry it and a resumed run keeps its sampling
@@ -482,7 +514,11 @@ func (g *GPU) OnStallN(smID, stream, task int, cause obs.StallCause, n int64) {
 // NotBefore still in the future — which the run loop uses as a wake event.
 func (g *GPU) activateStreams() {
 	g.nextArrival = sm.Never
-	activeByTask := make(map[int]int)
+	if len(g.activeByTask) <= g.maxTask {
+		g.activeByTask = make([]int, g.maxTask+1)
+	}
+	activeByTask := g.activeByTask
+	clear(activeByTask)
 	for _, st := range g.streams {
 		if st.active && st.idx < len(st.def.Kernels) {
 			activeByTask[st.def.Task]++
@@ -527,6 +563,7 @@ func (g *GPU) launchReady() {
 		k := st.def.Kernels[st.idx]
 		l := &launch{k: k, task: st.def.Task, stream: st, started: g.now}
 		g.running = append(g.running, l)
+		g.placeDirty = true
 		if t := g.tracer; t != nil {
 			if !st.started && k.Kind.IsGraphics() {
 				t.Emit(obs.Event{Cycle: g.now, Kind: obs.EvBatchStart, Stream: st.def.ID,
@@ -546,19 +583,65 @@ func (g *GPU) launchReady() {
 	}
 }
 
+// dispatch is the global CTA scheduler's turn in one run-loop iteration:
+// open stream slots, launch stream-head kernels, place pending CTAs. Each
+// pass runs to a fixpoint of its inputs, so running it again before one
+// of them moves would change nothing, and it is skipped until then:
+//
+//   - activateStreams and launchReady read stream progress (written by
+//     reapFinished and by themselves), the running set, and whether now
+//     has reached a NotBefore — the earliest pending one is nextArrival.
+//   - issueCTAs reads the running launches' pending CTAs, the policy's
+//     AllowSM/Limit — pure functions of state the policy writes only in
+//     OnLaunch and Tick — and CanAccept, which reads per-SM resource usage
+//     and resident-warp counts: raised only by issueCTAs itself, lowered
+//     only by a warp's retire. Placing one launch's CTAs can only take
+//     resources from the others, so when the sweep stops, no pending CTA
+//     fits anywhere until a launch is added, a warp retires or the policy
+//     ticks.
+//
+// NoSkip reruns every pass every iteration, as the loop always used to.
+func (g *GPU) dispatch() {
+	streams := g.NoSkip || g.streamsDirty || g.now >= g.nextArrival
+	if streams {
+		g.streamsDirty = false
+		g.activateStreams()
+	}
+	g.emitArrivals() // between the two passes: the trace's event order
+	if streams {
+		g.launchReady()
+	}
+	if g.NoSkip || g.placeDirty {
+		g.placeDirty = false
+		g.dispatchSweeps++
+		g.issueCTAs()
+	} else {
+		g.dispatchSkipped++
+	}
+}
+
+// retiredWarps sums the cores' retire counters.
+func (g *GPU) retiredWarps() int64 {
+	var n int64
+	for _, c := range g.cores {
+		n += c.RetiredWarps()
+	}
+	return n
+}
+
+// DispatchCounters reports how many run-loop iterations ran the CTA
+// placement sweep and how many skipped it because placement was at a
+// fixpoint (always zero under NoSkip). Observability only, like
+// SkipCounters: never serialized, digested, or carried across a resume.
+func (g *GPU) DispatchCounters() (sweeps, skipped int64) {
+	return g.dispatchSweeps, g.dispatchSkipped
+}
+
 // issueCTAs places as many pending CTAs as fit, in launch order, spreading
 // each kernel breadth-first across its allowed SMs (one CTA per SM per
 // sweep, as hardware CTA schedulers do) before stacking SMs deeper.
 func (g *GPU) issueCTAs() {
-	running := g.running
-	if prio, ok := g.placementPriority(); ok {
-		running = make([]*launch, len(g.running))
-		copy(running, g.running)
-		sort.SliceStable(running, func(i, j int) bool {
-			return prio(running[i].task) > prio(running[j].task)
-		})
-	}
-	for _, l := range running {
+	for _, l := range g.placementOrder() {
 		if l.nextCTA >= len(l.k.CTAs) {
 			continue
 		}
@@ -624,6 +707,7 @@ func (g *GPU) reapFinished() {
 				CTAs:     len(l.k.CTAs),
 			})
 			l.stream.idx++
+			g.streamsDirty = true
 			if l.stream.idx >= len(l.stream.def.Kernels) {
 				l.stream.active = false
 				if g.qos != nil {
@@ -704,13 +788,12 @@ func (g *GPU) RunContext(ctx context.Context) (int64, error) {
 	}
 	eng := engine.New(g.cores, g.effectiveWorkers(), g.NoSkip)
 	defer eng.Close()
+	g.streamsDirty, g.placeDirty = true, true
+	g.retiredSeen = g.retiredWarps()
 	ls := &g.loop
 	for {
 		ls.iter++
-		g.activateStreams()
-		g.emitArrivals()
-		g.launchReady()
-		g.issueCTAs()
+		g.dispatch()
 		g.reapFinished()
 
 		if len(g.running) == 0 {
@@ -727,6 +810,14 @@ func (g *GPU) RunContext(ctx context.Context) (int64, error) {
 		}
 
 		next, anyBusy := eng.Step(g.now)
+		// Every retire frees something CanAccept reads (a warp slot; with
+		// the CTA's last warp, its threads, registers and shared memory).
+		// The counters are core-private, so they are read here, after the
+		// engine has joined its workers.
+		if r := g.retiredWarps(); r != g.retiredSeen {
+			g.retiredSeen = r
+			g.placeDirty = true
+		}
 		if !anyBusy {
 			// CTAs are pending but none was placeable and nothing is
 			// executing: the partition is infeasible.
@@ -782,6 +873,7 @@ func (g *GPU) RunContext(ctx context.Context) (int64, error) {
 		if g.policy != nil && g.now-ls.lastTick >= g.epoch {
 			g.policy.Tick(g.now)
 			ls.lastTick = g.now
+			g.placeDirty = true
 			// A repartition can change what a sleeping core could do (CTA
 			// placement limits), so force every core awake for the next
 			// step. Unconditional in both skip modes — the digest below
@@ -1069,6 +1161,7 @@ func (g *GPU) sampleMetrics() {
 	}
 	sample := obs.Sample{Cycle: g.now, CyclesSimulated: g.now}
 	sample.StepsExecuted, sample.StepsSkipped, sample.BulkStallSlots = g.SkipCounters()
+	sample.DispatchSweeps, sample.DispatchSkipped = g.DispatchCounters()
 	for task := 0; task < nt; task++ {
 		if !cur[task].hasStreams {
 			continue

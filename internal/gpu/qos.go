@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"crisp/internal/obs"
@@ -227,20 +229,29 @@ func (g *GPU) SetTaskPriorities(prios []int) {
 	g.taskPrio = append([]int(nil), prios...)
 }
 
-// placementPriority resolves the CTA placement ordering: explicit task
-// priorities (scenario mixes) win over the policy's Prioritizer; nil/false
-// means plain launch order.
-func (g *GPU) placementPriority() (func(task int) int, bool) {
-	if tp := g.taskPrio; tp != nil {
-		return func(task int) int {
-			if task >= 0 && task < len(tp) {
-				return tp[task]
-			}
-			return 0
-		}, true
+// placementOrder returns the running launches in CTA placement order:
+// descending task priority — explicit task priorities (scenario mixes)
+// win over the policy's Prioritizer — with ties in launch order, or plain
+// launch order when neither defines one. The ordered copy lives in a
+// reused scratch slice.
+func (g *GPU) placementOrder() []*launch {
+	pr, _ := g.policy.(Prioritizer)
+	tp := g.taskPrio
+	if tp == nil && pr == nil {
+		return g.running
 	}
-	if pr, ok := g.policy.(Prioritizer); ok {
-		return pr.Priority, true
+	prio := func(task int) int {
+		if tp == nil {
+			return pr.Priority(task)
+		}
+		if task >= 0 && task < len(tp) {
+			return tp[task]
+		}
+		return 0
 	}
-	return nil, false
+	g.order = append(g.order[:0], g.running...)
+	slices.SortStableFunc(g.order, func(a, b *launch) int {
+		return cmp.Compare(prio(b.task), prio(a.task))
+	})
+	return g.order
 }

@@ -166,9 +166,7 @@ func (s *System) Load(now int64, sm, stream int, class trace.MemClass, addr uint
 	// completing fill.
 	start := now
 	if pending.size() >= s.cfg.L1MSHRs {
-		if earliest := pending.minReady(); earliest > start {
-			start = earliest
-		}
+		start = pending.minReadyAfter(now)
 	}
 
 	ready := s.l2Access(start+int64(s.cfg.L1Latency), stream, cnt, class, addr, false)

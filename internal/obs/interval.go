@@ -55,6 +55,11 @@ type Sample struct {
 	// BulkStallSlots counts stall slots synthesized by bulk accounting
 	// when sleeping cores woke.
 	BulkStallSlots int64 `json:"bulk_stall_slots,omitempty"`
+	// DispatchSweeps counts run-loop iterations in which the global CTA
+	// scheduler ran its placement sweep; DispatchSkipped those in which
+	// it did not, because nothing placement reads had moved.
+	DispatchSweeps  int64 `json:"dispatch_sweeps,omitempty"`
+	DispatchSkipped int64 `json:"dispatch_skipped,omitempty"`
 }
 
 // IntervalSeries accumulates interval metrics samples at a fixed cycle

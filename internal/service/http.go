@@ -348,6 +348,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE crispd_sim_steps_skipped gauge\ncrispd_sim_steps_skipped %d\n", st.StepsSkipped)
 	fmt.Fprintf(w, "# HELP crispd_sim_bulk_stall_slots Scheduler stall slots accounted in bulk at core wake.\n")
 	fmt.Fprintf(w, "# TYPE crispd_sim_bulk_stall_slots gauge\ncrispd_sim_bulk_stall_slots %d\n", st.BulkStallSlots)
+	fmt.Fprintf(w, "# HELP crispd_sim_dispatch_sweeps Run-loop iterations in which the global CTA scheduler swept the SMs for placeable CTAs.\n")
+	fmt.Fprintf(w, "# TYPE crispd_sim_dispatch_sweeps gauge\ncrispd_sim_dispatch_sweeps %d\n", st.DispatchSweeps)
+	fmt.Fprintf(w, "# HELP crispd_sim_dispatch_skipped Run-loop iterations that skipped the sweep: no retire, launch or policy tick since the last one (0 under -no-skip).\n")
+	fmt.Fprintf(w, "# TYPE crispd_sim_dispatch_skipped gauge\ncrispd_sim_dispatch_skipped %d\n", st.DispatchSkipped)
 	fmt.Fprintf(w, "# HELP crispd_sim_skip_ratio Fraction of visited core steps skipped by sleeping (0 when idle or -no-skip).\n")
 	fmt.Fprintf(w, "# TYPE crispd_sim_skip_ratio gauge\ncrispd_sim_skip_ratio %g\n", skipRatio)
 	fmt.Fprintf(w, "# HELP crispd_attempts_total Supervised execution attempts started (>= executions).\n")

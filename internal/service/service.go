@@ -218,6 +218,8 @@ type Job struct {
 	stepsExec    int64
 	stepsSkipped int64
 	bulkStalls   int64
+	dispSweeps   int64
+	dispSkipped  int64
 }
 
 func (j *Job) setState(st State) {
@@ -236,6 +238,8 @@ func (j *Job) noteSample(s obs.Sample) {
 	j.stepsExec = s.StepsExecuted
 	j.stepsSkipped = s.StepsSkipped
 	j.bulkStalls = s.BulkStallSlots
+	j.dispSweeps = s.DispatchSweeps
+	j.dispSkipped = s.DispatchSkipped
 	j.mu.Unlock()
 	j.hub.Publish(obs.TimelineEvent{Cycle: s.Cycle, Kind: obs.TimelineSample, Sample: &s})
 }
@@ -1086,6 +1090,11 @@ type Stats struct {
 	StepsExecuted   int64
 	StepsSkipped    int64
 	BulkStallSlots  int64
+	// Dispatcher telemetry, summed the same way: run-loop iterations in
+	// which the global CTA scheduler swept the SMs, and those in which it
+	// had nothing new to look at.
+	DispatchSweeps  int64
+	DispatchSkipped int64
 	// Telemetry aggregates every job hub's counters: live timeline
 	// subscribers, events published, and the slow-subscriber drop
 	// counters.
@@ -1120,6 +1129,8 @@ func (s *Server) Snapshot() Stats {
 		st.StepsExecuted += j.stepsExec
 		st.StepsSkipped += j.stepsSkipped
 		st.BulkStallSlots += j.bulkStalls
+		st.DispatchSweeps += j.dispSweeps
+		st.DispatchSkipped += j.dispSkipped
 		j.mu.Unlock()
 		hs := j.hub.Stats()
 		st.Subscribers += hs.Subscribers

@@ -1,0 +1,265 @@
+package sm
+
+import (
+	"math/rand"
+	"testing"
+
+	"crisp/internal/compute"
+	"crisp/internal/isa"
+	"crisp/internal/obs"
+	"crisp/internal/trace"
+)
+
+// refConflictDegree is the slice-per-bank implementation that
+// sharedConflictDegree replaced, kept as its reference.
+func refConflictDegree(in *trace.Inst) int {
+	if len(in.Addrs) == 0 {
+		return 1
+	}
+	const banks = 32
+	var words [banks][]uint64
+	degree := 1
+	for _, off := range in.Addrs {
+		word := off / 4
+		b := word % banks
+		dup := false
+		for _, wd := range words[b] {
+			if wd == word {
+				dup = true
+				break
+			}
+		}
+		if dup {
+			continue
+		}
+		words[b] = append(words[b], word)
+		if len(words[b]) > degree {
+			degree = len(words[b])
+		}
+	}
+	return degree
+}
+
+func TestSharedConflictDegreeMatchesReference(t *testing.T) {
+	lanes := func(f func(i uint64) uint64) []uint64 {
+		a := make([]uint64, 32)
+		for i := range a {
+			a[i] = f(uint64(i))
+		}
+		return a
+	}
+	for _, tc := range []struct {
+		name  string
+		addrs []uint64
+		want  int
+	}{
+		{"no addresses", nil, 1},
+		{"32-lane broadcast", lanes(func(uint64) uint64 { return 64 }), 1},
+		{"stride 1 word", lanes(func(i uint64) uint64 { return i * 4 }), 1},
+		{"stride 32 words", lanes(func(i uint64) uint64 { return i * 32 * 4 }), 32},
+		{"two words per bank", lanes(func(i uint64) uint64 { return (i%16 + i/16*32) * 4 }), 2},
+		{"bytes of one word", lanes(func(i uint64) uint64 { return i % 4 }), 1},
+		// Lanes alternate between re-reading word 0 (a broadcast) and
+		// camping bank 0 with fresh words: 16 distinct words plus word 0.
+		{"duplicates interleaved with conflicts", lanes(func(i uint64) uint64 { return i % 2 * (i + 1) * 32 * 4 }), 17},
+		{"partial warp", lanes(func(i uint64) uint64 { return i * 64 * 4 })[:5], 5},
+	} {
+		in := &trace.Inst{Op: isa.OpLDS, Mask: trace.FullMask, Addrs: tc.addrs}
+		if got := sharedConflictDegree(in); got != tc.want {
+			t.Errorf("%s: degree %d, want %d", tc.name, got, tc.want)
+		}
+		if ref := refConflictDegree(in); ref != tc.want {
+			t.Errorf("%s: the reference says %d, the table %d", tc.name, ref, tc.want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 5000; i++ {
+		// Few distinct words over few banks, so that duplicates, conflicts
+		// and both at once are all common.
+		addrs := make([]uint64, 1+rng.Intn(32))
+		words, spread := uint64(1+rng.Intn(40)), uint64(1+rng.Intn(64))
+		for l := range addrs {
+			addrs[l] = uint64(rng.Int63n(int64(words)))*spread*4 + uint64(rng.Intn(4))
+		}
+		in := &trace.Inst{Op: isa.OpSTS, Addrs: addrs}
+		if got, want := sharedConflictDegree(in), refConflictDegree(in); got != want {
+			t.Fatalf("addrs %v: degree %d, reference %d", addrs, got, want)
+		}
+	}
+	in := &trace.Inst{Op: isa.OpLDS, Addrs: make([]uint64, 32)}
+	if n := testing.AllocsPerRun(100, func() { sharedConflictDegree(in) }); n != 0 {
+		t.Errorf("sharedConflictDegree allocates %v times per call", n)
+	}
+}
+
+// refEarliest is earliestOf as it was before the memo was split: one pass
+// from scratch over the barrier release, the four scoreboard entries and
+// the pipeline, in that order, each binding only if strictly later.
+func refEarliest(s *scheduler, w *warpRT) (int64, obs.StallCause) {
+	in := &w.insts[w.pc]
+	e, cause := w.blockedUntil, obs.StallBarrier
+	if in.Dst != isa.RegNone {
+		if r := s.regReady(w.slot, in.Dst); r > e {
+			e, cause = r, s.regCause(w.slot, in.Dst)
+		}
+	}
+	for _, src := range [3]isa.Reg{in.SrcA, in.SrcB, in.SrcC} {
+		if src == isa.RegNone {
+			continue
+		}
+		if r := s.regReady(w.slot, src); r > e {
+			e, cause = r, s.regCause(w.slot, src)
+		}
+	}
+	unit := isa.UnitOf(in.Op)
+	if unit != isa.UnitCTRL && unit != isa.UnitNone {
+		if f := s.unitFree[unit]; f > e {
+			e, cause = f, obs.StallPipeBusy
+		}
+	}
+	return e, cause
+}
+
+// TestEarliestMemoMatchesRecompute steps a core through NN's tiled matmul
+// (global loads, STS/LDS with offsets, two barriers per K tile whose
+// waiters sit on all four schedulers, EXIT) with the memo on. Within one
+// scheduler step every earliestOf call precedes the step's only state
+// change, its issue; so comparing every live warp of a scheduler with a
+// from-scratch recompute right before that scheduler steps covers every
+// value any call in the step can return — across retires (dropSlot),
+// barrier releases by other schedulers earlier in the same cycle, new
+// CTAs, sleeps, and, in buffered mode, phase-B fill commits.
+func TestEarliestMemoMatchesRecompute(t *testing.T) {
+	k := compute.NN(1 << 20).Kernels[1]
+	for _, mode := range []struct {
+		name     string
+		buffered bool
+		sched    SchedPolicy
+	}{
+		{"direct-gto", false, SchedGTO},
+		{"buffered-gto", true, SchedGTO},
+		{"buffered-lrr", true, SchedLRR},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			c, _, _ := testCore(t)
+			c.Sched = mode.sched
+			c.SetBuffered(mode.buffered)
+			var checks, reused, releases, retires int
+			nextCTA, total := 0, 12
+			now := int64(0)
+			for nextCTA < total || c.Busy() {
+				for nextCTA < total && c.CanAccept(k, 1) {
+					c.IssueCTA(now, k, nextCTA, 1, nil)
+					nextCTA++
+				}
+				wake := never
+				for si := range c.scheds {
+					s := &c.scheds[si]
+					for _, w := range s.warps {
+						if w.done {
+							continue
+						}
+						if s.memo[w.slot].ok {
+							reused++
+						}
+						e, cause := s.earliestOf(w)
+						if re, rc := refEarliest(s, w); e != re || cause != rc {
+							t.Fatalf("cycle %d sched %d slot %d pc %d (%v): memo says (%d, %v), recompute (%d, %v)",
+								now, si, w.slot, w.pc, w.insts[w.pc].Op, e, cause, re, rc)
+						}
+						checks++
+					}
+					warps, blocked := len(s.warps), c.BarrierBlocked()
+					if n := s.step(now); n < wake {
+						wake = n
+					}
+					if len(s.warps) < warps {
+						retires++
+					}
+					if c.BarrierBlocked() < blocked {
+						releases++
+					}
+				}
+				c.CommitStep(now)
+				// Sleep as the engines do, so memos also have to survive
+				// jumps over many cycles.
+				now = max(wake, now+1)
+				if now >= never {
+					t.Fatal("core livelocked")
+				}
+			}
+			if reused == 0 || releases == 0 || retires < total*k.WarpsPerCTA() {
+				t.Fatalf("%d checks, %d on a live memo, %d barrier releases, %d retires: the run no longer exercises the memo",
+					checks, reused, releases, retires)
+			}
+			t.Logf("%d checks, %d on a live memo, %d barrier releases, %d retires", checks, reused, releases, retires)
+		})
+	}
+}
+
+// TestEarliestMemoCombinesPipelineLast pins the split's one ordering rule:
+// the pipeline's next free cycle — the only input another warp's issue
+// moves — is read at query time and binds only when strictly later than
+// the memoized register constraint, as a single from-scratch pass decides.
+func TestEarliestMemoCombinesPipelineLast(t *testing.T) {
+	c, _, _ := testCore(t)
+	c.IssueCTA(0, chainKernel(4), 0, 0, nil)
+	s := &c.scheds[0]
+	w := s.warps[0]
+	c.Step(0) // MOV issues; the first FADD now waits on its result
+	in := &w.insts[w.pc]
+	unit := isa.UnitOf(in.Op)
+	regE := s.regReady(w.slot, in.SrcA)
+	for _, tc := range []struct {
+		unitFree int64
+		wantE    int64
+		want     obs.StallCause
+	}{
+		{0, regE, obs.StallScoreboard},
+		{regE, regE, obs.StallScoreboard}, // a tie stays with the register
+		{regE + 3, regE + 3, obs.StallPipeBusy},
+		{regE - 1, regE, obs.StallScoreboard}, // and the memo was not overwritten
+	} {
+		s.unitFree[unit] = tc.unitFree // what another warp's issue does
+		e, cause := s.earliestOf(w)
+		if re, rc := refEarliest(s, w); e != re || cause != rc || e != tc.wantE || cause != tc.want {
+			t.Errorf("unitFree %d: memo says (%d, %v), recompute (%d, %v), want (%d, %v)",
+				tc.unitFree, e, cause, re, rc, tc.wantE, tc.want)
+		}
+		if !s.memo[w.slot].ok {
+			t.Errorf("unitFree %d: the query left no memo behind", tc.unitFree)
+		}
+	}
+}
+
+// TestStepDoesNotAllocate guards Core.Step at steady state: a core full
+// of resident matmul CTAs (LDG, STS/LDS with offsets, barriers) that have
+// all been through a barrier once, in both effect modes.
+func TestStepDoesNotAllocate(t *testing.T) {
+	k := compute.NN(1 << 20).Kernels[1]
+	for _, buffered := range []bool{false, true} {
+		c, _, _ := testCore(t)
+		c.SetBuffered(buffered)
+		for i := 0; c.CanAccept(k, 1); i++ {
+			c.IssueCTA(0, k, i, 1, nil)
+		}
+		now := int64(0)
+		step := func() {
+			wake := c.Step(now)
+			c.CommitStep(now)
+			now = max(wake, now+1)
+		}
+		for i := 0; i < 1500; i++ { // warm: barrier lists, the issue log, fill tables
+			step()
+		}
+		resident := c.TotalResidentWarps()
+		if n := testing.AllocsPerRun(1000, step); n != 0 {
+			t.Errorf("buffered=%v: Step allocates %v times per call", buffered, n)
+		}
+		if c.TotalResidentWarps() != resident {
+			t.Errorf("buffered=%v: warps retired during the measurement (%d → %d); not a steady state",
+				buffered, resident, c.TotalResidentWarps())
+		}
+	}
+}

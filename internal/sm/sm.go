@@ -170,11 +170,10 @@ const memWords = regsPerWarp / 64
 //
 // The per-warp hot state is structure-of-arrays: sb holds regsPerWarp
 // scoreboard entries per warp slot and memBits holds the matching
-// from-memory bitmaps, both indexed by warpRT.slot. earliestOf memoizes
-// each slot's (earliest, cause) result; the memo is invalidated by a
-// scheduler-wide version bump on every issue (issues mutate unitFree and
-// the issuing warp) and per-slot on cross-slot writes (mem fills
-// committed in phase B, barrier releases).
+// from-memory bitmaps, both indexed by warpRT.slot. memo holds each
+// slot's warp-private issue constraint (see warpMemo), which only that
+// warp's own state can change; an issue by another warp moves nothing but
+// unitFree, which earliestOf reads fresh at every query.
 type scheduler struct {
 	core     *Core
 	warps    []*warpRT
@@ -182,18 +181,27 @@ type scheduler struct {
 	rr       int // round-robin cursor (SchedLRR)
 	unitFree [isa.UnitCount]int64
 
-	sb      []int64  // regsPerWarp per slot: cycle each register is ready
-	memBits []uint64 // memWords per slot: pending write is from memory
-
-	version   uint64 // bumped on issue; memo valid iff memoVer == version
-	memoE     []int64
-	memoCause []obs.StallCause
-	memoVer   []uint64 // 0 = invalid (version starts at 1)
+	sb      []int64    // regsPerWarp per slot: cycle each register is ready
+	memBits []uint64   // memWords per slot: pending write is from memory
+	memo    []warpMemo // one per slot
 
 	// legacy disables the memo (every step recomputes from the
 	// scoreboard), making the -no-skip oracle independent of the memo
 	// invalidation logic it is used to verify.
 	legacy bool
+}
+
+// warpMemo is the part of a warp's earliest-issue answer that depends on
+// the warp alone: the latest of its barrier release and the scoreboard
+// entries of its current instruction's registers, which of them binds,
+// and the pipeline the instruction needs. It stays valid until the warp
+// issues (pc and blockedUntil move), one of its registers is written
+// (setReg, including phase-B fill commits) or a barrier releases it.
+type warpMemo struct {
+	e     int64
+	cause obs.StallCause
+	unit  isa.Unit // UnitNone when the instruction waits for no pipeline
+	ok    bool
 }
 
 // regReady reads one scoreboard entry.
@@ -207,7 +215,7 @@ func (s *scheduler) regFromMem(slot int, r isa.Reg) bool {
 }
 
 // setReg writes one scoreboard entry plus its from-memory mark and
-// invalidates the slot's memoized earliest (the write may shorten it).
+// invalidates the slot's memo (the write may shorten it).
 func (s *scheduler) setReg(slot int, r isa.Reg, ready int64, fromMem bool) {
 	s.sb[slot*regsPerWarp+int(r)] = ready
 	w := slot*memWords + int(r)/64
@@ -217,7 +225,7 @@ func (s *scheduler) setReg(slot int, r isa.Reg, ready int64, fromMem bool) {
 	} else {
 		s.memBits[w] &^= bit
 	}
-	s.memoVer[slot] = 0
+	s.memo[slot].ok = false
 }
 
 // growSlot appends one zeroed warp slot (all registers ready, nothing
@@ -226,27 +234,24 @@ func (s *scheduler) growSlot() int {
 	slot := len(s.warps)
 	var zero [regsPerWarp]int64
 	s.sb = append(s.sb, zero[:]...)
-	s.memBits = append(s.memBits, make([]uint64, memWords)...)
-	s.memoE = append(s.memoE, 0)
-	s.memoCause = append(s.memoCause, 0)
-	s.memoVer = append(s.memoVer, 0)
+	var noBits [memWords]uint64
+	s.memBits = append(s.memBits, noBits[:]...)
+	s.memo = append(s.memo, warpMemo{})
 	return slot
 }
 
 // dropSlot removes warp slot i, shifting later slots down one (retire
-// preserves arrival order, so the SoA blocks shift in lockstep with the
-// warps slice). Callers must re-number the shifted warps' slot fields.
+// preserves arrival order, so the SoA blocks and the memos shift in
+// lockstep with the warps slice). Callers must re-number the shifted
+// warps' slot fields.
 func (s *scheduler) dropSlot(i int) {
-	n := len(s.memoE)
+	n := len(s.memo)
 	copy(s.sb[i*regsPerWarp:], s.sb[(i+1)*regsPerWarp:])
 	s.sb = s.sb[:(n-1)*regsPerWarp]
 	copy(s.memBits[i*memWords:], s.memBits[(i+1)*memWords:])
 	s.memBits = s.memBits[:(n-1)*memWords]
-	// Memo contents need not shift: the issue that triggered this retire
-	// bumps version, invalidating every slot's memo anyway.
-	s.memoE = s.memoE[:n-1]
-	s.memoCause = s.memoCause[:n-1]
-	s.memoVer = s.memoVer[:n-1]
+	copy(s.memo[i:], s.memo[i+1:])
+	s.memo = s.memo[:n-1]
 }
 
 // Core is one SM.
@@ -270,6 +275,11 @@ type Core struct {
 
 	resident   int // total resident warps, so Busy is O(1)
 	arrivalSeq int64
+	// retired counts warps that have exited, since construction. It exists
+	// for the GPU's CTA dispatcher: every retire frees something CanAccept
+	// reads. Written only by this core's own Step (so phase A may bump it),
+	// derived bookkeeping that is never serialized.
+	retired int64
 
 	// wakeAt is the earliest cycle this core could do useful work, as
 	// reported by its last Step. The engine skips stepping a busy core
@@ -324,7 +334,6 @@ func NewCore(id int, cfg *config.GPU, memsys *mem.System, stats InstStats) *Core
 	}
 	for i := range c.scheds {
 		c.scheds[i].core = c
-		c.scheds[i].version = 1
 	}
 	return c
 }
@@ -345,6 +354,9 @@ func (c *Core) ResidentWarps(task int) int {
 
 // TotalResidentWarps reports all resident warps.
 func (c *Core) TotalResidentWarps() int { return c.resident }
+
+// RetiredWarps reports how many warps have exited on this SM so far.
+func (c *Core) RetiredWarps() int64 { return c.retired }
 
 // Usage reports the resources currently used by a task.
 func (c *Core) Usage(task int) Resources {
@@ -691,48 +703,53 @@ func (s *scheduler) earliestFor(w *warpRT, now int64) (canNow bool, earliest int
 
 // earliestOf computes the earliest cycle w could issue and the binding
 // constraint. Both are independent of the current cycle (all inputs are
-// absolute cycle numbers), so the result is memoized per slot and
-// reused until the scheduler's state changes: any issue bumps version,
-// and cross-slot writes (phase-B mem fills, barrier releases) clear the
-// slot's memoVer. In legacy (-no-skip oracle) mode the memo is bypassed
-// entirely — every step recomputes from the scoreboard — so a memo
-// invalidation bug shows up as a digest divergence against the oracle
-// instead of being shared by both sides of the comparison.
+// absolute cycle numbers). The warp-private part is memoized per slot;
+// the pipeline's next free cycle is the one input another warp's issue
+// moves, so it is combined in here, last and with the same strict >, as
+// a from-scratch evaluation orders it: the answer is StallPipeBusy iff
+// unitFree[unit] exceeds every register and barrier constraint. In legacy
+// (-no-skip oracle) mode the memo is bypassed entirely — every step
+// recomputes from the scoreboard — so a memo invalidation bug shows up as
+// a digest divergence against the oracle instead of being shared by both
+// sides of the comparison.
 func (s *scheduler) earliestOf(w *warpRT) (earliest int64, cause obs.StallCause) {
-	if !s.legacy && s.memoVer[w.slot] == s.version {
-		return s.memoE[w.slot], s.memoCause[w.slot]
+	var m warpMemo
+	if s.legacy {
+		m = s.warpEarliest(w)
+	} else {
+		p := &s.memo[w.slot]
+		if !p.ok {
+			*p = s.warpEarliest(w)
+		}
+		m = *p
 	}
+	if m.unit != isa.UnitNone {
+		if f := s.unitFree[m.unit]; f > m.e {
+			return f, obs.StallPipeBusy
+		}
+	}
+	return m.e, m.cause
+}
+
+// warpEarliest evaluates w's warp-private issue constraint from scratch.
+func (s *scheduler) warpEarliest(w *warpRT) warpMemo {
 	in := &w.insts[w.pc]
 	// blockedUntil is only ever set by barriers, so it is the barrier
 	// cause whenever it binds.
-	e := w.blockedUntil
-	cause = obs.StallBarrier
-	if in.Dst != isa.RegNone {
-		if r := s.regReady(w.slot, in.Dst); r > e {
-			e = r
-			cause = s.regCause(w.slot, in.Dst)
-		}
-	}
-	for _, src := range [3]isa.Reg{in.SrcA, in.SrcB, in.SrcC} {
-		if src == isa.RegNone {
+	m := warpMemo{e: w.blockedUntil, cause: obs.StallBarrier, ok: true}
+	for _, r := range [4]isa.Reg{in.Dst, in.SrcA, in.SrcB, in.SrcC} {
+		if r == isa.RegNone {
 			continue
 		}
-		if r := s.regReady(w.slot, src); r > e {
-			e = r
-			cause = s.regCause(w.slot, src)
+		if ready := s.regReady(w.slot, r); ready > m.e {
+			m.e = ready
+			m.cause = s.regCause(w.slot, r)
 		}
 	}
-	unit := isa.UnitOf(in.Op)
-	if unit != isa.UnitCTRL && unit != isa.UnitNone {
-		if f := s.unitFree[unit]; f > e {
-			e = f
-			cause = obs.StallPipeBusy
-		}
+	if unit := isa.UnitOf(in.Op); unit != isa.UnitCTRL {
+		m.unit = unit
 	}
-	s.memoE[w.slot] = e
-	s.memoCause[w.slot] = cause
-	s.memoVer[w.slot] = s.version
-	return e, cause
+	return m
 }
 
 // regCause distinguishes waiting on memory from a plain scoreboard
@@ -754,6 +771,9 @@ func (s *scheduler) tryIssue(w *warpRT, now int64) (bool, int64, obs.StallCause)
 	}
 	in := &w.insts[w.pc]
 	core := s.core
+	// The issue moves w's pc (and, at a barrier, its blockedUntil), so its
+	// memo dies here — before an EXIT's retire can re-number the slot.
+	s.memo[w.slot].ok = false
 
 	unit := isa.UnitOf(in.Op)
 	switch in.Op {
@@ -764,13 +784,11 @@ func (s *scheduler) tryIssue(w *warpRT, now int64) (bool, int64, obs.StallCause)
 		cta := w.cta
 		cta.barArrived++
 		if cta.barArrived == cta.warpsLeft {
-			// Last arrival releases everyone. Waiters may live on other
-			// schedulers of this core, whose memoized earliest the write
-			// invalidates (the releasing scheduler's version bump below
-			// does not cover them).
+			// Last arrival releases everyone, on whichever scheduler of
+			// this core each waiter lives.
 			for _, bw := range cta.barWaiting {
 				bw.blockedUntil = now + 1
-				bw.sched.memoVer[bw.slot] = 0
+				bw.sched.memo[bw.slot].ok = false
 			}
 			cta.barWaiting = cta.barWaiting[:0]
 			cta.barArrived = 0
@@ -782,7 +800,8 @@ func (s *scheduler) tryIssue(w *warpRT, now int64) (bool, int64, obs.StallCause)
 	case isa.OpBRA:
 		// Traces are post-branch: BRA only costs its pipeline slot.
 	case isa.OpLDG, isa.OpTEX:
-		lines := coalesce(in.Addrs, uint64(core.cfg.LineSize))
+		var lineBuf [isa.WarpSize]uint64
+		lines := coalesce(lineBuf[:0], in.Addrs, uint64(core.cfg.LineSize))
 		s.unitFree[isa.UnitLDST] = now + int64(len(lines))
 		if lg := core.log; lg != nil {
 			// Request half: the data-ready cycle (the response) is written
@@ -805,7 +824,8 @@ func (s *scheduler) tryIssue(w *warpRT, now int64) (bool, int64, obs.StallCause)
 			s.setReg(w.slot, in.Dst, ready, true)
 		}
 	case isa.OpSTG:
-		lines := coalesce(in.Addrs, uint64(core.cfg.LineSize))
+		var lineBuf [isa.WarpSize]uint64
+		lines := coalesce(lineBuf[:0], in.Addrs, uint64(core.cfg.LineSize))
 		s.unitFree[isa.UnitLDST] = now + int64(len(lines))
 		if lg := core.log; lg != nil {
 			lg.addStore(w, in.Class, lines)
@@ -843,10 +863,6 @@ func (s *scheduler) tryIssue(w *warpRT, now int64) (bool, int64, obs.StallCause)
 		}
 	}
 	w.pc++
-	// An issue mutates scheduler state every memoized earliest may depend
-	// on (unitFree, the issuing warp's scoreboard and pc, slot layout
-	// after a retire), so invalidate the whole scheduler's memo.
-	s.version++
 	return true, now, 0
 }
 
@@ -870,6 +886,7 @@ func (s *scheduler) retire(w *warpRT, now int64) {
 		a.warps--
 	}
 	core.resident--
+	core.retired++
 	cta := w.cta
 	cta.warpsLeft--
 	if cta.warpsLeft == 0 {
@@ -892,41 +909,48 @@ func (s *scheduler) retire(w *warpRT, now int64) {
 // sharedConflictDegree computes the bank-conflict serialization of a
 // shared-memory access: 32 banks of 4-byte words; lanes touching distinct
 // words in the same bank serialize, lanes touching the same word
-// broadcast. Accesses without offsets are modeled conflict-free.
+// broadcast. Accesses without offsets are modeled conflict-free. A warp
+// has at most WarpSize lanes (trace.Kernel.Validate holds Addrs to the
+// active-lane count), so the distinct words fit a stack array, chained
+// per bank so that a lane is compared only against its own bank's words.
 func sharedConflictDegree(in *trace.Inst) int {
-	if len(in.Addrs) == 0 {
-		return 1
-	}
 	const banks = 32
-	var words [banks][]uint64
-	degree := 1
-	for _, off := range in.Addrs {
+	addrs := in.Addrs
+	if len(addrs) > isa.WarpSize {
+		addrs = addrs[:isa.WarpSize]
+	}
+	var (
+		words [isa.WarpSize]uint64 // distinct words, in first-touch order
+		prev  [isa.WarpSize]uint8  // 1-based index of the bank's previous word, 0 = none
+		head  [banks]uint8         // 1-based index of the bank's latest word, 0 = none
+		count [banks]uint8         // distinct words per bank
+	)
+	n, degree := 0, 1
+next:
+	for _, off := range addrs {
 		word := off / 4
 		b := word % banks
-		dup := false
-		for _, wd := range words[b] {
-			if wd == word {
-				dup = true
-				break
+		for i := head[b]; i != 0; i = prev[i-1] {
+			if words[i-1] == word {
+				continue next
 			}
 		}
-		if dup {
-			continue
-		}
-		words[b] = append(words[b], word)
-		if len(words[b]) > degree {
-			degree = len(words[b])
+		words[n], prev[n] = word, head[b]
+		n++
+		head[b] = uint8(n)
+		count[b]++
+		if int(count[b]) > degree {
+			degree = int(count[b])
 		}
 	}
 	return degree
 }
 
-// coalesce reduces per-lane byte addresses to unique line addresses.
-// It preserves first-touch order; memory traces have ≤32 lanes, so a
-// linear scan beats a map.
-func coalesce(addrs []uint64, lineSize uint64) []uint64 {
-	var buf [32]uint64
-	lines := buf[:0]
+// coalesce reduces per-lane byte addresses to unique line addresses,
+// appended to lines (callers pass a WarpSize-capacity stack buffer). It
+// preserves first-touch order; memory traces have ≤32 lanes, so a linear
+// scan beats a map.
+func coalesce(lines, addrs []uint64, lineSize uint64) []uint64 {
 	for _, a := range addrs {
 		la := a / lineSize
 		found := false

@@ -308,7 +308,7 @@ func TestResidentWarpCountsByTask(t *testing.T) {
 
 func TestCoalesceUniqueLines(t *testing.T) {
 	addrs := []uint64{0, 4, 8, 128, 132, 256, 0}
-	lines := coalesce(addrs, 128)
+	lines := coalesce(nil, addrs, 128)
 	if len(lines) != 3 {
 		t.Errorf("coalesce = %v, want 3 lines", lines)
 	}

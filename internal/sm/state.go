@@ -203,10 +203,7 @@ func (c *Core) RestoreState(cs snapshot.CoreState, env RestoreEnv) error {
 		s.warps = s.warps[:0]
 		s.sb = s.sb[:0]
 		s.memBits = s.memBits[:0]
-		s.memoE = s.memoE[:0]
-		s.memoCause = s.memoCause[:0]
-		s.memoVer = s.memoVer[:0]
-		s.version = 1
+		s.memo = s.memo[:0]
 		for _, ws := range ss.Warps {
 			if ws.CTA < 0 || ws.CTA >= len(ctas) {
 				return smStateErr("SM %d: warp references unknown CTA %d", c.ID, ws.CTA)
