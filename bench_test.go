@@ -13,6 +13,7 @@ package crisp
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"runtime"
@@ -20,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"crisp/internal/compute"
 	"crisp/internal/core"
 	"crisp/internal/experiments"
 	"crisp/internal/geom"
@@ -520,6 +522,99 @@ func BenchmarkSimulatorSpeedMemBound(b *testing.B) {
 	})
 }
 
+// BenchmarkFrontEnd measures the trace-generating front ends a layer at a
+// time, over the job list of the layered benchmark's trace-collect workload:
+//
+//   - assets/<scene>: scene.ByName alone — meshes and procedural textures.
+//     It emits no instructions, so its rates are per thousand instructions
+//     of the scene's 320×180 frame, which makes them additive with render's.
+//   - render/<scene>@<w>x<h>: render.RenderFrame on prebuilt assets.
+//   - compute/<workload>: compute.ByName.
+//
+// Each reports kinsts/s, B/kinst and allocs/kinst (process-wide, so worker
+// goroutines' allocations count). The front ends fan out over GOMAXPROCS, so
+// -cpu 1,2 gives the single-thread cost and what the fan-out buys;
+// CRISP_BENCH_JSON records the rows (BENCH_frontend.json, docs/PERFORMANCE.md).
+func BenchmarkFrontEnd(b *testing.B) {
+	scenes := []string{"SPL", "SPH", "PT", "IT", "PL", "MT"}
+	measure := func(b *testing.B, name string, kinsts float64, op func()) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op()
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		sec, k := b.Elapsed().Seconds(), kinsts*float64(b.N)
+		entry := benchEntry{
+			Bench:          "FrontEnd/" + name,
+			GOMAXPROCS:     runtime.GOMAXPROCS(0),
+			Runs:           b.N,
+			WarpInsts:      int64(kinsts * 1000),
+			ElapsedSec:     sec / float64(b.N),
+			WarpKIPS:       k / sec,
+			BytesPerKInst:  float64(after.TotalAlloc-before.TotalAlloc) / k,
+			AllocsPerKInst: float64(after.Mallocs-before.Mallocs) / k,
+		}
+		b.ReportMetric(entry.WarpKIPS, "kinsts/s")
+		b.ReportMetric(entry.BytesPerKInst, "B/kinst")
+		b.ReportMetric(entry.AllocsPerKInst, "allocs/kinst")
+		writeBenchSnapshot(b, entry)
+	}
+	frameKInsts := func(res *render.Result) float64 {
+		n := 0
+		for _, st := range res.Streams {
+			for _, k := range st.Kernels {
+				n += k.InstCount()
+			}
+		}
+		return float64(n) / 1000
+	}
+	renderAt := func(b *testing.B, f *render.FrameDef, w, h int) *render.Result {
+		opts := render.DefaultOptions()
+		opts.W, opts.H = w, h
+		res, err := render.RenderFrame(f, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	for _, name := range scenes {
+		f, err := scene.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("assets/"+name, func(b *testing.B) {
+			measure(b, "assets/"+name, frameKInsts(renderAt(b, f, 320, 180)), func() {
+				if _, err := scene.ByName(name); err != nil {
+					b.Fatal(err)
+				}
+			})
+		})
+		for _, size := range [][2]int{{320, 180}, {640, 360}} {
+			job := fmt.Sprintf("render/%s@%dx%d", name, size[0], size[1])
+			b.Run(job, func(b *testing.B) {
+				measure(b, job, frameKInsts(renderAt(b, f, size[0], size[1])), func() { renderAt(b, f, size[0], size[1]) })
+			})
+		}
+	}
+	for _, name := range compute.Names() {
+		b.Run("compute/"+name, func(b *testing.B) {
+			w, err := compute.ByName(name, core.ComputeStreamBase)
+			if err != nil {
+				b.Fatal(err)
+			}
+			measure(b, "compute/"+name, float64(w.InstCount())/1000, func() {
+				if _, err := compute.ByName(name, core.ComputeStreamBase); err != nil {
+					b.Fatal(err)
+				}
+			})
+		})
+	}
+}
+
 // benchEntry is one row of the BENCH_parallel.json snapshot.
 type benchEntry struct {
 	Bench      string  `json:"bench"`
@@ -535,6 +630,10 @@ type benchEntry struct {
 	// the sim-cycles/s ratio over the -no-skip oracle.
 	SkipRatio float64 `json:"skip_ratio,omitempty"`
 	SpeedupX  float64 `json:"speedup_x,omitempty"`
+	// BytesPerKInst and AllocsPerKInst are the front-end rows' heap cost
+	// per thousand warp instructions generated (BENCH_frontend.json).
+	BytesPerKInst  float64 `json:"bytes_per_kinst,omitempty"`
+	AllocsPerKInst float64 `json:"allocs_per_kinst,omitempty"`
 	// Where the row was measured, stamped by writeBenchSnapshot: a speed
 	// is only comparable with one from a host that had the CPUs the row's
 	// GOMAXPROCS asks for, on a known toolchain and commit.

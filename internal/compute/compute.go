@@ -19,6 +19,7 @@ package compute
 import (
 	"fmt"
 
+	"crisp/internal/fanout"
 	"crisp/internal/shader"
 	"crisp/internal/trace"
 )
@@ -58,6 +59,21 @@ func ByName(name string, stream int) (*Workload, error) {
 		return ATW(stream), nil
 	}
 	return nil, fmt.Errorf("compute: unknown workload %q (have %v)", name, Names())
+}
+
+// buildKernels runs a workload's kernel builders on up to GOMAXPROCS
+// goroutines and returns the kernels in the builders' order. A builder is a
+// pure function of buffer addresses assigned before this is called, so the
+// kernels are the same in any order.
+func buildKernels(builders []func() *trace.Kernel) []*trace.Kernel {
+	ks := make([]*trace.Kernel, 0, len(builders))
+	q := fanout.New(func(k *trace.Kernel) { ks = append(ks, k) })
+	defer q.Close()
+	for _, b := range builders {
+		q.Go(b)
+	}
+	q.Wait()
+	return ks
 }
 
 // gridBuilder emits a 1-thread-per-element kernel over n elements with

@@ -42,20 +42,23 @@ func NN(stream int) *Workload {
 		alloc += uint64(bytes+127) &^ 127
 		return b
 	}
+	var ks []func() *trace.Kernel
 	for i, l := range layers {
 		in := buf(l.k * l.n * 4)
 		wgt := buf(l.m * l.k * 4)
 		out := buf(l.m * l.n * 4)
-		w.Kernels = append(w.Kernels, nnMatmul(stream, l, in, wgt, out))
+		ks = append(ks, func() *trace.Kernel { return nnMatmul(stream, l, in, wgt, out) })
 		// Dense skip connections: concatenate the layer's output with
 		// the earlier features — a pure streaming copy through DRAM.
 		if i == 1 || i == 3 {
 			elems := l.m * l.n
-			src := out
 			dst := buf(elems * 2 * 4)
-			w.Kernels = append(w.Kernels, nnConcat(stream, fmt.Sprintf("ritnet.concat%d", i), src, dst, elems))
+			ks = append(ks, func() *trace.Kernel {
+				return nnConcat(stream, fmt.Sprintf("ritnet.concat%d", i), out, dst, elems)
+			})
 		}
 	}
+	w.Kernels = buildKernels(ks)
 	return w
 }
 

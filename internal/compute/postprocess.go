@@ -132,53 +132,58 @@ func ATW(stream int) *Workload {
 	src := atwBase
 	dst := atwBase + 1<<22
 
+	var ks []func() *trace.Kernel
 	for eye := 0; eye < 2; eye++ {
-		eye := eye
-		g := newGrid("atw.warp", stream, 128, 28, 0)
-		k := g.run(atwW*atwH, func(c *shader.Ctx, base, lanes int) {
-			// Homography row evaluation: ~2 rcp + a handful of FMAs.
-			x := c.Imm(0.31)
-			y := c.Imm(0.17)
-			wden := c.FMA(x, c.Imm(0.02), c.FMA(y, c.Imm(-0.013), c.Imm(1)))
-			inv := c.Rcp(wden)
-			u := c.Mul(c.FMA(x, c.Imm(0.998), c.Mul(y, c.Imm(0.04))), inv)
-			v := c.Mul(c.FMA(y, c.Imm(0.997), c.Mul(x, c.Imm(-0.03))), inv)
-			_ = u
-			_ = v
-
-			// Gather: the reprojected source pixel shifts a few pixels
-			// from the output position (pose delta), scattering reads.
-			addrs := make([]uint64, lanes)
-			for i := 0; i < lanes; i++ {
-				p := base + i
-				ox, oy := p%atwW, p/atwW
-				sx := ox + (oy%7 - 3) + eye*2 // pose-dependent shear
-				sy := oy + (ox % 5) - 2
-				if sx < 0 {
-					sx = 0
-				}
-				if sy < 0 {
-					sy = 0
-				}
-				if sx >= atwW {
-					sx = atwW - 1
-				}
-				if sy >= atwH {
-					sy = atwH - 1
-				}
-				addrs[i] = src + uint64((sy*atwW+sx)*4)
-			}
-			col := c.Load(addrs, trace.ClassCompute)
-			// Chromatic-aberration correction: one more shifted gather.
-			addrs2 := make([]uint64, lanes)
-			for i := 0; i < lanes; i++ {
-				addrs2[i] = addrs[i] + 8
-			}
-			col2 := c.Load(addrs2, trace.ClassCompute)
-			res := c.FMA(col2, c.Imm(0.5), c.Mul(col, c.Imm(0.5)))
-			c.Store(res, rowAddrs(dst+uint64(eye)*uint64(atwW*atwH*4), base, lanes, 4), trace.ClassCompute)
-		})
-		w.Kernels = append(w.Kernels, k)
+		ks = append(ks, func() *trace.Kernel { return atwWarp(stream, src, dst, eye) })
 	}
+	w.Kernels = buildKernels(ks)
 	return w
+}
+
+// atwWarp is one eye's reprojection pass.
+func atwWarp(stream int, src, dst uint64, eye int) *trace.Kernel {
+	g := newGrid("atw.warp", stream, 128, 28, 0)
+	return g.run(atwW*atwH, func(c *shader.Ctx, base, lanes int) {
+		// Homography row evaluation: ~2 rcp + a handful of FMAs.
+		x := c.Imm(0.31)
+		y := c.Imm(0.17)
+		wden := c.FMA(x, c.Imm(0.02), c.FMA(y, c.Imm(-0.013), c.Imm(1)))
+		inv := c.Rcp(wden)
+		u := c.Mul(c.FMA(x, c.Imm(0.998), c.Mul(y, c.Imm(0.04))), inv)
+		v := c.Mul(c.FMA(y, c.Imm(0.997), c.Mul(x, c.Imm(-0.03))), inv)
+		_ = u
+		_ = v
+
+		// Gather: the reprojected source pixel shifts a few pixels
+		// from the output position (pose delta), scattering reads.
+		addrs := make([]uint64, lanes)
+		for i := 0; i < lanes; i++ {
+			p := base + i
+			ox, oy := p%atwW, p/atwW
+			sx := ox + (oy%7 - 3) + eye*2 // pose-dependent shear
+			sy := oy + (ox % 5) - 2
+			if sx < 0 {
+				sx = 0
+			}
+			if sy < 0 {
+				sy = 0
+			}
+			if sx >= atwW {
+				sx = atwW - 1
+			}
+			if sy >= atwH {
+				sy = atwH - 1
+			}
+			addrs[i] = src + uint64((sy*atwW+sx)*4)
+		}
+		col := c.Load(addrs, trace.ClassCompute)
+		// Chromatic-aberration correction: one more shifted gather.
+		addrs2 := make([]uint64, lanes)
+		for i := 0; i < lanes; i++ {
+			addrs2[i] = addrs[i] + 8
+		}
+		col2 := c.Load(addrs2, trace.ClassCompute)
+		res := c.FMA(col2, c.Imm(0.5), c.Mul(col, c.Imm(0.5)))
+		c.Store(res, rowAddrs(dst+uint64(eye)*uint64(atwW*atwH*4), base, lanes, 4), trace.ClassCompute)
+	})
 }

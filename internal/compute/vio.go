@@ -42,18 +42,22 @@ func VIO(stream int) *Workload {
 		pyr[i] = buf(lv.w*lv.h, 4)
 	}
 
+	var ks []func() *trace.Kernel
+
 	// 1) Undistort: per-pixel radial remap with a bilinear gather.
 	und := buf(vioW*vioH, 4)
-	w.Kernels = append(w.Kernels, vioUndistort(stream, img0, und))
+	ks = append(ks, func() *trace.Kernel { return vioUndistort(stream, img0, und) })
 
 	// 2) Pyramid: blur + downsample per level.
 	src := und
 	for i, lv := range levels {
-		blurred := buf(lv.w*lv.h, 4)
-		w.Kernels = append(w.Kernels,
-			vioBlur(stream, fmt.Sprintf("vio.blur.l%d", i), src, blurred, lv.w, lv.h))
-		w.Kernels = append(w.Kernels,
-			vioDownsample(stream, fmt.Sprintf("vio.down.l%d", i), blurred, pyr[i], lv.w, lv.h))
+		in, blurred := src, buf(lv.w*lv.h, 4)
+		ks = append(ks, func() *trace.Kernel {
+			return vioBlur(stream, fmt.Sprintf("vio.blur.l%d", i), in, blurred, lv.w, lv.h)
+		})
+		ks = append(ks, func() *trace.Kernel {
+			return vioDownsample(stream, fmt.Sprintf("vio.down.l%d", i), blurred, pyr[i], lv.w, lv.h)
+		})
 		src = pyr[i]
 	}
 
@@ -61,18 +65,21 @@ func VIO(stream int) *Workload {
 	gx := buf(vioW*vioH, 4)
 	gy := buf(vioW*vioH, 4)
 	resp := buf(vioW*vioH, 4)
-	w.Kernels = append(w.Kernels, vioSobel(stream, pyr[0], gx, gy))
-	w.Kernels = append(w.Kernels, vioHarris(stream, gx, gy, resp))
-	w.Kernels = append(w.Kernels, vioNMS(stream, resp, buf(vioW*vioH, 4)))
+	corners := buf(vioW*vioH, 4)
+	ks = append(ks, func() *trace.Kernel { return vioSobel(stream, pyr[0], gx, gy) })
+	ks = append(ks, func() *trace.Kernel { return vioHarris(stream, gx, gy, resp) })
+	ks = append(ks, func() *trace.Kernel { return vioNMS(stream, resp, corners) })
 
 	// 4) Optical flow: LK on two pyramid levels against the previous
 	// frame.
 	for i := 0; i < 2; i++ {
-		lv := levels[i]
-		w.Kernels = append(w.Kernels,
-			vioLK(stream, fmt.Sprintf("vio.lk.l%d", i), pyr[i], prev, buf(lv.w*lv.h, 8), lv.w, lv.h))
+		lv, flow := levels[i], buf(levels[i].w*levels[i].h, 8)
+		ks = append(ks, func() *trace.Kernel {
+			return vioLK(stream, fmt.Sprintf("vio.lk.l%d", i), pyr[i], prev, flow, lv.w, lv.h)
+		})
 	}
 	_ = img1
+	w.Kernels = buildKernels(ks)
 	return w
 }
 

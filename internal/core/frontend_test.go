@@ -6,54 +6,17 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"crisp/internal/compute"
 	"crisp/internal/config"
+	"crisp/internal/fanout"
 	"crisp/internal/render"
 	"crisp/internal/scenario"
+	"crisp/internal/scene"
 	"crisp/internal/snapshot"
-	"crisp/internal/trace"
+	"crisp/internal/trace/tracetest"
 )
-
-// foldKernels hashes everything the timing model reads from a trace:
-// kernel headers, and every instruction's opcode, registers, mask, class
-// and addresses.
-func foldKernels(h *snapshot.Hasher, ks []*trace.Kernel) {
-	h.PutInt(len(ks))
-	for _, k := range ks {
-		h.PutStr(k.Name)
-		h.PutU8(uint8(k.Kind))
-		h.PutInt(k.Stream)
-		h.PutInt(k.ThreadsPerCTA)
-		h.PutInt(k.RegsPerThread)
-		h.PutInt(k.SharedMem)
-		h.PutInt(len(k.CTAs))
-		for i := range k.CTAs {
-			cta := &k.CTAs[i]
-			h.PutInt(cta.ID)
-			h.PutInt(len(cta.Warps))
-			for j := range cta.Warps {
-				w := &cta.Warps[j]
-				h.PutInt(w.ID)
-				h.PutInt(len(w.Insts))
-				for l := range w.Insts {
-					in := &w.Insts[l]
-					h.PutU64(uint64(in.Op))
-					h.PutU64(uint64(in.Dst))
-					h.PutU64(uint64(in.SrcA))
-					h.PutU64(uint64(in.SrcB))
-					h.PutU64(uint64(in.SrcC))
-					h.PutU32(in.Mask)
-					h.PutU8(uint8(in.Class))
-					h.PutInt(len(in.Addrs))
-					for _, a := range in.Addrs {
-						h.PutU64(a)
-					}
-				}
-			}
-		}
-	}
-}
 
 // foldRetained hashes every trace the cache retains, in LRU order.
 func foldRetained(f *Frontend) uint64 {
@@ -66,12 +29,12 @@ func foldRetained(f *Frontend) uint64 {
 			for _, st := range e.frame.Streams {
 				h.PutInt(st.Stream)
 				h.PutStr(st.Label)
-				foldKernels(h, st.Kernels)
+				tracetest.Fold(h, st.Kernels)
 			}
 		}
 		if e.work != nil {
 			h.PutStr(e.work.Name)
-			foldKernels(h, e.work.Kernels)
+			tracetest.Fold(h, e.work.Kernels)
 		}
 	}
 	return h.Sum64()
@@ -342,6 +305,70 @@ func TestFrontendBuildPanicReleasesWaiters(t *testing.T) {
 	builds := 0
 	if e := fe.get(key, fakeBuild(10, &builds)); e.err != nil || builds != 1 {
 		t.Errorf("get after a panicked build: err %v, builds %d", e.err, builds)
+	}
+}
+
+// TestFrontendWorkerPanicReleasesWaiters: a front end that panics on one of
+// its worker goroutines is still a build that panicked on the caller's —
+// the builder recovers it, every waiter is released with an error, nothing
+// stays indexed and no goroutine of the build survives it.
+func TestFrontendWorkerPanicReleasesWaiters(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	base := runtime.NumGoroutine()
+	fe := newFrontend(1 << 20)
+	key := frameKey("broken", tinyOpts())
+	f, err := scene.ByName("SPL")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range f.Draws {
+		f.Draws[i].Mat.Albedo = nil // only a fragment shader reads it
+	}
+	building, release := make(chan struct{}), make(chan struct{})
+	build := func(e *frontendEntry) {
+		close(building)
+		<-release
+		e.frame, e.err = render.RenderFrame(f, tinyOpts())
+	}
+
+	const waiters = 3
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer func() {
+			if p, ok := recover().(*fanout.Panic); !ok || len(p.Stack) == 0 {
+				t.Errorf("the builder recovered %v, want the fragment shader's panic with its stack", p)
+			}
+		}()
+		fe.get(key, build)
+	}()
+	<-building
+	errs := make([]error, waiters)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fe.get(key, func(*frontendEntry) { t.Error("a waiter built") }).err
+		}()
+	}
+	for fe.Stats().Hits < waiters {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil {
+			t.Errorf("waiter %d was handed a frame from a panicked build", i)
+		}
+	}
+	if len(fe.entries) != 0 {
+		t.Error("the panicked build left its entry behind")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the panic, %d before", runtime.NumGoroutine(), base)
+		}
 	}
 }
 

@@ -1,13 +1,16 @@
 package render
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
+	"crisp/internal/fanout"
 	"crisp/internal/geom"
 	"crisp/internal/gmath"
 	"crisp/internal/raster"
 	"crisp/internal/shader"
+	"crisp/internal/texture"
 	"crisp/internal/trace"
 )
 
@@ -17,18 +20,73 @@ const (
 	fbPixelBytes   = 4  // RGBA8 render target
 )
 
+// pipeline is a sort-middle renderer. Geometry (vertex shading, assembly
+// and culling, address assignment) and the early-Z rasterizer run on the
+// calling goroutine in API order, because the depth buffer makes every
+// batch's fragment list depend on all batches before it. A batch's fragment
+// shading is a pure function of that list, of addresses assigned before it
+// starts and of textures nobody writes, so it runs as tasks of fs, a few
+// CTAs each; their CTAs, colours and counters are committed afterwards in
+// stream order.
 type pipeline struct {
-	opts    Options
+	shading
 	frame   *FrameDef
 	rast    *raster.Rasterizer
 	mem     arena
 	vbuf    map[*geom.Mesh]uint64
-	fbBase  uint64
 	color   []gmath.Vec4
 	streams []StreamTrace
 	nextStr int
-	metrics []DrawMetrics
+	metrics []DrawMetrics // one per draw, in place before the draw starts
+	counted raster.Stats  // rasterizer counters already attributed to a draw
+	fs      *fanout.Ordered[shaded]
 }
+
+// shading is all a fragment-shading task sees of the frame; nothing in it
+// changes once the first draw has started.
+type shading struct {
+	opts   Options
+	light  shader.Light
+	fbBase uint64
+}
+
+// shaded is one task's fragment shading awaiting its turn to be committed:
+// consecutive CTAs of one batch's FS kernel.
+type shaded struct {
+	kernel *trace.Kernel // the batch's FS kernel, which ctas continue
+	ctas   []trace.CTA
+	pixels []pixelWrite // in fragment order: a later write to a pixel wins
+	tex    texCounts
+	draw   int  // index into pipeline.metrics
+	last   bool // the batch's fragment list is done with
+}
+
+// warpRef locates one fragment warp: up to 32 consecutive fragments of one
+// tile's list.
+type warpRef struct{ tile, first int }
+
+const (
+	warpsPerCTA = 8
+	// ctasPerTask sizes a fragment-shading task at 2048 fragments: small
+	// enough that a batch holding most of a frame's fragments (PT's pistol:
+	// 84%) still spreads over the CPUs, large enough that handing it to
+	// another goroutine is noise.
+	ctasPerTask = 8
+)
+
+type pixelWrite struct {
+	at    int // index into pipeline.color
+	color gmath.Vec4
+}
+
+// texCounts are the DrawMetrics a fragment-shading task contributes to.
+type texCounts struct {
+	warpInsts, simAccesses, refAccesses int64
+}
+
+// fragListHook, when a test sets it, is told +1 as a batch's fragment list
+// comes into being and -1 as that batch's shading is committed.
+var fragListHook func(delta int)
 
 // RenderFrame executes the full pipeline for f and returns the framebuffer
 // plus one trace stream per rendering batch.
@@ -45,31 +103,41 @@ func RenderFrame(f *FrameDef, opts Options) (*Result, error) {
 	}
 	rast.EarlyZ = !opts.DisableEarlyZ
 	p := &pipeline{
-		opts:    opts,
+		shading: shading{opts: opts, light: f.Light},
 		frame:   f,
 		rast:    rast,
 		mem:     arena{next: 1 << 20},
 		vbuf:    make(map[*geom.Mesh]uint64),
 		nextStr: opts.BaseStream,
+		metrics: make([]DrawMetrics, len(f.Draws)),
 	}
 	p.fbBase = p.mem.alloc(uint64(opts.W*opts.H*fbPixelBytes), 128)
 	p.color = make([]gmath.Vec4, opts.W*opts.H)
 
-	// Bind all textures into the frame's address space.
+	// Bind every texture into this frame's address space, once each. A
+	// FrameDef rendered before still carries that frame's addresses, which
+	// this arena has not reserved, so nothing is kept from it. A nil map is
+	// left for the shader that samples it to trip over.
+	bound := make(map[*texture.Texture]bool)
 	for di := range f.Draws {
 		for _, t := range f.Draws[di].Mat.Textures() {
-			if t.Size() == 0 {
-				t.Bind(p.mem.alloc(1, 128))
-				p.mem.next += t.Size()
+			if t == nil || bound[t] {
+				continue
 			}
+			bound[t] = true
+			t.Bind(p.mem.alloc(1, 128))
+			p.mem.next += t.Size()
 		}
 	}
 
+	p.fs = fanout.New(p.commit)
+	defer p.fs.Close()
 	for di := range f.Draws {
-		if err := p.draw(&f.Draws[di]); err != nil {
+		if err := p.draw(di); err != nil {
 			return nil, fmt.Errorf("render: draw %q: %w", f.Draws[di].Name, err)
 		}
 	}
+	p.fs.Wait()
 	return &Result{
 		Frame:   f.Name,
 		W:       opts.W,
@@ -91,8 +159,9 @@ func (p *pipeline) vbufBase(m *geom.Mesh) uint64 {
 }
 
 // draw runs one drawcall: batching, then per batch VS → assembly/cull →
-// raster → FS, each batch forming one stream.
-func (p *pipeline) draw(dc *DrawCall) error {
+// raster here and FS as a task, each batch forming one stream.
+func (p *pipeline) draw(di int) error {
+	dc := &p.frame.Draws[di]
 	if err := dc.Mesh.Validate(); err != nil {
 		return err
 	}
@@ -105,7 +174,8 @@ func (p *pipeline) draw(dc *DrawCall) error {
 	}
 	instBase := p.mem.alloc(uint64(len(instances)*instanceStride), 128)
 
-	m := DrawMetrics{
+	m := &p.metrics[di]
+	*m = DrawMetrics{
 		Name:       dc.Name,
 		Batches:    len(batches) * len(instances),
 		Instances:  len(instances),
@@ -118,45 +188,97 @@ func (p *pipeline) draw(dc *DrawCall) error {
 		mvp := viewProj.Mul(inst.Model)
 		for bi := range batches {
 			b := &batches[bi]
+			// Before this batch's fragment list exists: at most GOMAXPROCS
+			// lists, and as many batches' colours, are alive at a time.
+			p.fs.Reserve()
 			streamID := p.nextStr
 			p.nextStr++
 			label := fmt.Sprintf("%s.i%02d.b%03d", dc.Name, ii, bi)
 
-			vsK, clipVerts, varyBase := p.vertexStage(dc, b, inst, ii, instBase, vb, mvp, streamID, label, &m)
-			kernels := []*trace.Kernel{vsK}
+			vsK, clipVerts, varyBase := p.vertexStage(dc, b, inst, ii, instBase, vb, mvp, streamID, label, m)
+			si := len(p.streams)
+			p.streams = append(p.streams, StreamTrace{Stream: streamID, Label: label, Kernels: []*trace.Kernel{vsK}})
 
 			tris, _ := geom.AssembleCull(clipVerts, b.LocalIdx, p.opts.BackfaceCull)
 			m.Triangles += len(tris)
-			if len(tris) > 0 {
-				tileFrags := p.rast.Rasterize(tris)
-				if fsK := p.fragmentStage(dc, tileFrags, varyBase, streamID, label, &m); fsK != nil {
-					kernels = append(kernels, fsK)
-				}
+			if len(tris) == 0 {
+				continue
 			}
-			p.streams = append(p.streams, StreamTrace{Stream: streamID, Label: label, Kernels: kernels})
+			tileFrags := p.rast.Rasterize(tris)
+			if len(tileFrags) == 0 { // Rasterize returns non-empty tiles only
+				continue
+			}
+			p.streams[si].Kernels = append(p.streams[si].Kernels, p.fragmentStage(di, tileFrags, varyBase, streamID, label))
 		}
 	}
 	st := p.rast.Stats()
-	m.Fragments = st.Fragments - p.sumFragments()
-	m.EarlyZKill = st.EarlyZKill - p.sumEarlyZ()
-	p.metrics = append(p.metrics, m)
+	m.Fragments = st.Fragments - p.counted.Fragments
+	m.EarlyZKill = st.EarlyZKill - p.counted.EarlyZKill
+	p.counted = st
 	return nil
 }
 
-func (p *pipeline) sumFragments() int {
-	n := 0
-	for i := range p.metrics {
-		n += p.metrics[i].Fragments
+// fragmentStage hands the batch's binned fragments to fs for shading and
+// returns the FS kernel the results will fill: warps are packed in tile
+// order (approximate quads), CTAs hold 8 warps.
+func (p *pipeline) fragmentStage(di int, tileFrags [][]raster.Fragment, varyBase uint64, streamID int, label string) *trace.Kernel {
+	var warps []warpRef
+	for ti, tf := range tileFrags {
+		for f0 := 0; f0 < len(tf); f0 += shader.Lanes {
+			warps = append(warps, warpRef{ti, f0})
+		}
 	}
-	return n
+	mat := p.frame.Draws[di].Mat
+	k := &trace.Kernel{
+		Name:          label + ".fs",
+		Kind:          trace.KindFragment,
+		Stream:        streamID,
+		ThreadsPerCTA: warpsPerCTA * shader.Lanes,
+		RegsPerThread: mat.Kind.regsPerThread(),
+		CTAs:          make([]trace.CTA, 0, (len(warps)+warpsPerCTA-1)/warpsPerCTA),
+	}
+	if fragListHook != nil {
+		fragListHook(+1)
+	}
+	sh := &p.shading
+	const step = ctasPerTask * warpsPerCTA
+	for w0 := 0; w0 < len(warps); w0 += step {
+		chunk, last := warps[w0:min(w0+step, len(warps))], w0+step >= len(warps)
+		task := func() shaded {
+			out := sh.shadeWarps(k, mat, tileFrags, chunk, varyBase)
+			out.kernel, out.draw, out.last = k, di, last
+			return out
+		}
+		if len(warps) < warpsPerCTA {
+			// Not one full CTA (most of a vertex-bound frame's batches):
+			// waking another goroutine would cost more than the shading.
+			p.fs.Do(task)
+		} else {
+			p.fs.Go(task)
+		}
+	}
+	return k
 }
 
-func (p *pipeline) sumEarlyZ() int {
-	n := 0
-	for i := range p.metrics {
-		n += p.metrics[i].EarlyZKill
+// commit folds one task's fragment shading into the frame. It is called in
+// stream order, so a kernel's CTAs arrive in order, and where batches
+// overlap on screen the later batch's surviving fragment overwrites the
+// earlier one's, as it did when shading itself ran in that order.
+func (p *pipeline) commit(r shaded) {
+	for i := range r.ctas {
+		r.ctas[i].ID = len(r.kernel.CTAs) + i
 	}
-	return n
+	r.kernel.CTAs = append(r.kernel.CTAs, r.ctas...)
+	for _, px := range r.pixels {
+		p.color[px.at] = px.color
+	}
+	m := &p.metrics[r.draw]
+	m.TexWarpInsts += r.tex.warpInsts
+	m.SimTexAccesses += r.tex.simAccesses
+	m.RefTexAccesses += r.tex.refAccesses
+	if r.last && fragListHook != nil {
+		fragListHook(-1)
+	}
 }
 
 // vertexStage shades one batch's unique vertices, emitting the VS kernel.
@@ -233,20 +355,12 @@ func (p *pipeline) vertexStage(dc *DrawCall, b *geom.Batch, inst *Instance, inst
 	return bld.Finish(), clipVerts, varyBase
 }
 
-// fragmentStage shades the batch's binned fragments, emitting the FS
-// kernel: warps are packed in tile order (approximate quads), CTAs hold
-// 8 warps.
-func (p *pipeline) fragmentStage(dc *DrawCall, tileFrags [][]raster.Fragment, varyBase uint64, streamID int, label string, m *DrawMetrics) *trace.Kernel {
-	total := 0
-	for _, tf := range tileFrags {
-		total += len(tf)
-	}
-	if total == 0 {
-		return nil
-	}
-	bld := trace.NewBuilder(label+".fs", trace.KindFragment, streamID, 256, dc.Mat.Kind.regsPerThread(), 0)
-	const warpsPerCTA = 8
-	warpsInCTA := warpsPerCTA // force BeginCTA on first warp
+// shadeWarps shades consecutive warps of a batch, emitting their CTAs of
+// FS kernel k. It runs off the pipeline's goroutine and touches nothing of
+// the frame but what it returns.
+func (sh *shading) shadeWarps(k *trace.Kernel, mat *Material, tileFrags [][]raster.Fragment, warps []warpRef, varyBase uint64) shaded {
+	out := shaded{pixels: make([]pixelWrite, 0, len(warps)*shader.Lanes)}
+	bld := trace.NewBuilder(k.Name, k.Kind, k.Stream, k.ThreadsPerCTA, k.RegsPerThread, 0)
 
 	countLines := func(addrs []uint64) int64 {
 		var buf [32]uint64
@@ -263,105 +377,101 @@ func (p *pipeline) fragmentStage(dc *DrawCall, tileFrags [][]raster.Fragment, va
 		}
 		return int64(len(lines))
 	}
-
-	for _, tf := range tileFrags {
-		if p.opts.StrictQuads {
-			tf = quadOrder(tf)
-		}
-		for f0 := 0; f0 < len(tf); f0 += shader.Lanes {
-			lanes := len(tf) - f0
-			if lanes > shader.Lanes {
-				lanes = shader.Lanes
-			}
-			mask := uint32(0xFFFFFFFF)
-			if lanes < 32 {
-				mask = (uint32(1) << uint(lanes)) - 1
-			}
-			if warpsInCTA == warpsPerCTA {
-				bld.BeginCTA()
-				warpsInCTA = 0
-			}
-			bld.BeginWarp()
-			warpsInCTA++
-
-			ctx := shader.NewCtx(bld, mask)
-			ctx.LodEnabled = p.opts.LoD
-			ctx.Filter = p.opts.Filter
-
-			var in shader.FSIn
-			var exact [shader.Lanes]float32
-			varyA := make([]uint64, lanes)
-			outA := make([]uint64, lanes)
-			for l := 0; l < lanes; l++ {
-				fr := &tf[f0+l]
-				in.U[l], in.V[l] = fr.UV.X, fr.UV.Y
-				in.NrmX[l], in.NrmY[l], in.NrmZ[l] = fr.WNrm.X, fr.WNrm.Y, fr.WNrm.Z
-				in.WPosX[l], in.WPosY[l], in.WPosZ[l] = fr.WPos.X, fr.WPos.Y, fr.WPos.Z
-				in.Layer[l] = fr.Layer
-				if p.opts.StrictQuads {
-					// Quads are real: runtime ddx/ddy is available.
-					in.Footprint[l] = fr.FootprintExact
-				} else {
-					in.Footprint[l] = fr.Footprint
-				}
-				exact[l] = fr.FootprintExact
-				varyA[l] = varyBase + uint64(fr.Vert0Global)*varyingStride
-				outA[l] = p.fbBase + uint64(fr.Y*p.opts.W+fr.X)*fbPixelBytes
-			}
-			in.VaryingAddrs, in.OutAddrs = varyA, outA
-
-			if p.opts.CollectRefTex {
-				ctx.RefFootprint = &exact
-			}
-			ctx.OnTex = func(simAddrs, refAddrs []uint64) {
-				m.TexWarpInsts++
-				m.SimTexAccesses += countLines(simAddrs)
-				if refAddrs != nil {
-					m.RefTexAccesses += countLines(refAddrs)
-				}
-			}
-
-			out := p.shade(ctx, &in, dc.Mat)
-
-			for l := 0; l < lanes; l++ {
-				fr := &tf[f0+l]
-				p.color[fr.Y*p.opts.W+fr.X] = gmath.V4(
-					gmath.Clamp(out.R[l], 0, 1),
-					gmath.Clamp(out.G[l], 0, 1),
-					gmath.Clamp(out.B[l], 0, 1),
-					gmath.Clamp(out.A[l], 0, 1),
-				)
-			}
+	onTex := func(simAddrs, refAddrs []uint64) {
+		out.tex.warpInsts++
+		out.tex.simAccesses += countLines(simAddrs)
+		if refAddrs != nil {
+			out.tex.refAccesses += countLines(refAddrs)
 		}
 	}
-	return bld.Finish()
+
+	tile, tf := -1, []raster.Fragment(nil)
+	for wi, w := range warps {
+		if w.tile != tile {
+			tile, tf = w.tile, tileFrags[w.tile]
+			if sh.opts.StrictQuads {
+				tf = quadOrder(tf)
+			}
+		}
+		f0 := w.first
+		lanes := len(tf) - f0
+		if lanes > shader.Lanes {
+			lanes = shader.Lanes
+		}
+		mask := uint32(0xFFFFFFFF)
+		if lanes < 32 {
+			mask = (uint32(1) << uint(lanes)) - 1
+		}
+		if wi%warpsPerCTA == 0 {
+			bld.BeginCTA()
+		}
+		bld.BeginWarp()
+
+		ctx := shader.NewCtx(bld, mask)
+		ctx.LodEnabled = sh.opts.LoD
+		ctx.Filter = sh.opts.Filter
+
+		var in shader.FSIn
+		var exact [shader.Lanes]float32
+		varyA := make([]uint64, lanes)
+		outA := make([]uint64, lanes)
+		for l := 0; l < lanes; l++ {
+			fr := &tf[f0+l]
+			in.U[l], in.V[l] = fr.UV.X, fr.UV.Y
+			in.NrmX[l], in.NrmY[l], in.NrmZ[l] = fr.WNrm.X, fr.WNrm.Y, fr.WNrm.Z
+			in.WPosX[l], in.WPosY[l], in.WPosZ[l] = fr.WPos.X, fr.WPos.Y, fr.WPos.Z
+			in.Layer[l] = fr.Layer
+			if sh.opts.StrictQuads {
+				// Quads are real: runtime ddx/ddy is available.
+				in.Footprint[l] = fr.FootprintExact
+			} else {
+				in.Footprint[l] = fr.Footprint
+			}
+			exact[l] = fr.FootprintExact
+			varyA[l] = varyBase + uint64(fr.Vert0Global)*varyingStride
+			outA[l] = sh.fbBase + uint64(fr.Y*sh.opts.W+fr.X)*fbPixelBytes
+		}
+		in.VaryingAddrs, in.OutAddrs = varyA, outA
+
+		if sh.opts.CollectRefTex {
+			ctx.RefFootprint = &exact
+		}
+		ctx.OnTex = onTex
+
+		col := sh.shade(ctx, &in, mat)
+
+		for l := 0; l < lanes; l++ {
+			fr := &tf[f0+l]
+			out.pixels = append(out.pixels, pixelWrite{fr.Y*sh.opts.W + fr.X, gmath.V4(
+				gmath.Clamp(col.R[l], 0, 1),
+				gmath.Clamp(col.G[l], 0, 1),
+				gmath.Clamp(col.B[l], 0, 1),
+				gmath.Clamp(col.A[l], 0, 1),
+			)})
+		}
+	}
+	out.ctas = bld.Finish().CTAs
+	return out
 }
 
 // quadOrder reorders a tile's fragments so members of each 2×2 screen
 // quad are adjacent (quad-major, then row-major within the quad).
 func quadOrder(frags []raster.Fragment) []raster.Fragment {
-	out := make([]raster.Fragment, len(frags))
-	copy(out, frags)
-	sort.SliceStable(out, func(i, j int) bool {
-		qi := [2]int{out[i].Y / 2, out[i].X / 2}
-		qj := [2]int{out[j].Y / 2, out[j].X / 2}
-		if qi != qj {
-			if qi[0] != qj[0] {
-				return qi[0] < qj[0]
-			}
-			return qi[1] < qj[1]
-		}
-		if out[i].Y != out[j].Y {
-			return out[i].Y < out[j].Y
-		}
-		return out[i].X < out[j].X
+	out := slices.Clone(frags)
+	slices.SortStableFunc(out, func(a, b raster.Fragment) int {
+		return cmp.Or(
+			cmp.Compare(a.Y/2, b.Y/2),
+			cmp.Compare(a.X/2, b.X/2),
+			cmp.Compare(a.Y, b.Y),
+			cmp.Compare(a.X, b.X),
+		)
 	})
 	return out
 }
 
 // shade dispatches to the material's fragment program.
-func (p *pipeline) shade(ctx *shader.Ctx, in *shader.FSIn, mat *Material) shader.FSOut {
-	light := p.frame.Light
+func (sh *shading) shade(ctx *shader.Ctx, in *shader.FSIn, mat *Material) shader.FSOut {
+	light := sh.light
 	switch mat.Kind {
 	case MatPBR:
 		return shader.PBRFS(ctx, in, mat.PBR, light)

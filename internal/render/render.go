@@ -6,6 +6,9 @@
 // movement is recreated as pipeline-class L2 traffic, and the ROP is
 // skipped, exactly as the paper prescribes. Each batch becomes one stream
 // holding its vertex and fragment kernels.
+//
+// Batches' fragment shading runs on up to GOMAXPROCS goroutines (see
+// pipeline); the result is the same bits at any setting.
 package render
 
 import (
@@ -172,7 +175,8 @@ type DrawMetrics struct {
 	// RefTexAccesses is the same count under exact per-quad LoD — the
 	// hardware stand-in reference for Fig. 9.
 	RefTexAccesses int64
-	// TexelBytes is the total unique texture footprint touched.
+	// TexWarpInsts counts the TEX warp instructions the draw's fragment
+	// shaders executed.
 	TexWarpInsts int64
 }
 

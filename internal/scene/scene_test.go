@@ -1,11 +1,14 @@
 package scene
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"crisp/internal/geom"
 	"crisp/internal/gmath"
 	"crisp/internal/render"
+	"crisp/internal/texture"
 )
 
 func TestNamesAndRegistry(t *testing.T) {
@@ -175,5 +178,48 @@ func TestScenesDeterministic(t *testing.T) {
 	ma, mb := a.MeanColor(), b.MeanColor()
 	if ma != mb {
 		t.Errorf("PL mean colors differ: %v vs %v", ma, mb)
+	}
+}
+
+// TestScenesBuildSameAssetsAtAnyProcs: textures are built by as many
+// goroutines as there are CPUs, each generator on its own seed, so every
+// texel of every map is the one a single builder produces.
+func TestScenesBuildSameAssetsAtAnyProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	texels := func(procs int, name string) (names []string, samples [][]gmath.Vec4) {
+		runtime.GOMAXPROCS(procs)
+		f, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Draws {
+			for _, tx := range d.Mat.Textures() {
+				if tx == nil {
+					t.Fatalf("GOMAXPROCS=%d %s: draw %s holds a texture that was never built", procs, name, d.Name)
+				}
+				tx.Bind(0)
+				var s []gmath.Vec4
+				for lv := 0; lv < tx.Levels(); lv++ {
+					w, h := tx.LevelDim(lv)
+					for y := 0; y < h; y += 1 + h/16 {
+						for x := 0; x < w; x += 1 + w/16 {
+							c, _ := tx.Sample((float32(x)+0.5)/float32(w), (float32(y)+0.5)/float32(h), tx.Layers-1, float32(lv), texture.FilterNearest)
+							s = append(s, c)
+						}
+					}
+				}
+				names, samples = append(names, tx.Name), append(samples, s)
+			}
+		}
+		return
+	}
+	for _, name := range Names() {
+		wantNames, want := texels(1, name)
+		for _, procs := range []int{2, 8} {
+			gotNames, got := texels(procs, name)
+			if !reflect.DeepEqual(gotNames, wantNames) || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: textures built at GOMAXPROCS=%d differ from those built at 1", name, procs)
+			}
+		}
 	}
 }

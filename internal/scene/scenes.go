@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"crisp/internal/fanout"
 	"crisp/internal/geom"
 	"crisp/internal/gmath"
 	"crisp/internal/render"
@@ -61,21 +62,58 @@ func camera(pos, target gmath.Vec3, fovDeg float32) render.Camera {
 	}
 }
 
+// assets builds a scene's textures on up to GOMAXPROCS goroutines. Every
+// generator owns its seed and writes only the texture it returns, so what
+// a scene holds does not depend on the order or the number of builders.
+type assets struct {
+	*fanout.Ordered[asset]
+}
+
+type asset struct {
+	dst **texture.Texture
+	tex *texture.Texture
+}
+
+func newAssets() assets {
+	return assets{fanout.New(func(a asset) { *a.dst = a.tex })}
+}
+
+// load has build run, and *dst set to its texture by the time Wait returns.
+func (a assets) load(dst **texture.Texture, build func() *texture.Texture) {
+	a.Go(func() asset { return asset{dst, build()} })
+}
+
 // pbrMaps builds an eight-map PBR set with mixed formats, as the paper's
 // PBR workloads use (maps saved in different formats, all sampled).
 // base sizes the albedo/normal maps; secondary maps are half size.
-func pbrMaps(prefix string, seed int64, base int) *shader.PBRMaps {
+func (a assets) pbrMaps(prefix string, seed int64, base int) *shader.PBRMaps {
 	half := base / 2
-	return &shader.PBRMaps{
-		Albedo:     texture.Noise(prefix+".albedo", texture.FormatRGBA8, base, base, 1, seed),
-		Normal:     texture.NoiseFine(prefix+".normal", texture.FormatRGBA8, base, base, 1, seed+1),
-		Metallic:   texture.Noise(prefix+".metallic", texture.FormatR8, half, half, 1, seed+2),
-		Roughness:  texture.Noise(prefix+".roughness", texture.FormatR8, half, half, 1, seed+3),
-		AO:         texture.Noise(prefix+".ao", texture.FormatR8, half, half, 1, seed+4),
-		Irradiance: texture.Gradient(prefix+".irradiance", texture.FormatRGBA16F, 128, 128, gmath.V4(0.3, 0.35, 0.5, 1), gmath.V4(0.9, 0.8, 0.6, 1)),
-		Prefilter:  texture.NoiseFine(prefix+".prefilter", texture.FormatRGBA16F, half, half, 1, seed+5),
-		BRDF:       texture.Gradient(prefix+".brdf", texture.FormatRG8, 128, 128, gmath.V4(1, 0, 0, 1), gmath.V4(0, 1, 0, 1)),
-	}
+	m := &shader.PBRMaps{}
+	a.load(&m.Albedo, func() *texture.Texture {
+		return texture.Noise(prefix+".albedo", texture.FormatRGBA8, base, base, 1, seed)
+	})
+	a.load(&m.Normal, func() *texture.Texture {
+		return texture.NoiseFine(prefix+".normal", texture.FormatRGBA8, base, base, 1, seed+1)
+	})
+	a.load(&m.Metallic, func() *texture.Texture {
+		return texture.Noise(prefix+".metallic", texture.FormatR8, half, half, 1, seed+2)
+	})
+	a.load(&m.Roughness, func() *texture.Texture {
+		return texture.Noise(prefix+".roughness", texture.FormatR8, half, half, 1, seed+3)
+	})
+	a.load(&m.AO, func() *texture.Texture {
+		return texture.Noise(prefix+".ao", texture.FormatR8, half, half, 1, seed+4)
+	})
+	a.load(&m.Irradiance, func() *texture.Texture {
+		return texture.Gradient(prefix+".irradiance", texture.FormatRGBA16F, 128, 128, gmath.V4(0.3, 0.35, 0.5, 1), gmath.V4(0.9, 0.8, 0.6, 1))
+	})
+	a.load(&m.Prefilter, func() *texture.Texture {
+		return texture.NoiseFine(prefix+".prefilter", texture.FormatRGBA16F, half, half, 1, seed+5)
+	})
+	a.load(&m.BRDF, func() *texture.Texture {
+		return texture.Gradient(prefix+".brdf", texture.FormatRG8, 128, 128, gmath.V4(1, 0, 0, 1), gmath.V4(0, 1, 0, 1))
+	})
+	return m
 }
 
 // SponzaBasic is SPL: the Khronos-samples Sponza with basic single-texture
@@ -96,17 +134,20 @@ func sponza(name string, pbr bool) *render.FrameDef {
 		Light: defaultLight(camPos),
 	}
 
+	tex := newAssets()
+	defer tex.Close()
 	mat := func(label string, seed int64) *render.Material {
 		if pbr {
-			return &render.Material{Kind: render.MatPBR, PBR: pbrMaps(name+"."+label, seed, 512)}
+			return &render.Material{Kind: render.MatPBR, PBR: tex.pbrMaps(name+"."+label, seed, 512)}
 		}
 		// The basic-shaded (Khronos) variant ships block-compressed
 		// albedo textures, which is why its L2 holds so few texture
 		// lines (paper Figs. 10-11).
-		return &render.Material{
-			Kind:   render.MatBasic,
-			Albedo: texture.Noise(name+"."+label+".albedo", texture.FormatBC1, 256, 256, 1, seed),
-		}
+		m := &render.Material{Kind: render.MatBasic}
+		tex.load(&m.Albedo, func() *texture.Texture {
+			return texture.Noise(name+"."+label+".albedo", texture.FormatBC1, 256, 256, 1, seed)
+		})
+		return m
 	}
 
 	f.Draws = append(f.Draws, render.DrawCall{
@@ -153,6 +194,7 @@ func sponza(name string, pbr bool) *render.FrameDef {
 		Model: gmath.Translate(gmath.V3(2, 4.5, 0)).Mul(gmath.RotateX(3.14159265 / 2)),
 		Mat:   mat("banner", 71),
 	})
+	tex.Wait()
 	return f
 }
 
@@ -168,8 +210,9 @@ func Pistol() *render.FrameDef {
 		Cam:   camera(camPos, gmath.V3(0, 0.28, 0), 50),
 		Light: defaultLight(camPos),
 	}
-	maps := pbrMaps("PT.metal", 101, 1024)
-	mat := &render.Material{Kind: render.MatPBR, PBR: maps}
+	tex := newAssets()
+	defer tex.Close()
+	mat := &render.Material{Kind: render.MatPBR, PBR: tex.pbrMaps("PT.metal", 101, 1024)}
 
 	barrel := Cylinder(0.06, 0.75, 18)
 	slide := Box(0.82, 0.16, 0.14)
@@ -194,14 +237,16 @@ func Pistol() *render.FrameDef {
 
 	// Pedestal below the pistol, basic-shaded (the PBR workload includes
 	// several non-PBR draws, as the paper's footnote notes).
+	pedestal := &render.Material{Kind: render.MatBasic}
+	tex.load(&pedestal.Albedo, func() *texture.Texture {
+		return texture.Checker("PT.pedestal.albedo", texture.FormatRGBA8, 256, 256, gmath.V4(0.25, 0.22, 0.2, 1), gmath.V4(0.45, 0.42, 0.4, 1), 8)
+	})
 	f.Draws = append(f.Draws, render.DrawCall{
 		Name: "PT.pedestal", Mesh: Box(1.4, 0.1, 1.4),
 		Model: gmath.Translate(gmath.V3(0, -0.1, 0)),
-		Mat: &render.Material{
-			Kind:   render.MatBasic,
-			Albedo: texture.Checker("PT.pedestal.albedo", texture.FormatRGBA8, 256, 256, gmath.V4(0.25, 0.22, 0.2, 1), gmath.V4(0.45, 0.42, 0.4, 1), 8),
-		},
+		Mat:   pedestal,
 	})
+	tex.Wait()
 	return f
 }
 
@@ -256,14 +301,16 @@ func Platformer() *render.FrameDef {
 		Cam:   camera(camPos, gmath.V3(2, 1, 0), 55),
 		Light: defaultLight(camPos),
 	}
-	ground := &render.Material{
-		Kind:   render.MatToon,
-		Albedo: texture.Checker("PL.ground", texture.FormatRGBA8, 512, 512, gmath.V4(0.3, 0.6, 0.3, 1), gmath.V4(0.25, 0.5, 0.28, 1), 16),
-	}
-	block := &render.Material{
-		Kind:   render.MatToon,
-		Albedo: texture.Noise("PL.block", texture.FormatRGBA8, 256, 256, 1, 307),
-	}
+	tex := newAssets()
+	defer tex.Close()
+	ground := &render.Material{Kind: render.MatToon}
+	tex.load(&ground.Albedo, func() *texture.Texture {
+		return texture.Checker("PL.ground", texture.FormatRGBA8, 512, 512, gmath.V4(0.3, 0.6, 0.3, 1), gmath.V4(0.25, 0.5, 0.28, 1), 16)
+	})
+	block := &render.Material{Kind: render.MatToon}
+	tex.load(&block.Albedo, func() *texture.Texture {
+		return texture.Noise("PL.block", texture.FormatRGBA8, 256, 256, 1, 307)
+	})
 	f.Draws = append(f.Draws, render.DrawCall{
 		Name: "PL.ground", Mesh: Plane(40, 40, 16, 10),
 		Model: gmath.Identity(), Mat: ground,
@@ -295,6 +342,7 @@ func Platformer() *render.FrameDef {
 		Name: "PL.player", Mesh: UVSphere(0.6, 12, 10),
 		Model: gmath.Translate(gmath.V3(-8, 2.1, -3)), Mat: block,
 	})
+	tex.Wait()
 	return f
 }
 
@@ -307,27 +355,35 @@ func MaterialTesters() *render.FrameDef {
 		Cam:   camera(camPos, gmath.V3(0, 1.2, 0), 50),
 		Light: defaultLight(camPos),
 	}
+	tex := newAssets()
+	defer tex.Close()
 	ball := UVSphere(1, 28, 20)
 	for i := 0; i < 5; i++ {
 		seed := int64(401 + i*13)
-		mat := &render.Material{
-			Kind:      render.MatMaterial,
-			Albedo:    texture.Noise(fmt.Sprintf("MT.m%d.albedo", i), texture.FormatRGBA8, 512, 512, 1, seed),
-			Roughness: texture.Noise(fmt.Sprintf("MT.m%d.rough", i), texture.FormatR8, 256, 256, 1, seed+1),
-			Normal:    texture.Noise(fmt.Sprintf("MT.m%d.normal", i), texture.FormatRGBA8, 256, 256, 1, seed+2),
-		}
+		mat := &render.Material{Kind: render.MatMaterial}
+		tex.load(&mat.Albedo, func() *texture.Texture {
+			return texture.Noise(fmt.Sprintf("MT.m%d.albedo", i), texture.FormatRGBA8, 512, 512, 1, seed)
+		})
+		tex.load(&mat.Roughness, func() *texture.Texture {
+			return texture.Noise(fmt.Sprintf("MT.m%d.rough", i), texture.FormatR8, 256, 256, 1, seed+1)
+		})
+		tex.load(&mat.Normal, func() *texture.Texture {
+			return texture.Noise(fmt.Sprintf("MT.m%d.normal", i), texture.FormatRGBA8, 256, 256, 1, seed+2)
+		})
 		f.Draws = append(f.Draws, render.DrawCall{
 			Name: fmt.Sprintf("MT.ball%d", i), Mesh: ball,
 			Model: gmath.Translate(gmath.V3(-5+float32(i)*2.5, 1.2, 0)), Mat: mat,
 		})
 	}
+	floor := &render.Material{Kind: render.MatBasic}
+	tex.load(&floor.Albedo, func() *texture.Texture {
+		return texture.Checker("MT.floor.albedo", texture.FormatRGBA8, 512, 512, gmath.V4(0.8, 0.8, 0.82, 1), gmath.V4(0.3, 0.3, 0.32, 1), 24)
+	})
 	f.Draws = append(f.Draws, render.DrawCall{
 		Name: "MT.floor", Mesh: Plane(20, 10, 8, 6),
 		Model: gmath.Identity(),
-		Mat: &render.Material{
-			Kind:   render.MatBasic,
-			Albedo: texture.Checker("MT.floor.albedo", texture.FormatRGBA8, 512, 512, gmath.V4(0.8, 0.8, 0.82, 1), gmath.V4(0.3, 0.3, 0.32, 1), 24),
-		},
+		Mat:   floor,
 	})
+	tex.Wait()
 	return f
 }

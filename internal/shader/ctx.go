@@ -12,6 +12,7 @@ package shader
 
 import (
 	"math"
+	"math/bits"
 
 	"crisp/internal/gmath"
 	"crisp/internal/isa"
@@ -55,15 +56,7 @@ func NewCtx(b *trace.Builder, mask uint32) *Ctx {
 }
 
 // ActiveLanes reports the number of active lanes.
-func (c *Ctx) ActiveLanes() int {
-	n := 0
-	for i := 0; i < Lanes; i++ {
-		if c.Mask&(1<<uint(i)) != 0 {
-			n++
-		}
-	}
-	return n
-}
+func (c *Ctx) ActiveLanes() int { return bits.OnesCount32(c.Mask) }
 
 func (c *Ctx) newVal() Val { return Val{Reg: c.B.NewReg()} }
 

@@ -371,3 +371,26 @@ func TestMaskedNarrowsAndRestores(t *testing.T) {
 		t.Error("masked instruction with odd-lane mask not found")
 	}
 }
+
+// TestActiveLanesMatchesLaneLoop holds the popcount to the lane-by-lane
+// count it replaced.
+func TestActiveLanesMatchesLaneLoop(t *testing.T) {
+	ref := func(mask uint32) int {
+		n := 0
+		for i := 0; i < Lanes; i++ {
+			if mask&(1<<uint(i)) != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	f := func(mask uint32) bool { return (&Ctx{Mask: mask}).ActiveLanes() == ref(mask) }
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	for _, mask := range []uint32{0, 1, 1 << 31, 0xFFFFFFFF, 0x0000FFFF} {
+		if !f(mask) {
+			t.Errorf("mask %#x: %d lanes, lane loop counts %d", mask, (&Ctx{Mask: mask}).ActiveLanes(), ref(mask))
+		}
+	}
+}

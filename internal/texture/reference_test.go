@@ -1,0 +1,163 @@
+package texture
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"crisp/internal/gmath"
+)
+
+// The generators and the mip filter were rewritten for speed; the code they
+// replaced stays here as the reference, and every texel of every level must
+// come out with the same bits.
+
+// noiseRef is Noise as it was: cell and weights recomputed per texel.
+func noiseRef(name string, fmtc Format, w, h, layers int, seed int64) *Texture {
+	rng := rand.New(rand.NewSource(seed))
+	pix := make([]gmath.Vec4, w*h*layers)
+	for l := 0; l < layers; l++ {
+		const lat = 9
+		lattice := make([]float32, lat*lat*3)
+		for i := range lattice {
+			lattice[i] = rng.Float32()
+		}
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				fx := float32(x) / float32(w) * (lat - 1)
+				fy := float32(y) / float32(h) * (lat - 1)
+				x0, y0 := int(fx), int(fy)
+				tx, ty := fx-float32(x0), fy-float32(y0)
+				x1, y1 := gmath.ClampInt(x0+1, 0, lat-1), gmath.ClampInt(y0+1, 0, lat-1)
+				var c [3]float32
+				for ch := 0; ch < 3; ch++ {
+					v00 := lattice[(y0*lat+x0)*3+ch]
+					v10 := lattice[(y0*lat+x1)*3+ch]
+					v01 := lattice[(y1*lat+x0)*3+ch]
+					v11 := lattice[(y1*lat+x1)*3+ch]
+					c[ch] = gmath.Lerp(gmath.Lerp(v00, v10, tx), gmath.Lerp(v01, v11, tx), ty)
+				}
+				pix[l*w*h+y*w+x] = gmath.V4(c[0], c[1], c[2], 1)
+			}
+		}
+	}
+	return newRef(name, fmtc, w, h, layers, pix)
+}
+
+// newRef is New over downsampleRef.
+func newRef(name string, fmtc Format, w, h, layers int, pix []gmath.Vec4) *Texture {
+	t := &Texture{Name: name, Fmt: fmtc, W: w, H: h, Layers: layers}
+	t.levels = append(t.levels, level{w: w, h: h, pix: pix})
+	for lw, lh := w, h; lw > 1 || lh > 1; {
+		nw, nh := max(1, lw/2), max(1, lh/2)
+		t.levels = append(t.levels, downsampleRef(t.levels[len(t.levels)-1], nw, nh, layers))
+		lw, lh = nw, nh
+	}
+	return t
+}
+
+// downsampleRef is the box filter as it was: one loop for every ratio.
+func downsampleRef(src level, nw, nh, layers int) level {
+	dst := level{w: nw, h: nh, pix: make([]gmath.Vec4, nw*nh*layers)}
+	sx := max(1, src.w/nw)
+	sy := max(1, src.h/nh)
+	inv := 1 / float32(sx*sy)
+	for l := 0; l < layers; l++ {
+		for y := 0; y < nh; y++ {
+			for x := 0; x < nw; x++ {
+				var acc gmath.Vec4
+				for dy := 0; dy < sy; dy++ {
+					for dx := 0; dx < sx; dx++ {
+						acc = acc.Add(src.pix[l*src.w*src.h+(y*sy+dy)*src.w+(x*sx+dx)])
+					}
+				}
+				dst.pix[l*nw*nh+y*nw+x] = acc.Scale(inv)
+			}
+		}
+	}
+	return dst
+}
+
+func sameBits(t *testing.T, what string, got, want *Texture) {
+	t.Helper()
+	if len(got.levels) != len(want.levels) {
+		t.Fatalf("%s: %d levels, reference has %d", what, len(got.levels), len(want.levels))
+	}
+	for lv := range want.levels {
+		g, w := got.levels[lv], want.levels[lv]
+		if g.w != w.w || g.h != w.h || len(g.pix) != len(w.pix) {
+			t.Fatalf("%s level %d: %dx%d (%d texels), reference %dx%d (%d)", what, lv, g.w, g.h, len(g.pix), w.w, w.h, len(w.pix))
+		}
+		for i := range w.pix {
+			a, b := g.pix[i], w.pix[i]
+			if math.Float32bits(a.X) != math.Float32bits(b.X) || math.Float32bits(a.Y) != math.Float32bits(b.Y) ||
+				math.Float32bits(a.Z) != math.Float32bits(b.Z) || math.Float32bits(a.W) != math.Float32bits(b.W) {
+				t.Fatalf("%s level %d texel %d: %v, reference %v", what, lv, i, a, b)
+			}
+		}
+	}
+}
+
+func TestNoiseMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		w, h, layers int
+		seed         int64
+	}{
+		{512, 512, 1, 11}, {256, 256, 8, 211}, {64, 16, 2, 3}, {8, 128, 1, 5}, {1, 1, 1, 9}, {2, 1, 3, 1}, {1024, 1024, 1, 101},
+	} {
+		if testing.Short() && c.w > 512 {
+			continue
+		}
+		sameBits(t, "Noise", Noise("n", FormatRGBA8, c.w, c.h, c.layers, c.seed), noiseRef("n", FormatRGBA8, c.w, c.h, c.layers, c.seed))
+	}
+}
+
+// TestMipChainMatchesReference drives New's filter with content that has
+// negative zeros, infinities and denormals in it, on square chains (the
+// unrolled 2×2 path at every level) and on chains that run out of one axis
+// first (the general loop for the tail).
+func TestMipChainMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	special := []float32{float32(math.Copysign(0, -1)), 0, float32(math.Inf(1)), float32(math.Inf(-1)), 1e-42, -1e-42, math.MaxFloat32}
+	for _, c := range []struct{ w, h, layers int }{{64, 64, 1}, {32, 32, 3}, {64, 4, 2}, {2, 32, 1}, {1, 8, 1}, {2, 2, 1}} {
+		pix := make([]gmath.Vec4, c.w*c.h*c.layers)
+		for i := range pix {
+			pix[i] = gmath.V4(rng.Float32()-0.5, rng.Float32(), float32(rng.NormFloat64()), 1)
+			if rng.Intn(4) == 0 {
+				pix[i].X = special[rng.Intn(len(special))]
+				pix[i].Y = special[rng.Intn(len(special))]
+			}
+		}
+		got, err := New("m", FormatRGBA8, c.w, c.h, c.layers, pix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, "New", got, newRef("m", FormatRGBA8, c.w, c.h, c.layers, pix))
+	}
+}
+
+func TestGradientEndpoints(t *testing.T) {
+	a, b := gmath.V4(1, 0, 0.25, 1), gmath.V4(0, 1, 0.75, 1)
+	for _, c := range []struct {
+		w, h        int
+		first, last gmath.Vec4
+	}{
+		{1, 1, a, a}, // x/(w-1) was 0/0 here: every texel NaN
+		{1, 4, a, a},
+		{2, 2, a, b},
+		{128, 128, a, b},
+	} {
+		g := Gradient("g", FormatRGBA8, c.w, c.h, a, b)
+		for lv, l := range g.levels {
+			for i, p := range l.pix {
+				if p.X != p.X || p.Y != p.Y || p.Z != p.Z || p.W != p.W {
+					t.Fatalf("%dx%d level %d texel %d is NaN: %v", c.w, c.h, lv, i, p)
+				}
+			}
+		}
+		row := g.levels[0].pix[:c.w]
+		if row[0] != c.first || row[c.w-1] != c.last {
+			t.Errorf("%dx%d: row runs %v … %v, want %v … %v", c.w, c.h, row[0], row[c.w-1], c.first, c.last)
+		}
+	}
+}

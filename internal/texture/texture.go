@@ -122,13 +122,6 @@ func New(name string, fmtc Format, w, h, layers int, pix []gmath.Vec4) (*Texture
 	return t, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // downsample box-filters src into an nw×nh level.
 func downsample(src level, nw, nh, layers int) level {
 	dst := level{w: nw, h: nh, pix: make([]gmath.Vec4, nw*nh*layers)}
@@ -141,6 +134,25 @@ func downsample(src level, nw, nh, layers int) level {
 		sy = 1
 	}
 	inv := 1 / float32(sx*sy)
+	if sx == 2 && sy == 2 {
+		// Every level of a square chain: the four taps unrolled, added in
+		// the general loop's order ((0+a)+b)+c)+d and then scaled, so the
+		// bits are the same. The zero stays: 0 + -0 is +0.
+		var zero gmath.Vec4
+		for l := 0; l < layers; l++ {
+			sl := src.pix[l*src.w*src.h : (l+1)*src.w*src.h]
+			dl := dst.pix[l*nw*nh : (l+1)*nw*nh]
+			for y := 0; y < nh; y++ {
+				r0 := sl[2*y*src.w : (2*y+1)*src.w]
+				r1 := sl[(2*y+1)*src.w : (2*y+2)*src.w]
+				out := dl[y*nw : (y+1)*nw]
+				for x := range out {
+					out[x] = zero.Add(r0[2*x]).Add(r0[2*x+1]).Add(r1[2*x]).Add(r1[2*x+1]).Scale(inv)
+				}
+			}
+		}
+		return dst
+	}
 	for l := 0; l < layers; l++ {
 		for y := 0; y < nh; y++ {
 			for x := 0; x < nw; x++ {
@@ -340,30 +352,42 @@ func Checker(name string, fmtc Format, w, h int, a, b gmath.Vec4, cells int) *Te
 func Noise(name string, fmtc Format, w, h, layers int, seed int64) *Texture {
 	rng := rand.New(rand.NewSource(seed))
 	pix := make([]gmath.Vec4, w*h*layers)
+	// Coarse lattice filled with random values, then bilinearly upsampled
+	// for smooth variation. A texel's lattice cell and weights depend on
+	// its column or its row alone, so they are computed once per column
+	// and once per row, not once per texel.
+	const lat = 9
+	type tap struct {
+		i0, i1 int
+		t      float32
+	}
+	axis := func(n int) []tap {
+		taps := make([]tap, n)
+		for i := range taps {
+			f := float32(i) / float32(n) * (lat - 1)
+			i0 := int(f)
+			taps[i] = tap{i0, gmath.ClampInt(i0+1, 0, lat-1), f - float32(i0)}
+		}
+		return taps
+	}
+	cols, rows := axis(w), axis(h)
+	lattice := make([]float32, lat*lat*3)
 	for l := 0; l < layers; l++ {
-		// Coarse lattice filled with random values, then bilinearly
-		// upsampled for smooth variation.
-		const lat = 9
-		lattice := make([]float32, lat*lat*3)
 		for i := range lattice {
 			lattice[i] = rng.Float32()
 		}
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				fx := float32(x) / float32(w) * (lat - 1)
-				fy := float32(y) / float32(h) * (lat - 1)
-				x0, y0 := int(fx), int(fy)
-				tx, ty := fx-float32(x0), fy-float32(y0)
-				x1, y1 := gmath.ClampInt(x0+1, 0, lat-1), gmath.ClampInt(y0+1, 0, lat-1)
-				var c [3]float32
-				for ch := 0; ch < 3; ch++ {
-					v00 := lattice[(y0*lat+x0)*3+ch]
-					v10 := lattice[(y0*lat+x1)*3+ch]
-					v01 := lattice[(y1*lat+x0)*3+ch]
-					v11 := lattice[(y1*lat+x1)*3+ch]
-					c[ch] = gmath.Lerp(gmath.Lerp(v00, v10, tx), gmath.Lerp(v01, v11, tx), ty)
-				}
-				pix[l*w*h+y*w+x] = gmath.V4(c[0], c[1], c[2], 1)
+		for y, r := range rows {
+			row := pix[l*w*h+y*w : l*w*h+(y+1)*w]
+			for x, c := range cols {
+				v00 := lattice[(r.i0*lat+c.i0)*3:][:3]
+				v10 := lattice[(r.i0*lat+c.i1)*3:][:3]
+				v01 := lattice[(r.i1*lat+c.i0)*3:][:3]
+				v11 := lattice[(r.i1*lat+c.i1)*3:][:3]
+				row[x] = gmath.V4(
+					gmath.Lerp(gmath.Lerp(v00[0], v10[0], c.t), gmath.Lerp(v01[0], v11[0], c.t), r.t),
+					gmath.Lerp(gmath.Lerp(v00[1], v10[1], c.t), gmath.Lerp(v01[1], v11[1], c.t), r.t),
+					gmath.Lerp(gmath.Lerp(v00[2], v10[2], c.t), gmath.Lerp(v01[2], v11[2], c.t), r.t),
+					1)
 			}
 		}
 	}
@@ -396,7 +420,11 @@ func Gradient(name string, fmtc Format, w, h int, a, b gmath.Vec4) *Texture {
 	pix := make([]gmath.Vec4, w*h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			t := float32(x) / float32(w-1)
+			// A one-texel gradient is all a: x/(w-1) would be 0/0.
+			t := float32(0)
+			if w > 1 {
+				t = float32(x) / float32(w-1)
+			}
 			pix[y*w+x] = a.Scale(1 - t).Add(b.Scale(t))
 		}
 	}

@@ -15,6 +15,11 @@ type Builder struct {
 	curCTA  *CTA
 	curWarp *Warp
 	nextReg int
+	// longest is the instruction count of the longest warp closed so far.
+	// A kernel's warps run one program, so the next warp is allocated at
+	// that length up front instead of regrowing by doubling: one allocation
+	// per warp, and no slack capacity in the retained trace.
+	longest int
 }
 
 // NewBuilder starts a kernel trace with the given identity and per-CTA
@@ -33,7 +38,7 @@ func NewBuilder(name string, kind KernelKind, stream, threadsPerCTA, regsPerThre
 // BeginCTA opens a new CTA. Any open warp is closed first.
 func (b *Builder) BeginCTA() {
 	b.EndWarp()
-	b.k.CTAs = append(b.k.CTAs, CTA{ID: len(b.k.CTAs)})
+	b.k.CTAs = append(b.k.CTAs, CTA{ID: len(b.k.CTAs), Warps: make([]Warp, 0, max(0, b.k.WarpsPerCTA()))})
 	b.curCTA = &b.k.CTAs[len(b.k.CTAs)-1]
 }
 
@@ -44,7 +49,11 @@ func (b *Builder) BeginWarp() {
 		panic("trace.Builder: BeginWarp before BeginCTA")
 	}
 	b.EndWarp()
-	b.curCTA.Warps = append(b.curCTA.Warps, Warp{ID: len(b.curCTA.Warps)})
+	w := Warp{ID: len(b.curCTA.Warps)}
+	if b.longest > 0 {
+		w.Insts = make([]Inst, 0, b.longest)
+	}
+	b.curCTA.Warps = append(b.curCTA.Warps, w)
 	b.curWarp = &b.curCTA.Warps[len(b.curCTA.Warps)-1]
 	b.nextReg = 0
 }
@@ -63,6 +72,7 @@ func (b *Builder) EndWarp() {
 		}
 		b.curWarp.Insts = append(b.curWarp.Insts, Inst{Op: isa.OpEXIT, Dst: isa.RegNone, SrcA: isa.RegNone, SrcB: isa.RegNone, SrcC: isa.RegNone, Mask: mask})
 	}
+	b.longest = max(b.longest, len(b.curWarp.Insts))
 	b.curWarp = nil
 }
 

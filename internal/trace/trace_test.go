@@ -246,3 +246,49 @@ func TestLoadRejectsVersionMismatch(t *testing.T) {
 		t.Fatal("version-tampered trace accepted")
 	}
 }
+
+// TestBuilderSizesWarpsFromTheLongestClosed: a kernel's warps run one
+// program, so after the first warp each one's Insts is allocated once, at
+// the length the longest closed warp had, and carries no slack.
+func TestBuilderSizesWarpsFromTheLongestClosed(t *testing.T) {
+	const warps, insts = 8, 37
+	emit := func(b *Builder) {
+		b.BeginWarp()
+		for i := 0; i < insts; i++ {
+			b.ALU(isa.OpFADD, b.NewReg(), FullMask)
+		}
+	}
+	b := NewBuilder("k", KindCompute, 0, warps*isa.WarpSize, 16, 0)
+	b.BeginCTA()
+	emit(b) // the first warp grows by doubling and sets the hint
+	perWarp := testing.AllocsPerRun(warps-2, func() { emit(b) })
+	if perWarp != 1 {
+		t.Errorf("a warp of %d instructions took %v allocations, want 1", insts, perWarp)
+	}
+	k := b.Finish()
+	for i, w := range k.CTAs[0].Warps {
+		if len(w.Insts) != insts+1 { // + EXIT
+			t.Fatalf("warp %d: %d instructions", i, len(w.Insts))
+		}
+		if i > 0 && cap(w.Insts) != len(w.Insts) {
+			t.Errorf("warp %d: cap %d for %d instructions", i, cap(w.Insts), len(w.Insts))
+		}
+	}
+	if got := cap(k.CTAs[0].Warps); got != warps {
+		t.Errorf("CTA holds room for %d warps, its kernel launches %d", got, warps)
+	}
+
+	// A shorter warp keeps the hint; a longer one raises it.
+	b = NewBuilder("k", KindCompute, 0, 4*isa.WarpSize, 16, 0)
+	b.BeginCTA()
+	for _, n := range []int{10, 3, 20, 20} {
+		b.BeginWarp()
+		for i := 0; i < n; i++ {
+			b.ALU(isa.OpFADD, b.NewReg(), FullMask)
+		}
+	}
+	ws := b.Finish().CTAs[0].Warps
+	if cap(ws[1].Insts) != 11 || cap(ws[3].Insts) != 21 {
+		t.Errorf("caps %d, %d, %d, %d: want the second at 11 and the fourth at 21", cap(ws[0].Insts), cap(ws[1].Insts), cap(ws[2].Insts), cap(ws[3].Insts))
+	}
+}
