@@ -208,8 +208,8 @@ func main() {
 	// How the host got there goes to stderr: these counts differ between
 	// the default engine and -no-skip (and restart at a resume), and
 	// stdout is what the determinism gates diff across engine shapes.
-	fmt.Fprintf(os.Stderr, "engine      : core steps %d executed / %d skipped, CTA dispatch %d sweeps / %d skipped\n",
-		res.StepsExecuted, res.StepsSkipped, res.DispatchSweeps, res.DispatchSkipped)
+	fmt.Fprintf(os.Stderr, "engine      : core steps %d executed / %d skipped, CTA dispatch %d sweeps / %d skipped, %d stall slots replayed\n",
+		res.StepsExecuted, res.StepsSkipped, res.DispatchSweeps, res.DispatchSkipped, res.StallReplays)
 	if *stateDigest {
 		for _, d := range res.Digests {
 			fmt.Printf("digest %12d %016x\n", d.Cycle, d.Digest)

@@ -232,6 +232,10 @@ type Result struct {
 	// snapshot or digest, and counted from zero again after a resume.
 	DispatchSweeps  int64
 	DispatchSkipped int64
+	// StallReplays counts the scheduler issue slots, inside executed
+	// steps, that a stalled scheduler answered from its recorded stall
+	// instead of scanning its warps (zero under NoSkip). Host work again.
+	StallReplays int64
 	// Kernels lists every completed kernel launch in completion order.
 	Kernels []gpu.KernelStat
 	// WS exposes warped-slicer state when that policy ran.
@@ -437,6 +441,7 @@ func (j *Job) runOn(ctx context.Context, g *gpu.GPU, res *Result) (*Result, erro
 	res.StepsExecuted, res.StepsSkipped, res.BulkStallSlots = g.SkipCounters()
 	res.SleepHist = g.SleepHist()
 	res.DispatchSweeps, res.DispatchSkipped = g.DispatchCounters()
+	res.StallReplays = g.StallReplays()
 	res.Kernels = g.KernelStats()
 
 	comp := g.Mem().L2Composition()

@@ -1,0 +1,239 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"crisp/internal/compute"
+	"crisp/internal/config"
+	"crisp/internal/render"
+	"crisp/internal/robust"
+	"crisp/internal/robust/inject"
+	"crisp/internal/scene"
+	"crisp/internal/trace"
+	"crisp/internal/trace/tracetest"
+)
+
+// This file gates the issue loop's "know it once" changes end to end: the
+// line table the front ends and trace.Load derive, the paths that do
+// without it, and the schedulers' stall replay across a restore.
+
+func frameKernels(res *render.Result) []*trace.Kernel {
+	var ks []*trace.Kernel
+	for _, st := range res.Streams {
+		ks = append(ks, st.Kernels...)
+	}
+	return ks
+}
+
+// TestLineTablesMatchReference holds every instruction of every front-end
+// product to the code the table replaced (tracetest's reference coalescer
+// and bank-conflict count, test-only now): after Builder.Finish — fragment
+// kernels are stitched from many Builders' CTAs — and after a Save and Load
+// round trip, which must also re-save to the same bytes.
+func TestLineTablesMatchReference(t *testing.T) {
+	products := map[string][]*trace.Kernel{}
+	var order []string
+	add := func(id string, ks []*trace.Kernel) {
+		products[id] = ks
+		order = append(order, id)
+	}
+	for _, name := range compute.Names() {
+		w, err := compute.ByName(name, ComputeStreamBase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(name, w.Kernels)
+	}
+	type frame struct {
+		scene string
+		w, h  int
+	}
+	var frames []frame
+	for _, name := range scene.Names() {
+		frames = append(frames, frame{name, 320, 180})
+	}
+	if !testing.Short() {
+		frames = append(frames, frame{"SPH", 640, 360}, frame{"PT", 640, 360})
+	}
+	for _, f := range frames {
+		opts := render.DefaultOptions()
+		opts.W, opts.H = f.w, f.h
+		res, err := RenderScene(f.scene, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(fmt.Sprintf("%s@%dx%d", f.scene, f.w, f.h), frameKernels(res))
+	}
+	for _, id := range order {
+		ks := products[id]
+		lines, conflicts, err := tracetest.CheckLineTable(ks)
+		if err != nil {
+			t.Errorf("%s: %v", id, err)
+			continue
+		}
+		if lines == 0 {
+			t.Errorf("%s: no memory instruction was checked", id)
+		}
+		var file bytes.Buffer
+		if err := trace.Save(&file, ks); err != nil {
+			t.Fatal(err)
+		}
+		saved := bytes.Clone(file.Bytes())
+		loaded, err := trace.Load(&file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l2, c2, err := tracetest.CheckLineTable(loaded)
+		if err != nil {
+			t.Errorf("%s after Save and Load: %v", id, err)
+		}
+		if l2 != lines || c2 != conflicts {
+			t.Errorf("%s: %d+%d table entries built, %d+%d after reload", id, lines, conflicts, l2, c2)
+		}
+		var again bytes.Buffer
+		if err := trace.Save(&again, loaded); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(saved, again.Bytes()) {
+			t.Errorf("%s: the reloaded trace re-saves to different bytes", id)
+		}
+		t.Logf("%-12s %7d line entries, %6d conflict entries", id, lines, conflicts)
+	}
+}
+
+// TestRunsWithoutLineTable: a kernel whose table is absent and a config
+// whose line size is not the one tables are derived at both take the
+// derive-at-issue path in the fast engine, and must land on the digests of
+// the tabled run and of the -no-skip oracle (which never reads a table).
+func TestRunsWithoutLineTable(t *testing.T) {
+	nn, err := compute.ByName("NN", ComputeStreamBase) // LDG, STG, STS/LDS with offsets, barriers
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := RenderScene("SPL", tinyOpts()) // TEX
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(label string, cfg config.GPU, gfx *render.Result, cw *compute.Workload, noSkip bool) *Result {
+		t.Helper()
+		res, err := (&Job{GPU: cfg, Graphics: gfx, Compute: cw, Policy: PolicyEven, Workers: 1, NoSkip: noSkip, DigestEvery: 5_000}).Run()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return res
+	}
+
+	tabled := run("tabled", config.JetsonOrin(), frame, nn, false)
+	oracle := run("oracle", config.JetsonOrin(), frame, nn, true)
+	expectIdentical(t, oracle, tabled, "tabled vs oracle")
+
+	bare := *nn
+	bare.Kernels = inject.CloneKernels(nn.Kernels)
+	bareFrame := *frame
+	bareFrame.Streams = nil
+	for _, st := range frame.Streams {
+		st.Kernels = inject.CloneKernels(st.Kernels)
+		bareFrame.Streams = append(bareFrame.Streams, st)
+	}
+	for _, k := range append(frameKernels(&bareFrame), bare.Kernels...) {
+		k.DropLineTable()
+	}
+	expectIdentical(t, oracle, run("no table", config.JetsonOrin(), &bareFrame, &bare, false), "no table vs oracle")
+
+	narrowLines := config.JetsonOrin()
+	narrowLines.LineSize = 64
+	if err := narrowLines.Validate(); err != nil {
+		t.Fatalf("a 64 B line config: %v", err)
+	}
+	if _, ok := nn.Kernels[0].CTAs[0].Warps[0].LineTable(narrowLines.LineSize); ok {
+		t.Fatal("the 128 B table answers for 64 B lines")
+	}
+	fast := run("64 B lines", narrowLines, frame, nn, false)
+	expectIdentical(t, run("64 B lines, oracle", narrowLines, frame, nn, true), fast, "64 B lines vs oracle")
+	if fast.Cycles == tabled.Cycles {
+		t.Errorf("64 B and 128 B lines both took %d cycles: the line size did not reach the coalescer", fast.Cycles)
+	}
+}
+
+// TestReplayResumeMidSleep kills the latency-bound NN job (cores parked on
+// DRAM fills, their schedulers holding stall records) in the middle of a
+// sleep and resumes it under either skip mode, at one worker and at many.
+// Stall records are not in a snapshot; a restored run rebuilds them, and
+// must reproduce the straight run's per-stream stall attribution and its
+// whole state-digest stream.
+func TestReplayResumeMidSleep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a dozen NN simulations")
+	}
+	cfg := config.RTX3070()
+	cfg.SharedMemPerSM = 6 << 10
+	cfg.L1MSHRs, cfg.L2MSHRs = 4, 16
+	cfg.DRAMLatency *= 8
+	opts := func(workers int, noSkip bool, more ...RunOption) []RunOption {
+		o := append([]RunOption{WithWorkers(workers), WithStateDigest(20_000)}, more...)
+		if noSkip {
+			o = append(o, WithNoSkip())
+		}
+		return o
+	}
+	oracle, err := RunPair(cfg, "", "NN", PolicyMPS, tinyOpts(), opts(1, true)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oracle.StallReplays != 0 || oracle.StepsSkipped != 0 {
+		t.Errorf("the oracle replayed %d stalls and skipped %d steps", oracle.StallReplays, oracle.StepsSkipped)
+	}
+	same := func(label string, res *Result) {
+		t.Helper()
+		expectIdentical(t, oracle, res, label)
+		for i, st := range oracle.PerStream {
+			if !reflect.DeepEqual(st.Stalls, res.PerStream[i].Stalls) {
+				t.Errorf("%s: stream %d stalls %v, the oracle's %v", label, st.Stream, res.PerStream[i].Stalls, st.Stalls)
+			}
+		}
+	}
+	for _, workers := range []int{1, parityWorkers(t)} {
+		straight, err := RunPair(cfg, "", "NN", PolicyMPS, tinyOpts(), opts(workers, false)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("j%d/straight", workers), straight)
+		if straight.StallReplays == 0 || straight.StepsSkipped == 0 {
+			t.Errorf("j%d: %d stalls replayed, %d steps skipped: the run exercises neither", workers, straight.StallReplays, straight.StepsSkipped)
+		}
+		for _, noSkip := range []bool{false, true} {
+			label := fmt.Sprintf("j%d/killed(noskip=%v)", workers, noSkip)
+			dir := t.TempDir()
+			_, err := RunPair(cfg, "", "NN", PolicyMPS, tinyOpts(),
+				opts(workers, noSkip, WithCycleBudget(oracle.Cycles/2), WithCheckpointDir(dir))...)
+			if se, ok := robust.AsSimError(err); !ok || robust.DeepestKind(se) != robust.KindBudget {
+				t.Fatalf("%s: budget kill: got %v", label, err)
+			}
+			env, err := LoadSnapshot(filepath.Join(dir, "final.crispsnap"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			asleep := 0
+			for _, c := range env.State.Arch.Cores {
+				if len(c.CTAs) > 0 && c.WakeAt > env.State.Arch.Cycle+1 {
+					asleep++
+				}
+			}
+			if asleep == 0 {
+				t.Fatalf("%s: no busy core is asleep at the kill cycle %d", label, env.State.Arch.Cycle)
+			}
+			for _, resumeNoSkip := range []bool{false, true} {
+				res, err := ResumeContext(context.Background(), env, opts(workers, resumeNoSkip)...)
+				if err != nil {
+					t.Fatalf("%s: resume (noskip=%v): %v", label, resumeNoSkip, err)
+				}
+				same(fmt.Sprintf("%s/resumed(noskip=%v)", label, resumeNoSkip), res)
+			}
+		}
+	}
+}

@@ -647,6 +647,7 @@ func (g *GPU) issueCTAs() {
 		}
 		l := l
 		st := l.stream
+		need, warps := sm.Need(l.k), l.k.WarpsPerCTA()
 		placed := true
 		for placed && l.nextCTA < len(l.k.CTAs) {
 			placed = false
@@ -657,7 +658,7 @@ func (g *GPU) issueCTAs() {
 				if g.policy != nil && !g.policy.AllowSM(core.ID, l.task) {
 					continue
 				}
-				if !core.CanAccept(l.k, l.task) {
+				if !core.Fits(need, warps, l.task) {
 					continue
 				}
 				ctaIdx, smID := l.nextCTA, core.ID
@@ -1109,6 +1110,16 @@ func (g *GPU) SkipCounters() (executed, skipped, bulkStalls int64) {
 	return executed, skipped, bulkStalls
 }
 
+// StallReplays sums the scheduler slots the cores answered from a stall
+// record instead of a scan.
+func (g *GPU) StallReplays() int64 {
+	var n int64
+	for _, c := range g.cores {
+		n += c.StallReplays()
+	}
+	return n
+}
+
 // SleepHist sums the cores' log2 sleep-length histograms (bucket i
 // counts flushed sleeps of 2^i..2^(i+1)-1 skipped steps).
 func (g *GPU) SleepHist() []int64 {
@@ -1162,6 +1173,7 @@ func (g *GPU) sampleMetrics() {
 	sample := obs.Sample{Cycle: g.now, CyclesSimulated: g.now}
 	sample.StepsExecuted, sample.StepsSkipped, sample.BulkStallSlots = g.SkipCounters()
 	sample.DispatchSweeps, sample.DispatchSkipped = g.DispatchCounters()
+	sample.StallReplays = g.StallReplays()
 	for task := 0; task < nt; task++ {
 		if !cur[task].hasStreams {
 			continue

@@ -60,6 +60,10 @@ type Sample struct {
 	// it did not, because nothing placement reads had moved.
 	DispatchSweeps  int64 `json:"dispatch_sweeps,omitempty"`
 	DispatchSkipped int64 `json:"dispatch_skipped,omitempty"`
+	// StallReplays counts scheduler issue slots, inside executed steps,
+	// that a stalled scheduler answered from its stall record instead of
+	// scanning its warps.
+	StallReplays int64 `json:"stall_replays,omitempty"`
 }
 
 // IntervalSeries accumulates interval metrics samples at a fixed cycle

@@ -363,19 +363,8 @@ func (sh *shading) shadeWarps(k *trace.Kernel, mat *Material, tileFrags [][]rast
 	bld := trace.NewBuilder(k.Name, k.Kind, k.Stream, k.ThreadsPerCTA, k.RegsPerThread, 0)
 
 	countLines := func(addrs []uint64) int64 {
-		var buf [32]uint64
-		lines := buf[:0]
-	outer:
-		for _, a := range addrs {
-			la := a / trace.CacheLineSize
-			for _, l := range lines {
-				if l == la {
-					continue outer
-				}
-			}
-			lines = append(lines, la)
-		}
-		return int64(len(lines))
+		var buf [shader.Lanes]uint64
+		return int64(len(trace.Coalesce(buf[:0], addrs, trace.CacheLineSize)))
 	}
 	onTex := func(simAddrs, refAddrs []uint64) {
 		out.tex.warpInsts++

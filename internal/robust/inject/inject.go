@@ -127,6 +127,7 @@ func Catalog() []Fault {
 					return false
 				}
 				in.Addrs = in.Addrs[:len(in.Addrs)-1]
+				dropLineTables(ks)
 				return true
 			},
 		},
@@ -142,6 +143,34 @@ func Catalog() []Fault {
 					return false
 				}
 				in.Addrs = []uint64{0xDEAD0000}
+				dropLineTables(ks)
+				return true
+			},
+		},
+		{
+			// A trace tool re-homed a warp's instructions under a warp
+			// header built elsewhere: the instructions' line-table entries
+			// now point past the new header's (empty) line arena.
+			Name:   "stale-line-table",
+			Expect: ExpectValidation,
+			Apply: func(ks []*trace.Kernel, rng *rand.Rand) bool {
+				w := pickWarp(ks, rng, func(w *trace.Warp) bool {
+					for i := range w.Insts {
+						if sp := isa.SpaceOf(w.Insts[i].Op); (sp == isa.SpaceGlobal || sp == isa.SpaceTexture) && len(w.Insts[i].Addrs) > 0 {
+							return true
+						}
+					}
+					return false
+				})
+				if w == nil {
+					return false
+				}
+				b := trace.NewBuilder("donor", trace.KindCompute, 0, isa.WarpSize, 1, 0)
+				b.BeginCTA()
+				b.BeginWarp()
+				donor := b.Finish().CTAs[0].Warps[0] // one EXIT, a line table with no lines
+				donor.ID, donor.Insts = w.ID, w.Insts
+				*w = donor
 				return true
 			},
 		},
@@ -248,9 +277,18 @@ func ConfigCatalog() []ConfigFault {
 	}
 }
 
-// CloneKernels deep-copies kernels (CTAs, warps, instructions, and
-// per-lane address lists) so faults can be applied without disturbing the
-// caller's traces.
+// dropLineTables marks every kernel's line table absent: a fault that
+// edits Addrs must leave the run deriving lines from the edited addresses,
+// not replaying the ones the front end derived.
+func dropLineTables(ks []*trace.Kernel) {
+	for _, k := range ks {
+		k.DropLineTable()
+	}
+}
+
+// CloneKernels deep-copies kernels (CTAs, warps, instructions, per-lane
+// address lists and line tables) so faults can be applied without
+// disturbing the caller's traces.
 func CloneKernels(kernels []*trace.Kernel) []*trace.Kernel {
 	out := make([]*trace.Kernel, len(kernels))
 	for i, k := range kernels {
@@ -260,18 +298,7 @@ func CloneKernels(kernels []*trace.Kernel) []*trace.Kernel {
 			cta := k.CTAs[c]
 			warps := make([]trace.Warp, len(cta.Warps))
 			for w := range cta.Warps {
-				warp := cta.Warps[w]
-				insts := make([]trace.Inst, len(warp.Insts))
-				copy(insts, warp.Insts)
-				for l := range insts {
-					if len(insts[l].Addrs) > 0 {
-						addrs := make([]uint64, len(insts[l].Addrs))
-						copy(addrs, insts[l].Addrs)
-						insts[l].Addrs = addrs
-					}
-				}
-				warp.Insts = insts
-				warps[w] = warp
+				warps[w] = cta.Warps[w].Clone()
 			}
 			cta.Warps = warps
 			kk.CTAs[c] = cta

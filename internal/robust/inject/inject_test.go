@@ -184,3 +184,45 @@ func TestConfigCatalogRejected(t *testing.T) {
 		})
 	}
 }
+
+// TestAddrFaultsDropLineTables: a fault that edits Addrs must leave every
+// kernel without a line table, so that a run which gets past validation
+// derives lines from the edited addresses instead of replaying the ones
+// the Builder derived; every other fault leaves the tables alone, and a
+// clone carries its own copy.
+func TestAddrFaultsDropLineTables(t *testing.T) {
+	tabled := func(ks []*trace.Kernel) (with, without int) {
+		for _, k := range ks {
+			for c := range k.CTAs {
+				for w := range k.CTAs[c].Warps {
+					if _, ok := k.CTAs[c].Warps[w].LineTable(trace.CacheLineSize); ok {
+						with++
+					} else {
+						without++
+					}
+				}
+			}
+		}
+		return
+	}
+	for _, f := range inject.Catalog() {
+		ks := inject.CloneKernels(workload())
+		if with, without := tabled(ks); with == 0 || without != 0 {
+			t.Fatalf("a clone of a Builder-made workload has %d tabled warps and %d bare ones", with, without)
+		}
+		if !f.Apply(ks, rand.New(rand.NewSource(3))) {
+			t.Fatalf("%s: fault not applicable to the test workload", f.Name)
+		}
+		with, without := tabled(ks)
+		switch f.Name {
+		case "addr-mismatch", "nonmem-addrs":
+			if with != 0 {
+				t.Errorf("%s edits Addrs and leaves %d warps with a line table", f.Name, with)
+			}
+		default:
+			if without != 0 {
+				t.Errorf("%s dropped the line table of %d warps", f.Name, without)
+			}
+		}
+	}
+}

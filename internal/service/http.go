@@ -352,6 +352,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE crispd_sim_dispatch_sweeps gauge\ncrispd_sim_dispatch_sweeps %d\n", st.DispatchSweeps)
 	fmt.Fprintf(w, "# HELP crispd_sim_dispatch_skipped Run-loop iterations that skipped the sweep: no retire, launch or policy tick since the last one (0 under -no-skip).\n")
 	fmt.Fprintf(w, "# TYPE crispd_sim_dispatch_skipped gauge\ncrispd_sim_dispatch_skipped %d\n", st.DispatchSkipped)
+	fmt.Fprintf(w, "# HELP crispd_sim_stall_replays Scheduler issue slots a stalled scheduler answered from its recorded stall instead of scanning its warps (0 under -no-skip).\n")
+	fmt.Fprintf(w, "# TYPE crispd_sim_stall_replays gauge\ncrispd_sim_stall_replays %d\n", st.StallReplays)
 	fmt.Fprintf(w, "# HELP crispd_sim_skip_ratio Fraction of visited core steps skipped by sleeping (0 when idle or -no-skip).\n")
 	fmt.Fprintf(w, "# TYPE crispd_sim_skip_ratio gauge\ncrispd_sim_skip_ratio %g\n", skipRatio)
 	fmt.Fprintf(w, "# HELP crispd_attempts_total Supervised execution attempts started (>= executions).\n")

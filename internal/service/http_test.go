@@ -150,9 +150,10 @@ func TestHTTPLifecycle(t *testing.T) {
 	if _, rest, ok := strings.Cut(metrics, "\ncrispd_frontend_bytes "); !ok || rest[0] < '1' || rest[0] > '9' {
 		t.Errorf("crispd_frontend_bytes should read the retained frame's size:\n%s", metrics)
 	}
-	// The executed job's last sample carries the dispatcher's counters: it
-	// swept on events and skipped the iterations between them.
-	for _, gauge := range []string{"crispd_sim_dispatch_sweeps", "crispd_sim_dispatch_skipped"} {
+	// The executed job's last sample carries the dispatcher's counters — it
+	// swept on events and skipped the iterations between them — and the
+	// schedulers': stalled ones replayed their recorded stall.
+	for _, gauge := range []string{"crispd_sim_dispatch_sweeps", "crispd_sim_dispatch_skipped", "crispd_sim_stall_replays"} {
 		if _, rest, ok := strings.Cut(metrics, "\n"+gauge+" "); !ok || rest[0] < '1' || rest[0] > '9' {
 			t.Errorf("%s should be positive after an executed job:\n%s", gauge, metrics)
 		}

@@ -220,6 +220,7 @@ type Job struct {
 	bulkStalls   int64
 	dispSweeps   int64
 	dispSkipped  int64
+	stallReplays int64
 }
 
 func (j *Job) setState(st State) {
@@ -240,6 +241,7 @@ func (j *Job) noteSample(s obs.Sample) {
 	j.bulkStalls = s.BulkStallSlots
 	j.dispSweeps = s.DispatchSweeps
 	j.dispSkipped = s.DispatchSkipped
+	j.stallReplays = s.StallReplays
 	j.mu.Unlock()
 	j.hub.Publish(obs.TimelineEvent{Cycle: s.Cycle, Kind: obs.TimelineSample, Sample: &s})
 }
@@ -1095,6 +1097,8 @@ type Stats struct {
 	// had nothing new to look at.
 	DispatchSweeps  int64
 	DispatchSkipped int64
+	// StallReplays sums the scheduler slots answered from a stall record.
+	StallReplays int64
 	// Telemetry aggregates every job hub's counters: live timeline
 	// subscribers, events published, and the slow-subscriber drop
 	// counters.
@@ -1131,6 +1135,7 @@ func (s *Server) Snapshot() Stats {
 		st.BulkStallSlots += j.bulkStalls
 		st.DispatchSweeps += j.dispSweeps
 		st.DispatchSkipped += j.dispSkipped
+		st.StallReplays += j.stallReplays
 		j.mu.Unlock()
 		hs := j.hub.Stats()
 		st.Subscribers += hs.Subscribers

@@ -1,115 +1,36 @@
 package sm
 
 import (
-	"math/rand"
 	"testing"
+	"unsafe"
 
 	"crisp/internal/compute"
 	"crisp/internal/isa"
 	"crisp/internal/obs"
-	"crisp/internal/trace"
 )
 
-// refConflictDegree is the slice-per-bank implementation that
-// sharedConflictDegree replaced, kept as its reference.
-func refConflictDegree(in *trace.Inst) int {
-	if len(in.Addrs) == 0 {
-		return 1
-	}
-	const banks = 32
-	var words [banks][]uint64
-	degree := 1
-	for _, off := range in.Addrs {
-		word := off / 4
-		b := word % banks
-		dup := false
-		for _, wd := range words[b] {
-			if wd == word {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		words[b] = append(words[b], word)
-		if len(words[b]) > degree {
-			degree = len(words[b])
-		}
-	}
-	return degree
+// earliest is what the scan evaluates for one slot.
+func (s *scheduler) earliest(slot int) (int64, obs.StallCause) {
+	return s.at(slot).bind(&s.unitFree)
 }
 
-func TestSharedConflictDegreeMatchesReference(t *testing.T) {
-	lanes := func(f func(i uint64) uint64) []uint64 {
-		a := make([]uint64, 32)
-		for i := range a {
-			a[i] = f(uint64(i))
-		}
-		return a
-	}
-	for _, tc := range []struct {
-		name  string
-		addrs []uint64
-		want  int
-	}{
-		{"no addresses", nil, 1},
-		{"32-lane broadcast", lanes(func(uint64) uint64 { return 64 }), 1},
-		{"stride 1 word", lanes(func(i uint64) uint64 { return i * 4 }), 1},
-		{"stride 32 words", lanes(func(i uint64) uint64 { return i * 32 * 4 }), 32},
-		{"two words per bank", lanes(func(i uint64) uint64 { return (i%16 + i/16*32) * 4 }), 2},
-		{"bytes of one word", lanes(func(i uint64) uint64 { return i % 4 }), 1},
-		// Lanes alternate between re-reading word 0 (a broadcast) and
-		// camping bank 0 with fresh words: 16 distinct words plus word 0.
-		{"duplicates interleaved with conflicts", lanes(func(i uint64) uint64 { return i % 2 * (i + 1) * 32 * 4 }), 17},
-		{"partial warp", lanes(func(i uint64) uint64 { return i * 64 * 4 })[:5], 5},
-	} {
-		in := &trace.Inst{Op: isa.OpLDS, Mask: trace.FullMask, Addrs: tc.addrs}
-		if got := sharedConflictDegree(in); got != tc.want {
-			t.Errorf("%s: degree %d, want %d", tc.name, got, tc.want)
-		}
-		if ref := refConflictDegree(in); ref != tc.want {
-			t.Errorf("%s: the reference says %d, the table %d", tc.name, ref, tc.want)
-		}
-	}
-
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 5000; i++ {
-		// Few distinct words over few banks, so that duplicates, conflicts
-		// and both at once are all common.
-		addrs := make([]uint64, 1+rng.Intn(32))
-		words, spread := uint64(1+rng.Intn(40)), uint64(1+rng.Intn(64))
-		for l := range addrs {
-			addrs[l] = uint64(rng.Int63n(int64(words)))*spread*4 + uint64(rng.Intn(4))
-		}
-		in := &trace.Inst{Op: isa.OpSTS, Addrs: addrs}
-		if got, want := sharedConflictDegree(in), refConflictDegree(in); got != want {
-			t.Fatalf("addrs %v: degree %d, reference %d", addrs, got, want)
-		}
-	}
-	in := &trace.Inst{Op: isa.OpLDS, Addrs: make([]uint64, 32)}
-	if n := testing.AllocsPerRun(100, func() { sharedConflictDegree(in) }); n != 0 {
-		t.Errorf("sharedConflictDegree allocates %v times per call", n)
-	}
-}
-
-// refEarliest is earliestOf as it was before the memo was split: one pass
+// refEarliest is the earliest-issue answer as it was before the memo was split: one pass
 // from scratch over the barrier release, the four scoreboard entries and
 // the pipeline, in that order, each binding only if strictly later.
 func refEarliest(s *scheduler, w *warpRT) (int64, obs.StallCause) {
 	in := &w.insts[w.pc]
 	e, cause := w.blockedUntil, obs.StallBarrier
 	if in.Dst != isa.RegNone {
-		if r := s.regReady(w.slot, in.Dst); r > e {
-			e, cause = r, s.regCause(w.slot, in.Dst)
+		if r := s.regReady(w.blk, in.Dst); r > e {
+			e, cause = r, s.regCause(w.blk, in.Dst)
 		}
 	}
 	for _, src := range [3]isa.Reg{in.SrcA, in.SrcB, in.SrcC} {
 		if src == isa.RegNone {
 			continue
 		}
-		if r := s.regReady(w.slot, src); r > e {
-			e, cause = r, s.regCause(w.slot, src)
+		if r := s.regReady(w.blk, src); r > e {
+			e, cause = r, s.regCause(w.blk, src)
 		}
 	}
 	unit := isa.UnitOf(in.Op)
@@ -124,10 +45,10 @@ func refEarliest(s *scheduler, w *warpRT) (int64, obs.StallCause) {
 // TestEarliestMemoMatchesRecompute steps a core through NN's tiled matmul
 // (global loads, STS/LDS with offsets, two barriers per K tile whose
 // waiters sit on all four schedulers, EXIT) with the memo on. Within one
-// scheduler step every earliestOf call precedes the step's only state
+// scheduler step every earliest call precedes the step's only state
 // change, its issue; so comparing every live warp of a scheduler with a
 // from-scratch recompute right before that scheduler steps covers every
-// value any call in the step can return — across retires (dropSlot),
+// value any call in the step can return — across retires (drop),
 // barrier releases by other schedulers earlier in the same cycle, new
 // CTAs, sleeps, and, in buffered mode, phase-B fill commits.
 func TestEarliestMemoMatchesRecompute(t *testing.T) {
@@ -157,13 +78,10 @@ func TestEarliestMemoMatchesRecompute(t *testing.T) {
 				for si := range c.scheds {
 					s := &c.scheds[si]
 					for _, w := range s.warps {
-						if w.done {
-							continue
-						}
 						if s.memo[w.slot].ok {
 							reused++
 						}
-						e, cause := s.earliestOf(w)
+						e, cause := s.earliest(w.slot)
 						if re, rc := refEarliest(s, w); e != re || cause != rc {
 							t.Fatalf("cycle %d sched %d slot %d pc %d (%v): memo says (%d, %v), recompute (%d, %v)",
 								now, si, w.slot, w.pc, w.insts[w.pc].Op, e, cause, re, rc)
@@ -210,7 +128,7 @@ func TestEarliestMemoCombinesPipelineLast(t *testing.T) {
 	c.Step(0) // MOV issues; the first FADD now waits on its result
 	in := &w.insts[w.pc]
 	unit := isa.UnitOf(in.Op)
-	regE := s.regReady(w.slot, in.SrcA)
+	regE := s.regReady(w.blk, in.SrcA)
 	for _, tc := range []struct {
 		unitFree int64
 		wantE    int64
@@ -222,7 +140,7 @@ func TestEarliestMemoCombinesPipelineLast(t *testing.T) {
 		{regE - 1, regE, obs.StallScoreboard}, // and the memo was not overwritten
 	} {
 		s.unitFree[unit] = tc.unitFree // what another warp's issue does
-		e, cause := s.earliestOf(w)
+		e, cause := s.earliest(w.slot)
 		if re, rc := refEarliest(s, w); e != re || cause != rc || e != tc.wantE || cause != tc.want {
 			t.Errorf("unitFree %d: memo says (%d, %v), recompute (%d, %v), want (%d, %v)",
 				tc.unitFree, e, cause, re, rc, tc.wantE, tc.want)
@@ -261,5 +179,14 @@ func TestStepDoesNotAllocate(t *testing.T) {
 			t.Errorf("buffered=%v: warps retired during the measurement (%d → %d); not a steady state",
 				buffered, resident, c.TotalResidentWarps())
 		}
+	}
+}
+
+func TestWarpRecordIsTwoCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(warpRT{}); n != 128 {
+		t.Errorf("warpRT is %d bytes; at 128 the allocator aligns it to its two cache lines, hot fields first", n)
+	}
+	if off := unsafe.Offsetof(warpRT{}.lines); off != 64 {
+		t.Errorf("warpRT's second line starts at offset %d", off)
 	}
 }

@@ -153,11 +153,10 @@ func (c *Core) CommitStep(now int64) {
 				ready += c.TexFilterLatency
 			}
 			if ev.dst != isa.RegNone {
-				// The warp's slot is stable between the buffered issue and
-				// this commit: a scheduler issues at most once per step, so
-				// no retire can have compacted its slots in between. setReg
-				// also invalidates the slot's memoized earliest.
-				ev.warp.sched.setReg(ev.warp.slot, ev.dst, ready, true)
+				// The warp is still resident: it issued this load in the step
+				// being committed and a warp issues at most once per step.
+				// setReg also clears its memo and its scheduler's stall record.
+				ev.warp.sched.setReg(ev.warp, ev.dst, ready, true)
 			}
 		case logStore:
 			for _, la := range lg.lines[ev.lineLo:ev.lineHi] {

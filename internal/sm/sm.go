@@ -125,26 +125,33 @@ type ctaRT struct {
 }
 
 // warpRT is the runtime state of one resident warp. The hot per-warp
-// state the scheduler sweeps every issue slot — the register scoreboard
-// and the from-memory marks — does not live here: it is laid out in
-// dense per-scheduler SoA blocks (scheduler.sb / scheduler.memBits)
-// indexed by the warp's slot, so the ready-warp sweep walks contiguous
-// memory instead of pointer-chasing ~2.3KB warp structs.
+// state the scheduler scans every issue slot does not live here: the
+// issue-constraint memos are a dense per-scheduler array indexed by the
+// warp's slot, and the register scoreboard and from-memory marks are
+// per-scheduler SoA blocks indexed by the warp's block, so the scan walks
+// contiguous memory and touches a warpRT only to refill a memo or to issue.
 type warpRT struct {
+	// What a memo refill and an ALU issue read, in the record's first
+	// cache line (the record is 128 bytes, so it is aligned to its lines).
 	insts        []trace.Inst
-	warpIdx      int // index within the CTA's warp list (trace identity)
 	pc           int
 	blockedUntil int64
-	done         bool
-	stream       int
-	task         int
-	cta          *ctaRT
-	arrival      int64
-	// sched/slot locate this warp's scoreboard block inside its
-	// scheduler's SoA arrays. slot tracks the warp's index in
-	// scheduler.warps (retire compacts both in lockstep).
-	sched *scheduler
-	slot  int
+	// sched owns the warp; slot is its index in sched.warps and sched.memo
+	// (retire compacts both, re-numbering later warps); blk is its
+	// scoreboard block, which stays put for the warp's lifetime.
+	slot int
+	blk  int
+	// tabled: the trace carries a line table derived at this core's line
+	// size (see trace/linetable.go), and lines is the warp's arena.
+	tabled  bool
+	warpIdx int32 // index within the CTA's warp list (trace identity)
+
+	lines   []uint64
+	stream  int
+	task    int
+	cta     *ctaRT
+	sched   *scheduler
+	arrival int64
 }
 
 // SchedPolicy selects the warp-scheduling discipline.
@@ -159,21 +166,22 @@ const (
 	SchedLRR
 )
 
-// regsPerWarp is the scoreboard width of one warp slot in the SoA block.
+// regsPerWarp is the scoreboard width of one warp's block.
 const regsPerWarp = 256
 
-// memWords is the number of uint64 words in one warp slot's from-memory
+// memWords is the number of uint64 words in one block's from-memory
 // bitmap (256 registers / 64 bits).
 const memWords = regsPerWarp / 64
 
 // scheduler is one of the SM's warp schedulers with its private pipelines.
 //
-// The per-warp hot state is structure-of-arrays: sb holds regsPerWarp
-// scoreboard entries per warp slot and memBits holds the matching
-// from-memory bitmaps, both indexed by warpRT.slot. memo holds each
-// slot's warp-private issue constraint (see warpMemo), which only that
-// warp's own state can change; an issue by another warp moves nothing but
-// unitFree, which earliestOf reads fresh at every query.
+// memo holds each slot's warp-private issue constraint (see warpMemo),
+// which only that warp's own state can change; an issue by another warp
+// moves nothing but unitFree, which the scan reads fresh at every query.
+// sb holds regsPerWarp scoreboard entries per block and memBits the
+// matching from-memory bitmaps, both indexed by warpRT.blk; a retiring
+// warp's block goes on freeBlocks for the next arrival, so no block ever
+// moves.
 type scheduler struct {
 	core     *Core
 	warps    []*warpRT
@@ -181,13 +189,24 @@ type scheduler struct {
 	rr       int // round-robin cursor (SchedLRR)
 	unitFree [isa.UnitCount]int64
 
-	sb      []int64    // regsPerWarp per slot: cycle each register is ready
-	memBits []uint64   // memWords per slot: pending write is from memory
-	memo    []warpMemo // one per slot
+	memo       []warpMemo // one per slot
+	sb         []int64    // regsPerWarp per block: cycle each register is ready
+	memBits    []uint64   // memWords per block: pending write is from memory
+	freeBlocks []int
 
-	// legacy disables the memo (every step recomputes from the
-	// scoreboard), making the -no-skip oracle independent of the memo
-	// invalidation logic it is used to verify.
+	// The stall record: the answer of the scheduler's last non-issuing
+	// scan. While now < stallUntil a slot is that stall again — nothing the
+	// scan reads has changed, because every write that could change it goes
+	// through touch, which clears the record (stallUntil 0 = none).
+	// Derived state, never serialized or digested; never set in legacy mode.
+	stallUntil int64
+	stallWarp  *warpRT // nil: every warp is parked forever, the slot counts as empty
+	stallCause obs.StallCause
+
+	// legacy makes the -no-skip oracle independent of what it verifies:
+	// memos are recomputed from the scoreboard at every visit, no stall is
+	// replayed, and lines and bank conflicts are derived from the addresses
+	// at issue instead of read from the trace's line table.
 	legacy bool
 }
 
@@ -204,60 +223,86 @@ type warpMemo struct {
 	ok    bool
 }
 
+// touch is the one place a slot's memo is cleared: the slot's warp issued,
+// one of its registers was written, a barrier released it, or the slot is
+// new. Whatever changed the slot's answer may change the scan's, so the
+// scheduler's stall record dies with it.
+func (s *scheduler) touch(slot int) {
+	s.memo[slot].ok = false
+	s.stallUntil = 0
+}
+
 // regReady reads one scoreboard entry.
-func (s *scheduler) regReady(slot int, r isa.Reg) int64 {
-	return s.sb[slot*regsPerWarp+int(r)]
+func (s *scheduler) regReady(blk int, r isa.Reg) int64 {
+	return s.sb[blk*regsPerWarp+int(r)]
 }
 
 // regFromMem reads one from-memory mark.
-func (s *scheduler) regFromMem(slot int, r isa.Reg) bool {
-	return s.memBits[slot*memWords+int(r)/64]&(1<<(uint(r)%64)) != 0
+func (s *scheduler) regFromMem(blk int, r isa.Reg) bool {
+	return s.memBits[blk*memWords+int(r)/64]&(1<<(uint(r)%64)) != 0
 }
 
-// setReg writes one scoreboard entry plus its from-memory mark and
-// invalidates the slot's memo (the write may shorten it).
-func (s *scheduler) setReg(slot int, r isa.Reg, ready int64, fromMem bool) {
-	s.sb[slot*regsPerWarp+int(r)] = ready
-	w := slot*memWords + int(r)/64
+// setReg writes one of w's scoreboard entries plus its from-memory mark
+// (the write may shorten the warp's memo).
+func (s *scheduler) setReg(w *warpRT, r isa.Reg, ready int64, fromMem bool) {
+	s.sb[w.blk*regsPerWarp+int(r)] = ready
+	word := w.blk*memWords + int(r)/64
 	bit := uint64(1) << (uint(r) % 64)
 	if fromMem {
-		s.memBits[w] |= bit
+		s.memBits[word] |= bit
 	} else {
-		s.memBits[w] &^= bit
+		s.memBits[word] &^= bit
 	}
-	s.memo[slot].ok = false
+	s.touch(w.slot)
 }
 
-// growSlot appends one zeroed warp slot (all registers ready, nothing
-// from memory, memo invalid) and returns its index.
-func (s *scheduler) growSlot() int {
-	slot := len(s.warps)
-	var zero [regsPerWarp]int64
-	s.sb = append(s.sb, zero[:]...)
-	var noBits [memWords]uint64
-	s.memBits = append(s.memBits, noBits[:]...)
+// admit appends w as the scheduler's youngest warp on a zeroed scoreboard
+// block (all registers ready, nothing from memory): a retired warp's
+// block when one is free, else a new one.
+func (s *scheduler) admit(w *warpRT) {
+	w.sched = s
+	if n := len(s.freeBlocks); n > 0 {
+		w.blk = s.freeBlocks[n-1]
+		s.freeBlocks = s.freeBlocks[:n-1]
+		clear(s.sb[w.blk*regsPerWarp : (w.blk+1)*regsPerWarp])
+		clear(s.memBits[w.blk*memWords : (w.blk+1)*memWords])
+	} else {
+		w.blk = len(s.memBits) / memWords
+		var zero [regsPerWarp]int64
+		s.sb = append(s.sb, zero[:]...)
+		var noBits [memWords]uint64
+		s.memBits = append(s.memBits, noBits[:]...)
+	}
+	w.slot = len(s.warps)
+	s.warps = append(s.warps, w)
 	s.memo = append(s.memo, warpMemo{})
-	return slot
+	s.touch(w.slot)
 }
 
-// dropSlot removes warp slot i, shifting later slots down one (retire
-// preserves arrival order, so the SoA blocks and the memos shift in
-// lockstep with the warps slice). Callers must re-number the shifted
-// warps' slot fields.
-func (s *scheduler) dropSlot(i int) {
-	n := len(s.memo)
-	copy(s.sb[i*regsPerWarp:], s.sb[(i+1)*regsPerWarp:])
-	s.sb = s.sb[:(n-1)*regsPerWarp]
-	copy(s.memBits[i*memWords:], s.memBits[(i+1)*memWords:])
-	s.memBits = s.memBits[:(n-1)*memWords]
+// drop removes w from the scheduler. Retire preserves arrival order, so
+// later warps and their memos shift down one slot; the scoreboard block
+// is only handed back.
+func (s *scheduler) drop(w *warpRT) {
+	i, n := w.slot, len(s.warps)
+	copy(s.warps[i:], s.warps[i+1:])
+	s.warps[n-1] = nil
+	s.warps = s.warps[:n-1]
 	copy(s.memo[i:], s.memo[i+1:])
 	s.memo = s.memo[:n-1]
+	for j := i; j < n-1; j++ {
+		s.warps[j].slot = j
+	}
+	s.freeBlocks = append(s.freeBlocks, w.blk)
+	if s.last == w {
+		s.last = nil
+	}
 }
 
 // Core is one SM.
 type Core struct {
-	ID  int
-	cfg *config.GPU
+	ID   int
+	cfg  *config.GPU
+	full Resources // Full(cfg): the config does not change under a core
 
 	memsys *mem.System
 	stats  InstStats
@@ -273,7 +318,11 @@ type Core struct {
 	// SM. Policies install it; nil means the full SM for every task.
 	LimitFor func(task int) Resources
 
-	resident   int // total resident warps, so Busy is O(1)
+	resident int // total resident warps, so Busy is O(1)
+	// freeWarps and freeCTAs recycle the runtime records of retired warps
+	// and completed CTAs (see retire).
+	freeWarps  []*warpRT
+	freeCTAs   []*ctaRT
 	arrivalSeq int64
 	// retired counts warps that have exited, since construction. It exists
 	// for the GPU's CTA dispatcher: every retire frees something CanAccept
@@ -294,12 +343,18 @@ type Core struct {
 	// Observability-only skip counters (never serialized or digested):
 	// stepsExecuted counts real Step calls, stepsSkipped counts engine
 	// steps this core slept through, bulkStallSlots counts stall slots
-	// synthesized by FlushSkipDebt, and sleepHist buckets flushed sleep
-	// lengths by log2.
+	// synthesized by FlushSkipDebt, stallReplays counts scheduler slots
+	// answered from a stall record instead of a scan, and sleepHist buckets
+	// flushed sleep lengths by log2.
 	stepsExecuted  int64
 	stepsSkipped   int64
 	bulkStallSlots int64
+	stallReplays   int64
 	sleepHist      [sleepHistBuckets]int64
+
+	// replayCheck, when set (tests only), sees every use of a stall record
+	// before it is trusted.
+	replayCheck func(s *scheduler)
 
 	// log, when non-nil, switches the core into buffered (two-phase) mode:
 	// issue slots record their cross-SM effects here instead of applying
@@ -327,6 +382,7 @@ func NewCore(id int, cfg *config.GPU, memsys *mem.System, stats InstStats) *Core
 	c := &Core{
 		ID:               id,
 		cfg:              cfg,
+		full:             Full(cfg),
 		memsys:           memsys,
 		stats:            stats,
 		scheds:           make([]scheduler, cfg.SchedulersPerSM),
@@ -378,7 +434,7 @@ func (c *Core) BarrierBlocked() int {
 	n := 0
 	for i := range c.scheds {
 		for _, w := range c.scheds[i].warps {
-			if !w.done && w.blockedUntil >= never {
+			if w.blockedUntil >= never {
 				n++
 			}
 		}
@@ -390,21 +446,26 @@ func (c *Core) limitFor(task int) Resources {
 	if c.LimitFor != nil {
 		return c.LimitFor(task)
 	}
-	return Full(c.cfg)
+	return c.full
 }
 
 // CanAccept reports whether a CTA of k (for the given task) fits right now
 // under both the task's partition limit and the SM's physical capacity.
 func (c *Core) CanAccept(k *trace.Kernel, task int) bool {
-	need := Need(k)
-	if c.TotalResidentWarps()+k.WarpsPerCTA() > c.cfg.MaxWarpsPerSM {
+	return c.Fits(Need(k), k.WarpsPerCTA(), task)
+}
+
+// Fits is CanAccept for a caller that probes many SMs with one kernel and
+// has computed the CTA's footprint (Need) and warp count once.
+func (c *Core) Fits(need Resources, warps, task int) bool {
+	if c.resident+warps > c.cfg.MaxWarpsPerSM {
 		return false
 	}
 	taskUsage := Resources{}
 	if a := c.tasks.peek(task); a != nil {
 		taskUsage = a.usage
 	}
-	return fits(taskUsage, need, c.limitFor(task)) && fits(c.usageTotal, need, Full(c.cfg))
+	return fits(taskUsage, need, c.limitFor(task)) && fits(c.usageTotal, need, c.full)
 }
 
 // IssueCTA places CTA ctaIdx of kernel k on this SM. onComplete runs when
@@ -417,13 +478,20 @@ func (c *Core) IssueCTA(now int64, k *trace.Kernel, ctaIdx, task int, onComplete
 	c.wakeAt = 0
 
 	need := Need(k)
-	cta := &ctaRT{
+	var cta *ctaRT
+	if n := len(c.freeCTAs); n > 0 {
+		cta, c.freeCTAs = c.freeCTAs[n-1], c.freeCTAs[:n-1]
+	} else {
+		cta = new(ctaRT)
+	}
+	*cta = ctaRT{
 		kernel:     k,
 		ctaIdx:     ctaIdx,
 		task:       task,
 		stream:     k.Stream,
 		res:        need,
 		warpsLeft:  len(k.CTAs[ctaIdx].Warps),
+		barWaiting: cta.barWaiting[:0],
 		onComplete: onComplete,
 	}
 	a := c.tasks.get(task)
@@ -431,19 +499,24 @@ func (c *Core) IssueCTA(now int64, k *trace.Kernel, ctaIdx, task int, onComplete
 	c.usageTotal.add(need)
 
 	for wi := range k.CTAs[ctaIdx].Warps {
-		w := &warpRT{
-			insts:   k.CTAs[ctaIdx].Warps[wi].Insts,
-			warpIdx: wi,
+		tw := &k.CTAs[ctaIdx].Warps[wi]
+		var w *warpRT
+		if n := len(c.freeWarps); n > 0 {
+			w, c.freeWarps = c.freeWarps[n-1], c.freeWarps[:n-1]
+		} else {
+			w = new(warpRT)
+		}
+		*w = warpRT{
+			insts:   tw.Insts,
+			warpIdx: int32(wi),
 			stream:  k.Stream,
 			task:    task,
 			cta:     cta,
 			arrival: c.arrivalSeq,
 		}
+		w.lines, w.tabled = tw.LineTable(c.cfg.LineSize)
 		c.arrivalSeq++
-		s := &c.scheds[wi%len(c.scheds)]
-		w.sched = s
-		w.slot = s.growSlot()
-		s.warps = append(s.warps, w)
+		c.scheds[wi%len(c.scheds)].admit(w)
 		a.warps++
 		c.resident++
 	}
@@ -524,7 +597,14 @@ func (c *Core) FlushSkipDebt() {
 			c.emptySlots += n
 			continue
 		}
-		w, cause := s.stallDisposition()
+		w, cause := s.stallWarp, s.stallCause
+		if s.stallUntil == 0 {
+			var slot int
+			slot, _, cause = s.scan(-1)
+			w = s.warpAt(slot)
+		} else if c.replayCheck != nil {
+			c.replayCheck(s)
+		}
 		if w == nil {
 			c.emptySlots += n
 			continue
@@ -543,49 +623,13 @@ func (c *Core) SkipCounters() (executed, skipped, bulkStalls int64) {
 	return c.stepsExecuted, c.stepsSkipped, c.bulkStallSlots
 }
 
+// StallReplays reports how many scheduler slots were answered from a stall
+// record instead of a scan (zero in legacy mode). Host-side bookkeeping
+// like SkipCounters: never serialized or digested.
+func (c *Core) StallReplays() int64 { return c.stallReplays }
+
 // SleepHist returns the log2 histogram of flushed sleep lengths.
 func (c *Core) SleepHist() [sleepHistBuckets]int64 { return c.sleepHist }
-
-// stallDisposition recomputes which (warp, cause) a non-issuing step
-// would charge, mirroring step/stepLRR's selection exactly: the
-// strict-< minimum of earliestOf over live warps in sweep order (GTO
-// visits non-last warps in arrival order, then the last-issued warp;
-// LRR sweeps from one past the cursor). nil means every slot would have
-// been empty (no live warps). The result is valid for the whole sleep
-// window because nothing the selection reads changes while the core
-// sleeps.
-func (s *scheduler) stallDisposition() (*warpRT, obs.StallCause) {
-	best := never
-	var bestWarp *warpRT
-	var bestCause obs.StallCause
-	if s.core.Sched == SchedLRR {
-		n := len(s.warps)
-		for i := 0; i < n; i++ {
-			w := s.warps[(s.rr+1+i)%n]
-			if w.done {
-				continue
-			}
-			if e, cause := s.earliestOf(w); e < best {
-				best, bestWarp, bestCause = e, w, cause
-			}
-		}
-		return bestWarp, bestCause
-	}
-	for _, w := range s.warps {
-		if w.done || w == s.last {
-			continue
-		}
-		if e, cause := s.earliestOf(w); e < best {
-			best, bestWarp, bestCause = e, w, cause
-		}
-	}
-	if s.last != nil && !s.last.done {
-		if e, cause := s.earliestOf(s.last); e < best {
-			best, bestWarp, bestCause = e, s.last, cause
-		}
-	}
-	return bestWarp, bestCause
-}
 
 // Busy reports whether any warps are resident. It is O(1) so the engine's
 // per-step busy scan stays cheap even on a mostly idle machine.
@@ -598,90 +642,105 @@ func (c *Core) Busy() bool { return c.resident > 0 }
 func (s *scheduler) step(now int64) int64 {
 	core := s.core
 	core.schedSlots++
+	if now < s.stallUntil {
+		// Stall replay. A core steps all its schedulers whenever one of them
+		// can issue, so most stall slots follow a stall of the same
+		// scheduler with nothing in between that touched it.
+		if core.replayCheck != nil {
+			core.replayCheck(s)
+		}
+		core.stallReplays++
+		s.noteStall(s.stallWarp, s.stallCause)
+		return s.stallUntil
+	}
 	if len(s.warps) == 0 {
 		core.emptySlots++
 		return never
 	}
-	if core.Sched == SchedLRR {
-		return s.stepLRR(now)
-	}
-	// Greedy: stick with the last issued warp while it can issue.
-	if s.last != nil && !s.last.done {
-		if ok, _, _ := s.tryIssue(s.last, now); ok {
-			return now + 1
+	slot, e, cause := s.scan(now)
+	if e <= now {
+		w := s.warps[slot]
+		if core.Sched == SchedGTO {
+			s.last = w // before the issue: an EXIT's retire clears it again
 		}
-	}
-	// Then oldest-first among the rest; the warps slice preserves
-	// arrival order, so a single in-order pass realizes GTO.
-	best := never
-	var bestWarp *warpRT
-	var bestCause obs.StallCause
-	for _, w := range s.warps {
-		if w.done || w == s.last {
-			continue
+		s.issue(w, now)
+		// LRR advances its cursor to the issued warp. slot is its position
+		// unless the issue was an EXIT, whose retire compacts the slice; the
+		// cursor then stays where it is (the successor slides into slot, and
+		// the next scan starts one past it, as LRR should).
+		if core.Sched == SchedLRR && slot < len(s.warps) && s.warps[slot] == w {
+			s.rr = slot
 		}
-		ok, earliest, cause := s.tryIssue(w, now)
-		if ok {
-			s.last = w
-			return now + 1
-		}
-		if earliest < best {
-			best, bestWarp, bestCause = earliest, w, cause
-		}
+		return now + 1
 	}
-	if s.last != nil && !s.last.done {
-		if _, e, cause := s.earliestFor(s.last, now); e < best {
-			best, bestWarp, bestCause = e, s.last, cause
-		}
+	// Nothing can issue: every warp's earliest is past now, so e is too.
+	w := s.warpAt(slot)
+	if !s.legacy {
+		s.stallUntil, s.stallWarp, s.stallCause = e, w, cause
 	}
-	s.noteStall(bestWarp, bestCause)
-	if best <= now {
-		best = now + 1
-	}
-	return best
+	s.noteStall(w, cause)
+	return e
 }
 
-// stepLRR rotates the starting warp each invocation and issues from the
-// first ready warp after the cursor.
-func (s *scheduler) stepLRR(now int64) int64 {
+// scan is the one pass over the scheduler's slots, shared by GTO, LRR and
+// FlushSkipDebt. It visits the slots in the discipline's order and returns
+// the first whose warp can issue at now. GTO is greedy-then-oldest: the
+// last-issued warp first, then the rest in arrival order (the warps slice
+// preserves it); LRR starts one past its cursor and wraps. When no warp can
+// issue, scan returns the strict-< earliest with its binding cause — the
+// warp a non-issuing slot is charged to — where the last-issued warp
+// competes last, so it loses ties to every other. slot is -1 when there is
+// no such warp (all parked at a barrier forever). Neither answer depends on
+// now beyond the comparison: every input is an absolute cycle number.
+func (s *scheduler) scan(now int64) (slot int, e int64, cause obs.StallCause) {
 	n := len(s.warps)
-	best := never
-	var bestWarp *warpRT
-	var bestCause obs.StallCause
-	for i := 0; i < n; i++ {
-		idx := (s.rr + 1 + i) % n
-		w := s.warps[idx]
-		if w.done {
-			continue
+	start, hold := 0, -1
+	holdE, holdCause := never, obs.StallCause(0)
+	if s.core.Sched == SchedLRR {
+		start = (s.rr + 1) % n
+	} else if s.last != nil {
+		hold = s.last.slot
+		if holdE, holdCause = s.at(hold).bind(&s.unitFree); holdE <= now {
+			return hold, holdE, holdCause
 		}
-		ok, earliest, cause := s.tryIssue(w, now)
-		if ok {
-			// Advance the cursor to the issued warp. idx is its position
-			// unless the issue was an EXIT, whose retire compacts the slice;
-			// the cursor then stays where it is (the successor slides into
-			// idx, and the next sweep starts one past it, as LRR should).
-			if idx < len(s.warps) && s.warps[idx] == w {
-				s.rr = idx
+	}
+	slot, e = -1, never
+	lo, hi := start, n
+	for range 2 {
+		for i := lo; i < hi; i++ {
+			if i == hold {
+				continue
 			}
-			return now + 1
+			ei, ci := s.at(i).bind(&s.unitFree)
+			if ei <= now {
+				return i, ei, ci
+			}
+			if ei < e {
+				slot, e, cause = i, ei, ci
+			}
 		}
-		if earliest < best {
-			best, bestWarp, bestCause = earliest, w, cause
-		}
+		lo, hi = 0, start
 	}
-	s.noteStall(bestWarp, bestCause)
-	if best <= now {
-		best = now + 1
+	if holdE < e {
+		slot, e, cause = hold, holdE, holdCause
 	}
-	return best
+	return slot, e, cause
+}
+
+// warpAt maps scan's slot to its warp: nil for -1.
+func (s *scheduler) warpAt(slot int) *warpRT {
+	if slot < 0 {
+		return nil
+	}
+	return s.warps[slot]
 }
 
 // noteStall attributes a non-issuing slot to the earliest-ready warp's
 // stream (stall-cause attribution).
 func (s *scheduler) noteStall(w *warpRT, cause obs.StallCause) {
 	if w == nil {
-		// All resident warps raced to done within this slot; count the
-		// slot as empty rather than losing it.
+		// No warp will ever be ready; count the slot as empty rather than
+		// losing it.
 		s.core.emptySlots++
 		return
 	}
@@ -694,37 +753,34 @@ func (s *scheduler) noteStall(w *warpRT, cause obs.StallCause) {
 	}
 }
 
-// earliestFor computes when w could issue its current instruction and,
-// when it cannot issue now, which constraint binds (the stall cause).
-func (s *scheduler) earliestFor(w *warpRT, now int64) (canNow bool, earliest int64, cause obs.StallCause) {
-	e, cause := s.earliestOf(w)
-	return e <= now, e, cause
+// at returns slot's memo, refilled when it is stale. In legacy (-no-skip
+// oracle) mode it is refilled from the scoreboard at every visit, so a
+// memo invalidation bug shows up as a digest divergence against the oracle
+// instead of being shared by both sides of the comparison.
+func (s *scheduler) at(slot int) *warpMemo {
+	m := &s.memo[slot]
+	if !m.ok || s.legacy {
+		s.refill(slot)
+	}
+	return m
 }
 
-// earliestOf computes the earliest cycle w could issue and the binding
-// constraint. Both are independent of the current cycle (all inputs are
-// absolute cycle numbers). The warp-private part is memoized per slot;
-// the pipeline's next free cycle is the one input another warp's issue
-// moves, so it is combined in here, last and with the same strict >, as
-// a from-scratch evaluation orders it: the answer is StallPipeBusy iff
-// unitFree[unit] exceeds every register and barrier constraint. In legacy
-// (-no-skip oracle) mode the memo is bypassed entirely — every step
-// recomputes from the scoreboard — so a memo invalidation bug shows up as
-// a digest divergence against the oracle instead of being shared by both
-// sides of the comparison.
-func (s *scheduler) earliestOf(w *warpRT) (earliest int64, cause obs.StallCause) {
-	var m warpMemo
-	if s.legacy {
-		m = s.warpEarliest(w)
-	} else {
-		p := &s.memo[w.slot]
-		if !p.ok {
-			*p = s.warpEarliest(w)
-		}
-		m = *p
-	}
+// refill is the slow half of at, kept out of line so that at itself
+// inlines into the scan loop.
+//
+//go:noinline
+func (s *scheduler) refill(slot int) { s.memo[slot] = s.warpEarliest(s.warps[slot]) }
+
+// bind completes a memo into the earliest cycle its warp could issue and
+// the binding constraint. Both are independent of the current cycle (all
+// inputs are absolute cycle numbers). The pipeline's next free cycle is the
+// one input another warp's issue moves, so it is combined in here, last and
+// with the same strict >, as a from-scratch evaluation orders it: the
+// answer is StallPipeBusy iff unitFree[unit] exceeds every register and
+// barrier constraint.
+func (m *warpMemo) bind(unitFree *[isa.UnitCount]int64) (int64, obs.StallCause) {
 	if m.unit != isa.UnitNone {
-		if f := s.unitFree[m.unit]; f > m.e {
+		if f := unitFree[m.unit]; f > m.e {
 			return f, obs.StallPipeBusy
 		}
 	}
@@ -741,9 +797,9 @@ func (s *scheduler) warpEarliest(w *warpRT) warpMemo {
 		if r == isa.RegNone {
 			continue
 		}
-		if ready := s.regReady(w.slot, r); ready > m.e {
+		if ready := s.regReady(w.blk, r); ready > m.e {
 			m.e = ready
-			m.cause = s.regCause(w.slot, r)
+			m.cause = s.regCause(w.blk, r)
 		}
 	}
 	if unit := isa.UnitOf(in.Op); unit != isa.UnitCTRL {
@@ -754,31 +810,44 @@ func (s *scheduler) warpEarliest(w *warpRT) warpMemo {
 
 // regCause distinguishes waiting on memory from a plain scoreboard
 // dependence for a pending register.
-func (s *scheduler) regCause(slot int, r isa.Reg) obs.StallCause {
-	if s.regFromMem(slot, r) {
+func (s *scheduler) regCause(blk int, r isa.Reg) obs.StallCause {
+	if s.regFromMem(blk, r) {
 		return obs.StallMemPending
 	}
 	return obs.StallScoreboard
 }
 
-// tryIssue issues w's current instruction at cycle now if possible.
-// On failure it returns the earliest cycle issue could succeed and the
-// binding stall cause.
-func (s *scheduler) tryIssue(w *warpRT, now int64) (bool, int64, obs.StallCause) {
-	ok, earliest, cause := s.earliestFor(w, now)
-	if !ok {
-		return false, earliest, cause
+// memLines returns the unique cache lines in touches, in first-touch
+// order: the trace's line table when w has one for this core's line size,
+// else coalesced from the addresses into buf (a WarpSize stack buffer).
+func (s *scheduler) memLines(w *warpRT, in *trace.Inst, buf []uint64) []uint64 {
+	if w.tabled && !s.legacy {
+		return in.Lines(w.lines)
 	}
+	return trace.Coalesce(buf, in.Addrs, uint64(s.core.cfg.LineSize))
+}
+
+// bankConflicts returns a shared-memory access's bank-conflict degree, by
+// the same rule.
+func (s *scheduler) bankConflicts(w *warpRT, in *trace.Inst) int {
+	if w.tabled && !s.legacy {
+		return in.ConflictDegree()
+	}
+	return trace.BankConflictDegree(in.Addrs)
+}
+
+// issue issues w's current instruction at cycle now. The caller has
+// established that it can (earliest ≤ now).
+func (s *scheduler) issue(w *warpRT, now int64) {
 	in := &w.insts[w.pc]
 	core := s.core
 	// The issue moves w's pc (and, at a barrier, its blockedUntil), so its
 	// memo dies here — before an EXIT's retire can re-number the slot.
-	s.memo[w.slot].ok = false
+	s.touch(w.slot)
 
 	unit := isa.UnitOf(in.Op)
 	switch in.Op {
 	case isa.OpEXIT:
-		w.done = true
 		s.retire(w, now)
 	case isa.OpBAR:
 		cta := w.cta
@@ -788,7 +857,7 @@ func (s *scheduler) tryIssue(w *warpRT, now int64) (bool, int64, obs.StallCause)
 			// this core each waiter lives.
 			for _, bw := range cta.barWaiting {
 				bw.blockedUntil = now + 1
-				bw.sched.memo[bw.slot].ok = false
+				bw.sched.touch(bw.slot)
 			}
 			cta.barWaiting = cta.barWaiting[:0]
 			cta.barArrived = 0
@@ -801,7 +870,7 @@ func (s *scheduler) tryIssue(w *warpRT, now int64) (bool, int64, obs.StallCause)
 		// Traces are post-branch: BRA only costs its pipeline slot.
 	case isa.OpLDG, isa.OpTEX:
 		var lineBuf [isa.WarpSize]uint64
-		lines := coalesce(lineBuf[:0], in.Addrs, uint64(core.cfg.LineSize))
+		lines := s.memLines(w, in, lineBuf[:0])
 		s.unitFree[isa.UnitLDST] = now + int64(len(lines))
 		if lg := core.log; lg != nil {
 			// Request half: the data-ready cycle (the response) is written
@@ -821,11 +890,11 @@ func (s *scheduler) tryIssue(w *warpRT, now int64) (bool, int64, obs.StallCause)
 			ready += core.TexFilterLatency
 		}
 		if in.Dst != isa.RegNone {
-			s.setReg(w.slot, in.Dst, ready, true)
+			s.setReg(w, in.Dst, ready, true)
 		}
 	case isa.OpSTG:
 		var lineBuf [isa.WarpSize]uint64
-		lines := coalesce(lineBuf[:0], in.Addrs, uint64(core.cfg.LineSize))
+		lines := s.memLines(w, in, lineBuf[:0])
 		s.unitFree[isa.UnitLDST] = now + int64(len(lines))
 		if lg := core.log; lg != nil {
 			lg.addStore(w, in.Class, lines)
@@ -835,23 +904,23 @@ func (s *scheduler) tryIssue(w *warpRT, now int64) (bool, int64, obs.StallCause)
 			core.memsys.Store(now, core.ID, w.stream, in.Class, la*uint64(core.cfg.LineSize))
 		}
 	case isa.OpLDS:
-		conflicts := sharedConflictDegree(in)
+		conflicts := s.bankConflicts(w, in)
 		s.unitFree[isa.UnitLDST] = now + int64(conflicts)
 		if in.Dst != isa.RegNone {
-			s.setReg(w.slot, in.Dst, now+int64(isa.Latency(in.Op))+int64(conflicts-1)*2, true)
+			s.setReg(w, in.Dst, now+int64(isa.Latency(in.Op))+int64(conflicts-1)*2, true)
 		}
 	case isa.OpSTS:
-		s.unitFree[isa.UnitLDST] = now + int64(sharedConflictDegree(in))
+		s.unitFree[isa.UnitLDST] = now + int64(s.bankConflicts(w, in))
 	case isa.OpLDC:
 		// Constant cache: modeled as a fixed-latency hit.
 		s.unitFree[isa.UnitLDST] = now + int64(isa.InitiationInterval(in.Op))
 		if in.Dst != isa.RegNone {
-			s.setReg(w.slot, in.Dst, now+int64(isa.Latency(in.Op)), true)
+			s.setReg(w, in.Dst, now+int64(isa.Latency(in.Op)), true)
 		}
 	default:
 		s.unitFree[unit] = now + int64(isa.InitiationInterval(in.Op))
 		if in.Dst != isa.RegNone {
-			s.setReg(w.slot, in.Dst, now+int64(isa.Latency(in.Op)), false)
+			s.setReg(w, in.Dst, now+int64(isa.Latency(in.Op)), false)
 		}
 	}
 
@@ -863,25 +932,18 @@ func (s *scheduler) tryIssue(w *warpRT, now int64) (bool, int64, obs.StallCause)
 		}
 	}
 	w.pc++
-	return true, now, 0
 }
 
 // retire removes a finished warp and commits its CTA when it was the last.
+// Nothing refers to either afterwards — the scheduler's cursor and stall
+// record, the only pointers to a warp that outlive a step, are cleared by
+// drop and by the issue's touch; a CTA's barrier list is empty once its
+// warps run to EXIT — so both records go back to the core for the next
+// IssueCTA, which then allocates nothing.
 func (s *scheduler) retire(w *warpRT, now int64) {
-	for i, x := range s.warps {
-		if x == w {
-			s.warps = append(s.warps[:i], s.warps[i+1:]...)
-			s.dropSlot(i)
-			for j := i; j < len(s.warps); j++ {
-				s.warps[j].slot = j
-			}
-			break
-		}
-	}
-	if s.last == w {
-		s.last = nil
-	}
+	s.drop(w)
 	core := s.core
+	core.freeWarps = append(core.freeWarps, w)
 	if a := core.tasks.peek(w.task); a != nil {
 		a.warps--
 	}
@@ -903,66 +965,6 @@ func (s *scheduler) retire(w *warpRT, now int64) {
 				cta.onComplete(now)
 			}
 		}
+		core.freeCTAs = append(core.freeCTAs, cta)
 	}
-}
-
-// sharedConflictDegree computes the bank-conflict serialization of a
-// shared-memory access: 32 banks of 4-byte words; lanes touching distinct
-// words in the same bank serialize, lanes touching the same word
-// broadcast. Accesses without offsets are modeled conflict-free. A warp
-// has at most WarpSize lanes (trace.Kernel.Validate holds Addrs to the
-// active-lane count), so the distinct words fit a stack array, chained
-// per bank so that a lane is compared only against its own bank's words.
-func sharedConflictDegree(in *trace.Inst) int {
-	const banks = 32
-	addrs := in.Addrs
-	if len(addrs) > isa.WarpSize {
-		addrs = addrs[:isa.WarpSize]
-	}
-	var (
-		words [isa.WarpSize]uint64 // distinct words, in first-touch order
-		prev  [isa.WarpSize]uint8  // 1-based index of the bank's previous word, 0 = none
-		head  [banks]uint8         // 1-based index of the bank's latest word, 0 = none
-		count [banks]uint8         // distinct words per bank
-	)
-	n, degree := 0, 1
-next:
-	for _, off := range addrs {
-		word := off / 4
-		b := word % banks
-		for i := head[b]; i != 0; i = prev[i-1] {
-			if words[i-1] == word {
-				continue next
-			}
-		}
-		words[n], prev[n] = word, head[b]
-		n++
-		head[b] = uint8(n)
-		count[b]++
-		if int(count[b]) > degree {
-			degree = int(count[b])
-		}
-	}
-	return degree
-}
-
-// coalesce reduces per-lane byte addresses to unique line addresses,
-// appended to lines (callers pass a WarpSize-capacity stack buffer). It
-// preserves first-touch order; memory traces have ≤32 lanes, so a linear
-// scan beats a map.
-func coalesce(lines, addrs []uint64, lineSize uint64) []uint64 {
-	for _, a := range addrs {
-		la := a / lineSize
-		found := false
-		for _, l := range lines {
-			if l == la {
-				found = true
-				break
-			}
-		}
-		if !found {
-			lines = append(lines, la)
-		}
-	}
-	return lines
 }

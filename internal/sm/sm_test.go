@@ -306,17 +306,6 @@ func TestResidentWarpCountsByTask(t *testing.T) {
 	}
 }
 
-func TestCoalesceUniqueLines(t *testing.T) {
-	addrs := []uint64{0, 4, 8, 128, 132, 256, 0}
-	lines := coalesce(nil, addrs, 128)
-	if len(lines) != 3 {
-		t.Errorf("coalesce = %v, want 3 lines", lines)
-	}
-	if lines[0] != 0 || lines[1] != 1 || lines[2] != 2 {
-		t.Errorf("coalesce order = %v", lines)
-	}
-}
-
 func TestTexCarriesFilterLatency(t *testing.T) {
 	mk := func(op isa.Opcode) *trace.Kernel {
 		b := trace.NewBuilder("tex", trace.KindFragment, 0, 32, 16, 0)
@@ -472,9 +461,29 @@ func TestSharedBankConflicts(t *testing.T) {
 	}
 }
 
+// TestSharedConflictDegree reads each degree both ways the scheduler can
+// get it: from a Builder-made trace's line table and, for a hand-built
+// instruction that has none, derived from the offsets at issue.
 func TestSharedConflictDegree(t *testing.T) {
-	mkInst := func(offsets []uint64) *trace.Inst {
-		return &trace.Inst{Op: isa.OpLDS, Mask: trace.FullMask, Addrs: offsets}
+	c, _, _ := testCore(t)
+	s := &c.scheds[0]
+	degree := func(offsets []uint64) int {
+		t.Helper()
+		b := trace.NewBuilder("lds", trace.KindCompute, 0, 32, 16, 0)
+		b.BeginCTA()
+		b.BeginWarp()
+		b.SharedAddr(isa.OpLDS, b.NewReg(), trace.FullMask, offsets)
+		tw := &b.Finish().CTAs[0].Warps[0]
+		tabled := &warpRT{}
+		if tabled.lines, tabled.tabled = tw.LineTable(c.cfg.LineSize); !tabled.tabled {
+			t.Fatal("a Builder-made warp carries no line table")
+		}
+		fromTable := s.bankConflicts(tabled, &tw.Insts[0])
+		derived := s.bankConflicts(&warpRT{}, &trace.Inst{Op: isa.OpLDS, Mask: trace.FullMask, Addrs: offsets})
+		if fromTable != derived {
+			t.Errorf("the line table says degree %d, the offsets %d", fromTable, derived)
+		}
+		return derived
 	}
 	seq := make([]uint64, 32)
 	same := make([]uint64, 32)
@@ -486,19 +495,19 @@ func TestSharedConflictDegree(t *testing.T) {
 		bankCamp[i] = uint64(i) * 32 * 4
 		twoWay[i] = uint64(i%16) * 4 * 2 // 16 distinct words, 2 lanes each... stride-2: banks 0,2,..30 twice
 	}
-	if d := sharedConflictDegree(mkInst(seq)); d != 1 {
+	if d := degree(seq); d != 1 {
 		t.Errorf("sequential degree = %d, want 1", d)
 	}
-	if d := sharedConflictDegree(mkInst(same)); d != 1 {
+	if d := degree(same); d != 1 {
 		t.Errorf("broadcast degree = %d, want 1", d)
 	}
-	if d := sharedConflictDegree(mkInst(bankCamp)); d != 32 {
+	if d := degree(bankCamp); d != 32 {
 		t.Errorf("bank-camping degree = %d, want 32", d)
 	}
-	if d := sharedConflictDegree(mkInst(twoWay)); d != 1 {
+	if d := degree(twoWay); d != 1 {
 		t.Errorf("duplicated-words degree = %d, want 1 (broadcast per word)", d)
 	}
-	if d := sharedConflictDegree(mkInst(nil)); d != 1 {
+	if d := degree(nil); d != 1 {
 		t.Errorf("no-offset degree = %d, want 1", d)
 	}
 }

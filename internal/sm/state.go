@@ -104,18 +104,18 @@ func (c *Core) CaptureState(now int64, kernelIdx func(stream int, k *trace.Kerne
 			ws := snapshot.WarpState{
 				Ref:          warpRef[w],
 				CTA:          ctaRef[w.cta],
-				WarpIdx:      w.warpIdx,
+				WarpIdx:      int(w.warpIdx),
 				PC:           w.pc,
 				BlockedUntil: w.blockedUntil,
 				Arrival:      w.arrival,
 			}
-			sb := s.sb[wi*regsPerWarp : (wi+1)*regsPerWarp]
+			sb := s.sb[w.blk*regsPerWarp : (w.blk+1)*regsPerWarp]
 			for r := range sb {
 				if sb[r] > now {
 					ws.PendingRegs = append(ws.PendingRegs, snapshot.RegState{
 						Reg:     r,
 						Ready:   sb[r],
-						FromMem: s.regFromMem(wi, isa.Reg(r)),
+						FromMem: s.regFromMem(w.blk, isa.Reg(r)),
 					})
 				}
 			}
@@ -204,6 +204,8 @@ func (c *Core) RestoreState(cs snapshot.CoreState, env RestoreEnv) error {
 		s.sb = s.sb[:0]
 		s.memBits = s.memBits[:0]
 		s.memo = s.memo[:0]
+		s.freeBlocks = s.freeBlocks[:0]
+		s.stallUntil = 0
 		for _, ws := range ss.Warps {
 			if ws.CTA < 0 || ws.CTA >= len(ctas) {
 				return smStateErr("SM %d: warp references unknown CTA %d", c.ID, ws.CTA)
@@ -219,27 +221,26 @@ func (c *Core) RestoreState(cs snapshot.CoreState, env RestoreEnv) error {
 			}
 			w := &warpRT{
 				insts:        insts,
-				warpIdx:      ws.WarpIdx,
+				warpIdx:      int32(ws.WarpIdx),
 				pc:           ws.PC,
 				blockedUntil: ws.BlockedUntil,
 				stream:       cta.stream,
 				task:         cta.task,
 				cta:          cta,
 				arrival:      ws.Arrival,
-				sched:        s,
 			}
-			w.slot = s.growSlot()
+			w.lines, w.tabled = warps[ws.WarpIdx].LineTable(c.cfg.LineSize)
+			s.admit(w)
 			for _, rs := range ws.PendingRegs {
 				if rs.Reg < 0 || rs.Reg >= regsPerWarp {
 					return smStateErr("SM %d: pending register %d out of range", c.ID, rs.Reg)
 				}
-				s.setReg(w.slot, isa.Reg(rs.Reg), rs.Ready, rs.FromMem)
+				s.setReg(w, isa.Reg(rs.Reg), rs.Ready, rs.FromMem)
 			}
 			if _, dup := warpByRef[ws.Ref]; dup {
 				return smStateErr("SM %d: duplicate warp ref %d", c.ID, ws.Ref)
 			}
 			warpByRef[ws.Ref] = w
-			s.warps = append(s.warps, w)
 			c.tasks.get(cta.task).warps++
 			c.resident++
 		}

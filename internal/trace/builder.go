@@ -20,6 +20,13 @@ type Builder struct {
 	// that length up front instead of regrowing by doubling: one allocation
 	// per warp, and no slack capacity in the retained trace.
 	longest int
+	// lines collects the open CTA's line table, one warp after another
+	// (warp i ends at ends[i], the open warp starts at warpStart); closing
+	// the CTA copies it into one exactly-sized array the warps' arenas are
+	// cut from, so the table costs one allocation per CTA and no slack.
+	lines     []uint64
+	ends      []int
+	warpStart int
 }
 
 // NewBuilder starts a kernel trace with the given identity and per-CTA
@@ -37,7 +44,7 @@ func NewBuilder(name string, kind KernelKind, stream, threadsPerCTA, regsPerThre
 
 // BeginCTA opens a new CTA. Any open warp is closed first.
 func (b *Builder) BeginCTA() {
-	b.EndWarp()
+	b.endCTA()
 	b.k.CTAs = append(b.k.CTAs, CTA{ID: len(b.k.CTAs), Warps: make([]Warp, 0, max(0, b.k.WarpsPerCTA()))})
 	b.curCTA = &b.k.CTAs[len(b.k.CTAs)-1]
 }
@@ -53,6 +60,7 @@ func (b *Builder) BeginWarp() {
 	if b.longest > 0 {
 		w.Insts = make([]Inst, 0, b.longest)
 	}
+	b.warpStart = len(b.lines)
 	b.curCTA.Warps = append(b.curCTA.Warps, w)
 	b.curWarp = &b.curCTA.Warps[len(b.curCTA.Warps)-1]
 	b.nextReg = 0
@@ -73,7 +81,18 @@ func (b *Builder) EndWarp() {
 		b.curWarp.Insts = append(b.curWarp.Insts, Inst{Op: isa.OpEXIT, Dst: isa.RegNone, SrcA: isa.RegNone, SrcB: isa.RegNone, SrcC: isa.RegNone, Mask: mask})
 	}
 	b.longest = max(b.longest, len(b.curWarp.Insts))
+	b.ends = append(b.ends, len(b.lines))
 	b.curWarp = nil
+}
+
+// endCTA closes the open warp and hands the open CTA's warps their line
+// arenas.
+func (b *Builder) endCTA() {
+	b.EndWarp()
+	if b.curCTA != nil {
+		carveLineArenas(b.curCTA.Warps, b.lines, b.ends)
+		b.lines, b.ends = b.lines[:0], b.ends[:0]
+	}
 }
 
 // NewReg allocates the next virtual register for the current warp.
@@ -99,14 +118,15 @@ func (b *Builder) ALU(op isa.Opcode, dst isa.Reg, mask uint32, srcs ...isa.Reg) 
 	return dst
 }
 
-// Mem appends a memory instruction with one address per active lane.
+// Mem appends a memory instruction with one address per active lane. The
+// addresses are coalesced here, once, into the warp's line table.
 func (b *Builder) Mem(op isa.Opcode, dst isa.Reg, mask uint32, addrs []uint64, class MemClass, srcs ...isa.Reg) {
 	if !isa.IsMemory(op) {
 		panic(fmt.Sprintf("trace.Builder: Mem called with non-memory opcode %v", op))
 	}
 	in := Inst{Op: op, Dst: dst, SrcA: isa.RegNone, SrcB: isa.RegNone, SrcC: isa.RegNone, Mask: mask, Addrs: addrs, Class: class}
 	setSrcs(&in, srcs)
-	b.append(in)
+	b.appendMem(in)
 }
 
 // Shared appends a shared-memory access carrying no per-lane offsets:
@@ -125,7 +145,7 @@ func (b *Builder) SharedAddr(op isa.Opcode, dst isa.Reg, mask uint32, offsets []
 	}
 	in := Inst{Op: op, Dst: dst, SrcA: isa.RegNone, SrcB: isa.RegNone, SrcC: isa.RegNone, Mask: mask, Addrs: offsets}
 	setSrcs(&in, srcs)
-	b.append(in)
+	b.appendMem(in)
 }
 
 // Barrier appends a CTA-wide barrier.
@@ -154,9 +174,16 @@ func (b *Builder) append(in Inst) {
 	b.curWarp.Insts = append(b.curWarp.Insts, in)
 }
 
+// appendMem appends a memory instruction after deriving its line-table
+// entry, while its addresses are still warm from being computed.
+func (b *Builder) appendMem(in Inst) {
+	b.lines = in.table(b.lines, b.warpStart)
+	b.append(in)
+}
+
 // Finish closes any open warp and returns the completed kernel.
 func (b *Builder) Finish() *Kernel {
-	b.EndWarp()
+	b.endCTA()
 	b.curCTA = nil
 	return &b.k
 }

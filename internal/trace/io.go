@@ -35,7 +35,8 @@ func Save(w io.Writer, kernels []*Kernel) error {
 	return zw.Close()
 }
 
-// Load reads kernels written by Save.
+// Load reads kernels written by Save and derives their line tables, which
+// the file does not carry.
 func Load(r io.Reader) ([]*Kernel, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
@@ -70,6 +71,7 @@ func Load(r io.Reader) ([]*Kernel, error) {
 		if err := dec.Decode(&k); err != nil {
 			return nil, fmt.Errorf("trace: decode kernel %d: %w", i, err)
 		}
+		k.deriveLineTable()
 		kernels = append(kernels, &k)
 	}
 	return kernels, nil

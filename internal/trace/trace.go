@@ -12,6 +12,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"unsafe"
@@ -58,12 +59,21 @@ func (c MemClass) String() string {
 }
 
 // Inst is one executed warp instruction.
+//
+// The three unexported fields are the instruction's entry in its warp's
+// line table (see linetable.go): facts about Addrs that every replay would
+// otherwise re-derive at issue. They sit in what was padding — the struct
+// stays 48 bytes — and gob does not see them, so trace files are unchanged.
 type Inst struct {
 	Op   isa.Opcode
 	Dst  isa.Reg
 	SrcA isa.Reg
 	SrcB isa.Reg
 	SrcC isa.Reg
+	// nLines is how many unique cache lines an LDG/STG/TEX touches;
+	// conflict is an LDS/STS's bank-conflict degree (≥ 1 once derived).
+	nLines   uint8
+	conflict uint8
 	// Mask is the active-lane mask; bit i set means lane i executed.
 	Mask uint32
 	// Addrs holds one byte address per active lane, in ascending lane
@@ -71,6 +81,9 @@ type Inst struct {
 	Addrs []uint64
 	// Class attributes memory traffic for cache-composition accounting.
 	Class MemClass
+	// lineOff is where the instruction's nLines lines start in the warp's
+	// line arena.
+	lineOff uint32
 }
 
 // ActiveLanes reports the number of executing lanes.
@@ -83,6 +96,11 @@ const FullMask uint32 = 0xFFFFFFFF
 type Warp struct {
 	ID    int // warp index within its CTA
 	Insts []Inst
+	// lines is the warp's line arena and lineSize the line size it was
+	// derived at; lineSize 0 means the warp has no line table (hand-built
+	// or marked stale). See linetable.go.
+	lines    []uint64
+	lineSize int
 }
 
 // CTA is one thread block's trace.
@@ -164,7 +182,8 @@ func (k *Kernel) ThreadInstCount() int64 {
 
 // Validate checks structural invariants of the trace: every CTA has at
 // least one warp, warps end with EXIT, memory instructions carry exactly
-// one address per active lane, and non-memory instructions carry none.
+// one address per active lane, non-memory instructions carry none, and a
+// warp's line table, where it has one, stays inside its arena.
 func (k *Kernel) Validate() error {
 	if k.ThreadsPerCTA <= 0 {
 		return fmt.Errorf("kernel %q: ThreadsPerCTA = %d", k.Name, k.ThreadsPerCTA)
@@ -190,27 +209,48 @@ func (k *Kernel) Validate() error {
 				return fmt.Errorf("kernel %q CTA %d warp %d: trace does not end with EXIT", k.Name, cta.ID, w.ID)
 			}
 			for l := range w.Insts {
-				in := &w.Insts[l]
-				if in.Mask == 0 {
-					return fmt.Errorf("kernel %q CTA %d warp %d inst %d (%v): empty active mask", k.Name, cta.ID, w.ID, l, in.Op)
-				}
-				switch {
-				case isa.IsMemory(in.Op) && isa.SpaceOf(in.Op) != isa.SpaceShared && isa.SpaceOf(in.Op) != isa.SpaceConst:
-					if len(in.Addrs) != in.ActiveLanes() {
-						return fmt.Errorf("kernel %q CTA %d warp %d inst %d (%v): %d addrs for %d active lanes",
-							k.Name, cta.ID, w.ID, l, in.Op, len(in.Addrs), in.ActiveLanes())
-					}
-				case isa.SpaceOf(in.Op) == isa.SpaceShared:
-					// Shared accesses carry either no offsets (modeled
-					// conflict-free) or one per active lane.
-					if len(in.Addrs) != 0 && len(in.Addrs) != in.ActiveLanes() {
-						return fmt.Errorf("kernel %q CTA %d warp %d inst %d (%v): %d shared offsets for %d active lanes",
-							k.Name, cta.ID, w.ID, l, in.Op, len(in.Addrs), in.ActiveLanes())
-					}
-				case len(in.Addrs) != 0 && !isa.IsMemory(in.Op):
-					return fmt.Errorf("kernel %q CTA %d warp %d inst %d (%v): non-memory op carries addresses", k.Name, cta.ID, w.ID, l, in.Op)
+				if err := w.Insts[l].validate(w); err != nil {
+					return fmt.Errorf("kernel %q CTA %d warp %d inst %d (%v): %w", k.Name, cta.ID, w.ID, l, w.Insts[l].Op, err)
 				}
 			}
+		}
+	}
+	return nil
+}
+
+// validate is Validate's per-instruction half; w is the instruction's warp.
+// A line-table entry is bounds-checked only, never re-derived: Validate runs
+// at every AddStream.
+func (in *Inst) validate(w *Warp) error {
+	if in.Mask == 0 {
+		return errors.New("empty active mask")
+	}
+	switch isa.SpaceOf(in.Op) {
+	case isa.SpaceNone:
+		if len(in.Addrs) != 0 {
+			return errors.New("non-memory op carries addresses")
+		}
+	case isa.SpaceGlobal, isa.SpaceTexture:
+		if len(in.Addrs) != in.ActiveLanes() {
+			return fmt.Errorf("%d addrs for %d active lanes", len(in.Addrs), in.ActiveLanes())
+		}
+		if w.lineSize == 0 {
+			break
+		}
+		if int(in.lineOff)+int(in.nLines) > len(w.lines) {
+			return fmt.Errorf("line table entry [%d,+%d) past the warp's %d lines", in.lineOff, in.nLines, len(w.lines))
+		}
+		if in.nLines == 0 && len(in.Addrs) > 0 {
+			return fmt.Errorf("line table lists no line for %d addresses", len(in.Addrs))
+		}
+	case isa.SpaceShared:
+		// Shared accesses carry either no offsets (modeled
+		// conflict-free) or one per active lane.
+		if len(in.Addrs) != 0 && len(in.Addrs) != in.ActiveLanes() {
+			return fmt.Errorf("%d shared offsets for %d active lanes", len(in.Addrs), in.ActiveLanes())
+		}
+		if w.lineSize != 0 && in.conflict == 0 {
+			return errors.New("line table holds no bank-conflict degree")
 		}
 	}
 	return nil
@@ -257,8 +297,8 @@ func (k *Kernel) TexLinesPerCTA() []int {
 }
 
 // SizeBytes reports the heap the kernel's trace holds: the kernel header,
-// its name, and every CTA, warp, instruction and address slice at its
-// capacity. A backing array that two instructions shared would be counted
+// its name, and every CTA, warp, instruction, address slice and line arena
+// at its capacity. A backing array that two instructions shared would be counted
 // once per instruction — an upper bound, the safe side for a cache budget;
 // no front end shares one today, so the walk is exact.
 func (k *Kernel) SizeBytes() int64 {
@@ -268,7 +308,7 @@ func (k *Kernel) SizeBytes() int64 {
 		n += int64(cap(warps)) * int64(unsafe.Sizeof(Warp{}))
 		for j := range warps {
 			insts := warps[j].Insts
-			n += int64(cap(insts)) * int64(unsafe.Sizeof(Inst{}))
+			n += int64(cap(insts))*int64(unsafe.Sizeof(Inst{})) + int64(cap(warps[j].lines))*8
 			for l := range insts {
 				n += int64(cap(insts[l].Addrs)) * 8
 			}
