@@ -19,6 +19,7 @@ import (
 	"crisp"
 	"crisp/internal/core"
 	"crisp/internal/gpu"
+	"crisp/internal/isa"
 	"crisp/internal/stats"
 	"crisp/internal/trace"
 )
@@ -72,7 +73,9 @@ func dump(args []string) {
 	}
 	w := &k.CTAs[0].Warps[0]
 	fmt.Printf("%s  CTA 0 warp 0  (%d instructions, showing %d)\n", k.Name, len(w.Insts), min(len(w.Insts), *maxInsts))
-	for i, in := range w.Insts {
+	var lanes [isa.WarpSize]uint64
+	for i := range w.Insts {
+		in := &w.Insts[i]
 		if i >= *maxInsts {
 			fmt.Println("  ...")
 			break
@@ -87,8 +90,8 @@ func dump(args []string) {
 			}
 		}
 		extra := ""
-		if len(in.Addrs) > 0 {
-			extra = fmt.Sprintf("  [%#x … %#x] %s", in.Addrs[0], in.Addrs[len(in.Addrs)-1], in.Class)
+		if addrs := w.Addrs(in, &lanes); len(addrs) > 0 {
+			extra = fmt.Sprintf("  [%#x … %#x] %s", addrs[0], addrs[len(addrs)-1], in.Class)
 		}
 		fmt.Printf("  %4d: %-9s%-16s mask=%08x%s\n", i, in.Op.String(), operands, in.Mask, extra)
 	}
@@ -246,7 +249,41 @@ func info(args []string) {
 				fmt.Sprint(k.InstCount()), fmt.Sprint(k.RegsPerThread), fmt.Sprint(k.SharedMem))
 		}
 		fmt.Println(t.String())
+		fmt.Println(formatTraffic(kernels))
 	}
+}
+
+// formatTraffic tabulates what the trace format spends per kernel: heap
+// bytes per warp instruction, and how the memory instructions' address
+// records divide among the forms (share of records / share of record bytes).
+func formatTraffic(kernels []*trace.Kernel) string {
+	header := []string{"kernel", "B/warp inst", "addr records", "addr bytes"}
+	for f := trace.AddrForm(0); f < trace.AddrFormCount; f++ {
+		header = append(header, f.String()+" rec / B")
+	}
+	t := stats.Table{Header: header}
+	row := func(name string, size int64, insts int, c trace.AddrCensus) {
+		records, bytes := 0, 0
+		for f := range c.Records {
+			records, bytes = records+c.Records[f], bytes+c.Bytes[f]
+		}
+		cells := []string{name, fmt.Sprintf("%.1f", float64(size)/float64(insts)), fmt.Sprint(records), fmt.Sprint(bytes)}
+		for f := range c.Records {
+			cells = append(cells, stats.Pct(float64(c.Records[f])/float64(max(records, 1)))+" / "+stats.Pct(float64(c.Bytes[f])/float64(max(bytes, 1))))
+		}
+		t.AddRow(cells...)
+	}
+	var total trace.AddrCensus
+	var totalSize int64
+	totalInsts := 0
+	for _, k := range kernels {
+		c, size, insts := k.AddrCensus(), k.SizeBytes(), k.InstCount()
+		total.Add(c)
+		totalSize, totalInsts = totalSize+size, totalInsts+insts
+		row(k.Name, size, insts, c)
+	}
+	row("total", totalSize, totalInsts, total)
+	return t.String()
 }
 
 // installPolicy wires the named policy for an n-task replay.

@@ -81,6 +81,7 @@ func buildKernels(builders []func() *trace.Kernel) []*trace.Kernel {
 type gridBuilder struct {
 	bld        *trace.Builder
 	ctaThreads int
+	row        [shader.Lanes]uint64 // rowAddrs' scratch
 }
 
 func newGrid(name string, stream, ctaThreads, regs, shmem int) *gridBuilder {
@@ -115,9 +116,10 @@ func (g *gridBuilder) run(n int, body func(c *shader.Ctx, base int, lanes int)) 
 }
 
 // rowAddrs returns per-lane addresses for elements base..base+lanes at
-// 4 bytes each from bufBase.
-func rowAddrs(bufBase uint64, base, lanes, elemBytes int) []uint64 {
-	a := make([]uint64, lanes)
+// elemBytes each from bufBase, in the grid's scratch: good until the next
+// call, which is as long as the Builder looks at them.
+func (g *gridBuilder) rowAddrs(bufBase uint64, base, lanes, elemBytes int) []uint64 {
+	a := g.row[:lanes]
 	for i := range a {
 		a[i] = bufBase + uint64((base+i)*elemBytes)
 	}

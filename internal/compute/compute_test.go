@@ -132,15 +132,18 @@ func TestWorkloadsUseDisjointAddressSpaces(t *testing.T) {
 	for _, name := range Names() {
 		w, _ := ByName(name, 0)
 		lo, hi := uint64(1)<<63, uint64(0)
+		var lanes [isa.WarpSize]uint64
 		for _, k := range w.Kernels {
 			for _, cta := range k.CTAs {
-				for _, warp := range cta.Warps {
-					for _, in := range warp.Insts {
+				for wi := range cta.Warps {
+					warp := &cta.Warps[wi]
+					for l := range warp.Insts {
+						in := &warp.Insts[l]
 						if isa.SpaceOf(in.Op) == isa.SpaceShared {
 							// Shared offsets are segment-local, not VAs.
 							continue
 						}
-						for _, a := range in.Addrs {
+						for _, a := range warp.Addrs(in, &lanes) {
 							if a < lo {
 								lo = a
 							}
@@ -177,7 +180,7 @@ func TestWorkloadsDeterministic(t *testing.T) {
 func TestGridBuilderPartialWarp(t *testing.T) {
 	g := newGrid("partial", 0, 128, 16, 0)
 	k := g.run(40, func(c *shader.Ctx, base, lanes int) {
-		c.Store(c.Imm(1), rowAddrs(0x1000, base, lanes, 4), trace.ClassCompute)
+		c.Store(c.Imm(1), g.rowAddrs(0x1000, base, lanes, 4), trace.ClassCompute)
 	})
 	if err := k.Validate(); err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func HOLO(stream int) *Workload {
 		g := newGrid("holo.phase", stream, 256, 40, 0)
 		k := g.run(holoW*holoH, func(c *shader.Ctx, base, lanes int) {
 			// Point-source list arrives via a handful of coalesced loads.
-			px := c.Load(rowAddrs(points, 0, lanes, 4), trace.ClassCompute)
+			px := c.Load(g.rowAddrs(points, 0, lanes, 4), trace.ClassCompute)
 			accRe := c.Imm(0)
 			accIm := c.Imm(0)
 			x := c.Mul(px, c.Imm(0.01))
@@ -51,7 +51,7 @@ func HOLO(stream int) *Workload {
 			ratio := c.Mul(accIm, c.Rcp(c.Max(accRe, c.Imm(1e-6))))
 			r2 := c.Mul(ratio, ratio)
 			atan := c.Mul(ratio, c.FMA(r2, c.Imm(-0.33), c.Imm(1)))
-			c.Store(atan, rowAddrs(phase, base, lanes, 4), trace.ClassCompute)
+			c.Store(atan, g.rowAddrs(phase, base, lanes, 4), trace.ClassCompute)
 		})
 		w.Kernels = append(w.Kernels, k)
 	}

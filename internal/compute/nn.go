@@ -93,8 +93,10 @@ func nnMatmul(stream int, l nnLayer, in, wgt, out uint64) *trace.Kernel {
 		for kt := 0; kt < kTiles; kt++ {
 			// Cooperative loads into shared memory: each thread brings
 			// one A element and one B element.
-			aAddrs := make([]uint64, lanes)
-			bAddrs := make([]uint64, lanes)
+			var aAddrsBuf [shader.Lanes]uint64
+			aAddrs := aAddrsBuf[:lanes]
+			var bAddrsBuf [shader.Lanes]uint64
+			bAddrs := bAddrsBuf[:lanes]
 			for i := 0; i < lanes; i++ {
 				tid := (base + i) % 256
 				row := mb*nnTileM + tid%nnTileM
@@ -107,8 +109,10 @@ func nnMatmul(stream int, l nnLayer, in, wgt, out uint64) *trace.Kernel {
 			bv := c.Load(bAddrs, trace.ClassCompute)
 			// Cooperative stores: one word per thread, stride-1 —
 			// conflict-free.
-			stA := make([]uint64, lanes)
-			stB := make([]uint64, lanes)
+			var stABuf [shader.Lanes]uint64
+			stA := stABuf[:lanes]
+			var stBBuf [shader.Lanes]uint64
+			stB := stBBuf[:lanes]
 			for i := 0; i < lanes; i++ {
 				tid := uint64((base + i) % 256)
 				stA[i] = tid * 4
@@ -123,8 +127,10 @@ func nnMatmul(stream int, l nnLayer, in, wgt, out uint64) *trace.Kernel {
 			// padded (stride 17) so the row-major reads stay
 			// conflict-free, as tuned kernels do.
 			for kk := 0; kk < nnTileK; kk += 4 {
-				ldA := make([]uint64, lanes)
-				ldB := make([]uint64, lanes)
+				var ldABuf [shader.Lanes]uint64
+				ldA := ldABuf[:lanes]
+				var ldBBuf [shader.Lanes]uint64
+				ldB := ldBBuf[:lanes]
 				for i := 0; i < lanes; i++ {
 					tid := uint64((base + i) % 256)
 					ldA[i] = ((tid%16)*17 + uint64(kk)) * 4
@@ -148,7 +154,8 @@ func nnMatmul(stream int, l nnLayer, in, wgt, out uint64) *trace.Kernel {
 			sum = c.Add(sum, accs[o])
 		}
 		r := c.Max(sum, c.Imm(0))
-		oAddrs := make([]uint64, lanes)
+		var oAddrsBuf [shader.Lanes]uint64
+		oAddrs := oAddrsBuf[:lanes]
 		for i := 0; i < lanes; i++ {
 			oAddrs[i] = out + uint64((base+i)%(l.m*l.n))*16
 		}
@@ -162,7 +169,7 @@ func nnMatmul(stream int, l nnLayer, in, wgt, out uint64) *trace.Kernel {
 func nnConcat(stream int, name string, src, dst uint64, elems int) *trace.Kernel {
 	g := newGrid(name, stream, 256, 16, 0)
 	return g.run(elems, func(c *shader.Ctx, base, lanes int) {
-		v := c.Load(rowAddrs(src, base, lanes, 4), trace.ClassCompute)
-		c.Store(v, rowAddrs(dst, base, lanes, 4), trace.ClassCompute)
+		v := c.Load(g.rowAddrs(src, base, lanes, 4), trace.ClassCompute)
+		c.Store(v, g.rowAddrs(dst, base, lanes, 4), trace.ClassCompute)
 	})
 }

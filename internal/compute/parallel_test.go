@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"crisp/internal/snapshot"
+	"crisp/internal/trace"
 	"crisp/internal/trace/tracetest"
 )
 
@@ -19,7 +20,10 @@ var pinnedWorkloads = map[string]uint64{
 }
 
 // TestWorkloadDigestsPinned: every workload's kernels are the very bits the
-// serial builders produced, whatever GOMAXPROCS is.
+// serial builders produced, whatever GOMAXPROCS is — as built, and as a
+// trace file gives them back. The digests fold every lane address and were
+// recorded when a trace held them one []uint64 per instruction, so they
+// hold the Builder's packing and the file codec to lossless.
 func TestWorkloadDigestsPinned(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, p := range []int{1, 2, 8} {
@@ -29,11 +33,17 @@ func TestWorkloadDigestsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := snapshot.NewHasher()
-			h.PutStr(w.Name)
-			tracetest.Fold(h, w.Kernels)
-			if got := h.Sum64(); got != pinnedWorkloads[name] {
-				t.Errorf("GOMAXPROCS=%d %s: %#x, pinned %#x", p, name, got, pinnedWorkloads[name])
+			reloaded, err := tracetest.Reload(w.Kernels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for source, ks := range map[string][]*trace.Kernel{"built": w.Kernels, "reloaded": reloaded} {
+				h := snapshot.NewHasher()
+				h.PutStr(w.Name)
+				tracetest.Fold(h, ks)
+				if got := h.Sum64(); got != pinnedWorkloads[name] {
+					t.Errorf("GOMAXPROCS=%d %s, %s: %#x, pinned %#x", p, name, source, got, pinnedWorkloads[name])
+				}
 			}
 		}
 	}

@@ -51,8 +51,10 @@ func Upscale(stream int) *Workload {
 		p := base / 256
 		px, py := p%patchesX, p/patchesX
 		// Load the input patch + halo (two coalesced rows per thread).
-		a1 := make([]uint64, lanes)
-		a2 := make([]uint64, lanes)
+		var a1Buf [shader.Lanes]uint64
+		a1 := a1Buf[:lanes]
+		var a2Buf [shader.Lanes]uint64
+		a2 := a2Buf[:lanes]
 		for i := 0; i < lanes; i++ {
 			tid := (base + i) % 256
 			x := px*patch + tid%16 - 4
@@ -82,7 +84,8 @@ func Upscale(stream int) *Workload {
 		for l := 0; l < layers; l++ {
 			// Weights stream through the constant/global path once per
 			// layer; the MMA tiles come from shared memory.
-			wa := make([]uint64, lanes)
+			var waBuf [shader.Lanes]uint64
+			wa := waBuf[:lanes]
 			for i := 0; i < lanes; i++ {
 				wa[i] = wgt + uint64((l*4096+((base+i)%1024))*4)
 			}
@@ -100,7 +103,8 @@ func Upscale(stream int) *Workload {
 
 		// Store the upscaled 16×16 output patch (4 output pixels per
 		// thread → one wide store).
-		oa := make([]uint64, lanes)
+		var oaBuf [shader.Lanes]uint64
+		oa := oaBuf[:lanes]
 		for i := 0; i < lanes; i++ {
 			tid := (base + i) % 256
 			ox := px*patch*upScale + tid%16
@@ -156,7 +160,8 @@ func atwWarp(stream int, src, dst uint64, eye int) *trace.Kernel {
 
 		// Gather: the reprojected source pixel shifts a few pixels
 		// from the output position (pose delta), scattering reads.
-		addrs := make([]uint64, lanes)
+		var addrsBuf [shader.Lanes]uint64
+		addrs := addrsBuf[:lanes]
 		for i := 0; i < lanes; i++ {
 			p := base + i
 			ox, oy := p%atwW, p/atwW
@@ -178,12 +183,13 @@ func atwWarp(stream int, src, dst uint64, eye int) *trace.Kernel {
 		}
 		col := c.Load(addrs, trace.ClassCompute)
 		// Chromatic-aberration correction: one more shifted gather.
-		addrs2 := make([]uint64, lanes)
+		var addrs2Buf [shader.Lanes]uint64
+		addrs2 := addrs2Buf[:lanes]
 		for i := 0; i < lanes; i++ {
 			addrs2[i] = addrs[i] + 8
 		}
 		col2 := c.Load(addrs2, trace.ClassCompute)
 		res := c.FMA(col2, c.Imm(0.5), c.Mul(col, c.Imm(0.5)))
-		c.Store(res, rowAddrs(dst+uint64(eye)*uint64(atwW*atwH*4), base, lanes, 4), trace.ClassCompute)
+		c.Store(res, g.rowAddrs(dst+uint64(eye)*uint64(atwW*atwH*4), base, lanes, 4), trace.ClassCompute)
 	})
 }

@@ -91,7 +91,8 @@ func vioBlur(stream int, name string, src, dst uint64, iw, ih int) *trace.Kernel
 	return g.run(iw*ih, func(c *shader.Ctx, base, lanes int) {
 		acc := c.Imm(0)
 		for tap := -2; tap <= 2; tap++ {
-			addrs := make([]uint64, lanes)
+			var addrsBuf [shader.Lanes]uint64
+			addrs := addrsBuf[:lanes]
 			for i := 0; i < lanes; i++ {
 				p := base + i
 				y := p/iw + tap
@@ -106,7 +107,7 @@ func vioBlur(stream int, name string, src, dst uint64, iw, ih int) *trace.Kernel
 			v := c.Load(addrs, trace.ClassCompute)
 			acc = c.FMA(v, c.Imm(0.2), acc)
 		}
-		c.Store(acc, rowAddrs(dst, base, lanes, 4), trace.ClassCompute)
+		c.Store(acc, g.rowAddrs(dst, base, lanes, 4), trace.ClassCompute)
 	})
 }
 
@@ -117,7 +118,8 @@ func vioDownsample(stream int, name string, src, dst uint64, iw, ih int) *trace.
 	return g.run(ow*oh, func(c *shader.Ctx, base, lanes int) {
 		acc := c.Imm(0)
 		for dy := 0; dy < 2; dy++ {
-			addrs := make([]uint64, lanes)
+			var addrsBuf [shader.Lanes]uint64
+			addrs := addrsBuf[:lanes]
 			for i := 0; i < lanes; i++ {
 				p := base + i
 				sy := (p/ow)*2 + dy
@@ -127,7 +129,7 @@ func vioDownsample(stream int, name string, src, dst uint64, iw, ih int) *trace.
 			v := c.Load(addrs, trace.ClassCompute)
 			acc = c.FMA(v, c.Imm(0.5), acc)
 		}
-		c.Store(acc, rowAddrs(dst, base, lanes, 4), trace.ClassCompute)
+		c.Store(acc, g.rowAddrs(dst, base, lanes, 4), trace.ClassCompute)
 	})
 }
 
@@ -143,7 +145,8 @@ func vioUndistort(stream int, src, dst uint64) *trace.Kernel {
 		k := c.FMA(r2, c.Imm(-0.12), c.Imm(1))
 		k = c.FMA(c.Mul(r2, r2), c.Imm(0.03), k)
 		// Gather: the remapped source address (computed functionally).
-		addrs := make([]uint64, lanes)
+		var addrsBuf [shader.Lanes]uint64
+		addrs := addrsBuf[:lanes]
 		for i := 0; i < lanes; i++ {
 			p := base + i
 			px, py := p%vioW, p/vioW
@@ -155,7 +158,7 @@ func vioUndistort(stream int, src, dst uint64) *trace.Kernel {
 		}
 		v := c.Load(addrs, trace.ClassCompute)
 		out := c.Mul(v, k)
-		c.Store(out, rowAddrs(dst, base, lanes, 4), trace.ClassCompute)
+		c.Store(out, g.rowAddrs(dst, base, lanes, 4), trace.ClassCompute)
 	})
 }
 
@@ -166,7 +169,8 @@ func vioSobel(stream int, src, gx, gy uint64) *trace.Kernel {
 		sx := c.Imm(0)
 		sy := c.Imm(0)
 		for tap := 0; tap < 3; tap++ {
-			addrs := make([]uint64, lanes)
+			var addrsBuf [shader.Lanes]uint64
+			addrs := addrsBuf[:lanes]
 			for i := 0; i < lanes; i++ {
 				p := base + i
 				y := p/vioW + tap - 1
@@ -182,8 +186,8 @@ func vioSobel(stream int, src, gx, gy uint64) *trace.Kernel {
 			sx = c.FMA(v, c.Imm(float32(tap-1)), sx)
 			sy = c.FMA(v, c.Imm(float32(2-tap)), sy)
 		}
-		c.Store(sx, rowAddrs(gx, base, lanes, 4), trace.ClassCompute)
-		c.Store(sy, rowAddrs(gy, base, lanes, 4), trace.ClassCompute)
+		c.Store(sx, g.rowAddrs(gx, base, lanes, 4), trace.ClassCompute)
+		c.Store(sy, g.rowAddrs(gy, base, lanes, 4), trace.ClassCompute)
 	})
 }
 
@@ -191,15 +195,15 @@ func vioSobel(stream int, src, gx, gy uint64) *trace.Kernel {
 func vioHarris(stream int, gx, gy, resp uint64) *trace.Kernel {
 	g := newGrid("vio.harris", stream, 128, 32, 0)
 	return g.run(vioW*vioH, func(c *shader.Ctx, base, lanes int) {
-		vx := c.Load(rowAddrs(gx, base, lanes, 4), trace.ClassCompute)
-		vy := c.Load(rowAddrs(gy, base, lanes, 4), trace.ClassCompute)
+		vx := c.Load(g.rowAddrs(gx, base, lanes, 4), trace.ClassCompute)
+		vy := c.Load(g.rowAddrs(gy, base, lanes, 4), trace.ClassCompute)
 		xx := c.Mul(vx, vx)
 		yy := c.Mul(vy, vy)
 		xy := c.Mul(vx, vy)
 		det := c.FMA(xx, yy, c.Mul(c.Mul(xy, xy), c.Imm(-1)))
 		tr := c.Add(xx, yy)
 		r := c.FMA(c.Mul(tr, tr), c.Imm(-0.04), det)
-		c.Store(r, rowAddrs(resp, base, lanes, 4), trace.ClassCompute)
+		c.Store(r, g.rowAddrs(resp, base, lanes, 4), trace.ClassCompute)
 	})
 }
 
@@ -209,7 +213,8 @@ func vioNMS(stream int, resp, out uint64) *trace.Kernel {
 	return g.run(vioW*vioH, func(c *shader.Ctx, base, lanes int) {
 		best := c.Imm(-1e30)
 		for tap := -1; tap <= 1; tap++ {
-			addrs := make([]uint64, lanes)
+			var addrsBuf [shader.Lanes]uint64
+			addrs := addrsBuf[:lanes]
 			for i := 0; i < lanes; i++ {
 				p := base + i
 				y := p/vioW + tap
@@ -224,7 +229,7 @@ func vioNMS(stream int, resp, out uint64) *trace.Kernel {
 			v := c.Load(addrs, trace.ClassCompute)
 			best = c.Max(best, v)
 		}
-		c.Store(best, rowAddrs(out, base, lanes, 4), trace.ClassCompute)
+		c.Store(best, g.rowAddrs(out, base, lanes, 4), trace.ClassCompute)
 	})
 }
 
@@ -239,8 +244,10 @@ func vioLK(stream int, name string, cur, prev, flow uint64, iw, ih int) *trace.K
 		b1 := c.Imm(0)
 		b2 := c.Imm(0)
 		for tap := -1; tap <= 1; tap++ {
-			addrsC := make([]uint64, lanes)
-			addrsP := make([]uint64, lanes)
+			var addrsCBuf [shader.Lanes]uint64
+			addrsC := addrsCBuf[:lanes]
+			var addrsPBuf [shader.Lanes]uint64
+			addrsP := addrsPBuf[:lanes]
 			for i := 0; i < lanes; i++ {
 				p := base + i
 				y := p/iw + tap
@@ -269,7 +276,7 @@ func vioLK(stream int, name string, cur, prev, flow uint64, iw, ih int) *trace.K
 		inv := c.Rcp(c.Max(det, c.Imm(1e-6)))
 		u := c.Mul(c.FMA(a22, b1, c.Mul(c.Mul(a12, b2), c.Imm(-1))), inv)
 		v := c.Mul(c.FMA(a11, b2, c.Mul(c.Mul(a12, b1), c.Imm(-1))), inv)
-		c.Store(u, rowAddrs(flow, base, lanes, 8), trace.ClassCompute)
-		c.Store(v, rowAddrs(flow+4, base, lanes, 8), trace.ClassCompute)
+		c.Store(u, g.rowAddrs(flow, base, lanes, 8), trace.ClassCompute)
+		c.Store(v, g.rowAddrs(flow+4, base, lanes, 8), trace.ClassCompute)
 	})
 }

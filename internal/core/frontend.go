@@ -13,8 +13,11 @@ import (
 
 // FrontendBudget bounds the bytes a Frontend retains. It is a measured
 // constant, not a knob: 64 MiB holds the whole job list of crispd's
-// closed-loop benchmark (1.8× the throughput for +16% peak RSS); 192 MiB
-// read +22% to +62% RSS for a few percent more (docs/PERFORMANCE.md).
+// closed-loop benchmark (1.8× the throughput for +16% peak RSS when it was
+// set; since traces pack their lane addresses that list retains 39 MiB, NN's
+// 20 included, and every compute workload and every scene at 320×180 is
+// under the half-budget bypass); 192 MiB read +22% to +62% RSS for a few
+// percent more (docs/PERFORMANCE.md).
 const FrontendBudget = 64 << 20
 
 // Frontend memoizes front-end products — rendered frames and compute

@@ -15,6 +15,7 @@ import (
 	"crisp/internal/scenario"
 	"crisp/internal/scene"
 	"crisp/internal/snapshot"
+	"crisp/internal/trace"
 	"crisp/internal/trace/tracetest"
 )
 
@@ -423,4 +424,86 @@ func TestFrontendKeyCoversEveryRenderOption(t *testing.T) {
 	if frameKey("VIO", render.Options{}) == (frontendKey{compute: "VIO"}) {
 		t.Error("a scene and a compute workload of one name share a key")
 	}
+}
+
+// TestFrontendRetainsEveryDefaultProduct: each compute workload and each
+// scene at the zoo's default 320×180 is under half of FrontendBudget, so a
+// default Frontend retains it — a second request is a hit, not a rebuild.
+// (With one []uint64 per memory instruction NN alone was 68 MB.)
+func TestFrontendRetainsEveryDefaultProduct(t *testing.T) {
+	opts := render.DefaultOptions()
+	opts.W, opts.H = 320, 180
+	for _, name := range compute.Names() {
+		fe := NewFrontend()
+		for i := 0; i < 2; i++ {
+			if _, err := fe.Compute(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := fe.Stats(); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+			t.Errorf("%s: %+v after two requests, want one build, retained", name, st)
+		} else {
+			t.Logf("%-8s %5.1f MiB", name, float64(st.Bytes)/(1<<20))
+		}
+	}
+	for _, name := range scene.Names() {
+		fe := NewFrontend()
+		for i := 0; i < 2; i++ {
+			if _, err := fe.Frame(name, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := fe.Stats(); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+			t.Errorf("%s@320x180: %+v after two requests, want one build, retained", name, st)
+		} else {
+			t.Logf("%-8s %5.1f MiB", name, float64(st.Bytes)/(1<<20))
+		}
+	}
+}
+
+// TestTraceFootprint bounds what traces cost in memory, on the two sums
+// the packed address records were sized against: NN's kernels, and every
+// trace the bench's pairs-mem-bound job list holds at once (its four jobs
+// build NN three times). At one []uint64 per memory instruction behind a
+// 48-byte Inst these read 68.2 MB and 260.6 MB.
+func TestTraceFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders IT at 640x360")
+	}
+	sum := func(ks []*trace.Kernel) (n int64) {
+		for _, k := range ks {
+			n += k.SizeBytes()
+		}
+		return n
+	}
+	nn, err := compute.ByName("NN", ComputeStreamBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nnBytes := sum(nn.Kernels)
+	if nnBytes > 24<<20 {
+		t.Errorf("NN's kernels hold %.1f MiB, want at most 24", float64(nnBytes)/(1<<20))
+	}
+	total := 3 * nnBytes
+	vio, err := compute.ByName("VIO", ComputeStreamBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total += sum(vio.Kernels)
+	for _, f := range []struct {
+		scene string
+		w, h  int
+	}{{"IT", 640, 360}, {"PT", 320, 180}, {"SPH", 320, 180}} {
+		opts := render.DefaultOptions()
+		opts.W, opts.H = f.w, f.h
+		res, err := RenderScene(f.scene, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += sum(frameKernels(res))
+	}
+	if total > 100e6 {
+		t.Errorf("the pairs-mem-bound job list's traces hold %.1f MB, want at most 100", float64(total)/1e6)
+	}
+	t.Logf("NN %.1f MiB, pairs-mem-bound job list %.1f MB", float64(nnBytes)/(1<<20), float64(total)/1e6)
 }

@@ -8,6 +8,7 @@ import (
 	"crisp/internal/render"
 	"crisp/internal/scene"
 	"crisp/internal/texture"
+	"crisp/internal/trace/tracetest"
 )
 
 // atProcs runs fn under each GOMAXPROCS value and restores the old one.
@@ -23,6 +24,11 @@ func atProcs(procs []int, fn func(p int)) {
 // at the GOMAXPROCS in force.
 func digest(t *testing.T, name string, opts render.Options) uint64 {
 	t.Helper()
+	return render.FoldResult(frame(t, name, opts))
+}
+
+func frame(t *testing.T, name string, opts render.Options) *render.Result {
+	t.Helper()
 	f, err := scene.ByName(name)
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +37,7 @@ func digest(t *testing.T, name string, opts render.Options) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return render.FoldResult(res)
+	return res
 }
 
 // pinnedFrames are FoldResult digests of scene.ByName + RenderFrame under
@@ -50,7 +56,10 @@ var pinnedFrames = map[string]uint64{
 
 // TestFrameDigestsPinned is the front end's determinism gate: every scene
 // renders to the very bits the serial pipeline produced, whatever
-// GOMAXPROCS is.
+// GOMAXPROCS is — as rendered, and with its kernels as a trace file gives
+// them back. The digests fold every lane address and were recorded when a
+// trace held them one []uint64 per instruction, so they hold the Builder's
+// packing and the file codec to lossless.
 func TestFrameDigestsPinned(t *testing.T) {
 	type job struct {
 		scene string
@@ -69,8 +78,18 @@ func TestFrameDigestsPinned(t *testing.T) {
 			id := fmt.Sprintf("%s@%dx%d", j.scene, j.w, j.h)
 			opts := render.DefaultOptions()
 			opts.W, opts.H = j.w, j.h
-			if got := digest(t, j.scene, opts); got != pinnedFrames[id] {
+			res := frame(t, j.scene, opts)
+			if got := render.FoldResult(res); got != pinnedFrames[id] {
 				t.Errorf("GOMAXPROCS=%d %s: %#x, pinned %#x", p, id, got, pinnedFrames[id])
+			}
+			for i := range res.Streams {
+				var err error
+				if res.Streams[i].Kernels, err = tracetest.Reload(res.Streams[i].Kernels); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := render.FoldResult(res); got != pinnedFrames[id] {
+				t.Errorf("GOMAXPROCS=%d %s, saved and loaded: %#x, pinned %#x", p, id, got, pinnedFrames[id])
 			}
 		}
 	})

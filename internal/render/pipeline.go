@@ -289,6 +289,9 @@ func (p *pipeline) vertexStage(dc *DrawCall, b *geom.Batch, inst *Instance, inst
 	clipVerts := make([]geom.ClipVert, len(b.Unique))
 
 	instanced := len(dc.Instances) > 0
+	// Per-lane address buffers, filled again for every warp: the Builder
+	// packs what it is handed and keeps nothing.
+	var posBuf, nrmBuf, uvBuf, addrBuf [shader.Lanes]uint64
 	for w0 := 0; w0 < len(b.Unique); w0 += shader.Lanes {
 		lanes := len(b.Unique) - w0
 		if lanes > shader.Lanes {
@@ -304,9 +307,7 @@ func (p *pipeline) vertexStage(dc *DrawCall, b *geom.Batch, inst *Instance, inst
 		ctx.Filter = p.opts.Filter
 
 		var in shader.VSIn
-		posA := make([]uint64, 0, lanes)
-		nrmA := make([]uint64, 0, lanes)
-		uvA := make([]uint64, 0, lanes)
+		posA, nrmA, uvA := posBuf[:0], nrmBuf[:0], uvBuf[:0]
 		for l := 0; l < lanes; l++ {
 			g := b.Unique[w0+l]
 			v := &dc.Mesh.Verts[g]
@@ -325,14 +326,14 @@ func (p *pipeline) vertexStage(dc *DrawCall, b *geom.Batch, inst *Instance, inst
 			// Per-instance transform fetch: common vertex attributes are
 			// re-referenced across instances (temporal locality) while
 			// instance data streams (the Planets access mix).
-			ia := make([]uint64, lanes)
+			ia := addrBuf[:lanes]
 			for l := range ia {
 				ia[l] = instBase + uint64(instIdx)*instanceStride
 			}
 			ctx.Load(ia, trace.ClassPipeline)
 		}
 
-		varyA := make([]uint64, lanes)
+		varyA := addrBuf[:lanes]
 		for l := 0; l < lanes; l++ {
 			varyA[l] = varyBase + uint64(w0+l)*varyingStride
 		}
@@ -374,6 +375,8 @@ func (sh *shading) shadeWarps(k *trace.Kernel, mat *Material, tileFrags [][]rast
 		}
 	}
 
+	// Per-lane address buffers, filled again for every warp.
+	var varyBuf, outBuf [shader.Lanes]uint64
 	tile, tf := -1, []raster.Fragment(nil)
 	for wi, w := range warps {
 		if w.tile != tile {
@@ -402,8 +405,7 @@ func (sh *shading) shadeWarps(k *trace.Kernel, mat *Material, tileFrags [][]rast
 
 		var in shader.FSIn
 		var exact [shader.Lanes]float32
-		varyA := make([]uint64, lanes)
-		outA := make([]uint64, lanes)
+		varyA, outA := varyBuf[:lanes], outBuf[:lanes]
 		for l := 0; l < lanes; l++ {
 			fr := &tf[f0+l]
 			in.U[l], in.V[l] = fr.UV.X, fr.UV.Y

@@ -176,11 +176,14 @@ func TestRerenderedFrameDefMatchesFresh(t *testing.T) {
 			for _, k := range st.Kernels {
 				for ci := range k.CTAs {
 					for wi := range k.CTAs[ci].Warps {
-						for _, in := range k.CTAs[ci].Warps[wi].Insts {
+						w := &k.CTAs[ci].Warps[wi]
+						for l := range w.Insts {
+							in := &w.Insts[l]
 							if in.Op == isa.OpTEX {
 								continue
 							}
-							for _, a := range in.Addrs {
+							var lanes [isa.WarpSize]uint64
+							for _, a := range w.Addrs(in, &lanes) {
 								for _, r := range texRanges {
 									if a >= r[0] && a < r[1] && !aliased {
 										aliased = true

@@ -106,29 +106,26 @@ func Catalog() []Fault {
 			Name:   "empty-mask",
 			Expect: ExpectValidation,
 			Apply: func(ks []*trace.Kernel, rng *rand.Rand) bool {
-				in := pickInst(ks, rng, func(*trace.Inst) bool { return true })
-				if in == nil {
+				w, i := pickInst(ks, rng, func(*trace.Inst) bool { return true })
+				if w == nil {
 					return false
 				}
-				in.Mask = 0
+				w.Insts[i].Mask = 0
 				return true
 			},
 		},
 		{
 			// A global memory instruction whose per-lane address list does
-			// not match its active mask.
+			// not match its active mask: one address too few, so the
+			// record is shorter than its form byte and the mask say and
+			// the warp's records no longer tile the arena.
 			Name:   "addr-mismatch",
 			Expect: ExpectValidation,
 			Apply: func(ks []*trace.Kernel, rng *rand.Rand) bool {
-				in := pickInst(ks, rng, func(in *trace.Inst) bool {
-					return isa.IsMemory(in.Op) && isa.SpaceOf(in.Op) == isa.SpaceGlobal && len(in.Addrs) > 0
+				w, i := pickInst(ks, rng, func(in *trace.Inst) bool {
+					return isa.SpaceOf(in.Op) == isa.SpaceGlobal && in.HasAddrs() && in.ActiveLanes() >= 2
 				})
-				if in == nil {
-					return false
-				}
-				in.Addrs = in.Addrs[:len(in.Addrs)-1]
-				dropLineTables(ks)
-				return true
+				return w != nil && dropLastAddr(w, i)
 			},
 		},
 		{
@@ -136,42 +133,45 @@ func Catalog() []Fault {
 			Name:   "nonmem-addrs",
 			Expect: ExpectValidation,
 			Apply: func(ks []*trace.Kernel, rng *rand.Rand) bool {
-				in := pickInst(ks, rng, func(in *trace.Inst) bool {
+				w, i := pickInst(ks, rng, func(in *trace.Inst) bool {
 					return !isa.IsMemory(in.Op) && in.Op != isa.OpEXIT
 				})
-				if in == nil {
+				if w == nil {
 					return false
 				}
-				in.Addrs = []uint64{0xDEAD0000}
-				dropLineTables(ks)
+				w.SetAddrs(i, []uint64{0xDEAD0000})
 				return true
 			},
 		},
 		{
 			// A trace tool re-homed a warp's instructions under a warp
-			// header built elsewhere: the instructions' line-table entries
-			// now point past the new header's (empty) line arena.
+			// header built elsewhere: the instructions' address records
+			// and line-table entries now point past the new header's
+			// (empty) arenas.
 			Name:   "stale-line-table",
 			Expect: ExpectValidation,
 			Apply: func(ks []*trace.Kernel, rng *rand.Rand) bool {
-				w := pickWarp(ks, rng, func(w *trace.Warp) bool {
-					for i := range w.Insts {
-						if sp := isa.SpaceOf(w.Insts[i].Op); (sp == isa.SpaceGlobal || sp == isa.SpaceTexture) && len(w.Insts[i].Addrs) > 0 {
-							return true
-						}
-					}
-					return false
-				})
+				w := pickWarp(ks, rng, func(w *trace.Warp) bool { return lastAddrInst(w, 1) >= 0 })
 				if w == nil {
 					return false
 				}
 				b := trace.NewBuilder("donor", trace.KindCompute, 0, isa.WarpSize, 1, 0)
 				b.BeginCTA()
 				b.BeginWarp()
-				donor := b.Finish().CTAs[0].Warps[0] // one EXIT, a line table with no lines
+				donor := b.Finish().CTAs[0].Warps[0] // one EXIT, arenas with nothing in them
 				donor.ID, donor.Insts = w.ID, w.Insts
 				*w = donor
 				return true
+			},
+		},
+		{
+			// A trace writer died mid-arena: the warp's last address
+			// record is a lane short and runs past the arena's end.
+			Name:   "addr-arena-overrun",
+			Expect: ExpectValidation,
+			Apply: func(ks []*trace.Kernel, rng *rand.Rand) bool {
+				w := pickWarp(ks, rng, func(w *trace.Warp) bool { return lastAddrInst(w, 2) >= 0 })
+				return w != nil && dropLastAddr(w, lastAddrInst(w, 2))
 			},
 		},
 		{
@@ -221,13 +221,13 @@ func Catalog() []Fault {
 			Name:   "dangling-dep",
 			Expect: ExpectTolerated,
 			Apply: func(ks []*trace.Kernel, rng *rand.Rand) bool {
-				in := pickInst(ks, rng, func(in *trace.Inst) bool {
+				w, i := pickInst(ks, rng, func(in *trace.Inst) bool {
 					return in.Op != isa.OpEXIT && in.Op != isa.OpBAR
 				})
-				if in == nil {
+				if w == nil {
 					return false
 				}
-				in.SrcA = isa.Reg(250) // far above any builder-allocated register
+				w.Insts[i].SrcA = isa.Reg(250) // far above any builder-allocated register
 				return true
 			},
 		},
@@ -277,18 +277,38 @@ func ConfigCatalog() []ConfigFault {
 	}
 }
 
-// dropLineTables marks every kernel's line table absent: a fault that
-// edits Addrs must leave the run deriving lines from the edited addresses,
-// not replaying the ones the front end derived.
-func dropLineTables(ks []*trace.Kernel) {
-	for _, k := range ks {
-		k.DropLineTable()
+// dropLastAddr re-packs instruction i of w with its last lane's address
+// missing (Warp.SetAddrs: the warp loses its line table with it, so a run
+// that got past validation would derive lines from the edited addresses).
+// It reports false for an instruction whose record an earlier fault already
+// put out of reach.
+func dropLastAddr(w *trace.Warp, i int) bool {
+	var lanes [isa.WarpSize]uint64
+	addrs := w.Addrs(&w.Insts[i], &lanes)
+	if len(addrs) == 0 {
+		return false
 	}
+	w.SetAddrs(i, addrs[:len(addrs)-1])
+	return true
 }
 
-// CloneKernels deep-copies kernels (CTAs, warps, instructions, per-lane
-// address lists and line tables) so faults can be applied without
-// disturbing the caller's traces.
+// lastAddrInst returns the index of w's last instruction that carries
+// addresses, if it has at least lanes active lanes; otherwise -1.
+func lastAddrInst(w *trace.Warp, lanes int) int {
+	for i := len(w.Insts) - 1; i >= 0; i-- {
+		if in := &w.Insts[i]; in.HasAddrs() {
+			if in.ActiveLanes() >= lanes {
+				return i
+			}
+			break
+		}
+	}
+	return -1
+}
+
+// CloneKernels deep-copies kernels (CTAs, warps, instructions, address
+// arenas and line tables) so faults can be applied without disturbing the
+// caller's traces.
 func CloneKernels(kernels []*trace.Kernel) []*trace.Kernel {
 	out := make([]*trace.Kernel, len(kernels))
 	for i, k := range kernels {
@@ -348,23 +368,29 @@ func pickWarpInMultiWarpCTA(ks []*trace.Kernel, rng *rand.Rand, ok func(*trace.W
 	return candidates[rng.Intn(len(candidates))]
 }
 
-// pickInst selects a uniformly random instruction satisfying ok, or nil.
-func pickInst(ks []*trace.Kernel, rng *rand.Rand, ok func(*trace.Inst) bool) *trace.Inst {
-	var candidates []*trace.Inst
+// pickInst selects a uniformly random instruction satisfying ok and returns
+// its warp and its index there, or nil.
+func pickInst(ks []*trace.Kernel, rng *rand.Rand, ok func(*trace.Inst) bool) (*trace.Warp, int) {
+	type ref struct {
+		w *trace.Warp
+		i int
+	}
+	var candidates []ref
 	for _, k := range ks {
 		for c := range k.CTAs {
 			for w := range k.CTAs[c].Warps {
-				insts := k.CTAs[c].Warps[w].Insts
-				for l := range insts {
-					if ok(&insts[l]) {
-						candidates = append(candidates, &insts[l])
+				warp := &k.CTAs[c].Warps[w]
+				for l := range warp.Insts {
+					if ok(&warp.Insts[l]) {
+						candidates = append(candidates, ref{warp, l})
 					}
 				}
 			}
 		}
 	}
 	if len(candidates) == 0 {
-		return nil
+		return nil, 0
 	}
-	return candidates[rng.Intn(len(candidates))]
+	r := candidates[rng.Intn(len(candidates))]
+	return r.w, r.i
 }

@@ -185,11 +185,11 @@ func TestConfigCatalogRejected(t *testing.T) {
 	}
 }
 
-// TestAddrFaultsDropLineTables: a fault that edits Addrs must leave every
-// kernel without a line table, so that a run which gets past validation
-// derives lines from the edited addresses instead of replaying the ones
-// the Builder derived; every other fault leaves the tables alone, and a
-// clone carries its own copy.
+// TestAddrFaultsDropLineTables: a fault that edits a warp's addresses must
+// leave that warp without a line table (Warp.SetAddrs), so that a run which
+// gets past validation derives lines from the edited addresses instead of
+// replaying the ones the Builder derived; every other fault leaves the
+// tables alone, and a clone carries its own copy.
 func TestAddrFaultsDropLineTables(t *testing.T) {
 	tabled := func(ks []*trace.Kernel) (with, without int) {
 		for _, k := range ks {
@@ -213,11 +213,11 @@ func TestAddrFaultsDropLineTables(t *testing.T) {
 		if !f.Apply(ks, rand.New(rand.NewSource(3))) {
 			t.Fatalf("%s: fault not applicable to the test workload", f.Name)
 		}
-		with, without := tabled(ks)
+		_, without := tabled(ks)
 		switch f.Name {
-		case "addr-mismatch", "nonmem-addrs":
-			if with != 0 {
-				t.Errorf("%s edits Addrs and leaves %d warps with a line table", f.Name, with)
+		case "addr-mismatch", "nonmem-addrs", "addr-arena-overrun":
+			if without != 1 {
+				t.Errorf("%s edits one warp's addresses and leaves %d warps without a line table", f.Name, without)
 			}
 		default:
 			if without != 0 {

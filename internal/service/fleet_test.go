@@ -289,6 +289,12 @@ func TestSweepHeartbeatDropConverges(t *testing.T) {
 		// Delay holds every completion long enough for the deaf lease to
 		// expire mid-attempt, guaranteeing the duplicate-commit race runs.
 		Chaos: chaos.Spec{Seed: 5, HBDrop: 1, Delay: 250 * time.Millisecond},
+		// A held completion sends no heartbeat, so every attempt's lease
+		// expires a TTL after its run ends and the task is reassigned. The
+		// first held commit must land before the attempts run out: at the
+		// default three that is 3×(run+TTL) against run+250 ms — a coin
+		// flip once a run takes 20 ms — so leave room for eight.
+		MaxAttempts: 8,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -46,7 +46,12 @@ type Ctx struct {
 	RefFootprint *[Lanes]float32
 	// OnTex, when non-nil, receives each TEX instruction's per-lane
 	// addresses: the simulated ones and the exact-LoD reference ones.
+	// Both are scratch, valid during the call only.
 	OnTex func(simAddrs, refAddrs []uint64)
+
+	// addrs is scratch for the per-lane addresses of the memory
+	// instruction being emitted; the Builder does not retain them.
+	addrs [Lanes]uint64
 }
 
 // NewCtx starts a warp-execution context over builder b with the given
@@ -278,7 +283,7 @@ func (c *Ctx) TexSample(tex *texture.Texture, u, v Val, layer [Lanes]int, footpr
 	out.Z = Val{Reg: reg}
 	out.W = Val{Reg: reg}
 
-	addrs := make([]uint64, 0, Lanes)
+	addrs := c.addrs[:0]
 	var refAddrs []uint64
 	if c.OnTex != nil && c.RefFootprint != nil {
 		refAddrs = make([]uint64, 0, Lanes)

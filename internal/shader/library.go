@@ -50,8 +50,8 @@ func TransformVS(c *Ctx, in *VSIn, model, mvp gmath.Mat4, varyingAddrs []uint64)
 	// Export: position and varyings go to the post-transform buffer in
 	// L2 as three 16-byte stores (clip position, normal, UV/world).
 	c.Store(clip.X, varyingAddrs, trace.ClassPipeline)
-	c.Store(wn.X, offsetAddrs(varyingAddrs, 16), trace.ClassPipeline)
-	c.Store(u, offsetAddrs(varyingAddrs, 32), trace.ClassPipeline)
+	c.Store(wn.X, c.offsetAddrs(varyingAddrs, 16), trace.ClassPipeline)
+	c.Store(u, c.offsetAddrs(varyingAddrs, 32), trace.ClassPipeline)
 
 	var out VSOut
 	out.ClipX, out.ClipY, out.ClipZ, out.ClipW = clip.X.V, clip.Y.V, clip.Z.V, clip.W.V
@@ -96,16 +96,18 @@ type Light struct {
 // with and returns the bound values.
 func loadVaryings(c *Ctx, in *FSIn) (u, v Val, n Vec3V, wp Vec3V) {
 	u, v = c.InputVec2(in.U, in.V, in.VaryingAddrs, trace.ClassPipeline)
-	n = c.InputVec3(in.NrmX, in.NrmY, in.NrmZ, offsetAddrs(in.VaryingAddrs, 16), trace.ClassPipeline)
-	wp = c.InputVec3(in.WPosX, in.WPosY, in.WPosZ, offsetAddrs(in.VaryingAddrs, 32), trace.ClassPipeline)
+	n = c.InputVec3(in.NrmX, in.NrmY, in.NrmZ, c.offsetAddrs(in.VaryingAddrs, 16), trace.ClassPipeline)
+	wp = c.InputVec3(in.WPosX, in.WPosY, in.WPosZ, c.offsetAddrs(in.VaryingAddrs, 32), trace.ClassPipeline)
 	return
 }
 
-func offsetAddrs(addrs []uint64, off uint64) []uint64 {
+// offsetAddrs returns addrs moved by off, in the context's scratch: good
+// until the next memory instruction is emitted.
+func (c *Ctx) offsetAddrs(addrs []uint64, off uint64) []uint64 {
 	if addrs == nil {
 		return nil
 	}
-	out := make([]uint64, len(addrs))
+	out := c.addrs[:len(addrs)]
 	for i, a := range addrs {
 		out[i] = a + off
 	}

@@ -817,14 +817,23 @@ func (s *scheduler) regCause(blk int, r isa.Reg) obs.StallCause {
 	return obs.StallScoreboard
 }
 
+// traced returns the warp's trace, where its address records live. Only the
+// derive-at-issue paths below want them, so the warp record holds no pointer
+// of its own.
+func (w *warpRT) traced() *trace.Warp {
+	return &w.cta.kernel.CTAs[w.cta.ctaIdx].Warps[w.warpIdx]
+}
+
 // memLines returns the unique cache lines in touches, in first-touch
 // order: the trace's line table when w has one for this core's line size,
-// else coalesced from the addresses into buf (a WarpSize stack buffer).
+// else coalesced from the expanded lane addresses into buf (a WarpSize
+// stack buffer).
 func (s *scheduler) memLines(w *warpRT, in *trace.Inst, buf []uint64) []uint64 {
 	if w.tabled && !s.legacy {
 		return in.Lines(w.lines)
 	}
-	return trace.Coalesce(buf, in.Addrs, uint64(s.core.cfg.LineSize))
+	var lanes [isa.WarpSize]uint64
+	return trace.Coalesce(buf, w.traced().Addrs(in, &lanes), uint64(s.core.cfg.LineSize))
 }
 
 // bankConflicts returns a shared-memory access's bank-conflict degree, by
@@ -833,7 +842,8 @@ func (s *scheduler) bankConflicts(w *warpRT, in *trace.Inst) int {
 	if w.tabled && !s.legacy {
 		return in.ConflictDegree()
 	}
-	return trace.BankConflictDegree(in.Addrs)
+	var lanes [isa.WarpSize]uint64
+	return trace.BankConflictDegree(w.traced().Addrs(in, &lanes))
 }
 
 // issue issues w's current instruction at cycle now. The caller has

@@ -462,8 +462,8 @@ func TestSharedBankConflicts(t *testing.T) {
 }
 
 // TestSharedConflictDegree reads each degree both ways the scheduler can
-// get it: from a Builder-made trace's line table and, for a hand-built
-// instruction that has none, derived from the offsets at issue.
+// get it: from a Builder-made trace's line table and, for a warp that has
+// none, derived at issue from the offsets its address record expands to.
 func TestSharedConflictDegree(t *testing.T) {
 	c, _, _ := testCore(t)
 	s := &c.scheds[0]
@@ -473,13 +473,14 @@ func TestSharedConflictDegree(t *testing.T) {
 		b.BeginCTA()
 		b.BeginWarp()
 		b.SharedAddr(isa.OpLDS, b.NewReg(), trace.FullMask, offsets)
-		tw := &b.Finish().CTAs[0].Warps[0]
+		k := b.Finish()
+		tw := &k.CTAs[0].Warps[0]
 		tabled := &warpRT{}
 		if tabled.lines, tabled.tabled = tw.LineTable(c.cfg.LineSize); !tabled.tabled {
 			t.Fatal("a Builder-made warp carries no line table")
 		}
 		fromTable := s.bankConflicts(tabled, &tw.Insts[0])
-		derived := s.bankConflicts(&warpRT{}, &trace.Inst{Op: isa.OpLDS, Mask: trace.FullMask, Addrs: offsets})
+		derived := s.bankConflicts(&warpRT{cta: &ctaRT{kernel: k}}, &tw.Insts[0])
 		if fromTable != derived {
 			t.Errorf("the line table says degree %d, the offsets %d", fromTable, derived)
 		}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"crisp/internal/isa"
 )
@@ -20,13 +21,16 @@ type Builder struct {
 	// that length up front instead of regrowing by doubling: one allocation
 	// per warp, and no slack capacity in the retained trace.
 	longest int
-	// lines collects the open CTA's line table, one warp after another
-	// (warp i ends at ends[i], the open warp starts at warpStart); closing
-	// the CTA copies it into one exactly-sized array the warps' arenas are
-	// cut from, so the table costs one allocation per CTA and no slack.
-	lines     []uint64
-	ends      []int
-	warpStart int
+	// lines and addrs collect the open CTA's line table and address
+	// records, one warp after another (warp i's end at lineEnds[i] and
+	// addrEnds[i], the open warp's start at lineStart and addrStart);
+	// closing the CTA copies each into one exactly-sized array the warps'
+	// arenas are cut from, so they cost two allocations per CTA and no
+	// slack.
+	lines                []uint64
+	addrs                []byte
+	lineEnds, addrEnds   []int
+	lineStart, addrStart int
 }
 
 // NewBuilder starts a kernel trace with the given identity and per-CTA
@@ -45,7 +49,9 @@ func NewBuilder(name string, kind KernelKind, stream, threadsPerCTA, regsPerThre
 // BeginCTA opens a new CTA. Any open warp is closed first.
 func (b *Builder) BeginCTA() {
 	b.endCTA()
-	b.k.CTAs = append(b.k.CTAs, CTA{ID: len(b.k.CTAs), Warps: make([]Warp, 0, max(0, b.k.WarpsPerCTA()))})
+	warps := max(0, b.k.WarpsPerCTA())
+	b.k.CTAs = append(b.k.CTAs, CTA{ID: len(b.k.CTAs), Warps: make([]Warp, 0, warps)})
+	b.lineEnds, b.addrEnds = slices.Grow(b.lineEnds, warps), slices.Grow(b.addrEnds, warps)
 	b.curCTA = &b.k.CTAs[len(b.k.CTAs)-1]
 }
 
@@ -60,7 +66,7 @@ func (b *Builder) BeginWarp() {
 	if b.longest > 0 {
 		w.Insts = make([]Inst, 0, b.longest)
 	}
-	b.warpStart = len(b.lines)
+	b.lineStart, b.addrStart = len(b.lines), len(b.addrs)
 	b.curCTA.Warps = append(b.curCTA.Warps, w)
 	b.curWarp = &b.curCTA.Warps[len(b.curCTA.Warps)-1]
 	b.nextReg = 0
@@ -81,17 +87,18 @@ func (b *Builder) EndWarp() {
 		b.curWarp.Insts = append(b.curWarp.Insts, Inst{Op: isa.OpEXIT, Dst: isa.RegNone, SrcA: isa.RegNone, SrcB: isa.RegNone, SrcC: isa.RegNone, Mask: mask})
 	}
 	b.longest = max(b.longest, len(b.curWarp.Insts))
-	b.ends = append(b.ends, len(b.lines))
+	b.lineEnds, b.addrEnds = append(b.lineEnds, len(b.lines)), append(b.addrEnds, len(b.addrs))
 	b.curWarp = nil
 }
 
-// endCTA closes the open warp and hands the open CTA's warps their line
-// arenas.
+// endCTA closes the open warp and hands the open CTA's warps their arenas.
 func (b *Builder) endCTA() {
 	b.EndWarp()
 	if b.curCTA != nil {
-		carveLineArenas(b.curCTA.Warps, b.lines, b.ends)
-		b.lines, b.ends = b.lines[:0], b.ends[:0]
+		carveLineArenas(b.curCTA.Warps, b.lines, b.lineEnds)
+		carveAddrArenas(b.curCTA.Warps, slices.Clone(b.addrs), b.addrEnds)
+		b.lines, b.lineEnds = b.lines[:0], b.lineEnds[:0]
+		b.addrs, b.addrEnds = b.addrs[:0], b.addrEnds[:0]
 	}
 }
 
@@ -118,15 +125,17 @@ func (b *Builder) ALU(op isa.Opcode, dst isa.Reg, mask uint32, srcs ...isa.Reg) 
 	return dst
 }
 
-// Mem appends a memory instruction with one address per active lane. The
-// addresses are coalesced here, once, into the warp's line table.
+// Mem appends a memory instruction with one address per active lane, in
+// ascending lane order (none for an LDC). The addresses are packed into the
+// warp's address arena and coalesced into its line table here, once; addrs
+// is not retained, so the caller may fill the same buffer again.
 func (b *Builder) Mem(op isa.Opcode, dst isa.Reg, mask uint32, addrs []uint64, class MemClass, srcs ...isa.Reg) {
 	if !isa.IsMemory(op) {
 		panic(fmt.Sprintf("trace.Builder: Mem called with non-memory opcode %v", op))
 	}
-	in := Inst{Op: op, Dst: dst, SrcA: isa.RegNone, SrcB: isa.RegNone, SrcC: isa.RegNone, Mask: mask, Addrs: addrs, Class: class}
+	in := Inst{Op: op, Dst: dst, SrcA: isa.RegNone, SrcB: isa.RegNone, SrcC: isa.RegNone, Mask: mask, Class: class}
 	setSrcs(&in, srcs)
-	b.appendMem(in)
+	b.appendMem(in, addrs)
 }
 
 // Shared appends a shared-memory access carrying no per-lane offsets:
@@ -138,14 +147,14 @@ func (b *Builder) Shared(op isa.Opcode, dst isa.Reg, mask uint32, srcs ...isa.Re
 // SharedAddr appends a shared-memory access with per-active-lane byte
 // offsets within the CTA's shared segment; the LDST unit derives bank
 // conflicts from them. Addresses never leave the SM, so they are offsets,
-// not virtual addresses.
+// not virtual addresses. offsets is not retained.
 func (b *Builder) SharedAddr(op isa.Opcode, dst isa.Reg, mask uint32, offsets []uint64, srcs ...isa.Reg) {
 	if op != isa.OpLDS && op != isa.OpSTS {
 		panic(fmt.Sprintf("trace.Builder: Shared called with %v", op))
 	}
-	in := Inst{Op: op, Dst: dst, SrcA: isa.RegNone, SrcB: isa.RegNone, SrcC: isa.RegNone, Mask: mask, Addrs: offsets}
+	in := Inst{Op: op, Dst: dst, SrcA: isa.RegNone, SrcB: isa.RegNone, SrcC: isa.RegNone, Mask: mask}
 	setSrcs(&in, srcs)
-	b.appendMem(in)
+	b.appendMem(in, offsets)
 }
 
 // Barrier appends a CTA-wide barrier.
@@ -174,10 +183,20 @@ func (b *Builder) append(in Inst) {
 	b.curWarp.Insts = append(b.curWarp.Insts, in)
 }
 
-// appendMem appends a memory instruction after deriving its line-table
-// entry, while its addresses are still warm from being computed.
-func (b *Builder) appendMem(in Inst) {
-	b.lines = in.table(b.lines, b.warpStart)
+// appendMem appends a memory instruction after packing its addresses and
+// deriving its line-table entry, while they are still warm from being
+// computed. An address list that does not match the mask is a front-end
+// bug an affine record would hide (it decodes to as many lanes as the mask
+// has), so it is refused here.
+func (b *Builder) appendMem(in Inst, addrs []uint64) {
+	if len(addrs) > 0 {
+		if len(addrs) != in.ActiveLanes() {
+			panic(fmt.Sprintf("trace.Builder: %v with %d addresses for %d active lanes", in.Op, len(addrs), in.ActiveLanes()))
+		}
+		in.addrOff = uint32(len(b.addrs)-b.addrStart) + 1
+		b.addrs = appendRecord(b.addrs, pickForm(addrs), addrs)
+	}
+	b.lines = in.table(addrs, b.lines, b.lineStart)
 	b.append(in)
 }
 

@@ -51,9 +51,9 @@ next:
 // shared-memory access from its per-lane byte offsets: 32 banks of 4-byte
 // words; lanes touching distinct words in the same bank serialize, lanes
 // touching the same word broadcast. An access without offsets is modeled
-// conflict-free. A warp has at most WarpSize lanes (Validate holds Addrs to
-// the active-lane count), so the distinct words fit a stack array, chained
-// per bank so that a lane is compared only against its own bank's words.
+// conflict-free. A warp has at most WarpSize lanes, so the distinct words
+// fit a stack array, chained per bank so that a lane is compared only
+// against its own bank's words.
 func BankConflictDegree(offsets []uint64) int {
 	const banks = 32
 	if len(offsets) > isa.WarpSize {
@@ -101,17 +101,18 @@ next:
 	return degree
 }
 
-// table derives in's line-table entry, appending its lines to lines, where
-// the instruction's warp starts at warpStart.
-func (in *Inst) table(lines []uint64, warpStart int) []uint64 {
+// table derives in's line-table entry from its per-lane addresses,
+// appending its lines to lines, where the instruction's warp starts at
+// warpStart.
+func (in *Inst) table(addrs, lines []uint64, warpStart int) []uint64 {
 	switch isa.SpaceOf(in.Op) {
 	case isa.SpaceGlobal, isa.SpaceTexture:
 		n := len(lines)
 		in.lineOff = uint32(n - warpStart)
-		lines = Coalesce(lines, in.Addrs, CacheLineSize)
+		lines = Coalesce(lines, addrs, CacheLineSize)
 		in.nLines = uint8(len(lines) - n)
 	case isa.SpaceShared:
-		in.conflict = uint8(BankConflictDegree(in.Addrs))
+		in.conflict = uint8(BankConflictDegree(addrs))
 	}
 	return lines
 }
@@ -128,9 +129,20 @@ func carveLineArenas(warps []Warp, lines []uint64, ends []int) {
 	}
 }
 
+// carveAddrArenas cuts the warps' address arenas the same way out of arena,
+// which the warps keep: the caller hands over an array of exactly their
+// total size.
+func carveAddrArenas(warps []Warp, arena []byte, ends []int) {
+	start := 0
+	for i := range warps {
+		warps[i].addrs = arena[start:ends[i]:ends[i]]
+		start = ends[i]
+	}
+}
+
 // LineTable returns the warp's line arena when the warp carries a table
 // derived at lineSize; ok is false when the lines (and the conflict
-// degrees) must be derived from Addrs instead.
+// degrees) must be derived from the address records instead.
 func (w *Warp) LineTable(lineSize int) (arena []uint64, ok bool) {
 	return w.lines, w.lineSize != 0 && w.lineSize == lineSize
 }
@@ -143,18 +155,22 @@ func (in *Inst) Lines(arena []uint64) []uint64 {
 // ConflictDegree returns the tabled bank-conflict degree of an LDS/STS.
 func (in *Inst) ConflictDegree() int { return int(in.conflict) }
 
-// deriveLineTable builds the line table of every warp of k, as the Builder
-// would have (Load's half of the derivation).
+// deriveLineTable builds the line table of every warp of k from its
+// address records, as the Builder would have (Load's half of the
+// derivation).
 func (k *Kernel) deriveLineTable() {
 	var lines []uint64
 	var ends []int
+	var lanes [isa.WarpSize]uint64
 	for i := range k.CTAs {
 		warps := k.CTAs[i].Warps
 		lines, ends = lines[:0], ends[:0]
 		for j := range warps {
+			w := &warps[j]
 			start := len(lines)
-			for l := range warps[j].Insts {
-				lines = warps[j].Insts[l].table(lines, start)
+			for l := range w.Insts {
+				in := &w.Insts[l]
+				lines = in.table(w.Addrs(in, &lanes), lines, start)
 			}
 			ends = append(ends, len(lines))
 		}
@@ -162,21 +178,18 @@ func (k *Kernel) deriveLineTable() {
 	}
 }
 
-// Clone returns a deep copy of the warp: instructions, per-lane address
-// lists and the line table.
+// Clone returns a deep copy of the warp: instructions, address arena and
+// line table.
 func (w *Warp) Clone() Warp {
 	c := *w
 	c.Insts = slices.Clone(w.Insts)
-	for i := range c.Insts {
-		c.Insts[i].Addrs = slices.Clone(c.Insts[i].Addrs)
-	}
+	c.addrs = slices.Clone(w.addrs)
 	c.lines = slices.Clone(w.lines)
 	return c
 }
 
-// DropLineTable marks every warp's line table absent. Whoever edits an
-// instruction's Addrs after the kernel was built or loaded calls it, so the
-// timing model derives from the addresses as they now are.
+// DropLineTable marks every warp's line table absent, so that the timing
+// model derives lines and conflict degrees from the address records.
 func (k *Kernel) DropLineTable() {
 	for i := range k.CTAs {
 		for j := range k.CTAs[i].Warps {

@@ -168,9 +168,13 @@ func TestLineTableBuiltAndReloaded(t *testing.T) {
 // answers only for the line size it was derived at.
 func TestHandBuiltKernelHasNoLineTable(t *testing.T) {
 	hand := &trace.Kernel{Name: "hand", ThreadsPerCTA: 32, CTAs: []trace.CTA{{Warps: []trace.Warp{{Insts: []trace.Inst{
-		{Op: isa.OpLDG, Dst: 0, SrcA: isa.RegNone, SrcB: isa.RegNone, SrcC: isa.RegNone, Mask: 1, Addrs: []uint64{4096}, Class: trace.ClassCompute},
+		{Op: isa.OpLDG, Dst: 0, SrcA: isa.RegNone, SrcB: isa.RegNone, SrcC: isa.RegNone, Mask: 1, Class: trace.ClassCompute},
 		{Op: isa.OpEXIT, Dst: isa.RegNone, SrcA: isa.RegNone, SrcB: isa.RegNone, SrcC: isa.RegNone, Mask: 1},
 	}}}}}}
+	if err := hand.Validate(); err == nil {
+		t.Error("a hand-built LDG without addresses validates")
+	}
+	hand.CTAs[0].Warps[0].SetAddrs(0, []uint64{4096})
 	if err := hand.Validate(); err != nil {
 		t.Fatal(err)
 	}

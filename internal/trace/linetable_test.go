@@ -9,26 +9,31 @@ import (
 	"crisp/internal/isa"
 )
 
-// TestLineTableFitsThePadding pins the layout promise: the table's three
-// per-instruction fields live in what was padding, so an instruction is
-// still 48 bytes, and they are unexported, so gob — the trace file format —
-// does not see them.
-func TestLineTableFitsThePadding(t *testing.T) {
-	if n := unsafe.Sizeof(Inst{}); n != 48 {
-		t.Errorf("trace.Inst is %d bytes, want 48", n)
+// TestInstLayout pins the layout promise: an instruction is at most 24
+// bytes (20 today) and holds no pointer, so a warp's instruction array is
+// memory the garbage collector never scans.
+func TestInstLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Inst{}); n > 24 {
+		t.Errorf("trace.Inst is %d bytes, want at most 24", n)
 	}
-	var exported []string
-	typ := reflect.TypeOf(Inst{})
-	for i := 0; i < typ.NumField(); i++ {
-		if f := typ.Field(i); f.IsExported() {
-			exported = append(exported, f.Name)
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+			}
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String, reflect.Map,
+			reflect.Chan, reflect.Func, reflect.Interface:
+			t.Errorf("%s is a %v: trace.Inst must stay pointer-free", path, typ.Kind())
 		}
 	}
-	if want := []string{"Op", "Dst", "SrcA", "SrcB", "SrcC", "Mask", "Addrs", "Class"}; !reflect.DeepEqual(exported, want) {
-		t.Errorf("trace.Inst exports %v, the file format is %v", exported, want)
-	}
+	walk(reflect.TypeOf(Inst{}), "Inst")
 
-	// The same kernel saves to the same bytes with its table and without.
+	// The line table is derived state the file does not carry: the same
+	// kernel saves to the same bytes with its table and without.
 	k := tinyKernel("k", 0)
 	var with, without bytes.Buffer
 	if err := Save(&with, []*Kernel{k}); err != nil {
@@ -44,24 +49,34 @@ func TestLineTableFitsThePadding(t *testing.T) {
 }
 
 // TestSizeBytesCountsLineArenas: the Frontend's budget is an exact capacity
-// walk, so the arenas must be in it.
+// walk, so both of a warp's arenas — lines and addresses — must be in it.
 func TestSizeBytesCountsLineArenas(t *testing.T) {
 	k := tinyKernel("k", 0)
 	w := &k.CTAs[0].Warps[0]
 	if len(w.lines) != 1 || w.lineSize != CacheLineSize {
 		t.Fatalf("tinyKernel's warp holds lines %v at line size %d, want its one coalesced line at %d", w.lines, w.lineSize, CacheLineSize)
 	}
+	if want := recHeader + 8; len(w.addrs) != want || cap(w.addrs) != want {
+		t.Fatalf("tinyKernel's warp holds %d address bytes (cap %d), want its one affine record of %d", len(w.addrs), cap(w.addrs), want)
+	}
 	with := k.SizeBytes()
 	arena := int64(cap(w.lines)) * 8
 	k.DropLineTable()
-	if without := k.SizeBytes(); with-without != arena {
+	without := k.SizeBytes()
+	if with-without != arena {
 		t.Errorf("SizeBytes counts %d bytes for a %d-byte line arena", with-without, arena)
+	}
+	arena = int64(cap(w.addrs))
+	w.SetAddrs(1, nil)
+	if bare := k.SizeBytes(); without-bare != arena {
+		t.Errorf("SizeBytes counts %d bytes for a %d-byte address arena", without-bare, arena)
 	}
 }
 
-// TestLineArenasAreCutFromOneArrayPerCTA: the table costs one allocation
-// per CTA — the warps' arenas lie back to back in an array of exactly their
-// total size, each clipped to its own lines.
+// TestLineArenasAreCutFromOneArrayPerCTA: the line table and the address
+// records cost one allocation each per CTA — the warps' arenas lie back to
+// back in an array of exactly their total size, each clipped to its own
+// share.
 func TestLineArenasAreCutFromOneArrayPerCTA(t *testing.T) {
 	b := NewBuilder("k", KindCompute, 0, 4*isa.WarpSize, 16, 0)
 	for c := 0; c < 40; c++ {
@@ -89,10 +104,18 @@ func TestLineArenasAreCutFromOneArrayPerCTA(t *testing.T) {
 			if want := (5 - i) * 16; len(w.lines) != want || cap(w.lines) != want || w.lineSize != CacheLineSize {
 				t.Errorf("CTA %d warp %d: arena len %d cap %d at line size %d, want %d with no slack", c, i, len(w.lines), cap(w.lines), w.lineSize, want)
 			}
+			// Stride-64 rows are affine: one 17-byte record per load.
+			if want := (5 - i) * (recHeader + 8); len(w.addrs) != want || cap(w.addrs) != want {
+				t.Errorf("CTA %d warp %d: address arena len %d cap %d, want %d with no slack", c, i, len(w.addrs), cap(w.addrs), want)
+			}
 			if i > 0 {
 				prev := warps[i-1].lines
 				if unsafe.Add(unsafe.Pointer(unsafe.SliceData(prev)), len(prev)*8) != unsafe.Pointer(unsafe.SliceData(w.lines)) {
-					t.Errorf("CTA %d warp %d: arena does not follow warp %d's", c, i, i-1)
+					t.Errorf("CTA %d warp %d: line arena does not follow warp %d's", c, i, i-1)
+				}
+				prevAddrs := warps[i-1].addrs
+				if unsafe.Add(unsafe.Pointer(unsafe.SliceData(prevAddrs)), len(prevAddrs)) != unsafe.Pointer(unsafe.SliceData(w.addrs)) {
+					t.Errorf("CTA %d warp %d: address arena does not follow warp %d's", c, i, i-1)
 				}
 			}
 		}

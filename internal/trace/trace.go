@@ -5,7 +5,8 @@
 // (thread blocks); a CTA is a set of warps; a warp is the ordered list of
 // instructions it executed, each carrying its active mask, register
 // operands, and — for memory operations — the per-lane addresses it
-// referenced. The timing model replays these traces; it never re-executes
+// referenced, packed base+stride or base+delta per warp as Accel-Sim's
+// trace files do. The timing model replays these traces; it never re-executes
 // the program, so concurrent-execution studies can combine traces that
 // were collected independently (a rendering trace and a compute trace),
 // exactly as the paper prescribes.
@@ -15,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"unsafe"
 
 	"crisp/internal/isa"
@@ -58,32 +60,33 @@ func (c MemClass) String() string {
 	return fmt.Sprintf("MemClass(%d)", uint8(c))
 }
 
-// Inst is one executed warp instruction.
-//
-// The three unexported fields are the instruction's entry in its warp's
-// line table (see linetable.go): facts about Addrs that every replay would
-// otherwise re-derive at issue. They sit in what was padding — the struct
-// stays 48 bytes — and gob does not see them, so trace files are unchanged.
+// Inst is one executed warp instruction: a pointer-free 20-byte record, so
+// that a warp's instruction array is memory the collector never scans. What
+// a memory instruction knows about its addresses lives in its warp's two
+// arenas, addressed from here: the packed per-lane addresses (addrs.go) and
+// the line table derived from them (linetable.go).
 type Inst struct {
 	Op   isa.Opcode
 	Dst  isa.Reg
 	SrcA isa.Reg
 	SrcB isa.Reg
 	SrcC isa.Reg
+	// Class attributes memory traffic for cache-composition accounting.
+	Class MemClass
 	// nLines is how many unique cache lines an LDG/STG/TEX touches;
 	// conflict is an LDS/STS's bank-conflict degree (≥ 1 once derived).
 	nLines   uint8
 	conflict uint8
 	// Mask is the active-lane mask; bit i set means lane i executed.
 	Mask uint32
-	// Addrs holds one byte address per active lane, in ascending lane
-	// order, for memory instructions. Empty for non-memory instructions.
-	Addrs []uint64
-	// Class attributes memory traffic for cache-composition accounting.
-	Class MemClass
 	// lineOff is where the instruction's nLines lines start in the warp's
 	// line arena.
 	lineOff uint32
+	// addrOff is one past where the instruction's address record starts in
+	// the warp's address arena; 0 means the instruction carries no
+	// addresses (every non-memory instruction, and a shared access modeled
+	// conflict-free).
+	addrOff uint32
 }
 
 // ActiveLanes reports the number of executing lanes.
@@ -96,6 +99,9 @@ const FullMask uint32 = 0xFFFFFFFF
 type Warp struct {
 	ID    int // warp index within its CTA
 	Insts []Inst
+	// addrs is the warp's address arena: its memory instructions' packed
+	// address records, back to back in instruction order. See addrs.go.
+	addrs []byte
 	// lines is the warp's line arena and lineSize the line size it was
 	// derived at; lineSize 0 means the warp has no line table (hand-built
 	// or marked stale). See linetable.go.
@@ -181,9 +187,11 @@ func (k *Kernel) ThreadInstCount() int64 {
 }
 
 // Validate checks structural invariants of the trace: every CTA has at
-// least one warp, warps end with EXIT, memory instructions carry exactly
-// one address per active lane, non-memory instructions carry none, and a
-// warp's line table, where it has one, stays inside its arena.
+// least one warp, warps end with EXIT, a global or texture instruction
+// carries an address record and a non-memory one none, a warp's address
+// records tile its arena in instruction order — each as long as its form
+// byte and the instruction's mask say — and a warp's line table, where it
+// has one, stays inside its arena.
 func (k *Kernel) Validate() error {
 	if k.ThreadsPerCTA <= 0 {
 		return fmt.Errorf("kernel %q: ThreadsPerCTA = %d", k.Name, k.ThreadsPerCTA)
@@ -208,31 +216,46 @@ func (k *Kernel) Validate() error {
 			if last.Op != isa.OpEXIT {
 				return fmt.Errorf("kernel %q CTA %d warp %d: trace does not end with EXIT", k.Name, cta.ID, w.ID)
 			}
+			next := 0 // where the next address record must start
 			for l := range w.Insts {
-				if err := w.Insts[l].validate(w); err != nil {
+				if err := w.Insts[l].validate(w, &next); err != nil {
 					return fmt.Errorf("kernel %q CTA %d warp %d inst %d (%v): %w", k.Name, cta.ID, w.ID, l, w.Insts[l].Op, err)
 				}
+			}
+			if next != len(w.addrs) {
+				return fmt.Errorf("kernel %q CTA %d warp %d: address records cover %d of the arena's %d bytes", k.Name, cta.ID, w.ID, next, len(w.addrs))
 			}
 		}
 	}
 	return nil
 }
 
-// validate is Validate's per-instruction half; w is the instruction's warp.
-// A line-table entry is bounds-checked only, never re-derived: Validate runs
-// at every AddStream.
-func (in *Inst) validate(w *Warp) error {
+// validate is Validate's per-instruction half; w is the instruction's warp
+// and *next where its address record, if it has one, must start (advanced
+// past it). Records and line-table entries are bounds-checked only, never
+// decoded or re-derived: Validate runs at every AddStream.
+func (in *Inst) validate(w *Warp, next *int) error {
 	if in.Mask == 0 {
 		return errors.New("empty active mask")
 	}
-	switch isa.SpaceOf(in.Op) {
-	case isa.SpaceNone:
-		if len(in.Addrs) != 0 {
+	space := isa.SpaceOf(in.Op)
+	if in.addrOff != 0 {
+		if space == isa.SpaceNone {
 			return errors.New("non-memory op carries addresses")
 		}
+		rec, ok := w.record(in)
+		if !ok {
+			return fmt.Errorf("address record at byte %d for %d active lanes does not fit the warp's %d-byte arena", in.addrOff-1, in.ActiveLanes(), len(w.addrs))
+		}
+		if int(in.addrOff)-1 != *next {
+			return fmt.Errorf("address record at byte %d, the one before it ends at %d", in.addrOff-1, *next)
+		}
+		*next += len(rec)
+	}
+	switch space {
 	case isa.SpaceGlobal, isa.SpaceTexture:
-		if len(in.Addrs) != in.ActiveLanes() {
-			return fmt.Errorf("%d addrs for %d active lanes", len(in.Addrs), in.ActiveLanes())
+		if in.addrOff == 0 {
+			return fmt.Errorf("no addresses for %d active lanes", in.ActiveLanes())
 		}
 		if w.lineSize == 0 {
 			break
@@ -240,15 +263,12 @@ func (in *Inst) validate(w *Warp) error {
 		if int(in.lineOff)+int(in.nLines) > len(w.lines) {
 			return fmt.Errorf("line table entry [%d,+%d) past the warp's %d lines", in.lineOff, in.nLines, len(w.lines))
 		}
-		if in.nLines == 0 && len(in.Addrs) > 0 {
-			return fmt.Errorf("line table lists no line for %d addresses", len(in.Addrs))
+		if in.nLines == 0 {
+			return fmt.Errorf("line table lists no line for %d addresses", in.ActiveLanes())
 		}
 	case isa.SpaceShared:
-		// Shared accesses carry either no offsets (modeled
+		// A shared access carries either no offsets (modeled
 		// conflict-free) or one per active lane.
-		if len(in.Addrs) != 0 && len(in.Addrs) != in.ActiveLanes() {
-			return fmt.Errorf("%d shared offsets for %d active lanes", len(in.Addrs), in.ActiveLanes())
-		}
 		if w.lineSize != 0 && in.conflict == 0 {
 			return errors.New("line table holds no bank-conflict degree")
 		}
@@ -275,43 +295,47 @@ const CacheLineSize = 128
 
 // TexLinesPerCTA reports, for each CTA, the number of distinct 128-byte
 // cache lines referenced by its TEX instructions — the static analysis
-// behind paper Fig. 10.
+// behind paper Fig. 10: the union of the instructions' line-table entries,
+// or of their coalesced addresses where a warp has no table.
 func (k *Kernel) TexLinesPerCTA() []int {
 	out := make([]int, 0, len(k.CTAs))
+	var lines []uint64
 	for i := range k.CTAs {
-		lines := make(map[uint64]struct{})
+		lines = lines[:0]
 		for j := range k.CTAs[i].Warps {
-			for l := range k.CTAs[i].Warps[j].Insts {
-				in := &k.CTAs[i].Warps[j].Insts[l]
+			w := &k.CTAs[i].Warps[j]
+			arena, tabled := w.LineTable(CacheLineSize)
+			for l := range w.Insts {
+				in := &w.Insts[l]
 				if in.Op != isa.OpTEX {
 					continue
 				}
-				for _, a := range in.Addrs {
-					lines[a/CacheLineSize] = struct{}{}
+				if tabled {
+					lines = append(lines, in.Lines(arena)...)
+				} else {
+					var lanes [isa.WarpSize]uint64
+					lines = Coalesce(lines, w.Addrs(in, &lanes), CacheLineSize)
 				}
 			}
 		}
-		out = append(out, len(lines))
+		slices.Sort(lines)
+		out = append(out, len(slices.Compact(lines)))
 	}
 	return out
 }
 
 // SizeBytes reports the heap the kernel's trace holds: the kernel header,
-// its name, and every CTA, warp, instruction, address slice and line arena
-// at its capacity. A backing array that two instructions shared would be counted
-// once per instruction — an upper bound, the safe side for a cache budget;
-// no front end shares one today, so the walk is exact.
+// its name, and every CTA, warp, instruction array, address arena and line
+// arena at its capacity. Instructions are pointer-free, so the walk is one
+// step per warp.
 func (k *Kernel) SizeBytes() int64 {
 	n := int64(unsafe.Sizeof(*k)) + int64(len(k.Name)) + int64(cap(k.CTAs))*int64(unsafe.Sizeof(CTA{}))
 	for i := range k.CTAs {
 		warps := k.CTAs[i].Warps
 		n += int64(cap(warps)) * int64(unsafe.Sizeof(Warp{}))
 		for j := range warps {
-			insts := warps[j].Insts
-			n += int64(cap(insts))*int64(unsafe.Sizeof(Inst{})) + int64(cap(warps[j].lines))*8
-			for l := range insts {
-				n += int64(cap(insts[l].Addrs)) * 8
-			}
+			w := &warps[j]
+			n += int64(cap(w.Insts))*int64(unsafe.Sizeof(Inst{})) + int64(cap(w.addrs)) + int64(cap(w.lines))*8
 		}
 	}
 	return n

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"io"
+	"strings"
 	"testing"
 
 	"crisp/internal/isa"
@@ -40,9 +41,15 @@ func TestBuilderAppendsExit(t *testing.T) {
 
 func TestValidateCatchesMissingAddrs(t *testing.T) {
 	k := tinyKernel("k", 0)
-	k.CTAs[0].Warps[0].Insts[1].Addrs = k.CTAs[0].Warps[0].Insts[1].Addrs[:5]
+	w := &k.CTAs[0].Warps[0]
+	var lanes [isa.WarpSize]uint64
+	w.SetAddrs(1, w.Addrs(&w.Insts[1], &lanes)[:5])
 	if err := k.Validate(); err == nil {
 		t.Fatal("Validate accepted address/lane mismatch")
+	}
+	w.SetAddrs(1, nil)
+	if err := k.Validate(); err == nil {
+		t.Fatal("Validate accepted a global load without addresses")
 	}
 }
 
@@ -127,13 +134,18 @@ func TestTexLinesPerCTA(t *testing.T) {
 	}
 	b.Mem(isa.OpTEX, b.NewReg(), FullMask, addrs2, ClassTexture)
 	k := b.Finish()
-	lines := k.TexLinesPerCTA()
-	if len(lines) != 1 {
-		t.Fatalf("lines len = %d", len(lines))
-	}
-	// Lines touched: 0, 128 from first; 0 and 384 from second → {0,1,3}.
-	if lines[0] != 3 {
-		t.Errorf("TexLinesPerCTA = %d, want 3", lines[0])
+	// Once from the line table, once — the table dropped — from the
+	// expanded lanes.
+	for _, source := range []string{"line table", "address records"} {
+		lines := k.TexLinesPerCTA()
+		if len(lines) != 1 {
+			t.Fatalf("%s: lines len = %d", source, len(lines))
+		}
+		// Lines touched: 0, 128 from first; 0 and 384 from second → {0,1,3}.
+		if lines[0] != 3 {
+			t.Errorf("%s: TexLinesPerCTA = %d, want 3", source, lines[0])
+		}
+		k.DropLineTable()
 	}
 }
 
@@ -225,9 +237,7 @@ func TestLoadRejectsVersionMismatch(t *testing.T) {
 	if err := Save(&buf, ks); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the version field: re-encode with a different fingerprint
-	// by patching a copy of the stream through a fresh save at a fake
-	// version is impractical; instead, decode-tamper-reencode via gzip.
+	// Corrupt the version field inside the gzip envelope.
 	zr, err := gzip.NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +246,7 @@ func TestLoadRejectsVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first gob value is the version int; flip a byte inside it.
+	// The first four bytes are the version; flip a bit of its revision.
 	raw[3] ^= 0x40
 	var tampered bytes.Buffer
 	zw := gzip.NewWriter(&tampered)
@@ -244,6 +254,16 @@ func TestLoadRejectsVersionMismatch(t *testing.T) {
 	zw.Close()
 	if _, err := Load(&tampered); err == nil {
 		t.Fatal("version-tampered trace accepted")
+	}
+}
+
+// TestLoadRefusesRevision1 is the migration test: testdata holds a trace
+// the last gob-writing build saved. No reader for it is kept; it must be
+// refused with the re-collect message, not misread.
+func TestLoadRefusesRevision1(t *testing.T) {
+	_, err := LoadFile("testdata/revision1.trace.gz")
+	if err == nil || !strings.Contains(err.Error(), "re-collected") {
+		t.Fatalf("loading a revision-1 (gob) trace: %v, want the format-version error that says to re-collect", err)
 	}
 }
 

@@ -3,15 +3,21 @@
 package tracetest
 
 import (
+	"bytes"
+
+	"crisp/internal/isa"
 	"crisp/internal/snapshot"
 	"crisp/internal/trace"
 )
 
 // Fold hashes everything the timing model reads from a trace: kernel
 // headers, the CTA/warp structure, and every instruction's opcode,
-// registers, mask, class and addresses. Slice capacities are not part of
-// it.
+// registers, mask, class and per-lane addresses, expanded from the packed
+// records — so the digests recorded when traces held one []uint64 per
+// instruction prove the packing lossless. Slice capacities and the form a
+// record is packed in are not part of it.
 func Fold(h *snapshot.Hasher, ks []*trace.Kernel) {
+	var lanes [isa.WarpSize]uint64
 	h.PutInt(len(ks))
 	for _, k := range ks {
 		h.PutStr(k.Name)
@@ -38,12 +44,23 @@ func Fold(h *snapshot.Hasher, ks []*trace.Kernel) {
 					h.PutU64(uint64(in.SrcC))
 					h.PutU32(in.Mask)
 					h.PutU8(uint8(in.Class))
-					h.PutInt(len(in.Addrs))
-					for _, a := range in.Addrs {
+					addrs := w.Addrs(in, &lanes)
+					h.PutInt(len(addrs))
+					for _, a := range addrs {
 						h.PutU64(a)
 					}
 				}
 			}
 		}
 	}
+}
+
+// Reload returns ks as a trace file gives them back: saved to memory and
+// loaded again.
+func Reload(ks []*trace.Kernel) ([]*trace.Kernel, error) {
+	var file bytes.Buffer
+	if err := trace.Save(&file, ks); err != nil {
+		return nil, err
+	}
+	return trace.Load(&file)
 }

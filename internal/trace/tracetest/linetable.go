@@ -58,8 +58,10 @@ func RefConflictDegree(offsets []uint64) int {
 
 // CheckLineTable requires every warp of ks to carry a line table derived
 // at trace.CacheLineSize whose every entry equals the reference derivation
-// of the instruction's Addrs. It returns how many entries it compared.
+// of the instruction's expanded addresses. It returns how many entries it
+// compared.
 func CheckLineTable(ks []*trace.Kernel) (lineEntries, conflictEntries int, err error) {
+	var lanes [isa.WarpSize]uint64
 	for _, k := range ks {
 		for i := range k.CTAs {
 			for j := range k.CTAs[i].Warps {
@@ -72,16 +74,17 @@ func CheckLineTable(ks []*trace.Kernel) (lineEntries, conflictEntries int, err e
 				for l := range w.Insts {
 					in := &w.Insts[l]
 					where := fmt.Sprintf("kernel %q CTA %d warp %d inst %d (%v)", k.Name, i, j, l, in.Op)
+					addrs := w.Addrs(in, &lanes)
 					switch in.Op {
 					case isa.OpLDG, isa.OpSTG, isa.OpTEX:
-						got, want := in.Lines(arena), RefCoalesce(in.Addrs, trace.CacheLineSize)
+						got, want := in.Lines(arena), RefCoalesce(addrs, trace.CacheLineSize)
 						if !slices.Equal(got, want) {
 							return 0, 0, fmt.Errorf("%s: table lists lines %v, its addresses coalesce to %v", where, got, want)
 						}
 						used += len(got)
 						lineEntries++
 					case isa.OpLDS, isa.OpSTS:
-						if got, want := in.ConflictDegree(), RefConflictDegree(in.Addrs); got != want {
+						if got, want := in.ConflictDegree(), RefConflictDegree(addrs); got != want {
 							return 0, 0, fmt.Errorf("%s: table holds conflict degree %d, its offsets give %d", where, got, want)
 						}
 						conflictEntries++
