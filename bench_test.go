@@ -391,18 +391,13 @@ func BenchmarkAblation_WarpScheduler(b *testing.B) {
 // BenchmarkSimulatorSpeed reports the simulator's own throughput in
 // simulated warp instructions per host second and simulated cycles per
 // host second (the engineering metric of "Need for Speed": trustworthy
-// simulators must also be fast).
+// simulators must also be fast). The timing model runs on one goroutine,
+// so -cpu moves only the collector; rows are recorded at -cpu 1:
 //
-// The stepping engine's worker count follows GOMAXPROCS (Workers = 0 =
-// auto), so the standard -cpu flag sweeps the parallel engine:
+//	go test -run '^$' -bench=BenchmarkSimulatorSpeed -cpu 1 -benchtime 3x .
 //
-//	go test -bench=BenchmarkSimulatorSpeed -cpu 1,4,8
-//
-// -cpu 1 resolves to the serial reference engine; higher counts exercise
-// the two-phase parallel engine, which produces bit-identical results
-// (the speedup is free of simulation-accuracy tradeoffs). Setting
-// CRISP_BENCH_JSON=<path> appends each run's numbers to a JSON snapshot
-// (see docs/PERFORMANCE.md), one array entry per worker count.
+// Setting CRISP_BENCH_JSON=<path> upserts each run's numbers into a JSON
+// snapshot (see docs/PERFORMANCE.md), one array entry per GOMAXPROCS.
 func BenchmarkSimulatorSpeed(b *testing.B) {
 	gfx, err := experiments.Frame("SPH", benchScale.W2K, benchScale.H2K, true)
 	if err != nil {
@@ -656,14 +651,13 @@ func benchCommit() string {
 // CRISP_BENCH_JSON (no-op when unset), keyed by (bench, observed
 // GOMAXPROCS): the testing package runs a preliminary iteration per -cpu
 // sweep point before the measured one, and last-write-wins keeps exactly
-// the measured numbers, one entry per worker count. GOMAXPROCS is read
+// the measured numbers, one entry per GOMAXPROCS. GOMAXPROCS is read
 // at run time rather than inferred from the row label because under
 // -benchtime 1x the framework reuses the preliminary iteration — which
 // ran at the previous sweep point's CPU count — for the first row.
 //
 // A row whose GOMAXPROCS exceeds the host's CPUs is not written: it would
-// record oversubscription (-cpu 4 on a two-CPU box), not the engine, and
-// read as "-j4 is slower than -j1" to whoever compares against it later.
+// record oversubscription (-cpu 4 on a two-CPU box), not the simulator.
 func writeBenchSnapshot(b *testing.B, entry benchEntry) {
 	path := os.Getenv("CRISP_BENCH_JSON")
 	if path == "" {

@@ -64,10 +64,8 @@ func main() {
 	resume := flag.Bool("resume", false, "sweep mode: resume each run from its checkpoint subdirectory when a snapshot exists")
 	budget := flag.Int64("budget", 0, "sweep mode: per-run cycle budget; exceeding it fails the run, leaving a resumable snapshot (0 = unlimited)")
 	jsonOut := flag.String("json", "", "write the run summary (per-run cycles, stats digest, failures, snapshot timings) as JSON to this file (\"-\" = stdout)")
-	workers := flag.Int("j", 0, "host worker goroutines stepping SMs per run (0 = all CPUs, 1 = serial reference engine; results identical at any setting)")
 	noSkip := flag.Bool("no-skip", false, "disable event-driven core sleeping (cycle-by-cycle oracle; results identical either way)")
 	flag.Parse()
-	experiments.Workers = *workers
 	experiments.NoSkip = *noSkip
 
 	for _, dir := range []string{*csvDir, *dumpDir} {
@@ -85,7 +83,7 @@ func main() {
 			paths: *sweep, scene: *sceneName, compute: *computeName, policy: *policyName,
 			timeout: *runTimeout, dumpDir: *dumpDir,
 			ckptDir: *ckptDir, ckptEvery: *ckptEvery, resume: *resume, budget: *budget,
-			workers: *workers, noSkip: *noSkip,
+			noSkip: *noSkip,
 		})
 	} else {
 		outcomes = runExperiments(*exp, *scaleName, *csvDir, *dumpDir, *runTimeout)
@@ -194,7 +192,6 @@ type sweepConfig struct {
 	ckptEvery                     int64
 	resume                        bool
 	budget                        int64
-	workers                       int
 	noSkip                        bool
 }
 
@@ -223,9 +220,6 @@ func runSweep(sc sweepConfig) []runOutcome {
 			var runOpts []crisp.RunOption
 			if sc.budget > 0 {
 				runOpts = append(runOpts, crisp.WithCycleBudget(sc.budget))
-			}
-			if sc.workers != 0 {
-				runOpts = append(runOpts, crisp.WithWorkers(sc.workers))
 			}
 			if sc.noSkip {
 				runOpts = append(runOpts, crisp.WithNoSkip())

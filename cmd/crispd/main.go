@@ -65,7 +65,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	queueDepth := flag.Int("queue", 64, "max jobs admitted but not yet running; beyond it submissions get 429")
 	workers := flag.Int("workers", 2, "concurrent simulations")
-	runWorkers := flag.Int("j", 0, "per-simulation SM-stepping goroutines (0 = all CPUs, 1 = serial reference engine)")
 	stateDir := flag.String("state-dir", "", "persist jobs, checkpoints, and the result cache here; restart resumes in-flight work (empty = memory only)")
 	budget := flag.Int64("budget", 0, "default per-job cycle budget (0 = unlimited; jobs may set their own)")
 	watchdog := flag.Int64("watchdog", 0, "default forward-progress watchdog window in cycles (0 = simulator default, negative = off)")
@@ -111,7 +110,6 @@ func main() {
 	srv, err := service.New(service.Config{
 		QueueDepth:       *queueDepth,
 		Workers:          *workers,
-		RunWorkers:       *runWorkers,
 		StateDir:         *stateDir,
 		DefaultBudget:    *budget,
 		WatchdogWindow:   *watchdog,

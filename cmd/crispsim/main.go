@@ -53,7 +53,6 @@ func main() {
 	resume := flag.String("resume", "", "resume from a snapshot file or checkpoint directory (overrides -scene/-compute/-policy/-gpu)")
 	stateDigest := flag.Bool("state-digest", false, "print the determinism auditor's architectural-state digest stream")
 	digestEvery := flag.Int64("digest-every", 100_000, "digest sampling period in cycles for -state-digest")
-	workers := flag.Int("j", 0, "host worker goroutines stepping SMs (0 = all CPUs, 1 = serial reference engine; results identical at any setting)")
 	noSkip := flag.Bool("no-skip", false, "disable event-driven core sleeping (cycle-by-cycle oracle; results identical either way)")
 	flag.Parse()
 
@@ -114,9 +113,6 @@ func main() {
 	}
 	if *stateDigest {
 		runOpts = append(runOpts, crisp.WithStateDigest(*digestEvery))
-	}
-	if *workers != 0 {
-		runOpts = append(runOpts, crisp.WithWorkers(*workers))
 	}
 	if *noSkip {
 		runOpts = append(runOpts, crisp.WithNoSkip())
@@ -206,8 +202,8 @@ func main() {
 		fmt.Printf("checkpoints : %d saved in %v\n", res.CheckpointSaves, res.CheckpointSaveTime)
 	}
 	// How the host got there goes to stderr: these counts differ between
-	// the default engine and -no-skip (and restart at a resume), and
-	// stdout is what the determinism gates diff across engine shapes.
+	// the default run and -no-skip (and restart at a resume), and stdout is
+	// what the determinism gates diff between the two.
 	fmt.Fprintf(os.Stderr, "engine      : core steps %d executed / %d skipped, CTA dispatch %d sweeps / %d skipped, %d stall slots replayed\n",
 		res.StepsExecuted, res.StepsSkipped, res.DispatchSweeps, res.DispatchSkipped, res.StallReplays)
 	if *stateDigest {

@@ -61,9 +61,9 @@ func GPUFromFile(path string) (GPUConfig, error) { return config.LoadFile(path) 
 // ConfigDigest returns the canonical content hash of a GPU configuration
 // (16 hex digits): field-order-stable, provenance-independent (a config
 // loaded from a file digests identically to the structurally equal
-// preset), and blind to host-execution knobs like Workers. It keys the
-// batch service's content-addressed result cache and stamps snapshot-file
-// headers, so both layers agree on configuration identity.
+// preset). It keys the batch service's content-addressed result cache and
+// stamps snapshot-file headers, so both layers agree on configuration
+// identity.
 func ConfigDigest(cfg GPUConfig) string { return config.Digest(cfg) }
 
 // RenderOptions configure the graphics pipeline (resolution, batch size,
@@ -184,12 +184,10 @@ func WithTimeline(interval int64) RunOption { return core.WithTimeline(interval)
 // long while warps are resident (0 = default window, negative disables).
 func WithWatchdog(window int64) RunOption { return core.WithWatchdog(window) }
 
-// WithWorkers sets host-side SM stepping parallelism: 0 = auto
-// (GOMAXPROCS capped at the SM count), 1 or negative = the serial
-// reference engine, N > 1 = the two-phase parallel engine with N
-// workers. Simulation results are bit-identical at every setting; only
-// wall-clock time changes.
-func WithWorkers(n int) RunOption { return core.WithWorkers(n) }
+// Deprecated: WithWorkers selected the removed two-phase parallel stepper
+// and now does nothing; it stays only so the frozen bench/ compiles, and
+// goes with the [benchmark] PR that drops the jN sub-pass.
+func WithWorkers(int) RunOption { return func(*core.Job) {} }
 
 // WithNoSkip disables event-driven core sleeping: every busy SM is
 // stepped at every visited cycle (the legacy oracle the fast path is

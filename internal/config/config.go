@@ -45,15 +45,6 @@ type GPU struct {
 	MemBandwidthGBps float64
 	MemChannels      int
 	MemTech          string
-
-	// Host execution (not simulated hardware). Workers sets how many host
-	// goroutines step SM cores in parallel: 0 = auto (GOMAXPROCS, capped
-	// at NumSMs), 1 or negative = the serial reference engine, N > 1 = the
-	// two-phase parallel engine with N workers. Simulation results are
-	// bit-identical at every setting, so the field may be overridden
-	// freely (e.g. by the CLIs' -j flag) without invalidating comparisons
-	// or checkpoints.
-	Workers int
 }
 
 // BytesPerCycle is the aggregate DRAM bandwidth expressed in bytes per core

@@ -9,25 +9,18 @@ import (
 
 // Digest returns a canonical content hash of the simulated configuration,
 // rendered as 16 lowercase hex digits. Two GPU values digest identically
-// iff every simulated field is equal, regardless of how the values were
-// built (preset constructor, JSON file, inline literal) and regardless of
-// the struct's field declaration order: fields are hashed as sorted
+// iff every field is equal — every field of GPU is simulated hardware; a
+// host-execution knob does not belong in it — regardless of how the values
+// were built (preset constructor, JSON file, inline literal) and regardless
+// of the struct's field declaration order: fields are hashed as sorted
 // "name=value" pairs, so reordering the GPU struct never silently changes
 // existing digests.
-//
-// Host-execution knobs (currently Workers) are excluded: they change
-// wall-clock behavior only, never simulation results, so they must not
-// split otherwise-identical cache keys or snapshot identities.
 func Digest(g GPU) string {
 	rv := reflect.ValueOf(g)
 	rt := rv.Type()
 	pairs := make([]string, 0, rt.NumField())
 	for i := 0; i < rt.NumField(); i++ {
-		f := rt.Field(i)
-		if !hashedFields[f.Name] {
-			continue
-		}
-		pairs = append(pairs, fmt.Sprintf("%s=%v", f.Name, rv.Field(i).Interface()))
+		pairs = append(pairs, fmt.Sprintf("%s=%v", rt.Field(i).Name, rv.Field(i).Interface()))
 	}
 	sort.Strings(pairs)
 	h := fnv.New64a()
@@ -36,53 +29,4 @@ func Digest(g GPU) string {
 		h.Write([]byte{0})
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// hashedFields names every GPU field that participates in the digest. An
-// init-time check below forces this table to stay in sync with the struct:
-// adding a simulated field without classifying it here fails fast instead
-// of silently aliasing configurations.
-var hashedFields = map[string]bool{
-	"Name":             true,
-	"NumSMs":           true,
-	"RegistersPerSM":   true,
-	"MaxWarpsPerSM":    true,
-	"MaxCTAsPerSM":     true,
-	"SchedulersPerSM":  true,
-	"SharedMemPerSM":   true,
-	"FPUnits":          true,
-	"SFUUnits":         true,
-	"INTUnits":         true,
-	"TensorUnits":      true,
-	"L1Size":           true,
-	"L1Assoc":          true,
-	"L2Size":           true,
-	"L2Assoc":          true,
-	"L2Banks":          true,
-	"LineSize":         true,
-	"SectorSize":       true,
-	"L1MSHRs":          true,
-	"L2MSHRs":          true,
-	"L1Latency":        true,
-	"L2Latency":        true,
-	"DRAMLatency":      true,
-	"CoreClockMHz":     true,
-	"MemBandwidthGBps": true,
-	"MemChannels":      true,
-	"MemTech":          true,
-	// Host-execution knobs: present so the completeness check passes,
-	// excluded from the hash.
-	"Workers": false,
-}
-
-func init() {
-	rt := reflect.TypeOf(GPU{})
-	for i := 0; i < rt.NumField(); i++ {
-		if _, ok := hashedFields[rt.Field(i).Name]; !ok {
-			panic(fmt.Sprintf("config: GPU field %q is not classified in hashedFields (digest.go)", rt.Field(i).Name))
-		}
-	}
-	if len(hashedFields) != rt.NumField() {
-		panic("config: hashedFields lists fields the GPU struct no longer has")
-	}
 }

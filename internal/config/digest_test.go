@@ -48,11 +48,3 @@ func TestDigestSeparatesConfigs(t *testing.T) {
 		t.Fatal("changing NumSMs did not change the digest")
 	}
 }
-
-func TestDigestIgnoresHostKnobs(t *testing.T) {
-	a, b := JetsonOrin(), JetsonOrin()
-	b.Workers = 8
-	if Digest(a) != Digest(b) {
-		t.Fatal("host Workers knob changed the config digest")
-	}
-}

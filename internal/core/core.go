@@ -141,17 +141,15 @@ type Job struct {
 	// CycleBudget, when > 0, is a hard bound on simulated cycles; crossing
 	// it fails the run with a budget SimError carrying a crash dump.
 	CycleBudget int64
-	// Workers sets the host-side SM stepping parallelism: 0 defers to the
-	// GPU config (whose 0 means auto = GOMAXPROCS), 1 or negative forces
-	// the serial reference engine, N > 1 runs the two-phase parallel
-	// engine. Results are bit-identical at every setting, so Workers is a
-	// host knob, not part of the simulated configuration (checkpoints
-	// neither record nor require it).
+	// Deprecated: Workers selected the removed two-phase parallel stepper.
+	// Nothing reads it; it stays only so the frozen bench/ compiles, and goes
+	// with the [benchmark] PR that drops the jN sub-pass, sim_kips_jn and
+	// engine.jn_over_j1.
 	Workers int
 	// NoSkip disables event-driven core sleeping, stepping every busy SM
-	// at every visited cycle (the legacy oracle path). Like Workers it is
-	// a host knob: results, digests, and checkpoints are bit-identical
-	// with skipping on or off, so it exists to diff the fast path against.
+	// at every visited cycle (the legacy oracle path). It is a host knob:
+	// results, digests, and checkpoints are bit-identical with skipping on
+	// or off, so it exists to diff the fast path against.
 	NoSkip bool
 	// Frontend, when non-nil, is where the by-name entry points
 	// (RunPairContext, RunMixContext, ResumeContext) look up and keep the
@@ -269,7 +267,6 @@ func (j *Job) RunContext(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.Workers = j.Workers
 	g.NoSkip = j.NoSkip
 
 	var totalTasks int
@@ -570,10 +567,10 @@ func WithWatchdog(window int64) RunOption { return func(j *Job) { j.WatchdogWind
 // WithCycleBudget caps the run at n simulated cycles (0 = unlimited).
 func WithCycleBudget(n int64) RunOption { return func(j *Job) { j.CycleBudget = n } }
 
-// WithWorkers sets host-side SM stepping parallelism: 0 = auto
-// (GOMAXPROCS), 1 or negative = the serial reference engine, N > 1 = the
-// two-phase parallel engine. Results are bit-identical at every setting.
-func WithWorkers(n int) RunOption { return func(j *Job) { j.Workers = n } }
+// Deprecated: WithWorkers selected the removed two-phase parallel stepper
+// and now does nothing; it stays only so the frozen bench/ compiles, and
+// goes with the [benchmark] PR that drops the jN sub-pass.
+func WithWorkers(int) RunOption { return func(*Job) {} }
 
 // WithNoSkip disables event-driven core sleeping (the cycle-by-cycle
 // oracle path); results are bit-identical either way.

@@ -34,30 +34,32 @@ func dispatchMix() scenario.MixSpec {
 
 const lateArrival = 2_000_000
 
-// TestDispatchParity runs dispatchMix under {skip, no-skip} × {j1, jN} ×
-// {straight, killed on an idle machine before the late arrival and
-// resumed under either skip mode}: every run must agree with the no-skip
-// serial oracle on the stats digest, the whole state-digest stream and the
-// QoS table.
+// TestDispatchParity runs dispatchMix under {skip, no-skip} × {straight,
+// killed on an idle machine before the late arrival and resumed under
+// either skip mode}: every run must agree with the no-skip oracle on the
+// stats digest, the whole state-digest stream and the QoS table.
 func TestDispatchParity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("sixteen mix simulations")
+		t.Skip("eight mix simulations")
 	}
 	cfg := config.JetsonOrin()
 	mix := dispatchMix()
 	const policy = PolicyWarpedSlicer
 	narrowWindow := func(j *Job) { j.GraphicsWindow = 4 }
-	opts := func(workers int, noSkip bool, more ...RunOption) []RunOption {
-		o := append([]RunOption{WithWorkers(workers), WithStateDigest(5_000), narrowWindow}, more...)
+	opts := func(noSkip bool, more ...RunOption) []RunOption {
+		o := append([]RunOption{WithStateDigest(5_000), narrowWindow}, more...)
 		if noSkip {
 			o = append(o, WithNoSkip())
 		}
 		return o
 	}
 
-	oracle, err := RunMix(cfg, mix, policy, tinyOpts(), opts(1, true)...)
+	oracle, err := RunMix(cfg, mix, policy, tinyOpts(), opts(true)...)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if oracle.DispatchSkipped != 0 {
+		t.Errorf("the oracle skipped %d dispatch sweeps", oracle.DispatchSkipped)
 	}
 	// The machine drains when the last kernel launched before the late
 	// arrival completes; a budget of that cycle stops the run at the first
@@ -82,55 +84,47 @@ func TestDispatchParity(t *testing.T) {
 			t.Errorf("%s: QoS tables differ:\n%v\nvs the oracle's\n%v", label, res.QoS, oracle.QoS)
 		}
 	}
-	for _, workers := range []int{1, parityWorkers(t)} {
-		for _, noSkip := range []bool{false, true} {
-			label := fmt.Sprintf("j%d/noskip=%v", workers, noSkip)
-			if workers != 1 || !noSkip {
-				res, err := RunMix(cfg, mix, policy, tinyOpts(), opts(workers, noSkip)...)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				same(label+"/straight", res)
-				if noSkip && res.DispatchSkipped != 0 {
-					t.Errorf("%s: the oracle skipped %d dispatch sweeps", label, res.DispatchSkipped)
-				}
-				if !noSkip && res.DispatchSkipped < res.DispatchSweeps {
-					t.Errorf("%s: %d sweeps, only %d skipped", label, res.DispatchSweeps, res.DispatchSkipped)
-				}
+	straight, err := RunMix(cfg, mix, policy, tinyOpts(), opts(false)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("straight", straight)
+	if straight.DispatchSkipped < straight.DispatchSweeps {
+		t.Errorf("%d sweeps, only %d skipped", straight.DispatchSweeps, straight.DispatchSkipped)
+	}
+	for _, noSkip := range []bool{false, true} {
+		label := fmt.Sprintf("killed(noskip=%v)", noSkip)
+		dir := t.TempDir()
+		_, err := RunMix(cfg, mix, policy, tinyOpts(),
+			opts(noSkip, WithCycleBudget(drained), WithCheckpointDir(dir))...)
+		if se, ok := robust.AsSimError(err); !ok || robust.DeepestKind(se) != robust.KindBudget {
+			t.Fatalf("%s: budget kill: got %v", label, err)
+		}
+		env, err := LoadSnapshot(filepath.Join(dir, "final.crispsnap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		arch := &env.State.Arch
+		if arch.Cycle <= drained || arch.Cycle >= lateArrival {
+			t.Fatalf("%s: killed at cycle %d, outside the idle gap (%d, %d)", label, arch.Cycle, drained, lateArrival)
+		}
+		for _, c := range arch.Cores {
+			if len(c.CTAs) != 0 {
+				t.Fatalf("%s: SM %d still holds %d CTAs at the kill cycle %d: the machine is not idle", label, c.ID, len(c.CTAs), arch.Cycle)
 			}
-
-			dir := t.TempDir()
-			_, err := RunMix(cfg, mix, policy, tinyOpts(),
-				opts(workers, noSkip, WithCycleBudget(drained), WithCheckpointDir(dir))...)
-			if se, ok := robust.AsSimError(err); !ok || robust.DeepestKind(se) != robust.KindBudget {
-				t.Fatalf("%s: budget kill: got %v", label, err)
-			}
-			env, err := LoadSnapshot(filepath.Join(dir, "final.crispsnap"))
+		}
+		// Resume under the other skip mode as well: the dispatcher's
+		// flags are not in the snapshot, so either loop must pick the
+		// idle machine up and find the arrival.
+		for _, resumeNoSkip := range []bool{noSkip, !noSkip} {
+			res, err := ResumeContext(context.Background(), env, opts(resumeNoSkip)...)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: resume (noskip=%v): %v", label, resumeNoSkip, err)
 			}
-			arch := &env.State.Arch
-			if arch.Cycle <= drained || arch.Cycle >= lateArrival {
-				t.Fatalf("%s: killed at cycle %d, outside the idle gap (%d, %d)", label, arch.Cycle, drained, lateArrival)
+			if !res.Resumed || res.ResumedFrom != arch.Cycle {
+				t.Fatalf("%s: resumed from %d, snapshot is at %d", label, res.ResumedFrom, arch.Cycle)
 			}
-			for _, c := range arch.Cores {
-				if len(c.CTAs) != 0 {
-					t.Fatalf("%s: SM %d still holds %d CTAs at the kill cycle %d: the machine is not idle", label, c.ID, len(c.CTAs), arch.Cycle)
-				}
-			}
-			// Resume under the other skip mode as well: the dispatcher's
-			// flags are not in the snapshot, so either loop must pick the
-			// idle machine up and find the arrival.
-			for _, resumeNoSkip := range []bool{noSkip, !noSkip} {
-				res, err := ResumeContext(context.Background(), env, opts(workers, resumeNoSkip)...)
-				if err != nil {
-					t.Fatalf("%s: resume (noskip=%v): %v", label, resumeNoSkip, err)
-				}
-				if !res.Resumed || res.ResumedFrom != arch.Cycle {
-					t.Fatalf("%s: resumed from %d, snapshot is at %d", label, res.ResumedFrom, arch.Cycle)
-				}
-				same(fmt.Sprintf("%s/resumed(noskip=%v)", label, resumeNoSkip), res)
-			}
+			same(fmt.Sprintf("%s/resumed(noskip=%v)", label, resumeNoSkip), res)
 		}
 	}
 }

@@ -53,9 +53,9 @@ func (j sharedJob) run(fe *Frontend) (uint64, error) {
 	var res *Result
 	var err error
 	if j.mix != nil {
-		res, err = RunMixContext(context.Background(), cfg, *j.mix, j.policy, tinyOpts(), WithWorkers(1), WithFrontend(fe))
+		res, err = RunMixContext(context.Background(), cfg, *j.mix, j.policy, tinyOpts(), WithFrontend(fe))
 	} else {
-		res, err = RunPairContext(context.Background(), cfg, "SPL", "HOLO", j.policy, tinyOpts(), WithWorkers(1), WithFrontend(fe))
+		res, err = RunPairContext(context.Background(), cfg, "SPL", "HOLO", j.policy, tinyOpts(), WithFrontend(fe))
 	}
 	if err != nil {
 		return 0, err

@@ -108,7 +108,7 @@ func TestLineTablesMatchReference(t *testing.T) {
 
 // TestRunsWithoutLineTable: a kernel whose table is absent and a config
 // whose line size is not the one tables are derived at both take the
-// derive-at-issue path in the fast engine, and must land on the digests of
+// derive-at-issue path in the default mode, and must land on the digests of
 // the tabled run and of the -no-skip oracle (which never reads a table).
 func TestRunsWithoutLineTable(t *testing.T) {
 	nn, err := compute.ByName("NN", ComputeStreamBase) // LDG, STG, STS/LDS with offsets, barriers
@@ -121,7 +121,7 @@ func TestRunsWithoutLineTable(t *testing.T) {
 	}
 	run := func(label string, cfg config.GPU, gfx *render.Result, cw *compute.Workload, noSkip bool) *Result {
 		t.Helper()
-		res, err := (&Job{GPU: cfg, Graphics: gfx, Compute: cw, Policy: PolicyEven, Workers: 1, NoSkip: noSkip, DigestEvery: 5_000}).Run()
+		res, err := (&Job{GPU: cfg, Graphics: gfx, Compute: cw, Policy: PolicyEven, NoSkip: noSkip, DigestEvery: 5_000}).Run()
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -162,26 +162,25 @@ func TestRunsWithoutLineTable(t *testing.T) {
 
 // TestReplayResumeMidSleep kills the latency-bound NN job (cores parked on
 // DRAM fills, their schedulers holding stall records) in the middle of a
-// sleep and resumes it under either skip mode, at one worker and at many.
-// Stall records are not in a snapshot; a restored run rebuilds them, and
-// must reproduce the straight run's per-stream stall attribution and its
-// whole state-digest stream.
+// sleep and resumes it under either skip mode. Stall records are not in a
+// snapshot; a restored run rebuilds them, and must reproduce the straight
+// run's per-stream stall attribution and its whole state-digest stream.
 func TestReplayResumeMidSleep(t *testing.T) {
 	if testing.Short() {
-		t.Skip("a dozen NN simulations")
+		t.Skip("eight NN simulations")
 	}
 	cfg := config.RTX3070()
 	cfg.SharedMemPerSM = 6 << 10
 	cfg.L1MSHRs, cfg.L2MSHRs = 4, 16
 	cfg.DRAMLatency *= 8
-	opts := func(workers int, noSkip bool, more ...RunOption) []RunOption {
-		o := append([]RunOption{WithWorkers(workers), WithStateDigest(20_000)}, more...)
+	opts := func(noSkip bool, more ...RunOption) []RunOption {
+		o := append([]RunOption{WithStateDigest(20_000)}, more...)
 		if noSkip {
 			o = append(o, WithNoSkip())
 		}
 		return o
 	}
-	oracle, err := RunPair(cfg, "", "NN", PolicyMPS, tinyOpts(), opts(1, true)...)
+	oracle, err := RunPair(cfg, "", "NN", PolicyMPS, tinyOpts(), opts(true)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,43 +196,41 @@ func TestReplayResumeMidSleep(t *testing.T) {
 			}
 		}
 	}
-	for _, workers := range []int{1, parityWorkers(t)} {
-		straight, err := RunPair(cfg, "", "NN", PolicyMPS, tinyOpts(), opts(workers, false)...)
+	straight, err := RunPair(cfg, "", "NN", PolicyMPS, tinyOpts(), opts(false)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("straight", straight)
+	if straight.StallReplays == 0 || straight.StepsSkipped == 0 {
+		t.Errorf("%d stalls replayed, %d steps skipped: the run exercises neither", straight.StallReplays, straight.StepsSkipped)
+	}
+	for _, noSkip := range []bool{false, true} {
+		label := fmt.Sprintf("killed(noskip=%v)", noSkip)
+		dir := t.TempDir()
+		_, err := RunPair(cfg, "", "NN", PolicyMPS, tinyOpts(),
+			opts(noSkip, WithCycleBudget(oracle.Cycles/2), WithCheckpointDir(dir))...)
+		if se, ok := robust.AsSimError(err); !ok || robust.DeepestKind(se) != robust.KindBudget {
+			t.Fatalf("%s: budget kill: got %v", label, err)
+		}
+		env, err := LoadSnapshot(filepath.Join(dir, "final.crispsnap"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		same(fmt.Sprintf("j%d/straight", workers), straight)
-		if straight.StallReplays == 0 || straight.StepsSkipped == 0 {
-			t.Errorf("j%d: %d stalls replayed, %d steps skipped: the run exercises neither", workers, straight.StallReplays, straight.StepsSkipped)
+		asleep := 0
+		for _, c := range env.State.Arch.Cores {
+			if len(c.CTAs) > 0 && c.WakeAt > env.State.Arch.Cycle+1 {
+				asleep++
+			}
 		}
-		for _, noSkip := range []bool{false, true} {
-			label := fmt.Sprintf("j%d/killed(noskip=%v)", workers, noSkip)
-			dir := t.TempDir()
-			_, err := RunPair(cfg, "", "NN", PolicyMPS, tinyOpts(),
-				opts(workers, noSkip, WithCycleBudget(oracle.Cycles/2), WithCheckpointDir(dir))...)
-			if se, ok := robust.AsSimError(err); !ok || robust.DeepestKind(se) != robust.KindBudget {
-				t.Fatalf("%s: budget kill: got %v", label, err)
-			}
-			env, err := LoadSnapshot(filepath.Join(dir, "final.crispsnap"))
+		if asleep == 0 {
+			t.Fatalf("%s: no busy core is asleep at the kill cycle %d", label, env.State.Arch.Cycle)
+		}
+		for _, resumeNoSkip := range []bool{false, true} {
+			res, err := ResumeContext(context.Background(), env, opts(resumeNoSkip)...)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: resume (noskip=%v): %v", label, resumeNoSkip, err)
 			}
-			asleep := 0
-			for _, c := range env.State.Arch.Cores {
-				if len(c.CTAs) > 0 && c.WakeAt > env.State.Arch.Cycle+1 {
-					asleep++
-				}
-			}
-			if asleep == 0 {
-				t.Fatalf("%s: no busy core is asleep at the kill cycle %d", label, env.State.Arch.Cycle)
-			}
-			for _, resumeNoSkip := range []bool{false, true} {
-				res, err := ResumeContext(context.Background(), env, opts(workers, resumeNoSkip)...)
-				if err != nil {
-					t.Fatalf("%s: resume (noskip=%v): %v", label, resumeNoSkip, err)
-				}
-				same(fmt.Sprintf("%s/resumed(noskip=%v)", label, resumeNoSkip), res)
-			}
+			same(fmt.Sprintf("%s/resumed(noskip=%v)", label, resumeNoSkip), res)
 		}
 	}
 }

@@ -12,52 +12,67 @@ import (
 	"crisp/internal/snapshot"
 )
 
-// This file gates the event-driven core sleeping (internal/engine): the
-// optimized skip-on path must be bit-identical to the -no-skip oracle —
-// which steps every core every cycle on the legacy non-memoized path —
-// across every policy, worker count, and checkpoint boundary, and the
-// bulk stall accounting must preserve the scheduler slot-conservation
-// invariant.
+// This file gates the event-driven core sleeping (gpu.GPU's stepCores):
+// the optimized skip-on path must be bit-identical to the -no-skip oracle
+// — which steps every core every cycle on the legacy non-memoized path —
+// across every policy and checkpoint boundary, and the bulk stall
+// accounting must preserve the scheduler slot-conservation invariant.
 
-// runSkipParity is runParity with the sleep mode explicit.
-func runSkipParity(t *testing.T, scene, comp string, policy PolicyKind, workers int, noSkip bool) *Result {
+// runSkipParity executes one scene+compute pairing under policy, with
+// sleeping on or off and the determinism auditor armed.
+func runSkipParity(t *testing.T, scene, comp string, policy PolicyKind, noSkip bool) *Result {
 	t.Helper()
-	opts := []RunOption{WithWorkers(workers), WithStateDigest(10_000)}
+	opts := []RunOption{WithStateDigest(10_000)}
 	if noSkip {
 		opts = append(opts, WithNoSkip())
 	}
 	res, err := RunPair(config.JetsonOrin(), scene, comp, policy, tinyOpts(), opts...)
 	if err != nil {
-		t.Fatalf("%s+%s/%s -j%d noskip=%v: %v", scene, comp, policy, workers, noSkip, err)
+		t.Fatalf("%s+%s/%s noskip=%v: %v", scene, comp, policy, noSkip, err)
 	}
 	return res
 }
 
+// expectIdentical asserts two runs of the same job are bit-identical:
+// same final cycle, same stats digest (every per-stream counter, stall
+// attribution included), and the same architectural-state digest stream
+// throughout the run — not merely the same endpoint.
+func expectIdentical(t *testing.T, want, got *Result, label string) {
+	t.Helper()
+	if want.Cycles != got.Cycles {
+		t.Errorf("%s: cycles diverge: %d, want %d", label, got.Cycles, want.Cycles)
+	}
+	if dw, dg := statsDigestOf(t, want), statsDigestOf(t, got); dw != dg {
+		t.Errorf("%s: stats digests diverge: %016x, want %016x", label, dg, dw)
+	}
+	if len(want.Digests) == 0 {
+		t.Fatalf("%s: auditor produced no state digests", label)
+	}
+	if c, diverged := snapshot.FirstDivergence(want.Digests, got.Digests); diverged {
+		t.Errorf("%s: state digests first diverge at cycle %d", label, c)
+	}
+}
+
 // TestSkipParityAllPolicies is the sleeping oracle gate: for every
 // partition policy, render-only and concurrent, a skip-on run must be
-// bit-identical to the -no-skip oracle at -j1 and at -jN — final cycle,
-// full stats digest (stall attribution included), and the auditor's
-// state-digest stream across the whole run.
+// bit-identical to the -no-skip oracle — final cycle, full stats digest
+// (stall attribution included), and the auditor's state-digest stream
+// across the whole run.
 func TestSkipParityAllPolicies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skip-parity sweep is minutes of simulation")
 	}
-	workers := parityWorkers(t)
 	for _, policy := range PolicyKinds() {
 		policy := policy
 		t.Run(string(policy)+"/render-only", func(t *testing.T) {
-			oracle := runSkipParity(t, "SPL", "", policy, 1, true)
-			skip := runSkipParity(t, "SPL", "", policy, 1, false)
-			expectIdentical(t, oracle, skip, "SPL/"+string(policy)+"/j1")
-			skipN := runSkipParity(t, "SPL", "", policy, workers, false)
-			expectIdentical(t, oracle, skipN, "SPL/"+string(policy)+"/jN")
+			oracle := runSkipParity(t, "SPL", "", policy, true)
+			skip := runSkipParity(t, "SPL", "", policy, false)
+			expectIdentical(t, oracle, skip, "SPL/"+string(policy))
 		})
 		t.Run(string(policy)+"/concurrent", func(t *testing.T) {
-			oracle := runSkipParity(t, "SPL", "VIO", policy, 1, true)
-			skip := runSkipParity(t, "SPL", "VIO", policy, 1, false)
-			expectIdentical(t, oracle, skip, "SPL+VIO/"+string(policy)+"/j1")
-			skipN := runSkipParity(t, "SPL", "VIO", policy, workers, false)
-			expectIdentical(t, oracle, skipN, "SPL+VIO/"+string(policy)+"/jN")
+			oracle := runSkipParity(t, "SPL", "VIO", policy, true)
+			skip := runSkipParity(t, "SPL", "VIO", policy, false)
+			expectIdentical(t, oracle, skip, "SPL+VIO/"+string(policy))
 			if oracle.StepsSkipped != 0 {
 				t.Errorf("oracle accrued skipped steps: %d", oracle.StepsSkipped)
 			}
@@ -71,7 +86,7 @@ func TestSkipParityAllPolicies(t *testing.T) {
 // (per-stream Stalls), or an empty slot — including the slots synthesized
 // in bulk at core wake.
 func TestSkipSlotConservation(t *testing.T) {
-	res := runSkipParity(t, "SPL", "VIO", PolicyEven, 1, false)
+	res := runSkipParity(t, "SPL", "VIO", PolicyEven, false)
 	if res.StepsSkipped == 0 {
 		t.Fatal("run never slept: skip machinery not exercised")
 	}
@@ -112,13 +127,12 @@ func TestSkipCheckpointMidSleep(t *testing.T) {
 		t.Skip("checkpoint round trip is slow")
 	}
 	const policy = PolicyEven
-	base := runSkipParity(t, "SPL", "VIO", policy, 1, false)
+	base := runSkipParity(t, "SPL", "VIO", policy, false)
 
 	dir := t.TempDir()
 	_, err := RunPair(config.JetsonOrin(), "SPL", "VIO", policy, tinyOpts(),
-		WithWorkers(1), WithStateDigest(10_000),
-		WithCheckpointDir(dir), WithCheckpointEvery(max(1, base.Cycles/16)),
-		WithCycleBudget(base.Cycles/2))
+		WithStateDigest(10_000), WithCheckpointDir(dir),
+		WithCheckpointEvery(max(1, base.Cycles/16)), WithCycleBudget(base.Cycles/2))
 	se, ok := robust.AsSimError(err)
 	if !ok || se.Kind != robust.KindBudget {
 		t.Fatalf("expected budget SimError from interrupted run, got %v", err)
@@ -151,7 +165,7 @@ func TestSkipCheckpointMidSleep(t *testing.T) {
 	}
 
 	for _, noSkip := range []bool{false, true} {
-		opts := []RunOption{WithWorkers(1), WithStateDigest(10_000)}
+		opts := []RunOption{WithStateDigest(10_000)}
 		label := "resume-skip"
 		if noSkip {
 			opts = append(opts, WithNoSkip())

@@ -128,7 +128,6 @@ func Fig13(sc Scale) (*Fig13Result, error) {
 		Compute:          comp,
 		Policy:           core.PolicyWarpedSlicer,
 		TimelineInterval: 1024,
-		Workers:          Workers,
 		NoSkip:           NoSkip,
 	}
 	res, err := job.Run()

@@ -40,12 +40,6 @@ func (s Scale) Res(class string) (int, int) {
 	return s.W2K, s.H2K
 }
 
-// Workers is the host-side SM stepping parallelism every experiment's
-// jobs run with (crispbench -j): 0 = auto, 1 = serial reference engine.
-// Results are bit-identical at any setting, so this never perturbs the
-// reproduced tables — only how fast they regenerate.
-var Workers int
-
 // NoSkip disables event-driven core sleeping for every experiment's jobs
 // (crispbench -no-skip). Results are bit-identical either way; the knob
 // exists to diff the fast path against the cycle-by-cycle oracle.
@@ -114,7 +108,7 @@ func Simulate(cfg config.GPU, sceneName string, w, h int, lod bool, computeName 
 	}
 	simMu.Unlock()
 
-	job := core.Job{GPU: cfg, Policy: policy, Workers: Workers, NoSkip: NoSkip}
+	job := core.Job{GPU: cfg, Policy: policy, NoSkip: NoSkip}
 	if sceneName != "" {
 		gfx, err := Frame(sceneName, w, h, lod)
 		if err != nil {

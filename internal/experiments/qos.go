@@ -33,7 +33,7 @@ type QoSResult struct {
 	Slowdown map[core.PolicyKind]map[string]float64
 }
 
-// runQoSMix lowers and runs one mix with the experiment's host knobs,
+// runQoSMix lowers and runs one mix under the experiment's NoSkip setting,
 // its workloads built through the experiment cache so repeated policies
 // reuse one rendered frame.
 func runQoSMix(cfg config.GPU, mix scenario.MixSpec, pol core.PolicyKind, opts render.Options) (*core.Result, error) {
@@ -41,7 +41,6 @@ func runQoSMix(cfg config.GPU, mix scenario.MixSpec, pol core.PolicyKind, opts r
 	if err != nil {
 		return nil, err
 	}
-	job.Workers = Workers
 	job.NoSkip = NoSkip
 	return job.Run()
 }

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"runtime"
 	"testing"
 
 	"crisp/internal/sm"
@@ -181,5 +182,26 @@ func TestDispatchDoesNotAllocate(t *testing.T) {
 	}
 	if !measured {
 		t.Fatal("no checkpoint boundary had CTAs waiting for room")
+	}
+}
+
+// TestRunStaysOnItsGoroutine: the timing model steps every SM on the
+// goroutine that called Run, whatever the deprecated Workers field holds.
+func TestRunStaysOnItsGoroutine(t *testing.T) {
+	g := dispatchGPU(t)
+	g.Workers = 8
+	before := runtime.NumGoroutine()
+	samples, most := 0, 0
+	g.CheckpointEvery = 500
+	g.CheckpointSink = func() error {
+		samples++
+		most = max(most, runtime.NumGoroutine())
+		return nil
+	}
+	if _, err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if samples == 0 || most != before {
+		t.Errorf("%d goroutines before the run, up to %d during it (%d samples)", before, most, samples)
 	}
 }

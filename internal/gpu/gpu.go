@@ -24,7 +24,6 @@ import (
 	"sort"
 
 	"crisp/internal/config"
-	"crisp/internal/engine"
 	"crisp/internal/isa"
 	"crisp/internal/mem"
 	"crisp/internal/obs"
@@ -186,14 +185,10 @@ type GPU struct {
 	CheckpointEvery int64
 	CheckpointSink  func() error
 
-	// Workers selects the SM-stepping engine: 1 (or negative) runs the
-	// serial reference engine; N > 1 runs the two-phase parallel engine
-	// with N worker goroutines; 0 (the default) resolves to the GPU
-	// config's Workers field, and from there to auto (GOMAXPROCS, capped
-	// at the SM count). Results are bit-identical at every setting — the
-	// parallel engine's serial commit phase replays the reference
-	// engine's exact effect order — so this knob trades host CPUs for
-	// wall-clock time only.
+	// Deprecated: Workers selected the removed two-phase parallel stepper.
+	// Nothing reads it; it stays only so the frozen bench/ compiles, and goes
+	// with the [benchmark] PR that drops the jN sub-pass, sim_kips_jn and
+	// engine.jn_over_j1.
 	Workers int
 
 	// NoSkip disables event-driven core sleeping: every busy core is
@@ -737,6 +732,38 @@ func (g *GPU) KernelStats() []KernelStat { return g.kernelStats }
 // in cycles. It is RunContext with a background (never-canceled) context.
 func (g *GPU) Run() (int64, error) { return g.RunContext(context.Background()) }
 
+// stepCores advances the SM array one time step: the busy cores in
+// ascending id, every cross-SM effect applied as it happens. A busy core
+// whose wakeAt is still ahead is not stepped: its state is frozen and its
+// stall disposition does not depend on the cycle, so it is charged one unit
+// of skip debt, which FlushSkipDebt settles into the counters the skipped
+// steps would have written when the core wakes. NoSkip steps every busy
+// core but maintains wakeAt identically, so the two modes digest alike. It
+// returns the earliest cycle at which any busy core could do useful work
+// (>= sm.Never when all are blocked for good: the livelock signal) and
+// whether any core is busy.
+func (g *GPU) stepCores() (next int64, anyBusy bool) {
+	next = sm.Never
+	for _, c := range g.cores {
+		if !c.Busy() {
+			continue
+		}
+		anyBusy = true
+		w := c.WakeAt()
+		if g.NoSkip || g.now >= w {
+			c.FlushSkipDebt()
+			w = c.Step(g.now)
+			c.SetWakeAt(w)
+		} else {
+			c.Skip()
+		}
+		if w < next {
+			next = w
+		}
+	}
+	return next, anyBusy
+}
+
 // ctxCheckMask gates how often the run loop polls ctx.Err(): every
 // (mask+1) iterations, so the happy path pays one counter increment and
 // mask per iteration instead of an atomic load.
@@ -787,8 +814,11 @@ func (g *GPU) RunContext(ctx context.Context) (int64, error) {
 	if g.qos != nil && g.tracer != nil {
 		g.buildArrivalEvents()
 	}
-	eng := engine.New(g.cores, g.effectiveWorkers(), g.NoSkip)
-	defer eng.Close()
+	// The oracle also drops the per-warp earliest memo and the stall replay,
+	// so an invalidation bug diverges from it instead of being shared.
+	for _, c := range g.cores {
+		c.SetLegacyStep(g.NoSkip)
+	}
 	g.streamsDirty, g.placeDirty = true, true
 	g.retiredSeen = g.retiredWarps()
 	ls := &g.loop
@@ -810,11 +840,9 @@ func (g *GPU) RunContext(ctx context.Context) (int64, error) {
 			}
 		}
 
-		next, anyBusy := eng.Step(g.now)
+		next, anyBusy := g.stepCores()
 		// Every retire frees something CanAccept reads (a warp slot; with
 		// the CTA's last warp, its threads, registers and shared memory).
-		// The counters are core-private, so they are read here, after the
-		// engine has joined its workers.
 		if r := g.retiredWarps(); r != g.retiredSeen {
 			g.retiredSeen = r
 			g.placeDirty = true
@@ -1057,16 +1085,6 @@ func (g *GPU) buildDump(kernel, reason string) *robust.CrashDump {
 	}
 	sort.Slice(d.Stalls, func(i, j int) bool { return d.Stalls[i].Task < d.Stalls[j].Task })
 	return d
-}
-
-// effectiveWorkers resolves the run's worker setting: the GPU field wins,
-// then the config's Workers, then auto (0, resolved by the engine to
-// GOMAXPROCS capped at the SM count).
-func (g *GPU) effectiveWorkers() int {
-	if g.Workers != 0 {
-		return g.Workers
-	}
-	return g.cfg.Workers
 }
 
 func (g *GPU) policyName() string {

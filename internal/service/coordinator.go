@@ -480,7 +480,6 @@ func (c *coordinator) runShardAttempt(ctx context.Context, cancel context.Cancel
 			Budget:           t.res.budget,
 			Watchdog:         t.res.wdog,
 			ProgressInterval: c.s.cfg.ProgressInterval,
-			RunWorkers:       c.s.cfg.RunWorkers,
 			HeartbeatEvery:   int64(c.hbEvery),
 			KillAt:           killAt,
 		}

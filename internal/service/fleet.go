@@ -35,7 +35,6 @@ type runParams struct {
 	budget           int64
 	wdog             int64
 	progressInterval int64
-	runWorkers       int
 	killAt           int64
 	// frontend is the server's trace cache (nil in a worker process).
 	frontend *crisp.Frontend
@@ -51,7 +50,6 @@ func (s *Server) paramsFor(r *resolved, resumeFrom, checkpointDir string, killAt
 		budget:           r.budget,
 		wdog:             r.wdog,
 		progressInterval: s.cfg.ProgressInterval,
-		runWorkers:       s.cfg.RunWorkers,
 		killAt:           killAt,
 		frontend:         s.frontend,
 	}
@@ -106,9 +104,6 @@ func runDirect(ctx context.Context, p runParams, h attemptHooks) (*StoredResult,
 	}
 	if p.wdog != 0 {
 		runOpts = append(runOpts, crisp.WithWatchdog(p.wdog))
-	}
-	if p.runWorkers != 0 {
-		runOpts = append(runOpts, crisp.WithWorkers(p.runWorkers))
 	}
 	if p.checkpointDir != "" {
 		runOpts = append(runOpts, crisp.WithCheckpointDir(p.checkpointDir))

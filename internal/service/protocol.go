@@ -55,9 +55,8 @@ type workerRequest struct {
 	// Budget and Watchdog are the server-default-merged limits.
 	Budget   int64 `json:"budget,omitempty"`
 	Watchdog int64 `json:"watchdog,omitempty"`
-	// ProgressInterval is the sample cadence; RunWorkers the -j knob.
+	// ProgressInterval is the sample cadence.
 	ProgressInterval int64 `json:"progress_interval,omitempty"`
-	RunWorkers       int   `json:"run_workers,omitempty"`
 	// HeartbeatEvery, when positive, makes the worker emit heartbeat
 	// events on this wall-clock period — the lease-renewal signal a fleet
 	// coordinator watches between samples.

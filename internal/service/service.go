@@ -52,8 +52,9 @@ type Config struct {
 	// Workers is the worker-pool size: how many simulations run
 	// concurrently. Default 2.
 	Workers int
-	// RunWorkers is the per-simulation SM-stepping parallelism (the -j
-	// knob): 0 = auto, 1 = serial reference engine.
+	// Deprecated: RunWorkers selected the removed two-phase parallel
+	// stepper. Nothing reads it; it stays only so the frozen bench/
+	// compiles, and goes with the [benchmark] PR that drops the jN sub-pass.
 	RunWorkers int
 	// StateDir enables persistence: job specs, periodic checkpoints,
 	// final snapshots, and the result cache live under it, and a
@@ -213,7 +214,7 @@ type Job struct {
 	failedAttempts int
 	// Skip-ratio telemetry from the latest interval sample: cumulative
 	// counters for the job's current execution attempt (engine core
-	// sleeping — see internal/engine). Guarded by mu.
+	// sleeping — see gpu.GPU's stepCores). Guarded by mu.
 	simCycles    int64
 	stepsExec    int64
 	stepsSkipped int64

@@ -101,7 +101,6 @@ func WorkerMain() int {
 		budget:           req.Budget,
 		wdog:             req.Watchdog,
 		progressInterval: req.ProgressInterval,
-		runWorkers:       req.RunWorkers,
 		killAt:           req.KillAt,
 	}
 	stored, _, rerr := runDirect(ctx, p, attemptHooks{
@@ -162,7 +161,6 @@ func (s *Server) runIsolated(ctx context.Context, job *Job, resumeFrom string, k
 		Budget:           job.res.budget,
 		Watchdog:         job.res.wdog,
 		ProgressInterval: s.cfg.ProgressInterval,
-		RunWorkers:       s.cfg.RunWorkers,
 		KillAt:           killAt,
 	}
 	if req.Budget == 0 {

@@ -50,22 +50,19 @@ func refEarliest(s *scheduler, w *warpRT) (int64, obs.StallCause) {
 // from-scratch recompute right before that scheduler steps covers every
 // value any call in the step can return — across retires (drop),
 // barrier releases by other schedulers earlier in the same cycle, new
-// CTAs, sleeps, and, in buffered mode, phase-B fill commits.
+// CTAs and sleeps.
 func TestEarliestMemoMatchesRecompute(t *testing.T) {
 	k := compute.NN(1 << 20).Kernels[1]
 	for _, mode := range []struct {
-		name     string
-		buffered bool
-		sched    SchedPolicy
+		name  string
+		sched SchedPolicy
 	}{
-		{"direct-gto", false, SchedGTO},
-		{"buffered-gto", true, SchedGTO},
-		{"buffered-lrr", true, SchedLRR},
+		{"direct-gto", SchedGTO},
+		{"direct-lrr", SchedLRR},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			c, _, _ := testCore(t)
 			c.Sched = mode.sched
-			c.SetBuffered(mode.buffered)
 			var checks, reused, releases, retires int
 			nextCTA, total := 0, 12
 			now := int64(0)
@@ -99,8 +96,7 @@ func TestEarliestMemoMatchesRecompute(t *testing.T) {
 						releases++
 					}
 				}
-				c.CommitStep(now)
-				// Sleep as the engines do, so memos also have to survive
+				// Sleep as the run loop does, so memos also have to survive
 				// jumps over many cycles.
 				now = max(wake, now+1)
 				if now >= never {
@@ -153,31 +149,29 @@ func TestEarliestMemoCombinesPipelineLast(t *testing.T) {
 
 // TestStepDoesNotAllocate guards Core.Step at steady state: a core full
 // of resident matmul CTAs (LDG, STS/LDS with offsets, barriers) that have
-// all been through a barrier once, in both effect modes.
+// all been through a barrier once, under both scheduling disciplines.
 func TestStepDoesNotAllocate(t *testing.T) {
 	k := compute.NN(1 << 20).Kernels[1]
-	for _, buffered := range []bool{false, true} {
+	for _, sched := range []SchedPolicy{SchedGTO, SchedLRR} {
 		c, _, _ := testCore(t)
-		c.SetBuffered(buffered)
+		c.Sched = sched
 		for i := 0; c.CanAccept(k, 1); i++ {
 			c.IssueCTA(0, k, i, 1, nil)
 		}
 		now := int64(0)
 		step := func() {
-			wake := c.Step(now)
-			c.CommitStep(now)
-			now = max(wake, now+1)
+			now = max(c.Step(now), now+1)
 		}
-		for i := 0; i < 1500; i++ { // warm: barrier lists, the issue log, fill tables
+		for i := 0; i < 1500; i++ { // warm: barrier lists, fill tables
 			step()
 		}
 		resident := c.TotalResidentWarps()
 		if n := testing.AllocsPerRun(1000, step); n != 0 {
-			t.Errorf("buffered=%v: Step allocates %v times per call", buffered, n)
+			t.Errorf("sched %d: Step allocates %v times per call", sched, n)
 		}
 		if c.TotalResidentWarps() != resident {
-			t.Errorf("buffered=%v: warps retired during the measurement (%d → %d); not a steady state",
-				buffered, resident, c.TotalResidentWarps())
+			t.Errorf("sched %d: warps retired during the measurement (%d → %d); not a steady state",
+				sched, resident, c.TotalResidentWarps())
 		}
 	}
 }

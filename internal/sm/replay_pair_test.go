@@ -1,9 +1,6 @@
 package sm_test
 
 import (
-	"fmt"
-	"os"
-	"strconv"
 	"testing"
 
 	"crisp/internal/compute"
@@ -15,23 +12,9 @@ import (
 	"crisp/internal/sm"
 )
 
-// pairWorkers is the parallel engine's worker count for the buffered runs:
-// CRISP_PARITY_WORKERS where CI's parallel-parity job sets it, else 8.
-func pairWorkers(t *testing.T) int {
-	if v := os.Getenv("CRISP_PARITY_WORKERS"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 2 {
-			t.Fatalf("CRISP_PARITY_WORKERS=%q: want an integer >= 2", v)
-		}
-		return n
-	}
-	return 8
-}
-
 // TestStallReplayOnRenderComputePair runs a rendered frame beside a compute
 // workload under an intra-SM split, so that both tasks' warps share every
-// scheduler, on the real engines — serial (direct effects) and parallel
-// (buffered, phase-B fill commits) — under GTO and LRR, with the replay
+// scheduler, through the GPU's run loop under GTO and LRR, with the replay
 // check on every core: each replayed slot re-runs the scan it skipped.
 // Every run must also land on the cycle count of the -no-skip oracle,
 // which keeps no stall record.
@@ -46,13 +29,13 @@ func TestStallReplayOnRenderComputePair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int, sched sm.SchedPolicy, noSkip bool) (cycles, replays, checks int64) {
+	run := func(sched sm.SchedPolicy, noSkip bool) (cycles, replays, checks int64) {
 		t.Helper()
 		g, err := gpu.New(config.JetsonOrin())
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.Workers, g.NoSkip = workers, noSkip
+		g.NoSkip = noSkip
 		g.SetWarpScheduler(sched)
 		g.TaskWindows[partition.TaskGraphics] = 32
 		for _, st := range frame.Streams {
@@ -73,23 +56,20 @@ func TestStallReplayOnRenderComputePair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cycles, g.StallReplays(), n.Load()
+		return cycles, g.StallReplays(), *n
 	}
 	for _, sched := range []sm.SchedPolicy{sm.SchedGTO, sm.SchedLRR} {
-		oracle, replays, _ := run(1, sched, true)
+		oracle, replays, _ := run(sched, true)
 		if replays != 0 {
 			t.Errorf("sched %d: the oracle replayed %d stalls", sched, replays)
 		}
-		for _, workers := range []int{1, pairWorkers(t)} {
-			label := fmt.Sprintf("sched %d -j%d", sched, workers)
-			cycles, replays, checks := run(workers, sched, false)
-			if cycles != oracle {
-				t.Errorf("%s: %d cycles, the oracle %d", label, cycles, oracle)
-			}
-			if replays == 0 || checks < replays {
-				t.Errorf("%s: %d stalls replayed, %d checked", label, replays, checks)
-			}
-			t.Logf("%s: %d cycles, %d stalls replayed, %d checks", label, cycles, replays, checks)
+		cycles, replays, checks := run(sched, false)
+		if cycles != oracle {
+			t.Errorf("sched %d: %d cycles, the oracle %d", sched, cycles, oracle)
 		}
+		if replays == 0 || checks < replays {
+			t.Errorf("sched %d: %d stalls replayed, %d checked", sched, replays, checks)
+		}
+		t.Logf("sched %d: %d cycles, %d stalls replayed, %d checks", sched, cycles, replays, checks)
 	}
 }

@@ -12,24 +12,20 @@ import (
 // four schedulers, EXIT — with the replay check on: every replayed slot,
 // and every sleep settled from a record, is compared with the scan it
 // skipped. Each mode must see replays, barrier releases that cross
-// schedulers, arrivals onto stalled schedulers and, buffered, phase-B
-// fill commits: the writes that have to kill a record.
+// schedulers and arrivals onto stalled schedulers: the writes that have to
+// kill a record.
 func TestStallReplayMatchesScan(t *testing.T) {
 	k := compute.NN(1 << 20).Kernels[1]
 	for _, mode := range []struct {
-		name     string
-		buffered bool
-		sched    SchedPolicy
+		name  string
+		sched SchedPolicy
 	}{
-		{"direct-gto", false, SchedGTO},
-		{"direct-lrr", false, SchedLRR},
-		{"buffered-gto", true, SchedGTO},
-		{"buffered-lrr", true, SchedLRR},
+		{"direct-gto", SchedGTO},
+		{"direct-lrr", SchedLRR},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			c, _, _ := testCore(t)
 			c.Sched = mode.sched
-			c.SetBuffered(mode.buffered)
 			checks := VerifyStallReplays(t, c)
 			var releases, arrivalsOnStalled int
 			nextCTA, total := 0, 12
@@ -55,9 +51,8 @@ func TestStallReplayMatchesScan(t *testing.T) {
 				if c.BarrierBlocked() < blocked {
 					releases++
 				}
-				c.CommitStep(now)
-				// Sleep as the engines do, charging the slept steps, but not
-				// past the next arrival.
+				// Sleep as the run loop does, charging the slept steps, but
+				// not past the next arrival.
 				if nextCTA < total {
 					wake = min(wake, int64(nextCTA)*64)
 				}
@@ -71,12 +66,12 @@ func TestStallReplayMatchesScan(t *testing.T) {
 				}
 				c.FlushSkipDebt()
 			}
-			if c.StallReplays() == 0 || checks.Load() < c.StallReplays() || releases == 0 || arrivalsOnStalled == 0 {
+			if c.StallReplays() == 0 || *checks < c.StallReplays() || releases == 0 || arrivalsOnStalled == 0 {
 				t.Fatalf("%d replays, %d checks, %d barrier releases, %d arrivals on a stalled scheduler: the run no longer exercises the record",
-					c.StallReplays(), checks.Load(), releases, arrivalsOnStalled)
+					c.StallReplays(), *checks, releases, arrivalsOnStalled)
 			}
 			t.Logf("%d replays, %d checks, %d barrier releases, %d arrivals on a stalled scheduler",
-				c.StallReplays(), checks.Load(), releases, arrivalsOnStalled)
+				c.StallReplays(), *checks, releases, arrivalsOnStalled)
 		})
 	}
 }
@@ -163,41 +158,5 @@ func TestIssueCTAAfterRetireDoesNotAllocate(t *testing.T) {
 	}
 	if len(c.scheds[0].sb) != blocks {
 		t.Errorf("the scoreboard grew from %d to %d entries across refills", blocks, len(c.scheds[0].sb))
-	}
-}
-
-// TestFillCommitFindsNoStallRecord: the one write to a scheduler's state
-// made outside its own step is phase B's scoreboard write of a load's data
-// cycle. It goes through setReg, and so through touch, like every other;
-// but the scheduler it lands on issued that load in the step being
-// committed, so its record (and the warp's memo) died in phase A already.
-// That is why dropping the phase-B invalidation cannot be observed, and
-// what this test holds: if a scheduler ever carries a record into the
-// commit of its own load, the touch in setReg is what keeps replay exact.
-func TestFillCommitFindsNoStallRecord(t *testing.T) {
-	k := compute.NN(1 << 20).Kernels[1]
-	c, _, _ := testCore(t)
-	c.SetBuffered(true)
-	for i := 0; c.CanAccept(k, 1); i++ {
-		c.IssueCTA(0, k, i, 1, nil)
-	}
-	loads := 0
-	for now := int64(0); c.Busy(); {
-		wake := c.Step(now)
-		for i := range c.log.events {
-			ev := &c.log.events[i]
-			if ev.kind != logLoad {
-				continue
-			}
-			loads++
-			if s := ev.warp.sched; s.stallUntil != 0 || s.memo[ev.warp.slot].ok {
-				t.Fatalf("cycle %d: a load commits onto a scheduler with a live stall record (until %d) or memo", now, s.stallUntil)
-			}
-		}
-		c.CommitStep(now)
-		now = max(wake, now+1)
-	}
-	if loads == 0 {
-		t.Fatal("no load was committed")
 	}
 }

@@ -104,10 +104,10 @@ type InstStats interface {
 	OnStall(smID, stream, task int, cause obs.StallCause)
 	// OnStallN reports n identical stall slots at once. A sleeping core's
 	// binding stall cause and warp are constant over the sleep window (no
-	// per-core state changes while it sleeps), so the engine bulk-accounts
-	// the skipped slots in one call when the core wakes. Always invoked
-	// from a serial context; counters are commutative, so bulk accounting
-	// is indistinguishable from n OnStall calls.
+	// per-core state changes while it sleeps), so the run loop bulk-accounts
+	// the skipped slots in one call when the core wakes. Counters are
+	// commutative, so bulk accounting is indistinguishable from n OnStall
+	// calls.
 	OnStallN(smID, stream, task int, cause obs.StallCause, n int64)
 }
 
@@ -215,7 +215,7 @@ type scheduler struct {
 // entries of its current instruction's registers, which of them binds,
 // and the pipeline the instruction needs. It stays valid until the warp
 // issues (pc and blockedUntil move), one of its registers is written
-// (setReg, including phase-B fill commits) or a barrier releases it.
+// (setReg) or a barrier releases it.
 type warpMemo struct {
 	e     int64
 	cause obs.StallCause
@@ -326,12 +326,11 @@ type Core struct {
 	arrivalSeq int64
 	// retired counts warps that have exited, since construction. It exists
 	// for the GPU's CTA dispatcher: every retire frees something CanAccept
-	// reads. Written only by this core's own Step (so phase A may bump it),
-	// derived bookkeeping that is never serialized.
+	// reads. Derived bookkeeping that is never serialized.
 	retired int64
 
 	// wakeAt is the earliest cycle this core could do useful work, as
-	// reported by its last Step. The engine skips stepping a busy core
+	// reported by its last Step. The run loop skips stepping a busy core
 	// while now < wakeAt; each skipped step accrues one unit of debt in
 	// pendingSkipped, bulk-accounted by FlushSkipDebt before the next
 	// step, observation, or resident-set mutation. wakeAt is maintained
@@ -355,12 +354,6 @@ type Core struct {
 	// replayCheck, when set (tests only), sees every use of a stall record
 	// before it is trusted.
 	replayCheck func(s *scheduler)
-
-	// log, when non-nil, switches the core into buffered (two-phase) mode:
-	// issue slots record their cross-SM effects here instead of applying
-	// them, and the engine drains the log serially via CommitStep. See
-	// log.go for the protocol and its determinism argument.
-	log *IssueLog
 
 	// TexFilterLatency is added to TEX data-return latency to model the
 	// texture unit's filtering pipeline.
@@ -538,10 +531,10 @@ func (c *Core) Step(now int64) int64 {
 // WakeAt reports the core's current wake cycle (see the field comment).
 func (c *Core) WakeAt() int64 { return c.wakeAt }
 
-// SetWakeAt records the core's wake cycle. The engine calls it with
-// Step's return value after every real step; the driver calls it to
-// force a wake when a cross-core event (policy repartition) could let
-// the core make progress earlier than it predicted.
+// SetWakeAt records the core's wake cycle. The run loop calls it with
+// Step's return value after every real step, and to force a wake when a
+// cross-core event (policy repartition) could let the core make progress
+// earlier than it predicted.
 func (c *Core) SetWakeAt(v int64) { c.wakeAt = v }
 
 // SetLegacyStep switches the schedulers onto the legacy stepping path:
@@ -631,7 +624,7 @@ func (c *Core) StallReplays() int64 { return c.stallReplays }
 // SleepHist returns the log2 histogram of flushed sleep lengths.
 func (c *Core) SleepHist() [sleepHistBuckets]int64 { return c.sleepHist }
 
-// Busy reports whether any warps are resident. It is O(1) so the engine's
+// Busy reports whether any warps are resident. It is O(1) so the run loop's
 // per-step busy scan stays cheap even on a mostly idle machine.
 func (c *Core) Busy() bool { return c.resident > 0 }
 
@@ -745,10 +738,6 @@ func (s *scheduler) noteStall(w *warpRT, cause obs.StallCause) {
 		return
 	}
 	if st := s.core.stats; st != nil {
-		if lg := s.core.log; lg != nil {
-			lg.addStall(w, cause)
-			return
-		}
 		st.OnStall(s.core.ID, w.stream, w.task, cause)
 	}
 }
@@ -882,13 +871,6 @@ func (s *scheduler) issue(w *warpRT, now int64) {
 		var lineBuf [isa.WarpSize]uint64
 		lines := s.memLines(w, in, lineBuf[:0])
 		s.unitFree[isa.UnitLDST] = now + int64(len(lines))
-		if lg := core.log; lg != nil {
-			// Request half: the data-ready cycle (the response) is written
-			// into the scoreboard by CommitStep, before any scheduler can
-			// look at it again.
-			lg.addLoad(w, in.Op, in.Class, in.Dst, lines, now+int64(isa.Latency(in.Op)))
-			break
-		}
 		ready := now + int64(isa.Latency(in.Op))
 		for _, la := range lines {
 			r := core.memsys.Load(now, core.ID, w.stream, in.Class, la*uint64(core.cfg.LineSize))
@@ -906,10 +888,6 @@ func (s *scheduler) issue(w *warpRT, now int64) {
 		var lineBuf [isa.WarpSize]uint64
 		lines := s.memLines(w, in, lineBuf[:0])
 		s.unitFree[isa.UnitLDST] = now + int64(len(lines))
-		if lg := core.log; lg != nil {
-			lg.addStore(w, in.Class, lines)
-			break
-		}
 		for _, la := range lines {
 			core.memsys.Store(now, core.ID, w.stream, in.Class, la*uint64(core.cfg.LineSize))
 		}
@@ -935,11 +913,7 @@ func (s *scheduler) issue(w *warpRT, now int64) {
 	}
 
 	if core.stats != nil {
-		if lg := core.log; lg != nil {
-			lg.addIssue(w, in.Op, in.ActiveLanes())
-		} else {
-			core.stats.OnIssue(core.ID, w.stream, w.task, in.Op, in.ActiveLanes())
-		}
+		core.stats.OnIssue(core.ID, w.stream, w.task, in.Op, in.ActiveLanes())
 	}
 	w.pc++
 }
@@ -967,13 +941,7 @@ func (s *scheduler) retire(w *warpRT, now int64) {
 		}
 		core.usageTotal.sub(cta.res)
 		if cta.onComplete != nil {
-			// The completion callback mutates launch/stream state shared
-			// across SMs, so in buffered mode it is deferred to phase B.
-			if lg := core.log; lg != nil {
-				lg.addComplete(cta.onComplete)
-			} else {
-				cta.onComplete(now)
-			}
+			cta.onComplete(now)
 		}
 		core.freeCTAs = append(core.freeCTAs, cta)
 	}

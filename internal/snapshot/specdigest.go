@@ -15,12 +15,11 @@ import (
 // (config.Digest) in both places.
 //
 // Only result-determining fields participate: the GPU configuration (via
-// config.Digest, which already excludes host-execution knobs), the
-// workload names, the policy, the render options, and the structural run
-// shape (graphics window/frames, scheduler variant). Observability
-// cadences (timeline, metrics, digest sampling) are excluded — they never
-// perturb architectural results, so runs differing only in instrumentation
-// share one digest.
+// config.Digest), the workload names, the policy, the render options, and
+// the structural run shape (graphics window/frames, scheduler variant).
+// Observability cadences (timeline, metrics, digest sampling) are excluded
+// — they never perturb architectural results, so runs differing only in
+// instrumentation share one digest.
 func (s *Spec) JobDigest() string {
 	h := fnv.New64a()
 	field := func(name, value string) {
