@@ -90,8 +90,8 @@ type Job struct {
 	Compute  *compute.Workload
 	// Computes adds further compute workloads as additional tasks
 	// (2, 3, …) — the more-than-two-workloads extension the paper's
-	// limitation section describes. Every policy generalizes to n tasks
-	// (the pairwise implementations stay in force at n ≤ 2).
+	// limitation section describes. Every policy takes the task count;
+	// see BuildPolicy.
 	Computes []*compute.Workload
 	// Tenants, when non-empty, replaces Graphics/Compute/Computes with an
 	// N-tenant scenario mix: tenant i is task i and owns stream range
@@ -237,7 +237,7 @@ type Result struct {
 	// Kernels lists every completed kernel launch in completion order.
 	Kernels []gpu.KernelStat
 	// WS exposes warped-slicer state when that policy ran.
-	WS *partition.WarpedSlicer
+	WS *partition.WarpedSlicerN
 	// QoS is the per-tenant deadline/turnaround accounting for scenario
 	// mixes (nil for plain pair jobs).
 	QoS *scenario.QoSReport
@@ -283,56 +283,28 @@ func (j *Job) RunContext(ctx context.Context) (*Result, error) {
 	}
 
 	res := &Result{Policy: j.Policy}
-	pol, ws, err := BuildPolicyWS(g, j.Policy, totalTasks)
+	pol, err := BuildPolicy(g, j.Policy, totalTasks)
 	if err != nil {
 		return nil, err
 	}
 	if pol != nil {
 		g.SetPolicy(pol)
 	}
-	res.WS = ws
+	res.WS, _ = pol.(*partition.WarpedSlicerN)
 	return j.runOn(ctx, g, res)
 }
 
-// addPairStreams realizes the classic pair job (graphics frame replay plus
-// compute workloads) on the GPU, returning the task count.
+// addPairStreams lowers the classic pair job onto addTenant, the routine
+// mixes are built with: the frame replay is task 0 with one immediate
+// arrival per frame, the i-th compute workload task i+1 with one — so a
+// compute-only job leaves task 0 empty. What keeps a pair a pair is what it
+// does not install: no QoS table, no declared priorities. It returns the
+// task count.
 func (j *Job) addPairStreams(g *gpu.GPU) (int, error) {
-	window := j.GraphicsWindow
-	if window == 0 {
-		window = defaultGraphicsWindow
-	}
-	g.TaskWindows[partition.TaskGraphics] = window
-
 	if j.Graphics != nil {
-		frames := j.GraphicsFrames
-		if frames < 1 {
-			frames = 1
-		}
-		// Frame f's stream ids are offset so replays never collide; the
-		// kernels (and their addresses) are shared, so later frames see
-		// warm caches.
-		maxID := 0
-		for _, st := range j.Graphics.Streams {
-			if st.Stream > maxID {
-				maxID = st.Stream
-			}
-		}
-		stride := maxID + 1
-		if frames*stride > ComputeStreamBase {
-			return 0, fmt.Errorf("core: %d frames × %d streams exceed the graphics stream space", frames, stride)
-		}
-		for f := 0; f < frames; f++ {
-			for _, st := range j.Graphics.Streams {
-				id := f*stride + st.Stream
-				label := st.Label
-				if frames > 1 {
-					label = fmt.Sprintf("f%d.%s", f, st.Label)
-				}
-				def := gpu.StreamDef{ID: id, Task: partition.TaskGraphics, Label: label, Kernels: renumber(st.Kernels, id)}
-				if err := g.AddStream(def); err != nil {
-					return 0, err
-				}
-			}
+		frames := Tenant{Name: "graphics", Graphics: j.Graphics, Arrivals: make([]int64, max(j.GraphicsFrames, 1))}
+		if _, err := j.addTenant(g, partition.TaskGraphics, frames); err != nil {
+			return 0, err
 		}
 	}
 	computes := j.Computes
@@ -340,16 +312,7 @@ func (j *Job) addPairStreams(g *gpu.GPU) (int, error) {
 		computes = append([]*compute.Workload{j.Compute}, computes...)
 	}
 	for ci, w := range computes {
-		id := (ci + 1) * ComputeStreamBase
-		task := ci + 1
-		kernels := make([]*trace.Kernel, len(w.Kernels))
-		for i, k := range w.Kernels {
-			kk := *k
-			kk.Stream = id
-			kernels[i] = &kk
-		}
-		def := gpu.StreamDef{ID: id, Task: task, Label: w.Name, Kernels: kernels}
-		if err := g.AddStream(def); err != nil {
+		if _, err := j.addTenant(g, ci+1, Tenant{Name: w.Name, Compute: w}); err != nil {
 			return 0, err
 		}
 	}
@@ -471,61 +434,33 @@ func renumber(kernels []*trace.Kernel, id int) []*trace.Kernel {
 }
 
 // BuildPolicy constructs the named partitioning policy for a GPU hosting
-// totalTasks tasks (nil for PolicySerial). Every policy generalizes to n
-// tasks: at n ≤ 2 the original pairwise implementations run (bit-identical
-// to the paper's studies), beyond that the n-way variants take over.
+// totalTasks tasks (nil for PolicySerial). The policies are one family,
+// each written once and taking the task count: MPS, MiG, EVEN and Priority
+// are the same code at every n; TAP and WarpedSlicer additionally carry the
+// two-task decision rule the paper's figures were reproduced with beside
+// their n-way one (package partition says why the two are not merged). The
+// count is clamped to at least two: a graphics-only or compute-only job
+// keeps the pair's two-slot partition — half the SMs under MPS, a half
+// envelope under EVEN.
 func BuildPolicy(g *gpu.GPU, kind PolicyKind, totalTasks int) (gpu.Policy, error) {
-	p, _, err := BuildPolicyWS(g, kind, totalTasks)
-	return p, err
-}
-
-// BuildPolicyWS is BuildPolicy, additionally returning the warped-slicer
-// instance when that policy was selected (its sampling state is part of
-// the Fig. 13 experiment).
-func BuildPolicyWS(g *gpu.GPU, kind PolicyKind, totalTasks int) (gpu.Policy, *partition.WarpedSlicer, error) {
-	cfg := g.Config()
+	tasks := max(totalTasks, 2)
 	switch kind {
 	case PolicySerial, "":
-		return nil, nil, nil
+		return nil, nil
 	case PolicyMPS:
-		if totalTasks <= 2 {
-			return partition.NewMPS(cfg.NumSMs), nil, nil
-		}
-		p, err := partition.NewSMGroups(cfg.NumSMs, totalTasks)
-		return p, nil, err
+		return partition.NewSMGroups(g.Config().NumSMs, tasks)
 	case PolicyMiG:
-		if totalTasks <= 2 {
-			return partition.NewMiG(g, TaskOf), nil, nil
-		}
-		p, err := partition.NewMiGN(g, TaskOf, totalTasks)
-		return p, nil, err
+		return partition.NewMiGN(g, TaskOf, tasks)
 	case PolicyEven:
-		if totalTasks <= 2 {
-			return partition.NewFGEven(g), nil, nil
-		}
-		p, err := partition.NewFGN(g, totalTasks)
-		return p, nil, err
+		return partition.NewFGN(g, tasks)
 	case PolicyWarpedSlicer:
-		if totalTasks <= 2 {
-			ws := partition.NewWarpedSlicer(g)
-			return ws, ws, nil
-		}
-		p, err := partition.NewWarpedSlicerN(g, totalTasks)
-		return p, nil, err
+		return partition.NewWarpedSlicerN(g, tasks)
 	case PolicyTAP:
-		if totalTasks <= 2 {
-			return partition.NewTAP(g, TaskOf), nil, nil
-		}
-		p, err := partition.NewTAPN(g, TaskOf, totalTasks)
-		return p, nil, err
+		return partition.NewTAPN(g, TaskOf, tasks)
 	case PolicyPriority:
-		if totalTasks <= 2 {
-			return partition.NewPriorityEven(g), nil, nil
-		}
-		p, err := partition.NewPriorityEvenN(g, totalTasks)
-		return p, nil, err
+		return partition.NewPriorityEvenN(g, tasks)
 	}
-	return nil, nil, fmt.Errorf("core: unknown policy %q", kind)
+	return nil, fmt.Errorf("core: unknown policy %q", kind)
 }
 
 // RenderScene renders a named scene workload with the given options,

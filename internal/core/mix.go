@@ -10,7 +10,6 @@ import (
 	"crisp/internal/gpu"
 	"crisp/internal/render"
 	"crisp/internal/scenario"
-	"crisp/internal/trace"
 )
 
 // This file lowers a scenario.MixSpec — N tenants with priorities, arrival
@@ -18,8 +17,8 @@ import (
 // owns the stream-id range [task*ComputeStreamBase, (task+1)*
 // ComputeStreamBase): a render tenant's frame f occupies a stride of batch
 // streams inside it, a compute tenant's request i is the single stream
-// base+i. The lowering reproduces RunPair's stream construction exactly,
-// so a two-tenant mix with immediate arrivals and no deadlines is
+// base+i. Pair jobs are lowered onto the same routine (addPairStreams), so
+// a two-tenant mix with immediate arrivals and no deadlines is
 // bit-identical to the pair it describes.
 
 // Tenant is one lowered mix tenant: exactly one of Graphics/Compute holds
@@ -104,95 +103,101 @@ func BuildMixJobEnv(cfg config.GPU, mix scenario.MixSpec, policy PolicyKind, opt
 	return j, nil
 }
 
-// addTenantStreams realizes the mix on the GPU: streams with NotBefore
-// arrival gates, per-render-tenant batch windows, QoS instance tracking,
-// and explicit placement priorities. It returns the task count.
+// addTenantStreams realizes the mix on the GPU: every tenant's streams,
+// QoS instance tracking, and explicit placement priorities. It returns the
+// task count.
 func (j *Job) addTenantStreams(g *gpu.GPU) (int, error) {
 	if len(j.Tenants) > scenario.MaxTenants {
 		return 0, fmt.Errorf("core: mix has %d tenants, max is %d", len(j.Tenants), scenario.MaxTenants)
 	}
-	window := j.GraphicsWindow
-	if window == 0 {
-		window = defaultGraphicsWindow
-	}
-	qos := make([]gpu.QoSTenant, 0, len(j.Tenants))
+	qos := make([]gpu.QoSTenant, len(j.Tenants))
 	prios := make([]int, len(j.Tenants))
 	for ti, tn := range j.Tenants {
 		if (tn.Graphics == nil) == (tn.Compute == nil) {
 			return 0, fmt.Errorf("core: mix tenant %d must carry exactly one of graphics or compute work", ti)
 		}
 		prios[ti] = tn.Priority
-		base := ti * ComputeStreamBase
-		arrivals := tn.Arrivals
-		if len(arrivals) == 0 {
-			arrivals = []int64{0}
+		var err error
+		if qos[ti], err = j.addTenant(g, ti, tn); err != nil {
+			return 0, err
 		}
-		qt := gpu.QoSTenant{Task: ti, Label: tn.Name, Priority: tn.Priority}
-		if tn.Graphics != nil {
-			// A render instance is one frame: the same stream layout as
-			// RunPair's GraphicsFrames replay, offset into the tenant's
-			// stream range, with the frame's arrival gating its batches.
-			maxID := 0
-			for _, st := range tn.Graphics.Streams {
-				if st.Stream > maxID {
-					maxID = st.Stream
-				}
-			}
-			stride := maxID + 1
-			if len(arrivals)*stride > ComputeStreamBase {
-				return 0, fmt.Errorf("core: tenant %q: %d frames × %d streams exceed the tenant stream space", tn.Name, len(arrivals), stride)
-			}
-			g.TaskWindows[ti] = window
-			for f, at := range arrivals {
-				for _, st := range tn.Graphics.Streams {
-					id := base + f*stride + st.Stream
-					label := st.Label
-					if len(arrivals) > 1 {
-						label = fmt.Sprintf("f%d.%s", f, st.Label)
-					}
-					def := gpu.StreamDef{ID: id, Task: ti, Label: label, Kernels: renumber(st.Kernels, id), NotBefore: at}
-					if err := g.AddStream(def); err != nil {
-						return 0, err
-					}
-				}
-				qt.Instances = append(qt.Instances, gpu.QoSInstance{
-					Arrival: at, Deadline: absDeadline(at, tn.Deadline),
-					FirstStream: base + f*stride, LastStream: base + (f+1)*stride - 1,
-				})
-			}
-		} else {
-			// A compute instance is one request: the workload's kernel list
-			// on its own stream.
-			if len(arrivals) > ComputeStreamBase {
-				return 0, fmt.Errorf("core: tenant %q: %d requests exceed the tenant stream space", tn.Name, len(arrivals))
-			}
-			for i, at := range arrivals {
-				id := base + i
-				label := tn.Name
-				if len(arrivals) > 1 {
-					label = fmt.Sprintf("i%d.%s", i, tn.Name)
-				}
-				kernels := make([]*trace.Kernel, len(tn.Compute.Kernels))
-				for ki, k := range tn.Compute.Kernels {
-					kk := *k
-					kk.Stream = id
-					kernels[ki] = &kk
-				}
-				def := gpu.StreamDef{ID: id, Task: ti, Label: label, Kernels: kernels, NotBefore: at}
-				if err := g.AddStream(def); err != nil {
-					return 0, err
-				}
-				qt.Instances = append(qt.Instances, gpu.QoSInstance{
-					Arrival: at, Deadline: absDeadline(at, tn.Deadline),
-					FirstStream: id, LastStream: id,
-				})
-			}
-		}
-		qos = append(qos, qt)
 	}
 	g.SetQoS(qos)
 	g.SetTaskPriorities(prios)
 	return len(j.Tenants), nil
+}
+
+// addTenant puts one tenant's streams on the GPU as the given task, inside
+// the stream range [task*ComputeStreamBase, (task+1)*ComputeStreamBase),
+// each behind its instance's NotBefore arrival gate (no arrivals = one
+// immediate instance); a render tenant also gets its batch window. It
+// returns the tenant's QoS declaration, one instance per arrival.
+func (j *Job) addTenant(g *gpu.GPU, task int, tn Tenant) (gpu.QoSTenant, error) {
+	base := task * ComputeStreamBase
+	arrivals := tn.Arrivals
+	if len(arrivals) == 0 {
+		arrivals = []int64{0}
+	}
+	qt := gpu.QoSTenant{Task: task, Label: tn.Name, Priority: tn.Priority}
+	if tn.Graphics != nil {
+		// A render instance is one frame. Frame f's stream ids are offset
+		// by a stride so replays never collide; the kernels (and their
+		// addresses) are shared, so later frames see warm caches.
+		maxID := 0
+		for _, st := range tn.Graphics.Streams {
+			if st.Stream > maxID {
+				maxID = st.Stream
+			}
+		}
+		stride := maxID + 1
+		if len(arrivals)*stride > ComputeStreamBase {
+			return qt, fmt.Errorf("core: tenant %q: %d frames × %d streams exceed the tenant stream space", tn.Name, len(arrivals), stride)
+		}
+		window := j.GraphicsWindow
+		if window == 0 {
+			window = defaultGraphicsWindow
+		}
+		g.TaskWindows[task] = window
+		for f, at := range arrivals {
+			for _, st := range tn.Graphics.Streams {
+				id := base + f*stride + st.Stream
+				label := st.Label
+				if len(arrivals) > 1 {
+					label = fmt.Sprintf("f%d.%s", f, st.Label)
+				}
+				def := gpu.StreamDef{ID: id, Task: task, Label: label, Kernels: renumber(st.Kernels, id), NotBefore: at}
+				if err := g.AddStream(def); err != nil {
+					return qt, err
+				}
+			}
+			qt.Instances = append(qt.Instances, gpu.QoSInstance{
+				Arrival: at, Deadline: absDeadline(at, tn.Deadline),
+				FirstStream: base + f*stride, LastStream: base + (f+1)*stride - 1,
+			})
+		}
+		return qt, nil
+	}
+	// A compute instance is one request: the workload's kernel list on its
+	// own stream.
+	if len(arrivals) > ComputeStreamBase {
+		return qt, fmt.Errorf("core: tenant %q: %d requests exceed the tenant stream space", tn.Name, len(arrivals))
+	}
+	for i, at := range arrivals {
+		id := base + i
+		label := tn.Name
+		if len(arrivals) > 1 {
+			label = fmt.Sprintf("i%d.%s", i, tn.Name)
+		}
+		def := gpu.StreamDef{ID: id, Task: task, Label: label, Kernels: renumber(tn.Compute.Kernels, id), NotBefore: at}
+		if err := g.AddStream(def); err != nil {
+			return qt, err
+		}
+		qt.Instances = append(qt.Instances, gpu.QoSInstance{
+			Arrival: at, Deadline: absDeadline(at, tn.Deadline),
+			FirstStream: id, LastStream: id,
+		})
+	}
+	return qt, nil
 }
 
 // absDeadline converts a relative per-instance deadline to the absolute

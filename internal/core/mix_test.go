@@ -24,8 +24,11 @@ func pairMix(scene, comp string) scenario.MixSpec {
 // TestRunMixPairParity is the scenario engine's anchor acceptance: a
 // two-tenant mix with immediate arrivals and no deadlines reproduces
 // RunPair bit-identically (same cycle count, same stats digest) for every
-// policy — the mix lowering is a strict generalization, not a parallel
-// implementation.
+// policy. Both sides put their streams on the GPU through addTenant, so
+// what it proves is that what a mix installs on top — the QoS table and
+// all-zero declared priorities — leaves the simulation unmoved. It proves
+// nothing about the policies: both sides run two tasks through the same
+// BuildPolicy (TestPolicyDigestsPinned is the guard there).
 func TestRunMixPairParity(t *testing.T) {
 	cfg := config.JetsonOrin()
 	for _, pol := range PolicyKinds() {

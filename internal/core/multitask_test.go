@@ -44,9 +44,8 @@ func TestThreeTaskJob(t *testing.T) {
 	}
 }
 
-// TestNWayPoliciesAcceptThreeTasks pins the scenario-engine extension: the
-// formerly pairwise policies now route to their n-way variants beyond two
-// tasks and run three-task jobs to completion.
+// TestNWayPoliciesAcceptThreeTasks pins the scenario-engine extension:
+// every policy takes the task count and runs three-task jobs to completion.
 func TestNWayPoliciesAcceptThreeTasks(t *testing.T) {
 	gfx, err := RenderScene("PL", tinyOpts())
 	if err != nil {
@@ -70,6 +69,9 @@ func TestNWayPoliciesAcceptThreeTasks(t *testing.T) {
 			if !ok || st.WarpInsts == 0 {
 				t.Errorf("%s: task %d missing or idle", pol, task)
 			}
+		}
+		if pol == PolicyWarpedSlicer && res.WS == nil {
+			t.Error("warped-slicer state not exposed at three tasks")
 		}
 	}
 }

@@ -9,11 +9,13 @@ import (
 )
 
 // The paper's limitation section notes the framework "can be easily
-// extended to support more than 2 workloads"; these policies provide that
-// extension: n-way inter-SM grouping (SMGroups, the MPS generalization)
-// and n-way intra-SM splitting (FGN, the EVEN generalization).
+// extended to support more than 2 workloads"; the two static primitives
+// here are that extension and, at two tasks, the paper's own MPS and EVEN:
+// inter-SM grouping (SMGroups) and intra-SM splitting (FGN).
 
-// SMGroups assigns contiguous, near-equal SM groups to n tasks.
+// SMGroups is MPS: contiguous, near-equal SM groups for n tasks, shared L2
+// — at two tasks the paper's baseline in both concurrency studies ("MPS
+// even").
 type SMGroups struct {
 	numSMs int
 	tasks  int
@@ -28,7 +30,7 @@ func NewSMGroups(numSMs, tasks int) (*SMGroups, error) {
 }
 
 // Name implements gpu.Policy.
-func (p *SMGroups) Name() string { return fmt.Sprintf("MPSx%d", p.tasks) }
+func (p *SMGroups) Name() string { return policyName("MPS", p.tasks) }
 
 // AllowSM implements gpu.Policy.
 func (p *SMGroups) AllowSM(smID, task int) bool {
@@ -47,8 +49,9 @@ func (p *SMGroups) OnLaunch(now int64, k *trace.Kernel, task int) {}
 // Tick implements gpu.Policy.
 func (p *SMGroups) Tick(now int64) {}
 
-// FGN is n-way fine-grained intra-SM partitioning: every task runs on
-// every SM within a 1/n resource envelope.
+// FGN is static fine-grained intra-SM partitioning: every task runs on
+// every SM within a 1/n resource envelope — at two tasks the paper's "EVEN"
+// configuration.
 type FGN struct {
 	tasks int
 	limit sm.Resources
@@ -63,7 +66,7 @@ func NewFGN(g *gpu.GPU, tasks int) (*FGN, error) {
 }
 
 // Name implements gpu.Policy.
-func (p *FGN) Name() string { return fmt.Sprintf("EVENx%d", p.tasks) }
+func (p *FGN) Name() string { return policyName("EVEN", p.tasks) }
 
 // AllowSM implements gpu.Policy.
 func (p *FGN) AllowSM(smID, task int) bool { return task >= 0 && task < p.tasks }
@@ -82,25 +85,5 @@ func (p *FGN) OnLaunch(now int64, k *trace.Kernel, task int) {}
 // Tick implements gpu.Policy.
 func (p *FGN) Tick(now int64) {}
 
-// PriorityEven is the QoS-aware variant of intra-SM sharing the paper's
-// future work points toward: resources split evenly, but the rendering
-// task's pending CTAs claim freed resources first, protecting the frame
-// deadline while compute soaks up the remainder.
-type PriorityEven struct {
-	FG
-}
-
-// NewPriorityEven builds the QoS policy for g.
-func NewPriorityEven(g *gpu.GPU) *PriorityEven {
-	p := &PriorityEven{FG: *NewFGEven(g)}
-	p.FG.label = "PriorityEven"
-	return p
-}
-
-// Priority implements gpu.Prioritizer: graphics (task 0) first.
-func (p *PriorityEven) Priority(task int) int { return -task }
-
 var _ gpu.Policy = (*SMGroups)(nil)
 var _ gpu.Policy = (*FGN)(nil)
-var _ gpu.Policy = (*PriorityEven)(nil)
-var _ gpu.Prioritizer = (*PriorityEven)(nil)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 
 	"crisp/internal/gpu"
 	"crisp/internal/mem"
@@ -13,26 +14,13 @@ import (
 	"crisp/internal/trace"
 )
 
-// This file promotes the remaining two-task policies to n tasks for the
-// scenario engine's N-tenant mixes, on top of the SMGroups/FGN primitives
-// in ntask.go:
-//
-//   - MiGN:          SM groups plus an n-way L2 bank (and thus DRAM
-//     channel) split.
-//   - PriorityEvenN: FGN with lower task ids claiming freed resources
-//     first (the default when tenants declare no explicit priorities).
-//   - TAPN:          SM groups plus utility-monitor-driven n-way L2 set
-//     partitioning with the TLP-aware insensitivity clamp.
-//   - WarpedSlicerN: n-way sampling of the IPC-vs-CTA-count curves and a
-//     greedy water-fill over the per-task CTA caps.
-//
-// Every decision procedure iterates tasks in ascending id with explicit
-// tie-breaks (lowest task wins), so the policies are deterministic under
-// any host parallelism.
+// This file holds the four policies built on the SMGroups/FGN primitives
+// in ntask.go: MiGN, PriorityEvenN, TAPN and WarpedSlicerN.
 
-// MiGN is n-way MiG: contiguous SM groups per task plus a contiguous L2
-// bank range per task, which also confines each task to the matching DRAM
-// channels.
+// MiGN is MiG: contiguous SM groups per task plus a contiguous L2 bank
+// range per task, which also confines each task to the matching DRAM
+// channels (at two tasks, half the bandwidth each — the bank-level
+// partitioning the TAP study compares against).
 type MiGN struct {
 	SMGroups
 }
@@ -58,17 +46,19 @@ func NewMiGN(g *gpu.GPU, taskOf func(stream int) int, tasks int) (*MiGN, error) 
 }
 
 // Name implements gpu.Policy.
-func (p *MiGN) Name() string { return fmt.Sprintf("MiGx%d", p.tasks) }
+func (p *MiGN) Name() string { return policyName("MiG", p.tasks) }
 
-// PriorityEvenN is the n-way generalization of PriorityEven: every task
-// runs on every SM within a 1/n envelope, and pending CTAs of
-// lower-numbered tasks claim freed resources first. Tenant-declared
-// priorities (gpu.SetTaskPriorities) override this default ordering.
+// PriorityEvenN is the QoS-aware variant of intra-SM sharing the paper's
+// future work points toward: every task runs on every SM within a 1/n
+// envelope, and pending CTAs of lower-numbered tasks claim freed resources
+// first — at two tasks the rendering task's, protecting the frame deadline
+// while compute soaks up the remainder. Tenant-declared priorities
+// (gpu.SetTaskPriorities) override this default ordering.
 type PriorityEvenN struct {
 	FGN
 }
 
-// NewPriorityEvenN builds the n-way QoS policy for g.
+// NewPriorityEvenN builds the QoS policy for g.
 func NewPriorityEvenN(g *gpu.GPU, tasks int) (*PriorityEvenN, error) {
 	f, err := NewFGN(g, tasks)
 	if err != nil {
@@ -78,16 +68,19 @@ func NewPriorityEvenN(g *gpu.GPU, tasks int) (*PriorityEvenN, error) {
 }
 
 // Name implements gpu.Policy.
-func (p *PriorityEvenN) Name() string { return fmt.Sprintf("PriorityEvenx%d", p.tasks) }
+func (p *PriorityEvenN) Name() string { return policyName("PriorityEven", p.tasks) }
 
 // Priority implements gpu.Prioritizer: lower task ids first.
 func (p *PriorityEvenN) Priority(task int) int { return -task }
 
-// TAPN is n-way TAP: contiguous SM groups, one utility monitor per task,
-// and an n-region L2 set split re-decided at long epochs by marginal
-// utility with the TLP-aware clamp (tasks whose access stream shows no
-// reuse are squeezed to the minimum so cache-sensitive tasks keep the
-// capacity).
+// TAPN applies TLP-aware utility-based cache partitioning to the shared L2
+// on top of MPS inter-SM sharing (Lee & Kim, adapted to GPU tasks as the
+// paper does): contiguous SM groups, one utility monitor per task sampling
+// its L2 access stream, and an n-region L2 set split re-decided at long
+// epochs by marginal utility with the TLP-aware correction — a task whose
+// access stream shows no cache sensitivity (compute-bound, e.g. HOLO) is
+// clamped to the minimum allocation so the cache-sensitive tasks keep the
+// capacity (paper Figs. 14-15).
 type TAPN struct {
 	SMGroups
 	g      *gpu.GPU
@@ -100,7 +93,8 @@ type TAPN struct {
 	epochs      int
 }
 
-// NewTAPN builds n-way TAP for g.
+// NewTAPN builds TAP for g: SM groups, shared banks, a set-partitioned
+// mapper, and observers wired into the memory system.
 func NewTAPN(g *gpu.GPU, taskOf func(stream int) int, tasks int) (*TAPN, error) {
 	cfg := g.Config()
 	groups, err := NewSMGroups(cfg.NumSMs, tasks)
@@ -128,15 +122,15 @@ func NewTAPN(g *gpu.GPU, taskOf func(stream int) int, tasks int) (*TAPN, error) 
 }
 
 // Name implements gpu.Policy.
-func (t *TAPN) Name() string { return fmt.Sprintf("TAPx%d", t.tasks) }
+func (t *TAPN) Name() string { return policyName("TAP", t.tasks) }
 
-// Regions reports the current set split.
+// Regions reports the current set split (for the composition study).
 func (t *TAPN) Regions() map[int]mem.SetRegion { return t.mapper.Regions }
 
-// ObserveL2 implements mem.Observer.
+// ObserveL2 implements mem.Observer, feeding the task's utility monitor.
 func (t *TAPN) ObserveL2(stream int, lineAddr uint64, hit bool) {
-	task := t.taskOf(stream)
-	if task >= 0 && task < t.tasks {
+	// One unsigned compare is the range check and the bounds check.
+	if task := t.taskOf(stream); uint(task) < uint(len(t.umons)) {
 		t.umons[task].Observe(lineAddr)
 	}
 }
@@ -166,9 +160,11 @@ func regionsFor(sets []int) map[int]mem.SetRegion {
 	return regions
 }
 
-// Tick implements gpu.Policy: the same epoch cadence as pairwise TAP —
-// decide once after the warmup window, then re-evaluate only at long
-// intervals (a set remap is an effective flush).
+// Tick implements gpu.Policy: repartition by marginal utility with the
+// TLP-aware insensitivity clamp. Because reassigning sets remaps resident
+// lines (an effective flush), the split is decided once after a warmup
+// sampling window and then re-evaluated only at long intervals — frequent
+// re-partitioning costs more in remap misses than any allocation gain.
 func (t *TAPN) Tick(now int64) {
 	t.epochs++
 	if t.epochs > 1 && t.epochs < 32 {
@@ -186,9 +182,9 @@ func (t *TAPN) Tick(now int64) {
 	}
 	assoc := len(t.umons[0].WayHits)
 
-	// TLP-aware classification, as in pairwise TAP: "active" means a
-	// non-negligible share of the L2 access stream, "sensitive" means the
-	// shadow tags show real reuse.
+	// TLP-aware classification. "Active" means the task contributes a
+	// non-negligible share of L2 accesses; "sensitive" means its shadow
+	// tags show real reuse (cache capacity would convert misses to hits).
 	active := make([]bool, t.tasks)
 	sensitive := make([]bool, t.tasks)
 	activeCount, sensCount := 0, 0
@@ -206,7 +202,8 @@ func (t *TAPN) Tick(now int64) {
 		return
 	}
 
-	// Inactive tasks hold the minimum; actives share the remainder.
+	// Inactive tasks (barely touching memory, e.g. HOLO) hold the minimum;
+	// actives share the remainder.
 	sets := make([]int, t.tasks)
 	avail := t.setsPerBank
 	for i := range sets {
@@ -218,11 +215,20 @@ func (t *TAPN) Tick(now int64) {
 	if avail < activeCount*t.minSets {
 		sets = evenSets(t.setsPerBank, t.tasks)
 	} else if sensCount >= 2 {
-		t.sensitiveSplit(sets, active, avail, activeCount, assoc)
+		ways := t.grantWays(active, assoc)
+		if t.tasks == 2 {
+			t.pairSplit(sets, ways, assoc)
+		} else {
+			t.sensitiveSplit(sets, ways, active, avail, activeCount)
+		}
 	} else {
 		// At most one task shows capacity sensitivity: these mixes are
-		// bandwidth-bound, so match shared-LRU behavior with an even
-		// split over the active tasks (the paper's two-task finding).
+		// bandwidth-, not capacity-bound, so TAP matches shared-LRU
+		// behavior with an even split over the active tasks rather than
+		// squeezing the streaming task into conflict misses — the
+		// paper's finding that TAP shows no speedup over MPS because
+		// "the baseline cache replacement policy, LRU, is efficient
+		// enough".
 		share := evenSets(avail, activeCount)
 		j := 0
 		for i := range sets {
@@ -252,12 +258,10 @@ func (t *TAPN) Tick(now int64) {
 	}
 }
 
-// sensitiveSplit fills sets for the ≥2-sensitive case: assoc ways are
-// granted greedily by access-rate-normalized marginal utility across the
-// active tasks, then the available sets are split proportionally to
-// (ways+1) with a per-active floor of half an even share — the n-way
-// analog of pairwise TAP's quarter clamp.
-func (t *TAPN) sensitiveSplit(sets []int, active []bool, avail, activeCount, assoc int) {
+// grantWays hands out assoc ways greedily by access-rate-normalized
+// marginal utility across the active tasks (TAP's hit-rate comparison, not
+// raw hit counts; ties: lowest task).
+func (t *TAPN) grantWays(active []bool, assoc int) []int {
 	ways := make([]int, t.tasks)
 	for w := 0; w < assoc; w++ {
 		best, bestScore := -1, -1.0
@@ -272,6 +276,14 @@ func (t *TAPN) sensitiveSplit(sets []int, active []bool, avail, activeCount, ass
 		}
 		ways[best]++
 	}
+	return ways
+}
+
+// sensitiveSplit is the n-way rule for the ≥2-sensitive case: the available
+// sets are split over the active tasks proportionally to (ways+1) with a
+// per-active floor of half an even share — the n-way analog of pairSplit's
+// quarter clamp.
+func (t *TAPN) sensitiveSplit(sets, ways []int, active []bool, avail, activeCount int) {
 	weightSum := 0
 	for i := range ways {
 		if active[i] {
@@ -325,7 +337,10 @@ func (t *TAPN) sensitiveSplit(sets []int, active []bool, avail, activeCount, ass
 	}
 }
 
-// tapNBlob is TAPN's serialized dynamic state.
+// tapNBlob is TAPN's serialized dynamic state. At two tasks it marshals to
+// the bytes the pairwise policy's fixed-size blob did (same field names and
+// order; a 2-array and a 2-slice are the same JSON), so checkpoints written
+// before the policies were unified restore.
 type tapNBlob struct {
 	Epochs  int
 	Regions []tapRegion // sorted by task
@@ -359,10 +374,10 @@ func (t *TAPN) RestoreState(blob []byte) error {
 		if r.Start < 0 || r.Count < 0 || r.Start+r.Count > t.setsPerBank {
 			return policyErr("TAPN state blob: region task=%d [%d,+%d) outside bank of %d sets", r.Task, r.Start, r.Count, t.setsPerBank)
 		}
+		if _, dup := regions[r.Task]; dup || r.Task < 0 || r.Task >= t.tasks {
+			return policyErr("TAPN state blob: region task=%d repeated or outside 0..%d", r.Task, t.tasks-1)
+		}
 		regions[r.Task] = mem.SetRegion{Start: r.Start, Count: r.Count}
-	}
-	if len(regions) != t.tasks {
-		return policyErr("TAPN state blob: expected %d set regions, got %d", t.tasks, len(regions))
 	}
 	t.epochs = b.Epochs
 	t.mapper.Regions = regions
@@ -374,12 +389,18 @@ func (t *TAPN) RestoreState(blob []byte) error {
 	return nil
 }
 
-// WarpedSlicerN is the n-way warped slicer: during sampling, SM smID runs
-// only task smID%n at CTA cap sampleCaps[(smID/n)%len(sampleCaps)], so all
-// n IPC-vs-CTA-count curves are measured in parallel with no cross-task
-// contention; the steady split is then chosen by a greedy water-fill that
-// repeatedly raises the cap with the best normalized marginal gain while
-// the combined envelopes still fit in one SM.
+// WarpedSlicerN implements dynamic intra-SM partitioning (Xu et al.): at
+// every kernel launch (and every new drawcall batch) the partition is
+// reset; during the sampling phase SM smID runs only task smID%n at CTA cap
+// sampleCaps[(smID/n)%len(sampleCaps)], so all n IPC-vs-CTA-count curves
+// are read from per-SM progress counters in parallel with no cross-task
+// contention. The steady split is then chosen from the curves — at two
+// tasks by bestPair, beyond by waterFill — and the machine switches to
+// fine-grained intra-SM sharing at that ratio.
+//
+// The sampling cost is re-paid on every launch, which is why workloads
+// composed of many small kernels (VIO) lose to the static EVEN split in
+// paper Fig. 12.
 type WarpedSlicerN struct {
 	g     *gpu.GPU
 	tasks int
@@ -388,6 +409,8 @@ type WarpedSlicerN struct {
 	state     wsState
 	sampleEnd int64
 
+	// component-wise maximum kernel resource shape per task (for envelope
+	// math).
 	kernelNeed  []sm.Resources
 	haveKernel  []bool
 	limits      []sm.Resources
@@ -395,7 +418,7 @@ type WarpedSlicerN struct {
 	resampleCnt int
 }
 
-// NewWarpedSlicerN builds the n-way policy attached to g.
+// NewWarpedSlicerN builds the policy attached to g.
 func NewWarpedSlicerN(g *gpu.GPU, tasks int) (*WarpedSlicerN, error) {
 	if tasks < 1 {
 		return nil, fmt.Errorf("partition: WarpedSlicerN needs at least one task")
@@ -419,9 +442,25 @@ func NewWarpedSlicerN(g *gpu.GPU, tasks int) (*WarpedSlicerN, error) {
 }
 
 // Name implements gpu.Policy.
-func (w *WarpedSlicerN) Name() string { return fmt.Sprintf("WarpedSlicerx%d", w.tasks) }
+func (w *WarpedSlicerN) Name() string { return policyName("WarpedSlicer", w.tasks) }
 
-// Resamples reports how many sampling phases have run.
+// DescribeState implements gpu.StateDescriber: the policy's last decision
+// for crash dumps — sampling vs steady, the active envelopes, and how many
+// repartitions have run.
+func (w *WarpedSlicerN) DescribeState() string {
+	phase := "steady"
+	if w.state == wsSampling {
+		phase = "sampling"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s after %d resamples; envelopes", phase, w.resampleCnt)
+	for t, l := range w.limits {
+		fmt.Fprintf(&b, " task%d={threads:%d regs:%d shared:%d ctas:%d}", t, l.Threads, l.Regs, l.Shared, l.CTAs)
+	}
+	return b.String()
+}
+
+// Resamples reports how many sampling phases have run (one per launch).
 func (w *WarpedSlicerN) Resamples() int { return w.resampleCnt }
 
 // capOfSamplingSMN gives each sampling SM its CTA cap point.
@@ -453,9 +492,12 @@ func (w *WarpedSlicerN) Limit(smID, task int) (sm.Resources, bool) {
 	return w.limits[task], true
 }
 
-// OnLaunch implements gpu.Policy: every launch resets the partition and
-// re-samples, tracking the component-wise maximum CTA footprint per task
-// (as pairwise does).
+// OnLaunch implements gpu.Policy: every kernel launch or new rendering
+// batch resets the dynamic partition and re-samples. The envelope shape
+// tracks the component-wise maximum CTA footprint seen for the task:
+// rendering streams interleave small vertex kernels with large fragment
+// kernels, and an envelope sized only for the most recent launch could
+// never place the bigger kernel's CTAs.
 func (w *WarpedSlicerN) OnLaunch(now int64, k *trace.Kernel, task int) {
 	if task >= 0 && task < w.tasks {
 		need := sm.Need(k)
@@ -484,125 +526,118 @@ func (w *WarpedSlicerN) OnLaunch(now int64, k *trace.Kernel, task int) {
 	w.g.ResetSMCounters()
 }
 
-// envelopeForN sizes a task's intra-SM envelope to hold ctas CTAs of need.
-func envelopeForN(need sm.Resources, ctas int, full sm.Resources, tasks int) sm.Resources {
-	if need.Threads == 0 || ctas <= 0 {
-		return sm.Fraction(full, 1, tasks)
-	}
-	return envelopeFor(need, ctas, full)
-}
-
 // Tick implements gpu.Policy: when the sampling window closes, read the
-// curves and water-fill.
+// per-SM progress counters into the performance curves and choose the
+// split.
 func (w *WarpedSlicerN) Tick(now int64) {
 	if w.state != wsSampling || now < w.sampleEnd {
 		return
 	}
 	cfg := w.g.Config()
-	// perf[task][capIdx] = mean instructions retired at that CTA cap
-	// (indices into sampleCaps; -1 count = cap never sampled).
-	perf := make([][]float64, w.tasks)
-	counts := make([][]int, w.tasks)
-	for t := range perf {
-		perf[t] = make([]float64, len(w.sampleCaps))
-		counts[t] = make([]int, len(w.sampleCaps))
+	c := wsCurves{
+		perf:    make([][]float64, w.tasks),
+		sampled: make([][]int, w.tasks),
+		maxPerf: make([]float64, w.tasks),
 	}
-	for smID := 0; smID < cfg.NumSMs; smID++ {
-		task := smID % w.tasks
-		ci := (smID / w.tasks) % len(w.sampleCaps)
-		perf[task][ci] += float64(w.g.InstsOnSM(smID, task))
-		counts[task][ci]++
-	}
-	for t := range perf {
-		for ci, n := range counts[t] {
-			if n > 0 {
-				perf[t][ci] /= float64(n)
+	counts := make([]int, len(w.sampleCaps))
+	for t := range c.perf {
+		c.perf[t] = make([]float64, len(w.sampleCaps))
+		clear(counts)
+		for smID := t; smID < cfg.NumSMs; smID += w.tasks {
+			ci := (smID / w.tasks) % len(w.sampleCaps)
+			c.perf[t][ci] += float64(w.g.InstsOnSM(smID, t))
+			counts[ci]++
+		}
+		for ci, n := range counts {
+			if n == 0 {
+				continue
 			}
+			c.perf[t][ci] /= float64(n)
+			c.sampled[t] = append(c.sampled[t], ci)
+			c.maxPerf[t] = max(c.maxPerf[t], c.perf[t][ci])
+		}
+		if c.maxPerf[t] == 0 {
+			c.maxPerf[t] = 1
 		}
 	}
-	caps := w.waterFillN(perf, counts)
+	var caps []int
+	if w.tasks == 2 {
+		caps = w.bestPair(c)
+	} else {
+		caps = w.waterFill(c)
+	}
 	full := sm.Full(cfg)
 	for t := range w.limits {
-		w.limits[t] = envelopeForN(w.kernelNeed[t], caps[t], full, w.tasks)
+		w.limits[t] = envelopeFor(w.kernelNeed[t], caps[t], full, w.tasks)
 	}
 	w.state = wsSteady
 	if tr := w.g.Tracer(); tr != nil {
+		// "split 4:8 CTAs", and the caps packed 16 bits each (task 0
+		// highest; exact up to four tasks, the name carries them all).
+		split := strings.Trim(strings.ReplaceAll(fmt.Sprint(caps), " ", ":"), "[]")
+		var arg int64
+		for _, cp := range caps {
+			arg = arg<<16 | int64(cp)
+		}
 		tr.Emit(obs.Event{Cycle: now, Kind: obs.EvRepartition, Stream: -1,
-			Task: -1, SM: -1, CTA: -1,
-			Name: fmt.Sprintf("split %v CTAs", caps), Arg: int64(w.resampleCnt)})
+			Task: -1, SM: -1, CTA: -1, Name: "split " + split + " CTAs", Arg: arg})
 	}
 	w.g.ResetSMCounters()
 }
 
-// waterFillN picks per-task CTA caps greedily: start every task at its
-// smallest sampled cap, then repeatedly raise the task whose next cap
-// yields the best normalized throughput gain while the combined envelopes
-// still fit in one SM (ties: lowest task id). If even the floor does not
-// fit, every task falls back to the 1/n static split.
-func (w *WarpedSlicerN) waterFillN(perf [][]float64, counts [][]int) []int {
+// fits reports whether the envelopes for the given per-task CTA caps fit
+// in one SM together.
+func (w *WarpedSlicerN) fits(caps []int) bool {
 	full := sm.Full(w.g.Config())
-	// Per-task list of sampled cap indices (ascending) and the curve max.
-	sampled := make([][]int, w.tasks)
-	maxPerf := make([]float64, w.tasks)
-	for t := range perf {
-		for ci, n := range counts[t] {
-			if n == 0 {
-				continue
-			}
-			sampled[t] = append(sampled[t], ci)
-			if perf[t][ci] > maxPerf[t] {
-				maxPerf[t] = perf[t][ci]
-			}
-		}
-		if maxPerf[t] == 0 {
-			maxPerf[t] = 1
-		}
+	var sum sm.Resources
+	for t, c := range caps {
+		e := envelopeFor(w.kernelNeed[t], c, full, w.tasks)
+		sum.Threads += e.Threads
+		sum.Regs += e.Regs
+		sum.Shared += e.Shared
+		sum.CTAs += e.CTAs
 	}
+	return sum.Threads <= full.Threads && sum.Regs <= full.Regs &&
+		sum.Shared <= full.Shared && sum.CTAs <= full.CTAs
+}
+
+// waterFill is the n-way rule: start every task at its smallest sampled
+// cap, then repeatedly raise the task whose next cap yields the best
+// normalized throughput gain while the combined envelopes still fit in one
+// SM (ties: lowest task id). If even the floor does not fit, every task
+// falls back to the 1/n static split.
+func (w *WarpedSlicerN) waterFill(c wsCurves) []int {
 	caps := make([]int, w.tasks)
 	idx := make([]int, w.tasks)
 	for t := range caps {
-		if len(sampled[t]) == 0 {
+		if len(c.sampled[t]) == 0 {
 			// No SM sampled this task (more tasks than SMs per cap
 			// point): hold the smallest cap.
 			caps[t] = w.sampleCaps[0]
 			idx[t] = -1
 			continue
 		}
-		caps[t] = w.sampleCaps[sampled[t][0]]
+		caps[t] = w.sampleCaps[c.sampled[t][0]]
 	}
-	fits := func(caps []int) bool {
-		var sum sm.Resources
-		for t, c := range caps {
-			e := envelopeForN(w.kernelNeed[t], c, full, w.tasks)
-			sum.Threads += e.Threads
-			sum.Regs += e.Regs
-			sum.Shared += e.Shared
-			sum.CTAs += e.CTAs
-		}
-		return sum.Threads <= full.Threads && sum.Regs <= full.Regs &&
-			sum.Shared <= full.Shared && sum.CTAs <= full.CTAs
-	}
-	if !fits(caps) {
-		for t := range caps {
-			caps[t] = 0 // envelopeForN maps 0 to the 1/n fallback
-		}
+	if !w.fits(caps) {
+		clear(caps) // envelopeFor maps 0 to the 1/n fallback
 		return caps
 	}
+	trial := make([]int, len(caps))
 	for {
 		best, bestGain := -1, 0.0
 		for t := range caps {
-			if idx[t] < 0 || idx[t]+1 >= len(sampled[t]) {
+			if idx[t] < 0 || idx[t]+1 >= len(c.sampled[t]) {
 				continue
 			}
-			cur, next := sampled[t][idx[t]], sampled[t][idx[t]+1]
-			gain := (perf[t][next] - perf[t][cur]) / maxPerf[t]
+			cur, next := c.sampled[t][idx[t]], c.sampled[t][idx[t]+1]
+			gain := (c.perf[t][next] - c.perf[t][cur]) / c.maxPerf[t]
 			if gain <= bestGain {
 				continue
 			}
-			trial := make([]int, len(caps))
 			copy(trial, caps)
 			trial[t] = w.sampleCaps[next]
-			if fits(trial) {
+			if w.fits(trial) {
 				best, bestGain = t, gain
 			}
 		}
@@ -610,11 +645,12 @@ func (w *WarpedSlicerN) waterFillN(perf [][]float64, counts [][]int) []int {
 			return caps
 		}
 		idx[best]++
-		caps[best] = w.sampleCaps[sampled[best][idx[best]]]
+		caps[best] = w.sampleCaps[c.sampled[best][idx[best]]]
 	}
 }
 
-// wsNBlob is WarpedSlicerN's serialized dynamic state.
+// wsNBlob is WarpedSlicerN's serialized dynamic state; like tapNBlob, the
+// same bytes at two tasks as the pairwise policy's [2]-array blob.
 type wsNBlob struct {
 	State       uint8
 	SampleEnd   int64
@@ -665,3 +701,4 @@ var _ mem.Observer = (*TAPN)(nil)
 var _ gpu.StateSnapshotter = (*TAPN)(nil)
 var _ gpu.Policy = (*WarpedSlicerN)(nil)
 var _ gpu.StateSnapshotter = (*WarpedSlicerN)(nil)
+var _ gpu.StateDescriber = (*WarpedSlicerN)(nil)

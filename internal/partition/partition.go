@@ -1,28 +1,43 @@
 // Package partition implements the GPU sharing mechanisms of paper Fig. 4
 // plus the two prior-work policies evaluated in the concurrency case
-// studies:
+// studies — one type and one constructor per policy, each taking the task
+// count:
 //
-//   - MPS:  coarse inter-SM partitioning; L2 and memory stay shared.
-//   - MiG:  inter-SM partitioning plus L2 bank and memory-channel
+//   - SMGroups (MPS): coarse inter-SM partitioning; L2 and memory stay
+//     shared.
+//   - MiGN: inter-SM partitioning plus L2 bank and memory-channel
 //     partitioning — each task sees only its subset of banks.
-//   - FG:   fine-grained intra-SM partitioning (the async-compute analog):
-//     every SM runs both tasks under per-task resource envelopes.
-//   - WarpedSlicer: dynamic intra-SM partitioning — parallel SMs sample
-//     the IPC-vs-CTA-count curve of each kernel, then a water-filling
-//     pass picks the per-SM CTA split (Xu et al., ISCA'16).
-//   - TAP: TLP-aware utility-based L2 set partitioning on top of MPS
+//   - FGN (EVEN): fine-grained intra-SM partitioning (the async-compute
+//     analog): every SM runs every task under per-task resource envelopes.
+//   - PriorityEvenN: FGN with lower task ids claiming freed resources
+//     first.
+//   - WarpedSlicerN: dynamic intra-SM partitioning — parallel SMs sample
+//     the IPC-vs-CTA-count curve of each kernel, then the per-SM CTA split
+//     is chosen from the curves (Xu et al., ISCA'16).
+//   - TAPN: TLP-aware utility-based L2 set partitioning on top of MPS
 //     (Lee & Kim, HPCA'12), with utility monitors per task.
+//
+// The four static policies are the same code at every task count. The two
+// dynamic ones carry two decision rules each, selected in Tick by the task
+// count: the two-task rule the paper's Figs. 12–15 were reproduced with
+// (TAPN.pairSplit, WarpedSlicerN.bestPair) and an n-way rule
+// (TAPN.sensitiveSplit, WarpedSlicerN.waterFill). They are not merged
+// because they disagree at two tasks: the n-way rules move 5 of 9
+// WarpedSlicer rows of Fig. 12 (PT+HOLO 0.900 → 0.998) and 2 of 6 TAP rows
+// of Fig. 14. Everything else — classification, epochs, hysteresis,
+// sampling, envelopes, state blobs — is written once.
+//
+// Every decision procedure iterates tasks in ascending id with explicit
+// tie-breaks (lowest task wins), so the policies are deterministic under
+// any host parallelism. SMs and banks are grouped by unit·tasks/total (14
+// SMs over four tasks: 4|3|4|3); at two tasks an odd SM, bank or set count
+// leaves the odd unit with task 0.
 //
 // Tasks are small integers; by convention the concurrent platform uses
 // task 0 for graphics and task 1 for compute.
 package partition
 
-import (
-	"crisp/internal/gpu"
-	"crisp/internal/mem"
-	"crisp/internal/sm"
-	"crisp/internal/trace"
-)
+import "fmt"
 
 // TaskGraphics and TaskCompute are the conventional task ids.
 const (
@@ -30,111 +45,13 @@ const (
 	TaskCompute  = 1
 )
 
-// splitSMs assigns the first n0 SMs to task 0 and the rest to task 1.
-func splitSMs(numSMs, n0 int) func(smID int) int {
-	return func(smID int) int {
-		if smID < n0 {
-			return 0
-		}
-		return 1
+// policyName is every policy's Name: the bare name up to two tasks, …xN
+// beyond. The name is Arch.PolicyName in a snapshot — checked on restore
+// and counted in its bytes — so the bare two-task form is what keeps
+// checkpoints written by the pairwise policies resumable.
+func policyName(base string, tasks int) string {
+	if tasks > 2 {
+		return fmt.Sprintf("%sx%d", base, tasks)
 	}
+	return base
 }
-
-// MPS is even inter-SM partitioning with shared L2 — the paper's baseline
-// in both concurrency studies ("MPS even").
-type MPS struct {
-	taskOfSM func(int) int
-}
-
-// NewMPS splits the SMs evenly between two tasks.
-func NewMPS(numSMs int) *MPS {
-	return &MPS{taskOfSM: splitSMs(numSMs, numSMs/2)}
-}
-
-// Name implements gpu.Policy.
-func (p *MPS) Name() string { return "MPS" }
-
-// AllowSM implements gpu.Policy.
-func (p *MPS) AllowSM(smID, task int) bool { return p.taskOfSM(smID) == task }
-
-// Limit implements gpu.Policy (no intra-SM limits).
-func (p *MPS) Limit(smID, task int) (sm.Resources, bool) { return sm.Resources{}, false }
-
-// OnLaunch implements gpu.Policy.
-func (p *MPS) OnLaunch(now int64, k *trace.Kernel, task int) {}
-
-// Tick implements gpu.Policy.
-func (p *MPS) Tick(now int64) {}
-
-// MiG partitions SMs and the L2: each task owns half the banks, which also
-// confines it to the corresponding DRAM channels (half the bandwidth) —
-// the bank-level partitioning the TAP study compares against.
-type MiG struct {
-	MPS
-}
-
-// NewMiG builds MiG for g: even SM split plus an L2 bank mapper keyed by
-// the stream→task translation.
-func NewMiG(g *gpu.GPU, taskOf func(stream int) int) *MiG {
-	cfg := g.Config()
-	p := &MiG{MPS{taskOfSM: splitSMs(cfg.NumSMs, cfg.NumSMs/2)}}
-	banks := map[int][]int{0: {}, 1: {}}
-	for b := 0; b < cfg.L2Banks; b++ {
-		t := 0
-		if b >= cfg.L2Banks/2 {
-			t = 1
-		}
-		banks[t] = append(banks[t], b)
-	}
-	g.Mem().SetMapper(&mem.BankMapper{TaskOf: taskOf, Banks: banks})
-	return p
-}
-
-// Name implements gpu.Policy.
-func (p *MiG) Name() string { return "MiG" }
-
-// FG is static fine-grained intra-SM partitioning: both tasks run on every
-// SM, each within a fixed fraction of the SM's resources. The even split
-// is the paper's "EVEN" configuration.
-type FG struct {
-	label  string
-	limits [2]sm.Resources
-}
-
-// NewFGEven gives each task half of every SM.
-func NewFGEven(g *gpu.GPU) *FG {
-	full := sm.Full(g.Config())
-	return &FG{
-		label:  "EVEN",
-		limits: [2]sm.Resources{sm.Fraction(full, 1, 2), sm.Fraction(full, 1, 2)},
-	}
-}
-
-// NewFGRatio gives task 0 num/den of every SM and task 1 the remainder.
-func NewFGRatio(g *gpu.GPU, num, den int) *FG {
-	full := sm.Full(g.Config())
-	return &FG{
-		label:  "FG",
-		limits: [2]sm.Resources{sm.Fraction(full, num, den), sm.Fraction(full, den-num, den)},
-	}
-}
-
-// Name implements gpu.Policy.
-func (p *FG) Name() string { return p.label }
-
-// AllowSM implements gpu.Policy: both tasks run everywhere.
-func (p *FG) AllowSM(smID, task int) bool { return task >= 0 && task < 2 }
-
-// Limit implements gpu.Policy.
-func (p *FG) Limit(smID, task int) (sm.Resources, bool) {
-	if task < 0 || task > 1 {
-		return sm.Resources{}, false
-	}
-	return p.limits[task], true
-}
-
-// OnLaunch implements gpu.Policy.
-func (p *FG) OnLaunch(now int64, k *trace.Kernel, task int) {}
-
-// Tick implements gpu.Policy.
-func (p *FG) Tick(now int64) {}

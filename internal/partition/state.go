@@ -1,67 +1,21 @@
 package partition
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 
-	"crisp/internal/mem"
 	"crisp/internal/robust"
-	"crisp/internal/sm"
-	"crisp/internal/snapshot"
 )
 
-// This file implements gpu.StateSnapshotter for the two policies with
-// dynamic state: WarpedSlicer (sampling phase, measured envelopes) and TAP
-// (epoch counter, set split, utility-monitor shadow tags). The blobs are
-// JSON with sorted slices, so a policy blob — like everything else in a
-// snapshot — is byte-deterministic for a given state. The remaining
-// policies (MPS, MiG, the static intra-SM splits) are stateless: their
-// behavior is fully determined by name and config, so they serialize to
-// nothing.
+// gpu.StateSnapshotter is implemented by the two policies with dynamic
+// state: WarpedSlicerN (sampling phase, measured envelopes) and TAPN (epoch
+// counter, set split, utility-monitor shadow tags). The blobs are JSON with
+// sorted slices, so a policy blob — like everything else in a snapshot — is
+// byte-deterministic for a given state. The remaining policies (MPS, MiG,
+// the static intra-SM splits) are stateless: their behavior is fully
+// determined by name and config, so they serialize to nothing.
 
 func policyErr(format string, args ...any) error {
 	return &robust.SimError{Kind: robust.KindSnapshot, Msg: fmt.Sprintf(format, args...)}
-}
-
-// wsBlob is WarpedSlicer's serialized dynamic state.
-type wsBlob struct {
-	State       uint8
-	SampleEnd   int64
-	KernelNeed  [2]sm.Resources
-	HaveKernel  [2]bool
-	Limits      [2]sm.Resources
-	ResampleCnt int
-}
-
-// CaptureState implements gpu.StateSnapshotter.
-func (w *WarpedSlicer) CaptureState() ([]byte, error) {
-	return json.Marshal(wsBlob{
-		State:       uint8(w.state),
-		SampleEnd:   w.sampleEnd,
-		KernelNeed:  w.kernelNeed,
-		HaveKernel:  w.haveKernel,
-		Limits:      w.limits,
-		ResampleCnt: w.resampleCnt,
-	})
-}
-
-// RestoreState implements gpu.StateSnapshotter.
-func (w *WarpedSlicer) RestoreState(blob []byte) error {
-	var b wsBlob
-	if err := json.Unmarshal(blob, &b); err != nil {
-		return policyErr("WarpedSlicer state blob: %v", err)
-	}
-	if b.State > uint8(wsSteady) {
-		return policyErr("WarpedSlicer state blob: unknown phase %d", b.State)
-	}
-	w.state = wsState(b.State)
-	w.sampleEnd = b.SampleEnd
-	w.kernelNeed = b.KernelNeed
-	w.haveKernel = b.HaveKernel
-	w.limits = b.Limits
-	w.resampleCnt = b.ResampleCnt
-	return nil
 }
 
 // tapRegion is one task's set region, keyed for sorting.
@@ -69,49 +23,4 @@ type tapRegion struct {
 	Task  int
 	Start int
 	Count int
-}
-
-// tapBlob is TAP's serialized dynamic state.
-type tapBlob struct {
-	Epochs  int
-	Regions []tapRegion // sorted by task
-	UMons   [2]snapshot.UMONState
-}
-
-// CaptureState implements gpu.StateSnapshotter.
-func (t *TAP) CaptureState() ([]byte, error) {
-	b := tapBlob{Epochs: t.epochs}
-	for task, r := range t.mapper.Regions {
-		b.Regions = append(b.Regions, tapRegion{Task: task, Start: r.Start, Count: r.Count})
-	}
-	sort.Slice(b.Regions, func(i, j int) bool { return b.Regions[i].Task < b.Regions[j].Task })
-	b.UMons[0] = t.umons[0].CaptureState()
-	b.UMons[1] = t.umons[1].CaptureState()
-	return json.Marshal(b)
-}
-
-// RestoreState implements gpu.StateSnapshotter.
-func (t *TAP) RestoreState(blob []byte) error {
-	var b tapBlob
-	if err := json.Unmarshal(blob, &b); err != nil {
-		return policyErr("TAP state blob: %v", err)
-	}
-	regions := make(map[int]mem.SetRegion, len(b.Regions))
-	for _, r := range b.Regions {
-		if r.Start < 0 || r.Count < 0 || r.Start+r.Count > t.setsPerBank {
-			return policyErr("TAP state blob: region task=%d [%d,+%d) outside bank of %d sets", r.Task, r.Start, r.Count, t.setsPerBank)
-		}
-		regions[r.Task] = mem.SetRegion{Start: r.Start, Count: r.Count}
-	}
-	if len(regions) != 2 {
-		return policyErr("TAP state blob: expected 2 set regions, got %d", len(regions))
-	}
-	t.epochs = b.Epochs
-	t.mapper.Regions = regions
-	for i := range t.umons {
-		if err := t.umons[i].RestoreState(b.UMons[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -65,7 +65,11 @@ func runFaulted(t *testing.T, ks []*trace.Kernel, intraSM bool) error {
 		return err
 	}
 	if intraSM {
-		g.SetPolicy(partition.NewFGEven(g))
+		even, err := partition.NewFGN(g, 2)
+		if err != nil {
+			t.Fatalf("NewFGN: %v", err)
+		}
+		g.SetPolicy(even)
 	}
 	_, err = g.Run()
 	return err
