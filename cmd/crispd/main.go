@@ -78,7 +78,7 @@ func main() {
 	retryMax := flag.Duration("retry-max", 0, "retry backoff cap (0 = default 30s)")
 	retrySeed := flag.Int64("retry-seed", 0, "seed for deterministic backoff jitter")
 	isolate := flag.Bool("isolate", false, "run each job attempt in a child worker process so a hard crash kills one job, not the daemon")
-	workerBin := flag.String("worker-bin", "", "worker executable for -isolate (empty = re-exec this binary)")
+	workerBin := flag.String("worker-bin", "", "worker executable for -isolate: any binary that calls service.WorkerMain, e.g. crispd -worker-mode (empty = re-exec this binary)")
 	chaosSpec := flag.String("chaos", "", "seeded fault injection spec, e.g. 'seed=7,kill@9000,corrupt=truncate,delay=20ms' (testing only)")
 	fleet := flag.Int("fleet", 0, "sweep-tier shard count: concurrent sweep tasks (0 = same as -workers)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "sweep task lease duration; a lease not renewed within it is revoked and the task reassigned (0 = default 10s)")

@@ -1159,8 +1159,10 @@ func (g *GPU) SleepHist() []int64 {
 func (g *GPU) sampleMetrics() {
 	g.settleCores()
 	nt := g.maxTask + 1
-	if g.mPrev == nil {
-		g.mPrev = make([]taskSnap, nt)
+	// By length, not nil: a checkpoint taken before the first sample
+	// restores an empty, non-nil baseline.
+	if len(g.mPrev) < nt {
+		g.mPrev = append(g.mPrev, make([]taskSnap, nt-len(g.mPrev))...)
 	}
 	cur := make([]taskSnap, nt)
 	for _, st := range g.streams {

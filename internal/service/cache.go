@@ -148,14 +148,9 @@ func (c *resultCache) put(sr *StoredResult) {
 	if c.dir == "" {
 		return
 	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return
+	if err := os.MkdirAll(c.dir, 0o755); err == nil {
+		writeJSONAtomic(filepath.Join(c.dir, sr.Digest+".json"), sr)
 	}
-	b, err := json.MarshalIndent(sr, "", "  ")
-	if err != nil {
-		return
-	}
-	writeFileAtomic(filepath.Join(c.dir, sr.Digest+".json"), b)
 }
 
 // load reads every persisted result into memory (startup). A corrupt

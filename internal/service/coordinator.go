@@ -13,36 +13,28 @@ import (
 	"crisp/internal/obs"
 	"crisp/internal/robust"
 	"crisp/internal/robust/chaos"
-	"crisp/internal/snapshot"
 )
 
-// The sharded execution tier: a coordinator decomposes a sweep into
-// content-addressed tasks and schedules them across a fleet of shards —
-// goroutine-isolated in-process executors by default, child worker
-// processes over the wire protocol with Config.Isolate (the same
-// processes a remote `crispd -worker-mode` peer would run). Robustness is
-// the design center:
+// The supervisor. Every simulation crispd runs — a submitted job or one
+// cell of a sweep — is a sweepTask, and runTask is the one state machine
+// that carries it: federated-cache check → lease grant → one attempt
+// (in-process, or a child worker process with Config.Isolate) → commit,
+// or one failure verdict. Three properties make losing a worker cost
+// throughput, never correctness:
 //
-//   - Leases. A shard holds a time-bounded lease on its task, renewed by
-//     heartbeat and by interval samples. A crashed shard (child SIGKILL,
-//     OOM — classified KindCrash by the wire supervisor) revokes its own
-//     lease on the way out; a silent one (dropped heartbeats) is caught
-//     by the expiry monitor. Either way the task is reassigned to a
-//     healthy shard.
-//   - Checkpoint handoff. Each attempt checkpoints into its own
-//     directory; a reassigned attempt resumes from the newest readable
-//     checkpoint any prior attempt shipped, so a lost worker costs the
-//     progress since its last checkpoint, never the task.
-//   - Idempotent commit. Results are committed under the task's job
-//     digest exactly once: a revoked-but-alive holder that finishes
-//     anyway has its duplicate discarded by digest. Determinism makes
-//     the race benign — both candidates are bit-identical — so losing
-//     workers shrinks throughput, never correctness.
+//   - Leases (lease.go). The holder renews by heartbeat and by sample from
+//     the grant until the commit. A crashed holder gives its lease up on
+//     the way out; a silent one is caught by the expiry monitor; either
+//     way the task is requeued after the deterministic backoff.
+//   - Checkpoint handoff. Each attempt checkpoints into its own directory
+//     and the next one resumes from the newest readable checkpoint any
+//     attempt shipped.
+//   - Idempotent commit. A result is committed under the task's digest
+//     exactly once; a revoked-but-alive holder that finishes anyway has
+//     its bit-identical duplicate discarded.
 //
-// Retries reuse the job tier's deterministic backoff (base·2^(n-1) with
-// seeded jitter, keyed by digest and attempt); dispatch consults the
-// federated caches (the coordinator's own store, and with isolation the
-// worker's ResultsDir) before executing anything.
+// What a Job and a Sweep each add — timeline text, persistence, what
+// terminal means — sits behind the owner seam (task.go).
 
 // Sweep admission defaults.
 const (
@@ -51,30 +43,32 @@ const (
 	DefaultMaxSweepTasks = 512
 )
 
-// coordinator owns the sweep tier. One per server; nil until New wires it.
+// runningAttempt is one attempt in flight, registered under its lease
+// epoch from the grant until runTask returns.
+type runningAttempt struct {
+	t      *sweepTask
+	cancel context.CancelFunc
+}
+
+// coordinator supervises every task. One per server.
 type coordinator struct {
 	s *Server
-
-	ttl     time.Duration
-	hbEvery time.Duration
-	shards  int
 
 	mu      sync.Mutex
 	sweeps  map[string]*Sweep
 	order   []string
-	byKey   map[string]*sweepTask
-	cancels map[string]context.CancelFunc // running attempts by "key#epoch"
+	running map[uint64]runningAttempt // attempts in flight by lease epoch
 	nextID  int
 	active  int // sweeps not yet terminal (admission bound)
 
-	queue  chan *sweepTask
-	leases *leaseTable
-	stop   chan struct{}
-	wg     sync.WaitGroup
+	jobQueue   *taskQueue // feeds the Config.Workers pool
+	sweepQueue *taskQueue // feeds the Config.FleetWorkers shards
+	leases     *leaseTable
+	stop       chan struct{}
+	wg         sync.WaitGroup
 
 	revocations atomic.Int64 // leases revoked: crashes + expiries
-	expiries    atomic.Int64 // revocations caused by a missed heartbeat
-	resumes     atomic.Int64 // reassigned attempts resuming from a checkpoint
+	resumes     atomic.Int64 // attempts resuming from a shipped checkpoint
 	duplicates  atomic.Int64 // duplicate results discarded by digest
 	fedHits     atomic.Int64 // dispatches answered from a federated cache
 	tasksDone   atomic.Int64
@@ -82,52 +76,50 @@ type coordinator struct {
 }
 
 func newCoordinator(s *Server) *coordinator {
-	cfg := s.cfg
-	c := &coordinator{
-		s:       s,
-		ttl:     cfg.LeaseTTL,
-		hbEvery: cfg.HeartbeatEvery,
-		shards:  cfg.FleetWorkers,
-		sweeps:  make(map[string]*Sweep),
-		byKey:   make(map[string]*sweepTask),
-		cancels: make(map[string]context.CancelFunc),
-		stop:    make(chan struct{}),
+	return &coordinator{
+		s:          s,
+		sweeps:     make(map[string]*Sweep),
+		running:    make(map[uint64]runningAttempt),
+		jobQueue:   newTaskQueue(),
+		sweepQueue: newTaskQueue(),
+		leases:     newLeaseTable(s.cfg.LeaseTTL),
+		stop:       make(chan struct{}),
 	}
-	// Capacity covers every task of every admissible sweep, so enqueue
-	// and requeue never block a shard or a timer goroutine.
-	c.queue = make(chan *sweepTask, cfg.MaxSweeps*cfg.MaxSweepTasks)
-	c.leases = newLeaseTable(c.ttl)
-	return c
 }
 
-// start launches the shard pool and the lease-expiry monitor.
+// start launches both worker pools and the lease-expiry monitor.
 func (c *coordinator) start() {
-	for i := 0; i < c.shards; i++ {
-		c.wg.Add(1)
-		go c.shard(i)
+	cfg := c.s.cfg
+	c.wg.Add(cfg.Workers + cfg.FleetWorkers + 1)
+	for i := 0; i < cfg.Workers; i++ {
+		go c.pool(c.jobQueue, i)
 	}
-	c.wg.Add(1)
+	for i := 0; i < cfg.FleetWorkers; i++ {
+		go c.pool(c.sweepQueue, i)
+	}
 	go c.monitor()
 }
 
-// drain stops admission, cancels running attempts (isolated children get
-// SIGTERM and flush a final snapshot), and waits for the shards to exit.
+// drain stops dispatch, cancels running attempts (isolated children get
+// SIGTERM and flush a final snapshot), and waits for the pools to exit.
 func (c *coordinator) drain() {
 	c.mu.Lock()
-	select {
-	case <-c.stop:
-	default:
+	if !c.stopped() {
 		close(c.stop)
 	}
-	cancels := make([]context.CancelFunc, 0, len(c.cancels))
-	for _, cancel := range c.cancels {
-		cancels = append(cancels, cancel)
-	}
+	c.cancelLocked(func(*sweepTask) bool { return true })
 	c.mu.Unlock()
-	for _, cancel := range cancels {
-		cancel()
-	}
 	c.wg.Wait()
+}
+
+// cancelLocked cancels every attempt in flight for the matching tasks —
+// the current holder's and any revoked orphan's (caller holds c.mu).
+func (c *coordinator) cancelLocked(match func(*sweepTask) bool) {
+	for _, r := range c.running {
+		if match(r.t) {
+			r.cancel()
+		}
+	}
 }
 
 // ---- admission -------------------------------------------------------
@@ -168,6 +160,7 @@ func (c *coordinator) submit(spec SweepSpec) (*Sweep, error) {
 	sw := &Sweep{
 		ID:      fmt.Sprintf("s%06d", c.nextID),
 		Spec:    spec,
+		c:       c,
 		hub:     obs.NewHub(c.s.cfg.TimelineBuffer),
 		state:   StateRunning,
 		created: time.Now(),
@@ -176,7 +169,9 @@ func (c *coordinator) submit(spec SweepSpec) (*Sweep, error) {
 	root := c.sweepDir(sw)
 	for i, js := range specs {
 		t := &sweepTask{
-			sweep:  sw,
+			id:     fmt.Sprintf("%s/%d", sw.ID, i),
+			owner:  sw,
+			queue:  c.sweepQueue,
 			index:  i,
 			spec:   js,
 			res:    resolvedSpecs[i],
@@ -187,17 +182,15 @@ func (c *coordinator) submit(spec SweepSpec) (*Sweep, error) {
 			t.dir = filepath.Join(root, fmt.Sprintf("t%03d-%s", i, t.digest))
 		}
 		sw.tasks = append(sw.tasks, t)
-		c.byKey[t.key()] = t
 	}
 	c.sweeps[sw.ID] = sw
 	c.order = append(c.order, sw.ID)
 	c.active++
-	sw.note(StateRunning, fmt.Sprintf("sweep admitted: %d tasks across %d shards (lease ttl %v)", len(sw.tasks), c.shards, c.ttl))
-	tasks := sw.tasks
+	sw.lifecycle(StateRunning, fmt.Sprintf("sweep admitted: %d tasks across %d shards (lease ttl %v)", len(sw.tasks), c.s.cfg.FleetWorkers, c.s.cfg.LeaseTTL))
 	c.mu.Unlock()
 
-	for _, t := range tasks {
-		c.enqueue(t)
+	for _, t := range sw.tasks {
+		c.sweepQueue.push(t)
 	}
 	return sw, nil
 }
@@ -228,16 +221,6 @@ func (c *coordinator) stopped() bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// enqueue hands a task to the shard pool. Never blocks: the queue's
-// capacity covers every admissible task, and a stopped coordinator drops
-// the task (sweeps are in-memory; they die with the process).
-func (c *coordinator) enqueue(t *sweepTask) {
-	select {
-	case <-c.stop:
-	case c.queue <- t:
 	}
 }
 
@@ -313,59 +296,53 @@ func (s *Server) viewOfSweep(sw *Sweep, withTasks bool) sweepView {
 func (s *Server) CancelSweep(id string) (bool, error) {
 	c := s.coord
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	sw, ok := c.sweeps[id]
 	if !ok {
-		c.mu.Unlock()
 		return false, fmt.Errorf("service: unknown sweep %q", id)
 	}
-	switch sw.state {
-	case StateDone, StateFailed, StateCanceled:
-		c.mu.Unlock()
+	if sw.state.terminal() {
 		return false, nil
 	}
 	sw.canceled = true
 	sw.state = StateCanceled
 	sw.finished = time.Now()
-	var cancels []context.CancelFunc
-	prefix := sw.ID + "/"
-	for key, cancel := range c.cancels {
-		if len(key) >= len(prefix) && key[:len(prefix)] == prefix {
-			cancels = append(cancels, cancel)
-		}
-	}
-	sw.note(StateCanceled, "sweep canceled")
+	sw.lifecycle(StateCanceled, "sweep canceled")
 	sw.hub.Close()
 	c.finishCleanupLocked(sw, false)
-	c.mu.Unlock()
-	for _, cancel := range cancels {
-		cancel()
-	}
+	c.cancelLocked(func(t *sweepTask) bool { return t.owner == owner(sw) })
 	return true, nil
 }
 
 // ---- dispatch and supervision ---------------------------------------
 
-// shard is one fleet executor: it pulls tasks until drain.
-func (c *coordinator) shard(id int) {
+// pool is one worker of one pool: it pulls tasks from its queue until
+// drain. The job pool (Config.Workers) and the sweep shards
+// (Config.FleetWorkers) differ only in which queue they pull from.
+func (c *coordinator) pool(q *taskQueue, id int) {
 	defer c.wg.Done()
 	for {
+		if t := q.pop(); t != nil && !c.stopped() {
+			c.runTask(id, t)
+			continue
+		}
 		select {
 		case <-c.stop:
 			return
-		case t := <-c.queue:
-			c.runTask(id, t)
+		case <-q.wake:
 		}
 	}
 }
 
-// runTask executes one dispatch of one task on one shard: federated cache
-// check, lease grant, the attempt itself, then commit or failure handling
-// — all keyed by the lease epoch so a revoked holder's late report is
-// recognized as stale.
-func (c *coordinator) runTask(shard int, t *sweepTask) {
-	sw := t.sweep
+// runTask is the one supervisor: one dispatch of one task on one worker —
+// federated cache check, lease grant, one attempt, then the commit or the
+// failure verdict, all keyed by the lease epoch so a revoked holder's late
+// report is recognized as stale. The lease is heartbeaten from the grant
+// until the commit (or the verdict) has landed: a completion held up
+// between the two is still a live holder.
+func (c *coordinator) runTask(worker int, t *sweepTask) {
 	c.mu.Lock()
-	if t.state != taskPending || sw.canceled || sw.state != StateRunning {
+	if t.state != taskPending || c.stopped() || !t.owner.live() {
 		c.mu.Unlock()
 		return
 	}
@@ -380,73 +357,47 @@ func (c *coordinator) runTask(shard int, t *sweepTask) {
 		return
 	}
 	deaf := c.s.chaosCtrl.TakeHBDrop(t.digest)
-	epoch := c.leases.Grant(t.key(), shard, deaf)
-	t.state, t.epoch, t.worker = taskLeased, epoch, shard
+	epoch := c.leases.Grant(t.key(), worker, deaf)
+	t.state, t.epoch, t.worker = taskLeased, epoch, worker
 	attempt := t.attempts + 1
-	resumeFrom := t.resumeFrom
+	c.s.attempts.Add(1)
+	if attempt > 1 {
+		c.s.retries.Add(1)
+	} else {
+		c.s.execs.Add(1)
+	}
+	resumeFrom := t.bestResume()
 	if resumeFrom != "" {
 		t.resumed = true
-		sw.resumes++
 		c.resumes.Add(1)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	ckey := fmt.Sprintf("%s#%d", t.key(), epoch)
-	c.cancels[ckey] = cancel
-	detail := fmt.Sprintf("task %d (%s) leased to shard %d, attempt %d (epoch %d)", t.index, t.digest, shard, attempt, epoch)
-	if resumeFrom != "" {
-		if cyc, ok := snapshot.NewestCycle(resumeFrom); ok {
-			detail += fmt.Sprintf(", resuming from shipped checkpoint at cycle %d", cyc)
-		} else {
-			detail += ", resuming"
-		}
-	}
-	sw.note(StateRunning, detail)
+	c.running[epoch] = runningAttempt{t, cancel}
+	t.owner.attemptStarted(t, attempt, resumeFrom)
 	c.mu.Unlock()
-	defer func() {
-		cancel()
-		c.mu.Lock()
-		delete(c.cancels, ckey)
-		c.mu.Unlock()
-	}()
 
-	stored, err := c.runShardAttempt(ctx, cancel, shard, t, attempt, resumeFrom, epoch)
-	if err == nil {
-		if d := c.s.chaosCtrl.CompletionDelay(); d > 0 {
-			sleepBackoff(ctx, d)
+	// Renewal: a wall-clock ticker plus every interval sample and child
+	// heartbeat. A refused renewal means the lease was revoked under us —
+	// the attempt is abandoned via cancel (the epoch is a fencing token).
+	renewNow := func() {
+		if !c.leases.Renew(t.key(), epoch) {
+			cancel()
 		}
-		c.mu.Lock()
-		c.commitLocked(t, epoch, stored, false)
-		c.mu.Unlock()
-		return
 	}
-	c.handleFailure(t, epoch, err)
-}
-
-// runShardAttempt runs one attempt on this shard, renewing the task's
-// lease on a wall-clock ticker (the worker→coordinator heartbeat) and on
-// every interval sample. A renewal that comes back negative means the
-// lease was revoked under us — the attempt is abandoned via cancel, the
-// distributed-system equivalent of a fencing token.
-func (c *coordinator) runShardAttempt(ctx context.Context, cancel context.CancelFunc, shard int, t *sweepTask, attempt int, resumeFrom string, epoch uint64) (*StoredResult, error) {
-	key := t.key()
 	renew := func() {
 		if d := c.s.chaosCtrl.HeartbeatDelay(); d > 0 {
 			time.Sleep(d)
 		}
-		if !c.leases.Renew(key, epoch) {
-			cancel()
-		}
+		renewNow()
 	}
-	hbStop := make(chan struct{})
-	var hbWG sync.WaitGroup
-	hbWG.Add(1)
+	hbDone := make(chan struct{})
 	go func() {
-		defer hbWG.Done()
-		tick := time.NewTicker(c.hbEvery)
+		defer close(hbDone)
+		tick := time.NewTicker(c.s.cfg.HeartbeatEvery)
 		defer tick.Stop()
 		for {
 			select {
-			case <-hbStop:
+			case <-ctx.Done():
 				return
 			case <-tick.C:
 				renew()
@@ -454,55 +405,40 @@ func (c *coordinator) runShardAttempt(ctx context.Context, cancel context.Cancel
 		}
 	}()
 	defer func() {
-		close(hbStop)
-		hbWG.Wait()
+		cancel()
+		<-hbDone
+		c.mu.Lock()
+		delete(c.running, epoch)
+		c.mu.Unlock()
 	}()
 
-	killAt, armed := c.s.chaosCtrl.TakeKill(t.digest)
-	if !armed {
-		killAt = 0
-	}
-	ckptDir := t.attemptDir(attempt)
-	onSample := func(smp obs.Sample) {
-		t.sweep.hub.Publish(obs.TimelineEvent{Cycle: smp.Cycle, Kind: obs.TimelineSample, Sample: &smp})
-		if !c.leases.Renew(key, epoch) {
-			cancel()
-		}
-	}
-
-	if c.s.cfg.Isolate {
-		req := workerRequest{
-			Spec:             t.spec,
-			ResumeDir:        resumeFrom,
-			CheckpointDir:    ckptDir,
-			CheckpointEvery:  c.s.cfg.CheckpointEvery,
-			ResultsDir:       c.s.resultsDir(),
-			Budget:           t.res.budget,
-			Watchdog:         t.res.wdog,
-			ProgressInterval: c.s.cfg.ProgressInterval,
-			HeartbeatEvery:   int64(c.hbEvery),
-			KillAt:           killAt,
-		}
-		if req.Budget == 0 {
-			req.Budget = c.s.cfg.DefaultBudget
-		}
-		if req.Watchdog == 0 {
-			req.Watchdog = c.s.cfg.WatchdogWindow
-		}
-		return c.s.runWorkerProcess(ctx, req, attemptHooks{
-			onSample:    onSample,
-			onHeartbeat: renew,
-			onCached:    func() { c.fedHits.Add(1) },
-		}, fmt.Sprintf("sweep task %s", key))
-	}
-
-	p := c.s.paramsFor(t.res, resumeFrom, ckptDir, killAt)
-	stored, wall, err := runDirect(ctx, p, attemptHooks{
-		onSample: onSample,
-		onKill:   func(cycle int64) { panic(chaos.Injected(cycle)) },
+	stored, err := c.s.attempt(ctx, t, attempt, resumeFrom, attemptHooks{
+		onSample: func(smp obs.Sample) {
+			t.owner.sample(smp)
+			renewNow()
+		},
+		onHeartbeat: renew,
+		onCached:    func() { c.fedHits.Add(1) },
+		onFallback: func(corrupt []string) {
+			for _, p := range corrupt {
+				log.Printf("crispd: task %s: corrupt checkpoint %s renamed aside", t.key(), p)
+			}
+			c.s.fallbacks.Add(1)
+		},
 	})
-	c.s.observeRunTime(wall)
-	return stored, err
+	if err != nil {
+		c.handleFailure(t, epoch, err)
+		return
+	}
+	if d := c.s.chaosCtrl.CompletionDelay(); d > 0 {
+		select { // chaos: hold the completion, lease still renewing
+		case <-time.After(d):
+		case <-ctx.Done():
+		}
+	}
+	c.mu.Lock()
+	c.commitLocked(t, epoch, stored, false)
+	c.mu.Unlock()
 }
 
 // commitLocked commits one result for a task — exactly once. The caller
@@ -511,110 +447,86 @@ func (c *coordinator) runShardAttempt(ctx context.Context, cancel context.Cancel
 // guarantees the discarded bytes equal the committed ones, which the
 // lease-expiry race test asserts literally.
 func (c *coordinator) commitLocked(t *sweepTask, epoch uint64, stored *StoredResult, fromCache bool) {
-	sw := t.sweep
 	c.leases.Release(t.key(), epoch)
-	if sw.canceled || sw.state != StateRunning {
-		return
-	}
 	if t.state == taskDone {
-		sw.dups++
 		c.duplicates.Add(1)
-		sw.note(StateRunning, fmt.Sprintf("task %d (%s): duplicate result from revoked lease (epoch %d) discarded by digest", t.index, t.digest, epoch))
+		t.owner.duplicate(t, epoch)
 		return
 	}
-	t.state = taskDone
-	t.result = stored
-	t.cacheHit = fromCache
-	t.errMsg = ""
-	sw.doneN++
-	c.tasksDone.Add(1)
+	if !t.owner.live() {
+		t.state = taskPending
+		t.owner.attemptStopped(t, nil)
+		return
+	}
+	t.state, t.result, t.cacheHit, t.errMsg = taskDone, stored, fromCache, ""
 	if !fromCache {
 		// Federation, write side: the result joins the shared store under
-		// its digest, visible to jobs, future sweeps, and worker-local
-		// caches alike.
+		// its digest, visible to jobs, sweeps, and worker-local caches alike.
 		c.s.cache.put(stored)
 	}
-	src := "executed"
-	if fromCache {
-		src = "from federated cache"
-	}
-	sw.note(StateRunning, fmt.Sprintf("task %d (%s) done %s: stats_digest=%s (%d/%d)", t.index, t.digest, src, stored.StatsDigest, sw.doneN, len(sw.tasks)))
-	c.maybeFinishLocked(sw)
+	t.owner.taskDone(t)
 }
 
-// handleFailure resolves a failed attempt. Reports carrying a stale epoch
-// (the lease was revoked while the attempt ran) are dropped — the task
-// was already reassigned. A retryable failure revokes the lease, counts a
-// revocation, and requeues the task after the deterministic backoff,
-// resuming from the best shipped checkpoint; a permanent one fails the
-// task; exhaustion of the attempt budget fails it too (the sweep-tier
-// quarantine equivalent).
+// handleFailure receives a failed attempt's report. One carrying a stale
+// epoch (the lease was revoked while the attempt ran, and the task was
+// already reassigned) is dropped.
 func (c *coordinator) handleFailure(t *sweepTask, epoch uint64, err error) {
-	sw := t.sweep
 	c.mu.Lock()
-	if t.state != taskLeased || t.epoch != epoch {
-		// Stale: a revoked holder reporting after reassignment.
-		c.leases.Release(t.key(), epoch)
-		c.mu.Unlock()
-		return
-	}
+	defer c.mu.Unlock()
 	c.leases.Release(t.key(), epoch)
-	if sw.canceled || sw.state != StateRunning || c.stopped() {
-		t.state = taskPending
-		c.mu.Unlock()
-		return
+	if t.state == taskLeased && t.epoch == epoch {
+		c.failedLocked(t, err)
 	}
-	if se, ok := robust.AsSimError(err); ok && robust.DeepestKind(se) == robust.KindCanceled {
-		// Canceled without the sweep being canceled: the lease was revoked
-		// under a live attempt (fencing) — the expiry path already
-		// requeued; nothing to do here. Treat like stale.
-		t.state = taskPending
-		c.mu.Unlock()
-		return
-	}
-	if !robust.RetryableError(err) {
-		c.failTaskLocked(t, err)
-		c.mu.Unlock()
-		return
-	}
+}
 
-	// A crashed or failed holder revokes its lease on the way out.
-	sw.revoked++
+// failedLocked applies the one failure verdict to the current holder's
+// lost attempt (caller holds c.mu): a permanent failure fails the task; a
+// retryable one revokes the lease, counts against the attempt budget and
+// — unless that is now exhausted — requeues the task after the
+// deterministic backoff, to resume from the newest shipped checkpoint.
+func (c *coordinator) failedLocked(t *sweepTask, err error) {
+	if c.stopped() || !t.owner.live() {
+		t.state = taskPending
+		t.owner.attemptStopped(t, err)
+		return
+	}
+	v, delay := c.s.verdict(t.digest, t.attempts+1, err)
+	switch v {
+	case verdictCanceled:
+		// Nobody asked for this cancellation: a renewal found the lease
+		// revoked before the expiry path got here (fencing), or something
+		// signaled the child. The attempt is lost like a crashed one's.
+		c.failedLocked(t, &robust.SimError{Kind: robust.KindCrash, Msg: "attempt canceled under a live owner: " + err.Error()})
+		return
+	case verdictPermanent:
+		t.state = taskFailed
+		t.owner.taskFailed(t, err, false)
+		return
+	}
 	c.revocations.Add(1)
 	t.attempts++
-	if t.attempts >= c.s.maxAttempts() {
-		c.failTaskLocked(t, fmt.Errorf("task exhausted %d attempts: %w", t.attempts, err))
-		c.mu.Unlock()
+	t.owner.attemptFailed(t, err)
+	if v == verdictExhausted {
+		t.state = taskFailed
+		t.owner.taskFailed(t, err, true)
 		return
 	}
-	t.state = taskPending
-	t.epoch = 0
-	t.resumeFrom = t.bestResume(t.attempts)
+	t.state, t.epoch = taskPending, 0
 	// Chaos: damage the newest checkpoint before the resume, forcing the
-	// fallback-to-previous path on the next attempt.
-	if t.resumeFrom != "" {
+	// fallback-to-previous path on the next attempt. The one-shot fault is
+	// only taken when there is a checkpoint to damage.
+	if dir := t.bestResume(); dir != "" {
 		if mode, ok := c.s.chaosCtrl.TakeCorrupt(t.digest); ok {
-			if p, cerr := chaos.Corrupt(t.resumeFrom, mode, c.s.cfg.Chaos.Seed); cerr == nil {
-				log.Printf("crispd: chaos: %s-corrupted checkpoint %s (sweep task %s)", mode, p, t.key())
+			if p, cerr := chaos.Corrupt(dir, mode, c.s.cfg.Chaos.Seed); cerr == nil {
+				log.Printf("crispd: chaos: %s-corrupted checkpoint %s (task %s)", mode, p, t.key())
 			}
 		}
 	}
-	delay := c.s.backoffDelay(t.digest, t.attempts+1)
-	sw.note(StateRunning, fmt.Sprintf("task %d (%s): lease revoked after attempt %d (%v); retrying in %v", t.index, t.digest, t.attempts, err, delay))
-	log.Printf("crispd: sweep task %s attempt %d failed, retrying in %v: %v", t.key(), t.attempts, delay, err)
-	c.mu.Unlock()
-	time.AfterFunc(delay, func() { c.enqueue(t) })
-}
-
-// failTaskLocked marks a task terminally failed (caller holds c.mu).
-func (c *coordinator) failTaskLocked(t *sweepTask, err error) {
-	sw := t.sweep
-	t.state = taskFailed
-	t.errMsg = err.Error()
-	sw.failedN++
-	c.tasksFailed.Add(1)
-	sw.note(StateFailed, fmt.Sprintf("task %d (%s) failed: %v", t.index, t.digest, err))
-	c.maybeFinishLocked(sw)
+	t.owner.note(t, fmt.Sprintf("lease revoked after attempt %d (%v); retrying in %v", t.attempts, err, delay))
+	log.Printf("crispd: task %s attempt %d/%d failed, retrying in %v: %v", t.key(), t.attempts, c.s.maxAttempts(), delay, err)
+	// The wait holds no worker. A cancel or a drain in the meantime leaves
+	// the timer to fire into runTask's liveness check: no retry starts.
+	time.AfterFunc(delay, func() { t.queue.push(t) })
 }
 
 // maybeFinishLocked finishes the sweep once every task is terminal
@@ -628,28 +540,23 @@ func (c *coordinator) maybeFinishLocked(sw *Sweep) {
 	sw.finished = time.Now()
 	if sw.failedN > 0 {
 		sw.state = StateFailed
-		sw.note(StateFailed, fmt.Sprintf("sweep failed: %d/%d tasks failed", sw.failedN, len(sw.tasks)))
-		sw.hub.Close()
-		c.finishCleanupLocked(sw, false)
-		return
+		sw.lifecycle(StateFailed, fmt.Sprintf("sweep failed: %d/%d tasks failed", sw.failedN, len(sw.tasks)))
+	} else {
+		sw.state = StateDone
+		sw.merged = sw.mergedDigest()
+		sw.lifecycle(StateDone, fmt.Sprintf("sweep done: %d tasks, merged_digest=%s, revocations=%d, resumes=%d, duplicates=%d",
+			len(sw.tasks), sw.merged, sw.revoked, sw.resumes, sw.dups))
 	}
-	sw.state = StateDone
-	sw.merged = sw.mergedDigest()
-	sw.note(StateDone, fmt.Sprintf("sweep done: %d tasks, merged_digest=%s, revocations=%d, resumes=%d, duplicates=%d",
-		len(sw.tasks), sw.merged, sw.revoked, sw.resumes, sw.dups))
 	sw.hub.Close()
-	c.finishCleanupLocked(sw, true)
+	c.finishCleanupLocked(sw, sw.state == StateDone)
 }
 
 // finishCleanupLocked releases a terminal sweep's resources (caller holds
-// c.mu): its admission slot, its lease-table keys, and — when the sweep
-// succeeded — its checkpoint directories (kept for postmortems
-// otherwise, except memory-only scratch which always goes).
+// c.mu): its admission slot and — when the sweep succeeded — its
+// checkpoint directories (kept for postmortems otherwise, except
+// memory-only scratch which always goes).
 func (c *coordinator) finishCleanupLocked(sw *Sweep, removeDirs bool) {
 	c.active--
-	for _, t := range sw.tasks {
-		delete(c.byKey, t.key())
-	}
 	scratch := sw.scratch
 	var stateDir string
 	if removeDirs && c.s.cfg.StateDir != "" {
@@ -670,11 +577,10 @@ func (c *coordinator) finishCleanupLocked(sw *Sweep, removeDirs bool) {
 // ---- lease expiry ----------------------------------------------------
 
 // monitor is the lease-expiry scanner: leases whose holders went silent
-// are revoked and their tasks reassigned immediately (the TTL already
-// was the grace period — no extra backoff).
+// are revoked and their tasks reassigned.
 func (c *coordinator) monitor() {
 	defer c.wg.Done()
-	period := c.ttl / 4
+	period := c.s.cfg.LeaseTTL / 4
 	if period < 5*time.Millisecond {
 		period = 5 * time.Millisecond
 	}
@@ -692,39 +598,20 @@ func (c *coordinator) monitor() {
 	}
 }
 
-// expire revokes one expired lease and reassigns its task. The revoked
+// expire revokes one expired lease: a holder silent for a whole TTL is
+// presumed crashed, and its task takes the crash verdict. The revoked
 // holder — if it is in fact still alive — keeps running until its next
 // renewal attempt fences it off (or it finishes, and its result is
 // discarded as a duplicate).
 func (c *coordinator) expire(exp expiredLease) {
 	c.mu.Lock()
-	t, ok := c.byKey[exp.key]
-	if !ok || t.state != taskLeased || t.epoch != exp.epoch {
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	r, ok := c.running[exp.epoch]
+	if !ok || r.t.state != taskLeased || r.t.epoch != exp.epoch {
 		return
 	}
-	sw := t.sweep
-	c.expiries.Add(1)
-	c.revocations.Add(1)
-	sw.revoked++
-	t.attempts++
-	if sw.canceled || sw.state != StateRunning {
-		t.state = taskPending
-		c.mu.Unlock()
-		return
-	}
-	if t.attempts >= c.s.maxAttempts() {
-		c.failTaskLocked(t, fmt.Errorf("task exhausted %d attempts: lease on shard %d expired (missed heartbeats)", t.attempts, exp.worker))
-		c.mu.Unlock()
-		return
-	}
-	t.state = taskPending
-	t.epoch = 0
-	t.resumeFrom = t.bestResume(t.attempts)
-	sw.note(StateRunning, fmt.Sprintf("task %d (%s): lease on shard %d revoked (heartbeats missed for %v); reassigning", t.index, t.digest, exp.worker, c.ttl))
-	log.Printf("crispd: sweep task %s: lease on shard %d expired; reassigning", exp.key, exp.worker)
-	c.mu.Unlock()
-	c.enqueue(t)
+	c.failedLocked(r.t, &robust.SimError{Kind: robust.KindCrash,
+		Msg: fmt.Sprintf("lease on worker %d expired (heartbeats missed for %v)", exp.worker, c.s.cfg.LeaseTTL)})
 }
 
 // ---- stats -----------------------------------------------------------
@@ -748,15 +635,15 @@ type FleetStats struct {
 }
 
 func (c *coordinator) stats() FleetStats {
-	grants, renewals, _ := c.leases.Counters()
+	grants, renewals, expirations := c.leases.Counters()
 	fs := FleetStats{
-		Shards:           c.shards,
+		Shards:           c.s.cfg.FleetWorkers,
 		SweepsByState:    make(map[State]int),
 		TasksDone:        c.tasksDone.Load(),
 		TasksFailed:      c.tasksFailed.Load(),
 		LeaseGrants:      grants,
 		LeaseRenewals:    renewals,
-		LeaseExpirations: c.expiries.Load(),
+		LeaseExpirations: expirations,
 		LeaseRevocations: c.revocations.Load(),
 		FleetResumes:     c.resumes.Load(),
 		DuplicateResults: c.duplicates.Load(),

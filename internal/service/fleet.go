@@ -9,57 +9,68 @@ import (
 	"log"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"syscall"
 	"time"
 
 	crisp "crisp"
 	"crisp/internal/obs"
 	"crisp/internal/robust"
+	"crisp/internal/robust/chaos"
+	"crisp/internal/snapshot"
 )
 
-// This file is the shared execution core: one attempt of one resolved
-// job, runnable either in-process through the crisp facade (runDirect) or
-// in a child worker process over the wire protocol (runWorkerProcess).
-// Both the per-job supervision path (execute/runAttempt in service.go)
-// and the fleet shards (coordinator.go) drive these two functions, so a
-// sweep task and a directly submitted job execute byte-identically — the
-// determinism contract the merged-digest convergence tests lean on.
+// This file is the execution core: one attempt of one task, described by
+// the workerRequest that is also its wire form, run over one of two
+// transports — in-process through the crisp facade (runDirect) or in a
+// child worker process over the wire protocol (runWorkerProcess). Every
+// task takes this path whoever owns it, so a sweep cell and a directly
+// submitted job execute byte-identically.
 
-// runParams is one fully resolved execution attempt: the job plus every
-// server-default-merged knob, by value.
-type runParams struct {
-	res              *resolved
-	resumeFrom       string
-	checkpointDir    string
-	checkpointEvery  int64
-	budget           int64
-	wdog             int64
-	progressInterval int64
-	killAt           int64
-	// frontend is the server's trace cache (nil in a worker process).
-	frontend *crisp.Frontend
+// requestFor describes attempt n of t: the task's spec by value plus every
+// server-default-merged knob. runDirect executes it as is; an isolated
+// child decodes the same document from stdin.
+func (s *Server) requestFor(t *sweepTask, n int, resumeFrom string, killAt int64) workerRequest {
+	req := workerRequest{
+		Spec:             t.spec,
+		ResumeDir:        resumeFrom,
+		CheckpointEvery:  s.cfg.CheckpointEvery,
+		ResultsDir:       s.resultsDir(),
+		Budget:           t.res.budget,
+		Watchdog:         t.res.wdog,
+		ProgressInterval: s.cfg.ProgressInterval,
+		HeartbeatEvery:   int64(s.cfg.HeartbeatEvery),
+		KillAt:           killAt,
+	}
+	if t.dir != "" {
+		req.CheckpointDir = filepath.Join(t.dir, fmt.Sprintf("a%d", n))
+	}
+	if req.Budget == 0 {
+		req.Budget = s.cfg.DefaultBudget
+	}
+	if req.Watchdog == 0 {
+		req.Watchdog = s.cfg.WatchdogWindow
+	}
+	return req
 }
 
-// paramsFor merges the server defaults into one attempt's parameters.
-func (s *Server) paramsFor(r *resolved, resumeFrom, checkpointDir string, killAt int64) runParams {
-	p := runParams{
-		res:              r,
-		resumeFrom:       resumeFrom,
-		checkpointDir:    checkpointDir,
-		checkpointEvery:  s.cfg.CheckpointEvery,
-		budget:           r.budget,
-		wdog:             r.wdog,
-		progressInterval: s.cfg.ProgressInterval,
-		killAt:           killAt,
-		frontend:         s.frontend,
+// attempt runs attempt n of t to its result or its error, arming the
+// chaos kill and picking the transport from Config.Isolate. An in-process
+// chaos kill panics with a KindInjected SimError from the metrics sink on
+// the sim goroutine: the core's deferred recovery flushes a final snapshot
+// first, so the retry has the kill-time state to resume from.
+func (s *Server) attempt(ctx context.Context, t *sweepTask, n int, resumeFrom string, h attemptHooks) (stored *StoredResult, err error) {
+	killAt, _ := s.chaosCtrl.TakeKill(t.digest)
+	req := s.requestFor(t, n, resumeFrom, killAt)
+	t0 := time.Now()
+	if s.cfg.Isolate {
+		stored, err = s.runWorkerProcess(ctx, req, h, "task "+t.key())
+	} else {
+		h.onKill = func(cycle int64) { panic(chaos.Injected(cycle)) }
+		stored, err = runDirect(ctx, req, t.res, s.frontend, h)
 	}
-	if p.budget == 0 {
-		p.budget = s.cfg.DefaultBudget
-	}
-	if p.wdog == 0 {
-		p.wdog = s.cfg.WatchdogWindow
-	}
-	return p
+	s.observeRunTime(time.Since(t0))
+	return stored, err
 }
 
 // attemptHooks observe one attempt's progress. Any hook may be nil.
@@ -75,52 +86,52 @@ type attemptHooks struct {
 	// onCached fires when an isolated worker answered from its local
 	// result cache without simulating (cache federation).
 	onCached func()
-	// onKill implements the chaos kill at runParams.killAt for the direct
-	// path: in-process supervision panics with an injected SimError (the
+	// onKill implements the chaos kill at workerRequest.KillAt for the
+	// direct path: in-process supervision panics with an injected SimError (the
 	// core's deferred recovery flushes a final snapshot first); a worker
 	// process SIGKILLs itself (no snapshot — the hardest crash).
 	onKill func(cycle int64)
 }
 
 // runDirect executes one attempt in-process through the crisp facade and
-// summarizes the result for the cache. The returned wall time is the
-// simulation time, for the server's EWMA.
-func runDirect(ctx context.Context, p runParams, h attemptHooks) (*StoredResult, time.Duration, error) {
+// summarizes the result for the cache. r is req.Spec resolved; fe is the
+// server's trace cache (nil in a worker process).
+func runDirect(ctx context.Context, req workerRequest, r *resolved, fe *crisp.Frontend, h attemptHooks) (*StoredResult, error) {
 	sink := func(smp obs.Sample) {
 		if h.onSample != nil {
 			h.onSample(smp)
 		}
-		if p.killAt > 0 && smp.Cycle >= p.killAt && h.onKill != nil {
+		if req.KillAt > 0 && smp.Cycle >= req.KillAt && h.onKill != nil {
 			h.onKill(smp.Cycle)
 		}
 	}
 	runOpts := []crisp.RunOption{
-		crisp.WithMetrics(p.progressInterval),
+		crisp.WithMetrics(req.ProgressInterval),
 		crisp.WithMetricsSink(sink),
-		crisp.WithFrontend(p.frontend),
+		crisp.WithFrontend(fe),
 	}
-	if p.budget > 0 {
-		runOpts = append(runOpts, crisp.WithCycleBudget(p.budget))
+	if req.Budget > 0 {
+		runOpts = append(runOpts, crisp.WithCycleBudget(req.Budget))
 	}
-	if p.wdog != 0 {
-		runOpts = append(runOpts, crisp.WithWatchdog(p.wdog))
+	if req.Watchdog != 0 {
+		runOpts = append(runOpts, crisp.WithWatchdog(req.Watchdog))
 	}
-	if p.checkpointDir != "" {
-		runOpts = append(runOpts, crisp.WithCheckpointDir(p.checkpointDir))
-		if p.checkpointEvery > 0 {
-			runOpts = append(runOpts, crisp.WithCheckpointEvery(p.checkpointEvery))
+	if req.CheckpointDir != "" {
+		runOpts = append(runOpts, crisp.WithCheckpointDir(req.CheckpointDir))
+		if req.CheckpointEvery > 0 {
+			runOpts = append(runOpts, crisp.WithCheckpointEvery(req.CheckpointEvery))
 		}
 	}
 
 	t0 := time.Now()
 	var res *crisp.Result
 	var err error
-	if p.resumeFrom != "" {
+	if req.ResumeDir != "" {
 		// Resume from the newest readable snapshot; corrupt ones are
 		// renamed aside and skipped (fallback-to-previous). A directory
 		// with nothing readable falls back to a fresh run — losing
 		// progress, never the job.
-		env, corrupt, lerr := loadResume(p.resumeFrom)
+		env, corrupt, lerr := snapshot.LoadNewest(req.ResumeDir)
 		if len(corrupt) > 0 && h.onFallback != nil {
 			h.onFallback(corrupt)
 		}
@@ -129,18 +140,16 @@ func runDirect(ctx context.Context, p runParams, h attemptHooks) (*StoredResult,
 		}
 	}
 	if res == nil && err == nil {
-		if p.res.isMix() {
-			res, err = crisp.RunMixContext(ctx, p.res.cfg, p.res.mix, p.res.policy, p.res.opts, runOpts...)
+		if r.isMix() {
+			res, err = crisp.RunMixContext(ctx, r.cfg, r.mix, r.policy, r.opts, runOpts...)
 		} else {
-			res, err = crisp.RunPairContext(ctx, p.res.cfg, p.res.scene, p.res.compute, p.res.policy, p.res.opts, runOpts...)
+			res, err = crisp.RunPairContext(ctx, r.cfg, r.scene, r.compute, r.policy, r.opts, runOpts...)
 		}
 	}
-	wall := time.Since(t0)
 	if err != nil {
-		return nil, wall, err
+		return nil, err
 	}
-	stored, serr := storedFromResult(p.res, res, float64(wall.Microseconds())/1000)
-	return stored, wall, serr
+	return storedFromResult(r, res, float64(time.Since(t0).Microseconds())/1000)
 }
 
 // workerArgv resolves the isolated-worker command line: the configured
@@ -189,13 +198,17 @@ func (s *Server) runWorkerProcess(ctx context.Context, req workerRequest, h atte
 		return nil, &robust.SimError{Kind: robust.KindCrash, Msg: "spawning worker", Err: err}
 	}
 
-	t0 := time.Now()
 	var stored *StoredResult
 	var cached bool
 	var simErr *robust.SimError
+	// A healthy child heartbeats every LeaseTTL/4; one silent for a whole
+	// TTL is hung, and holds this worker until it is reaped as a crash.
+	silent := time.AfterFunc(s.cfg.LeaseTTL, func() { cmd.Process.Kill() })
+	defer silent.Stop()
 	sc := bufio.NewScanner(stdout)
 	sc.Buffer(make([]byte, 64*1024), maxWireEvent)
 	for sc.Scan() {
+		silent.Reset(s.cfg.LeaseTTL)
 		ev, err := decodeWorkerEvent(sc.Bytes())
 		if err != nil {
 			log.Printf("crispd: %s: dropped worker event: %v", logName, err)
@@ -211,9 +224,6 @@ func (s *Server) runWorkerProcess(ctx context.Context, req workerRequest, h atte
 				h.onHeartbeat()
 			}
 		case evFallback:
-			for _, c := range ev.Corrupt {
-				log.Printf("crispd: %s: corrupt checkpoint %s renamed aside (worker)", logName, c)
-			}
 			if len(ev.Corrupt) > 0 && h.onFallback != nil {
 				h.onFallback(ev.Corrupt)
 			}
@@ -228,7 +238,6 @@ func (s *Server) runWorkerProcess(ctx context.Context, req workerRequest, h atte
 		}
 	}
 	waitErr := cmd.Wait()
-	s.observeRunTime(time.Since(t0))
 
 	switch {
 	case stored != nil:

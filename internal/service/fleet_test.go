@@ -289,12 +289,6 @@ func TestSweepHeartbeatDropConverges(t *testing.T) {
 		// Delay holds every completion long enough for the deaf lease to
 		// expire mid-attempt, guaranteeing the duplicate-commit race runs.
 		Chaos: chaos.Spec{Seed: 5, HBDrop: 1, Delay: 250 * time.Millisecond},
-		// A held completion sends no heartbeat, so every attempt's lease
-		// expires a TTL after its run ends and the task is reassigned. The
-		// first held commit must land before the attempts run out: at the
-		// default three that is 3×(run+TTL) against run+250 ms — a coin
-		// flip once a run takes 20 ms — so leave room for eight.
-		MaxAttempts: 8,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -314,8 +308,10 @@ func TestSweepHeartbeatDropConverges(t *testing.T) {
 		t.Fatalf("Revocations = %d, want >= 1 (the deaf lease must expire)", v.Revocations)
 	}
 	fs := s.coord.stats()
-	if fs.LeaseExpirations < 1 {
-		t.Fatalf("LeaseExpirations = %d, want >= 1", fs.LeaseExpirations)
+	// A held completion keeps heartbeating, so only the planted deaf lease
+	// expires (a second expiry is a slow host missing a 60 ms TTL).
+	if fs.LeaseExpirations < 1 || fs.LeaseExpirations > 2 {
+		t.Fatalf("LeaseExpirations = %d, want 1 (at most 2)", fs.LeaseExpirations)
 	}
 	if fs.HeartbeatDrops != 1 {
 		t.Fatalf("HeartbeatDrops = %d, want 1", fs.HeartbeatDrops)

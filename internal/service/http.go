@@ -161,22 +161,31 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	job, err := s.Submit(spec)
 	if err != nil {
-		var ve *ValidationError
-		var qf *QueueFullError
-		switch {
-		case errors.As(err, &ve):
-			httpError(w, http.StatusBadRequest, ve.Error())
-		case errors.As(err, &qf):
-			w.Header().Set("Retry-After", strconv.Itoa(int(qf.RetryAfter.Round(time.Second)/time.Second)))
-			httpError(w, http.StatusTooManyRequests, qf.Error())
-		case errors.Is(err, ErrDraining):
-			httpError(w, http.StatusServiceUnavailable, err.Error())
-		default:
-			httpError(w, http.StatusInternalServerError, err.Error())
-		}
+		submitError(w, err, "")
 		return
 	}
 	writeJSON(w, http.StatusCreated, s.viewOf(job))
+}
+
+// submitError maps a Submit or SubmitSweep failure to its HTTP status;
+// full, when set, replaces the 429 body.
+func submitError(w http.ResponseWriter, err error, full string) {
+	var ve *ValidationError
+	var qf *QueueFullError
+	switch {
+	case errors.As(err, &ve):
+		httpError(w, http.StatusBadRequest, ve.Error())
+	case errors.As(err, &qf):
+		if full == "" {
+			full = qf.Error()
+		}
+		w.Header().Set("Retry-After", strconv.Itoa(int(qf.RetryAfter.Round(time.Second)/time.Second)))
+		httpError(w, http.StatusTooManyRequests, full)
+	case errors.Is(err, ErrDraining):
+		httpError(w, http.StatusServiceUnavailable, err.Error())
+	default:
+		httpError(w, http.StatusInternalServerError, err.Error())
+	}
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -234,19 +243,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	sw, err := s.SubmitSweep(spec)
 	if err != nil {
-		var ve *ValidationError
-		var qf *QueueFullError
-		switch {
-		case errors.As(err, &ve):
-			httpError(w, http.StatusBadRequest, ve.Error())
-		case errors.As(err, &qf):
-			w.Header().Set("Retry-After", strconv.Itoa(int(qf.RetryAfter.Round(time.Second)/time.Second)))
-			httpError(w, http.StatusTooManyRequests, "too many live sweeps; retry later")
-		case errors.Is(err, ErrDraining):
-			httpError(w, http.StatusServiceUnavailable, err.Error())
-		default:
-			httpError(w, http.StatusInternalServerError, err.Error())
-		}
+		submitError(w, err, "too many live sweeps; retry later")
 		return
 	}
 	writeJSON(w, http.StatusCreated, s.viewOfSweep(sw, true))

@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,7 +14,7 @@ import (
 	"crisp/internal/robust/chaos"
 )
 
-// TestMain doubles the test binary as the crispd worker: runIsolated
+// TestMain doubles the test binary as the crispd worker: runWorkerProcess
 // re-execs os.Executable() with WorkerEnv set, and that lands here before
 // any test runs — exactly the interception cmd/crispd performs.
 func TestMain(m *testing.M) {
@@ -106,6 +109,11 @@ func TestIsolatedCrashRecovery(t *testing.T) {
 	}
 	if st.Retries < 1 {
 		t.Errorf("retries = %d, want >= 1", st.Retries)
+	}
+	// A job's child is leased and watched like a sweep task's: its samples
+	// and heartbeat events renewed the lease.
+	if st.Fleet.LeaseRenewals < 1 {
+		t.Errorf("lease renewals = %d, want > 0 (an isolated job attempt must be heartbeating)", st.Fleet.LeaseRenewals)
 	}
 	sr, ok := s.Result(job.Digest)
 	if !ok {
@@ -216,5 +224,76 @@ func TestCancelDuringIsolatedSpawn(t *testing.T) {
 	waitState(t, s, job.ID, StateCanceled, time.Minute)
 	if n := s.Snapshot().Retries; n != 0 {
 		t.Errorf("retries = %d after spawn-race cancel, want 0 (cancel must never be retried)", n)
+	}
+}
+
+// TestIsolatedSilentChildIsReaped: a child that never says anything — no
+// sample, no heartbeat, no terminal event — must not hold its worker
+// forever: after one lease TTL of silence it is killed, the attempt takes
+// the crash verdict, and the job runs out its budget into quarantine.
+func TestIsolatedSilentChildIsReaped(t *testing.T) {
+	s, err := New(Config{Workers: 1, Isolate: true, WorkerCommand: []string{"sleep", "60"},
+		LeaseTTL: 100 * time.Millisecond, MaxAttempts: 2, RetryBase: time.Millisecond})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	s.Start()
+	defer s.Drain(context.Background())
+	job, err := s.Submit(tinySpec("SPL", "", "serial"))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitState(t, s, job.ID, StateQuarantined, 30*time.Second)
+	if n := s.Snapshot().WorkerCrashes; n != 2 {
+		t.Errorf("worker crashes = %d, want 2 (one per silent attempt)", n)
+	}
+}
+
+// TestRequestSameForJobAndSweepTask pins the one attempt description: a
+// job-owned and a sweep-owned task of the same spec build the same
+// request — heartbeat cadence, federated results dir and default-merged
+// limits included — apart from where they checkpoint.
+func TestRequestSameForJobAndSweepTask(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Workers: 1, StateDir: dir, DefaultBudget: 1 << 40, WatchdogWindow: 1 << 20,
+		CheckpointEvery: 512, ProgressInterval: 256, HeartbeatEvery: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	spec := tinySpec("SPL", "VIO", "EVEN")
+	job, err := s.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	sw, err := s.SubmitSweep(oneCellSweep(spec))
+	if err != nil {
+		t.Fatalf("SubmitSweep: %v", err)
+	}
+	jr := s.requestFor(job.task, 2, "resume-here", 9000)
+	sr := s.requestFor(sw.tasks[0], 2, "resume-here", 9000)
+	if want := filepath.Join(dir, "jobs", job.ID, "a2"); jr.CheckpointDir != want {
+		t.Errorf("job attempt 2 checkpoints into %q, want %q", jr.CheckpointDir, want)
+	}
+	if !strings.HasPrefix(sr.CheckpointDir, filepath.Join(dir, "sweeps", sw.ID)) || filepath.Base(sr.CheckpointDir) != "a2" {
+		t.Errorf("sweep task attempt 2 checkpoints into %q", sr.CheckpointDir)
+	}
+	jr.CheckpointDir, sr.CheckpointDir = "", ""
+	if !reflect.DeepEqual(jr, sr) {
+		t.Errorf("requests differ beyond their directories:\n job   %+v\n sweep %+v", jr, sr)
+	}
+	want := workerRequest{Spec: spec, ResumeDir: "resume-here", CheckpointEvery: 512, ResultsDir: filepath.Join(dir, "results"),
+		Budget: 1 << 40, Watchdog: 1 << 20, ProgressInterval: 256, HeartbeatEvery: int64(20 * time.Millisecond), KillAt: 9000}
+	if !reflect.DeepEqual(jr, want) {
+		t.Errorf("request %+v, want %+v", jr, want)
+	}
+	// A spec's own limits win over the server defaults.
+	own := tinySpec("SPL", "", "serial")
+	own.CycleBudget, own.WatchdogWindow = 777, -1
+	oj, err := s.Submit(own)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if r := s.requestFor(oj.task, 1, "", 0); r.Budget != 777 || r.Watchdog != -1 {
+		t.Errorf("spec limits lost to the defaults: budget %d watchdog %d", r.Budget, r.Watchdog)
 	}
 }

@@ -2,8 +2,12 @@ package service
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
+
+	"crisp/internal/robust"
 )
 
 func TestLeaseTableGrantRenewRelease(t *testing.T) {
@@ -101,6 +105,30 @@ func TestLeaseTableDeaf(t *testing.T) {
 	}
 }
 
+// taskFixture builds a server (not started: the pools stay idle, so tasks
+// sit in their queue and the test drives the coordinator by hand) holding
+// one task of the named owner: the first cell of a two-task sweep, or a
+// persisted job with one coalesced follower.
+func taskFixture(t *testing.T, owner string) (*Server, *sweepTask) {
+	t.Helper()
+	if owner == "sweep" {
+		_, _, sw := sweepFixture(t)
+		return sw.c.s, sw.tasks[0]
+	}
+	s, err := New(Config{Workers: 1, ProgressInterval: 512, StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	job, err := s.Submit(tinySpec("SPL", "", "EVEN"))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if co, err := s.Submit(tinySpec("SPL", "", "EVEN")); err != nil || !co.coalesce {
+		t.Fatalf("follower: %v (coalesced %v)", err, co != nil && co.coalesce)
+	}
+	return s, job.task
+}
+
 // sweepFixture builds a server (not started: the shard pool stays idle, so
 // tasks sit in the queue and the test drives the coordinator by hand) with
 // one two-task sweep admitted.
@@ -127,91 +155,115 @@ func sweepFixture(t *testing.T) (*Server, *coordinator, *Sweep) {
 // deterministically (satellite of the fleet tier): a worker's lease is
 // revoked and its task reassigned while the worker keeps running; both the
 // reassigned attempt and the revoked orphan then deliver results.
-// Exactly one commit must land; the duplicate is discarded by digest.
+// Exactly one commit must land; the duplicate is discarded by digest —
+// for a sweep's task and for a job's alike.
 func TestCommitExactlyOnceAfterRevocation(t *testing.T) {
-	_, c, sw := sweepFixture(t)
-	task := sw.tasks[0]
+	for _, owner := range []string{"sweep", "job"} {
+		t.Run(owner, func(t *testing.T) {
+			s, task := taskFixture(t, owner)
+			c := s.coord
 
-	// Attempt 1: leased, then revoked by expiry (the holder is deaf or
-	// partitioned — from the coordinator's view, silent).
-	ep1 := c.leases.Grant(task.key(), 0, false)
-	c.mu.Lock()
-	task.state, task.epoch, task.worker = taskLeased, ep1, 0
-	c.mu.Unlock()
-	c.leases.Expired(time.Now().Add(2 * DefaultLeaseTTL)) // force-expire
+			// Attempt 1: leased, then revoked by expiry (the holder is deaf
+			// or partitioned — from the coordinator's view, silent).
+			ep1 := c.leases.Grant(task.key(), 0, false)
+			c.mu.Lock()
+			task.state, task.epoch, task.worker = taskLeased, ep1, 0
+			c.mu.Unlock()
+			c.leases.Expired(time.Now().Add(2 * DefaultLeaseTTL)) // force-expire
 
-	// Reassignment: attempt 2 on another shard, fresh epoch.
-	ep2 := c.leases.Grant(task.key(), 1, false)
-	c.mu.Lock()
-	task.epoch, task.worker = ep2, 1
-	c.mu.Unlock()
+			// Reassignment: attempt 2 on another shard, fresh epoch.
+			ep2 := c.leases.Grant(task.key(), 1, false)
+			c.mu.Lock()
+			task.epoch, task.worker = ep2, 1
+			c.mu.Unlock()
 
-	// Determinism makes the two candidate results bit-identical.
-	fresh := func() *StoredResult {
-		return &StoredResult{Digest: task.digest, StatsDigest: "feedfacefeedface", Cycles: 4096}
-	}
-	winner := fresh()
+			// Determinism makes the two candidate results bit-identical.
+			fresh := func() *StoredResult {
+				return &StoredResult{Digest: task.digest, StatsDigest: "feedfacefeedface", Cycles: 4096}
+			}
+			winner := fresh()
 
-	c.mu.Lock()
-	c.commitLocked(task, ep2, winner, false) // reassigned attempt commits first
-	c.mu.Unlock()
-	c.mu.Lock()
-	c.commitLocked(task, ep1, fresh(), false) // revoked orphan finishes anyway
-	c.mu.Unlock()
+			c.mu.Lock()
+			c.commitLocked(task, ep2, winner, false) // reassigned attempt commits first
+			c.mu.Unlock()
+			c.mu.Lock()
+			c.commitLocked(task, ep1, fresh(), false) // revoked orphan finishes anyway
+			c.mu.Unlock()
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if task.state != taskDone {
-		t.Fatalf("task state = %s, want done", task.state)
-	}
-	if task.result != winner {
-		t.Fatal("committed result is not the reassigned attempt's")
-	}
-	if sw.doneN != 1 {
-		t.Fatalf("doneN = %d, want 1 (exactly one commit)", sw.doneN)
-	}
-	if sw.dups != 1 {
-		t.Fatalf("sweep duplicate count = %d, want 1", sw.dups)
-	}
-	if got := c.duplicates.Load(); got != 1 {
-		t.Fatalf("coordinator duplicate counter = %d, want 1", got)
-	}
-	if _, _, ok := c.leases.Holder(task.key()); ok {
-		t.Fatal("lease survived both commits")
-	}
-	if sr, ok := c.s.cache.get(task.digest); !ok || sr != winner {
-		t.Fatal("cache does not hold exactly the winning result")
+			if sw, ok := task.owner.(*Sweep); ok {
+				c.mu.Lock()
+				if sw.doneN != 1 {
+					t.Fatalf("doneN = %d, want 1 (exactly one commit)", sw.doneN)
+				}
+				if sw.dups != 1 {
+					t.Fatalf("sweep duplicate count = %d, want 1", sw.dups)
+				}
+				c.mu.Unlock()
+			} else if st := s.Snapshot(); st.Done != 2 || st.JobsByState[StateDone] != 2 {
+				// The primary and its follower, each exactly once.
+				t.Fatalf("done counter %d, jobs done %d; want 2 and 2", st.Done, st.JobsByState[StateDone])
+			}
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			if task.state != taskDone {
+				t.Fatalf("task state = %s, want done", task.state)
+			}
+			if task.result != winner {
+				t.Fatal("committed result is not the reassigned attempt's")
+			}
+			if got := c.duplicates.Load(); got != 1 {
+				t.Fatalf("coordinator duplicate counter = %d, want 1", got)
+			}
+			if _, _, ok := c.leases.Holder(task.key()); ok {
+				t.Fatal("lease survived both commits")
+			}
+			if sr, ok := c.s.cache.get(task.digest); !ok || sr != winner {
+				t.Fatal("cache does not hold exactly the winning result")
+			}
+		})
 	}
 }
 
 // TestHandleFailureStaleEpochDropped: a revoked holder's late *failure*
-// report must not disturb the reassigned attempt.
+// report must not disturb the reassigned attempt — nor, for a job, reach
+// its persisted attempt count.
 func TestHandleFailureStaleEpochDropped(t *testing.T) {
-	_, c, sw := sweepFixture(t)
-	task := sw.tasks[0]
+	for _, owner := range []string{"sweep", "job"} {
+		t.Run(owner, func(t *testing.T) {
+			s, task := taskFixture(t, owner)
+			c := s.coord
 
-	ep1 := c.leases.Grant(task.key(), 0, false)
-	c.mu.Lock()
-	task.state, task.epoch, task.worker = taskLeased, ep1, 0
-	c.mu.Unlock()
+			ep1 := c.leases.Grant(task.key(), 0, false)
+			c.mu.Lock()
+			task.state, task.epoch, task.worker = taskLeased, ep1, 0
+			c.mu.Unlock()
 
-	// Reassigned under a fresh epoch; the orphan's epoch is now stale.
-	ep2 := c.leases.Grant(task.key(), 1, false)
-	c.mu.Lock()
-	task.epoch, task.worker = ep2, 1
-	c.mu.Unlock()
+			// Reassigned under a fresh epoch; the orphan's epoch is now stale.
+			ep2 := c.leases.Grant(task.key(), 1, false)
+			c.mu.Lock()
+			task.epoch, task.worker = ep2, 1
+			c.mu.Unlock()
 
-	c.handleFailure(task, ep1, fmt.Errorf("orphan crashed late"))
+			c.handleFailure(task, ep1, &robust.SimError{Kind: robust.KindCrash, Msg: "orphan crashed late"})
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if task.state != taskLeased || task.epoch != ep2 {
-		t.Fatalf("stale failure report disturbed the live attempt: state=%s epoch=%d (want leased/%d)", task.state, task.epoch, ep2)
-	}
-	if task.attempts != 0 {
-		t.Fatalf("stale failure burned an attempt: %d", task.attempts)
-	}
-	if sw.revoked != 0 {
-		t.Fatalf("stale failure counted a revocation: %d", sw.revoked)
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			if task.state != taskLeased || task.epoch != ep2 {
+				t.Fatalf("stale failure report disturbed the live attempt: state=%s epoch=%d (want leased/%d)", task.state, task.epoch, ep2)
+			}
+			if task.attempts != 0 {
+				t.Fatalf("stale failure burned an attempt: %d", task.attempts)
+			}
+			if sw, ok := task.owner.(*Sweep); ok {
+				if sw.revoked != 0 {
+					t.Fatalf("stale failure counted a revocation: %d", sw.revoked)
+				}
+			} else if _, err := os.Stat(filepath.Join(task.dir, "attempts.json")); err == nil {
+				t.Fatal("stale failure report was persisted to attempts.json")
+			}
+			if _, _, ok := c.leases.Holder(task.key()); !ok {
+				t.Fatal("stale failure report released the live attempt's lease")
+			}
+		})
 	}
 }

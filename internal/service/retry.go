@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -51,17 +50,29 @@ func (s *Server) backoffDelay(digest string, attempt int) time.Duration {
 	return delay + jitter
 }
 
-// sleepBackoff waits out the retry delay; false when ctx is canceled first
-// (user cancel or drain), in which case no retry may fire.
-func sleepBackoff(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
+// verdict is what a failed attempt means for its task.
+type verdict int
+
+const (
+	verdictCanceled  verdict = iota // stopped, not broken: never retried
+	verdictPermanent                // validation, deadlock: the same inputs fail the same way
+	verdictRetry                    // retryable, budget left: run again after the backoff
+	verdictExhausted                // retryable, but this failure used up the attempt budget
+)
+
+// verdict is the one classification of a failed attempt, for jobs and
+// sweep tasks alike: err ended the task's failed-th counted attempt.
+func (s *Server) verdict(digest string, failed int, err error) (verdict, time.Duration) {
+	if se, ok := robust.AsSimError(err); ok && robust.DeepestKind(se) == robust.KindCanceled {
+		return verdictCanceled, 0
 	}
+	if !robust.RetryableError(err) {
+		return verdictPermanent, 0
+	}
+	if failed >= s.maxAttempts() {
+		return verdictExhausted, 0
+	}
+	return verdictRetry, s.backoffDelay(digest, failed+1)
 }
 
 // maxAttempts is the quarantine threshold K.
@@ -97,49 +108,53 @@ type quarantineRecord struct {
 	Cycle    int64  `json:"cycle,omitempty"`
 }
 
-// recordAttempt persists the failed-attempt counter after attempt n failed
-// with err (best effort; memory-only servers count in-process only).
-func (s *Server) recordAttempt(job *Job, n int, err error) {
-	dir := s.jobDir(job)
-	if dir == "" {
-		return
-	}
-	rec := attemptRecord{Attempts: n, LastError: err.Error()}
+// failureOf names a failure for a marker: its deepest SimError kind and
+// cycle ("" when err carries no SimError).
+func failureOf(err error) (kind string, cycle int64) {
 	if se, ok := robust.AsSimError(err); ok {
-		rec.Kind = robust.DeepestKind(se).String()
-		rec.Cycle = se.Cycle
+		return robust.DeepestKind(se).String(), se.Cycle
 	}
-	if b, merr := json.MarshalIndent(rec, "", "  "); merr == nil {
-		writeFileAtomic(filepath.Join(dir, "attempts.json"), b)
+	return "", 0
+}
+
+// writeMarker persists one record into the job's directory (best effort;
+// memory-only servers keep supervision state in process only).
+func (s *Server) writeMarker(job *Job, name string, rec any) {
+	if dir := s.jobDir(job); dir != "" {
+		writeJSONAtomic(filepath.Join(dir, name), rec)
 	}
+}
+
+// recordAttempt persists the failed-attempt counter after attempt n failed
+// with err.
+func (s *Server) recordAttempt(job *Job, n int, err error) {
+	kind, cycle := failureOf(err)
+	s.writeMarker(job, "attempts.json", attemptRecord{Attempts: n, LastError: err.Error(), Kind: kind, Cycle: cycle})
 }
 
 // markQuarantined persists the quarantine decision and a crash dump for
 // postmortems; the job directory (checkpoints included) is kept.
 func (s *Server) markQuarantined(job *Job, err error, attempts int) {
-	dir := s.jobDir(job)
-	if dir == "" {
-		return
-	}
-	rec := quarantineRecord{Attempts: attempts, Error: err.Error()}
-	if se, ok := robust.AsSimError(err); ok {
-		rec.Kind = robust.DeepestKind(se).String()
-		rec.Cycle = se.Cycle
-		if se.Dump != nil {
-			if f, cerr := os.Create(filepath.Join(dir, "crash.json")); cerr == nil {
-				se.Dump.WriteJSON(f)
-				f.Close()
-			}
+	if se, ok := robust.AsSimError(err); ok && se.Dump != nil && s.cfg.StateDir != "" {
+		if f, cerr := os.Create(filepath.Join(s.jobDir(job), "crash.json")); cerr == nil {
+			se.Dump.WriteJSON(f)
+			f.Close()
 		}
 	}
-	if b, merr := json.MarshalIndent(rec, "", "  "); merr == nil {
-		writeFileAtomic(filepath.Join(dir, "quarantined.json"), b)
+	kind, cycle := failureOf(err)
+	s.writeMarker(job, "quarantined.json", quarantineRecord{Attempts: attempts, Error: err.Error(), Kind: kind, Cycle: cycle})
+}
+
+// writeJSONAtomic writes v, indented, to path via temp + rename +
+// directory fsync, so a host crash can neither expose a partial file nor
+// lose the rename. Best effort: persistence failures never fail the
+// in-memory state change.
+func writeJSONAtomic(path string, v any) {
+	if b, err := json.MarshalIndent(v, "", "  "); err == nil {
+		writeFileAtomic(path, b)
 	}
 }
 
-// writeFileAtomic writes b to path via temp + rename + directory fsync, so
-// a host crash can neither expose a partial file nor lose the rename. Best
-// effort: persistence failures never fail the in-memory state change.
 func writeFileAtomic(path string, b []byte) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")

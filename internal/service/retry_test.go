@@ -10,7 +10,10 @@ import (
 	"testing"
 	"time"
 
+	crisp "crisp"
+	"crisp/internal/robust"
 	"crisp/internal/robust/chaos"
+	"crisp/internal/snapshot"
 )
 
 // chaosKillAt picks a kill cycle roughly halfway through the job, derived
@@ -86,10 +89,17 @@ func TestRetryResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
+// oneCellSweep is the sweep whose single grid cell is spec's pair.
+func oneCellSweep(spec JobSpec) SweepSpec {
+	return SweepSpec{Scenes: []string{spec.Scene}, Computes: []string{spec.Compute}, Policies: []string{spec.Policy},
+		Width: spec.Width, Height: spec.Height}
+}
+
 // TestChaosCorruptFallsBack layers checkpoint corruption on top of the
 // kill: the newest snapshot is truncated before the retry resumes, forcing
 // the fallback to the previous checkpoint — and the result must STILL be
-// bit-identical.
+// bit-identical. A job and a one-cell sweep of the same spec take the same
+// path and must show the same counters.
 func TestChaosCorruptFallsBack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos recovery round trip is not short")
@@ -97,40 +107,103 @@ func TestChaosCorruptFallsBack(t *testing.T) {
 	spec := tinySpec("SPL", "VIO", "EVEN")
 	killAt, wantCycles, wantDigest := chaosKillAt(t, spec)
 
-	s, err := New(Config{
-		Workers:          1,
-		StateDir:         t.TempDir(),
-		ProgressInterval: 256,
-		CheckpointEvery:  512,
-		RetryBase:        time.Millisecond,
-		Chaos:            chaos.Spec{Seed: 11, KillCycle: killAt, Kills: 1, CorruptLatest: "truncate"},
-	})
+	for _, owner := range []string{"job", "sweep"} {
+		t.Run(owner, func(t *testing.T) {
+			s, err := New(Config{
+				Workers:          1,
+				StateDir:         t.TempDir(),
+				ProgressInterval: 256,
+				CheckpointEvery:  512,
+				RetryBase:        time.Millisecond,
+				Chaos:            chaos.Spec{Seed: 11, KillCycle: killAt, Kills: 1, CorruptLatest: "truncate"},
+			})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			s.Start()
+			defer s.Drain(context.Background())
+
+			digest := ""
+			if owner == "job" {
+				job, err := s.Submit(spec)
+				if err != nil {
+					t.Fatalf("Submit: %v", err)
+				}
+				waitState(t, s, job.ID, StateDone, 2*time.Minute)
+				digest = job.Digest
+			} else {
+				sw, err := s.SubmitSweep(oneCellSweep(spec))
+				if err != nil {
+					t.Fatalf("SubmitSweep: %v", err)
+				}
+				digest = waitSweep(t, s, sw.ID, StateDone, 2*time.Minute).Tasks[0].Digest
+			}
+
+			st := s.Snapshot()
+			if st.ChaosCorruptions != 1 {
+				t.Errorf("chaos corruptions = %d, want 1", st.ChaosCorruptions)
+			}
+			if st.CheckpointFallbacks < 1 {
+				t.Errorf("checkpoint fallbacks = %d, want >= 1 (the corrupt snapshot must have been skipped)", st.CheckpointFallbacks)
+			}
+			sr, ok := s.Result(digest)
+			if !ok {
+				t.Fatalf("no cached result after corrupt-fallback recovery")
+			}
+			if sr.Cycles != wantCycles || sr.StatsDigest != wantDigest {
+				t.Errorf("fallback result (cycles %d, digest %s) != uninterrupted (cycles %d, digest %s)",
+					sr.Cycles, sr.StatsDigest, wantCycles, wantDigest)
+			}
+		})
+	}
+}
+
+// TestFailureVerdict pins the one classification every failed attempt
+// goes through, whoever owns the task.
+func TestFailureVerdict(t *testing.T) {
+	s, err := New(Config{MaxAttempts: 3, RetryBase: 100 * time.Millisecond, RetryMax: time.Second, RetrySeed: 7})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	s.Start()
-	defer s.Drain(context.Background())
-
-	job, err := s.Submit(spec)
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
+	const digest = "00c0ffee00c0ffee"
+	sim := func(k robust.Kind) error { return &robust.SimError{Kind: k, Cycle: 9000, Msg: "planted"} }
+	cases := []struct {
+		name   string
+		err    error
+		failed int
+		want   verdict
+		delay  time.Duration
+	}{
+		{"canceled", sim(robust.KindCanceled), 1, verdictCanceled, 0},
+		{"canceled under a panic envelope", &robust.SimError{Kind: robust.KindPanic, Err: sim(robust.KindCanceled)}, 1, verdictCanceled, 0},
+		{"validation is permanent", sim(robust.KindValidation), 1, verdictPermanent, 0},
+		{"deadlock is permanent", sim(robust.KindDeadlock), 1, verdictPermanent, 0},
+		{"a bare error is permanent", fmt.Errorf("not a SimError"), 1, verdictPermanent, 0},
+		{"first crash retries", sim(robust.KindCrash), 1, verdictRetry, s.backoffDelay(digest, 2)},
+		{"second watchdog retries, longer", sim(robust.KindWatchdog), 2, verdictRetry, s.backoffDelay(digest, 3)},
+		{"injected fault under a panic envelope retries", &robust.SimError{Kind: robust.KindPanic, Err: sim(robust.KindInjected)}, 1, verdictRetry, s.backoffDelay(digest, 2)},
+		{"third failure exhausts the budget", sim(robust.KindCrash), 3, verdictExhausted, 0},
 	}
-	waitState(t, s, job.ID, StateDone, 2*time.Minute)
-
-	st := s.Snapshot()
-	if st.ChaosCorruptions != 1 {
-		t.Errorf("chaos corruptions = %d, want 1", st.ChaosCorruptions)
+	for _, tc := range cases {
+		got, delay := s.verdict(digest, tc.failed, tc.err)
+		if got != tc.want || delay != tc.delay {
+			t.Errorf("%s: verdict %d after %v, want %d after %v", tc.name, got, delay, tc.want, tc.delay)
+		}
 	}
-	if st.CheckpointFallbacks < 1 {
-		t.Errorf("checkpoint fallbacks = %d, want >= 1 (the corrupt snapshot must have been skipped)", st.CheckpointFallbacks)
+	// The backoff is pinned, not merely self-consistent: base·2^(n-2) plus
+	// jitter in [0, delay/2) keyed on (RetrySeed, digest, attempt).
+	for attempt, base := range map[int]time.Duration{2: 100 * time.Millisecond, 3: 200 * time.Millisecond, 9: time.Second} {
+		d := s.backoffDelay(digest, attempt)
+		if d < base || d >= base+base/2+1 {
+			t.Errorf("backoffDelay(attempt %d) = %v, want in [%v, %v)", attempt, d, base, base+base/2+1)
+		}
+		if d != s.backoffDelay(digest, attempt) {
+			t.Errorf("backoffDelay(attempt %d) is not deterministic", attempt)
+		}
 	}
-	sr, ok := s.Result(job.Digest)
-	if !ok {
-		t.Fatalf("no cached result after corrupt-fallback recovery")
-	}
-	if sr.Cycles != wantCycles || sr.StatsDigest != wantDigest {
-		t.Errorf("fallback result (cycles %d, digest %s) != uninterrupted (cycles %d, digest %s)",
-			sr.Cycles, sr.StatsDigest, wantCycles, wantDigest)
+	other, _ := New(Config{RetryBase: 100 * time.Millisecond, RetrySeed: 8})
+	if s.backoffDelay(digest, 2) == other.backoffDelay(digest, 2) {
+		t.Errorf("RetrySeed does not key the jitter")
 	}
 }
 
@@ -361,5 +434,96 @@ func TestScanJobsQuarantinesCorruptEntries(t *testing.T) {
 	// A second boot must not trip over the quarantined leftovers.
 	if _, err := New(Config{Workers: 1, StateDir: dir}); err != nil {
 		t.Errorf("reboot over quarantined leftovers: %v", err)
+	}
+}
+
+// plantCheckpoints runs spec until budget cycles into dir the way a daemon
+// attempt would (interval metrics on), leaving its periodic checkpoints
+// and the final snapshot the budget kill flushes.
+func plantCheckpoints(t *testing.T, spec JobSpec, dir string, budget int64) {
+	t.Helper()
+	r, err := spec.resolve()
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	_, err = crisp.RunPairContext(context.Background(), r.cfg, r.scene, r.compute, r.policy, r.opts,
+		crisp.WithMetrics(256), crisp.WithCheckpointDir(dir), crisp.WithCheckpointEvery(512), crisp.WithCycleBudget(budget))
+	if err == nil {
+		t.Fatalf("budget %d did not interrupt the run", budget)
+	}
+	if _, ok := snapshot.NewestCycle(dir); !ok {
+		t.Fatalf("no checkpoint planted in %s", dir)
+	}
+}
+
+// TestRestartAcrossCheckpointLayouts boots over a state dir holding one
+// job the way a daemon older than the a<N> layout left it (checkpoints
+// directly in jobs/<id>/) and one holding two attempt directories: both
+// must resume from their newest checkpoint and finish bit-identical to an
+// uninterrupted run.
+func TestRestartAcrossCheckpointLayouts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("restart round trip is not short")
+	}
+	dir := t.TempDir()
+	flat, nested := tinySpec("SPL", "VIO", "EVEN"), tinySpec("SPL", "VIO", "MPS")
+	persist := func(id string, spec JobSpec) string {
+		r, err := spec.resolve()
+		if err != nil {
+			t.Fatalf("resolve: %v", err)
+		}
+		jdir := filepath.Join(dir, "jobs", id)
+		if err := os.MkdirAll(jdir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		pj, _ := json.Marshal(persistedJob{ID: id, Digest: r.digest, Spec: spec})
+		if err := os.WriteFile(filepath.Join(jdir, "job.json"), pj, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return jdir
+	}
+	cycles := directRun(t, flat).Cycles
+	if c := directRun(t, nested).Cycles; c < cycles {
+		cycles = c
+	}
+	if cycles < 4096 {
+		t.Skipf("runs too short to checkpoint twice (%d cycles)", cycles)
+	}
+	flatDir := persist("j000001", flat)
+	plantCheckpoints(t, flat, flatDir, cycles/2)
+	nestedDir := persist("j000002", nested)
+	plantCheckpoints(t, nested, filepath.Join(nestedDir, "a1"), cycles/4)
+	plantCheckpoints(t, nested, filepath.Join(nestedDir, "a2"), cycles/2)
+
+	s, err := New(Config{Workers: 1, StateDir: dir, ProgressInterval: 256, CheckpointEvery: 512})
+	if err != nil {
+		t.Fatalf("New over both layouts: %v", err)
+	}
+	for id, want := range map[string]string{"j000001": flatDir, "j000002": filepath.Join(nestedDir, "a2")} {
+		job, ok := s.Job(id)
+		if !ok {
+			t.Fatalf("job %s not recovered", id)
+		}
+		if got := job.task.bestResume(); got != want {
+			t.Errorf("job %s resumes from %q, want the newest checkpoint's directory %q", id, got, want)
+		}
+	}
+	s.Start()
+	defer s.Drain(context.Background())
+	for id, spec := range map[string]JobSpec{"j000001": flat, "j000002": nested} {
+		job := waitState(t, s, id, StateDone, 2*time.Minute)
+		sr, ok := s.Result(job.Digest)
+		if !ok {
+			t.Fatalf("job %s: no cached result", id)
+		}
+		direct := directRun(t, spec)
+		dd, _ := direct.StatsDigest()
+		if !sr.Resumed {
+			t.Errorf("job %s re-simulated from cycle 0", id)
+		}
+		if sr.Cycles != direct.Cycles || sr.StatsDigest != fmt.Sprintf("%016x", dd) {
+			t.Errorf("job %s resumed to (cycles %d, digest %s), direct run (cycles %d, digest %016x)",
+				id, sr.Cycles, sr.StatsDigest, direct.Cycles, dd)
+		}
 	}
 }

@@ -173,9 +173,22 @@ func TestQueueFullAdmission(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 
+	// A queued job canceled before any worker saw it gives its slot back
+	// at once: the bound counts live queued jobs, not queue entries.
+	gone, err := s.Submit(tinySpec("SPL", "VIO", "EVEN"))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if ok, err := s.Cancel(gone.ID); err != nil || !ok {
+		t.Fatalf("Cancel(queued) = %v, %v", ok, err)
+	}
+	if n := s.Snapshot().QueueDepth; n != 0 {
+		t.Fatalf("queue depth %d after canceling the only queued job, want 0", n)
+	}
+
 	first, err := s.Submit(tinySpec("SPL", "", "serial"))
 	if err != nil {
-		t.Fatalf("first submit: %v", err)
+		t.Fatalf("first submit after a canceled one: %v", err)
 	}
 	// Distinct digest (different policy), so it cannot coalesce: it must
 	// hit admission control.
@@ -271,7 +284,7 @@ func TestDrainAndResume(t *testing.T) {
 	if !ok {
 		t.Fatalf("restarted server lost job %s", job.ID)
 	}
-	if recovered.resumeFrom == "" {
+	if recovered.task.bestResume() == "" {
 		t.Errorf("recovered job has no snapshot to resume from")
 	}
 	s2.Start()

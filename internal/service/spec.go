@@ -51,7 +51,7 @@ type JobSpec struct {
 }
 
 // resolved is a JobSpec after name resolution and validation: everything
-// execute() needs, plus the job's content digest.
+// an attempt needs, plus the job's content digest.
 type resolved struct {
 	cfg     config.GPU
 	scene   string

@@ -167,14 +167,8 @@ func (s *Server) handleJobSeries(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown job "+r.PathValue("id"))
 		return
 	}
-	from, err := cycleParam(r, "from")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	to, err := cycleParam(r, "to")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	from, to, ok := cycleWindow(w, r)
+	if !ok {
 		return
 	}
 
@@ -223,14 +217,8 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no stored series for digest "+digest)
 		return
 	}
-	from, err := cycleParam(r, "from")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	to, err := cycleParam(r, "to")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	from, to, ok := cycleWindow(w, r)
+	if !ok {
 		return
 	}
 	samples = windowSamples(samples, from, to)
@@ -240,6 +228,19 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 		v.StatsDigest = sr.StatsDigest
 	}
 	writeJSON(w, http.StatusOK, v)
+}
+
+// cycleWindow reads the ?from=&to= cycle bounds, answering 400 itself
+// when either is malformed.
+func cycleWindow(w http.ResponseWriter, r *http.Request) (from, to int64, ok bool) {
+	from, err := cycleParam(r, "from")
+	if err == nil {
+		to, err = cycleParam(r, "to")
+	}
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+	}
+	return from, to, err == nil
 }
 
 func cycleParam(r *http.Request, name string) (int64, error) {
@@ -292,18 +293,7 @@ type staticSite struct{ dir string }
 
 // result reads one persisted result by digest.
 func (ss *staticSite) result(digest string) (*StoredResult, bool) {
-	if !validDigest(digest) {
-		return nil, false
-	}
-	b, err := os.ReadFile(filepath.Join(ss.dir, digest+".json"))
-	if err != nil {
-		return nil, false
-	}
-	var sr StoredResult
-	if err := json.Unmarshal(b, &sr); err != nil || sr.Digest == "" {
-		return nil, false
-	}
-	return &sr, true
+	return localResult(ss.dir, digest)
 }
 
 // samples reads one persisted series by digest.
@@ -372,14 +362,8 @@ func (ss *staticSite) handleSeries(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no stored series for "+digest)
 		return
 	}
-	from, err := cycleParam(r, "from")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	to, err := cycleParam(r, "to")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	from, to, ok := cycleWindow(w, r)
+	if !ok {
 		return
 	}
 	samples = windowSamples(samples, from, to)

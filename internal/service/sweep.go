@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"crisp/internal/experiments"
@@ -65,80 +64,12 @@ func (sp *SweepSpec) decompose() ([]JobSpec, error) {
 	return specs, nil
 }
 
-// Task lifecycle states inside a sweep. Unlike jobs, tasks have no
-// queued/running split visible to clients — a leased task is running on
-// some shard (or presumed to be, until its lease says otherwise).
-type taskState string
-
-const (
-	taskPending taskState = "pending"
-	taskLeased  taskState = "leased"
-	taskDone    taskState = "done"
-	taskFailed  taskState = "failed"
-)
-
-// sweepTask is one grid cell of one sweep. Mutable fields are guarded by
-// the coordinator's mutex.
-type sweepTask struct {
-	sweep  *Sweep
-	index  int
-	spec   JobSpec
-	res    *resolved
-	digest string
-	// dir is the task's checkpoint-handoff root; each attempt writes into
-	// its own subdirectory (a1, a2, ...) so a reassigned attempt resumes
-	// from a dead shard's checkpoints without ever sharing a write path
-	// with a still-running orphan.
-	dir string
-
-	state      taskState
-	epoch      uint64 // current lease epoch (meaningful while leased)
-	worker     int    // shard holding the lease
-	attempts   int    // failed or revoked attempts so far
-	resumeFrom string // checkpoint dir the next attempt resumes from
-	resumed    bool   // some committed or running attempt resumed from a checkpoint
-	cacheHit   bool   // committed from a cache, not an execution
-	result     *StoredResult
-	errMsg     string
-}
-
-// key is the lease-table key: unique across sweeps.
-func (t *sweepTask) key() string {
-	return t.sweep.ID + "/" + fmt.Sprint(t.index)
-}
-
-// attemptDir is attempt n's private checkpoint directory ("" when the
-// sweep has no handoff root).
-func (t *sweepTask) attemptDir(n int) string {
-	if t.dir == "" {
-		return ""
-	}
-	return filepath.Join(t.dir, fmt.Sprintf("a%d", n))
-}
-
-// bestResume picks the attempt directory holding the newest readable
-// checkpoint — the handoff point a reassigned attempt resumes from. ""
-// when no attempt shipped a checkpoint yet (the retry restarts at cycle
-// 0, losing progress but never the task).
-func (t *sweepTask) bestResume(upTo int) string {
-	best, bestCycle := "", int64(-1)
-	for n := 1; n <= upTo; n++ {
-		dir := t.attemptDir(n)
-		if dir == "" {
-			return ""
-		}
-		if cyc, ok := snapshot.NewestCycle(dir); ok && cyc > bestCycle {
-			best, bestCycle = dir, cyc
-		}
-	}
-	return best
-}
-
 // Sweep is one tracked sweep submission. Mutable fields are guarded by
 // the coordinator's mutex.
 type Sweep struct {
 	ID   string
 	Spec SweepSpec
+	c    *coordinator
 
 	// hub is the sweep's merged progress stream: per-task lifecycle
 	// markers (dispatch, commit, revocation, duplicate discard) and the
@@ -165,13 +96,80 @@ type Sweep struct {
 	dups    int // duplicate results discarded by digest
 }
 
-// note publishes a lifecycle marker on the sweep's timeline.
-func (sw *Sweep) note(state State, detail string) {
-	var cycle int64
-	if ev, ok := sw.hub.Latest(""); ok {
-		cycle = ev.Cycle
+// lifecycle publishes a lifecycle marker on the sweep's timeline.
+func (sw *Sweep) lifecycle(state State, detail string) {
+	publishAtLatest(sw.hub, obs.TimelineEvent{Kind: obs.TimelineLifecycle, State: string(state), Detail: detail})
+}
+
+// publishAtLatest publishes a marker event stamped with the hub's last
+// seen cycle (0 before the first sample).
+func publishAtLatest(hub *obs.Hub, ev obs.TimelineEvent) {
+	if last, ok := hub.Latest(""); ok {
+		ev.Cycle = last.Cycle
 	}
-	sw.hub.Publish(obs.TimelineEvent{Cycle: cycle, Kind: obs.TimelineLifecycle, State: string(state), Detail: detail})
+	hub.Publish(ev)
+}
+
+// ---- the owner seam: what a sweep adds to supervision ------------------
+//
+// A merged timeline of per-task markers, per-sweep robustness accounting,
+// and a terminal state that waits for every task. Nothing is persisted:
+// sweeps die with the process.
+
+func (sw *Sweep) live() bool { return !sw.canceled && sw.state == StateRunning }
+
+func (sw *Sweep) attemptStarted(t *sweepTask, n int, resumeFrom string) {
+	detail := fmt.Sprintf("task %d (%s) leased to shard %d, attempt %d (epoch %d)", t.index, t.digest, t.worker, n, t.epoch)
+	if resumeFrom != "" {
+		sw.resumes++
+		if cyc, ok := snapshot.NewestCycle(resumeFrom); ok {
+			detail += fmt.Sprintf(", resuming from shipped checkpoint at cycle %d", cyc)
+		} else {
+			detail += ", resuming"
+		}
+	}
+	sw.lifecycle(StateRunning, detail)
+}
+
+func (sw *Sweep) sample(smp obs.Sample) {
+	sw.hub.Publish(obs.TimelineEvent{Cycle: smp.Cycle, Kind: obs.TimelineSample, Sample: &smp})
+}
+
+func (sw *Sweep) note(t *sweepTask, detail string) {
+	sw.lifecycle(StateRunning, fmt.Sprintf("task %d (%s): %s", t.index, t.digest, detail))
+}
+
+func (sw *Sweep) attemptFailed(t *sweepTask, err error) { sw.revoked++ }
+
+func (sw *Sweep) attemptStopped(t *sweepTask, err error) {}
+
+func (sw *Sweep) duplicate(t *sweepTask, epoch uint64) {
+	sw.dups++
+	sw.note(t, fmt.Sprintf("duplicate result from revoked lease (epoch %d) discarded by digest", epoch))
+}
+
+func (sw *Sweep) taskDone(t *sweepTask) {
+	sw.doneN++
+	sw.c.tasksDone.Add(1)
+	src := "executed"
+	if t.cacheHit {
+		src = "from federated cache"
+	}
+	sw.lifecycle(StateRunning, fmt.Sprintf("task %d (%s) done %s: stats_digest=%s (%d/%d)", t.index, t.digest, src, t.result.StatsDigest, sw.doneN, len(sw.tasks)))
+	sw.c.maybeFinishLocked(sw)
+}
+
+// taskFailed: an exhausted attempt budget fails the task like any
+// permanent failure — the sweep tier's quarantine equivalent.
+func (sw *Sweep) taskFailed(t *sweepTask, err error, exhausted bool) {
+	if exhausted {
+		err = fmt.Errorf("task exhausted %d attempts: %w", t.attempts, err)
+	}
+	t.errMsg = err.Error()
+	sw.failedN++
+	sw.c.tasksFailed.Add(1)
+	sw.lifecycle(StateFailed, fmt.Sprintf("task %d (%s) failed: %v", t.index, t.digest, err))
+	sw.c.maybeFinishLocked(sw)
 }
 
 // mergedDigest folds the sweep's per-task (job digest, stats digest)

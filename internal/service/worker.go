@@ -15,13 +15,13 @@ import (
 
 // Process-isolation mode: with Config.Isolate each execution attempt runs
 // in a child worker process, so a hard crash — SIGKILL, OOM kill, a
-// runtime fault deep in the simulator — kills one job instead of the
+// runtime fault deep in the simulator — kills one attempt instead of the
 // daemon. Parent and child speak the stdio wire protocol defined in
-// protocol.go; the shared execution core in fleet.go does the actual
-// simulating on both sides of the pipe.
+// protocol.go; runDirect (fleet.go) does the actual simulating on both
+// sides of the pipe.
 //
 // A child that exits without a terminal event was crashed (the supervisor
-// classifies it KindCrash and retries from the job's last checkpoint); a
+// classifies it KindCrash and retries from the task's last checkpoint); a
 // child whose death was requested (cancel, drain) terminates via SIGTERM,
 // flushes a final snapshot, and reports a "canceled" error event.
 
@@ -32,10 +32,10 @@ import (
 // enters the same loop explicitly for fleet peers launched by hand.
 const WorkerEnv = "CRISPD_WORKER"
 
-// WorkerMain is the crispd-worker entry point: it reads one workerRequest
-// from stdin, runs the attempt, and streams workerEvents to stdout. It is
-// called by cmd/crispd-worker, and by cmd/crispd (or a test binary) when
-// WorkerEnv is set or -worker-mode is passed. Returns the process exit
+// WorkerMain is the worker entry point: it reads one workerRequest from
+// stdin, runs the attempt, and streams workerEvents to stdout. It is
+// called by cmd/crispd (or a test binary) when WorkerEnv is set or
+// -worker-mode is passed. Returns the process exit
 // code: 0 when the protocol completed (including reported simulation
 // failures — the supervisor classifies those from the error event),
 // nonzero only when the protocol itself broke.
@@ -93,17 +93,7 @@ func WorkerMain() int {
 		}()
 	}
 
-	p := runParams{
-		res:              r,
-		resumeFrom:       req.ResumeDir,
-		checkpointDir:    req.CheckpointDir,
-		checkpointEvery:  req.CheckpointEvery,
-		budget:           req.Budget,
-		wdog:             req.Watchdog,
-		progressInterval: req.ProgressInterval,
-		killAt:           req.KillAt,
-	}
-	stored, _, rerr := runDirect(ctx, p, attemptHooks{
+	stored, rerr := runDirect(ctx, req, r, nil, attemptHooks{
 		onSample: enc.sample,
 		onFallback: func(corrupt []string) {
 			enc.event(workerEvent{Type: evFallback, Corrupt: corrupt})
@@ -148,31 +138,3 @@ func localResult(dir, digest string) (*StoredResult, bool) {
 // workerKillDelay bounds how long a SIGTERMed worker may take to flush its
 // final snapshot before the supervisor escalates to SIGKILL.
 const workerKillDelay = 10 * time.Second
-
-// runIsolated executes one attempt in a child worker process. The child's
-// samples are forwarded to the job's hub; its terminal event becomes this
-// function's return.
-func (s *Server) runIsolated(ctx context.Context, job *Job, resumeFrom string, killAt int64) (*StoredResult, error) {
-	req := workerRequest{
-		Spec:             job.Spec,
-		ResumeDir:        resumeFrom,
-		CheckpointDir:    s.jobDir(job),
-		CheckpointEvery:  s.cfg.CheckpointEvery,
-		Budget:           job.res.budget,
-		Watchdog:         job.res.wdog,
-		ProgressInterval: s.cfg.ProgressInterval,
-		KillAt:           killAt,
-	}
-	if req.Budget == 0 {
-		req.Budget = s.cfg.DefaultBudget
-	}
-	if req.Watchdog == 0 {
-		req.Watchdog = s.cfg.WatchdogWindow
-	}
-	return s.runWorkerProcess(ctx, req, attemptHooks{
-		onSample: job.noteSample,
-		onFallback: func(corrupt []string) {
-			s.fallbacks.Add(1)
-		},
-	}, "job "+job.ID)
-}

@@ -78,3 +78,28 @@ func TestResumeFileRejectsDamagedSnapshots(t *testing.T) {
 		t.Fatal("ResumeFile on a missing path succeeded")
 	}
 }
+
+// TestResumeBeforeFirstSample resumes, with interval metrics on, a
+// checkpoint taken before any sample existed — what a daemon restarted
+// over a job drained in its first progress interval does. It used to
+// panic in the sampler on the restored, empty baseline.
+func TestResumeBeforeFirstSample(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "early"+snapshot.Ext)
+	if err := os.WriteFile(path, makeSnapshotFile(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	samples := 0
+	res, err := ResumeFile(context.Background(), path, WithMetrics(256), WithMetricsSink(func(MetricsSample) { samples++ }))
+	if err != nil {
+		t.Fatalf("resume with metrics on: %v", err)
+	}
+	want, err := RunPair(JetsonOrin(), "SPL", "VIO", PolicyEven, tinyOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := res.StatsDigest()
+	ref, _ := want.StatsDigest()
+	if got != ref || samples == 0 {
+		t.Fatalf("resumed digest %016x after %d samples, uninterrupted %016x", got, samples, ref)
+	}
+}
