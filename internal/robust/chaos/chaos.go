@@ -25,6 +25,7 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"strconv"
@@ -300,50 +301,39 @@ func Injected(cycle int64) *robust.SimError {
 }
 
 // Corrupt damages the newest checkpoint in dir according to mode
-// ("truncate" halves the file, "flip" inverts one body byte past the
-// header) and returns the damaged path. The damage is exactly what
-// snapshot.LoadNewest must survive: detect, rename aside, fall back.
+// ("truncate" cuts the body in half, "flip" inverts one body byte) and
+// returns the damaged path. Both aim past the header line, wherever it
+// ends, so the file still ranks as the newest candidate and the damage is
+// exactly what snapshot.LoadNewest must survive: detect, rename aside,
+// fall back.
 func Corrupt(dir, mode string, seed int64) (string, error) {
 	cands := snapshot.Candidates(dir)
 	if len(cands) == 0 {
 		return "", fmt.Errorf("chaos: no checkpoint to corrupt in %s", dir)
 	}
 	path := cands[0]
-	info, err := os.Stat(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return "", fmt.Errorf("chaos: stat %s: %w", path, err)
+		return "", fmt.Errorf("chaos: read %s: %w", path, err)
 	}
+	if len(data) == 0 {
+		return "", fmt.Errorf("chaos: %s is empty", path)
+	}
+	headerLen := bytes.IndexByte(data, '\n') + 1
+	mid := headerLen + (len(data)-headerLen)/2
 	switch mode {
 	case "truncate":
-		if err := os.Truncate(path, info.Size()/2); err != nil {
-			return "", fmt.Errorf("chaos: truncate %s: %w", path, err)
-		}
+		data = data[:mid]
 	case "flip":
-		f, err := os.OpenFile(path, os.O_RDWR, 0)
-		if err != nil {
-			return "", fmt.Errorf("chaos: open %s: %w", path, err)
-		}
-		defer f.Close()
-		// Flip a byte inside the gzip body: past the JSON header line but
-		// inside the file. Perturb the offset with the seed so different
-		// schedules damage different bytes, deterministically.
-		off := info.Size()/2 + seed%16
-		if off >= info.Size() {
-			off = info.Size() - 1
-		}
-		if off < 0 {
-			off = 0
-		}
-		var b [1]byte
-		if _, err := f.ReadAt(b[:], off); err != nil {
-			return "", fmt.Errorf("chaos: read %s: %w", path, err)
-		}
-		b[0] ^= 0xFF
-		if _, err := f.WriteAt(b[:], off); err != nil {
-			return "", fmt.Errorf("chaos: write %s: %w", path, err)
-		}
+		// Perturb the offset with the seed so different schedules damage
+		// different bytes, deterministically.
+		off := max(headerLen, min(mid+int(seed%16), len(data)-1))
+		data[off] ^= 0xFF
 	default:
 		return "", fmt.Errorf("chaos: unknown corrupt mode %q", mode)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return "", fmt.Errorf("chaos: write %s: %w", path, err)
 	}
 	return path, nil
 }

@@ -153,6 +153,9 @@ func TestCorruptForcesFallback(t *testing.T) {
 			if !strings.Contains(damaged, "ckpt-") {
 				t.Fatalf("damaged %s, want the newest periodic checkpoint", damaged)
 			}
+			if _, err := snapshot.PeekHeader(damaged); err != nil {
+				t.Fatalf("%s reached the header line, want body damage only: %v", mode, err)
+			}
 			if _, err := snapshot.LoadFile(damaged); err == nil {
 				t.Fatalf("%s-damaged checkpoint still loads", mode)
 			}

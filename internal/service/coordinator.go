@@ -366,10 +366,18 @@ func (c *coordinator) runTask(worker int, t *sweepTask) {
 	} else {
 		c.s.execs.Add(1)
 	}
+	onFallback := func(corrupt []string) {
+		for _, p := range corrupt {
+			log.Printf("crispd: task %s: unloadable checkpoint %s renamed aside", t.key(), p)
+		}
+		c.s.fallbacks.Add(1)
+	}
 	resumeFrom := t.bestResume()
 	if resumeFrom != "" {
 		t.resumed = true
 		c.resumes.Add(1)
+	} else if aside := t.setAsideRefused(); len(aside) > 0 {
+		onFallback(aside)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c.running[epoch] = runningAttempt{t, cancel}
@@ -419,12 +427,7 @@ func (c *coordinator) runTask(worker int, t *sweepTask) {
 		},
 		onHeartbeat: renew,
 		onCached:    func() { c.fedHits.Add(1) },
-		onFallback: func(corrupt []string) {
-			for _, p := range corrupt {
-				log.Printf("crispd: task %s: corrupt checkpoint %s renamed aside", t.key(), p)
-			}
-			c.s.fallbacks.Add(1)
-		},
+		onFallback:  onFallback,
 	})
 	if err != nil {
 		c.handleFailure(t, epoch, err)

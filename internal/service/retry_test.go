@@ -527,3 +527,110 @@ func TestRestartAcrossCheckpointLayouts(t *testing.T) {
 		}
 	}
 }
+
+// plantVersion1 leaves in dir what a build before snapshot format version 2
+// left: a final.crispsnap this build refuses by its header line (which is
+// all of the file the refusal reads).
+func plantVersion1(t *testing.T, dir string) string {
+	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "final"+snapshot.Ext)
+	hdr := `{"magic":"crispsnap","version":1,"cycle":4096,"policy":"EVEN","scene":"SPL","compute":"VIO","body_len":0,"body_fnv":0}` + "\n"
+	if err := os.WriteFile(path, []byte(hdr), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRestartAcrossFormatVersions boots over a state dir whose drained job
+// holds only a version-1 final.crispsnap: across the upgrade progress is
+// lost, the job is not. The boot succeeds, the job is re-registered and
+// runs from cycle 0 to the digest a fresh submission gets, and the refused
+// file is set aside and counted as one checkpoint fallback.
+func TestRestartAcrossFormatVersions(t *testing.T) {
+	dir := t.TempDir()
+	spec := tinySpec("SPL", "VIO", "EVEN")
+	r, err := spec.resolve()
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	jdir := filepath.Join(dir, "jobs", "j000001")
+	old := plantVersion1(t, filepath.Join(jdir, "a1"))
+	pj, _ := json.Marshal(persistedJob{ID: "j000001", Digest: r.digest, Spec: spec})
+	if err := os.WriteFile(filepath.Join(jdir, "job.json"), pj, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Config{Workers: 1, StateDir: dir, ProgressInterval: 256, CheckpointEvery: 512})
+	if err != nil {
+		t.Fatalf("New over a version-1 state dir: %v", err)
+	}
+	job, ok := s.Job("j000001")
+	if !ok {
+		t.Fatal("job not re-registered")
+	}
+	if got := job.task.bestResume(); got != "" {
+		t.Fatalf("bestResume = %q, want none: the only snapshot is version 1", got)
+	}
+	s.Start()
+	defer s.Drain(context.Background())
+	waitState(t, s, "j000001", StateDone, 2*time.Minute)
+	sr, ok := s.Result(r.digest)
+	if !ok {
+		t.Fatal("no cached result")
+	}
+	direct := directRun(t, spec)
+	dd, _ := direct.StatsDigest()
+	if sr.Resumed || sr.Cycles != direct.Cycles || sr.StatsDigest != fmt.Sprintf("%016x", dd) {
+		t.Errorf("got (resumed %v, cycles %d, digest %s), want a run from cycle 0 equal to the direct one (cycles %d, digest %016x)",
+			sr.Resumed, sr.Cycles, sr.StatsDigest, direct.Cycles, dd)
+	}
+	if st := s.Snapshot(); st.CheckpointFallbacks != 1 || st.Retries != 0 {
+		t.Errorf("fallbacks = %d, retries = %d; want the refused file counted once and no retry", st.CheckpointFallbacks, st.Retries)
+	}
+
+	// The finished job's directory is gone, so watch the set-aside itself
+	// on a task of our own: the same call the attempt above made.
+	again := plantVersion1(t, filepath.Join(dir, "again", "a1"))
+	aside := (&sweepTask{dir: filepath.Join(dir, "again")}).setAsideRefused()
+	if len(aside) != 1 || aside[0] != again {
+		t.Errorf("setAsideRefused = %v, want [%s]", aside, again)
+	}
+	if _, err := os.Stat(again + ".corrupt"); err != nil {
+		t.Errorf("refused snapshot not set aside: %v", err)
+	}
+	if _, err := os.Stat(old); !os.IsNotExist(err) {
+		t.Errorf("the restarted job's version-1 file is still there: %v", err)
+	}
+}
+
+// TestForeignVersionCheckpointIsNotAResume: a task directory holding only a
+// snapshot this build refuses is not a handoff point — the sweep must not
+// count a checkpoint resume or announce one it cannot perform.
+func TestForeignVersionCheckpointIsNotAResume(t *testing.T) {
+	s, err := New(Config{Workers: 1, FleetWorkers: 1, StateDir: t.TempDir(), ProgressInterval: 256, CheckpointEvery: 512})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	sw, err := s.SubmitSweep(SweepSpec{Scenes: []string{"SPL"}, Computes: []string{"VIO"}, Policies: []string{"EVEN"}, Width: 128, Height: 72})
+	if err != nil {
+		t.Fatalf("SubmitSweep: %v", err)
+	}
+	plantVersion1(t, filepath.Join(sw.tasks[0].dir, "a1"))
+	s.Start()
+	defer s.Drain(context.Background())
+	v := waitSweep(t, s, sw.ID, StateDone, 2*time.Minute)
+	if v.Resumes != 0 {
+		t.Errorf("checkpoint_resumes = %d, want 0", v.Resumes)
+	}
+	for _, ev := range sw.hub.Events(0, 0) {
+		if strings.Contains(ev.Detail, "resuming") {
+			t.Errorf("timeline announces a resume that cannot happen: %q", ev.Detail)
+		}
+	}
+	if st := s.Snapshot(); st.CheckpointFallbacks != 1 {
+		t.Errorf("fallbacks = %d, want the refused file counted once", st.CheckpointFallbacks)
+	}
+}

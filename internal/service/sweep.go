@@ -122,11 +122,8 @@ func (sw *Sweep) attemptStarted(t *sweepTask, n int, resumeFrom string) {
 	detail := fmt.Sprintf("task %d (%s) leased to shard %d, attempt %d (epoch %d)", t.index, t.digest, t.worker, n, t.epoch)
 	if resumeFrom != "" {
 		sw.resumes++
-		if cyc, ok := snapshot.NewestCycle(resumeFrom); ok {
-			detail += fmt.Sprintf(", resuming from shipped checkpoint at cycle %d", cyc)
-		} else {
-			detail += ", resuming"
-		}
+		cyc, _ := snapshot.NewestCycle(resumeFrom) // bestResume chose it by this cycle
+		detail += fmt.Sprintf(", resuming from shipped checkpoint at cycle %d", cyc)
 	}
 	sw.lifecycle(StateRunning, detail)
 }

@@ -52,16 +52,12 @@ type sweepTask struct {
 // key is the lease-table key.
 func (t *sweepTask) key() string { return t.id }
 
-// bestResume scans the task's root for the directory holding the newest
-// readable checkpoint — the handoff point the next attempt resumes from:
-// every attempt directory under the root, and the root itself (where a
-// daemon older than the a<N> layout checkpointed). Scanning, not counting,
-// also finds the checkpoints of an attempt a drain interrupted and no
-// restart counted as failed. "" when nothing was shipped yet (the attempt
-// starts at cycle 0, losing progress but never the task).
-func (t *sweepTask) bestResume() string {
+// resumeDirs lists where the task's attempts may have checkpointed: the
+// task's root (where a daemon older than the a<N> layout wrote) and every
+// attempt directory under it.
+func (t *sweepTask) resumeDirs() []string {
 	if t.dir == "" {
-		return ""
+		return nil
 	}
 	dirs := []string{t.dir}
 	ents, _ := os.ReadDir(t.dir)
@@ -70,13 +66,35 @@ func (t *sweepTask) bestResume() string {
 			dirs = append(dirs, filepath.Join(t.dir, e.Name()))
 		}
 	}
+	return dirs
+}
+
+// bestResume scans the task's root for the directory holding the newest
+// checkpoint this build can load — the handoff point the next attempt
+// resumes from. Scanning, not counting, also finds the checkpoints of an
+// attempt a drain interrupted and no restart counted as failed. "" when
+// nothing usable was shipped (the attempt starts at cycle 0, losing
+// progress but never the task).
+func (t *sweepTask) bestResume() string {
 	best, bestCycle := "", int64(-1)
-	for _, dir := range dirs {
+	for _, dir := range t.resumeDirs() {
 		if cyc, ok := snapshot.NewestCycle(dir); ok && cyc > bestCycle {
 			best, bestCycle = dir, cyc
 		}
 	}
 	return best
+}
+
+// setAsideRefused is for the attempt bestResume found no checkpoint for:
+// the snapshots the task's directories still hold have headers this build
+// refuses (another format version's, or damaged), so each is renamed
+// *.corrupt, as a resume would have done, and returned.
+func (t *sweepTask) setAsideRefused() (aside []string) {
+	for _, dir := range t.resumeDirs() {
+		_, corrupt, _ := snapshot.LoadNewest(dir)
+		aside = append(aside, corrupt...)
+	}
+	return aside
 }
 
 // owner is everything about a task that is not supervision, and so the

@@ -1,22 +1,5 @@
 package snapshot
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-)
-
-// This file implements the canonical digest encoding. Digests originally
-// hashed the gob encoding of the state, but gob's wire format embeds
-// type ids drawn from a process-global allocator: the bytes it emits for
-// identical values depend on every type the process happened to encode or
-// reflect earlier. A worker that wrote a checkpoint (gob-encoding the
-// envelope tree) before digesting produced different digest bytes than a
-// worker that digested first, so cross-process digest comparison — the
-// whole point of the determinism auditor — silently broke. The canonical
-// encoder writes each field explicitly in declaration order, fixed-width
-// little-endian with length-prefixed strings and slices, so the digest is
-// a pure function of the data.
-
 // Hasher accumulates a canonical FNV-1a/64 digest. Values must be fed in
 // a fixed order; variable-length data (strings, byte slices, repeated
 // groups) must be preceded by its length so distinct structures can never
@@ -26,27 +9,32 @@ type Hasher struct {
 }
 
 // NewHasher returns a Hasher primed with the FNV-1a offset basis.
-func NewHasher() *Hasher {
-	h := fnv.New64a()
-	return &Hasher{sum: h.Sum64()}
-}
+func NewHasher() *Hasher { return &Hasher{sum: fnvOffset} }
 
-const fnvPrime = 1099511628211
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
 
-func (h *Hasher) write(b []byte) {
-	s := h.sum
-	for _, x := range b {
-		s ^= uint64(x)
-		s *= fnvPrime
+// fnvPow[k] is fnvPrime^k: hashing k zero bytes multiplies the sum by it.
+var fnvPow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
 	}
-	h.sum = s
-}
+	return p
+}()
 
-// PutU64 hashes one fixed-width unsigned value.
+// PutU64 hashes one fixed-width unsigned value, as its eight
+// little-endian bytes; the zero high bytes of a small value cost one
+// multiplication together.
 func (h *Hasher) PutU64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	h.write(b[:])
+	s, zeros := h.sum, 8
+	for ; v != 0; v >>= 8 {
+		s = (s ^ v&0xff) * fnvPrime
+		zeros--
+	}
+	h.sum = s * fnvPow[zeros]
 }
 
 // PutI64 hashes one fixed-width signed value.
@@ -72,16 +60,15 @@ func (h *Hasher) PutBool(v bool) {
 }
 
 // PutStr hashes a length-prefixed string.
-func (h *Hasher) PutStr(s string) {
-	h.PutU64(uint64(len(s)))
-	h.write([]byte(s))
-}
+func (h *Hasher) PutStr(s string) { h.PutBytes([]byte(s)) }
 
 // PutBytes hashes a length-prefixed byte slice (nil and empty hash alike:
 // both are zero-length).
 func (h *Hasher) PutBytes(b []byte) {
 	h.PutU64(uint64(len(b)))
-	h.write(b)
+	for _, x := range b {
+		h.sum = (h.sum ^ uint64(x)) * fnvPrime
+	}
 }
 
 // PutI64s hashes a length-prefixed []int64.
@@ -95,164 +82,12 @@ func (h *Hasher) PutI64s(vs []int64) {
 // Sum64 returns the digest accumulated so far.
 func (h *Hasher) Sum64() uint64 { return h.sum }
 
-// ArchDigest is the determinism digest: a canonical FNV-1a hash over the
-// architectural state, field by field in schema order. The encoding is a
-// pure function of the state — two identical machine states digest
-// identically in any process, in any binary, regardless of what else was
-// serialized before — so any digest mismatch is a real simulation
-// divergence.
+// ArchDigest is the determinism digest: the schema walk (visit.go) over
+// the architectural state into a Hasher. It is a pure function of the
+// state — identical machine states digest identically in any process and
+// any binary — so any digest mismatch is a real simulation divergence.
 func ArchDigest(a *ArchState) (uint64, error) {
 	h := NewHasher()
-	h.PutI64(a.Cycle)
-	h.PutI64(a.TotalIssued)
-	h.PutInt(a.MaxTask)
-	h.PutStr(a.PolicyName)
-	h.PutBytes(a.PolicyBlob)
-
-	h.PutU64(uint64(len(a.Streams)))
-	for i := range a.Streams {
-		s := &a.Streams[i]
-		h.PutInt(s.ID)
-		h.PutInt(s.NextKernel)
-		h.PutBool(s.Active)
-		h.PutBool(s.Started)
-		h.PutI64(s.StartCycle)
-		h.PutI64(s.Stat.Cycles)
-		h.PutI64(s.Stat.WarpInsts)
-		h.PutI64(s.Stat.ThreadInsts)
-		h.PutI64(s.Stat.TexAccesses)
-		h.PutInt(s.Stat.KernelsLaunched)
-		h.PutInt(s.Stat.CTAsLaunched)
-		h.PutI64s(s.Stat.Stalls)
-	}
-
-	h.PutU64(uint64(len(a.Running)))
-	for i := range a.Running {
-		l := &a.Running[i]
-		h.PutInt(l.StreamID)
-		h.PutInt(l.KernelIdx)
-		h.PutInt(l.Task)
-		h.PutInt(l.NextCTA)
-		h.PutInt(l.DoneCTAs)
-		h.PutI64(l.Started)
-		h.PutI64(l.LastDone)
-	}
-
-	h.PutU64(uint64(len(a.Kernels)))
-	for i := range a.Kernels {
-		k := &a.Kernels[i]
-		h.PutStr(k.Name)
-		h.PutInt(k.Stream)
-		h.PutInt(k.Task)
-		h.PutI64(k.Launched)
-		h.PutI64(k.Done)
-		h.PutInt(k.CTAs)
-	}
-
-	h.PutU64(uint64(len(a.InstsBySMTask)))
-	for _, row := range a.InstsBySMTask {
-		h.PutI64s(row)
-	}
-
-	h.PutU64(uint64(len(a.Cores)))
-	for i := range a.Cores {
-		hashCore(h, &a.Cores[i])
-	}
-	hashMem(h, &a.Mem)
+	h.Put(a)
 	return h.Sum64(), nil
-}
-
-func hashCore(h *Hasher, c *CoreState) {
-	h.PutInt(c.ID)
-	h.PutI64(c.ArrivalSeq)
-	h.PutI64(c.SchedSlots)
-	h.PutI64(c.EmptySlots)
-	h.PutI64(c.WakeAt)
-
-	h.PutU64(uint64(len(c.CTAs)))
-	for i := range c.CTAs {
-		cta := &c.CTAs[i]
-		h.PutInt(cta.Ref)
-		h.PutInt(cta.StreamID)
-		h.PutInt(cta.KernelIdx)
-		h.PutInt(cta.CTAIdx)
-		h.PutInt(cta.Task)
-		h.PutInt(cta.WarpsLeft)
-		h.PutInt(cta.BarArrived)
-		h.PutU64(uint64(len(cta.BarWaiting)))
-		for _, r := range cta.BarWaiting {
-			h.PutInt(r)
-		}
-	}
-
-	h.PutU64(uint64(len(c.Scheds)))
-	for i := range c.Scheds {
-		s := &c.Scheds[i]
-		h.PutInt(s.LastWarp)
-		h.PutInt(s.RR)
-		h.PutI64s(s.UnitFree)
-		h.PutU64(uint64(len(s.Warps)))
-		for wi := range s.Warps {
-			w := &s.Warps[wi]
-			h.PutInt(w.Ref)
-			h.PutInt(w.CTA)
-			h.PutInt(w.WarpIdx)
-			h.PutInt(w.PC)
-			h.PutI64(w.BlockedUntil)
-			h.PutI64(w.Arrival)
-			h.PutU64(uint64(len(w.PendingRegs)))
-			for ri := range w.PendingRegs {
-				r := &w.PendingRegs[ri]
-				h.PutInt(r.Reg)
-				h.PutI64(r.Ready)
-				h.PutBool(r.FromMem)
-			}
-		}
-	}
-}
-
-func hashMem(h *Hasher, m *MemState) {
-	hashCaches := func(cs []CacheState) {
-		h.PutU64(uint64(len(cs)))
-		for i := range cs {
-			h.PutU64(uint64(len(cs[i].Lines)))
-			for li := range cs[i].Lines {
-				l := &cs[i].Lines[li]
-				h.PutInt(l.Idx)
-				h.PutU64(l.Tag)
-				h.PutBool(l.Dirty)
-				h.PutI64(l.LastUse)
-				h.PutU8(l.Class)
-				h.PutInt(l.Stream)
-				h.PutU32(l.Sectors)
-			}
-		}
-	}
-	hashPending := func(ps []PendingFills) {
-		h.PutU64(uint64(len(ps)))
-		for i := range ps {
-			h.PutU64(uint64(len(ps[i].Fills)))
-			for _, f := range ps[i].Fills {
-				h.PutU64(f.Granule)
-				h.PutI64(f.Ready)
-			}
-		}
-	}
-	hashCaches(m.L1)
-	hashPending(m.L1Pending)
-	hashCaches(m.L2)
-	hashPending(m.L2Pending)
-	h.PutI64s(m.L2NextFree)
-	h.PutI64s(m.DRAMNextFree)
-	h.PutU64(uint64(len(m.Counters)))
-	for i := range m.Counters {
-		c := &m.Counters[i]
-		h.PutInt(c.Stream)
-		h.PutI64(c.L1Accesses)
-		h.PutI64(c.L1Misses)
-		h.PutI64(c.L2Accesses)
-		h.PutI64(c.L2Misses)
-		h.PutI64(c.DRAMReadB)
-		h.PutI64(c.DRAMWriteB)
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -23,6 +22,10 @@ import (
 type Header struct {
 	Magic   string `json:"magic"`
 	Version int    `json:"version"`
+	// Schema fingerprints the structs the body was walked from. The body
+	// is positional, so a file loads only where Version and Schema both
+	// equal the reading build's.
+	Schema  string `json:"schema"`
 	Cycle   int64  `json:"cycle"`
 	Policy  string `json:"policy"`
 	Scene   string `json:"scene,omitempty"`
@@ -31,7 +34,7 @@ type Header struct {
 	// tells which content-addressed result a snapshot belongs to.
 	SpecDigest string `json:"spec_digest,omitempty"`
 	// BodyLen and BodyFNV integrity-check the binary body that follows:
-	// BodyLen bytes of gzip-compressed gob, hashed with FNV-1a-64.
+	// BodyLen bytes of gzip-compressed envelope walk, hashed with FNV-1a-64.
 	BodyLen int64  `json:"body_len"`
 	BodyFNV uint64 `json:"body_fnv"`
 }
@@ -49,16 +52,14 @@ func snapErr(msg string, cause error) error {
 }
 
 // Encode writes env to w: one JSON header line, then the gzip-compressed
-// gob body the header integrity-checks.
+// walk of env (visit.go) the header integrity-checks.
 func Encode(w io.Writer, env *Envelope) error {
 	var body bytes.Buffer
 	// BestSpeed: checkpoints are written every few hundred thousand cycles
 	// on the run's critical path, and gzip dominates the save cost. The
-	// gob body is mostly small integers, which compress well at any level.
+	// body is mostly small integers, which compress well at any level.
 	zw, _ := gzip.NewWriterLevel(&body, gzip.BestSpeed)
-	if err := gob.NewEncoder(zw).Encode(env); err != nil {
-		return snapErr("encoding snapshot body", err)
-	}
+	zw.Write(encodeBody(env))
 	if err := zw.Close(); err != nil {
 		return snapErr("compressing snapshot body", err)
 	}
@@ -67,6 +68,7 @@ func Encode(w io.Writer, env *Envelope) error {
 	hdr := Header{
 		Magic:      Magic,
 		Version:    env.Version,
+		Schema:     schema,
 		Cycle:      env.State.Arch.Cycle,
 		Policy:     env.Spec.Policy,
 		Scene:      env.Spec.Scene,
@@ -89,17 +91,9 @@ func Encode(w io.Writer, env *Envelope) error {
 	return nil
 }
 
-// Decode reads a snapshot from r. Every failure mode — truncation,
-// corruption, version mismatch, hostile length fields, even a panic inside
-// the gob decoder — returns a KindSnapshot SimError; Decode never panics.
-func Decode(r io.Reader) (env *Envelope, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			env = nil
-			err = snapErr(fmt.Sprintf("panic decoding snapshot: %v", rec), nil)
-		}
-	}()
-	br := bufio.NewReader(r)
+// readHeader reads the header line and refuses what this build cannot
+// load: a file that is not a snapshot, or one another format wrote.
+func readHeader(br *bufio.Reader) (*Header, error) {
 	line, err := br.ReadString('\n')
 	if err != nil {
 		return nil, snapErr("reading snapshot header", err)
@@ -113,8 +107,27 @@ func Decode(r io.Reader) (env *Envelope, err error) {
 	if err := json.Unmarshal([]byte(line), &hdr); err != nil {
 		return nil, snapErr("parsing snapshot header", err)
 	}
-	if hdr.Version != FormatVersion {
-		return nil, snapErr(fmt.Sprintf("snapshot format version %d, this build reads version %d", hdr.Version, FormatVersion), nil)
+	if hdr.Version != FormatVersion || hdr.Schema != schema {
+		return nil, snapErr(fmt.Sprintf("snapshot format version %d (schema %q), this build reads version %d (schema %q): re-checkpoint with this build",
+			hdr.Version, hdr.Schema, FormatVersion, schema), nil)
+	}
+	return &hdr, nil
+}
+
+// Decode reads a snapshot from r. Every failure mode — truncation,
+// corruption, a foreign version or schema, hostile length fields, input
+// that ends early or runs on, even a panic inside the walk — returns a
+// KindSnapshot SimError; Decode never panics.
+func Decode(r io.Reader) (env *Envelope, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			env, err = nil, snapErr(fmt.Sprintf("decoding snapshot body: %v", rec), nil)
+		}
+	}()
+	br := bufio.NewReader(r)
+	hdr, err := readHeader(br)
+	if err != nil {
+		return nil, err
 	}
 	if hdr.BodyLen < 0 || hdr.BodyLen > maxBodyLen {
 		return nil, snapErr(fmt.Sprintf("snapshot body length %d out of range", hdr.BodyLen), nil)
@@ -133,10 +146,7 @@ func Decode(r io.Reader) (env *Envelope, err error) {
 		return nil, snapErr("snapshot body is not valid gzip", err)
 	}
 	defer zr.Close()
-	e := new(Envelope)
-	if err := gob.NewDecoder(io.LimitReader(zr, maxDecompressed)).Decode(e); err != nil {
-		return nil, snapErr("decoding snapshot body", err)
-	}
+	e := decodeBody(io.LimitReader(zr, maxDecompressed))
 	if e.Version != FormatVersion {
 		return nil, snapErr(fmt.Sprintf("snapshot envelope version %d disagrees with header", e.Version), nil)
 	}
@@ -154,25 +164,15 @@ func LoadFile(path string) (*Envelope, error) {
 }
 
 // PeekHeader reads only the JSON header line of the snapshot at path —
-// enough to learn its cycle and spec digest without decoding the body.
+// enough to learn its cycle and spec digest without decoding the body. A
+// header Decode would refuse is refused here too.
 func PeekHeader(path string) (*Header, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, snapErr("opening snapshot", err)
 	}
 	defer f.Close()
-	line, err := bufio.NewReader(f).ReadString('\n')
-	if err != nil {
-		return nil, snapErr("reading snapshot header", err)
-	}
-	if !strings.HasPrefix(line, `{"magic":"`+Magic+`"`) {
-		return nil, snapErr("not a CRISP snapshot (bad magic)", nil)
-	}
-	var hdr Header
-	if err := json.Unmarshal([]byte(line), &hdr); err != nil {
-		return nil, snapErr("parsing snapshot header", err)
-	}
-	return &hdr, nil
+	return readHeader(bufio.NewReader(f))
 }
 
 // Ext is the snapshot file extension.
@@ -305,67 +305,37 @@ func listCheckpoints(dir string) []string {
 	return names
 }
 
-// Latest returns the path of the newest snapshot in dir: the
-// highest-cycle periodic checkpoint, or final.crispsnap when it is newer
-// (a failed run's last state always post-dates its periodic checkpoints).
-func Latest(dir string) (string, error) {
-	names := listCheckpoints(dir)
-	best := ""
-	bestCycle := int64(-1)
-	if len(names) > 0 {
-		best = filepath.Join(dir, names[len(names)-1])
-		fmt.Sscanf(names[len(names)-1], "ckpt-%d", &bestCycle)
-	}
-	finalPath := filepath.Join(dir, "final"+Ext)
-	if env, err := LoadFile(finalPath); err == nil {
-		if env.State.Arch.Cycle >= bestCycle {
-			return finalPath, nil
-		}
-	}
-	if best == "" {
-		return "", snapErr(fmt.Sprintf("no snapshots in %s", dir), nil)
-	}
-	return best, nil
-}
-
-// Candidates returns every snapshot path in dir ordered newest-first by
-// header cycle — the resume preference order. final.crispsnap participates
-// like any periodic checkpoint (it is normally the newest). Files whose
-// header cannot even be read sort last: they will fail a full load anyway,
-// but a caller walking the list still visits them before giving up.
+// Candidates returns every snapshot path in dir in resume preference
+// order: newest first by header cycle, final.crispsnap participating like
+// any periodic checkpoint (it is normally the newest). A file whose header
+// this build cannot load — unreadable, or another format's — sorts last: a
+// caller walking the list still visits it (and sets it aside) before
+// giving up.
 func Candidates(dir string) []string {
 	names := listCheckpoints(dir)
 	if _, err := os.Stat(filepath.Join(dir, "final"+Ext)); err == nil {
 		names = append(names, "final"+Ext)
 	}
-	type cand struct {
-		path  string
-		cycle int64
-	}
-	cands := make([]cand, 0, len(names))
-	for _, n := range names {
-		p := filepath.Join(dir, n)
-		c := cand{path: p, cycle: -1}
-		if hdr, err := PeekHeader(p); err == nil {
-			c.cycle = hdr.Cycle
+	cycle := make(map[string]int64, len(names))
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = filepath.Join(dir, n)
+		cycle[out[i]] = -1
+		if hdr, err := PeekHeader(out[i]); err == nil {
+			cycle[out[i]] = hdr.Cycle
 		}
-		cands = append(cands, c)
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].cycle > cands[j].cycle })
-	out := make([]string, len(cands))
-	for i, c := range cands {
-		out[i] = c.path
-	}
+	sort.SliceStable(out, func(i, j int) bool { return cycle[out[i]] > cycle[out[j]] })
 	return out
 }
 
-// NewestCycle peeks the header cycle of the newest snapshot candidate in
-// dir without decoding the body — what a coordinator reports when a
-// reassigned task resumes from a shipped checkpoint ("resuming from cycle
-// N"). ok is false when dir holds no candidate with a readable header.
+// NewestCycle is the header cycle of the newest snapshot in dir that this
+// build can load, without decoding any body — what a coordinator reports
+// when a reassigned task resumes from a shipped checkpoint ("resuming from
+// cycle N"). ok is false when dir holds no such snapshot.
 func NewestCycle(dir string) (cycle int64, ok bool) {
-	for _, path := range Candidates(dir) {
-		if hdr, err := PeekHeader(path); err == nil {
+	if cands := Candidates(dir); len(cands) > 0 {
+		if hdr, err := PeekHeader(cands[0]); err == nil {
 			return hdr.Cycle, true
 		}
 	}
@@ -398,14 +368,20 @@ func LoadNewest(dir string) (env *Envelope, corrupt []string, err error) {
 }
 
 // Resolve turns a -resume argument into a snapshot path: a file path is
-// used as-is, a directory resolves to its latest snapshot.
+// used as-is, a directory resolves to its newest snapshot by header cycle
+// (a failed run's final.crispsnap normally, a periodic checkpoint when the
+// final one is stale).
 func Resolve(arg string) (string, error) {
 	info, err := os.Stat(arg)
 	if err != nil {
 		return "", snapErr("resolving snapshot path", err)
 	}
-	if info.IsDir() {
-		return Latest(arg)
+	if !info.IsDir() {
+		return arg, nil
 	}
-	return arg, nil
+	cands := Candidates(arg)
+	if len(cands) == 0 {
+		return "", snapErr(fmt.Sprintf("no snapshots in %s", arg), nil)
+	}
+	return cands[0], nil
 }

@@ -101,3 +101,28 @@ func TestLoadNewestEmptyDir(t *testing.T) {
 		t.Fatalf("LoadNewest on empty dir: env=%v err=%v", env, err)
 	}
 }
+
+// TestForeignVersionIsNotAResumePoint: a header this build cannot load is
+// not a checkpoint to rank or report, whatever cycle it claims.
+func TestForeignVersionIsNotAResumePoint(t *testing.T) {
+	dir := t.TempDir()
+	foreign := filepath.Join(dir, fileName(900))
+	if err := os.WriteFile(foreign, []byte(`{"magic":"crispsnap","version":1,"cycle":900,"policy":"EVEN","body_len":0,"body_fnv":0}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PeekHeader(foreign); err == nil {
+		t.Fatal("PeekHeader accepted a version-1 header")
+	}
+	if c, ok := NewestCycle(dir); ok {
+		t.Fatalf("NewestCycle = %d over a directory holding only a version-1 file, want none", c)
+	}
+	if _, err := (&Store{Dir: dir}).Save(sampleEnvelope(100)); err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := NewestCycle(dir); !ok || c != 100 {
+		t.Fatalf("NewestCycle = %d, %v; want the loadable checkpoint at 100", c, ok)
+	}
+	if cands := Candidates(dir); len(cands) != 2 || cands[1] != foreign {
+		t.Fatalf("Candidates = %v, want the version-1 file last", cands)
+	}
+}

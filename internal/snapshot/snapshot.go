@@ -11,31 +11,27 @@
 // Capture/Restore methods against these schema structs without import
 // cycles.
 //
-// Two invariants make snapshots reproducible across processes:
+// The structs in this file are the one description of simulator state:
+// visit (visit.go) walks them in declaration order, and the digest, the
+// checkpoint writer and the checkpoint reader are its three sinks. Two
+// invariants make the result reproducible across processes:
 //
 //   - The schema is map-free. Everything that lives in a Go map inside
-//     the simulator is serialized as a slice sorted by its key, so the
-//     serialized form of a given simulator state is identical no matter
-//     which process produced it.
+//     the simulator is captured as a slice sorted by its key, so a given
+//     simulator state walks identically no matter which process holds it.
 //   - Architectural state (ArchState) is separated from observability
-//     state (ObsState). The digest covers only ArchState, and it is
-//     computed with the canonical field-by-field encoder in digest.go —
-//     never from a self-describing serialization format, whose bytes can
-//     depend on process encode history — so enabling tracing, metrics, or
-//     checkpointing itself never perturbs a digest: any digest mismatch
-//     is a real simulation divergence.
+//     state (ObsState). The digest is the walk over ArchState only, so
+//     enabling tracing, metrics, or checkpointing itself never perturbs a
+//     digest: any digest mismatch is a real simulation divergence.
 package snapshot
 
-import (
-	"encoding/json"
+import "crisp/internal/config"
 
-	"crisp/internal/config"
-)
-
-// FormatVersion is the snapshot format version. Loading a snapshot with a
-// different version fails with a structured SimError: the format carries
-// raw simulator internals, so cross-version restore is never attempted.
-const FormatVersion = 1
+// FormatVersion is the version of the snapshot container; the shape of the
+// structs below is fingerprinted separately (Header.Schema). A file whose
+// version or schema differs from this build's is refused with a SimError:
+// it carries raw simulator internals, so no cross-version restore is tried.
+const FormatVersion = 2
 
 // Magic identifies a CRISP snapshot file; it leads the JSON header line.
 const Magic = "crispsnap"
@@ -355,8 +351,3 @@ func FirstDivergence(a, b []DigestEntry) (cycle int64, ok bool) {
 	}
 	return 0, false
 }
-
-// MarshalSorted JSON-encodes v — a convenience for policy state blobs,
-// which use JSON (human-inspectable in the file header era of debugging)
-// with explicitly sorted slices for the same determinism guarantee.
-func MarshalSorted(v any) ([]byte, error) { return json.Marshal(v) }

@@ -2,9 +2,15 @@ package snapshot
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"encoding/json"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -137,9 +143,42 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 		wantSnapErr(t, err, "bad magic")
 	})
 	t.Run("version-mismatch", func(t *testing.T) {
-		hacked := bytes.Replace(good, []byte(`"version":1`), []byte(`"version":999`), 1)
+		hacked := bytes.Replace(good, []byte(`"version":2`), []byte(`"version":999`), 1)
 		_, err := Decode(bytes.NewReader(hacked))
 		wantSnapErr(t, err, "future version")
+		for _, want := range []string{"version 999", "version 2", "re-checkpoint"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("err = %v, want it to say %q", err, want)
+			}
+		}
+	})
+	t.Run("schema-mismatch", func(t *testing.T) {
+		hacked := bytes.Replace(good, []byte(`"schema":"`+schema), []byte(`"schema":"0`+schema[1:]), 1)
+		if schema[0] == '0' {
+			hacked = bytes.Replace(good, []byte(`"schema":"`+schema), []byte(`"schema":"1`+schema[1:]), 1)
+		}
+		_, err := Decode(bytes.NewReader(hacked))
+		wantSnapErr(t, err, "foreign schema")
+		if !strings.Contains(err.Error(), "re-checkpoint") {
+			t.Errorf("err = %v, want it to say re-checkpoint", err)
+		}
+	})
+	t.Run("body-runs-on", func(t *testing.T) {
+		raw := append(encodeBody(sampleEnvelope(2000)), 0)
+		_, err := Decode(bytes.NewReader(reframe(t, good, raw)))
+		wantSnapErr(t, err, "trailing byte")
+	})
+	t.Run("body-ends-early", func(t *testing.T) {
+		raw := encodeBody(sampleEnvelope(2000))
+		for _, n := range []int{0, 1, len(raw) / 2, len(raw) - 1} {
+			_, err := Decode(bytes.NewReader(reframe(t, good, raw[:n])))
+			wantSnapErr(t, err, "short body")
+		}
+	})
+	t.Run("overlong-varint", func(t *testing.T) {
+		raw := bytes.Repeat([]byte{0xff}, 11)
+		_, err := Decode(bytes.NewReader(reframe(t, good, raw)))
+		wantSnapErr(t, err, "11-byte varint")
 	})
 	t.Run("hostile-body-len", func(t *testing.T) {
 		line := good[:bytes.IndexByte(good, '\n')+1]
@@ -165,6 +204,90 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 	})
 }
 
+// reframe returns the file good with its body replaced by raw: gzipped,
+// and the header's length and checksum made to match, so Decode's framing
+// checks pass and the body decoder is what faces raw.
+func reframe(t testing.TB, good, raw []byte) []byte {
+	t.Helper()
+	var hdr Header
+	if err := json.Unmarshal(good[:bytes.IndexByte(good, '\n')], &hdr); err != nil {
+		t.Fatalf("reframe: %v", err)
+	}
+	var body bytes.Buffer
+	zw := gzip.NewWriter(&body)
+	zw.Write(raw)
+	zw.Close()
+	h := fnv.New64a()
+	h.Write(body.Bytes())
+	hdr.BodyLen, hdr.BodyFNV = int64(body.Len()), h.Sum64()
+	line, _ := json.Marshal(hdr)
+	return append(append(line, '\n'), body.Bytes()...)
+}
+
+// hostileBodies are well-framed files whose bodies lie about how much
+// follows: a first count of 2^40, and a nest of counts that each claim
+// every byte left in the input.
+func hostileBodies(t testing.TB, good []byte) [][]byte {
+	huge := binary.AppendVarint(binary.AppendVarint(nil, FormatVersion), 1<<40)
+
+	// The walk up to ArchState.Cores' count is the common prefix of two
+	// envelopes that differ only there; the claims after it nest three
+	// deep (Cores, CTAs, BarWaiting).
+	a, b := sampleEnvelope(1), sampleEnvelope(1)
+	a.State.Arch.Cores, b.State.Arch.Cores = nil, []CoreState{{}}
+	ra, rb := encodeBody(a), encodeBody(b)
+	at := 0
+	for ra[at] == rb[at] {
+		at++
+	}
+	// Built back to front: each varint is the number of bytes after it.
+	var rev []byte
+	for len(rev) < 16<<10 {
+		claim := binary.AppendVarint(nil, int64(len(rev)))
+		slices.Reverse(claim)
+		rev = append(rev, claim...)
+	}
+	slices.Reverse(rev)
+	nested := append(ra[:at:at], rev...)
+	return [][]byte{reframe(t, good, huge), reframe(t, good, nested)}
+}
+
+// TestDecodeHostileCountsAllocateLittle: a count is a claim, and memory is
+// committed only as the elements it promises arrive.
+func TestDecodeHostileCountsAllocateLittle(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Encode(&buf, sampleEnvelope(1)); err != nil {
+		t.Fatal(err)
+	}
+	for i, file := range hostileBodies(t, buf.Bytes()) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(bytes.NewReader(file))
+		runtime.ReadMemStats(&after)
+		wantSnapErr(t, err, "hostile counts")
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("hostile body %d: Decode allocated %d bytes refusing a %d-byte file", i, got, len(file))
+		}
+	}
+}
+
+// TestParentWrittenSnapshotRefused: testdata/parent-v1.crispsnap is
+// sampleEnvelope(1000) as the last version-1 build wrote it (gob body, no
+// schema field). Every way in must refuse it and say what to do.
+func TestParentWrittenSnapshotRefused(t *testing.T) {
+	path := filepath.Join("testdata", "parent-v1.crispsnap")
+	_, errLoad := LoadFile(path)
+	_, errPeek := PeekHeader(path)
+	for _, err := range []error{errLoad, errPeek} {
+		wantSnapErr(t, err, "version-1 file")
+		for _, want := range []string{"version 1", "version 2", "re-checkpoint with this build"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("err = %v, want it to say %q", err, want)
+			}
+		}
+	}
+}
+
 func TestStoreRetentionAndLatest(t *testing.T) {
 	dir := t.TempDir()
 	st := &Store{Dir: dir, Retain: 2}
@@ -181,27 +304,28 @@ func TestStoreRetentionAndLatest(t *testing.T) {
 		t.Fatalf("retention kept %v, want the two newest (300, 400)", names)
 	}
 
-	// Without a final snapshot, Latest is the newest periodic checkpoint.
-	p, err := Latest(dir)
+	// Without a final snapshot, the directory resolves to the newest
+	// periodic checkpoint.
+	p, err := Resolve(dir)
 	if err != nil {
-		t.Fatalf("Latest: %v", err)
+		t.Fatalf("Resolve: %v", err)
 	}
 	if filepath.Base(p) != fileName(400) {
-		t.Fatalf("Latest = %s, want %s", p, fileName(400))
+		t.Fatalf("Resolve = %s, want %s", p, fileName(400))
 	}
 
 	// A newer final snapshot wins; an older one does not.
 	if _, err := st.SaveFinal(sampleEnvelope(450)); err != nil {
 		t.Fatalf("SaveFinal: %v", err)
 	}
-	if p, _ = Latest(dir); filepath.Base(p) != "final"+Ext {
-		t.Fatalf("Latest = %s, want final snapshot at cycle 450", p)
+	if p, _ = Resolve(dir); filepath.Base(p) != "final"+Ext {
+		t.Fatalf("Resolve = %s, want final snapshot at cycle 450", p)
 	}
 	if _, err := st.SaveFinal(sampleEnvelope(50)); err != nil {
 		t.Fatalf("SaveFinal: %v", err)
 	}
-	if p, _ = Latest(dir); filepath.Base(p) != fileName(400) {
-		t.Fatalf("Latest = %s, want newest periodic over a stale final", p)
+	if p, _ = Resolve(dir); filepath.Base(p) != fileName(400) {
+		t.Fatalf("Resolve = %s, want newest periodic over a stale final", p)
 	}
 
 	// Final snapshots survive further retention rounds.
@@ -237,8 +361,8 @@ func TestResolve(t *testing.T) {
 	if _, err := Resolve(filepath.Join(dir, "missing")); err == nil {
 		t.Fatalf("Resolve accepted a missing path")
 	}
-	if _, err := Latest(t.TempDir()); err == nil {
-		t.Fatalf("Latest accepted an empty directory")
+	if _, err := Resolve(t.TempDir()); err == nil {
+		t.Fatalf("Resolve accepted an empty directory")
 	}
 }
 
