@@ -233,27 +233,29 @@ func runSweep(sc sweepConfig) []runOutcome {
 				}
 			}
 
-			var res *crisp.Result
-			var err error
+			// The config file's job from cycle 0, or — under -resume, when the
+			// run's subdirectory holds a snapshot — the snapshot's job from
+			// the snapshot's state.
+			var spec crisp.Spec
+			var restore *crisp.Snapshot
 			if sc.resume && sub != "" {
 				tLoad := time.Now()
 				env, lerr := crisp.LoadSnapshot(sub)
 				if lerr == nil {
 					out.snapLoad = time.Since(tLoad)
-					res, err = crisp.Resume(ctx, env, runOpts...)
+					spec, restore = env.Spec, env
 				} else {
 					fmt.Fprintf(os.Stderr, "%s: no resumable snapshot (%v); starting fresh\n", name, lerr)
 				}
 			}
-			if res == nil && err == nil {
-				var cfg crisp.GPUConfig
-				cfg, err = crisp.GPUFromFile(path)
+			if restore == nil {
+				cfg, err := crisp.GPUFromFile(path)
 				if err != nil {
 					return err
 				}
-				res, err = crisp.RunPairContext(ctx, cfg, sc.scene, sc.compute,
-					crisp.PolicyKind(sc.policy), crisp.DefaultRenderOptions(), runOpts...)
+				spec = crisp.SpecForPair(cfg, sc.scene, sc.compute, crisp.PolicyKind(sc.policy), crisp.DefaultRenderOptions())
 			}
+			res, err := crisp.RunSpec(ctx, spec, restore, runOpts...)
 			if err != nil {
 				return err
 			}

@@ -130,36 +130,29 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	var res *crisp.Result
-	if *resume != "" {
-		// Resume rebuilds the job from the snapshot's self-describing spec;
-		// workload and policy flags are taken from the snapshot, not the
-		// command line.
-		env, lerr := crisp.LoadSnapshot(*resume)
-		if lerr != nil {
-			log.Fatal(lerr)
+	// One description, one call: the flags' job, or — under -resume — the
+	// job the snapshot describes (workload, policy and GPU flags are then
+	// ignored) continued from the snapshot's state.
+	var spec crisp.Spec
+	var restore *crisp.Snapshot
+	switch {
+	case *resume != "":
+		if restore, err = crisp.LoadSnapshot(*resume); err != nil {
+			log.Fatal(err)
 		}
-		*sceneName, *computeName, *policy = env.Spec.Scene, env.Spec.Compute, env.Spec.Policy
-		cfg = env.Spec.GPU
-		if len(env.Spec.Mix) > 0 {
-			var m crisp.MixSpec
-			if json.Unmarshal(env.Spec.Mix, &m) == nil {
-				*scenarioName = m.Name
-			}
-		}
-		if *policy == "" {
-			*policy = "serial"
-		}
-		res, err = crisp.Resume(ctx, env, runOpts...)
-	} else if *scenarioName != "" {
+		spec = restore.Spec
+	case *scenarioName != "":
 		mix, merr := crisp.MixPreset(*scenarioName)
 		if merr != nil {
 			log.Fatal(merr)
 		}
-		res, err = crisp.RunMixContext(ctx, cfg, mix, crisp.PolicyKind(*policy), opts, runOpts...)
-	} else {
-		res, err = crisp.RunPairContext(ctx, cfg, *sceneName, *computeName, crisp.PolicyKind(*policy), opts, runOpts...)
+		if spec, err = crisp.SpecForMix(cfg, mix, crisp.PolicyKind(*policy), opts); err != nil {
+			log.Fatal(err)
+		}
+	default:
+		spec = crisp.SpecForPair(cfg, *sceneName, *computeName, crisp.PolicyKind(*policy), opts)
 	}
+	res, err := crisp.RunSpec(ctx, spec, restore, runOpts...)
 	if err != nil {
 		if se, ok := crisp.AsSimError(err); ok {
 			fmt.Fprintf(os.Stderr, "simulation failed: %s at cycle %d: %s\n", se.Kind, se.Cycle, se.Msg)
@@ -192,7 +185,7 @@ func main() {
 		fmt.Printf("metrics     : %s\n", *metricsOut)
 	}
 
-	fmt.Printf("%s", header(*sceneName, *computeName, *scenarioName, cfg.Name, *policy))
+	fmt.Printf("%s", header(spec))
 	if res.Resumed {
 		fmt.Printf("resumed from: cycle %d\n", res.ResumedFrom)
 	}
@@ -299,16 +292,16 @@ func writeMetrics(path string, res *crisp.Result) error {
 	return f.Close()
 }
 
-func header(sceneName, computeName, scenarioName, gpu, policy string) string {
-	pair := sceneName
-	if computeName != "" {
-		if pair != "" {
-			pair += "+"
-		}
-		pair += computeName
+func header(spec crisp.Spec) string {
+	pair := strings.Trim(spec.Scene+"+"+spec.Compute, "+")
+	if len(spec.Mix) > 0 {
+		var m crisp.MixSpec
+		json.Unmarshal(spec.Mix, &m) // the run that just finished decoded the same bytes
+		pair = "scenario " + m.Name
 	}
-	if scenarioName != "" {
-		pair = "scenario " + scenarioName
+	policy := spec.Policy
+	if policy == "" {
+		policy = "serial"
 	}
-	return fmt.Sprintf("== %s on %s under %s ==\n", pair, gpu, policy)
+	return fmt.Sprintf("== %s on %s under %s ==\n", pair, spec.GPU.Name, policy)
 }

@@ -5,11 +5,10 @@
 //
 // The platform has three layers:
 //
-//   - A functional graphics front end (Vulkan-style command submission,
-//     batch-based vertex shading, immediate tiled rasterization with
-//     early-Z and pre-calculated LoD, mipmapped texturing, and a unified
-//     shader model) that renders real frames and records SASS-like
-//     execution traces.
+//   - A functional graphics front end (batch-based vertex shading,
+//     immediate tiled rasterization with early-Z and pre-calculated LoD,
+//     mipmapped texturing, and a unified shader model) that renders real
+//     frames and records SASS-like execution traces.
 //   - CUDA-analog compute workload generators for the paper's XR system
 //     tasks: visual-inertial odometry (VIO), hologram generation (HOLO),
 //     and the RITnet eye-segmentation principal kernels (NN).
@@ -156,7 +155,7 @@ const (
 // StallCauses lists the attributable stall causes.
 func StallCauses() []StallCause { return obs.StallCauses() }
 
-// RunOption tweaks a RunPair simulation (observability knobs).
+// RunOption tweaks a RunSpec simulation (observability knobs).
 type RunOption = core.RunOption
 
 // WithTracer routes the run's structured trace events to t.
@@ -203,10 +202,10 @@ type Frontend = core.Frontend
 // NewFrontend returns an empty Frontend with the fixed 64 MiB budget.
 func NewFrontend() *Frontend { return core.NewFrontend() }
 
-// WithFrontend makes RunPair, RunMix and Resume build their named scene
-// and compute workloads through f. Results are bit-identical with or
-// without it. RenderScene and BuildCompute stay uncached: what they
-// return belongs to the caller.
+// WithFrontend makes RunSpec (so RunPair, RunMix and Resume) build its
+// named scene and compute workloads through f. Results are bit-identical
+// with or without it. RenderScene and BuildCompute stay uncached: what
+// they return belongs to the caller.
 func WithFrontend(f *Frontend) RunOption { return core.WithFrontend(f) }
 
 // WithCycleBudget caps the run at n simulated cycles; crossing the budget
@@ -235,6 +234,31 @@ func RunPair(cfg GPUConfig, sceneName, computeName string, policy PolicyKind, op
 func RunPairContext(ctx context.Context, cfg GPUConfig, sceneName, computeName string, policy PolicyKind, opts RenderOptions, runOpts ...RunOption) (res *Result, err error) {
 	defer robust.RecoverAsError(&err, "crisp.RunPairContext")
 	return core.RunPairContext(ctx, cfg, sceneName, computeName, policy, opts, runOpts...)
+}
+
+// Spec is the one by-name description of a job: what SpecForPair and
+// SpecForMix make, RunSpec runs, every snapshot carries, and — through its
+// JobDigest — crispd's result cache is keyed by.
+type Spec = snapshot.Spec
+
+// SpecForPair describes RunPair's job without running it.
+func SpecForPair(cfg GPUConfig, sceneName, computeName string, policy PolicyKind, opts RenderOptions) Spec {
+	return core.SpecForPair(cfg, sceneName, computeName, policy, opts)
+}
+
+// SpecForMix describes RunMix's job — the mix validated and normalized —
+// without running it.
+func SpecForMix(cfg GPUConfig, mix MixSpec, policy PolicyKind, opts RenderOptions) (Spec, error) {
+	return core.SpecForMix(cfg, mix, policy, opts)
+}
+
+// RunSpec builds the job spec describes and runs it: from cycle 0 when
+// restore is nil, otherwise from restore, which must be a snapshot of the
+// same job (an ErrSnapshot error if not). RunPair, RunMix and Resume are
+// this call. Panics are recovered and returned as errors.
+func RunSpec(ctx context.Context, spec Spec, restore *Snapshot, runOpts ...RunOption) (res *Result, err error) {
+	defer robust.RecoverAsError(&err, "crisp.RunSpec")
+	return core.RunSpec(ctx, spec, restore, runOpts...)
 }
 
 // MixSpec describes an N-tenant scenario: up to eight tenants (render

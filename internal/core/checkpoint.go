@@ -2,67 +2,14 @@ package core
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 
 	"crisp/internal/gpu"
-	"crisp/internal/render"
-	"crisp/internal/robust"
-	"crisp/internal/scenario"
 	"crisp/internal/snapshot"
 )
 
-// This file is the job-level half of checkpoint/restore: building the
-// self-describing spec embedded in every snapshot, writing the final
-// snapshot on failure, and rebuilding a Job from a spec so an interrupted
-// run resumes in a fresh process.
-
-// buildSpec describes how this job was constructed. Traces are not stored:
-// scene rendering and compute-workload generation are deterministic, so
-// names plus options reproduce them exactly, at a tiny fraction of the
-// size of a frame's traces.
-func (j *Job) buildSpec() snapshot.Spec {
-	spec := snapshot.Spec{
-		GPU:              j.GPU,
-		Scene:            j.SceneName,
-		Compute:          j.ComputeName,
-		Policy:           string(j.Policy),
-		GraphicsWindow:   j.GraphicsWindow,
-		GraphicsFrames:   j.GraphicsFrames,
-		LRRScheduler:     j.LRRScheduler,
-		TimelineInterval: j.TimelineInterval,
-		MetricsInterval:  j.MetricsInterval,
-		DigestEvery:      j.DigestEvery,
-	}
-	if len(j.Tenants) > 0 {
-		spec.Mix = j.MixJSON
-		if j.SceneName != "" || j.ComputeName != "" {
-			spec.Scene, spec.Compute = "", ""
-		}
-		if j.hasGraphicsTenant() {
-			if b, err := json.Marshal(j.RenderOpts); err == nil {
-				spec.RenderOptions = b
-			}
-		}
-		// A mix is self-describing iff its canonical JSON is present
-		// (BuildMixJob fills it; hand-built tenant jobs cannot resume).
-		spec.Complete = len(j.MixJSON) > 0
-		return spec
-	}
-	if j.SceneName != "" {
-		if b, err := json.Marshal(j.RenderOpts); err == nil {
-			spec.RenderOptions = b
-		}
-	}
-	// The spec is complete — a fresh process can rebuild the job from it —
-	// only when every workload is named. Jobs built from in-memory traces
-	// or with extra compute workloads still checkpoint (postmortems), but
-	// cannot resume from the spec alone.
-	spec.Complete = (j.Graphics == nil || j.SceneName != "") &&
-		(j.Compute == nil || j.ComputeName != "") &&
-		len(j.Computes) == 0
-	return spec
-}
+// This file is the job-level half of checkpoint/restore: writing the final
+// snapshot on failure, loading snapshots, and resuming an interrupted run
+// in a fresh process (spec.go builds the spec every snapshot embeds).
 
 // saveFinal writes the failure-time snapshot (final.crispsnap). Best
 // effort: a capture or write failure here must never mask the primary
@@ -87,101 +34,11 @@ func LoadSnapshot(arg string) (*snapshot.Envelope, error) {
 	return snapshot.LoadFile(path)
 }
 
-// JobFromSpec rebuilds the job a snapshot describes: the GPU config and
-// policy from the spec, the graphics frame re-rendered from the named
-// scene, the compute workload regenerated by name.
-func JobFromSpec(spec snapshot.Spec) (*Job, error) { return jobFromSpec(spec, nil) }
-
-// jobFromSpec is JobFromSpec with the workloads built through fe (nil =
-// uncached), so a retry from a checkpoint does not pay the front end its
-// first attempt already paid.
-func jobFromSpec(spec snapshot.Spec, fe *Frontend) (*Job, error) {
-	if !spec.Complete {
-		return nil, &robust.SimError{Kind: robust.KindSnapshot,
-			Msg: "snapshot spec does not fully describe its job (unnamed or in-memory workloads); resume requires a job built by name"}
-	}
-	if !KnownPolicy(PolicyKind(spec.Policy)) {
-		return nil, &robust.SimError{Kind: robust.KindSnapshot,
-			Msg: fmt.Sprintf("snapshot spec names unknown policy %q (have %v)", spec.Policy, PolicyKinds())}
-	}
-	j := &Job{
-		GPU:              spec.GPU,
-		Policy:           PolicyKind(spec.Policy),
-		GraphicsWindow:   spec.GraphicsWindow,
-		GraphicsFrames:   spec.GraphicsFrames,
-		LRRScheduler:     spec.LRRScheduler,
-		TimelineInterval: spec.TimelineInterval,
-		MetricsInterval:  spec.MetricsInterval,
-		DigestEvery:      spec.DigestEvery,
-		SceneName:        spec.Scene,
-		ComputeName:      spec.Compute,
-	}
-	if len(spec.Mix) > 0 {
-		var mix scenario.MixSpec
-		if err := json.Unmarshal(spec.Mix, &mix); err != nil {
-			return nil, &robust.SimError{Kind: robust.KindSnapshot,
-				Msg: "snapshot spec carries an unreadable mix spec", Err: err}
-		}
-		opts := render.DefaultOptions()
-		if len(spec.RenderOptions) > 0 {
-			if err := json.Unmarshal(spec.RenderOptions, &opts); err != nil {
-				return nil, &robust.SimError{Kind: robust.KindSnapshot,
-					Msg: "snapshot spec carries unreadable render options", Err: err}
-			}
-		}
-		mj, err := BuildMixJobEnv(spec.GPU, mix, PolicyKind(spec.Policy), opts, fe.MixEnv())
-		if err != nil {
-			return nil, &robust.SimError{Kind: robust.KindSnapshot,
-				Msg: "snapshot spec carries a mix that cannot be rebuilt for resume", Err: err}
-		}
-		mj.GraphicsWindow = spec.GraphicsWindow
-		mj.GraphicsFrames = spec.GraphicsFrames
-		mj.LRRScheduler = spec.LRRScheduler
-		mj.TimelineInterval = spec.TimelineInterval
-		mj.MetricsInterval = spec.MetricsInterval
-		mj.DigestEvery = spec.DigestEvery
-		return mj, nil
-	}
-	if spec.Scene != "" {
-		opts := render.DefaultOptions()
-		if len(spec.RenderOptions) > 0 {
-			if err := json.Unmarshal(spec.RenderOptions, &opts); err != nil {
-				return nil, &robust.SimError{Kind: robust.KindSnapshot,
-					Msg: "snapshot spec carries unreadable render options", Err: err}
-			}
-		}
-		j.RenderOpts = opts
-		res, err := fe.Frame(spec.Scene, opts)
-		if err != nil {
-			return nil, &robust.SimError{Kind: robust.KindSnapshot,
-				Msg: fmt.Sprintf("snapshot spec names scene %q, which cannot be re-rendered for resume", spec.Scene), Err: err}
-		}
-		j.Graphics = res
-	}
-	if spec.Compute != "" {
-		w, err := fe.Compute(spec.Compute)
-		if err != nil {
-			return nil, &robust.SimError{Kind: robust.KindSnapshot,
-				Msg: fmt.Sprintf("snapshot spec names compute workload %q, which cannot be rebuilt for resume", spec.Compute), Err: err}
-		}
-		j.Compute = w
-	}
-	return j, nil
-}
-
 // ResumeContext rebuilds the job described by env's spec, restores the
 // snapshot into it, and runs to completion. runOpts apply on top (e.g. to
 // keep checkpointing into the same directory, or re-arm the auditor).
 func ResumeContext(ctx context.Context, env *snapshot.Envelope, runOpts ...RunOption) (*Result, error) {
-	j, err := jobFromSpec(env.Spec, frontendOf(runOpts))
-	if err != nil {
-		return nil, err
-	}
-	for _, o := range runOpts {
-		o(j)
-	}
-	j.Restore = env
-	return j.RunContext(ctx)
+	return RunSpec(ctx, env.Spec, env, runOpts...)
 }
 
 // ResumeFile is ResumeContext on a snapshot path or checkpoint directory.

@@ -208,3 +208,85 @@ func TestResumeRejectsIncompleteSpec(t *testing.T) {
 		t.Fatalf("err = %v, want snapshot SimError", err)
 	}
 }
+
+// TestRestoreRefusesForeignJob: a snapshot is a resume point only for the
+// job that wrote it. State restored into other workloads, another policy or
+// another configuration used to run to completion and report numbers that
+// belong to neither job; it is a snapshot SimError at every entry, before
+// anything runs.
+func TestRestoreRefusesForeignJob(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := RunPair(config.JetsonOrin(), "", "VIO", PolicyMPS, tinyOpts(),
+		WithCheckpointDir(dir), WithCycleBudget(4000)); err == nil {
+		t.Fatal("budgeted run succeeded; expected an interrupt leaving a snapshot")
+	}
+	env, err := LoadSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(what string, err error) {
+		t.Helper()
+		if se, ok := robust.AsSimError(err); !ok || se.Kind != robust.KindSnapshot {
+			t.Errorf("%s: err = %v, want a snapshot SimError", what, err)
+		}
+	}
+
+	other := SpecForPair(config.JetsonOrin(), "", "HOLO", PolicyEven, tinyOpts())
+	_, err = RunSpec(context.Background(), other, env)
+	want("RunSpec of another job", err)
+
+	j, err := JobFromSpec(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Restore = env
+	_, err = j.Run()
+	want("Job{Restore: foreign}.Run", err)
+
+	// The snapshot's own job on another machine: nothing but the config moved.
+	j, err = JobFromSpec(env.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.GPU.DRAMLatency *= 2
+	j.Restore = env
+	_, err = j.Run()
+	want("the same workloads on another config", err)
+
+	// Its own job — observability cadences changed, which key nothing — resumes.
+	clean, err := RunPair(config.JetsonOrin(), "", "VIO", PolicyMPS, tinyOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunSpec(context.Background(), SpecForPair(config.JetsonOrin(), "", "VIO", PolicyMPS, tinyOpts()), env, WithMetrics(512))
+	if err != nil {
+		t.Fatalf("resume of the snapshot's own job: %v", err)
+	}
+	if !res.Resumed || res.Cycles != clean.Cycles || statsDigestOf(t, res) != statsDigestOf(t, clean) {
+		t.Errorf("resumed %v to %d cycles / %016x, the clean run takes %d / %016x",
+			res.Resumed, res.Cycles, statsDigestOf(t, res), clean.Cycles, statsDigestOf(t, clean))
+	}
+}
+
+// TestFreshRunErrorsAreTheCatalogs: an unknown name on a fresh run is the
+// caller's typo, reported by the catalog that does not know it; only a
+// resume turns the same failure into a snapshot error.
+func TestFreshRunErrorsAreTheCatalogs(t *testing.T) {
+	for _, spec := range []snapshot.Spec{
+		SpecForPair(config.JetsonOrin(), "NO_SUCH_SCENE", "", PolicyEven, tinyOpts()),
+		SpecForPair(config.JetsonOrin(), "", "NO_SUCH_KERNEL", PolicyEven, tinyOpts()),
+		SpecForPair(config.JetsonOrin(), "", "HOLO", "NO_SUCH_POLICY", tinyOpts()),
+	} {
+		_, err := RunSpec(context.Background(), spec, nil)
+		if err == nil {
+			t.Fatalf("%s+%s/%s ran", spec.Scene, spec.Compute, spec.Policy)
+		}
+		if _, ok := robust.AsSimError(err); ok || strings.Contains(err.Error(), "snapshot") {
+			t.Errorf("fresh-run error speaks of snapshots: %v", err)
+		}
+		_, err = RunSpec(context.Background(), spec, &snapshot.Envelope{Spec: spec})
+		if se, ok := robust.AsSimError(err); !ok || se.Kind != robust.KindSnapshot {
+			t.Errorf("the same spec resumed: err = %v, want a snapshot SimError", err)
+		}
+	}
+}

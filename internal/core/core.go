@@ -96,12 +96,8 @@ type Job struct {
 	// Tenants, when non-empty, replaces Graphics/Compute/Computes with an
 	// N-tenant scenario mix: tenant i is task i and owns stream range
 	// [i*ComputeStreamBase, (i+1)*ComputeStreamBase). Build with
-	// BuildMixJob, which also fills MixJSON.
+	// BuildMixJob.
 	Tenants []Tenant
-	// MixJSON is the canonical scenario.MixSpec JSON the tenants were
-	// lowered from; it rides in checkpoint specs and the job digest so
-	// mixes are as resumable and cacheable as pairs.
-	MixJSON []byte
 	Policy  PolicyKind
 	// GraphicsWindow bounds concurrently active rendering batch streams
 	// (the binning buffer); 0 means the default of 4.
@@ -151,21 +147,15 @@ type Job struct {
 	// results, digests, and checkpoints are bit-identical with skipping on
 	// or off, so it exists to diff the fast path against.
 	NoSkip bool
-	// Frontend, when non-nil, is where the by-name entry points
-	// (RunPairContext, RunMixContext, ResumeContext) look up and keep the
-	// frames and compute workloads they build. Run itself never consults
-	// it: a Job's Graphics/Compute/Tenants are already built.
+	// Frontend, when non-nil, is where RunSpec (and so RunPair, RunMix and
+	// Resume) looks up and keeps the frames and compute workloads it
+	// builds. Run itself never consults it: a Job's Graphics/Compute/
+	// Tenants are already built.
 	Frontend *Frontend
-
-	// SceneName and ComputeName record how Graphics/Compute were built
-	// (RunPair sets them). They make checkpoints self-describing: a
-	// snapshot whose spec carries both names can be resumed in a fresh
-	// process that regenerates the identical workloads.
-	SceneName   string
-	ComputeName string
-	// RenderOpts are the options SceneName was rendered with (carried in
-	// the checkpoint spec so a resume re-renders the identical frame).
-	RenderOpts render.Options
+	// spec is the by-name description jobFromSpec built the job from (zero
+	// for a job assembled by hand). Checkpoints carry it, which is what
+	// makes them resumable in a fresh process.
+	spec snapshot.Spec
 
 	// CheckpointDir, when non-empty, enables periodic checkpointing into
 	// that directory every CheckpointEvery cycles (0 selects
@@ -181,9 +171,9 @@ type Job struct {
 	// Result.Digests (plus one final digest at completion).
 	DigestEvery int64
 	// Restore, when non-nil, loads this snapshot into the freshly built
-	// GPU before running: the job must describe the same workloads, config,
-	// and policy as the captured run (ResumeContext builds such a job from
-	// the snapshot's own spec).
+	// GPU before running. It must be a snapshot of this job — the same
+	// workloads, config, policy and run shape, compared by JobDigest — or
+	// the run fails with a snapshot SimError.
 	Restore *snapshot.Envelope
 }
 
@@ -262,6 +252,9 @@ func (j *Job) Run() (*Result, error) { return j.RunContext(context.Background())
 func (j *Job) RunContext(ctx context.Context) (*Result, error) {
 	if j.Graphics == nil && j.Compute == nil && len(j.Tenants) == 0 {
 		return nil, fmt.Errorf("core: job has neither graphics nor compute work")
+	}
+	if err := sameJob(j.buildSpec(), j.Restore); err != nil {
+		return nil, err
 	}
 	g, err := gpu.New(j.GPU)
 	if err != nil {
@@ -475,7 +468,7 @@ func RenderScene(name string, opts render.Options) (*render.Result, error) {
 	return render.RenderFrame(f, opts)
 }
 
-// RunOption tweaks a Job built by RunPair (observability knobs that do
+// RunOption tweaks a Job built by RunSpec (observability knobs that do
 // not change simulated behavior).
 type RunOption func(*Job)
 
@@ -536,26 +529,5 @@ func RunPair(cfg config.GPU, sceneName, computeName string, policy PolicyKind, o
 // canceled or times out, the simulation stops and returns a canceled
 // SimError with a crash dump of where the run stood.
 func RunPairContext(ctx context.Context, cfg config.GPU, sceneName, computeName string, policy PolicyKind, opts render.Options, runOpts ...RunOption) (*Result, error) {
-	job := Job{GPU: cfg, Policy: policy}
-	for _, o := range runOpts {
-		o(&job)
-	}
-	if sceneName != "" {
-		res, err := job.Frontend.Frame(sceneName, opts)
-		if err != nil {
-			return nil, err
-		}
-		job.Graphics = res
-		job.SceneName = sceneName
-		job.RenderOpts = opts
-	}
-	if computeName != "" {
-		w, err := job.Frontend.Compute(computeName)
-		if err != nil {
-			return nil, err
-		}
-		job.Compute = w
-		job.ComputeName = computeName
-	}
-	return job.RunContext(ctx)
+	return RunSpec(ctx, SpecForPair(cfg, sceneName, computeName, policy, opts), nil, runOpts...)
 }

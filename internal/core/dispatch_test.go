@@ -157,8 +157,7 @@ func TestHotPathDigestsPinned(t *testing.T) {
 		t.Errorf("closing sample reads %d sweeps / %d skipped, the result %d / %d",
 			last.DispatchSweeps, last.DispatchSkipped, pair.DispatchSweeps, pair.DispatchSkipped)
 	}
-	pairJob := Job{GPU: config.JetsonOrin(), Policy: PolicyTAP, SceneName: "SPL", ComputeName: "VIO", RenderOpts: tinyOpts()}
-	if spec := pairJob.buildSpec(); spec.JobDigest() != "40148deab30e4285" {
+	if spec := SpecForPair(config.JetsonOrin(), "SPL", "VIO", PolicyTAP, tinyOpts()); spec.JobDigest() != "40148deab30e4285" {
 		t.Errorf("pair job digest %s, pinned 40148deab30e4285", spec.JobDigest())
 	}
 

@@ -53,54 +53,43 @@ func BuildMixJob(cfg config.GPU, mix scenario.MixSpec, policy PolicyKind, opts r
 
 // BuildMixJobEnv is BuildMixJob with workload materialization overrides.
 func BuildMixJobEnv(cfg config.GPU, mix scenario.MixSpec, policy PolicyKind, opts render.Options, env MixEnv) (*Job, error) {
+	spec, err := SpecForMix(cfg, mix, policy, opts)
+	if err != nil {
+		return nil, err
+	}
+	return jobFromSpec(spec, env)
+}
+
+// lowerMix is jobFromSpec's mix half: one Tenant per tenant of the spec's
+// canonical mix JSON, its workload materialized through env. The JSON may
+// come from a snapshot file, so it is validated like a submitted mix.
+func lowerMix(mixJSON []byte, opts render.Options, env MixEnv) ([]Tenant, error) {
+	var mix scenario.MixSpec
+	if err := json.Unmarshal(mixJSON, &mix); err != nil {
+		return nil, fmt.Errorf("core: unreadable mix spec: %w", err)
+	}
 	if err := mix.Validate(); err != nil {
 		return nil, err
 	}
-	m := mix
-	m.Tenants = append([]scenario.Tenant(nil), mix.Tenants...)
-	m.Normalize()
-	mixJSON, err := json.Marshal(&m)
-	if err != nil {
-		return nil, fmt.Errorf("core: marshaling mix spec: %w", err)
-	}
-	renderFn := env.Render
-	if renderFn == nil {
-		renderFn = RenderScene
-	}
-	computeFn := env.Compute
-	if computeFn == nil {
-		computeFn = func(name string) (*compute.Workload, error) {
-			return compute.ByName(name, ComputeStreamBase)
-		}
-	}
-	j := &Job{GPU: cfg, Policy: policy, MixJSON: mixJSON}
-	hasRender := false
-	for _, t := range m.Tenants {
+	mix.Normalize()
+	tenants := make([]Tenant, 0, len(mix.Tenants))
+	for _, t := range mix.Tenants {
 		arrivals, err := t.Arrival.Times()
 		if err != nil {
 			return nil, err
 		}
 		ct := Tenant{Name: t.Name, Priority: t.Priority, Arrivals: arrivals, Deadline: t.Deadline}
 		if t.Scene != "" {
-			res, err := renderFn(t.Scene, opts)
-			if err != nil {
-				return nil, err
-			}
-			ct.Graphics = res
-			hasRender = true
+			ct.Graphics, err = env.Render(t.Scene, opts)
 		} else {
-			w, err := computeFn(t.Compute)
-			if err != nil {
-				return nil, err
-			}
-			ct.Compute = w
+			ct.Compute, err = env.Compute(t.Compute)
 		}
-		j.Tenants = append(j.Tenants, ct)
+		if err != nil {
+			return nil, err
+		}
+		tenants = append(tenants, ct)
 	}
-	if hasRender {
-		j.RenderOpts = opts
-	}
-	return j, nil
+	return tenants, nil
 }
 
 // addTenantStreams realizes the mix on the GPU: every tenant's streams,
@@ -209,16 +198,6 @@ func absDeadline(arrival, deadline int64) int64 {
 	return arrival + deadline
 }
 
-// hasGraphicsTenant reports whether any tenant renders.
-func (j *Job) hasGraphicsTenant() bool {
-	for _, t := range j.Tenants {
-		if t.Graphics != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // RunMix is the mix counterpart of RunPair: build the named workloads,
 // lower the mix, and run it under policy on cfg.
 func RunMix(cfg config.GPU, mix scenario.MixSpec, policy PolicyKind, opts render.Options, runOpts ...RunOption) (*Result, error) {
@@ -227,12 +206,9 @@ func RunMix(cfg config.GPU, mix scenario.MixSpec, policy PolicyKind, opts render
 
 // RunMixContext is RunMix with cooperative cancellation.
 func RunMixContext(ctx context.Context, cfg config.GPU, mix scenario.MixSpec, policy PolicyKind, opts render.Options, runOpts ...RunOption) (*Result, error) {
-	job, err := BuildMixJobEnv(cfg, mix, policy, opts, frontendOf(runOpts).MixEnv())
+	spec, err := SpecForMix(cfg, mix, policy, opts)
 	if err != nil {
 		return nil, err
 	}
-	for _, o := range runOpts {
-		o(job)
-	}
-	return job.RunContext(ctx)
+	return RunSpec(ctx, spec, nil, runOpts...)
 }

@@ -170,7 +170,7 @@ func TestMixCheckpointResume(t *testing.T) {
 // pair job's digest is untouched by the Mix field's existence.
 func TestMixJobDigestStability(t *testing.T) {
 	cfg := config.JetsonOrin()
-	j1, err := BuildMixJob(cfg, pairMix("SPL", "VIO"), PolicyMPS, tinyOpts())
+	s1, err := SpecForMix(cfg, pairMix("SPL", "VIO"), PolicyMPS, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,20 +178,17 @@ func TestMixJobDigestStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, s2 := j1.buildSpec(), j2.buildSpec()
-	if s1.JobDigest() != s2.JobDigest() {
-		t.Error("identical mixes produced different job digests")
+	if s2 := j2.buildSpec(); s1.JobDigest() != s2.JobDigest() {
+		t.Error("a mix's spec and the job built from it produced different job digests")
 	}
-	j3, err := BuildMixJob(cfg, pairMix("SPL", "NN"), PolicyMPS, tinyOpts())
+	s3, err := SpecForMix(cfg, pairMix("SPL", "NN"), PolicyMPS, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3 := j3.buildSpec()
 	if s3.JobDigest() == s1.JobDigest() {
 		t.Error("different mixes produced the same job digest")
 	}
-	pair := Job{GPU: cfg, Policy: PolicyMPS, SceneName: "SPL", ComputeName: "VIO", RenderOpts: tinyOpts()}
-	ps := pair.buildSpec()
+	ps := SpecForPair(cfg, "SPL", "VIO", PolicyMPS, tinyOpts())
 	if len(ps.Mix) != 0 {
 		t.Error("pair spec unexpectedly carries a mix")
 	}

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -56,14 +57,19 @@ var ComputeWorkloads = []string{"VIO", "HOLO", "NN"}
 // and configurations. Lookups of different scenes build concurrently.
 var frontend = core.NewFrontend()
 
-// Frame renders (and caches) a scene at the given size and LoD setting.
+// frameOpts are the options every experiment frame is rendered with.
 // CollectRefTex is always enabled so validation metrics are available.
-func Frame(sceneName string, w, h int, lod bool) (*render.Result, error) {
+func frameOpts(w, h int, lod bool) render.Options {
 	opts := render.DefaultOptions()
 	opts.W, opts.H = w, h
 	opts.LoD = lod
 	opts.CollectRefTex = true
-	return frontend.Frame(sceneName, opts)
+	return opts
+}
+
+// Frame renders (and caches) a scene at the given size and LoD setting.
+func Frame(sceneName string, w, h int, lod bool) (*render.Result, error) {
+	return frontend.Frame(sceneName, frameOpts(w, h, lod))
 }
 
 // MaterialKinds maps drawcall names to their material kind for a scene
@@ -80,50 +86,30 @@ func MaterialKinds(sceneName string) (map[string]render.MaterialKind, error) {
 	return kinds, nil
 }
 
-// simKey identifies one cached simulation. The configuration is keyed by
-// content, not by name: a tweaked config that keeps its preset's name (the
-// narrowed RTX3070 of BenchmarkSimulatorSpeedMemBound) is a different
-// simulation.
-type simKey struct {
-	cfgDigest string
-	scene     string
-	w, h      int
-	lod       bool
-	comp      string
-	policy    core.PolicyKind
-}
-
+// simCache holds finished simulations by job digest. The digest keys the
+// configuration by content, not by name: a tweaked config that keeps its
+// preset's name (the narrowed RTX3070 of BenchmarkSimulatorSpeedMemBound)
+// is a different simulation.
 var (
 	simMu    sync.Mutex
-	simCache = map[simKey]*core.Result{}
+	simCache = map[string]*core.Result{}
 )
 
 // Simulate runs (and caches) a graphics/compute pair under a policy.
 func Simulate(cfg config.GPU, sceneName string, w, h int, lod bool, computeName string, policy core.PolicyKind) (*core.Result, error) {
-	key := simKey{config.Digest(cfg), sceneName, w, h, lod, computeName, policy}
+	spec := core.SpecForPair(cfg, sceneName, computeName, policy, frameOpts(w, h, lod))
+	key := spec.JobDigest()
 	simMu.Lock()
-	if r, ok := simCache[key]; ok {
-		simMu.Unlock()
+	r, ok := simCache[key]
+	simMu.Unlock()
+	if ok {
 		return r, nil
 	}
-	simMu.Unlock()
-
-	job := core.Job{GPU: cfg, Policy: policy, NoSkip: NoSkip}
-	if sceneName != "" {
-		gfx, err := Frame(sceneName, w, h, lod)
-		if err != nil {
-			return nil, err
-		}
-		job.Graphics = gfx
+	runOpts := []core.RunOption{core.WithFrontend(frontend)}
+	if NoSkip {
+		runOpts = append(runOpts, core.WithNoSkip())
 	}
-	if computeName != "" {
-		comp, err := frontend.Compute(computeName)
-		if err != nil {
-			return nil, err
-		}
-		job.Compute = comp
-	}
-	res, err := job.Run()
+	res, err := core.RunSpec(context.Background(), spec, nil, runOpts...)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +130,7 @@ func buildCompute(name string) (*compute.Workload, error) {
 func ResetCaches() {
 	frontend.Reset()
 	simMu.Lock()
-	simCache = map[simKey]*core.Result{}
+	simCache = map[string]*core.Result{}
 	simMu.Unlock()
 }
 

@@ -159,7 +159,7 @@ func TestCorruptForcesFallback(t *testing.T) {
 			if _, err := snapshot.LoadFile(damaged); err == nil {
 				t.Fatalf("%s-damaged checkpoint still loads", mode)
 			}
-			env, corrupt, err := snapshot.LoadNewest(dir)
+			env, corrupt, err := snapshot.LoadNewest(dir, "")
 			if err != nil {
 				t.Fatalf("LoadNewest after %s: %v", mode, err)
 			}

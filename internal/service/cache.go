@@ -12,6 +12,7 @@ import (
 
 	crisp "crisp"
 	"crisp/internal/config"
+	"crisp/internal/scenario"
 )
 
 // StoredResult is the JSON-serializable summary a completed job leaves in
@@ -68,10 +69,10 @@ func storedFromResult(r *resolved, res *crisp.Result, wallMS float64) (*StoredRe
 	}
 	sr := &StoredResult{
 		Digest:       r.digest,
-		GPU:          r.cfg.Name,
-		ConfigDigest: config.Digest(r.cfg),
-		Scene:        r.scene,
-		Compute:      r.compute,
+		GPU:          r.spec.GPU.Name,
+		ConfigDigest: config.Digest(r.spec.GPU),
+		Scene:        r.spec.Scene,
+		Compute:      r.spec.Compute,
 		Policy:       string(res.Policy),
 		Cycles:       res.Cycles,
 		FrameTimeMS:  res.FrameTimeMS,
@@ -83,8 +84,12 @@ func storedFromResult(r *resolved, res *crisp.Result, wallMS float64) (*StoredRe
 		SimWallMS:    wallMS,
 		Resumed:      res.Resumed,
 	}
-	if r.isMix() {
-		sr.Scenario = r.mix.Name
+	if len(r.spec.Mix) > 0 {
+		var mix scenario.MixSpec
+		if err := json.Unmarshal(r.spec.Mix, &mix); err != nil {
+			return nil, err
+		}
+		sr.Scenario = mix.Name
 	}
 	if res.QoS != nil {
 		sr.Tenants = len(res.QoS.Tenants)

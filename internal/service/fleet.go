@@ -37,7 +37,7 @@ func (s *Server) requestFor(t *sweepTask, n int, resumeFrom string, killAt int64
 		CheckpointEvery:  s.cfg.CheckpointEvery,
 		ResultsDir:       s.resultsDir(),
 		Budget:           t.res.budget,
-		Watchdog:         t.res.wdog,
+		Watchdog:         t.res.watchdog,
 		ProgressInterval: s.cfg.ProgressInterval,
 		HeartbeatEvery:   int64(s.cfg.HeartbeatEvery),
 		KillAt:           killAt,
@@ -124,28 +124,19 @@ func runDirect(ctx context.Context, req workerRequest, r *resolved, fe *crisp.Fr
 	}
 
 	t0 := time.Now()
-	var res *crisp.Result
-	var err error
+	var restore *crisp.Snapshot
 	if req.ResumeDir != "" {
-		// Resume from the newest readable snapshot; corrupt ones are
-		// renamed aside and skipped (fallback-to-previous). A directory
-		// with nothing readable falls back to a fresh run — losing
-		// progress, never the job.
-		env, corrupt, lerr := snapshot.LoadNewest(req.ResumeDir)
+		// Resume from this job's newest readable snapshot; corrupt ones and
+		// other jobs' are renamed aside and skipped (fallback-to-previous).
+		// A directory with nothing usable leaves restore nil, a fresh run —
+		// losing progress, never the job.
+		var corrupt []string
+		restore, corrupt, _ = snapshot.LoadNewest(req.ResumeDir, r.digest)
 		if len(corrupt) > 0 && h.onFallback != nil {
 			h.onFallback(corrupt)
 		}
-		if lerr == nil {
-			res, err = crisp.Resume(ctx, env, runOpts...)
-		}
 	}
-	if res == nil && err == nil {
-		if r.isMix() {
-			res, err = crisp.RunMixContext(ctx, r.cfg, r.mix, r.policy, r.opts, runOpts...)
-		} else {
-			res, err = crisp.RunPairContext(ctx, r.cfg, r.scene, r.compute, r.policy, r.opts, runOpts...)
-		}
-	}
+	res, err := crisp.RunSpec(ctx, r.spec, restore, runOpts...)
 	if err != nil {
 		return nil, err
 	}

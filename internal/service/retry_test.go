@@ -446,12 +446,12 @@ func plantCheckpoints(t *testing.T, spec JobSpec, dir string, budget int64) {
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
-	_, err = crisp.RunPairContext(context.Background(), r.cfg, r.scene, r.compute, r.policy, r.opts,
+	_, err = crisp.RunSpec(context.Background(), r.spec, nil,
 		crisp.WithMetrics(256), crisp.WithCheckpointDir(dir), crisp.WithCheckpointEvery(512), crisp.WithCycleBudget(budget))
 	if err == nil {
 		t.Fatalf("budget %d did not interrupt the run", budget)
 	}
-	if _, ok := snapshot.NewestCycle(dir); !ok {
+	if _, ok := snapshot.NewestCycle(dir, r.digest); !ok {
 		t.Fatalf("no checkpoint planted in %s", dir)
 	}
 }

@@ -106,7 +106,7 @@ func TestScenarioSpecValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("preset resolve: %v", err)
 	}
-	inlineSpec := JobSpec{Mix: json.RawMessage(byName.mixJSON), Policy: "MPS"}
+	inlineSpec := JobSpec{Mix: json.RawMessage(byName.spec.Mix), Policy: "MPS"}
 	inline, err := inlineSpec.resolve()
 	if err != nil {
 		t.Fatalf("inline resolve: %v", err)

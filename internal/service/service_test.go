@@ -24,12 +24,7 @@ func directRun(t *testing.T, spec JobSpec) *crisp.Result {
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
-	var res *crisp.Result
-	if r.isMix() {
-		res, err = crisp.RunMix(r.cfg, r.mix, r.policy, r.opts)
-	} else {
-		res, err = crisp.RunPair(r.cfg, r.scene, r.compute, r.policy, r.opts)
-	}
+	res, err := crisp.RunSpec(context.Background(), r.spec, nil)
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}
@@ -456,12 +451,5 @@ func TestDigestNormalization(t *testing.T) {
 	}
 	if r5.digest != r1.digest {
 		t.Errorf("budgeted job digest %s != base digest %s", r5.digest, r1.digest)
-	}
-
-	// The service digest equals the header digest of snapshots written by
-	// core for the same job (cache key ⇔ snapshot identity).
-	snapSpec := r1.snapshotSpec()
-	if d := snapSpec.JobDigest(); d != r1.digest {
-		t.Errorf("snapshotSpec digest %s != resolved digest %s", d, r1.digest)
 	}
 }

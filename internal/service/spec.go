@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"crisp/internal/compute"
 	"crisp/internal/config"
@@ -50,58 +51,60 @@ type JobSpec struct {
 	WatchdogWindow int64 `json:"watchdog_window,omitempty"`
 }
 
-// resolved is a JobSpec after name resolution and validation: everything
-// an attempt needs, plus the job's content digest.
+// resolved is a JobSpec after name resolution and validation: the one
+// description the attempt runs (core.RunSpec) and its JobDigest — the cache
+// key, and the spec_digest in the header of every snapshot the run writes —
+// plus the two per-job limits that key nothing.
 type resolved struct {
-	cfg     config.GPU
-	scene   string
-	compute string
-	policy  core.PolicyKind
-	opts    render.Options
-	budget  int64
-	wdog    int64
-	digest  string
-	// mix/mixJSON are set for scenario jobs: the validated, normalized
-	// MixSpec and its canonical JSON — the exact bytes core.BuildMixJob
-	// embeds in snapshot specs, so cache key == snapshot header digest.
-	mix     scenario.MixSpec
-	mixJSON []byte
-}
-
-// isMix reports whether this job is an N-tenant scenario rather than a
-// pair.
-func (r *resolved) isMix() bool { return len(r.mixJSON) > 0 }
-
-// mixHasRender reports whether any mix tenant renders (RenderOptions only
-// key the digest when they affect the run).
-func (r *resolved) mixHasRender() bool {
-	for _, t := range r.mix.Tenants {
-		if t.Scene != "" {
-			return true
-		}
-	}
-	return false
+	spec     snapshot.Spec
+	digest   string
+	budget   int64
+	watchdog int64
 }
 
 // resolve validates the spec and computes its canonical content digest.
 // All errors are client errors (HTTP 400): the server's own failures
 // surface later, from the run itself.
 func (s *JobSpec) resolve() (*resolved, error) {
-	r := &resolved{scene: s.Scene, compute: s.Compute, budget: s.CycleBudget, wdog: s.WatchdogWindow}
-
+	var cfg config.GPU
 	var err error
 	switch {
 	case len(s.Config) > 0:
-		r.cfg, err = config.Parse(s.Config)
+		cfg, err = config.Parse(s.Config)
 	case s.GPU != "":
-		r.cfg, err = config.ByName(s.GPU)
+		cfg, err = config.ByName(s.GPU)
 	default:
-		r.cfg = config.JetsonOrin()
+		cfg = config.JetsonOrin()
 	}
 	if err != nil {
 		return nil, err
 	}
 
+	// Normalize the empty policy to its canonical name so "" and "serial"
+	// submissions share one digest.
+	policy := core.PolicyKind(s.Policy)
+	if policy == "" {
+		policy = core.PolicySerial
+	}
+	if !core.KnownPolicy(policy) {
+		return nil, fmt.Errorf("unknown policy %q (have %v)", s.Policy, core.PolicyKinds())
+	}
+
+	if s.Width < 0 || s.Height < 0 {
+		return nil, fmt.Errorf("negative render resolution %dx%d", s.Width, s.Height)
+	}
+	opts := render.DefaultOptions()
+	if s.Width > 0 {
+		opts.W = s.Width
+	}
+	if s.Height > 0 {
+		opts.H = s.Height
+	}
+	if s.LoD != nil {
+		opts.LoD = *s.LoD
+	}
+
+	r := &resolved{budget: s.CycleBudget, watchdog: s.WatchdogWindow}
 	switch {
 	case s.Scenario != "" || len(s.Mix) > 0:
 		if s.Scenario != "" && len(s.Mix) > 0 {
@@ -110,98 +113,29 @@ func (s *JobSpec) resolve() (*resolved, error) {
 		if s.Scene != "" || s.Compute != "" {
 			return nil, fmt.Errorf("a scenario job names its workloads inside the mix; scene/compute must be empty")
 		}
+		var mix scenario.MixSpec
 		if s.Scenario != "" {
-			r.mix, err = scenario.Preset(s.Scenario)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			if err := json.Unmarshal(s.Mix, &r.mix); err != nil {
-				return nil, fmt.Errorf("parsing inline mix: %w", err)
-			}
-			if err := r.mix.Validate(); err != nil {
-				return nil, err
-			}
-			r.mix.Normalize()
+			mix, err = scenario.Preset(s.Scenario)
+		} else if err = json.Unmarshal(s.Mix, &mix); err != nil {
+			err = fmt.Errorf("parsing inline mix: %w", err)
 		}
-		// Canonical bytes: presets come back normalized, inline mixes were
-		// normalized above, so this marshal matches core.BuildMixJob's.
-		r.mixJSON, err = json.Marshal(&r.mix)
 		if err != nil {
-			return nil, fmt.Errorf("canonicalizing mix: %w", err)
+			return nil, err
+		}
+		if r.spec, err = core.SpecForMix(cfg, mix, policy, opts); err != nil {
+			return nil, err
 		}
 	case s.Scene == "" && s.Compute == "":
 		return nil, fmt.Errorf("job needs a scene and/or a compute workload (or a scenario)")
 	default:
-		if s.Scene != "" && !contains(scene.Names(), s.Scene) {
+		if s.Scene != "" && !slices.Contains(scene.Names(), s.Scene) {
 			return nil, fmt.Errorf("unknown scene %q (have %v)", s.Scene, scene.Names())
 		}
-		if s.Compute != "" && !contains(compute.Names(), s.Compute) {
+		if s.Compute != "" && !slices.Contains(compute.Names(), s.Compute) {
 			return nil, fmt.Errorf("unknown compute workload %q (have %v)", s.Compute, compute.Names())
 		}
+		r.spec = core.SpecForPair(cfg, s.Scene, s.Compute, policy, opts)
 	}
-
-	// Normalize the empty policy to its canonical name so "" and "serial"
-	// submissions share one digest.
-	r.policy = core.PolicyKind(s.Policy)
-	if r.policy == "" {
-		r.policy = core.PolicySerial
-	}
-	if !core.KnownPolicy(r.policy) {
-		return nil, fmt.Errorf("unknown policy %q (have %v)", s.Policy, core.PolicyKinds())
-	}
-
-	r.opts = render.DefaultOptions()
-	if s.Width > 0 {
-		r.opts.W = s.Width
-	}
-	if s.Height > 0 {
-		r.opts.H = s.Height
-	}
-	if s.LoD != nil {
-		r.opts.LoD = *s.LoD
-	}
-	if s.Width < 0 || s.Height < 0 {
-		return nil, fmt.Errorf("negative render resolution %dx%d", s.Width, s.Height)
-	}
-
-	spec := r.snapshotSpec()
-	r.digest = spec.JobDigest()
+	r.digest = r.spec.JobDigest()
 	return r, nil
-}
-
-// snapshotSpec mirrors core's checkpoint spec construction for this job,
-// so the service's cache key and the header digest of any snapshot the
-// run writes are the same value (snapshot.Spec.JobDigest).
-func (r *resolved) snapshotSpec() snapshot.Spec {
-	spec := snapshot.Spec{
-		GPU:     r.cfg,
-		Scene:   r.scene,
-		Compute: r.compute,
-		Policy:  string(r.policy),
-	}
-	if r.isMix() {
-		spec.Mix = r.mixJSON
-		if r.mixHasRender() {
-			if b, err := json.Marshal(r.opts); err == nil {
-				spec.RenderOptions = b
-			}
-		}
-		return spec
-	}
-	if r.scene != "" {
-		if b, err := json.Marshal(r.opts); err == nil {
-			spec.RenderOptions = b
-		}
-	}
-	return spec
-}
-
-func contains(names []string, want string) bool {
-	for _, n := range names {
-		if n == want {
-			return true
-		}
-	}
-	return false
 }

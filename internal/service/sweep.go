@@ -122,7 +122,7 @@ func (sw *Sweep) attemptStarted(t *sweepTask, n int, resumeFrom string) {
 	detail := fmt.Sprintf("task %d (%s) leased to shard %d, attempt %d (epoch %d)", t.index, t.digest, t.worker, n, t.epoch)
 	if resumeFrom != "" {
 		sw.resumes++
-		cyc, _ := snapshot.NewestCycle(resumeFrom) // bestResume chose it by this cycle
+		cyc, _ := snapshot.NewestCycle(resumeFrom, t.digest) // bestResume chose it by this cycle
 		detail += fmt.Sprintf(", resuming from shipped checkpoint at cycle %d", cyc)
 	}
 	sw.lifecycle(StateRunning, detail)

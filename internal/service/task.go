@@ -70,15 +70,15 @@ func (t *sweepTask) resumeDirs() []string {
 }
 
 // bestResume scans the task's root for the directory holding the newest
-// checkpoint this build can load — the handoff point the next attempt
-// resumes from. Scanning, not counting, also finds the checkpoints of an
-// attempt a drain interrupted and no restart counted as failed. "" when
-// nothing usable was shipped (the attempt starts at cycle 0, losing
-// progress but never the task).
+// checkpoint of this task's job that this build can load — the handoff
+// point the next attempt resumes from. Scanning, not counting, also finds
+// the checkpoints of an attempt a drain interrupted and no restart counted
+// as failed. "" when nothing usable was shipped (the attempt starts at
+// cycle 0, losing progress but never the task).
 func (t *sweepTask) bestResume() string {
 	best, bestCycle := "", int64(-1)
 	for _, dir := range t.resumeDirs() {
-		if cyc, ok := snapshot.NewestCycle(dir); ok && cyc > bestCycle {
+		if cyc, ok := snapshot.NewestCycle(dir, t.digest); ok && cyc > bestCycle {
 			best, bestCycle = dir, cyc
 		}
 	}
@@ -87,11 +87,11 @@ func (t *sweepTask) bestResume() string {
 
 // setAsideRefused is for the attempt bestResume found no checkpoint for:
 // the snapshots the task's directories still hold have headers this build
-// refuses (another format version's, or damaged), so each is renamed
-// *.corrupt, as a resume would have done, and returned.
+// refuses (another format version's, another job's, or damaged), so each is
+// renamed *.corrupt, as a resume would have done, and returned.
 func (t *sweepTask) setAsideRefused() (aside []string) {
 	for _, dir := range t.resumeDirs() {
-		_, corrupt, _ := snapshot.LoadNewest(dir)
+		_, corrupt, _ := snapshot.LoadNewest(dir, t.digest)
 		aside = append(aside, corrupt...)
 	}
 	return aside

@@ -330,32 +330,37 @@ func Candidates(dir string) []string {
 }
 
 // NewestCycle is the header cycle of the newest snapshot in dir that this
-// build can load, without decoding any body — what a coordinator reports
-// when a reassigned task resumes from a shipped checkpoint ("resuming from
-// cycle N"). ok is false when dir holds no such snapshot.
-func NewestCycle(dir string) (cycle int64, ok bool) {
-	if cands := Candidates(dir); len(cands) > 0 {
-		if hdr, err := PeekHeader(cands[0]); err == nil {
+// build can load and that job wrote (its header's SpecDigest; "" = any
+// job), without decoding any body — what a coordinator ranks resume points
+// by and reports ("resuming from cycle N"). ok is false when dir holds no
+// such snapshot.
+func NewestCycle(dir, job string) (cycle int64, ok bool) {
+	for _, path := range Candidates(dir) {
+		if hdr, err := PeekHeader(path); err == nil && (job == "" || hdr.SpecDigest == job) {
 			return hdr.Cycle, true
 		}
 	}
 	return 0, false
 }
 
-// LoadNewest loads the newest decodable snapshot in dir, falling back to
-// progressively older checkpoints when the newest is corrupt or truncated
-// — the supervised-retry recovery path. Each undecodable file is renamed
+// LoadNewest loads the newest snapshot of job in dir (its Spec.JobDigest;
+// "" = any job), falling back to progressively older checkpoints when the
+// newest is corrupt or truncated — the supervised-retry recovery path. Each
+// file passed over on the way, undecodable or another job's, is renamed
 // aside to <name>.corrupt (so the next attempt does not re-try it) and
-// reported in corrupt. When no snapshot in dir decodes, env is nil and err
-// carries the last failure (KindSnapshot); the caller falls back to a
+// reported in corrupt. When no snapshot in dir qualifies, env is nil and
+// err carries the last failure (KindSnapshot); the caller falls back to a
 // fresh run.
-func LoadNewest(dir string) (env *Envelope, corrupt []string, err error) {
+func LoadNewest(dir, job string) (env *Envelope, corrupt []string, err error) {
 	cands := Candidates(dir)
 	if len(cands) == 0 {
 		return nil, nil, snapErr(fmt.Sprintf("no snapshots in %s", dir), nil)
 	}
 	for _, path := range cands {
 		env, lerr := LoadFile(path)
+		if lerr == nil && job != "" && env.Spec.JobDigest() != job {
+			lerr = snapErr(fmt.Sprintf("%s is a snapshot of job %s, not %s", path, env.Spec.JobDigest(), job), nil)
+		}
 		if lerr == nil {
 			return env, corrupt, nil
 		}

@@ -56,7 +56,7 @@ func TestLoadNewestFallsBackPastCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	env, corrupt, err := LoadNewest(dir)
+	env, corrupt, err := LoadNewest(dir, "")
 	if err != nil {
 		t.Fatalf("LoadNewest: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestLoadNewestAllCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a snapshot\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	env, corrupt, err := LoadNewest(dir)
+	env, corrupt, err := LoadNewest(dir, "")
 	if env != nil || err == nil {
 		t.Fatalf("LoadNewest on all-corrupt dir: env=%v err=%v", env, err)
 	}
@@ -97,7 +97,7 @@ func TestLoadNewestAllCorrupt(t *testing.T) {
 }
 
 func TestLoadNewestEmptyDir(t *testing.T) {
-	if env, _, err := LoadNewest(t.TempDir()); env != nil || err == nil {
+	if env, _, err := LoadNewest(t.TempDir(), ""); env != nil || err == nil {
 		t.Fatalf("LoadNewest on empty dir: env=%v err=%v", env, err)
 	}
 }
@@ -113,16 +113,56 @@ func TestForeignVersionIsNotAResumePoint(t *testing.T) {
 	if _, err := PeekHeader(foreign); err == nil {
 		t.Fatal("PeekHeader accepted a version-1 header")
 	}
-	if c, ok := NewestCycle(dir); ok {
+	if c, ok := NewestCycle(dir, ""); ok {
 		t.Fatalf("NewestCycle = %d over a directory holding only a version-1 file, want none", c)
 	}
 	if _, err := (&Store{Dir: dir}).Save(sampleEnvelope(100)); err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := NewestCycle(dir); !ok || c != 100 {
+	if c, ok := NewestCycle(dir, ""); !ok || c != 100 {
 		t.Fatalf("NewestCycle = %d, %v; want the loadable checkpoint at 100", c, ok)
 	}
 	if cands := Candidates(dir); len(cands) != 2 || cands[1] != foreign {
 		t.Fatalf("Candidates = %v, want the version-1 file last", cands)
+	}
+}
+
+// TestForeignJobIsNotAResumePoint: asked for one job's snapshots, the
+// directory scan neither ranks nor loads another job's, whatever cycle it
+// reached — and a load sets it aside like any file it had to pass over.
+func TestForeignJobIsNotAResumePoint(t *testing.T) {
+	dir := t.TempDir()
+	st := &Store{Dir: dir}
+	mine, theirs := sampleEnvelope(100), sampleEnvelope(900)
+	theirs.Spec.Policy = "MPS"
+	job := mine.Spec.JobDigest()
+	if job == theirs.Spec.JobDigest() {
+		t.Fatal("the two sample specs share a digest")
+	}
+	foreign, err := st.Save(theirs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := NewestCycle(dir, job); ok {
+		t.Fatal("NewestCycle ranked another job's snapshot")
+	}
+	if _, err := st.Save(mine); err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := NewestCycle(dir, job); !ok || c != 100 {
+		t.Fatalf("NewestCycle = %d, %v; want the job's own checkpoint at 100", c, ok)
+	}
+	if c, ok := NewestCycle(dir, ""); !ok || c != 900 {
+		t.Fatalf("NewestCycle for any job = %d, %v; want 900", c, ok)
+	}
+	env, aside, err := LoadNewest(dir, job)
+	if err != nil || env.State.Arch.Cycle != 100 {
+		t.Fatalf("LoadNewest = %v, %v; want the job's own checkpoint", env, err)
+	}
+	if len(aside) != 1 || aside[0] != foreign {
+		t.Fatalf("set aside %v, want [%s]", aside, foreign)
+	}
+	if _, err := os.Stat(foreign + ".corrupt"); err != nil {
+		t.Fatalf("foreign snapshot not renamed: %v", err)
 	}
 }
