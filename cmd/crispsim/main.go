@@ -1,6 +1,8 @@
 // Command crispsim runs one simulation: a rendering workload and/or a
 // compute workload under a chosen GPU partitioning policy, printing
-// per-stream and per-task statistics.
+// per-task statistics and stall attribution (per-stream and per-kernel on
+// request), and with -trace/-metrics a Perfetto-loadable trace and an
+// interval metrics CSV.
 //
 // Examples:
 //
@@ -8,6 +10,7 @@
 //	crispsim -scene SPH -compute VIO -policy EVEN
 //	crispsim -compute NN -gpu RTX3070
 //	crispsim -scene PT -compute HOLO -policy TAP -gpu RTX3070 -w 640 -h 360
+//	crispsim -scene PT -compute VIO -policy WarpedSlicer -trace out.json -metrics out.csv
 package main
 
 import (
@@ -218,6 +221,7 @@ func main() {
 			fmt.Sprint(st.DRAMReads/1024), fmt.Sprint(st.DRAMWrites/1024))
 	}
 	fmt.Println(t.String())
+	printStalls(res, tasks)
 
 	// Scenario runs carry per-tenant QoS accounting: deadlines, tardiness,
 	// turnaround.
@@ -254,6 +258,39 @@ func main() {
 				fmt.Sprint(s.CTAsLaunched), fmt.Sprint(s.WarpInsts), fmt.Sprint(s.Cycles))
 		}
 		fmt.Println(st.String())
+	}
+}
+
+// printStalls renders the per-task stall-attribution table — for every
+// task, each cause's share of the task's scheduler slots — and the
+// whole-GPU slot count.
+func printStalls(res *crisp.Result, tasks []int) {
+	header := []string{"task", "label", "issue slots", "issued"}
+	for _, c := range crisp.StallCauses() {
+		header = append(header, c.String())
+	}
+	t := stats.Table{Header: header}
+	for _, task := range tasks {
+		st := res.PerTask[task]
+		slots := st.WarpInsts + st.StallTotal()
+		row := []string{fmt.Sprint(task), st.Label, fmt.Sprint(slots)}
+		if slots == 0 {
+			row = append(row, "-")
+			for range crisp.StallCauses() {
+				row = append(row, "-")
+			}
+		} else {
+			row = append(row, stats.Pct(float64(st.WarpInsts)/float64(slots)))
+			for _, c := range crisp.StallCauses() {
+				row = append(row, stats.Pct(st.StallFraction(c)))
+			}
+		}
+		t.AddRow(row...)
+	}
+	fmt.Println(t.String())
+	if res.SchedSlots > 0 {
+		fmt.Printf("scheduler slots: %d total, %d empty (%.1f%%)\n\n",
+			res.SchedSlots, res.EmptySlots, 100*float64(res.EmptySlots)/float64(res.SchedSlots))
 	}
 }
 

@@ -11,15 +11,19 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
+	"strings"
 
 	"crisp"
+	"crisp/internal/compute"
 	"crisp/internal/core"
-	"crisp/internal/gpu"
 	"crisp/internal/isa"
+	"crisp/internal/render"
 	"crisp/internal/stats"
 	"crisp/internal/trace"
 )
@@ -97,13 +101,6 @@ func dump(args []string) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // collect renders a scene or builds a compute workload and saves its
 // kernels.
 func collect(args []string) {
@@ -116,32 +113,17 @@ func collect(args []string) {
 	lod := fs.Bool("lod", true, "enable mipmap LoD")
 	fs.Parse(args)
 
-	var kernels []*trace.Kernel
-	switch {
-	case *sceneName != "" && *computeName == "":
-		opts := crisp.DefaultRenderOptions()
-		if *w > 0 {
-			opts.W = *w
-		}
-		if *h > 0 {
-			opts.H = *h
-		}
-		opts.LoD = *lod
-		res, err := crisp.RenderScene(*sceneName, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, st := range res.Streams {
-			kernels = append(kernels, st.Kernels...)
-		}
-	case *computeName != "" && *sceneName == "":
-		wl, err := crisp.BuildCompute(*computeName)
-		if err != nil {
-			log.Fatal(err)
-		}
-		kernels = wl.Kernels
-	default:
-		log.Fatal("collect: need exactly one of -scene or -compute")
+	opts := crisp.DefaultRenderOptions()
+	if *w > 0 {
+		opts.W = *w
+	}
+	if *h > 0 {
+		opts.H = *h
+	}
+	opts.LoD = *lod
+	kernels, err := collected(*sceneName, *computeName, opts)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if err := trace.SaveFile(*out, kernels); err != nil {
 		log.Fatal(err)
@@ -153,6 +135,30 @@ func collect(args []string) {
 	fmt.Printf("wrote %s: %d kernels, %d warp instructions\n", *out, len(kernels), insts)
 }
 
+// collected is what collect saves: a scene's kernels stream by stream, or
+// a compute workload's.
+func collected(sceneName, computeName string, opts crisp.RenderOptions) ([]*trace.Kernel, error) {
+	switch {
+	case sceneName != "" && computeName == "":
+		res, err := crisp.RenderScene(sceneName, opts)
+		if err != nil {
+			return nil, err
+		}
+		var kernels []*trace.Kernel
+		for _, st := range res.Streams {
+			kernels = append(kernels, st.Kernels...)
+		}
+		return kernels, nil
+	case computeName != "" && sceneName == "":
+		wl, err := crisp.BuildCompute(computeName)
+		if err != nil {
+			return nil, err
+		}
+		return wl.Kernels, nil
+	}
+	return nil, errors.New("collect: need exactly one of -scene or -compute")
+}
+
 // replay loads one or more trace files and runs them concurrently; each
 // file becomes one task.
 func replay(args []string) {
@@ -160,8 +166,7 @@ func replay(args []string) {
 	gpuName := fs.String("gpu", "JetsonOrin", "GPU config")
 	policy := fs.String("policy", "serial", "partition policy")
 	fs.Parse(args)
-	files := fs.Args()
-	if len(files) == 0 {
+	if fs.NArg() == 0 {
 		log.Fatal("replay: need at least one trace file")
 	}
 
@@ -169,59 +174,80 @@ func replay(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	g, err := gpu.New(cfg)
+	job, err := replayJob(cfg, core.PolicyKind(*policy), fs.Args())
 	if err != nil {
 		log.Fatal(err)
 	}
-	g.TaskWindows[0] = 32
+	res, err := job.Run()
+	if err != nil {
+		if se, ok := crisp.AsSimError(err); ok {
+			log.Fatalf("simulation failed: %s at cycle %d: %s", se.Kind, se.Cycle, se.Msg)
+		}
+		log.Fatal(err)
+	}
+	fmt.Print(replaySummary(job, res))
+}
 
-	for task, path := range files {
+// replayJob lowers trace files onto one job: file i is tenant i, so task
+// i, named by its file name up to the first dot.
+func replayJob(cfg crisp.GPUConfig, policy core.PolicyKind, paths []string) (*core.Job, error) {
+	job := &core.Job{GPU: cfg, Policy: policy}
+	for _, path := range paths {
 		kernels, err := trace.LoadFile(path)
 		if err != nil {
-			log.Fatalf("%s: %v", path, err)
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		// Group kernels by their recorded stream; renumber into the
-		// task's stream space so files never collide.
-		byStream := map[int][]*trace.Kernel{}
-		var order []int
-		for _, k := range kernels {
-			if _, ok := byStream[k.Stream]; !ok {
-				order = append(order, k.Stream)
-			}
-			byStream[k.Stream] = append(byStream[k.Stream], k)
+		name, _, _ := strings.Cut(filepath.Base(path), ".")
+		tn, err := tenantOf(name, kernels)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		for i, s := range order {
-			id := task*core.ComputeStreamBase + i
-			if task == 0 && id >= core.ComputeStreamBase {
-				log.Fatalf("%s: too many streams", path)
-			}
-			ks := make([]*trace.Kernel, len(byStream[s]))
-			for j, k := range byStream[s] {
-				kk := *k
-				kk.Stream = id
-				ks[j] = &kk
-			}
-			def := gpu.StreamDef{ID: id, Task: task, Label: fmt.Sprintf("%s.s%d", path, i), Kernels: ks}
-			if err := g.AddStream(def); err != nil {
-				log.Fatal(err)
-			}
-		}
+		job.Tenants = append(job.Tenants, tn)
 	}
+	return job, nil
+}
 
-	if err := installPolicy(g, core.PolicyKind(*policy), len(files)); err != nil {
-		log.Fatal(err)
+// tenantOf lowers one trace file's kernels onto a tenant. A compute file
+// is one workload, in file order. A graphics file's kernels are grouped by
+// their recorded stream into a frame, each stream labeled as the renderer
+// labeled it: its kernels' name less the stage suffix.
+func tenantOf(name string, kernels []*trace.Kernel) (core.Tenant, error) {
+	if len(kernels) == 0 {
+		return core.Tenant{}, errors.New("no kernels")
 	}
-	cycles, err := g.Run()
-	if err != nil {
-		log.Fatal(err)
+	graphics := kernels[0].Kind.IsGraphics()
+	for _, k := range kernels {
+		if k.Kind.IsGraphics() != graphics {
+			return core.Tenant{}, errors.New("mixes graphics and compute kernels")
+		}
 	}
-	fmt.Printf("replayed %d task(s) under %s on %s: %d cycles (%.4f ms)\n",
-		len(files), *policy, cfg.Name, cycles, cfg.FrameTimeMS(cycles))
+	if !graphics {
+		return core.Tenant{Name: name, Compute: &compute.Workload{Name: name, Kernels: kernels}}, nil
+	}
+	frame := &render.Result{}
+	at := make(map[int]int) // recorded stream → index in frame.Streams
+	for _, k := range kernels {
+		i, ok := at[k.Stream]
+		if !ok {
+			i = len(frame.Streams)
+			at[k.Stream] = i
+			frame.Streams = append(frame.Streams, render.StreamTrace{Stream: k.Stream, Label: strings.TrimSuffix(k.Name, filepath.Ext(k.Name))})
+		}
+		frame.Streams[i].Kernels = append(frame.Streams[i].Kernels, k)
+	}
+	return core.Tenant{Name: name, Graphics: frame}, nil
+}
+
+// replaySummary is replay's report: the makespan, then one row per task in
+// task order.
+func replaySummary(job *core.Job, res *core.Result) string {
 	t := stats.Table{Header: []string{"task", "warp insts", "L2 hit"}}
-	for task, st := range g.TaskStats() {
+	for task := range job.Tenants {
+		st := res.PerTask[task]
 		t.AddRow(fmt.Sprint(task), fmt.Sprint(st.WarpInsts), stats.Pct(st.L2HitRate()))
 	}
-	fmt.Println(t.String())
+	return fmt.Sprintf("replayed %d task(s) under %s on %s: %d cycles (%.4f ms)\n%s\n",
+		len(job.Tenants), job.Policy, job.GPU.Name, res.Cycles, res.FrameTimeMS, t.String())
 }
 
 // info summarizes a trace file.
@@ -284,16 +310,4 @@ func formatTraffic(kernels []*trace.Kernel) string {
 	}
 	row("total", totalSize, totalInsts, total)
 	return t.String()
-}
-
-// installPolicy wires the named policy for an n-task replay.
-func installPolicy(g *gpu.GPU, kind core.PolicyKind, tasks int) error {
-	p, err := core.BuildPolicy(g, kind, tasks)
-	if err != nil {
-		return err
-	}
-	if p != nil {
-		g.SetPolicy(p)
-	}
-	return nil
 }

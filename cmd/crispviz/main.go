@@ -5,6 +5,8 @@
 //
 //	crispviz -scene PT -compute VIO -policy WarpedSlicer -gpu JetsonOrin
 //
+// (crispsim -trace/-metrics exports the same run's trace and time series.)
+//
 // With -serve it instead points the embedded exploration UI (the same
 // one crispd ships at /ui/) at a local results directory — a crispd
 // state dir's results/ subdirectory — with no daemon required:
@@ -13,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -22,8 +25,6 @@ import (
 	"strings"
 
 	"crisp"
-	"crisp/internal/compute"
-	"crisp/internal/core"
 	"crisp/internal/service"
 	"crisp/internal/trace"
 )
@@ -35,8 +36,6 @@ func main() {
 	policy := flag.String("policy", "EVEN", "partition policy")
 	gpuName := flag.String("gpu", "JetsonOrin", "GPU config")
 	width := flag.Int("width", 72, "chart width in columns")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file (Perfetto-loadable)")
-	metricsOut := flag.String("metrics", "", "write an interval metrics CSV time series")
 	serveAddr := flag.String("serve", "", "serve the exploration UI over a results dir at this address instead of simulating")
 	resultsDir := flag.String("results", "", "results directory for -serve (a crispd state dir's results/ subdirectory)")
 	flag.Parse()
@@ -60,45 +59,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	gfx, err := crisp.RenderScene(*sceneName, crisp.DefaultRenderOptions())
+	spec := crisp.SpecForPair(cfg, *sceneName, *computeName, crisp.PolicyKind(*policy), crisp.DefaultRenderOptions())
+	res, err := crisp.RunSpec(context.Background(), spec, nil, crisp.WithTimeline(512))
 	if err != nil {
 		log.Fatal(err)
-	}
-	comp, err := compute.ByName(*computeName, core.ComputeStreamBase)
-	if err != nil {
-		log.Fatal(err)
-	}
-	job := crisp.Job{
-		GPU:              cfg,
-		Graphics:         gfx,
-		Compute:          comp,
-		Policy:           crisp.PolicyKind(*policy),
-		TimelineInterval: 512,
-	}
-	var rec *crisp.TraceRecorder
-	if *traceOut != "" {
-		rec = crisp.NewTraceRecorder()
-		job.Tracer = rec
-	}
-	if *traceOut != "" || *metricsOut != "" {
-		job.MetricsInterval = 2048
-	}
-	res, err := job.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if *traceOut != "" {
-		if err := dumpTrace(*traceOut, rec, res); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s (%d events)\n", *traceOut, len(rec.Events()))
-	}
-	if *metricsOut != "" {
-		if err := dumpMetrics(*metricsOut, res); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *metricsOut)
 	}
 
 	fmt.Printf("%s + %s on %s under %s: %d cycles\n\n",
@@ -109,40 +73,6 @@ func main() {
 
 	fmt.Println("\nL2 composition:")
 	plotComposition(res, *width)
-}
-
-// dumpTrace writes the recorded events as Chrome trace-event JSON.
-func dumpTrace(path string, rec *crisp.TraceRecorder, res *crisp.Result) error {
-	labels := make(map[int]string, len(res.PerStream))
-	for _, s := range res.PerStream {
-		labels[s.Stream] = s.Label
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := crisp.WriteChromeTrace(f, rec.Events(), res.Metrics,
-		func(stream int) string { return labels[stream] }); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// dumpMetrics writes the interval series as CSV.
-func dumpMetrics(path string, res *crisp.Result) error {
-	if res.Metrics == nil {
-		return fmt.Errorf("no interval metrics were collected")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := res.Metrics.WriteCSV(f); err != nil {
-		return err
-	}
-	return f.Close()
 }
 
 // plotTimeline draws the two per-task occupancy series as row-per-sample

@@ -4,10 +4,12 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"crisp/internal/config"
+	"crisp/internal/obs"
 	"crisp/internal/robust"
 	"crisp/internal/snapshot"
 )
@@ -115,6 +117,45 @@ func TestCheckpointResumeRoundTrip(t *testing.T) {
 					t.Errorf("state digests diverge at cycle %d", c)
 				}
 			})
+		}
+	}
+}
+
+// TestResumedSamplesMatchUninterrupted: from a resume on, the interval
+// series is the uninterrupted run's, sample for sample. The checkpoint used
+// to drop the metrics baseline's stall vector, so the first sample after
+// every resume reported cumulative stalls as one interval's. Host counters
+// (StepsExecuted and the like) restart at a resume by design and are not
+// compared.
+func TestResumedSamplesMatchUninterrupted(t *testing.T) {
+	run := func(opts ...RunOption) (*Result, error) {
+		return RunPair(config.JetsonOrin(), "SPL", "VIO", PolicyEven, tinyOpts(), append(opts, WithMetrics(2048))...)
+	}
+	clean, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[int64][]obs.SeriesPoint, len(clean.Metrics.Samples))
+	for _, s := range clean.Metrics.Samples {
+		want[s.Cycle] = s.Points
+	}
+
+	dir := t.TempDir()
+	if _, err := run(WithCheckpointDir(dir), WithCycleBudget(clean.Cycles/2)); err == nil {
+		t.Fatal("budgeted run completed; expected an interrupt leaving a snapshot")
+	}
+	res, err := ResumeFile(context.Background(), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Metrics == nil || len(res.Metrics.Samples) == 0 {
+		t.Fatal("resumed run sampled nothing")
+	}
+	for _, s := range res.Metrics.Samples {
+		if w, ok := want[s.Cycle]; !ok {
+			t.Errorf("resumed sample at cycle %d; the uninterrupted run has none there", s.Cycle)
+		} else if !reflect.DeepEqual(s.Points, w) {
+			t.Errorf("cycle %d: resumed points %+v\nuninterrupted %+v", s.Cycle, s.Points, w)
 		}
 	}
 }

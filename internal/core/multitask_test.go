@@ -93,8 +93,11 @@ func TestComputeAndComputesCompose(t *testing.T) {
 	if res.PerTask[1] == nil || res.PerTask[2] == nil {
 		t.Fatalf("tasks = %v", len(res.PerTask))
 	}
-	if res.PerTask[1].Label != "VIO" && res.PerTask[1].WarpInsts == 0 {
-		t.Error("task 1 not the VIO workload")
+	if res.PerTask[1].Label != "VIO" || res.PerTask[1].WarpInsts == 0 {
+		t.Errorf("task 1 is %q with %d warp insts, want the VIO workload", res.PerTask[1].Label, res.PerTask[1].WarpInsts)
+	}
+	if res.PerTask[2].Label != "HOLO" {
+		t.Errorf("task 2 is %q, want HOLO", res.PerTask[2].Label)
 	}
 }
 

@@ -136,14 +136,14 @@ func TestDispatchCounters(t *testing.T) {
 			fastCycles, finalDigest(t, fast), oracleCycles, finalDigest(t, oracle))
 	}
 	sweeps, skipped := fast.DispatchCounters()
-	if sweeps+skipped != int64(fast.loop.iter) {
-		t.Errorf("%d sweeps + %d skipped over %d iterations", sweeps, skipped, fast.loop.iter)
+	if sweeps+skipped != int64(fast.loop.Iter) {
+		t.Errorf("%d sweeps + %d skipped over %d iterations", sweeps, skipped, fast.loop.Iter)
 	}
 	if skipped <= sweeps {
 		t.Errorf("only %d of %d iterations skipped the sweep", skipped, sweeps+skipped)
 	}
-	if s, k := oracle.DispatchCounters(); k != 0 || s != int64(oracle.loop.iter) {
-		t.Errorf("oracle: %d sweeps, %d skipped over %d iterations; want a sweep every iteration", s, k, oracle.loop.iter)
+	if s, k := oracle.DispatchCounters(); k != 0 || s != int64(oracle.loop.Iter) {
+		t.Errorf("oracle: %d sweeps, %d skipped over %d iterations; want a sweep every iteration", s, k, oracle.loop.Iter)
 	}
 }
 

@@ -207,8 +207,11 @@ type GPU struct {
 
 	tracer     obs.Tracer
 	taskLabels map[int]string
-	mPrev      []taskSnap
-	mPrevCycle int64
+	// mPrev is the metrics series' previous cumulative per-task counters, in
+	// the snapshot's own type so a checkpoint carries it whole; mCur is
+	// sampleMetrics' scratch, swapped with it after every sample.
+	mPrev, mCur []snapshot.TaskSnapState
+	mPrevCycle  int64
 
 	// taskPrio holds explicit per-task CTA placement priorities
 	// (SetTaskPriorities); nil means launch order / policy Prioritizer.
@@ -244,10 +247,10 @@ type GPU struct {
 	activeByTask []int
 	order        []*launch
 
-	// loop holds the run loop's cursor state; a field (not locals) so
-	// checkpoints can carry it and a resumed run keeps its sampling
-	// cadences aligned with the uninterrupted run's.
-	loop    loopCursors
+	// loop holds the run loop's cursor state; a field (not locals), in the
+	// snapshot's own type, so checkpoints carry it as is and a resumed run
+	// keeps its sampling cadences aligned with the uninterrupted run's.
+	loop    snapshot.LoopState
 	resumed bool
 	digests []snapshot.DigestEntry
 
@@ -258,36 +261,12 @@ type GPU struct {
 	kernelStats []KernelStat
 }
 
-// loopCursors is the run loop's bookkeeping, promoted from locals so it
-// can be checkpointed and restored.
-type loopCursors struct {
-	lastTick       int64 // last policy-tick cycle
-	nextSample     int64 // next timeline sample cycle
-	nextMetrics    int64 // next metrics sample cycle
-	nextCheckpoint int64
-	nextDigest     int64
-	lastIssued     int64 // totalIssued at the last progress observation
-	lastProgress   int64 // cycle of the last observed issue
-	iter           uint64
-}
-
 // DefaultWatchdogWindow is the forward-progress window used when
 // WatchdogWindow is zero: generous enough that no legitimate workload
 // spends this long issuing nothing while warps are resident (memory and
 // pipeline waits resolve within thousands of cycles), small enough that a
 // livelocked multi-hour sweep run dies in well under a second of host time.
 const DefaultWatchdogWindow = 4 << 20
-
-// taskSnap is a cumulative per-task counter snapshot used to derive
-// interval deltas for the metrics series.
-type taskSnap struct {
-	warpInsts  int64
-	l1A, l1M   int64
-	l2A, l2M   int64
-	dramBytes  int64
-	stalls     [obs.NumStallCauses]int64
-	hasStreams bool
-}
 
 // New builds a GPU for cfg. The configuration is validated.
 func New(cfg config.GPU) (*GPU, error) {
@@ -794,17 +773,17 @@ func (g *GPU) RunContext(ctx context.Context) (int64, error) {
 		if !g.resumed {
 			// Rates are deltas, so the first sample is only meaningful one
 			// full interval in.
-			g.loop.nextMetrics = metricsInterval
+			g.loop.NextMetrics = metricsInterval
 		}
 	}
-	if g.DigestEvery > 0 && g.loop.nextDigest <= g.now {
+	if g.DigestEvery > 0 && g.loop.NextDigest <= g.now {
 		// Fresh run, or the auditor was newly enabled on a resumed run: a
 		// run that carried the cursor through a checkpoint always captures
 		// it already advanced past the capture cycle.
-		g.loop.nextDigest = g.now + g.DigestEvery
+		g.loop.NextDigest = g.now + g.DigestEvery
 	}
-	if g.CheckpointSink != nil && g.CheckpointEvery > 0 && g.loop.nextCheckpoint <= g.now {
-		g.loop.nextCheckpoint = g.now + g.CheckpointEvery
+	if g.CheckpointSink != nil && g.CheckpointEvery > 0 && g.loop.NextCheckpoint <= g.now {
+		g.loop.NextCheckpoint = g.now + g.CheckpointEvery
 	}
 	window := g.WatchdogWindow
 	if window == 0 {
@@ -823,7 +802,7 @@ func (g *GPU) RunContext(ctx context.Context) (int64, error) {
 	g.retiredSeen = g.retiredWarps()
 	ls := &g.loop
 	for {
-		ls.iter++
+		ls.Iter++
 		g.dispatch()
 		g.reapFinished()
 
@@ -891,17 +870,17 @@ func (g *GPU) RunContext(ctx context.Context) (int64, error) {
 		// taken at this boundary captures post-tick state: a resumed run
 		// re-enters the loop at the top of the next iteration and repeats
 		// nothing.
-		if g.Timeline != nil && g.now >= ls.nextSample {
+		if g.Timeline != nil && g.now >= ls.NextSample {
 			g.sampleTimeline()
-			ls.nextSample = g.now + timelineInterval
+			ls.NextSample = g.now + timelineInterval
 		}
-		if g.Metrics != nil && g.now >= ls.nextMetrics {
+		if g.Metrics != nil && g.now >= ls.NextMetrics {
 			g.sampleMetrics()
-			ls.nextMetrics = g.now + metricsInterval
+			ls.NextMetrics = g.now + metricsInterval
 		}
-		if g.policy != nil && g.now-ls.lastTick >= g.epoch {
+		if g.policy != nil && g.now-ls.LastTick >= g.epoch {
 			g.policy.Tick(g.now)
-			ls.lastTick = g.now
+			ls.LastTick = g.now
 			g.placeDirty = true
 			// A repartition can change what a sleeping core could do (CTA
 			// placement limits), so force every core awake for the next
@@ -916,13 +895,13 @@ func (g *GPU) RunContext(ctx context.Context) (int64, error) {
 		// progress window matches the uninterrupted run's; the digest
 		// precedes it so the cursor is captured already advanced (the
 		// digest at this cycle belongs to the pre-checkpoint series).
-		progressed := g.totalIssued != ls.lastIssued
+		progressed := g.totalIssued != ls.LastIssued
 		if progressed {
-			ls.lastIssued = g.totalIssued
-			ls.lastProgress = g.now
+			ls.LastIssued = g.totalIssued
+			ls.LastProgress = g.now
 		}
-		if g.DigestEvery > 0 && g.now >= ls.nextDigest {
-			ls.nextDigest = g.now + g.DigestEvery
+		if g.DigestEvery > 0 && g.now >= ls.NextDigest {
+			ls.NextDigest = g.now + g.DigestEvery
 			d, err := g.StateDigest()
 			if err != nil {
 				return g.now, g.fail(robust.KindSnapshot, "",
@@ -930,8 +909,8 @@ func (g *GPU) RunContext(ctx context.Context) (int64, error) {
 			}
 			g.digests = append(g.digests, d)
 		}
-		if g.CheckpointSink != nil && g.CheckpointEvery > 0 && g.now >= ls.nextCheckpoint {
-			ls.nextCheckpoint = g.now + g.CheckpointEvery
+		if g.CheckpointSink != nil && g.CheckpointEvery > 0 && g.now >= ls.NextCheckpoint {
+			ls.NextCheckpoint = g.now + g.CheckpointEvery
 			if err := g.CheckpointSink(); err != nil {
 				return g.now, g.fail(robust.KindSnapshot, "",
 					"checkpoint write failed", "gpu: checkpoint at cycle %d: %v", g.now, err)
@@ -940,14 +919,14 @@ func (g *GPU) RunContext(ctx context.Context) (int64, error) {
 
 		// Hardening checks. The watchdog's progress signal is the
 		// warp-instruction counter: any issue anywhere resets the window.
-		if !progressed && window > 0 && g.now-ls.lastProgress > window {
+		if !progressed && window > 0 && g.now-ls.LastProgress > window {
 			k := g.stuckKernel()
 			se := g.fail(robust.KindWatchdog, k,
-				fmt.Sprintf("no instruction issued for %d cycles", g.now-ls.lastProgress),
+				fmt.Sprintf("no instruction issued for %d cycles", g.now-ls.LastProgress),
 				"gpu: watchdog at cycle %d: no instruction issued since cycle %d (window %d, kernel %q)",
-				g.now, ls.lastProgress, window, k)
+				g.now, ls.LastProgress, window, k)
 			se.Dump.WatchdogWindow = window
-			se.Dump.LastProgress = ls.lastProgress
+			se.Dump.LastProgress = ls.LastProgress
 			return g.now, se
 		}
 		if g.CycleBudget > 0 && g.now > g.CycleBudget {
@@ -955,7 +934,7 @@ func (g *GPU) RunContext(ctx context.Context) (int64, error) {
 				fmt.Sprintf("cycle budget %d exceeded", g.CycleBudget),
 				"gpu: cycle budget exceeded at cycle %d (budget %d)", g.now, g.CycleBudget)
 		}
-		if ctxDone != nil && ls.iter&ctxCheckMask == 0 {
+		if ctxDone != nil && ls.Iter&ctxCheckMask == 0 {
 			select {
 			case <-ctxDone:
 				return g.now, g.fail(robust.KindCanceled, "",
@@ -1072,7 +1051,7 @@ func (g *GPU) buildDump(kernel, reason string) *robust.CrashDump {
 	sort.Ints(tasks)
 	for _, task := range tasks {
 		st := byTask[task]
-		ts := robust.TaskStalls{Task: task, Label: g.taskLabels[task], Issues: st.WarpInsts}
+		ts := robust.TaskStalls{Task: task, Label: st.Label, Issues: st.WarpInsts}
 		for _, c := range obs.StallCauses() {
 			if n := st.Stalls[c]; n > 0 {
 				if ts.Stalls == nil {
@@ -1083,7 +1062,6 @@ func (g *GPU) buildDump(kernel, reason string) *robust.CrashDump {
 		}
 		d.Stalls = append(d.Stalls, ts)
 	}
-	sort.Slice(d.Stalls, func(i, j int) bool { return d.Stalls[i].Task < d.Stalls[j].Task })
 	return d
 }
 
@@ -1159,25 +1137,26 @@ func (g *GPU) SleepHist() []int64 {
 func (g *GPU) sampleMetrics() {
 	g.settleCores()
 	nt := g.maxTask + 1
-	// By length, not nil: a checkpoint taken before the first sample
-	// restores an empty, non-nil baseline.
-	if len(g.mPrev) < nt {
-		g.mPrev = append(g.mPrev, make([]taskSnap, nt-len(g.mPrev))...)
+	g.mPrev = growTaskSnaps(g.mPrev, nt)
+	cur := growTaskSnaps(g.mCur, nt)
+	for i := range cur {
+		stalls := cur[i].Stalls
+		clear(stalls)
+		cur[i] = snapshot.TaskSnapState{Stalls: stalls}
 	}
-	cur := make([]taskSnap, nt)
 	for _, st := range g.streams {
 		c := &cur[st.def.Task]
-		c.hasStreams = true
-		c.warpInsts += st.stat.WarpInsts
+		c.HasStreams = true
+		c.WarpInsts += st.stat.WarpInsts
 		for i, n := range st.stat.Stalls {
-			c.stalls[i] += n
+			c.Stalls[i] += n
 		}
 		if mc := g.memsys.PeekCounters(st.def.ID); mc != nil {
-			c.l1A += mc.L1Accesses
-			c.l1M += mc.L1Misses
-			c.l2A += mc.L2Accesses
-			c.l2M += mc.L2Misses
-			c.dramBytes += mc.DRAMReadB + mc.DRAMWriteB
+			c.L1A += mc.L1Accesses
+			c.L1M += mc.L1Misses
+			c.L2A += mc.L2Accesses
+			c.L2M += mc.L2Misses
+			c.DRAMBytes += mc.DRAMReadB + mc.DRAMWriteB
 		}
 	}
 	dt := g.now - g.mPrevCycle
@@ -1195,33 +1174,41 @@ func (g *GPU) sampleMetrics() {
 	sample.DispatchSweeps, sample.DispatchSkipped = g.DispatchCounters()
 	sample.StallReplays = g.StallReplays()
 	for task := 0; task < nt; task++ {
-		if !cur[task].hasStreams {
+		d, p := &cur[task], &g.mPrev[task]
+		if !d.HasStreams {
 			continue
 		}
 		warps := 0
 		for _, core := range g.cores {
 			warps += core.ResidentWarps(task)
 		}
-		d := cur[task]
-		p := g.mPrev[task]
 		pt := obs.SeriesPoint{
 			Stream:            task,
 			Label:             g.taskLabels[task],
-			IPC:               float64(d.warpInsts-p.warpInsts) / float64(dt),
+			IPC:               float64(d.WarpInsts-p.WarpInsts) / float64(dt),
 			Warps:             warps,
-			L1Hit:             hit(d.l1A-p.l1A, d.l1M-p.l1M),
-			L2Hit:             hit(d.l2A-p.l2A, d.l2M-p.l2M),
-			DRAMBytesPerCycle: float64(d.dramBytes-p.dramBytes) / float64(dt),
+			L1Hit:             hit(d.L1A-p.L1A, d.L1M-p.L1M),
+			L2Hit:             hit(d.L2A-p.L2A, d.L2M-p.L2M),
+			DRAMBytesPerCycle: float64(d.DRAMBytes-p.DRAMBytes) / float64(dt),
 		}
 		for i := range pt.Stalls {
-			pt.Stalls[i] = d.stalls[i] - p.stalls[i]
+			pt.Stalls[i] = d.Stalls[i] - p.Stalls[i]
 		}
 		g.fillQoSPoint(task, &pt)
 		sample.Points = append(sample.Points, pt)
 	}
 	g.Metrics.Append(sample)
-	copy(g.mPrev, cur)
+	g.mPrev, g.mCur = cur, g.mPrev
 	g.mPrevCycle = g.now
+}
+
+// growTaskSnaps extends a metrics baseline to n tasks, each new entry with
+// a zeroed stall vector.
+func growTaskSnaps(s []snapshot.TaskSnapState, n int) []snapshot.TaskSnapState {
+	for len(s) < n {
+		s = append(s, snapshot.TaskSnapState{Stalls: make([]int64, obs.NumStallCauses)})
+	}
+	return s
 }
 
 // fillQoSPoint folds the task's live tenant-QoS progress into a metrics
@@ -1286,13 +1273,14 @@ func (g *GPU) StreamStats() []*stats.Stream {
 	return out
 }
 
-// TaskStats aggregates stream statistics by task.
+// TaskStats aggregates stream statistics by task, labeled as the metrics
+// series and crash dump label the task.
 func (g *GPU) TaskStats() map[int]*stats.Stream {
 	agg := make(map[int]*stats.Stream)
 	for _, st := range g.streams {
 		a := agg[st.def.Task]
 		if a == nil {
-			a = &stats.Stream{Stream: st.def.Task, Label: fmt.Sprintf("task%d", st.def.Task)}
+			a = &stats.Stream{Stream: st.def.Task, Label: g.taskLabels[st.def.Task]}
 			agg[st.def.Task] = a
 		}
 		a.Add(st.stat)

@@ -2,7 +2,9 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 
+	"crisp/internal/obs"
 	"crisp/internal/robust"
 	"crisp/internal/sm"
 	"crisp/internal/snapshot"
@@ -102,25 +104,19 @@ func (g *GPU) CaptureState() (*snapshot.GPUState, error) {
 	}
 	a.Mem = g.memsys.CaptureState()
 
-	st.Obs.Loop = snapshot.LoopState{
-		LastTick:       g.loop.lastTick,
-		NextSample:     g.loop.nextSample,
-		NextMetrics:    g.loop.nextMetrics,
-		NextCheckpoint: g.loop.nextCheckpoint,
-		NextDigest:     g.loop.nextDigest,
-		LastIssued:     g.loop.lastIssued,
-		LastProgress:   g.loop.lastProgress,
-		Iter:           g.loop.iter,
-	}
-	st.Obs.MPrev = make([]snapshot.TaskSnapState, len(g.mPrev))
-	for i, p := range g.mPrev {
-		st.Obs.MPrev[i] = snapshot.TaskSnapState{
-			WarpInsts: p.warpInsts, L1A: p.l1A, L1M: p.l1M,
-			L2A: p.l2A, L2M: p.l2M, DRAMBytes: p.dramBytes, HasStreams: p.hasStreams,
-		}
-	}
-	st.Obs.MPrevCycle = g.mPrevCycle
+	st.Obs = snapshot.ObsState{Loop: g.loop, MPrev: cloneTaskSnaps(g.mPrev), MPrevCycle: g.mPrevCycle}
 	return st, nil
+}
+
+// cloneTaskSnaps deep-copies a metrics baseline: a capture or restore never
+// aliases the live one, whose stall vectors sampleMetrics rewrites.
+func cloneTaskSnaps(s []snapshot.TaskSnapState) []snapshot.TaskSnapState {
+	out := make([]snapshot.TaskSnapState, len(s))
+	for i, p := range s {
+		p.Stalls = slices.Clone(p.Stalls)
+		out[i] = p
+	}
+	return out
 }
 
 // kernelIndexIn locates k in a stream's kernel list by identity.
@@ -183,6 +179,11 @@ func (g *GPU) RestoreState(st *snapshot.GPUState) error {
 			return gpuStateErr("stream %d snapshot carries %d stall causes, this build has %d", ss.ID, len(ss.Stat.Stalls), len(s.stat.Stalls))
 		}
 		byID[s.def.ID] = s
+	}
+	for task, p := range st.Obs.MPrev {
+		if len(p.Stalls) != obs.NumStallCauses {
+			return gpuStateErr("task %d metrics baseline carries %d stall causes, this build has %d", task, len(p.Stalls), obs.NumStallCauses)
+		}
 	}
 
 	// Structure validated; now mutate. Streams first.
@@ -276,23 +277,8 @@ func (g *GPU) RestoreState(st *snapshot.GPUState) error {
 	g.totalIssued = a.TotalIssued
 	g.lastStream, g.lastStat = -1, nil
 
-	g.loop = loopCursors{
-		lastTick:       st.Obs.Loop.LastTick,
-		nextSample:     st.Obs.Loop.NextSample,
-		nextMetrics:    st.Obs.Loop.NextMetrics,
-		nextCheckpoint: st.Obs.Loop.NextCheckpoint,
-		nextDigest:     st.Obs.Loop.NextDigest,
-		lastIssued:     st.Obs.Loop.LastIssued,
-		lastProgress:   st.Obs.Loop.LastProgress,
-		iter:           st.Obs.Loop.Iter,
-	}
-	g.mPrev = make([]taskSnap, len(st.Obs.MPrev))
-	for i, p := range st.Obs.MPrev {
-		g.mPrev[i] = taskSnap{
-			warpInsts: p.WarpInsts, l1A: p.L1A, l1M: p.L1M,
-			l2A: p.L2A, l2M: p.L2M, dramBytes: p.DRAMBytes, hasStreams: p.HasStreams,
-		}
-	}
+	g.loop = st.Obs.Loop
+	g.mPrev = cloneTaskSnaps(st.Obs.MPrev)
 	g.mPrevCycle = st.Obs.MPrevCycle
 	g.resumed = true
 	// Tenant QoS state is derived bookkeeping: rebuild it from the

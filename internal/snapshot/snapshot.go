@@ -118,7 +118,8 @@ type ObsState struct {
 	MPrevCycle int64
 }
 
-// LoopState is the run loop's cursor state at the snapshot boundary.
+// LoopState is the run loop's cursor state at the snapshot boundary; the
+// run loop keeps its cursors in this type.
 type LoopState struct {
 	LastTick       int64 // last policy-tick cycle
 	NextSample     int64 // next timeline sample cycle
@@ -130,12 +131,15 @@ type LoopState struct {
 	Iter           uint64
 }
 
-// TaskSnapState mirrors gpu's cumulative per-task metrics snapshot.
+// TaskSnapState is one task's cumulative counters at the last metrics
+// sample, the baseline the next sample's deltas are taken from. The run
+// loop keeps its baseline in this type, so a checkpoint carries it whole.
 type TaskSnapState struct {
 	WarpInsts  int64
 	L1A, L1M   int64
 	L2A, L2M   int64
 	DRAMBytes  int64
+	Stalls     []int64 // by obs.StallCause
 	HasStreams bool
 }
 

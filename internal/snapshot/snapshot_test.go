@@ -271,18 +271,25 @@ func TestDecodeHostileCountsAllocateLittle(t *testing.T) {
 	}
 }
 
-// TestParentWrittenSnapshotRefused: testdata/parent-v1.crispsnap is
-// sampleEnvelope(1000) as the last version-1 build wrote it (gob body, no
-// schema field). Every way in must refuse it and say what to do.
+// TestParentWrittenSnapshotRefused: each fixture is sampleEnvelope(1000) as
+// an earlier build wrote it — parent-v1 by the last version-1 build (gob
+// body, no schema field), parent-v2 by the last build whose metrics
+// baseline had no stall vector (same version, another schema). Every way
+// in must refuse both and say what to do.
 func TestParentWrittenSnapshotRefused(t *testing.T) {
-	path := filepath.Join("testdata", "parent-v1.crispsnap")
-	_, errLoad := LoadFile(path)
-	_, errPeek := PeekHeader(path)
-	for _, err := range []error{errLoad, errPeek} {
-		wantSnapErr(t, err, "version-1 file")
-		for _, want := range []string{"version 1", "version 2", "re-checkpoint with this build"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("err = %v, want it to say %q", err, want)
+	for file, says := range map[string]string{
+		"parent-v1.crispsnap": "version 1",
+		"parent-v2.crispsnap": `schema "2605a451a14992ed"`,
+	} {
+		path := filepath.Join("testdata", file)
+		_, errLoad := LoadFile(path)
+		_, errPeek := PeekHeader(path)
+		for _, err := range []error{errLoad, errPeek} {
+			wantSnapErr(t, err, file)
+			for _, want := range []string{says, "version 2", "re-checkpoint with this build"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: err = %v, want it to say %q", file, err, want)
+				}
 			}
 		}
 	}
