@@ -65,8 +65,8 @@ func (g *GPU) Validate() error {
 		return fmt.Errorf("config %q: NumSMs = %d", g.Name, g.NumSMs)
 	case g.SchedulersPerSM <= 0:
 		return fmt.Errorf("config %q: SchedulersPerSM = %d", g.Name, g.SchedulersPerSM)
-	case g.LineSize <= 0:
-		return fmt.Errorf("config %q: LineSize = %d", g.Name, g.LineSize)
+	case g.LineSize < 2:
+		return fmt.Errorf("config %q: LineSize = %d (a line holds at least two bytes)", g.Name, g.LineSize)
 	case g.L1Assoc <= 0 || g.L2Assoc <= 0:
 		return fmt.Errorf("config %q: cache associativity must be positive (L1 %d, L2 %d)", g.Name, g.L1Assoc, g.L2Assoc)
 	case g.MaxWarpsPerSM <= 0 || g.MaxWarpsPerSM%g.SchedulersPerSM != 0:

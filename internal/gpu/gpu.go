@@ -385,14 +385,15 @@ func (g *GPU) SetPolicy(p Policy) {
 }
 
 // AddStream queues a stream definition. Kernels are validated
-// structurally (trace.Kernel.Validate) and for placeability: a CTA whose
+// structurally (trace.Kernel.Check: a warp Builder or Load already
+// validated is not walked again) and for placeability: a CTA whose
 // resource footprint exceeds a whole SM can never be scheduled under any
 // policy, so such streams fail fast here with a deadlock SimError instead
 // of misbehaving mid-run.
 func (g *GPU) AddStream(def StreamDef) error {
 	full := sm.Full(&g.cfg)
 	for _, k := range def.Kernels {
-		if err := k.Validate(); err != nil {
+		if err := k.Check(); err != nil {
 			return &robust.SimError{Kind: robust.KindValidation,
 				Msg: fmt.Sprintf("gpu: stream %d: malformed kernel trace", def.ID), Err: err}
 		}

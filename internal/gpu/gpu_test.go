@@ -144,6 +144,20 @@ func TestKernelValidationAtAdd(t *testing.T) {
 	if err := g.AddStream(StreamDef{ID: 0, Kernels: []*trace.Kernel{k}}); err == nil {
 		t.Error("accepted stream-id mismatch")
 	}
+
+	// Warps nobody validated where they were made — hand-built, or a
+	// Builder warp whose instructions were cut afterwards — are walked.
+	handBuilt := &trace.Kernel{Name: "hand", ThreadsPerCTA: 32, CTAs: []trace.CTA{{Warps: []trace.Warp{{
+		Insts: []trace.Inst{{Op: isa.OpMOV, Dst: 0, SrcA: isa.RegNone, SrcB: isa.RegNone, SrcC: isa.RegNone, Mask: trace.FullMask}}}}}}}
+	cut := aluKernel("cut", 0, 2, 1, 5)
+	w := &cut.CTAs[1].Warps[0]
+	w.Insts = w.Insts[:len(w.Insts)-1]
+	for _, bad := range []*trace.Kernel{handBuilt, cut} {
+		err := newGPU(t).AddStream(StreamDef{ID: 0, Kernels: []*trace.Kernel{bad}})
+		if se, ok := robust.AsSimError(err); !ok || se.Kind != robust.KindValidation {
+			t.Errorf("%s: AddStream error %v, want a validation SimError", bad.Name, err)
+		}
+	}
 }
 
 func TestTaskWindowLimitsActiveStreams(t *testing.T) {

@@ -12,22 +12,26 @@ import (
 	"crisp/internal/trace"
 )
 
-// line is one cache line's bookkeeping.
+// line is one resident line's bookkeeping, kept beside its tag so that a
+// lookup reads tags alone.
 type line struct {
-	tag     uint64
-	valid   bool
-	dirty   bool
 	lastUse int64
-	class   trace.MemClass
 	stream  int
 	// sectors is the valid-sector bitmask when the cache is sectored
 	// (bit i = sector i of the line present).
 	sectors uint32
+	class   trace.MemClass
+	dirty   bool
 }
 
 // Cache is a set-associative, LRU, write-back/write-allocate cache.
 // The same structure implements the L1 (configured write-through by its
 // caller: stores are forwarded without allocation) and each L2 bank.
+//
+// The tag array is dense: tags[i] is way i's line address plus one, 0
+// marking an invalid way, set-major (set s holds ways s*assoc through
+// s*assoc+assoc-1), so a lookup compares one 8-byte word per way. lines
+// holds the rest of each way's state at the same index.
 type Cache struct {
 	sets     int
 	assoc    int
@@ -36,13 +40,15 @@ type Cache struct {
 	// line-granular but data validity and fills are per sector, as in
 	// Ampere-class L1/L2 caches (32 B sectors).
 	sectorSize uint64
-	lines      []line // sets*assoc, row-major by set
+	tags       []uint64
+	lines      []line
 }
 
 // NewCache builds a cache with the given geometry. sizeBytes must be an
-// exact multiple of assoc*lineSize.
+// exact multiple of assoc*lineSize, and a line at least two bytes (so that
+// no line address plus one wraps to the invalid tag).
 func NewCache(sizeBytes, assoc, lineSize int) (*Cache, error) {
-	if sizeBytes <= 0 || assoc <= 0 || lineSize <= 0 {
+	if sizeBytes <= 0 || assoc <= 0 || lineSize < 2 {
 		return nil, fmt.Errorf("mem: invalid cache geometry size=%d assoc=%d line=%d", sizeBytes, assoc, lineSize)
 	}
 	setBytes := assoc * lineSize
@@ -54,6 +60,7 @@ func NewCache(sizeBytes, assoc, lineSize int) (*Cache, error) {
 		sets:     sets,
 		assoc:    assoc,
 		lineSize: uint64(lineSize),
+		tags:     make([]uint64, sets*assoc),
 		lines:    make([]line, sets*assoc),
 	}, nil
 }
@@ -101,90 +108,94 @@ type AccessResult struct {
 	WritebackLine uint64
 }
 
-// lineAddr converts a byte address to a line-granular address.
-func (c *Cache) lineAddr(addr uint64) uint64 { return addr / c.lineSize }
-
-// setOf maps a line address to its home set using low-order bits.
-func (c *Cache) setOf(lineAddr uint64) int { return int(lineAddr % uint64(c.sets)) }
-
-// Access performs a load (write=false) or store (write=true) of the line
-// containing addr, allocating on miss, in the set chosen by setIdx
-// (callers with partitioned set mappings pass their own; pass -1 for the
-// default hash). The class/stream tags are recorded on the line for
-// composition accounting.
-func (c *Cache) Access(now int64, addr uint64, write bool, class trace.MemClass, stream int, setIdx int) AccessResult {
-	la := c.lineAddr(addr)
+// lookup is an access's one pass over its set, chosen by setIdx (callers
+// with partitioned set mappings pass their own; -1 picks the default hash).
+// It returns the way the access lands on — the one holding addr's line
+// when the tag is resident, else the victim: the first invalid way, else
+// the least recently used — and whether the access hits (tag and sector
+// present). It changes nothing; fill completes the access at idx.
+func (c *Cache) lookup(addr uint64, setIdx int) (idx int, hit bool) {
+	la := addr / c.lineSize
 	if setIdx < 0 {
-		setIdx = c.setOf(la)
+		setIdx = int(la % uint64(c.sets))
 	}
 	base := setIdx * c.assoc
-	set := c.lines[base : base+c.assoc]
-
-	// Hit path (tag match; sector validity decides hit vs sector fill).
-	bit := c.sectorBit(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == la {
-			set[i].lastUse = now
-			if write {
-				set[i].dirty = true
-			}
-			// Ownership follows the most recent toucher so that
-			// composition snapshots reflect live usage.
-			set[i].class = class
-			set[i].stream = stream
-			if set[i].sectors&bit == 0 {
-				set[i].sectors |= bit
-				return AccessResult{SectorFill: true}
-			}
-			return AccessResult{Hit: true}
+	tags := c.tags[base : base+c.assoc]
+	free := -1
+	for i, t := range tags {
+		if t == la+1 {
+			return base + i, c.lines[base+i].sectors&c.sectorBit(addr) != 0
+		}
+		if t == 0 && free < 0 {
+			free = i
 		}
 	}
+	if free >= 0 {
+		return base + free, false
+	}
+	victim := base
+	for i := base + 1; i < base+c.assoc; i++ {
+		if c.lines[i].lastUse < c.lines[victim].lastUse {
+			victim = i
+		}
+	}
+	return victim, false
+}
 
-	// Miss: find victim (invalid first, else LRU).
-	victim := 0
-	oldest := int64(1<<62 - 1)
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			oldest = -1
-			break
+// fill completes a load (write=false) or store (write=true) of the line
+// containing addr at the way lookup returned for it, with no access to the
+// cache in between. On the line's own way it refreshes LRU state and fills
+// the sector if it was missing; on any other way it evicts what is there
+// and allocates. The class/stream tags are recorded on the line for
+// composition accounting.
+func (c *Cache) fill(idx int, now int64, addr uint64, write bool, class trace.MemClass, stream int) AccessResult {
+	la := addr / c.lineSize
+	bit := c.sectorBit(addr)
+	l := &c.lines[idx]
+	if c.tags[idx] == la+1 {
+		l.lastUse = now
+		if write {
+			l.dirty = true
 		}
-		if set[i].lastUse < oldest {
-			oldest = set[i].lastUse
-			victim = i
+		// Ownership follows the most recent toucher so that
+		// composition snapshots reflect live usage.
+		l.class = class
+		l.stream = stream
+		if l.sectors&bit == 0 {
+			l.sectors |= bit
+			return AccessResult{SectorFill: true}
 		}
+		return AccessResult{Hit: true}
 	}
 	res := AccessResult{}
-	if set[victim].valid && set[victim].dirty {
+	if c.tags[idx] != 0 && l.dirty {
 		res.Writeback = true
-		res.WritebackLine = set[victim].tag * c.lineSize
+		res.WritebackLine = (c.tags[idx] - 1) * c.lineSize
 	}
-	set[victim] = line{tag: la, valid: true, dirty: write, lastUse: now, class: class, stream: stream, sectors: bit}
+	c.tags[idx] = la + 1
+	*l = line{dirty: write, lastUse: now, class: class, stream: stream, sectors: bit}
 	return res
+}
+
+// Access performs a load (write=false) or store (write=true) of the line
+// containing addr, allocating on miss, in the set chosen by setIdx (-1
+// for the default hash): a lookup and its fill.
+func (c *Cache) Access(now int64, addr uint64, write bool, class trace.MemClass, stream int, setIdx int) AccessResult {
+	idx, _ := c.lookup(addr, setIdx)
+	return c.fill(idx, now, addr, write, class, stream)
 }
 
 // Probe reports whether addr's line (and, when sectored, its sector) is
 // resident, without disturbing LRU state.
 func (c *Cache) Probe(addr uint64, setIdx int) bool {
-	la := c.lineAddr(addr)
-	if setIdx < 0 {
-		setIdx = c.setOf(la)
-	}
-	bit := c.sectorBit(addr)
-	base := setIdx * c.assoc
-	for i := base; i < base+c.assoc; i++ {
-		if c.lines[i].valid && c.lines[i].tag == la && c.lines[i].sectors&bit != 0 {
-			return true
-		}
-	}
-	return false
+	_, hit := c.lookup(addr, setIdx)
+	return hit
 }
 
 // InvalidateAll drops every line (used between frames / experiments).
 func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
+	clear(c.tags)
+	clear(c.lines)
 }
 
 // Composition counts valid lines by memory class (and, separately, by
@@ -199,12 +210,12 @@ type Composition struct {
 // Composition scans the tag array and reports the current line composition.
 func (c *Cache) Composition() Composition {
 	comp := Composition{
-		Total:    len(c.lines),
+		Total:    len(c.tags),
 		ByClass:  make(map[trace.MemClass]int),
 		ByStream: make(map[int]int),
 	}
-	for i := range c.lines {
-		if !c.lines[i].valid {
+	for i, t := range c.tags {
+		if t == 0 {
 			continue
 		}
 		comp.Valid++

@@ -1,9 +1,12 @@
 package mem
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
+	"crisp/internal/robust"
+	"crisp/internal/snapshot"
 	"crisp/internal/trace"
 )
 
@@ -227,5 +230,36 @@ func TestUnsectoredBehaviorUnchanged(t *testing.T) {
 	// Whole line resident after one access.
 	if !c.Probe(0x2000, -1) || !c.Probe(0x2040, -1) {
 		t.Error("line-granular fill broken")
+	}
+}
+
+// restoreErr restores a hand-made capture into a fresh 1-set, 4-way cache
+// and returns the error, which must be a snapshot SimError when non-nil.
+func restoreErr(t *testing.T, lines ...snapshot.LineState) error {
+	t.Helper()
+	err := mustCache(t, 4*128, 4, 128).restoreState(snapshot.CacheState{Lines: lines})
+	if se, ok := robust.AsSimError(err); err != nil && (!ok || se.Kind != robust.KindSnapshot) {
+		t.Fatalf("restore error %v is not a snapshot SimError", err)
+	}
+	return err
+}
+
+func TestRestoreRefusesDuplicateIndex(t *testing.T) {
+	if err := restoreErr(t, snapshot.LineState{Idx: 1, Tag: 5}, snapshot.LineState{Idx: 2, Tag: 6}); err != nil {
+		t.Fatalf("a well-formed capture was refused: %v", err)
+	}
+	if err := restoreErr(t, snapshot.LineState{Idx: 1, Tag: 5}, snapshot.LineState{Idx: 1, Tag: 6}); err == nil {
+		t.Fatal("a second line for an already-filled index was accepted")
+	}
+}
+
+func TestRestoreRefusesImpossibleTag(t *testing.T) {
+	if err := restoreErr(t, snapshot.LineState{Idx: 0, Tag: math.MaxUint64 / 128}); err != nil {
+		t.Fatalf("the highest line address was refused: %v", err)
+	}
+	for _, tag := range []uint64{math.MaxUint64/128 + 1, math.MaxUint64} {
+		if err := restoreErr(t, snapshot.LineState{Idx: 0, Tag: tag}); err == nil {
+			t.Errorf("tag %#x, which no address of 128-byte lines has, was accepted", tag)
+		}
 	}
 }

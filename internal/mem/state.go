@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"crisp/internal/robust"
@@ -23,14 +24,14 @@ func stateErr(format string, args ...any) error {
 // index (the iteration is already deterministic; the order is the array's).
 func (c *Cache) captureState() snapshot.CacheState {
 	var cs snapshot.CacheState
-	for i := range c.lines {
-		l := &c.lines[i]
-		if !l.valid {
+	for i, t := range c.tags {
+		if t == 0 {
 			continue
 		}
+		l := &c.lines[i]
 		cs.Lines = append(cs.Lines, snapshot.LineState{
 			Idx:     i,
-			Tag:     l.tag,
+			Tag:     t - 1,
 			Dirty:   l.dirty,
 			LastUse: l.lastUse,
 			Class:   uint8(l.class),
@@ -41,18 +42,24 @@ func (c *Cache) captureState() snapshot.CacheState {
 	return cs
 }
 
-// restoreState rebuilds the tag array from a capture.
+// restoreState rebuilds the tag array from a capture. It refuses what no
+// run could have written: an index outside the array, a second line for
+// one index, and a tag no address in this cache's line size divides to.
 func (c *Cache) restoreState(cs snapshot.CacheState) error {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
+	clear(c.tags)
+	clear(c.lines)
 	for _, ls := range cs.Lines {
-		if ls.Idx < 0 || ls.Idx >= len(c.lines) {
-			return stateErr("cache line index %d outside tag array of %d lines", ls.Idx, len(c.lines))
+		if ls.Idx < 0 || ls.Idx >= len(c.tags) {
+			return stateErr("cache line index %d outside tag array of %d lines", ls.Idx, len(c.tags))
 		}
+		if c.tags[ls.Idx] != 0 {
+			return stateErr("cache line index %d restored twice", ls.Idx)
+		}
+		if ls.Tag > math.MaxUint64/c.lineSize {
+			return stateErr("cache line %d: tag %#x is no line address of %d-byte lines", ls.Idx, ls.Tag, c.lineSize)
+		}
+		c.tags[ls.Idx] = ls.Tag + 1
 		c.lines[ls.Idx] = line{
-			tag:     ls.Tag,
-			valid:   true,
 			dirty:   ls.Dirty,
 			lastUse: ls.LastUse,
 			class:   trace.MemClass(ls.Class),

@@ -157,8 +157,9 @@ func (s *System) Load(now int64, sm, stream int, class trace.MemClass, addr uint
 	}
 
 	l1 := s.l1[sm]
-	if l1.Probe(addr, -1) {
-		l1.Access(now, addr, false, class, stream, -1)
+	way, hit := l1.lookup(addr, -1)
+	if hit {
+		l1.fill(way, now, addr, false, class, stream)
 		return now + int64(s.cfg.L1Latency)
 	}
 	cnt.L1Misses++
@@ -169,8 +170,9 @@ func (s *System) Load(now int64, sm, stream int, class trace.MemClass, addr uint
 		start = pending.minReadyAfter(now)
 	}
 
+	// The L2 access leaves this L1 alone, so the lookup's way still holds.
 	ready := s.l2Access(start+int64(s.cfg.L1Latency), stream, cnt, class, addr, false)
-	l1.Access(now, addr, false, class, stream, -1)
+	l1.fill(way, now, addr, false, class, stream)
 	pending.set(granule, ready)
 	// Garbage-collect completed fills opportunistically.
 	if pending.size() > 4*s.cfg.L1MSHRs {
@@ -186,9 +188,9 @@ func (s *System) Store(now int64, sm, stream int, class trace.MemClass, addr uin
 	cnt := s.Counters(stream)
 	cnt.L1Accesses++
 	l1 := s.l1[sm]
-	if l1.Probe(addr, -1) {
+	if way, hit := l1.lookup(addr, -1); hit {
 		// Keep L1 coherent with the write-through.
-		l1.Access(now, addr, true, class, stream, -1)
+		l1.fill(way, now, addr, true, class, stream)
 	} else {
 		cnt.L1Misses++
 	}
@@ -222,12 +224,12 @@ func (s *System) l2Access(now int64, stream int, cnt *Counters, class trace.MemC
 		}
 	}
 
-	hit := s.l2[bank].Probe(addr, set)
+	// The observer sees the residency the lookup found, before the fill.
+	way, hit := s.l2[bank].lookup(addr, set)
 	if s.observer != nil {
 		s.observer.ObserveL2(stream, lineA, hit)
 	}
-	res := s.l2[bank].Access(start, addr, write, class, stream, set)
-	_ = res.Hit // residency decided by Probe before the access mutates LRU
+	res := s.l2[bank].fill(way, start, addr, write, class, stream)
 
 	if hit {
 		return start + int64(s.cfg.L2Latency)

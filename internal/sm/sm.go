@@ -916,6 +916,14 @@ func (s *scheduler) issue(w *warpRT, now int64) {
 		core.stats.OnIssue(core.ID, w.stream, w.task, in.Op, in.ActiveLanes())
 	}
 	w.pc++
+	// The next scan would refill w's memo before anything else could clear
+	// it (only touch does), and would get this answer; computing it now
+	// finds the warp, its next instruction and its scoreboard block still in
+	// the host's cache. An EXIT has retired the slot; legacy mode refills at
+	// every visit instead.
+	if in.Op != isa.OpEXIT && !s.legacy {
+		s.memo[w.slot] = s.warpEarliest(w)
+	}
 }
 
 // retire removes a finished warp and commits its CTA when it was the last.

@@ -225,7 +225,8 @@ func (w *Warp) Addrs(in *Inst, buf *[isa.WarpSize]uint64) []uint64 {
 // instruction that is not a memory one, and a list that does not match the
 // instruction's mask. Such a list is packed in a delta form, the only kind
 // of record whose length can disagree with a mask (an affine record decodes
-// to as many lanes as it is asked for), so Validate sees the mismatch.
+// to as many lanes as it is asked for), so Validate sees the mismatch. The
+// warp loses its validation mark: Check walks it again.
 func (w *Warp) SetAddrs(i int, addrs []uint64) {
 	var arena []byte
 	for l := range w.Insts {
@@ -253,5 +254,5 @@ func (w *Warp) SetAddrs(i int, addrs []uint64) {
 		in.addrOff = uint32(len(arena)) + 1
 		arena = append(arena, rec...)
 	}
-	w.addrs, w.lines, w.lineSize = arena, nil, 0
+	w.addrs, w.lines, w.lineSize, w.valid = arena, nil, 0, nil
 }

@@ -91,12 +91,14 @@ func (b *Builder) EndWarp() {
 	b.curWarp = nil
 }
 
-// endCTA closes the open warp and hands the open CTA's warps their arenas.
+// endCTA closes the open warp, hands the open CTA's warps their arenas and
+// validates them, on the goroutine that built them.
 func (b *Builder) endCTA() {
 	b.EndWarp()
 	if b.curCTA != nil {
 		carveLineArenas(b.curCTA.Warps, b.lines, b.lineEnds)
 		carveAddrArenas(b.curCTA.Warps, slices.Clone(b.addrs), b.addrEnds)
+		markWarps(b.curCTA.Warps)
 		b.lines, b.lineEnds = b.lines[:0], b.lineEnds[:0]
 		b.addrs, b.addrEnds = b.addrs[:0], b.addrEnds[:0]
 	}

@@ -121,10 +121,10 @@ func (e *encoder) kernel(k *Kernel) {
 	}
 }
 
-// Load reads kernels written by Save, places every address record and
-// derives the line tables, which the file does not carry. What it returns
-// is safe to expand (Warp.Addrs); whether it is a well-formed trace is still
-// Validate's to say.
+// Load reads kernels written by Save, places every address record, derives
+// the line tables, which the file does not carry, and validates each warp.
+// What it returns is safe to expand (Warp.Addrs); whether it is a
+// well-formed trace is still Validate's (or Check's) to say.
 func Load(r io.Reader) ([]*Kernel, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
@@ -154,6 +154,9 @@ func Load(r io.Reader) ([]*Kernel, error) {
 			return nil, fmt.Errorf("trace: decode kernel %d: %w", i, d.err)
 		}
 		k.deriveLineTable()
+		for c := range k.CTAs {
+			markWarps(k.CTAs[c].Warps)
+		}
 		kernels = append(kernels, k)
 	}
 	return kernels, nil

@@ -179,7 +179,8 @@ func (k *Kernel) deriveLineTable() {
 }
 
 // Clone returns a deep copy of the warp: instructions, address arena and
-// line table.
+// line table. The copy is unmarked (its mark names the original's
+// instruction), so Check walks it: a clone exists to be edited.
 func (w *Warp) Clone() Warp {
 	c := *w
 	c.Insts = slices.Clone(w.Insts)

@@ -128,7 +128,7 @@ func TestLineArenasAreCutFromOneArrayPerCTA(t *testing.T) {
 }
 
 // TestValidateBoundsLineTable: Validate bounds-checks table entries (it
-// runs at every AddStream and must not re-derive them).
+// runs on every warp a front end builds and must not re-derive them).
 func TestValidateBoundsLineTable(t *testing.T) {
 	k := tinyKernel("k", 0)
 	w := &k.CTAs[0].Warps[0]

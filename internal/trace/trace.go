@@ -107,6 +107,13 @@ type Warp struct {
 	// or marked stale). See linetable.go.
 	lines    []uint64
 	lineSize int
+	// valid is the validation mark: the address of the warp's last
+	// instruction when Builder or Load found the warp well formed, so it
+	// holds only while the warp keeps that instruction array at that length
+	// (a Clone, a truncation or a replaced Insts lose it by construction;
+	// SetAddrs clears it). It is written before the kernel is shared and
+	// only read afterwards.
+	valid *Inst
 }
 
 // CTA is one thread block's trace.
@@ -191,8 +198,18 @@ func (k *Kernel) ThreadInstCount() int64 {
 // carries an address record and a non-memory one none, a warp's address
 // records tile its arena in instruction order — each as long as its form
 // byte and the instruction's mask say — and a warp's line table, where it
-// has one, stays inside its arena.
-func (k *Kernel) Validate() error {
+// has one, stays inside its arena. It walks every instruction.
+func (k *Kernel) Validate() error { return k.check(true) }
+
+// Check is Validate for a trace about to run: the kernel and CTA checks in
+// full, and the instruction walk only in warps without the validation mark
+// — hand-built ones, and ones changed since Builder or Load made them, both
+// of which mark every warp that passes the walk. So a trace built or loaded
+// once is walked once, however many jobs replay it.
+func (k *Kernel) Check() error { return k.check(false) }
+
+// check is Validate (all) and Check (!all).
+func (k *Kernel) check(all bool) error {
 	if k.ThreadsPerCTA <= 0 {
 		return fmt.Errorf("kernel %q: ThreadsPerCTA = %d", k.Name, k.ThreadsPerCTA)
 	}
@@ -209,31 +226,57 @@ func (k *Kernel) Validate() error {
 		}
 		for j := range cta.Warps {
 			w := &cta.Warps[j]
-			if len(w.Insts) == 0 {
-				return fmt.Errorf("kernel %q CTA %d warp %d: empty", k.Name, cta.ID, w.ID)
+			if !all && w.marked() {
+				continue
 			}
-			last := w.Insts[len(w.Insts)-1]
-			if last.Op != isa.OpEXIT {
-				return fmt.Errorf("kernel %q CTA %d warp %d: trace does not end with EXIT", k.Name, cta.ID, w.ID)
-			}
-			next := 0 // where the next address record must start
-			for l := range w.Insts {
-				if err := w.Insts[l].validate(w, &next); err != nil {
-					return fmt.Errorf("kernel %q CTA %d warp %d inst %d (%v): %w", k.Name, cta.ID, w.ID, l, w.Insts[l].Op, err)
-				}
-			}
-			if next != len(w.addrs) {
-				return fmt.Errorf("kernel %q CTA %d warp %d: address records cover %d of the arena's %d bytes", k.Name, cta.ID, w.ID, next, len(w.addrs))
+			if err := w.validate(); err != nil {
+				return fmt.Errorf("kernel %q CTA %d warp %d: %w", k.Name, cta.ID, w.ID, err)
 			}
 		}
 	}
 	return nil
 }
 
+// validate is Validate's per-warp half.
+func (w *Warp) validate() error {
+	if len(w.Insts) == 0 {
+		return errors.New("empty")
+	}
+	if w.Insts[len(w.Insts)-1].Op != isa.OpEXIT {
+		return errors.New("trace does not end with EXIT")
+	}
+	next := 0 // where the next address record must start
+	for l := range w.Insts {
+		if err := w.Insts[l].validate(w, &next); err != nil {
+			return fmt.Errorf("inst %d (%v): %w", l, w.Insts[l].Op, err)
+		}
+	}
+	if next != len(w.addrs) {
+		return fmt.Errorf("address records cover %d of the arena's %d bytes", next, len(w.addrs))
+	}
+	return nil
+}
+
+// markWarps gives every warp that passes validate the validation mark.
+func markWarps(warps []Warp) {
+	for i := range warps {
+		if w := &warps[i]; w.validate() == nil {
+			w.valid = &w.Insts[len(w.Insts)-1]
+		}
+	}
+}
+
+// marked reports whether w carries the validation mark.
+func (w *Warp) marked() bool {
+	n := len(w.Insts)
+	return n > 0 && w.valid == &w.Insts[n-1]
+}
+
 // validate is Validate's per-instruction half; w is the instruction's warp
 // and *next where its address record, if it has one, must start (advanced
 // past it). Records and line-table entries are bounds-checked only, never
-// decoded or re-derived: Validate runs at every AddStream.
+// decoded or re-derived: every trace a front end builds or Load reads is
+// walked once.
 func (in *Inst) validate(w *Warp, next *int) error {
 	if in.Mask == 0 {
 		return errors.New("empty active mask")

@@ -312,3 +312,85 @@ func TestBuilderSizesWarpsFromTheLongestClosed(t *testing.T) {
 		t.Errorf("caps %d, %d, %d, %d: want the second at 11 and the fourth at 21", cap(ws[0].Insts), cap(ws[1].Insts), cap(ws[2].Insts), cap(ws[3].Insts))
 	}
 }
+
+// marks counts a kernel's warps with and without the validation mark.
+func marks(k *Kernel) (marked, unmarked int) {
+	for i := range k.CTAs {
+		for j := range k.CTAs[i].Warps {
+			if k.CTAs[i].Warps[j].marked() {
+				marked++
+			} else {
+				unmarked++
+			}
+		}
+	}
+	return marked, unmarked
+}
+
+// TestValidationMarkLifecycle: Builder.Finish and Load return marked warps;
+// a clone, SetAddrs and a replaced or truncated instruction list leave a
+// warp unmarked, and Check walks exactly the unmarked ones.
+func TestValidationMarkLifecycle(t *testing.T) {
+	k := tinyKernel("k", 0)
+	if m, u := marks(k); m != 1 || u != 0 {
+		t.Fatalf("Builder.Finish: %d marked, %d unmarked warps", m, u)
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, []*Kernel{k}); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, u := marks(loaded[0]); m != 1 || u != 0 {
+		t.Fatalf("Load: %d marked, %d unmarked warps", m, u)
+	}
+
+	w := &k.CTAs[0].Warps[0]
+	if c := w.Clone(); c.marked() {
+		t.Error("a clone kept the validation mark")
+	}
+	moved := *w
+	moved.Insts = append([]Inst(nil), w.Insts...)
+	if moved.marked() {
+		t.Error("a warp whose instruction list was replaced kept the mark")
+	}
+	truncated := *w
+	truncated.Insts = w.Insts[:len(w.Insts)-1]
+	if truncated.marked() {
+		t.Error("a truncated warp kept the mark")
+	}
+	var lanes [isa.WarpSize]uint64
+	w.SetAddrs(1, w.Addrs(&w.Insts[1], &lanes))
+	if w.marked() {
+		t.Error("SetAddrs kept the mark")
+	}
+
+	// Check trusts the mark and walks the rest; Validate walks everything.
+	k = tinyKernel("k", 0)
+	k.CTAs[0].Warps[0].Insts[0].Mask = 0 // an in-place edit the mark cannot see
+	if err := k.Check(); err != nil {
+		t.Errorf("Check walked a marked warp: %v", err)
+	}
+	if err := k.Validate(); err == nil {
+		t.Error("Validate skipped a marked warp")
+	}
+	k.CTAs[0].Warps[0] = k.CTAs[0].Warps[0].Clone()
+	if err := k.Check(); err == nil {
+		t.Error("Check accepted an unmarked warp with an empty mask")
+	}
+
+	// A warp that fails validation where it is built is not marked.
+	b := NewBuilder("bad", KindCompute, 0, 32, 8, 0)
+	b.BeginCTA()
+	b.BeginWarp()
+	b.ALU(isa.OpMOV, b.NewReg(), 0)
+	bad := b.Finish()
+	if m, _ := marks(bad); m != 0 {
+		t.Fatal("a warp with an empty mask was marked")
+	}
+	if err := bad.Check(); err == nil {
+		t.Error("Check accepted a Builder warp with an empty mask")
+	}
+}
