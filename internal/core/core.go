@@ -465,6 +465,8 @@ func RenderScene(name string, opts render.Options) (*render.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Nothing here holds f during the render, so each material's textures
+	// are freed once its last draw is shaded.
 	return render.RenderFrame(f, opts)
 }
 

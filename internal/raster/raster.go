@@ -5,11 +5,13 @@
 // coverage, early-Z depth testing, perspective-correct interpolation, and
 // per-fragment LoD pre-calculated at rasterization time (the texture unit
 // later looks the LoD up when a TEX executes, because approximate quads
-// cannot compute runtime derivatives).
+// cannot compute runtime derivatives). The exact per-pixel footprint that
+// real quads would give is computed only on request (ExactFootprint).
 package raster
 
 import (
 	"fmt"
+	"slices"
 
 	"crisp/internal/geom"
 	"crisp/internal/gmath"
@@ -32,7 +34,8 @@ type Fragment struct {
 	// the simulator's approximation.
 	Footprint float32
 	// FootprintExact is the per-pixel analytic derivative, standing in
-	// for hardware's per-quad ddx/ddy (the validation reference).
+	// for hardware's per-quad ddx/ddy (the validation reference); 0 unless
+	// the Rasterizer's ExactFootprint is set.
 	FootprintExact float32
 	// Vert0Global is the triangle's first vertex index in the
 	// post-transform buffer; fragment varying fetches address it.
@@ -54,8 +57,15 @@ type Rasterizer struct {
 	// before shading (on by default; the ablation knob of the paper's
 	// pipeline description).
 	EarlyZ bool
-	depth  []float32
-	stats  Stats
+	// ExactFootprint fills each Fragment's FootprintExact, three
+	// interpolations per fragment that only strict quads and the exact-LoD
+	// reference read (off by default).
+	ExactFootprint bool
+	depth          []float32
+	stats          Stats
+	// scratch is where a tile's fragments are generated, kept across tiles
+	// and batches; what Rasterize returns is copied out of it.
+	scratch []Fragment
 }
 
 // New builds a rasterizer for a w×h target.
@@ -117,7 +127,10 @@ func ownsEdge(a, b screenVert) bool {
 
 // Rasterize bins tris into tiles and emits fragments tile by tile in
 // row-major tile order (the ITR traversal). The returned slice holds one
-// fragment group per non-empty tile.
+// fragment group per non-empty tile, each allocated once at its final
+// length: a tile is generated into scratch and copied out, so growing a
+// list leaves no garbage and the lists the shading stage holds carry no
+// slack.
 func (r *Rasterizer) Rasterize(tris []geom.Tri) [][]Fragment {
 	tilesX := (r.W + r.TileSize - 1) / r.TileSize
 	tilesY := (r.H + r.TileSize - 1) / r.TileSize
@@ -152,12 +165,13 @@ func (r *Rasterizer) Rasterize(tris []geom.Tri) [][]Fragment {
 		tx, ty := tile%tilesX, tile/tilesX
 		x0, y0 := tx*r.TileSize, ty*r.TileSize
 		x1, y1 := min(x0+r.TileSize, r.W), min(y0+r.TileSize, r.H)
-		var frags []Fragment
+		frags := r.scratch[:0]
 		for _, si := range bins[tile] {
 			frags = r.rasterRegion(&setups[si], x0, y0, x1, y1, frags)
 		}
+		r.scratch = frags
 		if len(frags) > 0 {
-			out = append(out, frags)
+			out = append(out, slices.Clone(frags))
 		}
 	}
 	return out
@@ -335,21 +349,16 @@ func (r *Rasterizer) rasterRegion(ts *triSetup, x0, y0, x1, y1 int, frags []Frag
 					Y: pw0*a.WPos.Y + pw1*b.WPos.Y + pw2*cc.WPos.Y,
 					Z: pw0*a.WPos.Z + pw1*b.WPos.Z + pw2*cc.WPos.Z,
 				},
-				Layer:          int(a.Layer + 0.5),
-				Footprint:      ts.centroidFoot,
-				FootprintExact: ts.footprintAt(px, py),
-				Vert0Global:    v0g,
+				Layer:       int(a.Layer + 0.5),
+				Footprint:   ts.centroidFoot,
+				Vert0Global: v0g,
+			}
+			if r.ExactFootprint {
+				f.FootprintExact = ts.footprintAt(px, py)
 			}
 			frags = append(frags, f)
 			r.stats.Fragments++
 		}
 	}
 	return frags
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -179,6 +179,7 @@ func TestFootprintMinificationHigherWhenFar(t *testing.T) {
 
 func TestFootprintExactTracksApprox(t *testing.T) {
 	r, _ := New(64, 64)
+	r.ExactFootprint = true
 	tiles := r.Rasterize(fullscreenQuad(0.5))
 	for _, tf := range tiles {
 		for _, f := range tf {
@@ -190,6 +191,55 @@ func TestFootprintExactTracksApprox(t *testing.T) {
 				t.Fatalf("footprints diverge: approx %v vs exact %v", f.Footprint, f.FootprintExact)
 			}
 		}
+	}
+}
+
+// TestExactFootprintOnlyOnRequest rasterizes one scene — perspective,
+// overlap under early-Z, both windings, a triangle across tile edges — with
+// and without ExactFootprint: the fragments, their order and every field but
+// FootprintExact are the same, and without the request FootprintExact is 0.
+func TestExactFootprintOnlyOnRequest(t *testing.T) {
+	tris := []geom.Tri{
+		{V: [3]geom.ClipVert{
+			{Clip: gmath.V4(-1, -1, 0.5, 1), UV: gmath.Vec2{X: 0, Y: 0}, WNrm: gmath.V3(0, 0, 1), Layer: 2},
+			{Clip: gmath.V4(4, -4, 2, 4), UV: gmath.Vec2{X: 1, Y: 0}, WPos: gmath.V3(1, 2, 3), Global: 7},
+			{Clip: gmath.V4(-1, 1, 0.5, 1), UV: gmath.Vec2{X: 0, Y: 1}},
+		}},
+		screenTri(-0.9, -0.7, 0.8, -0.3, 0.1, 0.9, 0.3),
+		screenTri(0.5, 0.5, -0.6, 0.2, 0.3, -0.8, 0.6),
+	}
+	tris = append(tris, fullscreenQuad(0.7)...)
+	run := func(exact bool) ([][]Fragment, Stats) {
+		r, _ := New(80, 48)
+		r.ExactFootprint = exact
+		return r.Rasterize(tris), r.Stats()
+	}
+	off, offStats := run(false)
+	on, onStats := run(true)
+	if offStats != onStats || len(off) != len(on) {
+		t.Fatalf("without the request: %+v over %d tiles; with it: %+v over %d", offStats, len(off), onStats, len(on))
+	}
+	computed := 0
+	for ti := range on {
+		if len(off[ti]) != len(on[ti]) {
+			t.Fatalf("tile %d: %d fragments without the request, %d with it", ti, len(off[ti]), len(on[ti]))
+		}
+		for i, f := range off[ti] {
+			if f.FootprintExact != 0 {
+				t.Fatalf("tile %d fragment %d: FootprintExact %v without the request", ti, i, f.FootprintExact)
+			}
+			g := on[ti][i]
+			if g.FootprintExact != 0 {
+				computed++
+			}
+			g.FootprintExact = 0
+			if f != g {
+				t.Fatalf("tile %d fragment %d: %+v without the request, %+v with it", ti, i, f, g)
+			}
+		}
+	}
+	if computed == 0 {
+		t.Fatal("ExactFootprint computed no footprint")
 	}
 }
 

@@ -28,9 +28,16 @@ const (
 // starts and of textures nobody writes, so it runs as tasks of fs, a few
 // CTAs each; their CTAs, colours and counters are committed afterwards in
 // stream order.
+//
+// The pipeline holds the frame's draws, not the FrameDef, and lets go of a
+// draw's material once the draw is shaded: a material's textures then stay
+// reachable only while a later draw still samples them, or while the
+// caller keeps the FrameDef.
 type pipeline struct {
 	shading
-	frame   *FrameDef
+	draws   []DrawCall
+	cam     Camera
+	dropped int // draws [0, dropped) are committed and hold no material
 	rast    *raster.Rasterizer
 	mem     arena
 	vbuf    map[*geom.Mesh]uint64
@@ -102,9 +109,11 @@ func RenderFrame(f *FrameDef, opts Options) (*Result, error) {
 		return nil, err
 	}
 	rast.EarlyZ = !opts.DisableEarlyZ
+	rast.ExactFootprint = opts.StrictQuads || opts.CollectRefTex
 	p := &pipeline{
 		shading: shading{opts: opts, light: f.Light},
-		frame:   f,
+		draws:   slices.Clone(f.Draws),
+		cam:     f.Cam,
 		rast:    rast,
 		mem:     arena{next: 1 << 20},
 		vbuf:    make(map[*geom.Mesh]uint64),
@@ -119,8 +128,8 @@ func RenderFrame(f *FrameDef, opts Options) (*Result, error) {
 	// this arena has not reserved, so nothing is kept from it. A nil map is
 	// left for the shader that samples it to trip over.
 	bound := make(map[*texture.Texture]bool)
-	for di := range f.Draws {
-		for _, t := range f.Draws[di].Mat.Textures() {
+	for di := range p.draws {
+		for _, t := range p.draws[di].Mat.Textures() {
 			if t == nil || bound[t] {
 				continue
 			}
@@ -130,16 +139,20 @@ func RenderFrame(f *FrameDef, opts Options) (*Result, error) {
 		}
 	}
 
+	// From here on f is not used: for a caller that has let go of it, as
+	// core.RenderScene has, a material's textures are freed once its last
+	// draw is shaded.
+	name := f.Name
 	p.fs = fanout.New(p.commit)
 	defer p.fs.Close()
-	for di := range f.Draws {
+	for di := range p.draws {
 		if err := p.draw(di); err != nil {
-			return nil, fmt.Errorf("render: draw %q: %w", f.Draws[di].Name, err)
+			return nil, fmt.Errorf("render: draw %q: %w", p.draws[di].Name, err)
 		}
 	}
 	p.fs.Wait()
 	return &Result{
-		Frame:   f.Name,
+		Frame:   name,
 		W:       opts.W,
 		H:       opts.H,
 		Color:   p.color,
@@ -161,7 +174,7 @@ func (p *pipeline) vbufBase(m *geom.Mesh) uint64 {
 // draw runs one drawcall: batching, then per batch VS → assembly/cull →
 // raster here and FS as a task, each batch forming one stream.
 func (p *pipeline) draw(di int) error {
-	dc := &p.frame.Draws[di]
+	dc := &p.draws[di]
 	if err := dc.Mesh.Validate(); err != nil {
 		return err
 	}
@@ -182,7 +195,7 @@ func (p *pipeline) draw(di int) error {
 		VerticesIn: len(dc.Mesh.Idx) * len(instances),
 	}
 
-	viewProj := p.frame.Cam.Proj.Mul(p.frame.Cam.View)
+	viewProj := p.cam.Proj.Mul(p.cam.View)
 	for ii := range instances {
 		inst := &instances[ii]
 		mvp := viewProj.Mul(inst.Model)
@@ -228,7 +241,7 @@ func (p *pipeline) fragmentStage(di int, tileFrags [][]raster.Fragment, varyBase
 			warps = append(warps, warpRef{ti, f0})
 		}
 	}
-	mat := p.frame.Draws[di].Mat
+	mat := p.draws[di].Mat
 	k := &trace.Kernel{
 		Name:          label + ".fs",
 		Kind:          trace.KindFragment,
@@ -265,6 +278,10 @@ func (p *pipeline) fragmentStage(di int, tileFrags [][]raster.Fragment, varyBase
 // overlap on screen the later batch's surviving fragment overwrites the
 // earlier one's, as it did when shading itself ran in that order.
 func (p *pipeline) commit(r shaded) {
+	// Every task of the draws before this one's has been committed.
+	for ; p.dropped < r.draw; p.dropped++ {
+		p.draws[p.dropped].Mat = nil
+	}
 	for i := range r.ctas {
 		r.ctas[i].ID = len(r.kernel.CTAs) + i
 	}
@@ -363,15 +380,14 @@ func (sh *shading) shadeWarps(k *trace.Kernel, mat *Material, tileFrags [][]rast
 	out := shaded{pixels: make([]pixelWrite, 0, len(warps)*shader.Lanes)}
 	bld := trace.NewBuilder(k.Name, k.Kind, k.Stream, k.ThreadsPerCTA, k.RegsPerThread, 0)
 
-	countLines := func(addrs []uint64) int64 {
-		var buf [shader.Lanes]uint64
-		return int64(len(trace.Coalesce(buf[:0], addrs, trace.CacheLineSize)))
-	}
-	onTex := func(simAddrs, refAddrs []uint64) {
+	// The simulated addresses were coalesced into the TEX's line table as
+	// it was built; only the reference ones are coalesced here.
+	var refLines [shader.Lanes]uint64
+	onTex := func(simLines int, refAddrs []uint64) {
 		out.tex.warpInsts++
-		out.tex.simAccesses += countLines(simAddrs)
+		out.tex.simAccesses += int64(simLines)
 		if refAddrs != nil {
-			out.tex.refAccesses += countLines(refAddrs)
+			out.tex.refAccesses += int64(len(trace.Coalesce(refLines[:0], refAddrs, trace.CacheLineSize)))
 		}
 	}
 

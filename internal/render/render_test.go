@@ -216,10 +216,27 @@ func TestCollectRefTex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ref int64
 	for _, m := range res.Metrics {
 		if m.TexWarpInsts > 0 && m.RefTexAccesses == 0 {
 			t.Error("reference tex accesses not collected")
 		}
+		ref += m.RefTexAccesses
+	}
+	// The reference samples at the exact per-pixel LoD, which the
+	// rasterizer computes only on request: on this minified frame it must
+	// touch fewer lines than sampling everything at level 0 does.
+	o.LoD = false
+	lod0, err := RenderFrame(testFrame(MatBasic), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sim0 int64
+	for _, m := range lod0.Metrics {
+		sim0 += m.SimTexAccesses
+	}
+	if ref >= sim0 {
+		t.Errorf("exact-LoD reference touched %d lines, level 0 touches %d: no exact footprint reached it", ref, sim0)
 	}
 }
 

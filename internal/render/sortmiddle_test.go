@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -131,6 +132,54 @@ func TestFragmentListsBounded(t *testing.T) {
 		}
 		if alive != 0 || total < 10 || peak < 1 || peak > procs {
 			t.Errorf("GOMAXPROCS=%d: %d fragment lists, at most %d alive at once, %d never committed", procs, total, peak, alive)
+		}
+	}
+}
+
+// TestShadedDrawsLetGoOfTextures: RenderFrame holds a draw's material only
+// until the draw is shaded, so for a caller that has let go of the FrameDef
+// (core.RenderScene) the first draw's texture is freed while the second
+// draw is still being shaded. A caller that keeps the FrameDef finds it as
+// it was.
+func TestShadedDrawsLetGoOfTextures(t *testing.T) {
+	defer func() { fragListHook = nil }()
+	for _, procs := range []int{1, 2} {
+		withProcs(t, procs)
+		var redFreed, blueFreed atomic.Bool
+		frame := func() *FrameDef {
+			f := layeredFrame(0, 1)
+			runtime.SetFinalizer(f.Draws[0].Mat.Albedo, func(*texture.Texture) { redFreed.Store(true) })
+			runtime.SetFinalizer(f.Draws[1].Mat.Albedo, func(*texture.Texture) { blueFreed.Store(true) })
+			return f
+		}
+		redOnly := false
+		fragListHook = func(delta int) { // called by RenderFrame's goroutine only
+			if delta > 0 {
+				return
+			}
+			// Finalizers run on their own goroutine after the cycle that
+			// found the texture unreachable.
+			for i := 0; i < 20 && !redFreed.Load(); i++ {
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
+			redOnly = redOnly || redFreed.Load() && !blueFreed.Load()
+		}
+		if _, err := RenderFrame(frame(), manyBatches()); err != nil {
+			t.Fatal(err)
+		}
+		if !redOnly {
+			t.Errorf("GOMAXPROCS=%d: the first draw's texture was still reachable while the second draw was shaded", procs)
+		}
+
+		fragListHook = nil
+		kept := layeredFrame(0, 1)
+		mats := []*Material{kept.Draws[0].Mat, kept.Draws[1].Mat}
+		if _, err := RenderFrame(kept, manyBatches()); err != nil {
+			t.Fatal(err)
+		}
+		if kept.Draws[0].Mat != mats[0] || kept.Draws[1].Mat != mats[1] {
+			t.Errorf("GOMAXPROCS=%d: RenderFrame changed the caller's draws", procs)
 		}
 	}
 }

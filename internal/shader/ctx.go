@@ -40,17 +40,19 @@ type Ctx struct {
 	Filter texture.Filter
 
 	// RefFootprint, when set, is the exact per-quad LoD basis (the
-	// hardware reference); TexSample then reports, per TEX instruction,
-	// both the simulator's addresses and the reference addresses through
-	// OnTex, which the LoD validation study (paper Fig. 9) consumes.
+	// hardware reference); TexSample then also samples at it and reports
+	// the reference addresses through OnTex, which the LoD validation
+	// study (paper Fig. 9) consumes.
 	RefFootprint *[Lanes]float32
-	// OnTex, when non-nil, receives each TEX instruction's per-lane
-	// addresses: the simulated ones and the exact-LoD reference ones.
-	// Both are scratch, valid during the call only.
-	OnTex func(simAddrs, refAddrs []uint64)
+	// OnTex, when non-nil, is told of each TEX instruction: the number of
+	// cache lines its simulated addresses touch, and the exact-LoD
+	// reference addresses (nil without RefFootprint), which are scratch,
+	// valid during the call only.
+	OnTex func(simLines int, refAddrs []uint64)
 
 	// addrs is scratch for the per-lane addresses of the memory
-	// instruction being emitted; the Builder does not retain them.
+	// instruction being emitted, and then of a TEX's exact-LoD reference;
+	// the Builder and OnTex do not retain them.
 	addrs [Lanes]uint64
 }
 
@@ -284,28 +286,16 @@ func (c *Ctx) TexSample(tex *texture.Texture, u, v Val, layer [Lanes]int, footpr
 	out.W = Val{Reg: reg}
 
 	addrs := c.addrs[:0]
-	var refAddrs []uint64
-	if c.OnTex != nil && c.RefFootprint != nil {
-		refAddrs = make([]uint64, 0, Lanes)
-	}
-	maxDim := float32(tex.W)
-	if tex.H > tex.W {
-		maxDim = float32(tex.H)
-	}
-	lodOf := func(fp float32) float32 {
-		d := fp * maxDim
-		if d <= 1 {
-			return 0
-		}
-		return gmath.Clamp(gmath.Log2(d), 0, float32(tex.Levels()-1))
-	}
+	// The rasterizer gives every fragment of a triangle the same footprint,
+	// so the LoD is computed once per run of equal footprints. ±0 give the
+	// same LoD; a NaN is never equal to the last one and is recomputed.
+	lod, lastFp, known := float32(0), float32(0), false
 	for i := 0; i < Lanes; i++ {
 		if c.Mask&(1<<uint(i)) == 0 {
 			continue
 		}
-		lod := float32(0)
-		if c.LodEnabled {
-			lod = lodOf(footprint[i])
+		if c.LodEnabled && (!known || footprint[i] != lastFp) {
+			lod, lastFp, known = tex.Lod(footprint[i]), footprint[i], true
 		}
 		col, addr := tex.Sample(u.V[i], v.V[i], layer[i], lod, c.Filter)
 		out.X.V[i] = col.X
@@ -313,15 +303,25 @@ func (c *Ctx) TexSample(tex *texture.Texture, u, v Val, layer [Lanes]int, footpr
 		out.Z.V[i] = col.Z
 		out.W.V[i] = col.W
 		addrs = append(addrs, addr)
-		if refAddrs != nil {
-			_, refAddr := tex.Sample(u.V[i], v.V[i], layer[i], lodOf(c.RefFootprint[i]), c.Filter)
+	}
+	lines := c.B.Mem(isa.OpTEX, reg, c.Mask, addrs, trace.ClassTexture, u.Reg, v.Reg)
+	if c.OnTex == nil {
+		return out
+	}
+	// Mem has packed the simulated addresses, so the scratch takes the
+	// reference ones; a Ctx stays one address buffer in size.
+	var refAddrs []uint64
+	if c.RefFootprint != nil {
+		refAddrs = c.addrs[:0]
+		for i := 0; i < Lanes; i++ {
+			if c.Mask&(1<<uint(i)) == 0 {
+				continue
+			}
+			_, refAddr := tex.Sample(u.V[i], v.V[i], layer[i], tex.Lod(c.RefFootprint[i]), c.Filter)
 			refAddrs = append(refAddrs, refAddr)
 		}
 	}
-	c.B.Mem(isa.OpTEX, reg, c.Mask, addrs, trace.ClassTexture, u.Reg, v.Reg)
-	if c.OnTex != nil {
-		c.OnTex(addrs, refAddrs)
-	}
+	c.OnTex(lines, refAddrs)
 	return out
 }
 

@@ -2,6 +2,7 @@ package shader
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -205,15 +206,14 @@ func TestTexSampleEmitsAddressesAndColors(t *testing.T) {
 	}
 	var layer [Lanes]int
 	var foot [Lanes]float32
-	var gotSim []uint64
-	c.OnTex = func(sim, ref []uint64) { gotSim = sim }
 	rgba := c.TexSample(tex, Val{V: us}, Val{V: vs}, layer, foot)
 	k := b.Finish()
 	if k.OpHistogram()[isa.OpTEX] != 1 {
 		t.Fatal("TEX not emitted")
 	}
+	gotSim := texAddrs(k)
 	if len(gotSim) != Lanes {
-		t.Fatalf("OnTex got %d addrs", len(gotSim))
+		t.Fatalf("TEX carries %d addrs", len(gotSim))
 	}
 	for _, a := range gotSim {
 		if a < base || a >= base+size {
@@ -224,6 +224,18 @@ func TestTexSampleEmitsAddressesAndColors(t *testing.T) {
 	if rgba.X.V[0] != 1 || rgba.Z.V[0] != 0 {
 		t.Errorf("lane 0 color = %v/%v, want red", rgba.X.V[0], rgba.Z.V[0])
 	}
+}
+
+// texAddrs returns the addresses of the first TEX of k's first warp.
+func texAddrs(k *trace.Kernel) []uint64 {
+	w := &k.CTAs[0].Warps[0]
+	for i := range w.Insts {
+		if w.Insts[i].Op == isa.OpTEX {
+			var buf [Lanes]uint64
+			return slices.Clone(w.Addrs(&w.Insts[i], &buf))
+		}
+	}
+	return nil
 }
 
 func TestTexSampleLodOffUsesLevel0(t *testing.T) {
@@ -242,12 +254,9 @@ func TestTexSampleLodOffUsesLevel0(t *testing.T) {
 	run := func(lod bool) map[uint64]bool {
 		c, b := newWarpCtx()
 		c.LodEnabled = lod
-		var addrs []uint64
-		c.OnTex = func(sim, ref []uint64) { addrs = sim }
 		c.TexSample(tex, Val{V: us}, Val{V: vs}, layer, foot)
-		b.Finish()
 		set := map[uint64]bool{}
-		for _, a := range addrs {
+		for _, a := range texAddrs(b.Finish()) {
 			set[a] = true
 		}
 		return set
@@ -270,7 +279,7 @@ func TestRefFootprintProducesRefAddrs(t *testing.T) {
 	}
 	c.RefFootprint = &exact
 	var ref []uint64
-	c.OnTex = func(sim, r []uint64) { ref = r }
+	c.OnTex = func(_ int, r []uint64) { ref = r }
 	var us, vs [Lanes]float32
 	var layer [Lanes]int
 	var foot [Lanes]float32

@@ -136,6 +136,149 @@ func TestMipChainMatchesReference(t *testing.T) {
 	}
 }
 
+// noiseFineRef is NoiseFine as it was: every channel through rand.Float32.
+func noiseFineRef(name string, fmtc Format, w, h, layers int, seed int64) *Texture {
+	rng := rand.New(rand.NewSource(seed))
+	pix := make([]gmath.Vec4, w*h*layers)
+	for i := range pix {
+		pix[i] = gmath.V4(rng.Float32(), rng.Float32(), rng.Float32(), 1)
+	}
+	return newRef(name, fmtc, w, h, layers, pix)
+}
+
+func TestNoiseFineMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		w, h, layers int
+		seed         int64
+	}{
+		{256, 256, 1, 12}, {128, 128, 1, 306}, {64, 16, 3, 7}, {4, 64, 2, -1}, {1, 1, 1, 0}, {2, 1, 5, 1 << 40},
+	} {
+		sameBits(t, "NoiseFine", NoiseFine("f", FormatRGBA8, c.w, c.h, c.layers, c.seed), noiseFineRef("f", FormatRGBA8, c.w, c.h, c.layers, c.seed))
+	}
+}
+
+// scripted is a rand.Source that replays fixed Int63 values, so that the
+// draws rand.Float32 throws away (a Float64 or a float32 that rounds to 1)
+// can be put where a test wants them.
+type scripted struct {
+	vals []int64
+	next int
+}
+
+func (s *scripted) Int63() int64 {
+	v := s.vals[s.next%len(s.vals)]
+	s.next++
+	return v
+}
+
+func (s *scripted) Seed(int64) { s.next = 0 }
+
+// TestUnitFloat32ResamplesLikeRandFloat32 drives both "resample on 1"
+// rules: an Int63 whose Float64 rounds to 1, and one whose Float64 is below
+// 1 but whose float32 is not.
+func TestUnitFloat32ResamplesLikeRandFloat32(t *testing.T) {
+	const one = 1 << 63
+	if float64(int64(math.MaxInt64))/one != 1 {
+		t.Fatal("MaxInt64 no longer rounds to a Float64 of 1")
+	}
+	if f := float64(int64(math.MaxInt64-1<<20)) / one; f == 1 || float32(f) != 1 {
+		t.Fatalf("MaxInt64-2^20: Float64 %v, float32 %v; want below 1, then 1", f, float32(f))
+	}
+	vals := []int64{
+		math.MaxInt64,           // Float64 rounds to 1: drawn again
+		math.MaxInt64 - 1<<20,   // Float64 below 1, float32 1: drawn again
+		1 << 62,                 // 0.5
+		0,                       // 0
+		math.MaxInt64 - 1<<40,   // 1 - 2^-23 in both
+		math.MaxInt64 - 1<<38,   // 1 - 2^-25, a tie the float32 rounds to 1
+		12345678901234567,       // ordinary
+		math.MaxInt64 - 1<<39,   // 1 - 2^-24, the largest float32 below 1
+		math.MaxInt64/3 + 77777, // ordinary
+	}
+	wantSrc, got := &scripted{vals: vals}, &scripted{vals: vals}
+	want := rand.New(wantSrc)
+	for i := 0; i < 4*len(vals); i++ {
+		w, g := want.Float32(), unitFloat32(got)
+		if math.Float32bits(g) != math.Float32bits(w) || got.next != wantSrc.next {
+			t.Fatalf("draw %d: %v after %d Int63s, rand.Float32 %v after %d", i, g, got.next, w, wantSrc.next)
+		}
+	}
+	if got.next == 4*len(vals) {
+		t.Fatal("no draw was resampled")
+	}
+}
+
+// sampleBilinearRef is sampleBilinear as it was: four texel() calls, each
+// clamping its coordinates and the layer, and a TexelAddr that clamps again.
+func (t *Texture) sampleBilinearRef(u, v float32, layer, lv int) (gmath.Vec4, uint64) {
+	lv = gmath.ClampInt(lv, 0, len(t.levels)-1)
+	l := &t.levels[lv]
+	fx := t.wrap(u)*float32(l.w) - 0.5
+	fy := t.wrap(v)*float32(l.h) - 0.5
+	x0 := int(gmath.Floor(fx))
+	y0 := int(gmath.Floor(fy))
+	tx := fx - float32(x0)
+	ty := fy - float32(y0)
+	c00 := t.texel(lv, layer, x0, y0)
+	c10 := t.texel(lv, layer, x0+1, y0)
+	c01 := t.texel(lv, layer, x0, y0+1)
+	c11 := t.texel(lv, layer, x0+1, y0+1)
+	top := c00.Scale(1 - tx).Add(c10.Scale(tx))
+	bot := c01.Scale(1 - tx).Add(c11.Scale(tx))
+	c := top.Scale(1 - ty).Add(bot.Scale(ty))
+	nx, ny := x0, y0
+	if tx > 0.5 {
+		nx = x0 + 1
+	}
+	if ty > 0.5 {
+		ny = y0 + 1
+	}
+	return c, t.TexelAddr(lv, layer, nx, ny)
+}
+
+func sameVec4(a, b gmath.Vec4) bool {
+	return math.Float32bits(a.X) == math.Float32bits(b.X) && math.Float32bits(a.Y) == math.Float32bits(b.Y) &&
+		math.Float32bits(a.Z) == math.Float32bits(b.Z) && math.Float32bits(a.W) == math.Float32bits(b.W)
+}
+
+// TestSampleBilinearMatchesReference samples at random coordinates, well
+// outside [0, 1) too, and exactly on every level's texel edges and centres,
+// in every layer and in layers off either end.
+func TestSampleBilinearMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for _, tex := range []*Texture{
+		NoiseFine("a", FormatRGBA8, 32, 32, 3, 5),
+		NoiseFine("b", FormatBC1, 64, 8, 1, 6),
+		NoiseFine("c", FormatR8, 4, 16, 2, 7),
+		NoiseFine("d", FormatRGBA16F, 1, 1, 1, 8),
+	} {
+		tex.Bind(0x10000)
+		check := func(u, v float32, layer, lv int) {
+			t.Helper()
+			c, a := tex.sampleBilinear(u, v, layer, lv)
+			rc, ra := tex.sampleBilinearRef(u, v, layer, lv)
+			if !sameVec4(c, rc) || a != ra {
+				t.Fatalf("%s level %d layer %d at (%v, %v): %v @%#x, reference %v @%#x", tex.Name, lv, layer, u, v, c, a, rc, ra)
+			}
+		}
+		for lv := -1; lv <= tex.Levels(); lv++ {
+			w, h := tex.LevelDim(lv)
+			for _, layer := range []int{-2, 0, tex.Layers - 1, tex.Layers, 99} {
+				for i := 0; i < 200; i++ {
+					check(rng.Float32()*6-3, rng.Float32()*6-3, layer, lv)
+				}
+				// Edges and centres: k/(2n) for every k, and just past both ends.
+				for k := -1; k <= 2*w+1; k++ {
+					u := float32(k) / float32(2*w)
+					for j := -1; j <= 2*h+1; j += max(1, h/4) {
+						check(u, float32(j)/float32(2*h), layer, lv)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestGradientEndpoints(t *testing.T) {
 	a, b := gmath.V4(1, 0, 0.25, 1), gmath.V4(0, 1, 0.75, 1)
 	for _, c := range []struct {

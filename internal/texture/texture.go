@@ -210,6 +210,12 @@ func (t *Texture) TexelAddr(lv, layer, x, y int) uint64 {
 	x = gmath.ClampInt(x, 0, l.w-1)
 	y = gmath.ClampInt(y, 0, l.h-1)
 	layer = gmath.ClampInt(layer, 0, t.Layers-1)
+	return t.addr(lv, layer, x, y)
+}
+
+// addr is TexelAddr for coordinates already clamped into the level.
+func (t *Texture) addr(lv, layer, x, y int) uint64 {
+	l := &t.levels[lv]
 	idx := uint64(layer*l.w*l.h + y*l.w + x)
 	if t.Fmt == FormatBC1 {
 		return t.base[lv] + idx/2
@@ -285,31 +291,32 @@ func (t *Texture) sampleBilinear(u, v float32, layer, lv int) (gmath.Vec4, uint6
 	y0 := int(gmath.Floor(fy))
 	tx := fx - float32(x0)
 	ty := fy - float32(y0)
-	c00 := t.texel(lv, layer, x0, y0)
-	c10 := t.texel(lv, layer, x0+1, y0)
-	c01 := t.texel(lv, layer, x0, y0+1)
-	c11 := t.texel(lv, layer, x0+1, y0+1)
-	top := c00.Scale(1 - tx).Add(c10.Scale(tx))
-	bot := c01.Scale(1 - tx).Add(c11.Scale(tx))
+	// The 2×2 quad's columns, rows and layer, clamped to the edge once; its
+	// taps are then read from two rows of the layer's plane.
+	xa, xb := gmath.ClampInt(x0, 0, l.w-1), gmath.ClampInt(x0+1, 0, l.w-1)
+	ya, yb := gmath.ClampInt(y0, 0, l.h-1), gmath.ClampInt(y0+1, 0, l.h-1)
+	layer = gmath.ClampInt(layer, 0, t.Layers-1)
+	plane := l.pix[layer*l.w*l.h : (layer+1)*l.w*l.h]
+	r0, r1 := plane[ya*l.w:(ya+1)*l.w], plane[yb*l.w:(yb+1)*l.w]
+	top := r0[xa].Scale(1 - tx).Add(r0[xb].Scale(tx))
+	bot := r1[xa].Scale(1 - tx).Add(r1[xb].Scale(tx))
 	c := top.Scale(1 - ty).Add(bot.Scale(ty))
 	// Dominant tap: the nearest of the four.
-	nx, ny := x0, y0
+	nx, ny := xa, ya
 	if tx > 0.5 {
-		nx = x0 + 1
+		nx = xb
 	}
 	if ty > 0.5 {
-		ny = y0 + 1
+		ny = yb
 	}
-	return c, t.TexelAddr(lv, layer, nx, ny)
+	return c, t.addr(lv, layer, nx, ny)
 }
 
-// LodFor computes the mip level for the given texel-space footprint:
-// log2(max(|ddx|, |ddy|)) where the derivatives are the texel-space UV
-// deltas between adjacent pixels — the standard GPU LoD formula.
-func (t *Texture) LodFor(ddxU, ddxV, ddyU, ddyV float32) float32 {
-	dx := gmath.Sqrt(ddxU*ddxU*float32(t.W*t.W) + ddxV*ddxV*float32(t.H*t.H))
-	dy := gmath.Sqrt(ddyU*ddyU*float32(t.W*t.W) + ddyV*ddyV*float32(t.H*t.H))
-	d := gmath.Max(dx, dy)
+// Lod is the mip level for a UV-space footprint (UV units per screen
+// pixel): log2 of the footprint in texels of the larger dimension, 0 when
+// a pixel covers at most one texel, clamped to the chain.
+func (t *Texture) Lod(footprint float32) float32 {
+	d := footprint * float32(max(t.W, t.H))
 	if d <= 1 {
 		return 0
 	}
@@ -355,7 +362,8 @@ func Noise(name string, fmtc Format, w, h, layers int, seed int64) *Texture {
 	// Coarse lattice filled with random values, then bilinearly upsampled
 	// for smooth variation. A texel's lattice cell and weights depend on
 	// its column or its row alone, so they are computed once per column
-	// and once per row, not once per texel.
+	// and once per row, and each lattice row is interpolated along x once
+	// per column, not once per texel.
 	const lat = 9
 	type tap struct {
 		i0, i1 int
@@ -372,22 +380,25 @@ func Noise(name string, fmtc Format, w, h, layers int, seed int64) *Texture {
 	}
 	cols, rows := axis(w), axis(h)
 	lattice := make([]float32, lat*lat*3)
+	// band[i*w+x] is lattice row i interpolated at column x: the inner lerp
+	// of every texel whose cell has i as its top or bottom row.
+	band := make([][3]float32, lat*w)
 	for l := 0; l < layers; l++ {
 		for i := range lattice {
 			lattice[i] = rng.Float32()
 		}
+		for i := 0; i < lat; i++ {
+			lrow, brow := lattice[i*lat*3:(i+1)*lat*3], band[i*w:(i+1)*w]
+			for x, c := range cols {
+				v0, v1 := lrow[c.i0*3:][:3], lrow[c.i1*3:][:3]
+				brow[x] = [3]float32{gmath.Lerp(v0[0], v1[0], c.t), gmath.Lerp(v0[1], v1[1], c.t), gmath.Lerp(v0[2], v1[2], c.t)}
+			}
+		}
 		for y, r := range rows {
 			row := pix[l*w*h+y*w : l*w*h+(y+1)*w]
-			for x, c := range cols {
-				v00 := lattice[(r.i0*lat+c.i0)*3:][:3]
-				v10 := lattice[(r.i0*lat+c.i1)*3:][:3]
-				v01 := lattice[(r.i1*lat+c.i0)*3:][:3]
-				v11 := lattice[(r.i1*lat+c.i1)*3:][:3]
-				row[x] = gmath.V4(
-					gmath.Lerp(gmath.Lerp(v00[0], v10[0], c.t), gmath.Lerp(v01[0], v11[0], c.t), r.t),
-					gmath.Lerp(gmath.Lerp(v00[1], v10[1], c.t), gmath.Lerp(v01[1], v11[1], c.t), r.t),
-					gmath.Lerp(gmath.Lerp(v00[2], v10[2], c.t), gmath.Lerp(v01[2], v11[2], c.t), r.t),
-					1)
+			b0, b1 := band[r.i0*w:(r.i0+1)*w], band[r.i1*w:(r.i1+1)*w]
+			for x := range row {
+				row[x] = gmath.V4(gmath.Lerp(b0[x][0], b1[x][0], r.t), gmath.Lerp(b0[x][1], b1[x][1], r.t), gmath.Lerp(b0[x][2], b1[x][2], r.t), 1)
 			}
 		}
 	}
@@ -403,16 +414,28 @@ func Noise(name string, fmtc Format, w, h, layers int, seed int64) *Texture {
 // environment maps, whose samples scatter across the texture when driven
 // by per-pixel reflection vectors.
 func NoiseFine(name string, fmtc Format, w, h, layers int, seed int64) *Texture {
-	rng := rand.New(rand.NewSource(seed))
+	src := rand.NewSource(seed)
 	pix := make([]gmath.Vec4, w*h*layers)
 	for i := range pix {
-		pix[i] = gmath.V4(rng.Float32(), rng.Float32(), rng.Float32(), 1)
+		pix[i] = gmath.V4(unitFloat32(src), unitFloat32(src), unitFloat32(src), 1)
 	}
 	t, err := New(name, fmtc, w, h, layers, pix)
 	if err != nil {
 		panic(err)
 	}
 	return t
+}
+
+// unitFloat32 is rand.New(src).Float32() without the calls in between, so
+// the same value stream: the same division of one Int63, and a draw again
+// when the result rounds to 1. rand resamples a Float64 of 1 and then a
+// float32 of 1; the first is also a float32 of 1, so one test covers both.
+func unitFloat32(src rand.Source) float32 {
+	for {
+		if f := float32(float64(src.Int63()) / (1 << 63)); f != 1 {
+			return f
+		}
+	}
 }
 
 // Gradient builds a horizontal gradient texture between two colors.

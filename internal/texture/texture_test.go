@@ -180,16 +180,22 @@ func TestTrilinearBlendsLevels(t *testing.T) {
 func TestLodForFootprints(t *testing.T) {
 	tex, _ := New("t", FormatRGBA8, 256, 256, 1, solid(256, 256, 1, gmath.Vec4{}))
 	// One texel per pixel → LoD 0.
-	if l := tex.LodFor(1.0/256, 0, 0, 1.0/256); l != 0 {
+	if l := tex.Lod(1.0 / 256); l != 0 {
 		t.Errorf("1:1 LoD = %v", l)
 	}
 	// Four texels per pixel → LoD 2.
-	if l := tex.LodFor(4.0/256, 0, 0, 4.0/256); gmath.Abs(l-2) > 0.01 {
+	if l := tex.Lod(4.0 / 256); gmath.Abs(l-2) > 0.01 {
 		t.Errorf("4:1 LoD = %v, want 2", l)
 	}
 	// Magnification clamps at 0.
-	if l := tex.LodFor(0.1/256, 0, 0, 0.1/256); l != 0 {
+	if l := tex.Lod(0.1 / 256); l != 0 {
 		t.Errorf("magnified LoD = %v, want 0", l)
+	}
+	// The larger dimension sets the scale, whichever axis it is.
+	wide, _ := New("w", FormatRGBA8, 256, 64, 1, solid(256, 64, 1, gmath.Vec4{}))
+	tall, _ := New("t", FormatRGBA8, 64, 256, 1, solid(64, 256, 1, gmath.Vec4{}))
+	if lw, lt := wide.Lod(4.0/256), tall.Lod(4.0/256); lw != lt || gmath.Abs(lw-2) > 0.01 {
+		t.Errorf("4:1 LoD on 256×64 = %v, on 64×256 = %v; want 2 on both", lw, lt)
 	}
 }
 
@@ -253,8 +259,8 @@ func TestLodForMonotoneInFootprint(t *testing.T) {
 		// Two footprints, a ≤ b: LoD(a) ≤ LoD(b).
 		a := float32(raw%1000) / 1000 * 0.1
 		b := a * 2
-		la := tex.LodFor(a, 0, 0, a)
-		lb := tex.LodFor(b, 0, 0, b)
+		la := tex.Lod(a)
+		lb := tex.Lod(b)
 		return la <= lb+1e-5
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -130,14 +130,16 @@ func (b *Builder) ALU(op isa.Opcode, dst isa.Reg, mask uint32, srcs ...isa.Reg) 
 // Mem appends a memory instruction with one address per active lane, in
 // ascending lane order (none for an LDC). The addresses are packed into the
 // warp's address arena and coalesced into its line table here, once; addrs
-// is not retained, so the caller may fill the same buffer again.
-func (b *Builder) Mem(op isa.Opcode, dst isa.Reg, mask uint32, addrs []uint64, class MemClass, srcs ...isa.Reg) {
+// is not retained, so the caller may fill the same buffer again. It returns
+// the number of distinct CacheLineSize lines the addresses touch (0 for an
+// instruction with none).
+func (b *Builder) Mem(op isa.Opcode, dst isa.Reg, mask uint32, addrs []uint64, class MemClass, srcs ...isa.Reg) int {
 	if !isa.IsMemory(op) {
 		panic(fmt.Sprintf("trace.Builder: Mem called with non-memory opcode %v", op))
 	}
 	in := Inst{Op: op, Dst: dst, SrcA: isa.RegNone, SrcB: isa.RegNone, SrcC: isa.RegNone, Mask: mask, Class: class}
 	setSrcs(&in, srcs)
-	b.appendMem(in, addrs)
+	return b.appendMem(in, addrs)
 }
 
 // Shared appends a shared-memory access carrying no per-lane offsets:
@@ -189,8 +191,8 @@ func (b *Builder) append(in Inst) {
 // deriving its line-table entry, while they are still warm from being
 // computed. An address list that does not match the mask is a front-end
 // bug an affine record would hide (it decodes to as many lanes as the mask
-// has), so it is refused here.
-func (b *Builder) appendMem(in Inst, addrs []uint64) {
+// has), so it is refused here. It returns the instruction's line count.
+func (b *Builder) appendMem(in Inst, addrs []uint64) int {
 	if len(addrs) > 0 {
 		if len(addrs) != in.ActiveLanes() {
 			panic(fmt.Sprintf("trace.Builder: %v with %d addresses for %d active lanes", in.Op, len(addrs), in.ActiveLanes()))
@@ -200,6 +202,7 @@ func (b *Builder) appendMem(in Inst, addrs []uint64) {
 	}
 	b.lines = in.table(addrs, b.lines, b.lineStart)
 	b.append(in)
+	return int(in.nLines)
 }
 
 // Finish closes any open warp and returns the completed kernel.
