@@ -95,6 +95,7 @@ func newGrid(name string, stream, ctaThreads, regs, shmem int) *gridBuilder {
 // the global index of the warp's first lane.
 func (g *gridBuilder) run(n int, body func(c *shader.Ctx, base int, lanes int)) *trace.Kernel {
 	warpsPerCTA := g.ctaThreads / shader.Lanes
+	c := shader.NewCtx(g.bld, 0)
 	for e0 := 0; e0 < n; {
 		g.bld.BeginCTA()
 		for w := 0; w < warpsPerCTA && e0 < n; w++ {
@@ -107,7 +108,7 @@ func (g *gridBuilder) run(n int, body func(c *shader.Ctx, base int, lanes int)) 
 				mask = (uint32(1) << uint(lanes)) - 1
 			}
 			g.bld.BeginWarp()
-			c := shader.NewCtx(g.bld, mask)
+			c.Reset(g.bld, mask)
 			body(c, e0, lanes)
 			e0 += lanes
 		}

@@ -86,7 +86,7 @@ func nnMatmul(stream int, l nnLayer, in, wgt, out uint64) *trace.Kernel {
 		mb := ctaIdx % mBlocks
 		nb := ctaIdx / mBlocks
 		// Eight output accumulators per thread (register tiling).
-		accs := make([]shader.Val, 8)
+		var accs [8]shader.Val
 		for i := range accs {
 			accs[i] = c.Imm(0)
 		}

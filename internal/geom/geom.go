@@ -164,17 +164,18 @@ type CullStats struct {
 // against the near plane, and culls back-facing triangles. Surviving
 // primitives are what the rasterizer bins by screen position.
 func AssembleCull(verts []ClipVert, localIdx []uint16, backface bool) ([]Tri, CullStats) {
-	var out []Tri
+	out := make([]Tri, 0, len(localIdx)/3)
 	var st CullStats
+	var scratch [2]Tri
 	for t := 0; t+2 < len(localIdx); t += 3 {
 		st.Input++
 		tri := Tri{V: [3]ClipVert{verts[localIdx[t]], verts[localIdx[t+1]], verts[localIdx[t+2]]}}
 		// Trivial frustum rejection: all three vertices outside one plane.
-		if outsideFrustum(tri) {
+		if outsideFrustum(&tri) {
 			st.Frustum++
 			continue
 		}
-		clipped := clipNear(tri)
+		clipped := clipNear(&tri, scratch[:0])
 		if len(clipped) == 0 {
 			st.Frustum++
 			continue
@@ -194,65 +195,62 @@ func AssembleCull(verts []ClipVert, localIdx []uint16, backface bool) ([]Tri, Cu
 	return out, st
 }
 
-// outsideFrustum reports trivial rejection against the clip-space planes.
-func outsideFrustum(t Tri) bool {
-	planes := [5]func(v gmath.Vec4) bool{
-		func(v gmath.Vec4) bool { return v.X < -v.W },
-		func(v gmath.Vec4) bool { return v.X > v.W },
-		func(v gmath.Vec4) bool { return v.Y < -v.W },
-		func(v gmath.Vec4) bool { return v.Y > v.W },
-		func(v gmath.Vec4) bool { return v.Z > v.W }, // beyond far
-	}
-	for _, outside := range planes {
-		if outside(t.V[0].Clip) && outside(t.V[1].Clip) && outside(t.V[2].Clip) {
-			return true
-		}
-	}
-	return false
+// outsideFrustum reports trivial rejection against the clip-space planes:
+// all three vertices beyond the same one of the side planes or the far
+// plane.
+func outsideFrustum(t *Tri) bool {
+	a, b, c := &t.V[0].Clip, &t.V[1].Clip, &t.V[2].Clip
+	return a.X < -a.W && b.X < -b.W && c.X < -c.W ||
+		a.X > a.W && b.X > b.W && c.X > c.W ||
+		a.Y < -a.W && b.Y < -b.W && c.Y < -c.W ||
+		a.Y > a.W && b.Y > b.W && c.Y > c.W ||
+		a.Z > a.W && b.Z > b.W && c.Z > c.W
 }
 
 // clipNear clips a triangle against the near plane z=0 (Vulkan depth
-// convention), returning 0, 1, or 2 triangles.
-func clipNear(t Tri) []Tri {
+// convention) and appends the 0, 1, or 2 triangles that remain to dst.
+func clipNear(t *Tri, dst []Tri) []Tri {
 	const eps = 1e-6
-	inside := func(v ClipVert) bool { return v.Clip.Z >= 0 && v.Clip.W > eps }
-	var in, outv []int
+	var in, outv [3]int
+	nIn, nOut := 0, 0
 	for i := range t.V {
-		if inside(t.V[i]) {
-			in = append(in, i)
+		if v := &t.V[i].Clip; v.Z >= 0 && v.W > eps {
+			in[nIn] = i
+			nIn++
 		} else {
-			outv = append(outv, i)
+			outv[nOut] = i
+			nOut++
 		}
 	}
-	switch len(in) {
+	switch nIn {
 	case 3:
-		return []Tri{t}
+		return append(dst, *t)
 	case 0:
-		return nil
+		return dst
 	}
 	// Intersection parameter along edge a→b where z crosses 0.
-	cross := func(a, b ClipVert) ClipVert {
+	cross := func(a, b *ClipVert) ClipVert {
 		den := a.Clip.Z - b.Clip.Z
 		tpar := float32(0.5)
 		if gmath.Abs(den) > eps {
 			tpar = a.Clip.Z / den
 		}
-		return lerpClipVert(a, b, gmath.Clamp(tpar, 0, 1))
+		return lerpClipVert(*a, *b, gmath.Clamp(tpar, 0, 1))
 	}
-	if len(in) == 1 {
-		a := t.V[in[0]]
-		b := cross(a, t.V[outv[0]])
-		c := cross(a, t.V[outv[1]])
-		return []Tri{{V: [3]ClipVert{a, b, c}}}
+	if nIn == 1 {
+		a := &t.V[in[0]]
+		b := cross(a, &t.V[outv[0]])
+		c := cross(a, &t.V[outv[1]])
+		return append(dst, Tri{V: [3]ClipVert{*a, b, c}})
 	}
 	// Two inside: quad → two triangles.
-	a, b := t.V[in[0]], t.V[in[1]]
-	c := cross(b, t.V[outv[0]])
-	d := cross(a, t.V[outv[0]])
-	return []Tri{
-		{V: [3]ClipVert{a, b, c}},
-		{V: [3]ClipVert{a, c, d}},
-	}
+	a, b := &t.V[in[0]], &t.V[in[1]]
+	c := cross(b, &t.V[outv[0]])
+	d := cross(a, &t.V[outv[0]])
+	return append(dst,
+		Tri{V: [3]ClipVert{*a, *b, c}},
+		Tri{V: [3]ClipVert{*a, c, d}},
+	)
 }
 
 // isBackface tests winding via the signed area in NDC.

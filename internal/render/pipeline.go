@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"crisp/internal/fanout"
 	"crisp/internal/geom"
@@ -89,6 +90,17 @@ type pixelWrite struct {
 // texCounts are the DrawMetrics a fragment-shading task contributes to.
 type texCounts struct {
 	warpInsts, simAccesses, refAccesses int64
+}
+
+// ctxPool holds warp-execution contexts between the stages that Reset one
+// per warp, so a batch's few warps do not each grow a fresh lane arena.
+var ctxPool = sync.Pool{New: func() any { return shader.NewCtx(nil, 0) }}
+
+// putCtx returns c to the pool holding nothing of the frame: no builder, no
+// OnTex closure over a task's results, no reference footprints.
+func putCtx(c *shader.Ctx) {
+	c.Reset(nil, 0)
+	ctxPool.Put(c)
 }
 
 // fragListHook, when a test sets it, is told +1 as a batch's fragment list
@@ -309,6 +321,8 @@ func (p *pipeline) vertexStage(dc *DrawCall, b *geom.Batch, inst *Instance, inst
 	// Per-lane address buffers, filled again for every warp: the Builder
 	// packs what it is handed and keeps nothing.
 	var posBuf, nrmBuf, uvBuf, addrBuf [shader.Lanes]uint64
+	ctx := ctxPool.Get().(*shader.Ctx)
+	defer putCtx(ctx)
 	for w0 := 0; w0 < len(b.Unique); w0 += shader.Lanes {
 		lanes := len(b.Unique) - w0
 		if lanes > shader.Lanes {
@@ -319,7 +333,7 @@ func (p *pipeline) vertexStage(dc *DrawCall, b *geom.Batch, inst *Instance, inst
 			mask = (uint32(1) << uint(lanes)) - 1
 		}
 		bld.BeginWarp()
-		ctx := shader.NewCtx(bld, mask)
+		ctx.Reset(bld, mask)
 		ctx.LodEnabled = p.opts.LoD
 		ctx.Filter = p.opts.Filter
 
@@ -391,8 +405,12 @@ func (sh *shading) shadeWarps(k *trace.Kernel, mat *Material, tileFrags [][]rast
 		}
 	}
 
-	// Per-lane address buffers, filled again for every warp.
+	// Per-lane address buffers and exact footprints, filled again for
+	// every warp; TexSample reads only the active lanes'.
 	var varyBuf, outBuf [shader.Lanes]uint64
+	var exact [shader.Lanes]float32
+	ctx := ctxPool.Get().(*shader.Ctx)
+	defer putCtx(ctx)
 	tile, tf := -1, []raster.Fragment(nil)
 	for wi, w := range warps {
 		if w.tile != tile {
@@ -415,12 +433,11 @@ func (sh *shading) shadeWarps(k *trace.Kernel, mat *Material, tileFrags [][]rast
 		}
 		bld.BeginWarp()
 
-		ctx := shader.NewCtx(bld, mask)
+		ctx.Reset(bld, mask)
 		ctx.LodEnabled = sh.opts.LoD
 		ctx.Filter = sh.opts.Filter
 
 		var in shader.FSIn
-		var exact [shader.Lanes]float32
 		varyA, outA := varyBuf[:lanes], outBuf[:lanes]
 		for l := 0; l < lanes; l++ {
 			fr := &tf[f0+l]

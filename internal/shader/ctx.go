@@ -8,6 +8,11 @@
 // register dependencies and per-lane memory addresses (the timing model's
 // input). This mirrors the paper's flow, where the functional simulator
 // executes shaders and records SASS-compatible traces for Accel-Sim.
+//
+// A Val is a handle: its lanes live in an arena the Ctx owns, and every
+// operation writes its result lanes there, in place. A Val is valid until
+// its Ctx's next Reset, which hands the same slots to the next warp; a Ctx
+// belongs to one goroutine.
 package shader
 
 import (
@@ -23,11 +28,18 @@ import (
 // Lanes is the SIMT width of one warp.
 const Lanes = isa.WarpSize
 
-// Val is an SSA value: a virtual register holding one float per lane.
+// Val is an SSA value: a virtual register and a handle to its lanes, one
+// float per lane, in the arena of the Ctx that made it.
 type Val struct {
 	Reg isa.Reg
-	V   [Lanes]float32
+	V   *[Lanes]float32
 }
+
+// slabVals is how many lane vectors one arena slab holds. The arena grows
+// by whole slabs, so a slot never moves once handed out.
+const slabVals = 32
+
+type slab [slabVals][Lanes]float32
 
 // Ctx executes one warp of a shader, emitting its trace as it goes.
 type Ctx struct {
@@ -54,18 +66,53 @@ type Ctx struct {
 	// instruction being emitted, and then of a TEX's exact-LoD reference;
 	// the Builder and OnTex do not retain them.
 	addrs [Lanes]uint64
+
+	// slabs is the lane arena; slots [0, used) belong to the current warp.
+	slabs []*slab
+	used  int
 }
 
 // NewCtx starts a warp-execution context over builder b with the given
 // active mask. LoD defaults to enabled with trilinear filtering.
 func NewCtx(b *trace.Builder, mask uint32) *Ctx {
-	return &Ctx{B: b, Mask: mask, LodEnabled: true, Filter: texture.FilterTrilinear}
+	c := &Ctx{}
+	c.Reset(b, mask)
+	return c
+}
+
+// Reset starts the next warp on c, over builder b with the given active
+// mask, as NewCtx would, keeping the arena: every Val c made before is
+// invalid from here on.
+func (c *Ctx) Reset(b *trace.Builder, mask uint32) {
+	c.B, c.Mask = b, mask
+	c.LodEnabled, c.Filter = true, texture.FilterTrilinear
+	c.RefFootprint, c.OnTex = nil, nil
+	c.used = 0
 }
 
 // ActiveLanes reports the number of active lanes.
 func (c *Ctx) ActiveLanes() int { return bits.OnesCount32(c.Mask) }
 
-func (c *Ctx) newVal() Val { return Val{Reg: c.B.NewReg()} }
+// slot hands out the next lane vector of the arena. It holds whatever an
+// earlier warp left there: its caller writes every lane.
+func (c *Ctx) slot() *[Lanes]float32 {
+	s, i := c.used/slabVals, c.used%slabVals
+	if s == len(c.slabs) {
+		c.slabs = append(c.slabs, new(slab))
+	}
+	c.used++
+	return &c.slabs[s][i]
+}
+
+func (c *Ctx) newVal() Val { return Val{Reg: c.B.NewReg(), V: c.slot()} }
+
+// zeroVal is newVal with every lane 0, for producers with no functional
+// value.
+func (c *Ctx) zeroVal() Val {
+	v := c.newVal()
+	*v.V = [Lanes]float32{}
+	return v
+}
 
 // Imm materializes an immediate constant into a register (MOV).
 func (c *Ctx) Imm(x float32) Val {
@@ -87,98 +134,163 @@ func (c *Ctx) Uniform(x float32) Val {
 	return v
 }
 
-// lane-wise binary op helper
-func (c *Ctx) bin(op isa.Opcode, a, b Val, f func(x, y float32) float32) Val {
-	r := c.newVal()
-	for i := range r.V {
-		r.V[i] = f(a.V[i], b.V[i])
-	}
-	c.B.ALU(op, r.Reg, c.Mask, a.Reg, b.Reg)
-	return r
-}
-
-func (c *Ctx) un(op isa.Opcode, a Val, f func(x float32) float32) Val {
-	r := c.newVal()
-	for i := range r.V {
-		r.V[i] = f(a.V[i])
-	}
-	c.B.ALU(op, r.Reg, c.Mask, a.Reg)
-	return r
-}
-
 // Add returns a+b (FADD).
 func (c *Ctx) Add(a, b Val) Val {
-	return c.bin(isa.OpFADD, a, b, func(x, y float32) float32 { return x + y })
+	r := c.newVal()
+	x, y, z := a.V, b.V, r.V
+	for i := range z {
+		z[i] = x[i] + y[i]
+	}
+	c.B.ALU(isa.OpFADD, r.Reg, c.Mask, a.Reg, b.Reg)
+	return r
 }
 
 // Sub returns a-b (FADD with negated operand).
 func (c *Ctx) Sub(a, b Val) Val {
-	return c.bin(isa.OpFADD, a, b, func(x, y float32) float32 { return x - y })
+	r := c.newVal()
+	x, y, z := a.V, b.V, r.V
+	for i := range z {
+		z[i] = x[i] - y[i]
+	}
+	c.B.ALU(isa.OpFADD, r.Reg, c.Mask, a.Reg, b.Reg)
+	return r
 }
 
 // Mul returns a*b (FMUL).
 func (c *Ctx) Mul(a, b Val) Val {
-	return c.bin(isa.OpFMUL, a, b, func(x, y float32) float32 { return x * y })
+	r := c.newVal()
+	x, y, z := a.V, b.V, r.V
+	for i := range z {
+		z[i] = x[i] * y[i]
+	}
+	c.B.ALU(isa.OpFMUL, r.Reg, c.Mask, a.Reg, b.Reg)
+	return r
 }
 
 // FMA returns a*b+d (FFMA).
 func (c *Ctx) FMA(a, b, d Val) Val {
 	r := c.newVal()
-	for i := range r.V {
-		r.V[i] = a.V[i]*b.V[i] + d.V[i]
+	x, y, w, z := a.V, b.V, d.V, r.V
+	for i := range z {
+		z[i] = x[i]*y[i] + w[i]
 	}
 	c.B.ALU(isa.OpFFMA, r.Reg, c.Mask, a.Reg, b.Reg, d.Reg)
 	return r
 }
 
 // Min returns min(a, b) (FMNMX).
-func (c *Ctx) Min(a, b Val) Val { return c.bin(isa.OpFMNMX, a, b, gmath.Min) }
+func (c *Ctx) Min(a, b Val) Val {
+	r := c.newVal()
+	x, y, z := a.V, b.V, r.V
+	for i := range z {
+		z[i] = gmath.Min(x[i], y[i])
+	}
+	c.B.ALU(isa.OpFMNMX, r.Reg, c.Mask, a.Reg, b.Reg)
+	return r
+}
 
 // Max returns max(a, b) (FMNMX).
-func (c *Ctx) Max(a, b Val) Val { return c.bin(isa.OpFMNMX, a, b, gmath.Max) }
+func (c *Ctx) Max(a, b Val) Val {
+	r := c.newVal()
+	x, y, z := a.V, b.V, r.V
+	for i := range z {
+		z[i] = gmath.Max(x[i], y[i])
+	}
+	c.B.ALU(isa.OpFMNMX, r.Reg, c.Mask, a.Reg, b.Reg)
+	return r
+}
+
+// mufu starts a one-source MUFU op: it emits the instruction and returns
+// the result value with the source and result lanes to fill.
+func (c *Ctx) mufu(op isa.Opcode, a Val) (r Val, x, z *[Lanes]float32) {
+	r = c.newVal()
+	c.B.ALU(op, r.Reg, c.Mask, a.Reg)
+	return r, a.V, r.V
+}
+
+// wide returns the lanes of v as float64s, for a MUFU op that calls into
+// float64 math. Converting each lane on its way into the call instead would
+// write the half of a register whose other half still holds the previous
+// lane's result: a false dependency that chains every lane's call behind the
+// one before.
+func wide(v *[Lanes]float32) (w [Lanes]float64) {
+	for i := range w {
+		w[i] = float64(v[i])
+	}
+	return w
+}
 
 // Rcp returns 1/a (MUFU.RCP).
 func (c *Ctx) Rcp(a Val) Val {
-	return c.un(isa.OpMUFURCP, a, func(x float32) float32 {
-		if x == 0 {
-			return float32(math.Inf(1))
+	r, x, z := c.mufu(isa.OpMUFURCP, a)
+	for i := range z {
+		if x[i] == 0 {
+			z[i] = float32(math.Inf(1))
+		} else {
+			z[i] = 1 / x[i]
 		}
-		return 1 / x
-	})
+	}
+	return r
 }
 
 // Rsqrt returns 1/sqrt(a) (MUFU.RSQ).
 func (c *Ctx) Rsqrt(a Val) Val {
-	return c.un(isa.OpMUFURSQ, a, func(x float32) float32 {
-		if x <= 0 {
-			return 0
+	r, x, z := c.mufu(isa.OpMUFURSQ, a)
+	for i := range z {
+		if x[i] <= 0 {
+			z[i] = 0
+		} else {
+			z[i] = 1 / gmath.Sqrt(x[i])
 		}
-		return 1 / gmath.Sqrt(x)
-	})
+	}
+	return r
 }
 
 // Sqrt returns sqrt(a) as RSQ followed by RCP, like compiled code does.
 func (c *Ctx) Sqrt(a Val) Val { return c.Rcp(c.Rsqrt(a)) }
 
 // Sin returns sin(a) (MUFU.SIN).
-func (c *Ctx) Sin(a Val) Val { return c.un(isa.OpMUFUSIN, a, gmath.Sin) }
+func (c *Ctx) Sin(a Val) Val {
+	r, x, z := c.mufu(isa.OpMUFUSIN, a)
+	w := wide(x)
+	for i := range z {
+		z[i] = float32(math.Sin(w[i]))
+	}
+	return r
+}
 
 // Cos returns cos(a) (MUFU.COS).
-func (c *Ctx) Cos(a Val) Val { return c.un(isa.OpMUFUCOS, a, gmath.Cos) }
+func (c *Ctx) Cos(a Val) Val {
+	r, x, z := c.mufu(isa.OpMUFUCOS, a)
+	w := wide(x)
+	for i := range z {
+		z[i] = float32(math.Cos(w[i]))
+	}
+	return r
+}
 
 // Ex2 returns 2^a (MUFU.EX2).
 func (c *Ctx) Ex2(a Val) Val {
-	return c.un(isa.OpMUFUEX2, a, func(x float32) float32 { return gmath.Pow(2, x) })
+	r, x, z := c.mufu(isa.OpMUFUEX2, a)
+	w := wide(x)
+	for i := range z {
+		z[i] = float32(math.Pow(2, w[i]))
+	}
+	return r
 }
 
 // Lg2 returns log2(a) (MUFU.LG2).
 func (c *Ctx) Lg2(a Val) Val {
-	return c.un(isa.OpMUFULG2, a, func(x float32) float32 {
-		if x <= 0 {
-			return -126
+	r, x, z := c.mufu(isa.OpMUFULG2, a)
+	w := wide(x)
+	for i := range z {
+		if w[i] <= 0 {
+			z[i] = -126
+		} else {
+			z[i] = float32(math.Log2(w[i]))
 		}
-		return gmath.Log2(x)
-	})
+	}
+	return r
 }
 
 // Pow returns a^b lowered to EX2(b*LG2(a)), the standard expansion.
@@ -195,8 +307,9 @@ func (c *Ctx) Lerp(a, b, t Val) Val { return c.FMA(t, c.Sub(b, a), a) }
 // Input binds pipeline-provided per-lane values (vertex attributes or
 // interpolated varyings) to a register, modeled as a global load of the
 // given class from the given per-lane addresses.
-func (c *Ctx) Input(values [Lanes]float32, addrs []uint64, class trace.MemClass) Val {
-	v := Val{Reg: c.B.NewReg(), V: values}
+func (c *Ctx) Input(values *[Lanes]float32, addrs []uint64, class trace.MemClass) Val {
+	v := c.newVal()
+	*v.V = *values
 	c.B.Mem(isa.OpLDG, v.Reg, c.Mask, addrs, class)
 	return v
 }
@@ -204,28 +317,29 @@ func (c *Ctx) Input(values [Lanes]float32, addrs []uint64, class trace.MemClass)
 // ride binds values to a register produced by the same wide fetch as lead:
 // a MOV dependent on the lead load, carrying no extra memory traffic
 // (vector attributes load with one LDG.128 on real hardware).
-func (c *Ctx) ride(values [Lanes]float32, lead Val) Val {
-	v := Val{Reg: c.B.NewReg(), V: values}
+func (c *Ctx) ride(values *[Lanes]float32, lead Val) Val {
+	v := c.newVal()
+	*v.V = *values
 	c.B.ALU(isa.OpMOV, v.Reg, c.Mask, lead.Reg)
 	return v
 }
 
 // InputVec2 loads a two-component attribute with one fetch.
-func (c *Ctx) InputVec2(x, y [Lanes]float32, addrs []uint64, class trace.MemClass) (Val, Val) {
+func (c *Ctx) InputVec2(x, y *[Lanes]float32, addrs []uint64, class trace.MemClass) (Val, Val) {
 	vx := c.Input(x, addrs, class)
 	return vx, c.ride(y, vx)
 }
 
 // InputVec3 loads a three-component attribute with one fetch.
-func (c *Ctx) InputVec3(x, y, z [Lanes]float32, addrs []uint64, class trace.MemClass) Vec3V {
+func (c *Ctx) InputVec3(x, y, z *[Lanes]float32, addrs []uint64, class trace.MemClass) Vec3V {
 	vx := c.Input(x, addrs, class)
 	return Vec3V{vx, c.ride(y, vx), c.ride(z, vx)}
 }
 
-// Load emits a global load from per-lane addrs; the returned value carries
-// the supplied functional values (zeros are fine for pure-timing kernels).
+// Load emits a global load from per-lane addrs; the returned value's lanes
+// are 0 (the kernels that load are pure-timing).
 func (c *Ctx) Load(addrs []uint64, class trace.MemClass) Val {
-	v := c.newVal()
+	v := c.zeroVal()
 	c.B.Mem(isa.OpLDG, v.Reg, c.Mask, addrs, class)
 	return v
 }
@@ -240,9 +354,10 @@ func (c *Ctx) SharedStore(v Val) {
 	c.B.Shared(isa.OpSTS, isa.RegNone, c.Mask, v.Reg)
 }
 
-// SharedLoad emits an LDS returning a fresh value (conflict-free).
+// SharedLoad emits an LDS returning a fresh value (conflict-free) whose
+// lanes are 0.
 func (c *Ctx) SharedLoad() Val {
-	v := c.newVal()
+	v := c.zeroVal()
 	c.B.Shared(isa.OpLDS, v.Reg, c.Mask)
 	return v
 }
@@ -253,9 +368,10 @@ func (c *Ctx) SharedStoreAt(v Val, offsets []uint64) {
 	c.B.SharedAddr(isa.OpSTS, isa.RegNone, c.Mask, offsets, v.Reg)
 }
 
-// SharedLoadAt emits an LDS with per-active-lane byte offsets.
+// SharedLoadAt emits an LDS with per-active-lane byte offsets; the value's
+// lanes are 0.
 func (c *Ctx) SharedLoadAt(offsets []uint64) Val {
-	v := c.newVal()
+	v := c.zeroVal()
 	c.B.SharedAddr(isa.OpLDS, v.Reg, c.Mask, offsets)
 	return v
 }
@@ -263,9 +379,10 @@ func (c *Ctx) SharedLoadAt(offsets []uint64) Val {
 // Barrier emits a CTA-wide barrier.
 func (c *Ctx) Barrier() { c.B.Barrier() }
 
-// Tensor emits a tensor-core HMMA operating on two sources.
+// Tensor emits a tensor-core HMMA operating on two sources; the result's
+// lanes are 0.
 func (c *Ctx) Tensor(a, b Val) Val {
-	r := c.newVal()
+	r := c.zeroVal()
 	c.B.ALU(isa.OpHMMA, r.Reg, c.Mask, a.Reg, b.Reg)
 	return r
 }
@@ -276,14 +393,12 @@ type Vec4V struct{ X, Y, Z, W Val }
 // TexSample samples tex at per-lane (u, v), layer, and UV-space footprint
 // (UV units per screen pixel, used for LoD selection). It emits one TEX
 // instruction carrying the sampled texel address per active lane and
-// returns the RGBA components, all dependent on the TEX result register.
-func (c *Ctx) TexSample(tex *texture.Texture, u, v Val, layer [Lanes]int, footprint [Lanes]float32) Vec4V {
+// returns the RGBA components, all dependent on the TEX result register;
+// inactive lanes read 0.
+func (c *Ctx) TexSample(tex *texture.Texture, u, v Val, layer *[Lanes]int, footprint *[Lanes]float32) Vec4V {
 	reg := c.B.NewReg()
-	var out Vec4V
-	out.X = Val{Reg: reg}
-	out.Y = Val{Reg: reg}
-	out.Z = Val{Reg: reg}
-	out.W = Val{Reg: reg}
+	out := Vec4V{Val{reg, c.slot()}, Val{reg, c.slot()}, Val{reg, c.slot()}, Val{reg, c.slot()}}
+	x, y, z, w := out.X.V, out.Y.V, out.Z.V, out.W.V
 
 	addrs := c.addrs[:0]
 	// The rasterizer gives every fragment of a triangle the same footprint,
@@ -292,16 +407,14 @@ func (c *Ctx) TexSample(tex *texture.Texture, u, v Val, layer [Lanes]int, footpr
 	lod, lastFp, known := float32(0), float32(0), false
 	for i := 0; i < Lanes; i++ {
 		if c.Mask&(1<<uint(i)) == 0 {
+			x[i], y[i], z[i], w[i] = 0, 0, 0, 0
 			continue
 		}
 		if c.LodEnabled && (!known || footprint[i] != lastFp) {
 			lod, lastFp, known = tex.Lod(footprint[i]), footprint[i], true
 		}
 		col, addr := tex.Sample(u.V[i], v.V[i], layer[i], lod, c.Filter)
-		out.X.V[i] = col.X
-		out.Y.V[i] = col.Y
-		out.Z.V[i] = col.Z
-		out.W.V[i] = col.W
+		x[i], y[i], z[i], w[i] = col.X, col.Y, col.Z, col.W
 		addrs = append(addrs, addr)
 	}
 	lines := c.B.Mem(isa.OpTEX, reg, c.Mask, addrs, trace.ClassTexture, u.Reg, v.Reg)
@@ -327,23 +440,29 @@ func (c *Ctx) TexSample(tex *texture.Texture, u, v Val, layer [Lanes]int, footpr
 
 // CmpGT returns per-lane 1.0 where a > b, else 0.0 (FSET).
 func (c *Ctx) CmpGT(a, b Val) Val {
-	return c.bin(isa.OpFSET, a, b, func(x, y float32) float32 {
-		if x > y {
-			return 1
+	r := c.newVal()
+	x, y, z := a.V, b.V, r.V
+	for i := range z {
+		if x[i] > y[i] {
+			z[i] = 1
+		} else {
+			z[i] = 0
 		}
-		return 0
-	})
+	}
+	c.B.ALU(isa.OpFSET, r.Reg, c.Mask, a.Reg, b.Reg)
+	return r
 }
 
 // Select returns per-lane a where cond ≠ 0, else b — the predicated SEL
 // compiled shaders use for small divergence.
 func (c *Ctx) Select(cond, a, b Val) Val {
 	r := c.newVal()
-	for i := range r.V {
-		if cond.V[i] != 0 {
-			r.V[i] = a.V[i]
+	p, x, y, z := cond.V, a.V, b.V, r.V
+	for i := range z {
+		if p[i] != 0 {
+			z[i] = x[i]
 		} else {
-			r.V[i] = b.V[i]
+			z[i] = y[i]
 		}
 	}
 	c.B.ALU(isa.OpSEL, r.Reg, c.Mask, cond.Reg, a.Reg, b.Reg)

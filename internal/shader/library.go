@@ -34,18 +34,18 @@ type VSOut struct {
 // through the L2 (pipeline-class stores to varyingAddrs), as the paper's
 // pipeline does between the vertex stage and the rasterizer.
 func TransformVS(c *Ctx, in *VSIn, model, mvp gmath.Mat4, varyingAddrs []uint64) VSOut {
-	pos := c.InputVec3(in.PosX, in.PosY, in.PosZ, in.PosAddrs, trace.ClassPipeline)
+	pos := c.InputVec3(&in.PosX, &in.PosY, &in.PosZ, in.PosAddrs, trace.ClassPipeline)
 	one := c.Imm(1)
 
 	clip := c.MulMat4Vec4(mvp, pos.X, pos.Y, pos.Z, one)
 
-	nrm := c.InputVec3(in.NrmX, in.NrmY, in.NrmZ, in.NrmAddrs, trace.ClassPipeline)
+	nrm := c.InputVec3(&in.NrmX, &in.NrmY, &in.NrmZ, in.NrmAddrs, trace.ClassPipeline)
 	wn := c.MulMat3Dir(model, nrm)
 	wn = c.V3Normalize(wn)
 
 	wp := c.MulMat4Vec4(model, pos.X, pos.Y, pos.Z, one)
 
-	u, v := c.InputVec2(in.U, in.V, in.UVAddrs, trace.ClassPipeline)
+	u, v := c.InputVec2(&in.U, &in.V, in.UVAddrs, trace.ClassPipeline)
 
 	// Export: position and varyings go to the post-transform buffer in
 	// L2 as three 16-byte stores (clip position, normal, UV/world).
@@ -54,10 +54,10 @@ func TransformVS(c *Ctx, in *VSIn, model, mvp gmath.Mat4, varyingAddrs []uint64)
 	c.Store(u, c.offsetAddrs(varyingAddrs, 32), trace.ClassPipeline)
 
 	var out VSOut
-	out.ClipX, out.ClipY, out.ClipZ, out.ClipW = clip.X.V, clip.Y.V, clip.Z.V, clip.W.V
-	out.WNrmX, out.WNrmY, out.WNrmZ = wn.X.V, wn.Y.V, wn.Z.V
-	out.WPosX, out.WPosY, out.WPosZ = wp.X.V, wp.Y.V, wp.Z.V
-	out.U, out.V = u.V, v.V
+	out.ClipX, out.ClipY, out.ClipZ, out.ClipW = *clip.X.V, *clip.Y.V, *clip.Z.V, *clip.W.V
+	out.WNrmX, out.WNrmY, out.WNrmZ = *wn.X.V, *wn.Y.V, *wn.Z.V
+	out.WPosX, out.WPosY, out.WPosZ = *wp.X.V, *wp.Y.V, *wp.Z.V
+	out.U, out.V = *u.V, *v.V
 	out.Layer = in.Layer
 	return out
 }
@@ -95,9 +95,9 @@ type Light struct {
 // loadVaryings emits the pipeline-class loads every fragment shader starts
 // with and returns the bound values.
 func loadVaryings(c *Ctx, in *FSIn) (u, v Val, n Vec3V, wp Vec3V) {
-	u, v = c.InputVec2(in.U, in.V, in.VaryingAddrs, trace.ClassPipeline)
-	n = c.InputVec3(in.NrmX, in.NrmY, in.NrmZ, c.offsetAddrs(in.VaryingAddrs, 16), trace.ClassPipeline)
-	wp = c.InputVec3(in.WPosX, in.WPosY, in.WPosZ, c.offsetAddrs(in.VaryingAddrs, 32), trace.ClassPipeline)
+	u, v = c.InputVec2(&in.U, &in.V, in.VaryingAddrs, trace.ClassPipeline)
+	n = c.InputVec3(&in.NrmX, &in.NrmY, &in.NrmZ, c.offsetAddrs(in.VaryingAddrs, 16), trace.ClassPipeline)
+	wp = c.InputVec3(&in.WPosX, &in.WPosY, &in.WPosZ, c.offsetAddrs(in.VaryingAddrs, 32), trace.ClassPipeline)
 	return
 }
 
@@ -117,7 +117,7 @@ func (c *Ctx) offsetAddrs(addrs []uint64, off uint64) []uint64 {
 func (c *Ctx) export(out Vec3V, alpha Val, in *FSIn) FSOut {
 	c.Store(out.X, in.OutAddrs, trace.ClassFramebuffer)
 	var o FSOut
-	o.R, o.G, o.B, o.A = out.X.V, out.Y.V, out.Z.V, alpha.V
+	o.R, o.G, o.B, o.A = *out.X.V, *out.Y.V, *out.Z.V, *alpha.V
 	return o
 }
 
@@ -126,7 +126,7 @@ func (c *Ctx) export(out Vec3V, alpha Val, in *FSIn) FSOut {
 // contrasts against PBR in the L2-composition study.
 func BasicTexturedFS(c *Ctx, in *FSIn, albedo *texture.Texture, light Light) FSOut {
 	u, v, n, _ := loadVaryings(c, in)
-	tex := c.TexSample(albedo, u, v, in.Layer, in.Footprint)
+	tex := c.TexSample(albedo, u, v, &in.Layer, &in.Footprint)
 	nn := c.V3Normalize(n)
 	l := c.V3Imm(light.Dir)
 	ndl := c.Max(c.V3Dot(nn, l), c.Imm(0))
@@ -162,11 +162,11 @@ func (m *PBRMaps) All() []*texture.Texture {
 func PBRFS(c *Ctx, in *FSIn, maps *PBRMaps, light Light) FSOut {
 	u, v, n, wp := loadVaryings(c, in)
 
-	albedo := c.TexSample(maps.Albedo, u, v, in.Layer, in.Footprint)
-	nmap := c.TexSample(maps.Normal, u, v, in.Layer, in.Footprint)
-	metallic := c.TexSample(maps.Metallic, u, v, in.Layer, in.Footprint)
-	rough := c.TexSample(maps.Roughness, u, v, in.Layer, in.Footprint)
-	ao := c.TexSample(maps.AO, u, v, in.Layer, in.Footprint)
+	albedo := c.TexSample(maps.Albedo, u, v, &in.Layer, &in.Footprint)
+	nmap := c.TexSample(maps.Normal, u, v, &in.Layer, &in.Footprint)
+	metallic := c.TexSample(maps.Metallic, u, v, &in.Layer, &in.Footprint)
+	rough := c.TexSample(maps.Roughness, u, v, &in.Layer, &in.Footprint)
+	ao := c.TexSample(maps.AO, u, v, &in.Layer, &in.Footprint)
 
 	// Perturb the interpolated normal with the normal map (tangent-space
 	// approximation: offset and renormalize).
@@ -222,9 +222,9 @@ func PBRFS(c *Ctx, in *FSIn, maps *PBRMaps, light Light) FSOut {
 
 	// Image-based ambient: irradiance for diffuse, prefiltered env +
 	// BRDF LUT for specular (sampled at reflection-dependent UVs).
-	irr := c.TexSample(maps.Irradiance, nrm.X, nrm.Y, in.Layer, in.Footprint)
-	pre := c.TexSample(maps.Prefilter, c.Mul(nrm.X, rough.X), c.Mul(nrm.Y, rough.X), in.Layer, in.Footprint)
-	lut := c.TexSample(maps.BRDF, ndv, rough.X, in.Layer, in.Footprint)
+	irr := c.TexSample(maps.Irradiance, nrm.X, nrm.Y, &in.Layer, &in.Footprint)
+	pre := c.TexSample(maps.Prefilter, c.Mul(nrm.X, rough.X), c.Mul(nrm.Y, rough.X), &in.Layer, &in.Footprint)
+	lut := c.TexSample(maps.BRDF, ndv, rough.X, &in.Layer, &in.Footprint)
 
 	ambD := c.V3Mul(Vec3V{irr.X, irr.Y, irr.Z}, Vec3V{albedo.X, albedo.Y, albedo.Z})
 	ambS := c.V3Scale(Vec3V{pre.X, pre.Y, pre.Z}, c.FMA(fres.X, lut.X, lut.Y))
@@ -244,7 +244,7 @@ func PBRFS(c *Ctx, in *FSIn, maps *PBRMaps, light Light) FSOut {
 // quantized diffuse bands.
 func ToonFS(c *Ctx, in *FSIn, albedo *texture.Texture, light Light) FSOut {
 	u, v, n, _ := loadVaryings(c, in)
-	tex := c.TexSample(albedo, u, v, in.Layer, in.Footprint)
+	tex := c.TexSample(albedo, u, v, &in.Layer, &in.Footprint)
 	nn := c.V3Normalize(n)
 	ndl := c.Max(c.V3Dot(nn, c.V3Imm(light.Dir)), c.Imm(0))
 	// Quantize into 3 toon bands with predicated selects — the small
@@ -263,9 +263,9 @@ func ToonFS(c *Ctx, in *FSIn, albedo *texture.Texture, light Light) FSOut {
 // maps with Blinn-Phong specular — between basic and PBR in complexity.
 func MaterialFS(c *Ctx, in *FSIn, albedo, roughness, normal *texture.Texture, light Light) FSOut {
 	u, v, n, wp := loadVaryings(c, in)
-	tex := c.TexSample(albedo, u, v, in.Layer, in.Footprint)
-	rgh := c.TexSample(roughness, u, v, in.Layer, in.Footprint)
-	nmap := c.TexSample(normal, u, v, in.Layer, in.Footprint)
+	tex := c.TexSample(albedo, u, v, &in.Layer, &in.Footprint)
+	rgh := c.TexSample(roughness, u, v, &in.Layer, &in.Footprint)
+	nmap := c.TexSample(normal, u, v, &in.Layer, &in.Footprint)
 
 	two := c.Imm(2)
 	negOne := c.Imm(-1)
@@ -292,7 +292,7 @@ func MaterialFS(c *Ctx, in *FSIn, albedo, roughness, normal *texture.Texture, li
 // the unique streaming/temporal access mix the paper includes IT for.
 func PlanetFS(c *Ctx, in *FSIn, layered *texture.Texture, light Light) FSOut {
 	u, v, n, _ := loadVaryings(c, in)
-	tex := c.TexSample(layered, u, v, in.Layer, in.Footprint)
+	tex := c.TexSample(layered, u, v, &in.Layer, &in.Footprint)
 	nn := c.V3Normalize(n)
 	ndl := c.Max(c.V3Dot(nn, c.V3Imm(light.Dir)), c.Imm(0))
 	lc := c.V3Imm(light.Color)

@@ -122,7 +122,7 @@ func TestMatrixTransformMatchesGmath(t *testing.T) {
 		for i := range xs {
 			xs[i], ys[i], zs[i] = px, py, pz
 		}
-		out := c.MulMat4Vec4(m, Val{V: xs}, Val{V: ys}, Val{V: zs}, c.Imm(1))
+		out := c.MulMat4Vec4(m, Val{V: &xs}, Val{V: &ys}, Val{V: &zs}, c.Imm(1))
 		want := m.MulVec(gmath.V4(px, py, pz, 1))
 		tol := float32(1e-3)
 		return gmath.Abs(out.X.V[0]-want.X) < tol &&
@@ -181,7 +181,7 @@ func TestInputVecRidesOneFetch(t *testing.T) {
 		addrs[i] = uint64(i * 36)
 	}
 	var xs, ys, zs [Lanes]float32
-	v := c.InputVec3(xs, ys, zs, addrs, trace.ClassPipeline)
+	v := c.InputVec3(&xs, &ys, &zs, addrs, trace.ClassPipeline)
 	_ = v
 	k := b.Finish()
 	h := k.OpHistogram()
@@ -206,7 +206,7 @@ func TestTexSampleEmitsAddressesAndColors(t *testing.T) {
 	}
 	var layer [Lanes]int
 	var foot [Lanes]float32
-	rgba := c.TexSample(tex, Val{V: us}, Val{V: vs}, layer, foot)
+	rgba := c.TexSample(tex, Val{V: &us}, Val{V: &vs}, &layer, &foot)
 	k := b.Finish()
 	if k.OpHistogram()[isa.OpTEX] != 1 {
 		t.Fatal("TEX not emitted")
@@ -254,7 +254,7 @@ func TestTexSampleLodOffUsesLevel0(t *testing.T) {
 	run := func(lod bool) map[uint64]bool {
 		c, b := newWarpCtx()
 		c.LodEnabled = lod
-		c.TexSample(tex, Val{V: us}, Val{V: vs}, layer, foot)
+		c.TexSample(tex, Val{V: &us}, Val{V: &vs}, &layer, &foot)
 		set := map[uint64]bool{}
 		for _, a := range texAddrs(b.Finish()) {
 			set[a] = true
@@ -283,7 +283,7 @@ func TestRefFootprintProducesRefAddrs(t *testing.T) {
 	var us, vs [Lanes]float32
 	var layer [Lanes]int
 	var foot [Lanes]float32
-	c.TexSample(tex, Val{V: us}, Val{V: vs}, layer, foot)
+	c.TexSample(tex, Val{V: &us}, Val{V: &vs}, &layer, &foot)
 	b.Finish()
 	if len(ref) != Lanes {
 		t.Errorf("ref addrs = %d, want %d", len(ref), Lanes)
@@ -303,7 +303,7 @@ func TestPartialMask(t *testing.T) {
 	var us, vs [Lanes]float32
 	var layer [Lanes]int
 	var foot [Lanes]float32
-	c.TexSample(tex, Val{V: us}, Val{V: vs}, layer, foot)
+	c.TexSample(tex, Val{V: &us}, Val{V: &vs}, &layer, &foot)
 	k := b.Finish()
 	if err := k.Validate(); err != nil {
 		t.Fatalf("partial-mask TEX invalid: %v", err)
@@ -324,7 +324,7 @@ func TestSelect(t *testing.T) {
 	for i := range xs {
 		xs[i] = float32(i)
 	}
-	x := Val{Reg: c.B.NewReg(), V: xs}
+	x := Val{Reg: c.B.NewReg(), V: &xs}
 	cond := c.CmpGT(x, c.Imm(15.5))
 	r := c.Select(cond, c.Imm(1), c.Imm(-1))
 	for i := 0; i < Lanes; i++ {
@@ -348,7 +348,7 @@ func TestMaskedNarrowsAndRestores(t *testing.T) {
 	for i := range xs {
 		xs[i] = float32(i % 2) // odd lanes qualify
 	}
-	cond := Val{Reg: c.B.NewReg(), V: xs}
+	cond := Val{Reg: c.B.NewReg(), V: &xs}
 	ran := false
 	c.Masked(cond, func() {
 		ran = true
@@ -364,7 +364,7 @@ func TestMaskedNarrowsAndRestores(t *testing.T) {
 		t.Errorf("mask not restored: %d lanes", c.ActiveLanes())
 	}
 	// All-false predicate skips the block entirely.
-	c.Masked(Val{Reg: c.B.NewReg()}, func() { t.Fatal("dead branch executed") })
+	c.Masked(Val{Reg: c.B.NewReg(), V: new([Lanes]float32)}, func() { t.Fatal("dead branch executed") })
 	k := b.Finish()
 	if err := k.Validate(); err != nil {
 		t.Fatal(err)
