@@ -16,8 +16,10 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"reflect"
 	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -527,20 +529,24 @@ func BenchmarkSimulatorSpeedMemBound(b *testing.B) {
 //   - compute/<workload>: compute.ByName.
 //
 // Each reports kinsts/s, B/kinst and allocs/kinst (process-wide, so worker
-// goroutines' allocations count). The front ends fan out over GOMAXPROCS, so
-// -cpu 1,2 gives the single-thread cost and what the fan-out buys;
-// CRISP_BENCH_JSON records the rows (BENCH_frontend.json, docs/PERFORMANCE.md).
+// goroutines' allocations count), and cpu_per_wall: the process's CPU
+// seconds over elapsed seconds, how many CPUs the fan-out kept busy. The
+// front ends fan out over GOMAXPROCS, so -cpu 1,2 gives the single-thread
+// cost and what the fan-out buys; CRISP_BENCH_JSON records the rows
+// (BENCH_frontend.json, docs/PERFORMANCE.md).
 func BenchmarkFrontEnd(b *testing.B) {
 	scenes := []string{"SPL", "SPH", "PT", "IT", "PL", "MT"}
 	measure := func(b *testing.B, name string, kinsts float64, op func()) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
+		cpu0 := processCPUSeconds(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			op()
 		}
 		b.StopTimer()
+		cpu := processCPUSeconds(b) - cpu0
 		runtime.ReadMemStats(&after)
 		sec, k := b.Elapsed().Seconds(), kinsts*float64(b.N)
 		entry := benchEntry{
@@ -552,10 +558,12 @@ func BenchmarkFrontEnd(b *testing.B) {
 			WarpKIPS:       k / sec,
 			BytesPerKInst:  float64(after.TotalAlloc-before.TotalAlloc) / k,
 			AllocsPerKInst: float64(after.Mallocs-before.Mallocs) / k,
+			CPUPerWall:     cpu / sec,
 		}
 		b.ReportMetric(entry.WarpKIPS, "kinsts/s")
 		b.ReportMetric(entry.BytesPerKInst, "B/kinst")
 		b.ReportMetric(entry.AllocsPerKInst, "allocs/kinst")
+		b.ReportMetric(entry.CPUPerWall, "cpu_per_wall")
 		writeBenchSnapshot(b, entry)
 	}
 	frameKInsts := func(res *render.Result) float64 {
@@ -629,6 +637,10 @@ type benchEntry struct {
 	// per thousand warp instructions generated (BENCH_frontend.json).
 	BytesPerKInst  float64 `json:"bytes_per_kinst,omitempty"`
 	AllocsPerKInst float64 `json:"allocs_per_kinst,omitempty"`
+	// CPUPerWall is a front-end row's process CPU time over its elapsed
+	// time: 1 for a serial front end, GOMAXPROCS for a fan-out that kept
+	// every CPU busy.
+	CPUPerWall float64 `json:"cpu_per_wall,omitempty"`
 	// Where the row was measured, stamped by writeBenchSnapshot: a speed
 	// is only comparable with one from a host that had the CPUs the row's
 	// GOMAXPROCS asks for, on a known toolchain and commit.
@@ -647,14 +659,37 @@ func benchCommit() string {
 	return "unknown"
 }
 
+// processCPUSeconds is the user plus system CPU time the process has used.
+func processCPUSeconds(b *testing.B) float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()).Seconds()
+}
+
+// upsertBenchEntry returns entries with e in place of the row of the same
+// bench, GOMAXPROCS and commit, or with e appended when there is none. The
+// testing package runs a preliminary iteration per -cpu sweep point before
+// the measured one, and last-write-wins keeps exactly the measured numbers;
+// a row of another commit is history and is kept, so the newest commit's
+// row is the last of its key.
+func upsertBenchEntry(entries []benchEntry, e benchEntry) []benchEntry {
+	for i := range entries {
+		if entries[i].Bench == e.Bench && entries[i].GOMAXPROCS == e.GOMAXPROCS && entries[i].Commit == e.Commit {
+			entries[i] = e
+			return entries
+		}
+	}
+	return append(entries, e)
+}
+
 // writeBenchSnapshot upserts entry into the JSON array at
-// CRISP_BENCH_JSON (no-op when unset), keyed by (bench, observed
-// GOMAXPROCS): the testing package runs a preliminary iteration per -cpu
-// sweep point before the measured one, and last-write-wins keeps exactly
-// the measured numbers, one entry per GOMAXPROCS. GOMAXPROCS is read
-// at run time rather than inferred from the row label because under
-// -benchtime 1x the framework reuses the preliminary iteration — which
-// ran at the previous sweep point's CPU count — for the first row.
+// CRISP_BENCH_JSON (no-op when unset) with upsertBenchEntry, keyed by
+// (bench, observed GOMAXPROCS, commit). GOMAXPROCS is read at run time
+// rather than inferred from the row label because under -benchtime 1x the
+// framework reuses the preliminary iteration — which ran at the previous
+// sweep point's CPU count — for the first row.
 //
 // A row whose GOMAXPROCS exceeds the host's CPUs is not written: it would
 // record oversubscription (-cpu 4 on a two-CPU box), not the simulator.
@@ -674,23 +709,40 @@ func writeBenchSnapshot(b *testing.B, entry benchEntry) {
 			b.Fatalf("CRISP_BENCH_JSON %s holds something other than a bench snapshot: %v", path, err)
 		}
 	}
-	replaced := false
-	for i := range entries {
-		if entries[i].Bench == entry.Bench && entries[i].GOMAXPROCS == entry.GOMAXPROCS {
-			entries[i] = entry
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		entries = append(entries, entry)
-	}
-	data, err := json.MarshalIndent(entries, "", "  ")
+	data, err := json.MarshalIndent(upsertBenchEntry(entries, entry), "", "  ")
 	if err != nil {
 		b.Fatal(err)
 	}
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestUpsertBenchEntry: recording a row replaces only the row its own
+// commit wrote for the same bench and GOMAXPROCS; every other commit's row
+// stays where it was, and a new commit's row goes last.
+func TestUpsertBenchEntry(t *testing.T) {
+	row := func(bench string, procs int, commit string, kips float64) benchEntry {
+		return benchEntry{Bench: bench, GOMAXPROCS: procs, Commit: commit, WarpKIPS: kips}
+	}
+	old, mid, mid2 := row("A", 1, "old", 1), row("A", 1, "mid", 2), row("A", 2, "mid", 3)
+	for _, c := range []struct {
+		name string
+		add  benchEntry
+		want []benchEntry
+	}{
+		{"new commit appends", row("A", 1, "new", 9), []benchEntry{old, mid, mid2, row("A", 1, "new", 9)}},
+		{"same commit replaces its row", row("A", 1, "mid", 9), []benchEntry{old, row("A", 1, "mid", 9), mid2}},
+		{"oldest commit replaces only its row", row("A", 1, "old", 9), []benchEntry{row("A", 1, "old", 9), mid, mid2}},
+		{"another GOMAXPROCS appends", row("A", 4, "mid", 9), []benchEntry{old, mid, mid2, row("A", 4, "mid", 9)}},
+		{"another bench appends", row("B", 1, "mid", 9), []benchEntry{old, mid, mid2, row("B", 1, "mid", 9)}},
+	} {
+		if got := upsertBenchEntry([]benchEntry{old, mid, mid2}, c.add); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: got %+v, want %+v", c.name, got, c.want)
+		}
+	}
+	if got := upsertBenchEntry(nil, old); !reflect.DeepEqual(got, []benchEntry{old}) {
+		t.Errorf("empty file: got %+v", got)
 	}
 }
 

@@ -1,7 +1,9 @@
 // Command crispbench regenerates the paper's tables and figures as text
 // tables — the benchmark harness of the reproduction. Each experiment
 // prints the rows/series the corresponding paper table or figure reports,
-// followed by the headline metrics its claim rests on.
+// followed by the headline metrics its claim rests on. Stdout holds nothing
+// that depends on the host: each experiment's duration goes to stderr, and
+// -exp all prints exactly internal/experiments/testdata/figures.golden.
 //
 // The harness degrades gracefully: every run is guarded against panics
 // and an optional per-run timeout, failed runs are reported in the final
@@ -85,6 +87,7 @@ func main() {
 			ckptDir: *ckptDir, ckptEvery: *ckptEvery, resume: *resume, budget: *budget,
 			noSkip: *noSkip,
 		})
+		printSummary(outcomes)
 	} else {
 		outcomes = runExperiments(*exp, *scaleName, *csvDir, *dumpDir, *runTimeout)
 		if outcomes == nil {
@@ -93,7 +96,12 @@ func main() {
 		}
 	}
 
-	failed := printSummary(outcomes)
+	failed := 0
+	for _, o := range outcomes {
+		if o.err != nil {
+			failed++
+		}
+	}
 	if *jsonOut != "" {
 		if err := writeJSONSummary(*jsonOut, outcomes); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -133,37 +141,38 @@ func guard(name string, timeout time.Duration, fn func() error) (err error) {
 	}
 }
 
-// runExperiments drives the selected suite experiments, each guarded.
-// Returns nil when no experiment name matched.
+// runExperiments prints the selected suite experiments with
+// experiments.WriteFigures, each guarded, and each one's duration on
+// stderr. Returns nil when no experiment name matched.
 func runExperiments(exp, scaleName, csvDir, dumpDir string, timeout time.Duration) []runOutcome {
 	sc := experiments.DefaultScale
 	if scaleName == "quick" {
 		sc = experiments.QuickScale
 	}
 	selected := strings.Split(exp, ",")
-	want := func(name string) bool {
+	var figs []experiments.Figure
+	for _, f := range experiments.Figures {
 		for _, s := range selected {
-			if s == "all" || s == name {
-				return true
+			if s == "all" || s == f.Name {
+				figs = append(figs, f)
+				break
 			}
 		}
-		return false
+	}
+	if len(figs) == 0 {
+		return nil
 	}
 
 	var outcomes []runOutcome
-	for _, e := range allExperiments {
-		if !want(e.name) {
-			continue
-		}
-		fmt.Printf("==== %s — %s ====\n", strings.ToUpper(e.name), e.title)
+	experiments.WriteFigures(os.Stdout, figs, func(f experiments.Figure) error {
 		t0 := time.Now()
-		err := guard(e.name, timeout, func() error {
-			table, err := e.run(sc)
+		err := guard(f.Name, timeout, func() error {
+			table, err := f.Print(os.Stdout, sc)
 			if err != nil {
 				return err
 			}
 			if csvDir != "" && table != nil {
-				path := fmt.Sprintf("%s/%s.csv", csvDir, e.name)
+				path := fmt.Sprintf("%s/%s.csv", csvDir, f.Name)
 				if err := os.WriteFile(path, []byte(table.CSV()), 0o644); err != nil {
 					return err
 				}
@@ -173,13 +182,14 @@ func runExperiments(exp, scaleName, csvDir, dumpDir string, timeout time.Duratio
 		})
 		dur := time.Since(t0).Round(time.Millisecond)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s FAILED after %v: %v\n\n", e.name, dur, err)
-			writeDump(dumpDir, e.name, err)
+			fmt.Fprintf(os.Stderr, "%s FAILED after %v: %v\n", f.Name, dur, err)
+			writeDump(dumpDir, f.Name, err)
 		} else {
-			fmt.Printf("(%s in %v)\n\n", e.name, dur)
+			fmt.Fprintf(os.Stderr, "(%s in %v)\n", f.Name, dur)
 		}
-		outcomes = append(outcomes, runOutcome{name: e.name, dur: dur, err: err})
-	}
+		outcomes = append(outcomes, runOutcome{name: f.Name, dur: dur, err: err})
+		return err
+	})
 	return outcomes
 }
 
@@ -368,8 +378,8 @@ func writeJSONSummary(path string, outcomes []runOutcome) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// printSummary renders the outcome table and returns the failure count.
-func printSummary(outcomes []runOutcome) int {
+// printSummary renders a sweep's outcome table.
+func printSummary(outcomes []runOutcome) {
 	failed := 0
 	t := &stats.Table{Header: []string{"run", "status", "time", "snapshot", "detail"}}
 	for _, o := range outcomes {
@@ -399,151 +409,4 @@ func printSummary(outcomes []runOutcome) int {
 		t.AddRow(o.name, status, o.dur.String(), snap, detail)
 	}
 	fmt.Printf("==== SUMMARY (%d/%d ok) ====\n%s", len(outcomes)-failed, len(outcomes), t)
-	return failed
-}
-
-type experiment struct {
-	name  string
-	title string
-	// run prints the experiment's output and returns its primary table
-	// (written as CSV under -csv).
-	run func(sc experiments.Scale) (*stats.Table, error)
-}
-
-var allExperiments = []experiment{
-	{"table2", "Simulation configurations", func(sc experiments.Scale) (*stats.Table, error) {
-		t := experiments.Table2()
-		fmt.Println(t)
-		return t, nil
-	}},
-	{"fig3", "Vertex shader invocations: simulator vs hardware profiler (batch size 96)", func(sc experiments.Scale) (*stats.Table, error) {
-		r, err := experiments.Fig3(sc)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(r.Table)
-		fmt.Printf("correlation r = %.4f over %d drawcalls; mean warp-rounding over-count = %.1f%%\n",
-			r.R, r.Points, 100*r.MeanRelErr)
-		return r.Table, nil
-	}},
-	{"fig3sweep", "Vertex batch-size sweep: invocation-count error vs batch size", func(sc experiments.Scale) (*stats.Table, error) {
-		r, err := experiments.Fig3Sweep(sc)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(r.Table)
-		fmt.Printf("best batch size = %d (paper fixes 96 after the same sweep)\n", r.Best)
-		return r.Table, nil
-	}},
-	{"fig6", "Frame-time correlation vs RTX 3070 silicon stand-in (2K/4K classes)", func(sc experiments.Scale) (*stats.Table, error) {
-		r, err := experiments.Fig6(sc)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(r.Table)
-		fmt.Printf("correlation r = %.4f; simulator reads high on %s of points (paper: all, for lack of driver optimizations)\n",
-			r.R, stats.Pct(r.SimHighFraction))
-		fmt.Printf("2K→4K scaling: IT (vertex-bound) %.2fx, max across scenes %.2fx\n", r.ITScaling, r.MaxScaling)
-		return r.Table, nil
-	}},
-	{"fig7", "Mip merge on a 4x4 texture: four level-0 requests collapse at level 1", func(sc experiments.Scale) (*stats.Table, error) {
-		r, err := experiments.Fig7()
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(r.Table)
-		fmt.Printf("distinct texels: level 0 = %d, level 1 = %d\n", r.Level0Distinct, r.Level1Distinct)
-		return r.Table, nil
-	}},
-	{"fig9", "L1 texture accesses: LoD on vs off vs exact-LoD reference", func(sc experiments.Scale) (*stats.Table, error) {
-		r, err := experiments.Fig9(sc)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(r.Table)
-		fmt.Printf("MAPE: LoD on = %s, LoD off = %s (%.1fx reduction; paper: 219%% → 33%%, 6.6x)\n",
-			stats.Pct(r.MAPEOn), stats.Pct(r.MAPEOff), r.Improvement)
-		fmt.Printf("worst per-drawcall LoD-off inflation: %.1fx (paper: up to 6x)\n", r.MaxInflation)
-		return r.Table, nil
-	}},
-	{"fig10", "TEX cache lines (128B) per CTA in one Sponza drawcall", func(sc experiments.Scale) (*stats.Table, error) {
-		r, err := experiments.Fig10(sc)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("drawcall %s:\n%s", r.Drawcall, r.Histogram)
-		fmt.Printf("mode = %d, mean = %.2f; per-drawcall means span %.2f–%.2f (paper: 2.54–21.19)\n",
-			r.Mode, r.Mean, r.MeanMin, r.MeanMax)
-		hist := &stats.Table{Header: []string{"tex-lines-per-CTA", "count"}}
-		for v := 0; v <= 256; v++ {
-			if n := r.Histogram.Count(v); n > 0 {
-				hist.AddRow(fmt.Sprint(v), fmt.Sprint(n))
-			}
-		}
-		return hist, nil
-	}},
-	{"fig11", "L2 composition by shading technique (PBR Pistol vs basic Sponza)", func(sc experiments.Scale) (*stats.Table, error) {
-		r, err := experiments.Fig11(sc)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(r.Table)
-		return r.Table, nil
-	}},
-	{"fig12", "Warped-slicer vs EVEN vs MPS on Jetson Orin (normalized to MPS)", func(sc experiments.Scale) (*stats.Table, error) {
-		r, err := experiments.Fig12(sc)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(r.Table)
-		fmt.Printf("geomean: MPS %.3f, EVEN %.3f, Dynamic %.3f; best NN pairing %.3f\n",
-			r.GeoMean["MPS"], r.GeoMean["EVEN"], r.GeoMean["WarpedSlicer"], r.BestNNSpeedup)
-		return r.Table, nil
-	}},
-	{"fig13", "Warped-slicer occupancy timeline, PT+VIO on Jetson Orin", func(sc experiments.Scale) (*stats.Table, error) {
-		r, err := experiments.Fig13(sc)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(r.Table)
-		fmt.Printf("peak resident warps %d; minimum while both tasks resident %d (register-limited dips)\n",
-			r.PeakWarps, r.MinBusyWarps)
-		return r.Table, nil
-	}},
-	{"fig14", "TAP vs MiG vs MPS on RTX 3070 (normalized to MPS)", func(sc experiments.Scale) (*stats.Table, error) {
-		r, err := experiments.Fig14(sc)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(r.Table)
-		fmt.Printf("geomean: MPS %.3f, MiG %.3f, TAP %.3f\n",
-			r.GeoMean["MPS"], r.GeoMean["MiG"], r.GeoMean["TAP"])
-		return r.Table, nil
-	}},
-	{"fig15", "L2 composition under TAP, SPH+HOLO", func(sc experiments.Scale) (*stats.Table, error) {
-		r, err := experiments.Fig15(sc)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(r.Table)
-		fmt.Printf("rendering owns %s of valid L2 lines (TAP starves the compute-bound HOLO)\n",
-			stats.Pct(r.RenderFraction))
-		return r.Table, nil
-	}},
-	{"upscale", "Async-compute case study: low-res render + DLSS-analog tensor upscaling", func(sc experiments.Scale) (*stats.Table, error) {
-		r, err := experiments.CaseStudyAsyncUpscale(sc)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(r.Table)
-		return r.Table, nil
-	}},
-	{"qos", "QoS case study: frame-ready time vs throughput, PT+VIO", func(sc experiments.Scale) (*stats.Table, error) {
-		r, err := experiments.CaseStudyQoS(sc)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println(r.Table)
-		return r.Table, nil
-	}},
 }

@@ -213,8 +213,9 @@ func (p *pipeline) draw(di int) error {
 		mvp := viewProj.Mul(inst.Model)
 		for bi := range batches {
 			b := &batches[bi]
-			// Before this batch's fragment list exists: at most GOMAXPROCS
-			// lists, and as many batches' colours, are alive at a time.
+			// Before this batch's fragment list exists: at most
+			// fanout.Window() lists, and as many batches' colours, are
+			// alive at a time.
 			p.fs.Reserve()
 			streamID := p.nextStr
 			p.nextStr++
