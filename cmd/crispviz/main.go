@@ -18,6 +18,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -60,7 +61,7 @@ func main() {
 		log.Fatal(err)
 	}
 	spec := crisp.SpecForPair(cfg, *sceneName, *computeName, crisp.PolicyKind(*policy), crisp.DefaultRenderOptions())
-	res, err := crisp.RunSpec(context.Background(), spec, nil, crisp.WithTimeline(512))
+	res, err := crisp.RunSpec(context.Background(), spec, nil, crisp.WithMetrics(512))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,33 +70,32 @@ func main() {
 		*sceneName, *computeName, cfg.Name, *policy, res.Cycles)
 
 	fmt.Println("occupancy timeline (resident warps; r = render, c = compute):")
-	plotTimeline(res, cfg.NumSMs*cfg.MaxWarpsPerSM, *width)
+	plotTimeline(os.Stdout, res.Metrics, cfg.NumSMs*cfg.MaxWarpsPerSM, *width)
 
 	fmt.Println("\nL2 composition:")
 	plotComposition(res, *width)
 }
 
-// plotTimeline draws the two per-task occupancy series as row-per-sample
-// bars.
-func plotTimeline(res *crisp.Result, capacity, width int) {
-	if res.Timeline == nil || len(res.Timeline.Samples) == 0 {
-		fmt.Println("  (no samples)")
+// maxTimelineRows bounds the occupancy chart's height.
+const maxTimelineRows = 40
+
+// plotTimeline draws the two per-task occupancy series — the resident
+// warps of the interval metrics series — as row-per-sample bars, every
+// step-th sample so at most maxTimelineRows rows print.
+func plotTimeline(w io.Writer, series *crisp.IntervalSeries, capacity, width int) {
+	if series == nil || len(series.Samples) == 0 {
+		fmt.Fprintln(w, "  (no samples)")
 		return
 	}
-	samples := res.Timeline.Samples
-	// Downsample to at most 40 rows.
-	step := 1
-	if len(samples) > 40 {
-		step = len(samples) / 40
-	}
+	samples := series.Samples
+	step := (len(samples) + maxTimelineRows - 1) / maxTimelineRows
 	for i := 0; i < len(samples); i += step {
-		s := samples[i]
-		g := s.WarpsByStream[0]
-		c := s.WarpsByStream[1]
+		s := &samples[i]
+		g, c := s.Warps(0), s.Warps(1)
 		gw := g * width / capacity
 		cw := c * width / capacity
 		bar := strings.Repeat("r", gw) + strings.Repeat("c", cw)
-		fmt.Printf("  %9d | %-*s g=%-4d c=%-4d\n", s.Cycle, width, bar, g, c)
+		fmt.Fprintf(w, "  %9d | %-*s g=%-4d c=%-4d\n", s.Cycle, width, bar, g, c)
 	}
 }
 

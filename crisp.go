@@ -174,10 +174,6 @@ type MetricsSample = obs.Sample
 // goroutine and must be cheap and internally synchronized.
 func WithMetricsSink(fn func(MetricsSample)) RunOption { return core.WithMetricsSink(fn) }
 
-// WithTimeline samples the per-task occupancy timeline every interval
-// cycles into Result.Timeline.
-func WithTimeline(interval int64) RunOption { return core.WithTimeline(interval) }
-
 // WithWatchdog sets the forward-progress watchdog window in cycles: the
 // run fails with a watchdog SimError when no instruction issues for that
 // long while warps are resident (0 = default window, negative disables).

@@ -2,7 +2,8 @@
 // services — VIO tracking and RITnet eye segmentation — as three tasks on
 // one GPU. The paper studies pairs and notes the framework "can be easily
 // extended to support more than 2 workloads"; this example exercises that
-// extension with three-way MPS and three-way intra-SM EVEN sharing.
+// extension as a three-tenant mix under three-way MPS and three-way
+// intra-SM EVEN sharing.
 package main
 
 import (
@@ -14,37 +15,19 @@ import (
 
 func main() {
 	cfg := crisp.JetsonOrin()
-
-	gfx, err := crisp.RenderScene("PL", crisp.DefaultRenderOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
-	vio, err := crisp.BuildCompute("VIO")
-	if err != nil {
-		log.Fatal(err)
-	}
-	nn, err := crisp.BuildCompute("NN")
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	run := func(policy crisp.PolicyKind) *crisp.Result {
-		job := crisp.Job{
-			GPU:      cfg,
-			Graphics: gfx,
-			Computes: []*crisp.ComputeWorkload{vio, nn},
-			Policy:   policy,
-		}
-		res, err := job.Run()
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res
-	}
+	mix := crisp.MixSpec{Name: "multitask", Tenants: []crisp.MixTenant{
+		{Scene: "PL"},
+		{Compute: "VIO"},
+		{Compute: "NN"},
+	}}
+	fe := crisp.NewFrontend()
 
 	fmt.Printf("Platformer + VIO + NN (three tasks) on %s\n\n", cfg.Name)
 	for _, pol := range []crisp.PolicyKind{crisp.PolicySerial, crisp.PolicyMPS, crisp.PolicyEven} {
-		res := run(pol)
+		res, err := crisp.RunMix(cfg, mix, pol, crisp.DefaultRenderOptions(), crisp.WithFrontend(fe))
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  %-7s %8d cycles\n", pol, res.Cycles)
 		for task := 0; task < 3; task++ {
 			if st, ok := res.PerTask[task]; ok {

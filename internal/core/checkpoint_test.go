@@ -243,9 +243,9 @@ func TestCheckpointTimingsReported(t *testing.T) {
 // in-memory traces refuses resume with a structured snapshot error rather
 // than misbehaving.
 func TestResumeRejectsIncompleteSpec(t *testing.T) {
-	if _, err := JobFromSpec(snapshot.Spec{Policy: "EVEN"}); err == nil {
-		t.Fatalf("JobFromSpec accepted an incomplete spec")
-	} else if se, ok := robust.AsSimError(err); !ok || se.Kind != robust.KindSnapshot {
+	if _, err := jobFromSpec(snapshot.Spec{Policy: "EVEN"}, MixEnv{}); err == nil {
+		t.Fatalf("jobFromSpec accepted an incomplete spec")
+	} else if se, ok := robust.AsSimError(resumeErr(err)); !ok || se.Kind != robust.KindSnapshot {
 		t.Fatalf("err = %v, want snapshot SimError", err)
 	}
 }
@@ -276,7 +276,7 @@ func TestRestoreRefusesForeignJob(t *testing.T) {
 	_, err = RunSpec(context.Background(), other, env)
 	want("RunSpec of another job", err)
 
-	j, err := JobFromSpec(other)
+	j, err := jobFromSpec(other, MixEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestRestoreRefusesForeignJob(t *testing.T) {
 	want("Job{Restore: foreign}.Run", err)
 
 	// The snapshot's own job on another machine: nothing but the config moved.
-	j, err = JobFromSpec(env.Spec)
+	j, err = jobFromSpec(env.Spec, MixEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}

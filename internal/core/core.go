@@ -88,15 +88,11 @@ type Job struct {
 	GPU      config.GPU
 	Graphics *render.Result
 	Compute  *compute.Workload
-	// Computes adds further compute workloads as additional tasks
-	// (2, 3, …) — the more-than-two-workloads extension the paper's
-	// limitation section describes. Every policy takes the task count;
-	// see BuildPolicy.
-	Computes []*compute.Workload
-	// Tenants, when non-empty, replaces Graphics/Compute/Computes with an
+	// Tenants, when non-empty, replaces Graphics/Compute with an
 	// N-tenant scenario mix: tenant i is task i and owns stream range
-	// [i*ComputeStreamBase, (i+1)*ComputeStreamBase). Build with
-	// BuildMixJob.
+	// [i*ComputeStreamBase, (i+1)*ComputeStreamBase). It is how a job
+	// runs more than two tasks — the more-than-two-workloads extension the
+	// paper's limitation section describes. Build with BuildMixJobEnv.
 	Tenants []Tenant
 	Policy  PolicyKind
 	// GraphicsWindow bounds concurrently active rendering batch streams
@@ -108,9 +104,6 @@ type Job struct {
 	// batches pipeline behind frame N's tail — the steady-state frame
 	// pipelining of real renderers.
 	GraphicsFrames int
-	// TimelineInterval, when > 0, samples per-task occupancy every so
-	// many cycles (paper Fig. 13).
-	TimelineInterval int64
 	// LRRScheduler switches the warp schedulers from greedy-then-oldest
 	// to loose round-robin (the scheduling ablation).
 	LRRScheduler bool
@@ -121,7 +114,8 @@ type Job struct {
 	Tracer obs.Tracer
 	// MetricsInterval, when > 0, samples per-task interval metrics (IPC,
 	// occupancy, hit rates, DRAM bandwidth) every so many cycles into
-	// Result.Metrics.
+	// Result.Metrics; its per-task resident warps are the occupancy
+	// timeline (paper Fig. 13).
 	MetricsInterval int64
 	// MetricsSink, when non-nil, additionally receives each interval
 	// metrics sample as it is taken (live progress for long runs, e.g. the
@@ -195,7 +189,6 @@ type Result struct {
 	// L2ByTask counts valid L2 lines by owning task.
 	L2ByTask map[int]int
 	L2Lines  int
-	Timeline *stats.Timeline
 	// Metrics is the interval time series when Job.MetricsInterval > 0.
 	Metrics *obs.IntervalSeries
 	// SchedSlots and EmptySlots are whole-GPU scheduler slot counts: every
@@ -264,7 +257,7 @@ func (j *Job) RunContext(ctx context.Context) (*Result, error) {
 
 	var totalTasks int
 	if len(j.Tenants) > 0 {
-		if j.Graphics != nil || j.Compute != nil || len(j.Computes) > 0 {
+		if j.Graphics != nil || j.Compute != nil {
 			return nil, fmt.Errorf("core: a job carries either a tenant mix or pair workloads, not both")
 		}
 		totalTasks, err = j.addTenantStreams(g)
@@ -289,7 +282,7 @@ func (j *Job) RunContext(ctx context.Context) (*Result, error) {
 
 // addPairStreams lowers the classic pair job onto addTenant, the routine
 // mixes are built with: the frame replay is task 0 with one immediate
-// arrival per frame, the i-th compute workload task i+1 with one — so a
+// arrival per frame, the compute workload task 1 with one — so a
 // compute-only job leaves task 0 empty. What keeps a pair a pair is what it
 // does not install: no QoS table, no declared priorities. It returns the
 // task count.
@@ -300,25 +293,18 @@ func (j *Job) addPairStreams(g *gpu.GPU) (int, error) {
 			return 0, err
 		}
 	}
-	computes := j.Computes
 	if j.Compute != nil {
-		computes = append([]*compute.Workload{j.Compute}, computes...)
-	}
-	for ci, w := range computes {
-		if _, err := j.addTenant(g, ci+1, Tenant{Name: w.Name, Compute: w}); err != nil {
+		if _, err := j.addTenant(g, partition.TaskCompute, Tenant{Name: j.Compute.Name, Compute: j.Compute}); err != nil {
 			return 0, err
 		}
 	}
-	return 1 + len(computes), nil
+	return 2, nil
 }
 
 // runOn finishes RunContext after streams and policy are installed:
 // observability wiring, checkpointing, optional restore, the run itself,
 // and result folding.
 func (j *Job) runOn(ctx context.Context, g *gpu.GPU, res *Result) (*Result, error) {
-	if j.TimelineInterval > 0 {
-		g.Timeline = &stats.Timeline{Interval: j.TimelineInterval}
-	}
 	if j.LRRScheduler {
 		g.SetWarpScheduler(sm.SchedLRR)
 	}
@@ -387,7 +373,6 @@ func (j *Job) runOn(ctx context.Context, g *gpu.GPU, res *Result) (*Result, erro
 	res.FrameTimeMS = j.GPU.FrameTimeMS(cycles)
 	res.PerStream = g.StreamStats()
 	res.PerTask = g.TaskStats()
-	res.Timeline = g.Timeline
 	res.Metrics = g.Metrics
 	res.SchedSlots = g.SchedSlots()
 	res.EmptySlots = g.EmptySlots()
@@ -485,10 +470,6 @@ func WithMetrics(interval int64) RunOption { return func(j *Job) { j.MetricsInte
 // taken (requires WithMetrics to set the cadence). fn runs on the
 // simulation goroutine and must be cheap and internally synchronized.
 func WithMetricsSink(fn func(obs.Sample)) RunOption { return func(j *Job) { j.MetricsSink = fn } }
-
-// WithTimeline samples the per-task occupancy timeline every interval
-// cycles into Result.Timeline.
-func WithTimeline(interval int64) RunOption { return func(j *Job) { j.TimelineInterval = interval } }
 
 // WithWatchdog sets the forward-progress watchdog window in cycles
 // (0 = default window, negative disables).

@@ -126,28 +126,26 @@ func TestJobDeterministic(t *testing.T) {
 	}
 }
 
+// TestTimelineCollection checks the occupancy timeline a pair's metrics
+// series carries: both tasks are seen resident.
 func TestTimelineCollection(t *testing.T) {
 	gfx, err := RenderScene("PL", tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	comp, _ := compute.ByName("VIO", ComputeStreamBase)
-	job := Job{GPU: config.JetsonOrin(), Graphics: gfx, Compute: comp, Policy: PolicyEven, TimelineInterval: 512}
+	job := Job{GPU: config.JetsonOrin(), Graphics: gfx, Compute: comp, Policy: PolicyEven, MetricsInterval: 512}
 	res, err := job.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Timeline == nil || len(res.Timeline.Samples) < 2 {
-		t.Fatal("timeline missing")
+	if res.Metrics == nil || len(res.Metrics.Samples) < 2 {
+		t.Fatal("metrics series missing")
 	}
 	sawG, sawC := false, false
-	for _, s := range res.Timeline.Samples {
-		if s.WarpsByStream[partition.TaskGraphics] > 0 {
-			sawG = true
-		}
-		if s.WarpsByStream[partition.TaskCompute] > 0 {
-			sawC = true
-		}
+	for _, s := range res.Metrics.Samples {
+		sawG = sawG || s.Warps(partition.TaskGraphics) > 0
+		sawC = sawC || s.Warps(partition.TaskCompute) > 0
 	}
 	if !sawG || !sawC {
 		t.Errorf("timeline never saw both tasks resident (g=%v c=%v)", sawG, sawC)

@@ -172,7 +172,7 @@ func TestHotPathDigestsPinned(t *testing.T) {
 	if got := statsDigestOf(t, mix); got != 0xcd62228875d51ca3 || mix.Cycles != 105143 {
 		t.Errorf("n-way-fair/WarpedSlicer: stats digest %016x after %d cycles, pinned cd62228875d51ca3 after 105143", got, mix.Cycles)
 	}
-	mixJob, err := BuildMixJob(config.JetsonOrin(), preset, PolicyWarpedSlicer, tinyOpts())
+	mixJob, err := BuildMixJobEnv(config.JetsonOrin(), preset, PolicyWarpedSlicer, tinyOpts(), MixEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,13 +45,10 @@ type MixEnv struct {
 	Compute func(name string) (*compute.Workload, error)
 }
 
-// BuildMixJob validates and lowers a mix onto a runnable Job. opts applies
-// to every render tenant (mirroring RunPair's single options argument).
-func BuildMixJob(cfg config.GPU, mix scenario.MixSpec, policy PolicyKind, opts render.Options) (*Job, error) {
-	return BuildMixJobEnv(cfg, mix, policy, opts, MixEnv{})
-}
-
-// BuildMixJobEnv is BuildMixJob with workload materialization overrides.
+// BuildMixJobEnv validates and lowers a mix onto a runnable Job, its
+// workloads materialized through env (MixEnv{} builds them by name). opts
+// applies to every render tenant (mirroring RunPair's single options
+// argument).
 func BuildMixJobEnv(cfg config.GPU, mix scenario.MixSpec, policy PolicyKind, opts render.Options, env MixEnv) (*Job, error) {
 	spec, err := SpecForMix(cfg, mix, policy, opts)
 	if err != nil {

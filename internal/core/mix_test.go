@@ -174,7 +174,7 @@ func TestMixJobDigestStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := BuildMixJob(cfg, pairMix("SPL", "VIO"), PolicyMPS, tinyOpts())
+	j2, err := BuildMixJobEnv(cfg, pairMix("SPL", "VIO"), PolicyMPS, tinyOpts(), MixEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"crisp/internal/compute"
 	"crisp/internal/config"
 	"crisp/internal/gpu"
+	"crisp/internal/scenario"
 )
 
 func TestTaskOfMultiCompute(t *testing.T) {
@@ -17,87 +18,70 @@ func TestTaskOfMultiCompute(t *testing.T) {
 	}
 }
 
-func TestThreeTaskJob(t *testing.T) {
-	gfx, err := RenderScene("PL", tinyOpts())
+// threeTenants is the more-than-two-workloads job: a frame beside two
+// compute services, one tenant (so one task) each.
+func threeTenants() scenario.MixSpec {
+	return scenario.MixSpec{Name: "three", Tenants: []scenario.Tenant{
+		{Scene: "PL"},
+		{Compute: "VIO"},
+		{Compute: "HOLO"},
+	}}
+}
+
+// threeTaskPins are the three-task job's cycles and stats digests per
+// policy, as measured when the third task was a field of the pair job
+// (task 2 after the pair's two): a tenant mix runs the same simulation.
+var threeTaskPins = map[PolicyKind]struct {
+	cycles int64
+	digest uint64
+}{
+	PolicySerial:       {13568, 0x829d8be5186a4412},
+	PolicyMPS:          {18680, 0x5d7b31e38677faea},
+	PolicyMiG:          {24897, 0x3aa18e08d4b7f035},
+	PolicyEven:         {20053, 0x7cbb8fcb6bdd7ce5},
+	PolicyWarpedSlicer: {39030, 0x0dc2e684897a768c},
+	PolicyTAP:          {19789, 0x91c22cfb9a1ae7e9},
+	PolicyPriority:     {20053, 0x7cbb8fcb6bdd7ce5},
+}
+
+// runThreeTenants runs threeTenants under pol and checks it against its
+// pin and that every task did work.
+func runThreeTenants(t *testing.T, fe *Frontend, pol PolicyKind) *Result {
+	t.Helper()
+	res, err := RunMix(config.JetsonOrin(), threeTenants(), pol, tinyOpts(), WithFrontend(fe))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", pol, err)
 	}
-	vio, _ := compute.ByName("VIO", 0)
-	holo, _ := compute.ByName("HOLO", 0)
+	pin := threeTaskPins[pol]
+	if got := statsDigestOf(t, res); got != pin.digest || res.Cycles != pin.cycles {
+		t.Errorf("%s: stats digest %016x after %d cycles, pinned %016x after %d",
+			pol, got, res.Cycles, pin.digest, pin.cycles)
+	}
+	for task := 0; task < 3; task++ {
+		st, ok := res.PerTask[task]
+		if !ok || st.WarpInsts == 0 {
+			t.Errorf("%s: task %d missing or idle", pol, task)
+		}
+	}
+	return res
+}
+
+func TestThreeTaskJob(t *testing.T) {
+	fe := NewFrontend()
 	for _, pol := range []PolicyKind{PolicySerial, PolicyMPS, PolicyEven} {
-		job := Job{
-			GPU:      config.JetsonOrin(),
-			Graphics: gfx,
-			Computes: []*compute.Workload{vio, holo},
-			Policy:   pol,
-		}
-		res, err := job.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", pol, err)
-		}
-		for task := 0; task < 3; task++ {
-			st, ok := res.PerTask[task]
-			if !ok || st.WarpInsts == 0 {
-				t.Errorf("%s: task %d missing or idle", pol, task)
-			}
-		}
+		runThreeTenants(t, fe, pol)
 	}
 }
 
 // TestNWayPoliciesAcceptThreeTasks pins the scenario-engine extension:
 // every policy takes the task count and runs three-task jobs to completion.
 func TestNWayPoliciesAcceptThreeTasks(t *testing.T) {
-	gfx, err := RenderScene("PL", tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	vio, _ := compute.ByName("VIO", 0)
-	holo, _ := compute.ByName("HOLO", 0)
+	fe := NewFrontend()
 	for _, pol := range []PolicyKind{PolicyMiG, PolicyWarpedSlicer, PolicyTAP, PolicyPriority} {
-		job := Job{
-			GPU:      config.JetsonOrin(),
-			Graphics: gfx,
-			Computes: []*compute.Workload{vio, holo},
-			Policy:   pol,
-		}
-		res, err := job.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", pol, err)
-		}
-		for task := 0; task < 3; task++ {
-			st, ok := res.PerTask[task]
-			if !ok || st.WarpInsts == 0 {
-				t.Errorf("%s: task %d missing or idle", pol, task)
-			}
-		}
+		res := runThreeTenants(t, fe, pol)
 		if pol == PolicyWarpedSlicer && res.WS == nil {
 			t.Error("warped-slicer state not exposed at three tasks")
 		}
-	}
-}
-
-func TestComputeAndComputesCompose(t *testing.T) {
-	vio, _ := compute.ByName("VIO", 0)
-	holo, _ := compute.ByName("HOLO", 0)
-	job := Job{
-		GPU:      config.JetsonOrin(),
-		Compute:  vio,
-		Computes: []*compute.Workload{holo},
-		Policy:   PolicySerial,
-	}
-	res, err := job.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compute becomes task 1, Computes[0] task 2.
-	if res.PerTask[1] == nil || res.PerTask[2] == nil {
-		t.Fatalf("tasks = %v", len(res.PerTask))
-	}
-	if res.PerTask[1].Label != "VIO" || res.PerTask[1].WarpInsts == 0 {
-		t.Errorf("task 1 is %q with %d warp insts, want the VIO workload", res.PerTask[1].Label, res.PerTask[1].WarpInsts)
-	}
-	if res.PerTask[2].Label != "HOLO" {
-		t.Errorf("task 2 is %q, want HOLO", res.PerTask[2].Label)
 	}
 }
 

@@ -41,33 +41,33 @@ func completeSpec() snapshot.Spec {
 // newer simulator) must fail resume with a typed snapshot error — never a
 // panic, never a silent misconfiguration.
 func TestJobFromSpecRejectsUnknownNames(t *testing.T) {
-	if j, err := JobFromSpec(completeSpec()); err != nil || j == nil {
+	if j, err := jobFromSpec(completeSpec(), MixEnv{}); err != nil || j == nil {
 		t.Fatalf("baseline spec did not build: %v", err)
 	}
 
 	t.Run("unknown-scene", func(t *testing.T) {
 		spec := completeSpec()
 		spec.Scene = "NO_SUCH_SCENE"
-		_, err := JobFromSpec(spec)
-		wantSnapshotError(t, err, "unknown scene")
+		_, err := jobFromSpec(spec, MixEnv{})
+		wantSnapshotError(t, resumeErr(err), "unknown scene")
 	})
 	t.Run("unknown-compute", func(t *testing.T) {
 		spec := completeSpec()
 		spec.Compute = "NO_SUCH_KERNEL"
-		_, err := JobFromSpec(spec)
-		wantSnapshotError(t, err, "unknown compute workload")
+		_, err := jobFromSpec(spec, MixEnv{})
+		wantSnapshotError(t, resumeErr(err), "unknown compute workload")
 	})
 	t.Run("unknown-policy", func(t *testing.T) {
 		spec := completeSpec()
 		spec.Policy = "NO_SUCH_POLICY"
-		_, err := JobFromSpec(spec)
-		wantSnapshotError(t, err, "unknown policy")
+		_, err := jobFromSpec(spec, MixEnv{})
+		wantSnapshotError(t, resumeErr(err), "unknown policy")
 	})
 	t.Run("unreadable-render-options", func(t *testing.T) {
 		spec := completeSpec()
 		spec.RenderOptions = []byte("{not json")
-		_, err := JobFromSpec(spec)
-		wantSnapshotError(t, err, "unreadable render options")
+		_, err := jobFromSpec(spec, MixEnv{})
+		wantSnapshotError(t, resumeErr(err), "unreadable render options")
 	})
 }
 

@@ -69,7 +69,6 @@ func (j *Job) buildSpec() snapshot.Spec {
 	spec.GraphicsWindow = j.GraphicsWindow
 	spec.GraphicsFrames = j.GraphicsFrames
 	spec.LRRScheduler = j.LRRScheduler
-	spec.TimelineInterval = j.TimelineInterval
 	spec.MetricsInterval = j.MetricsInterval
 	spec.DigestEvery = j.DigestEvery
 	return spec
@@ -98,15 +97,14 @@ func jobFromSpec(spec snapshot.Spec, env MixEnv) (*Job, error) {
 		env.Compute = (*Frontend)(nil).Compute
 	}
 	j := &Job{
-		GPU:              spec.GPU,
-		Policy:           PolicyKind(spec.Policy),
-		GraphicsWindow:   spec.GraphicsWindow,
-		GraphicsFrames:   spec.GraphicsFrames,
-		LRRScheduler:     spec.LRRScheduler,
-		TimelineInterval: spec.TimelineInterval,
-		MetricsInterval:  spec.MetricsInterval,
-		DigestEvery:      spec.DigestEvery,
-		spec:             spec,
+		GPU:             spec.GPU,
+		Policy:          PolicyKind(spec.Policy),
+		GraphicsWindow:  spec.GraphicsWindow,
+		GraphicsFrames:  spec.GraphicsFrames,
+		LRRScheduler:    spec.LRRScheduler,
+		MetricsInterval: spec.MetricsInterval,
+		DigestEvery:     spec.DigestEvery,
+		spec:            spec,
 	}
 	var err error
 	if len(spec.Mix) > 0 {
@@ -123,14 +121,6 @@ func jobFromSpec(spec snapshot.Spec, env MixEnv) (*Job, error) {
 		return nil, err
 	}
 	return j, nil
-}
-
-// JobFromSpec rebuilds the job a snapshot describes: the GPU config and
-// policy from the spec, the frames re-rendered and the compute workloads
-// regenerated by name.
-func JobFromSpec(spec snapshot.Spec) (*Job, error) {
-	j, err := jobFromSpec(spec, MixEnv{})
-	return j, resumeErr(err)
 }
 
 // resumeErr types a failure to rebuild a snapshot's job as what a resume

@@ -112,7 +112,8 @@ type Fig13Result struct {
 	Samples      int
 }
 
-// Fig13 collects the occupancy timeline.
+// Fig13 collects the occupancy timeline: the resident warps of each task
+// in the interval metrics series.
 func Fig13(sc Scale) (*Fig13Result, error) {
 	gfx, err := Frame("PT", sc.W2K, sc.H2K, true)
 	if err != nil {
@@ -123,12 +124,12 @@ func Fig13(sc Scale) (*Fig13Result, error) {
 		return nil, err
 	}
 	job := core.Job{
-		GPU:              config.JetsonOrin(),
-		Graphics:         gfx,
-		Compute:          comp,
-		Policy:           core.PolicyWarpedSlicer,
-		TimelineInterval: 1024,
-		NoSkip:           NoSkip,
+		GPU:             config.JetsonOrin(),
+		Graphics:        gfx,
+		Compute:         comp,
+		Policy:          core.PolicyWarpedSlicer,
+		MetricsInterval: 1024,
+		NoSkip:          NoSkip,
 	}
 	res, err := job.Run()
 	if err != nil {
@@ -136,9 +137,8 @@ func Fig13(sc Scale) (*Fig13Result, error) {
 	}
 	t := &stats.Table{Header: []string{"cycle", "render-warps", "compute-warps"}}
 	out := &Fig13Result{Table: t, MinBusyWarps: 1 << 30}
-	for _, s := range res.Timeline.Samples {
-		g := s.WarpsByStream[partition.TaskGraphics]
-		c := s.WarpsByStream[partition.TaskCompute]
+	for _, s := range res.Metrics.Samples {
+		g, c := s.Warps(partition.TaskGraphics), s.Warps(partition.TaskCompute)
 		t.AddRow(fmt.Sprint(s.Cycle), fmt.Sprint(g), fmt.Sprint(c))
 		if g+c > out.PeakWarps {
 			out.PeakWarps = g + c

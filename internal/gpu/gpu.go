@@ -157,15 +157,10 @@ type GPU struct {
 	// unlimited.
 	TaskWindows map[int]int
 
-	// Timeline, when non-nil, receives occupancy samples every
-	// Timeline.Interval cycles (paper Fig. 13). A non-positive Interval
-	// is treated as the default cadence without modifying the caller's
-	// struct.
-	Timeline *stats.Timeline
-
 	// Metrics, when non-nil, receives per-task interval metrics (IPC,
 	// occupancy, cache hit rates, DRAM bandwidth) every Metrics.Interval
-	// cycles.
+	// cycles. A non-positive Interval is treated as the default cadence
+	// without modifying the caller's struct.
 	Metrics *obs.IntervalSeries
 
 	// WatchdogWindow configures the forward-progress watchdog: the run
@@ -756,15 +751,8 @@ const ctxCheckMask = 255
 // per-SM and per-stream state. The existing all-idle deadlock check
 // likewise now reports a structured SimError instead of a bare error.
 func (g *GPU) RunContext(ctx context.Context) (int64, error) {
-	// Default the sampling cadences locally: the Timeline/Metrics structs
-	// are caller-owned and must not be written back.
-	var timelineInterval int64
-	if g.Timeline != nil {
-		timelineInterval = g.Timeline.Interval
-		if timelineInterval <= 0 {
-			timelineInterval = 1024
-		}
-	}
+	// Default the sampling cadence locally: the Metrics struct is
+	// caller-owned and must not be written back.
 	var metricsInterval int64
 	if g.Metrics != nil {
 		metricsInterval = g.Metrics.Interval
@@ -871,10 +859,6 @@ func (g *GPU) RunContext(ctx context.Context) (int64, error) {
 		// taken at this boundary captures post-tick state: a resumed run
 		// re-enters the loop at the top of the next iteration and repeats
 		// nothing.
-		if g.Timeline != nil && g.now >= ls.NextSample {
-			g.sampleTimeline()
-			ls.NextSample = g.now + timelineInterval
-		}
 		if g.Metrics != nil && g.now >= ls.NextMetrics {
 			g.sampleMetrics()
 			ls.NextMetrics = g.now + metricsInterval
@@ -1071,16 +1055,6 @@ func (g *GPU) policyName() string {
 		return "none"
 	}
 	return g.policy.Name()
-}
-
-func (g *GPU) sampleTimeline() {
-	sample := stats.OccupancySample{Cycle: g.now, WarpsByStream: make(map[int]int)}
-	for _, core := range g.cores {
-		for task := 0; task <= g.maxTask; task++ {
-			sample.WarpsByStream[task] += core.ResidentWarps(task)
-		}
-	}
-	g.Timeline.Samples = append(g.Timeline.Samples, sample)
 }
 
 // settleCores flushes every core's accumulated sleep debt so any

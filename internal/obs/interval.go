@@ -66,6 +66,17 @@ type Sample struct {
 	StallReplays int64 `json:"stall_replays,omitempty"`
 }
 
+// Warps is task's resident warps at the sample instant (0 when the task
+// has no point): the occupancy timeline is this, sample by sample.
+func (s *Sample) Warps(task int) int {
+	for _, p := range s.Points {
+		if p.Stream == task {
+			return p.Warps
+		}
+	}
+	return 0
+}
+
 // IntervalSeries accumulates interval metrics samples at a fixed cycle
 // cadence. The GPU driver appends one Sample roughly every Interval
 // cycles (event-accelerated runs may overshoot a boundary; the recorded

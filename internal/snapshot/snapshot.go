@@ -68,12 +68,11 @@ type Spec struct {
 	LRRScheduler   bool
 	// Observability cadences, reproduced on resume so a resumed run's
 	// sampling boundaries line up with the uninterrupted run's.
-	TimelineInterval int64
-	MetricsInterval  int64
-	DigestEvery      int64
+	MetricsInterval int64
+	DigestEvery     int64
 	// Complete reports whether the spec fully describes the job. Jobs
-	// built from in-memory traces or with extra compute workloads are
-	// snapshotted (for postmortems) but cannot be resumed from the spec.
+	// built from in-memory traces are snapshotted (for postmortems) but
+	// cannot be resumed from the spec.
 	Complete bool
 }
 
@@ -122,7 +121,6 @@ type ObsState struct {
 // run loop keeps its cursors in this type.
 type LoopState struct {
 	LastTick       int64 // last policy-tick cycle
-	NextSample     int64 // next timeline sample cycle
 	NextMetrics    int64 // next metrics sample cycle
 	NextCheckpoint int64 // next checkpoint cycle
 	NextDigest     int64 // next digest cycle

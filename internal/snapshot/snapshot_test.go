@@ -274,12 +274,14 @@ func TestDecodeHostileCountsAllocateLittle(t *testing.T) {
 // TestParentWrittenSnapshotRefused: each fixture is sampleEnvelope(1000) as
 // an earlier build wrote it — parent-v1 by the last version-1 build (gob
 // body, no schema field), parent-v2 by the last build whose metrics
-// baseline had no stall vector (same version, another schema). Every way
-// in must refuse both and say what to do.
+// baseline had no stall vector, parent-v3 by the last build whose spec and
+// loop cursors still carried an occupancy-timeline cadence (same version,
+// other schemas). Every way in must refuse them all and say what to do.
 func TestParentWrittenSnapshotRefused(t *testing.T) {
 	for file, says := range map[string]string{
 		"parent-v1.crispsnap": "version 1",
 		"parent-v2.crispsnap": `schema "2605a451a14992ed"`,
+		"parent-v3.crispsnap": `schema "b4c56ae3d8abcabe"`,
 	} {
 		path := filepath.Join("testdata", file)
 		_, errLoad := LoadFile(path)

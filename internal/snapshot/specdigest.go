@@ -17,7 +17,7 @@ import (
 // Only result-determining fields participate: the GPU configuration (via
 // config.Digest), the workload names, the policy, the render options, and
 // the structural run shape (graphics window/frames, scheduler variant).
-// Observability cadences (timeline, metrics, digest sampling) are excluded
+// Observability cadences (metrics and digest sampling) are excluded
 // — they never perturb architectural results, so runs differing only in
 // instrumentation share one digest.
 func (s *Spec) JobDigest() string {

@@ -1,7 +1,6 @@
 // Package stats provides the measurement toolkit for CRISP experiments:
 // per-stream simulation counters, correlation metrics (Pearson r, MAPE),
-// histograms, occupancy timelines, and plain-text table rendering for the
-// benchmark harness.
+// histograms, and plain-text table rendering for the benchmark harness.
 package stats
 
 import (
@@ -261,20 +260,6 @@ func (h *Histogram) String() string {
 		fmt.Fprintf(&b, "%6d | %-40s %d\n", v, bar, c)
 	}
 	return b.String()
-}
-
-// OccupancySample is one point of a per-stream occupancy timeline
-// (paper Fig. 13).
-type OccupancySample struct {
-	Cycle int64
-	// WarpsByStream maps stream id to resident warps across the GPU.
-	WarpsByStream map[int]int
-}
-
-// Timeline accumulates occupancy samples at a fixed cycle interval.
-type Timeline struct {
-	Interval int64
-	Samples  []OccupancySample
 }
 
 // Table renders aligned plain-text tables for harness output.
