@@ -335,36 +335,6 @@ func abs(x float64) float64 {
 	return x
 }
 
-// BenchmarkAblation_SectoredCaches compares line-granular fills (the
-// calibrated default) against 32B-sectored caches on DRAM read traffic
-// for one rendered frame.
-func BenchmarkAblation_SectoredCaches(b *testing.B) {
-	gfx, err := experiments.Frame("SPL", benchScale.W2K, benchScale.H2K, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		run := func(sector int) int64 {
-			cfg := JetsonOrin()
-			cfg.SectorSize = sector
-			job := core.Job{GPU: cfg, Graphics: gfx, Policy: core.PolicySerial}
-			res, err := job.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			var bytes int64
-			for _, st := range res.PerStream {
-				bytes += st.DRAMReads
-			}
-			return bytes
-		}
-		full := run(0)
-		sect := run(32)
-		b.ReportMetric(float64(full)/1024, "dram_rd_KB_line")
-		b.ReportMetric(float64(sect)/1024, "dram_rd_KB_sector32")
-	}
-}
-
 // BenchmarkAblation_WarpScheduler compares greedy-then-oldest against
 // loose round-robin warp scheduling on a full concurrent pair.
 func BenchmarkAblation_WarpScheduler(b *testing.B) {

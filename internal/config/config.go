@@ -24,16 +24,12 @@ type GPU struct {
 	TensorUnits int
 
 	// Cache hierarchy.
-	L1Size   int // bytes; unified data+texture (+ shared carve-out handled separately)
-	L1Assoc  int
-	L2Size   int // bytes, total across banks
-	L2Assoc  int
-	L2Banks  int
-	LineSize int // bytes
-	// SectorSize enables sectored caches when > 0 (e.g. 32): tags stay
-	// line-granular, data fills are per sector. 0 = line-granular fills
-	// (the calibrated default).
-	SectorSize  int
+	L1Size      int // bytes; unified data+texture (+ shared carve-out handled separately)
+	L1Assoc     int
+	L2Size      int // bytes, total across banks
+	L2Assoc     int
+	L2Banks     int
+	LineSize    int // bytes
 	L1MSHRs     int
 	L2MSHRs     int
 	L1Latency   int // hit latency, core cycles
@@ -81,8 +77,6 @@ func (g *GPU) Validate() error {
 		return fmt.Errorf("config %q: MemBandwidthGBps = %v", g.Name, g.MemBandwidthGBps)
 	case g.MemChannels <= 0:
 		return fmt.Errorf("config %q: MemChannels = %d", g.Name, g.MemChannels)
-	case g.SectorSize < 0 || (g.SectorSize > 0 && (g.LineSize%g.SectorSize != 0 || g.LineSize/g.SectorSize > 32)):
-		return fmt.Errorf("config %q: SectorSize %d incompatible with %d-byte lines", g.Name, g.SectorSize, g.LineSize)
 	}
 	return nil
 }

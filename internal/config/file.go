@@ -32,7 +32,6 @@ type fileConfig struct {
 	L2Assoc          *int     `json:"l2_assoc"`
 	L2Banks          *int     `json:"l2_banks"`
 	LineSize         *int     `json:"line_size"`
-	SectorSize       *int     `json:"sector_size"`
 	L1MSHRs          *int     `json:"l1_mshrs"`
 	L2MSHRs          *int     `json:"l2_mshrs"`
 	L1Latency        *int     `json:"l1_latency"`
@@ -98,7 +97,6 @@ func Parse(data []byte) (GPU, error) {
 	setI(&g.L2Assoc, fc.L2Assoc)
 	setI(&g.L2Banks, fc.L2Banks)
 	setI(&g.LineSize, fc.LineSize)
-	setI(&g.SectorSize, fc.SectorSize)
 	setI(&g.L1MSHRs, fc.L1MSHRs)
 	setI(&g.L2MSHRs, fc.L2MSHRs)
 	setI(&g.L1Latency, fc.L1Latency)

@@ -39,6 +39,11 @@ func TestParseRejectsUnknownFieldsAndInvalid(t *testing.T) {
 	if _, err := Parse([]byte(`{"smCount": 8}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
+	// Caches are line-granular; a file asking for sectors is refused, not
+	// run without them.
+	if _, err := Parse([]byte(`{"sector_size": 32}`)); err == nil {
+		t.Error("sector_size accepted")
+	}
 	if _, err := Parse([]byte(`{"num_sms": 0}`)); err == nil {
 		t.Error("invalid config accepted")
 	}

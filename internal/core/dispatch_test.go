@@ -132,13 +132,16 @@ func TestDispatchParity(t *testing.T) {
 // TestHotPathDigestsPinned holds three results to the stats digests, and
 // two specs to the job digests, that commit 06b2d68 — the last one before
 // the serial loop's dispatcher, fill table, bank-conflict count and issue
-// memo were rewritten — computed for them. The parity suites compare the
-// fast paths with the -no-skip oracle, which shares the fill table and the
-// bank-conflict count with them; these constants do not. The third job is
-// the mem-bound benchmark's (4 L1 MSHRs, 8x DRAM latency), where the MSHR
-// file is truly full and every miss asks the fill table for its minimum.
-// The dispatcher's counters ride in Result and in every metrics sample,
-// and must leave all of it unmoved.
+// memo were rewritten — computed for them. Three have moved since, each on
+// purpose: the n-way-fair WarpedSlicer digest when the cap search replaced
+// the water-fill at four tasks, and both job digests when config.GPU lost
+// its sector size. The parity suites compare the fast paths with the
+// -no-skip oracle, which shares the fill table and the bank-conflict count
+// with them; these constants do not. The third job is the mem-bound
+// benchmark's (4 L1 MSHRs, 8x DRAM latency), where the MSHR file is truly
+// full and every miss asks the fill table for its minimum. The
+// dispatcher's counters ride in Result and in every metrics sample, and
+// must leave all of it unmoved.
 func TestHotPathDigestsPinned(t *testing.T) {
 	var last obs.Sample
 	withSamples := []RunOption{WithMetrics(4096), WithMetricsSink(func(s obs.Sample) { last = s })}
@@ -157,8 +160,8 @@ func TestHotPathDigestsPinned(t *testing.T) {
 		t.Errorf("closing sample reads %d sweeps / %d skipped, the result %d / %d",
 			last.DispatchSweeps, last.DispatchSkipped, pair.DispatchSweeps, pair.DispatchSkipped)
 	}
-	if spec := SpecForPair(config.JetsonOrin(), "SPL", "VIO", PolicyTAP, tinyOpts()); spec.JobDigest() != "40148deab30e4285" {
-		t.Errorf("pair job digest %s, pinned 40148deab30e4285", spec.JobDigest())
+	if spec := SpecForPair(config.JetsonOrin(), "SPL", "VIO", PolicyTAP, tinyOpts()); spec.JobDigest() != "9491210f06136a10" {
+		t.Errorf("pair job digest %s, pinned 9491210f06136a10", spec.JobDigest())
 	}
 
 	preset, err := scenario.Preset("n-way-fair")
@@ -169,15 +172,15 @@ func TestHotPathDigestsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := statsDigestOf(t, mix); got != 0xcd62228875d51ca3 || mix.Cycles != 105143 {
-		t.Errorf("n-way-fair/WarpedSlicer: stats digest %016x after %d cycles, pinned cd62228875d51ca3 after 105143", got, mix.Cycles)
+	if got := statsDigestOf(t, mix); got != 0x113196d43f846089 || mix.Cycles != 105192 {
+		t.Errorf("n-way-fair/WarpedSlicer: stats digest %016x after %d cycles, pinned 113196d43f846089 after 105192", got, mix.Cycles)
 	}
 	mixJob, err := BuildMixJobEnv(config.JetsonOrin(), preset, PolicyWarpedSlicer, tinyOpts(), MixEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec := mixJob.buildSpec(); spec.JobDigest() != "ac7d4f6eb5aa9fa7" {
-		t.Errorf("mix job digest %s, pinned ac7d4f6eb5aa9fa7", spec.JobDigest())
+	if spec := mixJob.buildSpec(); spec.JobDigest() != "fca779620546ee34" {
+		t.Errorf("mix job digest %s, pinned fca779620546ee34", spec.JobDigest())
 	}
 
 	narrow := config.RTX3070()

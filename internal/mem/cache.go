@@ -17,9 +17,6 @@ import (
 type line struct {
 	lastUse int64
 	stream  int
-	// sectors is the valid-sector bitmask when the cache is sectored
-	// (bit i = sector i of the line present).
-	sectors uint32
 	class   trace.MemClass
 	dirty   bool
 }
@@ -36,12 +33,8 @@ type Cache struct {
 	sets     int
 	assoc    int
 	lineSize uint64
-	// sectorSize enables sectored operation when > 0: tags stay
-	// line-granular but data validity and fills are per sector, as in
-	// Ampere-class L1/L2 caches (32 B sectors).
-	sectorSize uint64
-	tags       []uint64
-	lines      []line
+	tags     []uint64
+	lines    []line
 }
 
 // NewCache builds a cache with the given geometry. sizeBytes must be an
@@ -71,37 +64,9 @@ func (c *Cache) Sets() int { return c.sets }
 // Assoc reports the associativity.
 func (c *Cache) Assoc() int { return c.assoc }
 
-// SetSectored configures sectored operation (0 disables). sectorSize must
-// divide the line size into at most 32 sectors.
-func (c *Cache) SetSectored(sectorSize int) error {
-	if sectorSize == 0 {
-		c.sectorSize = 0
-		return nil
-	}
-	if sectorSize < 0 || uint64(sectorSize) > c.lineSize ||
-		c.lineSize%uint64(sectorSize) != 0 || c.lineSize/uint64(sectorSize) > 32 {
-		return fmt.Errorf("mem: sector size %d incompatible with %d-byte lines", sectorSize, c.lineSize)
-	}
-	c.sectorSize = uint64(sectorSize)
-	return nil
-}
-
-// sectorBit returns the valid-mask bit for addr's sector (bit 0 when
-// unsectored — the whole line acts as one sector).
-func (c *Cache) sectorBit(addr uint64) uint32 {
-	if c.sectorSize == 0 {
-		return 1
-	}
-	return 1 << uint((addr%c.lineSize)/c.sectorSize)
-}
-
 // AccessResult describes the outcome of a cache access.
 type AccessResult struct {
 	Hit bool
-	// SectorFill reports that the line's tag was resident but the
-	// accessed sector was not: the fill transfers one sector, with no
-	// eviction.
-	SectorFill bool
 	// WritebackLine is the address of a dirty line evicted by this
 	// access (0 and Writeback=false when none).
 	Writeback     bool
@@ -112,8 +77,8 @@ type AccessResult struct {
 // with partitioned set mappings pass their own; -1 picks the default hash).
 // It returns the way the access lands on — the one holding addr's line
 // when the tag is resident, else the victim: the first invalid way, else
-// the least recently used — and whether the access hits (tag and sector
-// present). It changes nothing; fill completes the access at idx.
+// the least recently used — and whether the access hits (the tag is
+// resident). It changes nothing; fill completes the access at idx.
 func (c *Cache) lookup(addr uint64, setIdx int) (idx int, hit bool) {
 	la := addr / c.lineSize
 	if setIdx < 0 {
@@ -124,7 +89,7 @@ func (c *Cache) lookup(addr uint64, setIdx int) (idx int, hit bool) {
 	free := -1
 	for i, t := range tags {
 		if t == la+1 {
-			return base + i, c.lines[base+i].sectors&c.sectorBit(addr) != 0
+			return base + i, true
 		}
 		if t == 0 && free < 0 {
 			free = i
@@ -144,13 +109,11 @@ func (c *Cache) lookup(addr uint64, setIdx int) (idx int, hit bool) {
 
 // fill completes a load (write=false) or store (write=true) of the line
 // containing addr at the way lookup returned for it, with no access to the
-// cache in between. On the line's own way it refreshes LRU state and fills
-// the sector if it was missing; on any other way it evicts what is there
-// and allocates. The class/stream tags are recorded on the line for
-// composition accounting.
+// cache in between. On the line's own way it refreshes LRU state; on any
+// other way it evicts what is there and allocates. The class/stream tags
+// are recorded on the line for composition accounting.
 func (c *Cache) fill(idx int, now int64, addr uint64, write bool, class trace.MemClass, stream int) AccessResult {
 	la := addr / c.lineSize
-	bit := c.sectorBit(addr)
 	l := &c.lines[idx]
 	if c.tags[idx] == la+1 {
 		l.lastUse = now
@@ -161,10 +124,6 @@ func (c *Cache) fill(idx int, now int64, addr uint64, write bool, class trace.Me
 		// composition snapshots reflect live usage.
 		l.class = class
 		l.stream = stream
-		if l.sectors&bit == 0 {
-			l.sectors |= bit
-			return AccessResult{SectorFill: true}
-		}
 		return AccessResult{Hit: true}
 	}
 	res := AccessResult{}
@@ -173,7 +132,7 @@ func (c *Cache) fill(idx int, now int64, addr uint64, write bool, class trace.Me
 		res.WritebackLine = (c.tags[idx] - 1) * c.lineSize
 	}
 	c.tags[idx] = la + 1
-	*l = line{dirty: write, lastUse: now, class: class, stream: stream, sectors: bit}
+	*l = line{dirty: write, lastUse: now, class: class, stream: stream}
 	return res
 }
 
@@ -185,8 +144,8 @@ func (c *Cache) Access(now int64, addr uint64, write bool, class trace.MemClass,
 	return c.fill(idx, now, addr, write, class, stream)
 }
 
-// Probe reports whether addr's line (and, when sectored, its sector) is
-// resident, without disturbing LRU state.
+// Probe reports whether addr's line is resident, without disturbing LRU
+// state.
 func (c *Cache) Probe(addr uint64, setIdx int) bool {
 	_, hit := c.lookup(addr, setIdx)
 	return hit

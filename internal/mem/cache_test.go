@@ -183,47 +183,6 @@ func TestCacheValidCountBounded(t *testing.T) {
 	}
 }
 
-func TestSectoredCacheFillsPerSector(t *testing.T) {
-	c := mustCache(t, 16<<10, 4, 128)
-	if err := c.SetSectored(32); err != nil {
-		t.Fatal(err)
-	}
-	// First access: line miss (allocates one sector).
-	res := c.Access(1, 0x1000, false, trace.ClassCompute, 0, -1)
-	if res.Hit || res.SectorFill {
-		t.Fatalf("first access = %+v, want full miss", res)
-	}
-	// Same sector: hit.
-	if res := c.Access(2, 0x1010, false, trace.ClassCompute, 0, -1); !res.Hit {
-		t.Fatalf("same-sector access = %+v, want hit", res)
-	}
-	// Different sector of the same line: sector fill, no eviction.
-	res = c.Access(3, 0x1040, false, trace.ClassCompute, 0, -1)
-	if res.Hit || !res.SectorFill || res.Writeback {
-		t.Fatalf("other-sector access = %+v, want sector fill", res)
-	}
-	// Probe is sector-precise.
-	if !c.Probe(0x1000, -1) || !c.Probe(0x1040, -1) {
-		t.Error("filled sectors not resident")
-	}
-	if c.Probe(0x1080, -1) {
-		t.Error("unfilled sector reported resident")
-	}
-}
-
-func TestSetSectoredValidation(t *testing.T) {
-	c := mustCache(t, 4<<10, 4, 128)
-	if err := c.SetSectored(48); err == nil {
-		t.Error("non-dividing sector size accepted")
-	}
-	if err := c.SetSectored(2); err == nil {
-		t.Error(">32 sectors per line accepted")
-	}
-	if err := c.SetSectored(0); err != nil {
-		t.Errorf("disabling sectors: %v", err)
-	}
-}
-
 func TestUnsectoredBehaviorUnchanged(t *testing.T) {
 	c := mustCache(t, 4<<10, 4, 128)
 	c.Access(1, 0x2000, false, trace.ClassCompute, 0, -1)

@@ -66,7 +66,7 @@ func (t *fillTable) initTable(mshrs int) {
 }
 
 func fillHash(g uint64) uint64 {
-	// Fibonacci multiplicative hash; granules are sequential line/sector
+	// Fibonacci multiplicative hash; granules are sequential line
 	// indices, so the multiply is what spreads neighbors across slots.
 	return g * 0x9e3779b97f4a7c15
 }

@@ -19,32 +19,22 @@ import (
 type refCache struct {
 	sets, ways int
 	lineSize   uint64
-	sectorSize uint64 // 0: the whole line is one sector
 	set        [][]refLine
 }
 
 type refLine struct {
-	line    uint64 // byte address / lineSize
-	dirty   bool
-	sectors uint32
+	line  uint64 // byte address / lineSize
+	dirty bool
 }
 
 // refResult mirrors mem.AccessResult field by field.
 type refResult struct {
-	hit, sectorFill, writeback bool
-	writebackLine              uint64
+	hit, writeback bool
+	writebackLine  uint64
 }
 
-func newRefCache(sets, ways, lineSize, sectorSize int) *refCache {
-	return &refCache{sets: sets, ways: ways, lineSize: uint64(lineSize),
-		sectorSize: uint64(sectorSize), set: make([][]refLine, sets)}
-}
-
-func (r *refCache) sector(addr uint64) uint32 {
-	if r.sectorSize == 0 {
-		return 1
-	}
-	return 1 << ((addr % r.lineSize) / r.sectorSize)
+func newRefCache(sets, ways, lineSize int) *refCache {
+	return &refCache{sets: sets, ways: ways, lineSize: uint64(lineSize), set: make([][]refLine, sets)}
 }
 
 // home is the set a line lives in: setIdx when the caller chose one, else
@@ -56,11 +46,11 @@ func (r *refCache) home(addr uint64, setIdx int) int {
 	return int(addr / r.lineSize % uint64(r.sets))
 }
 
-// resident reports whether addr's line, and its sector, are present.
+// resident reports whether addr's line is present.
 func (r *refCache) resident(addr uint64, setIdx int) bool {
 	for _, l := range r.set[r.home(addr, setIdx)] {
 		if l.line == addr/r.lineSize {
-			return l.sectors&r.sector(addr) != 0
+			return true
 		}
 	}
 	return false
@@ -71,19 +61,15 @@ func (r *refCache) resident(addr uint64, setIdx int) bool {
 func (r *refCache) access(addr uint64, write bool, setIdx int) refResult {
 	s := r.home(addr, setIdx)
 	lines := r.set[s]
-	bit := r.sector(addr)
 	for i, l := range lines {
 		if l.line != addr/r.lineSize {
 			continue
 		}
-		res := refResult{hit: l.sectors&bit != 0}
-		res.sectorFill = !res.hit
 		l.dirty = l.dirty || write
-		l.sectors |= bit
 		// Move to the front: most recently used.
 		copy(lines[1:i+1], lines[:i])
 		lines[0] = l
-		return res
+		return refResult{hit: true}
 	}
 	var res refResult
 	if len(lines) == r.ways {
@@ -93,13 +79,13 @@ func (r *refCache) access(addr uint64, write bool, setIdx int) refResult {
 			res.writeback, res.writebackLine = true, victim.line*r.lineSize
 		}
 	}
-	r.set[s] = append([]refLine{{line: addr / r.lineSize, dirty: write, sectors: bit}}, lines...)
+	r.set[s] = append([]refLine{{line: addr / r.lineSize, dirty: write}}, lines...)
 	return res
 }
 
 // oracleGeom is one cache shape the oracle is compared on.
 type oracleGeom struct {
-	sets, ways, lineSize, sectorSize int
+	sets, ways, lineSize int
 	// explicitSets passes a caller-chosen set index, as the L2's
 	// partitioned mappers do, instead of -1.
 	explicitSets bool
@@ -107,10 +93,10 @@ type oracleGeom struct {
 
 var oracleGeoms = []oracleGeom{
 	{sets: 8, ways: 1, lineSize: 64},                      // direct-mapped
-	{sets: 8, ways: 4, lineSize: 128, sectorSize: 32},     // 4-way, sectored
+	{sets: 8, ways: 4, lineSize: 128},                     // 4-way
 	{sets: 4, ways: 16, lineSize: 128},                    // 16-way, the L2's associativity
-	{sets: 5, ways: 3, lineSize: 128, sectorSize: 32},     // odd set count and odd ways
-	{sets: 2, ways: 16, lineSize: 128, sectorSize: 16},    // 16-way, eight sectors
+	{sets: 5, ways: 3, lineSize: 128},                     // odd set count and odd ways
+	{sets: 2, ways: 16, lineSize: 128},                    // 16-way, two sets
 	{sets: 6, ways: 4, lineSize: 128, explicitSets: true}, // sets chosen by the caller
 }
 
@@ -127,10 +113,7 @@ func checkOracle(t *testing.T, geomIdx uint8, ops []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetSectored(g.sectorSize); err != nil {
-		t.Fatal(err)
-	}
-	ref := newRefCache(g.sets, g.ways, g.lineSize, g.sectorSize)
+	ref := newRefCache(g.sets, g.ways, g.lineSize)
 	// Twice the capacity in lines, plus one so the stride is not a
 	// multiple of the set count: a mix of hits, conflicts and evictions.
 	span := 2*g.sets*g.ways + 1
@@ -146,8 +129,7 @@ func checkOracle(t *testing.T, geomIdx uint8, ops []byte) {
 		}
 		got := c.Access(int64(i/opBytes+1), addr, write, trace.ClassCompute, 0, setIdx)
 		want := ref.access(addr, write, setIdx)
-		if got.Hit != want.hit || got.SectorFill != want.sectorFill ||
-			got.Writeback != want.writeback || got.WritebackLine != want.writebackLine {
+		if got.Hit != want.hit || got.Writeback != want.writeback || got.WritebackLine != want.writebackLine {
 			t.Fatalf("%+v op %d: Access(%#x, write %v, set %d) = %+v, oracle %+v",
 				g, i/opBytes, addr, write, setIdx, got, want)
 		}
@@ -166,7 +148,7 @@ func oracleOps(seed int64, n int) []byte {
 func TestCacheMatchesOracle(t *testing.T) {
 	for gi, g := range oracleGeoms {
 		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("%dx%d-line%d-sector%d-explicit%v/seed%d", g.sets, g.ways, g.lineSize, g.sectorSize, g.explicitSets, seed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%dx%d-line%d-explicit%v/seed%d", g.sets, g.ways, g.lineSize, g.explicitSets, seed), func(t *testing.T) {
 				checkOracle(t, uint8(gi), oracleOps(seed, 4000))
 			})
 		}
@@ -199,9 +181,9 @@ func TestSystemMatchesOracleOnWarpLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1 := newRefCache(cfg.L1Size/(cfg.L1Assoc*cfg.LineSize), cfg.L1Assoc, cfg.LineSize, 0)
+	l1 := newRefCache(cfg.L1Size/(cfg.L1Assoc*cfg.LineSize), cfg.L1Assoc, cfg.LineSize)
 	setsPerBank := cfg.L2Size / cfg.L2Banks / (cfg.L2Assoc * cfg.LineSize)
-	l2 := newRefCache(cfg.L2Banks*setsPerBank, cfg.L2Assoc, cfg.LineSize, 0)
+	l2 := newRefCache(cfg.L2Banks*setsPerBank, cfg.L2Assoc, cfg.LineSize)
 	l2Set := func(line uint64) int {
 		bank := int(line % uint64(cfg.L2Banks))
 		return bank*setsPerBank + int(line/uint64(cfg.L2Banks)%uint64(setsPerBank))

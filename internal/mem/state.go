@@ -36,7 +36,6 @@ func (c *Cache) captureState() snapshot.CacheState {
 			LastUse: l.lastUse,
 			Class:   uint8(l.class),
 			Stream:  l.stream,
-			Sectors: l.sectors,
 		})
 	}
 	return cs
@@ -64,7 +63,6 @@ func (c *Cache) restoreState(cs snapshot.CacheState) error {
 			lastUse: ls.LastUse,
 			class:   trace.MemClass(ls.Class),
 			stream:  ls.Stream,
-			sectors: ls.Sectors,
 		}
 	}
 	return nil

@@ -35,8 +35,6 @@ type System struct {
 	dramNextFree []int64 // per channel
 	dramSvc      float64 // cycles to transfer one line on one channel
 
-	fillBytes int // bytes fetched per miss (sector or full line)
-
 	mapper   L2Mapper
 	observer Observer
 
@@ -77,9 +75,6 @@ func NewSystem(cfg *config.GPU) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mem: L1: %w", err)
 		}
-		if err := c.SetSectored(cfg.SectorSize); err != nil {
-			return nil, err
-		}
 		s.l1[i] = c
 		s.l1Pending[i].initTable(cfg.L1MSHRs)
 	}
@@ -90,26 +85,18 @@ func NewSystem(cfg *config.GPU) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mem: L2 bank: %w", err)
 		}
-		if err := c.SetSectored(cfg.SectorSize); err != nil {
-			return nil, err
-		}
 		s.l2[i] = c
 		s.l2Pending[i].initTable(cfg.L2MSHRs)
 	}
 	s.setsPer = s.l2[0].Sets()
-	s.fillBytes = cfg.LineSize
-	if cfg.SectorSize > 0 {
-		s.fillBytes = cfg.SectorSize
-	}
 	perChannelBPC := cfg.BytesPerCycle() / float64(cfg.MemChannels)
-	s.dramSvc = float64(s.fillBytes) / perChannelBPC
+	s.dramSvc = float64(cfg.LineSize) / perChannelBPC
 	return s, nil
 }
 
-// fillGranule maps addr to the fill-tracking key: the sector when
-// sectored, the line otherwise.
+// fillGranule maps addr to the fill-tracking key, its line address.
 func (s *System) fillGranule(addr uint64) uint64 {
-	return addr / uint64(s.fillBytes)
+	return addr / uint64(s.cfg.LineSize)
 }
 
 // SetMapper installs an L2 address mapper (partitioning mechanism).
@@ -206,7 +193,6 @@ func (s *System) l2Access(now int64, stream int, cnt *Counters, class trace.MemC
 	cnt.L2Accesses++
 
 	lineA := addr / uint64(s.cfg.LineSize)
-	granule := s.fillGranule(addr)
 	bank, set := s.mapper.Map(stream, lineA, s.cfg.L2Banks, s.setsPer)
 
 	// Crossbar + bank queue: each bank services one request per cycle.
@@ -239,15 +225,15 @@ func (s *System) l2Access(now int64, stream int, cnt *Counters, class trace.MemC
 	// the same texture line missed by several SMs at once) is ridden
 	// rather than duplicated at DRAM.
 	pending := &s.l2Pending[bank]
-	if ready, ok := pending.get(granule); ok {
+	if ready, ok := pending.get(lineA); ok {
 		if ready > start {
 			return ready
 		}
-		pending.del(granule)
+		pending.del(lineA)
 	}
 	// Miss: fetch line from DRAM (write-allocate covers stores too).
 	ready := s.dramTransfer(start+int64(s.cfg.L2Latency), bank, stream, cnt, false)
-	pending.set(granule, ready)
+	pending.set(lineA, ready)
 	if pending.size() > 4*s.cfg.L2MSHRs {
 		pending.gc(start)
 	}
@@ -280,9 +266,9 @@ func (s *System) dramTransfer(now int64, bank, stream int, cnt *Counters, write 
 	done := start + int64(s.dramSvc+0.5)
 	s.dramNextFree[ch] = done
 	if write {
-		cnt.DRAMWriteB += int64(s.fillBytes)
+		cnt.DRAMWriteB += int64(s.cfg.LineSize)
 	} else {
-		cnt.DRAMReadB += int64(s.fillBytes)
+		cnt.DRAMReadB += int64(s.cfg.LineSize)
 	}
 	return done + int64(s.cfg.DRAMLatency)
 }

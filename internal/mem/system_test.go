@@ -282,25 +282,3 @@ func TestL2MSHRMergeAcrossSMs(t *testing.T) {
 		t.Errorf("merged fill ready %d far beyond original %d", r2, r1)
 	}
 }
-
-func TestSectoredSystemReducesDRAMTraffic(t *testing.T) {
-	// Scattered 4-byte accesses, one per line: sectored fills move 32B
-	// per miss instead of 128B.
-	run := func(sector int) int64 {
-		cfg := config.JetsonOrin()
-		cfg.SectorSize = sector
-		s, err := NewSystem(&cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 200; i++ {
-			s.Load(int64(i), 0, 1, trace.ClassCompute, uint64(i)*128+1<<24)
-		}
-		return s.Counters(1).DRAMReadB
-	}
-	full := run(0)
-	sect := run(32)
-	if sect*4 != full {
-		t.Errorf("sectored traffic %d should be a quarter of line-granular %d", sect, full)
-	}
-}

@@ -215,12 +215,7 @@ func (t *TAPN) Tick(now int64) {
 	if avail < activeCount*t.minSets {
 		sets = evenSets(t.setsPerBank, t.tasks)
 	} else if sensCount >= 2 {
-		ways := t.grantWays(active, assoc)
-		if t.tasks == 2 {
-			t.pairSplit(sets, ways, assoc)
-		} else {
-			t.sensitiveSplit(sets, ways, active, avail, activeCount)
-		}
+		t.sensitiveSplit(sets, t.grantWays(active, assoc), active, avail, assoc, activeCount)
 	} else {
 		// At most one task shows capacity sensitivity: these mixes are
 		// bandwidth-, not capacity-bound, so TAP matches shared-LRU
@@ -269,7 +264,7 @@ func (t *TAPN) grantWays(active []bool, assoc int) []int {
 			if !active[i] {
 				continue
 			}
-			mu := float64(u.MarginalUtility(ways[i]+1)) / float64(max64(u.Accesses, 1))
+			mu := float64(u.MarginalUtility(ways[i]+1)) / float64(max(u.Accesses, 1))
 			if mu > bestScore {
 				bestScore, best = mu, i
 			}
@@ -279,40 +274,24 @@ func (t *TAPN) grantWays(active []bool, assoc int) []int {
 	return ways
 }
 
-// sensitiveSplit is the n-way rule for the ≥2-sensitive case: the available
-// sets are split over the active tasks proportionally to (ways+1) with a
-// per-active floor of half an even share — the n-way analog of pairSplit's
-// quarter clamp.
-func (t *TAPN) sensitiveSplit(sets, ways []int, active []bool, avail, activeCount int) {
-	weightSum := 0
-	for i := range ways {
-		if active[i] {
-			weightSum += ways[i] + 1
-		}
-	}
-	assigned := 0
+// sensitiveSplit is the rule for two or more sensitive tasks: each active
+// task's share of the available sets is its share of the granted ways in
+// 1/256ths, the integer remainder going to the highest-id active task; then
+// every active task is raised to a floor of half an even share (at two
+// tasks a quarter of the bank, the clamp the paper's Figs. 14–15 were
+// reproduced with).
+func (t *TAPN) sensitiveSplit(sets, ways []int, active []bool, avail, assoc, activeCount int) {
+	assigned, last := 0, -1
 	for i := range sets {
 		if active[i] {
-			sets[i] = avail * (ways[i] + 1) / weightSum
+			sets[i] = avail * (ways[i] * 256 / assoc) / 256
 			assigned += sets[i]
+			last = i
 		}
 	}
-	// Leftover from integer division goes to the most-weighted active
-	// (ties: lowest task).
-	if rem := avail - assigned; rem > 0 {
-		best := -1
-		for i := range ways {
-			if active[i] && (best < 0 || ways[i] > ways[best]) {
-				best = i
-			}
-		}
-		sets[best] += rem
-	}
+	sets[last] += avail - assigned
 	// Per-active floor: raise the squeezed, take from the largest.
-	floor := avail / (2 * activeCount)
-	if floor < t.minSets {
-		floor = t.minSets
-	}
+	floor := max(avail/(2*activeCount), t.minSets)
 	for i := range sets {
 		if !active[i] {
 			continue
@@ -394,9 +373,10 @@ func (t *TAPN) RestoreState(blob []byte) error {
 // reset; during the sampling phase SM smID runs only task smID%n at CTA cap
 // sampleCaps[(smID/n)%len(sampleCaps)], so all n IPC-vs-CTA-count curves
 // are read from per-SM progress counters in parallel with no cross-task
-// contention. The steady split is then chosen from the curves — at two
-// tasks by bestPair, beyond by waterFill — and the machine switches to
-// fine-grained intra-SM sharing at that ratio.
+// contention. The steady split is then chosen from the curves — by
+// search while the sampled caps' cross product is at most searchLimit, by
+// waterFill beyond — and the machine switches to fine-grained intra-SM
+// sharing at that ratio.
 //
 // The sampling cost is re-paid on every launch, which is why workloads
 // composed of many small kernels (VIO) lose to the static EVEN split in
@@ -561,8 +541,8 @@ func (w *WarpedSlicerN) Tick(now int64) {
 		}
 	}
 	var caps []int
-	if w.tasks == 2 {
-		caps = w.bestPair(c)
+	if searchable(c) {
+		caps = w.search(c)
 	} else {
 		caps = w.waterFill(c)
 	}
@@ -601,11 +581,11 @@ func (w *WarpedSlicerN) fits(caps []int) bool {
 		sum.Shared <= full.Shared && sum.CTAs <= full.CTAs
 }
 
-// waterFill is the n-way rule: start every task at its smallest sampled
-// cap, then repeatedly raise the task whose next cap yields the best
-// normalized throughput gain while the combined envelopes still fit in one
-// SM (ties: lowest task id). If even the floor does not fit, every task
-// falls back to the 1/n static split.
+// waterFill is the rule for spaces too large to search: start every task
+// at its smallest sampled cap, then repeatedly raise the task whose next
+// cap yields the best normalized throughput gain while the combined
+// envelopes still fit in one SM (ties: lowest task id). If even the floor
+// does not fit, every task falls back to the 1/n static split.
 func (w *WarpedSlicerN) waterFill(c wsCurves) []int {
 	caps := make([]int, w.tasks)
 	idx := make([]int, w.tasks)

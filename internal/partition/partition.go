@@ -17,15 +17,13 @@
 //   - TAPN: TLP-aware utility-based L2 set partitioning on top of MPS
 //     (Lee & Kim, HPCA'12), with utility monitors per task.
 //
-// The four static policies are the same code at every task count. The two
-// dynamic ones carry two decision rules each, selected in Tick by the task
-// count: the two-task rule the paper's Figs. 12–15 were reproduced with
-// (TAPN.pairSplit, WarpedSlicerN.bestPair) and an n-way rule
-// (TAPN.sensitiveSplit, WarpedSlicerN.waterFill). They are not merged
-// because they disagree at two tasks: the n-way rules move 5 of 9
-// WarpedSlicer rows of Fig. 12 (PT+HOLO 0.900 → 0.998) and 2 of 6 TAP rows
-// of Fig. 14. Everything else — classification, epochs, hysteresis,
-// sampling, envelopes, state blobs — is written once.
+// Every policy is the same code at every task count, with one decision
+// rule each. WarpedSlicerN walks every combination of sampled caps while
+// that space is small (every mix up to four tasks) and water-fills beyond;
+// the choice rests on the search's size, not on the task count. TAPN
+// splits sets by each task's share of the granted ways with a floor of
+// half an even share, which at two tasks is the quarter-bank clamp the
+// paper's Figs. 14–15 were reproduced with.
 //
 // Every decision procedure iterates tasks in ascending id with explicit
 // tie-breaks (lowest task wins), so the policies are deterministic under

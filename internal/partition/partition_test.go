@@ -184,29 +184,43 @@ func TestWarpedSlicerLifecycle(t *testing.T) {
 }
 
 // TestWarpedSlicerChoosesCaps feeds hand-made per-SM instruction counts —
-// task 0's curve is flat up to cap 4 and jumps at cap 8 (cap 4 at three
-// tasks), task 1's saturates at cap 2, task 2's is linear — and pins which
-// rule read them. The exhaustive two-task search finds task 0's jump; the
-// greedy n-way water-fill sees no gain in task 0's first step and leaves it
-// at cap 1 (as it would at two tasks: 1:2, not 8:2).
+// task 0's curve is flat at first and then jumps (at cap 8 on two tasks,
+// cap 4 on three, cap 8 on eight), task 1's saturates at cap 2, the rest
+// are linear — and pins which rule read them. Up to the search limit the
+// exhaustive search finds task 0's jump, at two tasks and three alike.
+// Eight tasks on the 46-SM part sample over a million combinations, so the
+// greedy water-fill reads them: it sees no gain in task 0's first step and
+// leaves it at cap 1.
 func TestWarpedSlicerChoosesCaps(t *testing.T) {
+	linear := []int64{100, 200, 300, 400, 500, 600}
+	var small []*trace.Kernel // 64 threads × 32 regs: 32 CTAs fill the SM
+	for task := 0; task < 8; task++ {
+		small = append(small, kernelWith(task, 20, 2, 32, 0))
+	}
 	for _, tc := range []struct {
-		curves [][]int64 // [task][cap index] instructions on that sampling SM
-		caps   []int
-		event  string
-		arg    int64
+		gpu     func() config.GPU
+		kernels []*trace.Kernel
+		curves  [][]int64 // [task][cap index] instructions on that sampling SM
+		caps    []int
+		event   string
+		arg     int64
 	}{
-		{[][]int64{{100, 100, 100, 100, 400, 400, 400}, {100, 300, 300, 300, 300, 300, 300}},
+		{config.JetsonOrin, wsKernels(), [][]int64{{100, 100, 100, 100, 400, 400, 400}, {100, 300, 300, 300, 300, 300, 300}},
 			[]int{8, 2}, "split 8:2 CTAs", 8<<16 | 2},
-		{[][]int64{{100, 100, 400, 400, 400}, {100, 300, 300, 300, 300}, {100, 200, 300, 400}},
-			[]int{1, 2, 6}, "split 1:2:6 CTAs", 1<<32 | 2<<16 | 6},
+		{config.JetsonOrin, wsKernels(), [][]int64{{100, 100, 400, 400, 400}, {100, 300, 300, 300, 300}, {100, 200, 300, 400}},
+			[]int{4, 2, 6}, "split 4:2:6 CTAs", 4<<32 | 2<<16 | 6},
+		// Tasks 6 and 7 sample five caps (46 SMs), the others six. The
+		// event's argument packs only the last four caps.
+		{config.RTX3070, small, [][]int64{{100, 100, 100, 100, 400, 400}, {100, 300, 300, 300, 300, 300},
+			linear, linear, linear, linear, linear[:5], linear[:5]},
+			[]int{1, 2, 8, 2, 2, 1, 8, 8}, "split 1:2:8:2:2:1:8:8 CTAs", 2<<48 | 1<<32 | 8<<16 | 8},
 	} {
 		tasks := len(tc.curves)
-		g := newGPU(t, config.JetsonOrin())
+		g := newGPU(t, tc.gpu())
 		rec := obs.NewRecorder()
 		g.SetTracer(rec)
 		ws := must(NewWarpedSlicerN(g, tasks))(t)
-		for task, k := range wsKernels()[:tasks] {
+		for task, k := range tc.kernels[:tasks] {
 			if err := g.AddStream(gpu.StreamDef{ID: task, Task: task, Label: "k", Kernels: []*trace.Kernel{k}}); err != nil {
 				t.Fatal(err)
 			}
@@ -324,16 +338,16 @@ func descending(n int) []int {
 // TestTAPBothSensitive feeds every task a reuse-heavy stream whose hits
 // stop at a chosen stack depth, so the greedy way grant hands each task
 // exactly that many of the 16 ways, and pins how Tick turns ways into sets
-// (128 per bank): at two tasks pairSplit's share of ways and its quarter
-// clamp, at three sensitiveSplit's (ways+1) weights and half-share floor.
+// (128 per bank): each task's share of the ways, raised to a floor of half
+// an even share (a quarter of the bank at two tasks).
 func TestTAPBothSensitive(t *testing.T) {
 	for _, tc := range []struct {
 		ways []int // reuse depth per task; sums to the associativity
 		sets []int
 	}{
-		{[]int{6, 10}, []int{48, 80}},        // 128·6/16; sensitiveSplit would say 49|79
+		{[]int{6, 10}, []int{48, 80}},        // 128·6/16
 		{[]int{2, 14}, []int{32, 96}},        // 128·2/16 = 16, raised to the quarter
-		{[]int{1, 1, 14}, []int{21, 21, 86}}, // 13|13|102 by weight, floor 128/(2·3)
+		{[]int{1, 1, 14}, []int{21, 21, 86}}, // 8|8|112 by share, floor 128/(2·3)
 	} {
 		tasks := len(tc.ways)
 		g := newGPU(t, config.RTX3070())

@@ -52,26 +52,63 @@ func envelopeFor(need sm.Resources, ctas int, full sm.Resources, tasks int) sm.R
 	return env
 }
 
-// bestPair is the two-task rule, the one the paper's Figs. 12–13 were
-// reproduced with: of every pair of sampled caps whose envelopes fit in one
-// SM, the one maximizing the sum of normalized per-task performance (ties:
-// the smaller caps; 1:1 when nothing fits). (waterFill, the n-way rule, is
-// greedy and stops at a different split at two tasks: 5 of 9 WarpedSlicer
-// rows of Fig. 12 move.)
-func (w *WarpedSlicerN) bestPair(c wsCurves) []int {
-	best, bestScore := []int{1, 1}, -1.0
-	trial := make([]int, 2)
-	for _, ia := range c.sampled[0] {
-		for _, ib := range c.sampled[1] {
-			trial[0], trial[1] = w.sampleCaps[ia], w.sampleCaps[ib]
-			if !w.fits(trial) {
-				continue
-			}
-			if score := c.perf[0][ia]/c.maxPerf[0] + c.perf[1][ib]/c.maxPerf[1]; score > bestScore {
-				bestScore = score
-				copy(best, trial)
-			}
+// searchLimit is the largest cross product of sampled caps search walks:
+// eight caps for each of four tasks. A larger space (five or more tenants
+// on a many-SM part: about 6⁸ combinations at eight tenants on 46 SMs) is
+// water-filled instead.
+const searchLimit = 4096
+
+// search is the exhaustive rule, the one the paper's Figs. 12–13 were
+// reproduced with at two tasks: of every combination of sampled caps whose
+// envelopes fit in one SM together, the one maximizing the sum of
+// normalized per-task performance. Combinations are visited with task 0
+// outermost and each task's caps ascending, and only a strictly better
+// score replaces the best, so ties go to the smaller caps; when nothing
+// fits (or some task was not sampled) every task gets cap 1.
+func (w *WarpedSlicerN) search(c wsCurves) []int {
+	best, bestScore := make([]int, w.tasks), -1.0
+	for t := range best {
+		best[t] = 1
+	}
+	for _, s := range c.sampled {
+		if len(s) == 0 {
+			return best
 		}
 	}
-	return best
+	pick := make([]int, w.tasks) // per task, an index into c.sampled[t]
+	trial := make([]int, w.tasks)
+	for {
+		score := 0.0
+		for t, k := range pick {
+			ci := c.sampled[t][k]
+			trial[t] = w.sampleCaps[ci]
+			score += c.perf[t][ci] / c.maxPerf[t]
+		}
+		if score > bestScore && w.fits(trial) {
+			bestScore = score
+			copy(best, trial)
+		}
+		t := w.tasks - 1
+		for ; t >= 0; t-- {
+			if pick[t]++; pick[t] < len(c.sampled[t]) {
+				break
+			}
+			pick[t] = 0
+		}
+		if t < 0 {
+			return best
+		}
+	}
+}
+
+// searchable reports whether the sampled caps' cross product is at most
+// searchLimit.
+func searchable(c wsCurves) bool {
+	n := 1
+	for _, s := range c.sampled {
+		if n *= len(s); n > searchLimit {
+			return false
+		}
+	}
+	return true
 }

@@ -273,7 +273,6 @@ func ConfigCatalog() []ConfigFault {
 		{Name: "bad-l2-banks", Apply: func(g *config.GPU) { g.L2Banks = 3 }},
 		{Name: "negative-bandwidth", Apply: func(g *config.GPU) { g.MemBandwidthGBps = -1 }},
 		{Name: "warps-not-multiple", Apply: func(g *config.GPU) { g.MaxWarpsPerSM = 63 }},
-		{Name: "bad-sector", Apply: func(g *config.GPU) { g.SectorSize = 3 }},
 	}
 }
 

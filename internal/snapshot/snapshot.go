@@ -270,7 +270,6 @@ type LineState struct {
 	LastUse int64
 	Class   uint8
 	Stream  int
-	Sectors uint32
 }
 
 // PendingFills is one MSHR merge map, sorted by granule.
@@ -278,8 +277,8 @@ type PendingFills struct {
 	Fills []Fill
 }
 
-// Fill is one in-flight fill: the granule (line or sector address) and the
-// cycle its data arrives.
+// Fill is one in-flight fill: the granule (line address) and the cycle its
+// data arrives.
 type Fill struct {
 	Granule uint64
 	Ready   int64

@@ -54,7 +54,7 @@ func sampleEnvelope(cycle int64) *Envelope {
 					}},
 				}},
 				Mem: MemState{
-					L1:           []CacheState{{Lines: []LineState{{Idx: 1, Tag: 0xabc, Dirty: true, Sectors: 0xf}}}},
+					L1:           []CacheState{{Lines: []LineState{{Idx: 1, Tag: 0xabc, Dirty: true}}}},
 					L1Pending:    []PendingFills{{Fills: []Fill{{Granule: 0x100, Ready: 70}}}},
 					L2:           []CacheState{{}},
 					L2Pending:    []PendingFills{{}},
@@ -275,13 +275,15 @@ func TestDecodeHostileCountsAllocateLittle(t *testing.T) {
 // an earlier build wrote it — parent-v1 by the last version-1 build (gob
 // body, no schema field), parent-v2 by the last build whose metrics
 // baseline had no stall vector, parent-v3 by the last build whose spec and
-// loop cursors still carried an occupancy-timeline cadence (same version,
+// loop cursors still carried an occupancy-timeline cadence, parent-v4 by
+// the last build whose cache lines carried a sector mask (same version,
 // other schemas). Every way in must refuse them all and say what to do.
 func TestParentWrittenSnapshotRefused(t *testing.T) {
 	for file, says := range map[string]string{
 		"parent-v1.crispsnap": "version 1",
 		"parent-v2.crispsnap": `schema "2605a451a14992ed"`,
 		"parent-v3.crispsnap": `schema "b4c56ae3d8abcabe"`,
+		"parent-v4.crispsnap": `schema "69b4e52395460c79"`,
 	} {
 		path := filepath.Join("testdata", file)
 		_, errLoad := LoadFile(path)
