@@ -2,8 +2,10 @@ package render
 
 import (
 	"math"
+	"reflect"
 
 	"crisp/internal/snapshot"
+	"crisp/internal/texture"
 	"crisp/internal/trace/tracetest"
 )
 
@@ -47,4 +49,11 @@ func FoldResult(res *Result) uint64 {
 	h.PutInt(res.Raster.Fragments)
 	h.PutInt(res.Raster.EarlyZKill)
 	return h.Sum64()
+}
+
+// HasLevel0 reports whether tex holds its level 0: a generated texture
+// stores it only once a sample reads it. The level is unexported, so this
+// looks through reflection rather than widen texture's API for a test.
+func HasLevel0(tex *texture.Texture) bool {
+	return reflect.ValueOf(tex).Elem().FieldByName("levels").Index(0).FieldByName("pix").Len() > 0
 }

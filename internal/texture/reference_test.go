@@ -44,10 +44,11 @@ func noiseRef(name string, fmtc Format, w, h, layers int, seed int64) *Texture {
 	return newRef(name, fmtc, w, h, layers, pix)
 }
 
-// newRef is New over downsampleRef.
+// newRef is New over downsampleRef, every level held from the start.
 func newRef(name string, fmtc Format, w, h, layers int, pix []gmath.Vec4) *Texture {
 	t := &Texture{Name: name, Fmt: fmtc, W: w, H: h, Layers: layers}
 	t.levels = append(t.levels, level{w: w, h: h, pix: pix})
+	t.fill.Do(func() {})
 	for lw, lh := w, h; lw > 1 || lh > 1; {
 		nw, nh := max(1, lw/2), max(1, lh/2)
 		t.levels = append(t.levels, downsampleRef(t.levels[len(t.levels)-1], nw, nh, layers))
@@ -78,23 +79,38 @@ func downsampleRef(src level, nw, nh, layers int) level {
 	return dst
 }
 
-func sameBits(t *testing.T, what string, got, want *Texture) {
+// sameBits compares every level through the accessor the samplers use,
+// finest first or coarsest first: a level 0 generated after the chain
+// exists must hold the same bits as one read before anything else.
+func sameBits(t *testing.T, what string, coarsestFirst bool, got, want *Texture) {
 	t.Helper()
 	if len(got.levels) != len(want.levels) {
 		t.Fatalf("%s: %d levels, reference has %d", what, len(got.levels), len(want.levels))
 	}
-	for lv := range want.levels {
-		g, w := got.levels[lv], want.levels[lv]
-		if g.w != w.w || g.h != w.h || len(g.pix) != len(w.pix) {
-			t.Fatalf("%s level %d: %dx%d (%d texels), reference %dx%d (%d)", what, lv, g.w, g.h, len(g.pix), w.w, w.h, len(w.pix))
+	for i := range want.levels {
+		lv := i
+		if coarsestFirst {
+			lv = len(want.levels) - 1 - i
 		}
-		for i := range w.pix {
-			a, b := g.pix[i], w.pix[i]
-			if math.Float32bits(a.X) != math.Float32bits(b.X) || math.Float32bits(a.Y) != math.Float32bits(b.Y) ||
-				math.Float32bits(a.Z) != math.Float32bits(b.Z) || math.Float32bits(a.W) != math.Float32bits(b.W) {
+		g, w := got.levels[lv], want.levels[lv]
+		gp, wp := got.pixels(lv), want.pixels(lv)
+		if g.w != w.w || g.h != w.h || len(gp) != len(wp) {
+			t.Fatalf("%s level %d: %dx%d (%d texels), reference %dx%d (%d)", what, lv, g.w, g.h, len(gp), w.w, w.h, len(wp))
+		}
+		for i := range wp {
+			if a, b := gp[i], wp[i]; !sameVec4(a, b) {
 				t.Fatalf("%s level %d texel %d: %v, reference %v", what, lv, i, a, b)
 			}
 		}
+	}
+}
+
+// inBothOrders runs a reference comparison on fresh textures twice, finest
+// level first and then coarsest first.
+func inBothOrders(t *testing.T, what string, got, want func() *Texture) {
+	t.Helper()
+	for _, coarsestFirst := range []bool{false, true} {
+		sameBits(t, what, coarsestFirst, got(), want())
 	}
 }
 
@@ -108,14 +124,16 @@ func TestNoiseMatchesReference(t *testing.T) {
 		if testing.Short() && c.w > 512 {
 			continue
 		}
-		sameBits(t, "Noise", Noise("n", FormatRGBA8, c.w, c.h, c.layers, c.seed), noiseRef("n", FormatRGBA8, c.w, c.h, c.layers, c.seed))
+		inBothOrders(t, "Noise",
+			func() *Texture { return Noise("n", FormatRGBA8, c.w, c.h, c.layers, c.seed) },
+			func() *Texture { return noiseRef("n", FormatRGBA8, c.w, c.h, c.layers, c.seed) })
 	}
 }
 
 // TestMipChainMatchesReference drives New's filter with content that has
-// negative zeros, infinities and denormals in it, on square chains (the
-// unrolled 2×2 path at every level) and on chains that run out of one axis
-// first (the general loop for the tail).
+// negative zeros, infinities and denormals in it, on square chains (2×2
+// boxes at every level) and on chains that run out of one axis first (2×1
+// and 1×2 boxes for the tail).
 func TestMipChainMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	special := []float32{float32(math.Copysign(0, -1)), 0, float32(math.Inf(1)), float32(math.Inf(-1)), 1e-42, -1e-42, math.MaxFloat32}
@@ -128,11 +146,13 @@ func TestMipChainMatchesReference(t *testing.T) {
 				pix[i].Y = special[rng.Intn(len(special))]
 			}
 		}
-		got, err := New("m", FormatRGBA8, c.w, c.h, c.layers, pix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBits(t, "New", got, newRef("m", FormatRGBA8, c.w, c.h, c.layers, pix))
+		inBothOrders(t, "New", func() *Texture {
+			got, err := New("m", FormatRGBA8, c.w, c.h, c.layers, pix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}, func() *Texture { return newRef("m", FormatRGBA8, c.w, c.h, c.layers, pix) })
 	}
 }
 
@@ -153,7 +173,9 @@ func TestNoiseFineMatchesReference(t *testing.T) {
 	}{
 		{256, 256, 1, 12}, {128, 128, 1, 306}, {64, 16, 3, 7}, {4, 64, 2, -1}, {1, 1, 1, 0}, {2, 1, 5, 1 << 40},
 	} {
-		sameBits(t, "NoiseFine", NoiseFine("f", FormatRGBA8, c.w, c.h, c.layers, c.seed), noiseFineRef("f", FormatRGBA8, c.w, c.h, c.layers, c.seed))
+		inBothOrders(t, "NoiseFine",
+			func() *Texture { return NoiseFine("f", FormatRGBA8, c.w, c.h, c.layers, c.seed) },
+			func() *Texture { return noiseFineRef("f", FormatRGBA8, c.w, c.h, c.layers, c.seed) })
 	}
 }
 
@@ -291,14 +313,14 @@ func TestGradientEndpoints(t *testing.T) {
 		{128, 128, a, b},
 	} {
 		g := Gradient("g", FormatRGBA8, c.w, c.h, a, b)
-		for lv, l := range g.levels {
-			for i, p := range l.pix {
+		for lv := range g.levels {
+			for i, p := range g.pixels(lv) {
 				if p.X != p.X || p.Y != p.Y || p.Z != p.Z || p.W != p.W {
 					t.Fatalf("%dx%d level %d texel %d is NaN: %v", c.w, c.h, lv, i, p)
 				}
 			}
 		}
-		row := g.levels[0].pix[:c.w]
+		row := g.pixels(0)[:c.w]
 		if row[0] != c.first || row[c.w-1] != c.last {
 			t.Errorf("%dx%d: row runs %v … %v, want %v … %v", c.w, c.h, row[0], row[c.w-1], c.first, c.last)
 		}

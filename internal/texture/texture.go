@@ -7,12 +7,15 @@
 // Mipmapping is the subject of the paper's first case study: each level is
 // down-sampled by half, the chain has log2(dim)+1 levels, and sampling at
 // a higher level makes neighboring fragments collide onto the same texel,
-// cutting L1 texture traffic by multiples (paper Figs. 7-9).
+// cutting L1 texture traffic by multiples (paper Figs. 7-9). The same fact
+// keeps host memory down: a frame reads only the levels its footprints
+// select, so a generated texture stores its level 0 only once it is read.
 package texture
 
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"crisp/internal/gmath"
 )
@@ -85,88 +88,152 @@ const (
 // the Format only affects addressing).
 type level struct {
 	w, h int
-	pix  []gmath.Vec4 // layer-major: layer*w*h + y*w + x
+	pix  []gmath.Vec4 // layer-major: layer*w*h + y*w + x; read through pixels
 }
 
-// Texture is a (possibly layered) 2D texture with a full mip chain.
+// rowGen calls emit with every row of level 0, layer by layer and top to
+// bottom, the same rows on every call. A row is only read during emit.
+type rowGen func(emit func(row []gmath.Vec4))
+
+// Texture is a (possibly layered) 2D texture with a full mip chain. Levels
+// 1…n are filtered at construction; level 0 of a generated texture is
+// stored only once something samples it (most frames read coarser levels
+// of most maps), by running its generator again.
 type Texture struct {
 	Name   string
 	Fmt    Format
 	W, H   int
 	Layers int
 	levels []level
+	// rows regenerates level 0 the first time fill runs.
+	rows rowGen
+	fill sync.Once
 	// base is the virtual byte address of each level's storage.
 	base []uint64
 	size uint64
 }
 
-// New builds a texture from layer-major RGBA pixels and generates the full
-// mip chain. W and H must be powers of two.
+// New builds a texture from layer-major RGBA pixels, which it keeps as
+// level 0, and generates the full mip chain. W and H must be powers of two.
 func New(name string, fmtc Format, w, h, layers int, pix []gmath.Vec4) (*Texture, error) {
-	if w <= 0 || h <= 0 || layers <= 0 {
-		return nil, fmt.Errorf("texture %q: bad dimensions %dx%dx%d", name, w, h, layers)
-	}
-	if w&(w-1) != 0 || h&(h-1) != 0 {
-		return nil, fmt.Errorf("texture %q: dimensions %dx%d not powers of two", name, w, h)
+	if err := checkDims(name, w, h, layers); err != nil {
+		return nil, err
 	}
 	if len(pix) != w*h*layers {
 		return nil, fmt.Errorf("texture %q: %d pixels for %dx%dx%d", name, len(pix), w, h, layers)
 	}
-	t := &Texture{Name: name, Fmt: fmtc, W: w, H: h, Layers: layers}
-	t.levels = append(t.levels, level{w: w, h: h, pix: pix})
-	for lw, lh := w, h; lw > 1 || lh > 1; {
-		nw, nh := max(1, lw/2), max(1, lh/2)
-		t.levels = append(t.levels, downsample(t.levels[len(t.levels)-1], nw, nh, layers))
-		lw, lh = nw, nh
-	}
+	t := generate(name, fmtc, w, h, layers, func(emit func([]gmath.Vec4)) {
+		for i := 0; i < len(pix); i += w {
+			emit(pix[i : i+w])
+		}
+	})
+	t.fill.Do(func() { t.levels[0].pix = pix })
 	return t, nil
 }
 
-// downsample box-filters src into an nw×nh level.
-func downsample(src level, nw, nh, layers int) level {
-	dst := level{w: nw, h: nh, pix: make([]gmath.Vec4, nw*nh*layers)}
-	sx := src.w / nw
-	sy := src.h / nh
-	if sx < 1 {
-		sx = 1
+func checkDims(name string, w, h, layers int) error {
+	if w <= 0 || h <= 0 || layers <= 0 {
+		return fmt.Errorf("texture %q: bad dimensions %dx%dx%d", name, w, h, layers)
 	}
-	if sy < 1 {
-		sy = 1
+	if w&(w-1) != 0 || h&(h-1) != 0 {
+		return fmt.Errorf("texture %q: dimensions %dx%d not powers of two", name, w, h)
 	}
-	inv := 1 / float32(sx*sy)
-	if sx == 2 && sy == 2 {
-		// Every level of a square chain: the four taps unrolled, added in
-		// the general loop's order ((0+a)+b)+c)+d and then scaled, so the
-		// bits are the same. The zero stays: 0 + -0 is +0.
-		var zero gmath.Vec4
-		for l := 0; l < layers; l++ {
-			sl := src.pix[l*src.w*src.h : (l+1)*src.w*src.h]
-			dl := dst.pix[l*nw*nh : (l+1)*nw*nh]
-			for y := 0; y < nh; y++ {
-				r0 := sl[2*y*src.w : (2*y+1)*src.w]
-				r1 := sl[(2*y+1)*src.w : (2*y+2)*src.w]
-				out := dl[y*nw : (y+1)*nw]
-				for x := range out {
-					out[x] = zero.Add(r0[2*x]).Add(r0[2*x+1]).Add(r1[2*x]).Add(r1[2*x+1]).Scale(inv)
-				}
-			}
+	return nil
+}
+
+// generate builds a texture whose level 0 is made row by row: the rows
+// stream through the mip filter into levels 1…n, and level 0 is not kept
+// until it is first read. Only the upper row of the pair being filtered
+// is copied; every coarser row is read back from its own level.
+func generate(name string, fmtc Format, w, h, layers int, rows rowGen) *Texture {
+	if err := checkDims(name, w, h, layers); err != nil {
+		panic(err) // power-of-two inputs only; programmer error
+	}
+	t := &Texture{Name: name, Fmt: fmtc, W: w, H: h, Layers: layers, rows: rows}
+	t.levels = append(t.levels, level{w: w, h: h})
+	for lw, lh := w, h; lw > 1 || lh > 1; {
+		lw, lh = max(1, lw/2), max(1, lh/2)
+		t.levels = append(t.levels, level{w: lw, h: lh, pix: make([]gmath.Vec4, lw*lh*layers)})
+	}
+	var upper []gmath.Vec4
+	r := 0
+	rows(func(row []gmath.Vec4) {
+		switch {
+		case h == 1:
+			t.filterDown(r, row, nil)
+		case r%2 == 0:
+			upper = append(upper[:0], row...)
+		default:
+			t.filterDown(r, upper, row)
 		}
-		return dst
-	}
-	for l := 0; l < layers; l++ {
-		for y := 0; y < nh; y++ {
-			for x := 0; x < nw; x++ {
-				var acc gmath.Vec4
-				for dy := 0; dy < sy; dy++ {
-					for dx := 0; dx < sx; dx++ {
-						acc = acc.Add(src.pix[l*src.w*src.h+(y*sy+dy)*src.w+(x*sx+dx)])
-					}
-				}
-				dst.pix[l*nw*nh+y*nw+x] = acc.Scale(inv)
-			}
+		r++
+	})
+	return t
+}
+
+// filterDown box-filters one row of level 1 from rows a and b of level 0
+// (b nil when level 1 keeps level 0's height of 1), r being the index of
+// the last of them across all layers. Each row it writes that completes a
+// pair, or that has no pair, is filtered into the next level in turn.
+func (t *Texture) filterDown(r int, a, b []gmath.Vec4) {
+	for k := 0; k+1 < len(t.levels); k++ {
+		src, dst := &t.levels[k], &t.levels[k+1]
+		if src.h > 1 {
+			r /= 2
+		}
+		out := dst.pix[r*dst.w : (r+1)*dst.w]
+		boxRow(out, a, b, src.w/dst.w)
+		switch {
+		case dst.h == 1:
+			a, b = out, nil
+		case r%2 == 0:
+			return // the upper row of a pair: the lower one carries on
+		default:
+			a, b = dst.pix[(r-1)*dst.w:r*dst.w], out
 		}
 	}
-	return dst
+}
+
+// boxRow filters out from source rows a and b (b nil when the level keeps
+// its height), sx source columns per output texel. Taps add onto a zero in
+// the order a box reads them, row by row and left to right, before the
+// scale: (((0+a0)+a1)+b0)+b1. The zero stays: 0 + -0 is +0.
+func boxRow(out, a, b []gmath.Vec4, sx int) {
+	var zero gmath.Vec4
+	switch {
+	case b == nil: // sx is 2: a level of height 1 always narrows
+		for x := range out {
+			out[x] = zero.Add(a[2*x]).Add(a[2*x+1]).Scale(0.5)
+		}
+	case sx == 1:
+		for x := range out {
+			out[x] = zero.Add(a[x]).Add(b[x]).Scale(0.5)
+		}
+	default:
+		for x := range out {
+			out[x] = zero.Add(a[2*x]).Add(a[2*x+1]).Add(b[2*x]).Add(b[2*x+1]).Scale(0.25)
+		}
+	}
+}
+
+// pixels is level lv's storage. Levels 1…n pay no check.
+func (t *Texture) pixels(lv int) []gmath.Vec4 {
+	if lv == 0 {
+		return t.level0()
+	}
+	return t.levels[lv].pix
+}
+
+// level0 is level 0's storage, generated on its first read.
+func (t *Texture) level0() []gmath.Vec4 {
+	t.fill.Do(t.fillLevel0)
+	return t.levels[0].pix
+}
+
+func (t *Texture) fillLevel0() {
+	pix := make([]gmath.Vec4, 0, t.W*t.H*t.Layers)
+	t.rows(func(row []gmath.Vec4) { pix = append(pix, row...) })
+	t.levels[0].pix, t.rows = pix, nil
 }
 
 // Levels reports the number of mip levels (log2(max dim)+1).
@@ -229,7 +296,7 @@ func (t *Texture) texel(lv, layer, x, y int) gmath.Vec4 {
 	x = gmath.ClampInt(x, 0, l.w-1)
 	y = gmath.ClampInt(y, 0, l.h-1)
 	layer = gmath.ClampInt(layer, 0, t.Layers-1)
-	return l.pix[layer*l.w*l.h+y*l.w+x]
+	return t.pixels(lv)[layer*l.w*l.h+y*l.w+x]
 }
 
 // Sample filters the texture at normalized (u, v) in the given layer at
@@ -296,7 +363,7 @@ func (t *Texture) sampleBilinear(u, v float32, layer, lv int) (gmath.Vec4, uint6
 	xa, xb := gmath.ClampInt(x0, 0, l.w-1), gmath.ClampInt(x0+1, 0, l.w-1)
 	ya, yb := gmath.ClampInt(y0, 0, l.h-1), gmath.ClampInt(y0+1, 0, l.h-1)
 	layer = gmath.ClampInt(layer, 0, t.Layers-1)
-	plane := l.pix[layer*l.w*l.h : (layer+1)*l.w*l.h]
+	plane := t.pixels(lv)[layer*l.w*l.h : (layer+1)*l.w*l.h]
 	r0, r1 := plane[ya*l.w:(ya+1)*l.w], plane[yb*l.w:(yb+1)*l.w]
 	top := r0[xa].Scale(1 - tx).Add(r0[xb].Scale(tx))
 	bot := r1[xa].Scale(1 - tx).Add(r1[xb].Scale(tx))
@@ -327,38 +394,28 @@ func (t *Texture) Lod(footprint float32) float32 {
 
 // Checker builds a checkerboard texture (albedo-style content).
 func Checker(name string, fmtc Format, w, h int, a, b gmath.Vec4, cells int) *Texture {
-	pix := make([]gmath.Vec4, w*h)
 	if cells < 1 {
 		cells = 8
 	}
-	cw, ch := w/cells, h/cells
-	if cw < 1 {
-		cw = 1
-	}
-	if ch < 1 {
-		ch = 1
-	}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if ((x/cw)+(y/ch))%2 == 0 {
-				pix[y*w+x] = a
-			} else {
-				pix[y*w+x] = b
+	cw, ch := max(1, w/cells), max(1, h/cells)
+	return generate(name, fmtc, w, h, 1, func(emit func([]gmath.Vec4)) {
+		row := make([]gmath.Vec4, w)
+		for y := 0; y < h; y++ {
+			for x := range row {
+				if ((x/cw)+(y/ch))%2 == 0 {
+					row[x] = a
+				} else {
+					row[x] = b
+				}
 			}
+			emit(row)
 		}
-	}
-	t, err := New(name, fmtc, w, h, 1, pix)
-	if err != nil {
-		panic(err) // power-of-two inputs only; programmer error
-	}
-	return t
+	})
 }
 
 // Noise builds a value-noise texture, deterministic in seed. Layered
 // variants (layers > 1) differ per layer — the Planets texture array.
 func Noise(name string, fmtc Format, w, h, layers int, seed int64) *Texture {
-	rng := rand.New(rand.NewSource(seed))
-	pix := make([]gmath.Vec4, w*h*layers)
 	// Coarse lattice filled with random values, then bilinearly upsampled
 	// for smooth variation. A texel's lattice cell and weights depend on
 	// its column or its row alone, so they are computed once per column
@@ -378,35 +435,34 @@ func Noise(name string, fmtc Format, w, h, layers int, seed int64) *Texture {
 		}
 		return taps
 	}
-	cols, rows := axis(w), axis(h)
-	lattice := make([]float32, lat*lat*3)
-	// band[i*w+x] is lattice row i interpolated at column x: the inner lerp
-	// of every texel whose cell has i as its top or bottom row.
-	band := make([][3]float32, lat*w)
-	for l := 0; l < layers; l++ {
-		for i := range lattice {
-			lattice[i] = rng.Float32()
-		}
-		for i := 0; i < lat; i++ {
-			lrow, brow := lattice[i*lat*3:(i+1)*lat*3], band[i*w:(i+1)*w]
-			for x, c := range cols {
-				v0, v1 := lrow[c.i0*3:][:3], lrow[c.i1*3:][:3]
-				brow[x] = [3]float32{gmath.Lerp(v0[0], v1[0], c.t), gmath.Lerp(v0[1], v1[1], c.t), gmath.Lerp(v0[2], v1[2], c.t)}
+	return generate(name, fmtc, w, h, layers, func(emit func([]gmath.Vec4)) {
+		rng := rand.New(rand.NewSource(seed))
+		cols, rows := axis(w), axis(h)
+		lattice := make([]float32, lat*lat*3)
+		// band[i*w+x] is lattice row i interpolated at column x: the inner
+		// lerp of every texel whose cell has i as its top or bottom row.
+		band := make([][3]float32, lat*w)
+		row := make([]gmath.Vec4, w)
+		for l := 0; l < layers; l++ {
+			for i := range lattice {
+				lattice[i] = rng.Float32()
+			}
+			for i := 0; i < lat; i++ {
+				lrow, brow := lattice[i*lat*3:(i+1)*lat*3], band[i*w:(i+1)*w]
+				for x, c := range cols {
+					v0, v1 := lrow[c.i0*3:][:3], lrow[c.i1*3:][:3]
+					brow[x] = [3]float32{gmath.Lerp(v0[0], v1[0], c.t), gmath.Lerp(v0[1], v1[1], c.t), gmath.Lerp(v0[2], v1[2], c.t)}
+				}
+			}
+			for _, r := range rows {
+				b0, b1 := band[r.i0*w:(r.i0+1)*w], band[r.i1*w:(r.i1+1)*w]
+				for x := range row {
+					row[x] = gmath.V4(gmath.Lerp(b0[x][0], b1[x][0], r.t), gmath.Lerp(b0[x][1], b1[x][1], r.t), gmath.Lerp(b0[x][2], b1[x][2], r.t), 1)
+				}
+				emit(row)
 			}
 		}
-		for y, r := range rows {
-			row := pix[l*w*h+y*w : l*w*h+(y+1)*w]
-			b0, b1 := band[r.i0*w:(r.i0+1)*w], band[r.i1*w:(r.i1+1)*w]
-			for x := range row {
-				row[x] = gmath.V4(gmath.Lerp(b0[x][0], b1[x][0], r.t), gmath.Lerp(b0[x][1], b1[x][1], r.t), gmath.Lerp(b0[x][2], b1[x][2], r.t), 1)
-			}
-		}
-	}
-	t, err := New(name, fmtc, w, h, layers, pix)
-	if err != nil {
-		panic(err)
-	}
-	return t
+	})
 }
 
 // NoiseFine builds a per-texel random texture (no spatial smoothing) —
@@ -414,16 +470,16 @@ func Noise(name string, fmtc Format, w, h, layers int, seed int64) *Texture {
 // environment maps, whose samples scatter across the texture when driven
 // by per-pixel reflection vectors.
 func NoiseFine(name string, fmtc Format, w, h, layers int, seed int64) *Texture {
-	src := rand.NewSource(seed)
-	pix := make([]gmath.Vec4, w*h*layers)
-	for i := range pix {
-		pix[i] = gmath.V4(unitFloat32(src), unitFloat32(src), unitFloat32(src), 1)
-	}
-	t, err := New(name, fmtc, w, h, layers, pix)
-	if err != nil {
-		panic(err)
-	}
-	return t
+	return generate(name, fmtc, w, h, layers, func(emit func([]gmath.Vec4)) {
+		src := rand.NewSource(seed)
+		row := make([]gmath.Vec4, w)
+		for r := 0; r < h*layers; r++ {
+			for x := range row {
+				row[x] = gmath.V4(unitFloat32(src), unitFloat32(src), unitFloat32(src), 1)
+			}
+			emit(row)
+		}
+	})
 }
 
 // unitFloat32 is rand.New(src).Float32() without the calls in between, so
@@ -440,20 +496,18 @@ func unitFloat32(src rand.Source) float32 {
 
 // Gradient builds a horizontal gradient texture between two colors.
 func Gradient(name string, fmtc Format, w, h int, a, b gmath.Vec4) *Texture {
-	pix := make([]gmath.Vec4, w*h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
+	return generate(name, fmtc, w, h, 1, func(emit func([]gmath.Vec4)) {
+		row := make([]gmath.Vec4, w)
+		for x := range row {
 			// A one-texel gradient is all a: x/(w-1) would be 0/0.
 			t := float32(0)
 			if w > 1 {
 				t = float32(x) / float32(w-1)
 			}
-			pix[y*w+x] = a.Scale(1 - t).Add(b.Scale(t))
+			row[x] = a.Scale(1 - t).Add(b.Scale(t))
 		}
-	}
-	t, err := New(name, fmtc, w, h, 1, pix)
-	if err != nil {
-		panic(err)
-	}
-	return t
+		for y := 0; y < h; y++ {
+			emit(row)
+		}
+	})
 }

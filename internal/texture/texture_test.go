@@ -1,6 +1,8 @@
 package texture
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -280,5 +282,45 @@ func TestMipDimsHalveMonotonically(t *testing.T) {
 	}
 	if pw != 1 || ph != 1 {
 		t.Errorf("top level = %dx%d, want 1x1", pw, ph)
+	}
+}
+
+// TestLevelZeroFillRaceFree: the first level-0 samples of a fresh
+// generated texture come from several goroutines at once, and every one
+// of them reads the texels the generator makes.
+func TestLevelZeroFillRaceFree(t *testing.T) {
+	const readers = 8
+	read := func(tex *Texture) (s []gmath.Vec4) {
+		for layer := 0; layer < tex.Layers; layer++ {
+			for y := 0; y < tex.H; y += 3 {
+				for x := 0; x < tex.W; x += 5 {
+					c, _ := tex.Sample((float32(x)+0.5)/float32(tex.W), (float32(y)+0.5)/float32(tex.H), layer, 0, FilterNearest)
+					s = append(s, c)
+				}
+			}
+		}
+		return s
+	}
+	want := noiseFineRef("race", FormatRGBA8, 64, 64, 2, 17)
+	want.Bind(0)
+	tex := NoiseFine("race", FormatRGBA8, 64, 64, 2, 17)
+	tex.Bind(0)
+	start := make(chan struct{})
+	got := make([][]gmath.Vec4, readers)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[g] = read(tex)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g := range got {
+		if !reflect.DeepEqual(got[g], read(want)) {
+			t.Fatalf("reader %d read other level-0 texels than the reference", g)
+		}
 	}
 }
