@@ -78,6 +78,7 @@ func dump(args []string) {
 	w := &k.CTAs[0].Warps[0]
 	fmt.Printf("%s  CTA 0 warp 0  (%d instructions, showing %d)\n", k.Name, len(w.Insts), min(len(w.Insts), *maxInsts))
 	var lanes [isa.WarpSize]uint64
+	var c trace.Cursor
 	for i := range w.Insts {
 		in := &w.Insts[i]
 		if i >= *maxInsts {
@@ -94,9 +95,10 @@ func dump(args []string) {
 			}
 		}
 		extra := ""
-		if addrs := w.Addrs(in, &lanes); len(addrs) > 0 {
+		if addrs := w.Addrs(c, in, &lanes); len(addrs) > 0 {
 			extra = fmt.Sprintf("  [%#x … %#x] %s", addrs[0], addrs[len(addrs)-1], in.Class)
 		}
+		c = w.Next(c, in)
 		fmt.Printf("  %4d: %-9s%-16s mask=%08x%s\n", i, in.Op.String(), operands, in.Mask, extra)
 	}
 }

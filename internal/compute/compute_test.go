@@ -137,13 +137,16 @@ func TestWorkloadsUseDisjointAddressSpaces(t *testing.T) {
 			for _, cta := range k.CTAs {
 				for wi := range cta.Warps {
 					warp := &cta.Warps[wi]
+					var c trace.Cursor
 					for l := range warp.Insts {
 						in := &warp.Insts[l]
+						cur := c
+						c = warp.Next(c, in)
 						if isa.SpaceOf(in.Op) == isa.SpaceShared {
 							// Shared offsets are segment-local, not VAs.
 							continue
 						}
-						for _, a := range warp.Addrs(in, &lanes) {
+						for _, a := range warp.Addrs(cur, in, &lanes) {
 							if a < lo {
 								lo = a
 							}

@@ -465,7 +465,8 @@ func TestFrontendRetainsEveryDefaultProduct(t *testing.T) {
 // the packed address records were sized against: NN's kernels, and every
 // trace the bench's pairs-mem-bound job list holds at once (its four jobs
 // build NN three times). At one []uint64 per memory instruction behind a
-// 48-byte Inst these read 68.2 MB and 260.6 MB.
+// 48-byte Inst these read 68.2 MB and 260.6 MB; with packed records behind a
+// 20-byte Inst that every warp owned, 20.2 MiB and 85.8 MB.
 func TestTraceFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders IT at 640x360")
@@ -481,8 +482,8 @@ func TestTraceFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	nnBytes := sum(nn.Kernels)
-	if nnBytes > 24<<20 {
-		t.Errorf("NN's kernels hold %.1f MiB, want at most 24", float64(nnBytes)/(1<<20))
+	if nnBytes > 10<<20 {
+		t.Errorf("NN's kernels hold %.1f MiB, want at most 10", float64(nnBytes)/(1<<20))
 	}
 	total := 3 * nnBytes
 	vio, err := compute.ByName("VIO", ComputeStreamBase)
@@ -502,8 +503,43 @@ func TestTraceFootprint(t *testing.T) {
 		}
 		total += sum(frameKernels(res))
 	}
-	if total > 100e6 {
-		t.Errorf("the pairs-mem-bound job list's traces hold %.1f MB, want at most 100", float64(total)/1e6)
+	if total > 45e6 {
+		t.Errorf("the pairs-mem-bound job list's traces hold %.1f MB, want at most 45", float64(total)/1e6)
 	}
 	t.Logf("NN %.1f MiB, pairs-mem-bound job list %.1f MB", float64(nnBytes)/(1<<20), float64(total)/1e6)
+}
+
+// TestWarpsShareProgram: warps that ran the same program share one
+// instruction array. NN's 4,968 warps run 7 distinct programs (opcodes,
+// registers, classes, masks), so its kernels hold at most 7 arrays, as
+// built and as loaded — one per warp, 4,968, before programs were interned.
+// (TestWorkloadDigestsPinned holds what the warps fold to.)
+func TestWarpsShareProgram(t *testing.T) {
+	nn, err := compute.ByName("NN", ComputeStreamBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := tracetest.Reload(nn.Kernels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		how string
+		ks  []*trace.Kernel
+	}{{"as built", nn.Kernels}, {"saved and loaded", loaded}} {
+		arrays := map[*trace.Inst]bool{}
+		warps := 0
+		for _, k := range c.ks {
+			for i := range k.CTAs {
+				for j := range k.CTAs[i].Warps {
+					arrays[&k.CTAs[i].Warps[j].Insts[0]] = true
+					warps++
+				}
+			}
+		}
+		if len(arrays) > 7 {
+			t.Errorf("%s: NN's %d warps hold %d instruction arrays, want at most 7", c.how, warps, len(arrays))
+		}
+		t.Logf("%s: %d warps, %d arrays", c.how, warps, len(arrays))
+	}
 }

@@ -6,14 +6,17 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"crisp/internal/compute"
 	"crisp/internal/config"
+	"crisp/internal/isa"
 	"crisp/internal/render"
 	"crisp/internal/robust"
 	"crisp/internal/robust/inject"
 	"crisp/internal/scene"
+	"crisp/internal/snapshot"
 	"crisp/internal/trace"
 	"crisp/internal/trace/tracetest"
 )
@@ -150,7 +153,7 @@ func TestRunsWithoutLineTable(t *testing.T) {
 	if err := narrowLines.Validate(); err != nil {
 		t.Fatalf("a 64 B line config: %v", err)
 	}
-	if _, ok := nn.Kernels[0].CTAs[0].Warps[0].LineTable(narrowLines.LineSize); ok {
+	if nn.Kernels[0].CTAs[0].Warps[0].HasLineTable(narrowLines.LineSize) {
 		t.Fatal("the 128 B table answers for 64 B lines")
 	}
 	fast := run("64 B lines", narrowLines, frame, nn, false)
@@ -163,8 +166,11 @@ func TestRunsWithoutLineTable(t *testing.T) {
 // TestReplayResumeMidSleep kills the latency-bound NN job (cores parked on
 // DRAM fills, their schedulers holding stall records) in the middle of a
 // sleep and resumes it under either skip mode. Stall records are not in a
-// snapshot; a restored run rebuilds them, and must reproduce the straight
-// run's per-stream stall attribution and its whole state-digest stream.
+// snapshot, nor are the warps' stream cursors (a restore walks each warp's
+// program to its PC); a restored run rebuilds both, and must reproduce the
+// straight run's per-stream stall attribution and its whole state-digest
+// stream. The kill finds warps past memory instructions, so the cursors it
+// rebuilds are not the first instruction's.
 func TestReplayResumeMidSleep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("eight NN simulations")
@@ -173,6 +179,10 @@ func TestReplayResumeMidSleep(t *testing.T) {
 	cfg.SharedMemPerSM = 6 << 10
 	cfg.L1MSHRs, cfg.L2MSHRs = 4, 16
 	cfg.DRAMLatency *= 8
+	nn, err := compute.ByName("NN", ComputeStreamBase) // the job's traces, for the warps' programs
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := func(noSkip bool, more ...RunOption) []RunOption {
 		o := append([]RunOption{WithStateDigest(20_000)}, more...)
 		if noSkip {
@@ -225,6 +235,20 @@ func TestReplayResumeMidSleep(t *testing.T) {
 		if asleep == 0 {
 			t.Fatalf("%s: no busy core is asleep at the kill cycle %d", label, env.State.Arch.Cycle)
 		}
+		past := 0
+		for _, c := range env.State.Arch.Cores {
+			for _, s := range c.Scheds {
+				for _, ws := range s.Warps {
+					cta := c.CTAs[slices.IndexFunc(c.CTAs, func(st snapshot.CTAState) bool { return st.Ref == ws.CTA })]
+					if w := &nn.Kernels[cta.KernelIdx].CTAs[cta.CTAIdx].Warps[ws.WarpIdx]; w.CursorAt(ws.PC) != (trace.Cursor{}) {
+						past++
+					}
+				}
+			}
+		}
+		if past == 0 {
+			t.Fatalf("%s: no resident warp is past a memory instruction at the kill cycle %d", label, env.State.Arch.Cycle)
+		}
 		for _, resumeNoSkip := range []bool{false, true} {
 			res, err := ResumeContext(context.Background(), env, opts(resumeNoSkip)...)
 			if err != nil {
@@ -232,5 +256,68 @@ func TestReplayResumeMidSleep(t *testing.T) {
 			}
 			same(fmt.Sprintf("%s/resumed(noskip=%v)", label, resumeNoSkip), res)
 		}
+	}
+}
+
+// TestCursorsMatchWalkFromStart holds the ways the timing model finds a
+// warp's streams to each other, on every warp of the preset zoo at 128×72:
+// the cursors an issue moves past each memory instruction (sm.warpRT: past
+// the table entry alone where the warp issues from the line table, past the
+// record too where it derives from the addresses) and the one a restore
+// walks to the warp's PC from its first instruction (trace.Warp.CursorAt).
+// At every PC the derive-at-issue cursor must be the walked one — the same
+// line-table entry, lines and address record — and the table cursor must
+// give the same lines and conflict degree.
+func TestCursorsMatchWalkFromStart(t *testing.T) {
+	products := map[string][]*trace.Kernel{}
+	for _, name := range compute.Names() {
+		w, err := compute.ByName(name, ComputeStreamBase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		products[name] = w.Kernels
+	}
+	for _, name := range scene.Names() {
+		res, err := RenderScene(name, tinyOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		products[name] = frameKernels(res)
+	}
+	for _, id := range append(compute.Names(), scene.Names()...) {
+		ks := products[id]
+		warps, steps := 0, 0
+		for _, k := range ks {
+			for i := range k.CTAs {
+				for j := range k.CTAs[i].Warps {
+					w := &k.CTAs[i].Warps[j]
+					var table, derived trace.Cursor
+					for pc := range w.Insts {
+						in := &w.Insts[pc]
+						walked := w.CursorAt(pc)
+						where := fmt.Sprintf("%s kernel %q CTA %d warp %d pc %d (%v)", id, k.Name, i, j, pc, in.Op)
+						if derived != walked {
+							t.Fatalf("%s: issue reached cursor %+v, a walk from 0 %+v", where, derived, walked)
+						}
+						switch isa.SpaceOf(in.Op) {
+						case isa.SpaceGlobal, isa.SpaceTexture:
+							if got, want := w.Lines(table), w.Lines(walked); !slices.Equal(got, want) {
+								t.Fatalf("%s: the table cursor gives lines %v, the walked one %v", where, got, want)
+							}
+						case isa.SpaceShared:
+							if got, want := w.ConflictDegree(table), w.ConflictDegree(walked); got != want {
+								t.Fatalf("%s: the table cursor gives degree %d, the walked one %d", where, got, want)
+							}
+						}
+						if isa.UnitOf(in.Op) == isa.UnitLDST {
+							table, derived = w.NextEntry(table, in), w.Next(derived, in)
+						}
+						steps++
+					}
+					warps++
+				}
+			}
+		}
+		t.Logf("%-8s %6d warps, %8d cursors", id, warps, steps)
 	}
 }

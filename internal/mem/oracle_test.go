@@ -217,14 +217,17 @@ func TestSystemMatchesOracleOnWarpLines(t *testing.T) {
 	now := int64(0)
 	var want mem.Counters
 	var lanes [isa.WarpSize]uint64
+	var c trace.Cursor
 	for l := range w.Insts {
 		in := &w.Insts[l]
+		cur := c
+		c = w.Next(c, in)
 		if !in.HasAddrs() {
 			continue
 		}
 		var lines []uint64
 	lanes:
-		for _, a := range w.Addrs(in, &lanes) {
+		for _, a := range w.Addrs(cur, in, &lanes) {
 			for _, seen := range lines {
 				if seen == a/uint64(cfg.LineSize) {
 					continue lanes

@@ -15,6 +15,7 @@ import (
 	"crisp/internal/isa"
 	"crisp/internal/raster"
 	"crisp/internal/texture"
+	"crisp/internal/trace"
 )
 
 func withProcs(t *testing.T, n int) {
@@ -226,13 +227,16 @@ func TestRerenderedFrameDefMatchesFresh(t *testing.T) {
 				for ci := range k.CTAs {
 					for wi := range k.CTAs[ci].Warps {
 						w := &k.CTAs[ci].Warps[wi]
+						var c trace.Cursor
 						for l := range w.Insts {
 							in := &w.Insts[l]
+							cur := c
+							c = w.Next(c, in)
 							if in.Op == isa.OpTEX {
 								continue
 							}
 							var lanes [isa.WarpSize]uint64
-							for _, a := range w.Addrs(in, &lanes) {
+							for _, a := range w.Addrs(cur, in, &lanes) {
 								for _, r := range texRanges {
 									if a >= r[0] && a < r[1] && !aliased {
 										aliased = true

@@ -8,11 +8,14 @@
 // panic.
 //
 // All perturbations are driven by a caller-provided *rand.Rand, so a fixed
-// seed reproduces the exact same mutation.
+// seed reproduces the exact same mutation. Warps share programs and a clone
+// shares them with its original, so a fault never writes into a program or
+// an arena: it gives the warp a new one (copy-on-write).
 package inject
 
 import (
 	"math/rand"
+	"slices"
 
 	"crisp/internal/config"
 	"crisp/internal/isa"
@@ -110,6 +113,7 @@ func Catalog() []Fault {
 				if w == nil {
 					return false
 				}
+				w.Insts = slices.Clone(w.Insts)
 				w.Insts[i].Mask = 0
 				return true
 			},
@@ -206,7 +210,7 @@ func Catalog() []Fault {
 				}
 				for i := range w.Insts {
 					if w.Insts[i].Op == isa.OpBAR {
-						w.Insts = append(w.Insts[:i], w.Insts[i+1:]...)
+						w.Insts = slices.Delete(slices.Clone(w.Insts), i, i+1)
 						break
 					}
 				}
@@ -227,6 +231,7 @@ func Catalog() []Fault {
 				if w == nil {
 					return false
 				}
+				w.Insts = slices.Clone(w.Insts)
 				w.Insts[i].SrcA = isa.Reg(250) // far above any builder-allocated register
 				return true
 			},
@@ -283,7 +288,7 @@ func ConfigCatalog() []ConfigFault {
 // put out of reach.
 func dropLastAddr(w *trace.Warp, i int) bool {
 	var lanes [isa.WarpSize]uint64
-	addrs := w.Addrs(&w.Insts[i], &lanes)
+	addrs := w.Addrs(w.CursorAt(i), &w.Insts[i], &lanes)
 	if len(addrs) == 0 {
 		return false
 	}
@@ -305,22 +310,17 @@ func lastAddrInst(w *trace.Warp, lanes int) int {
 	return -1
 }
 
-// CloneKernels deep-copies kernels (CTAs, warps, instructions, address
-// arenas and line tables) so faults can be applied without disturbing the
-// caller's traces.
+// CloneKernels copies kernels, CTAs and warps so faults can be applied
+// without disturbing the caller's traces. The copies share the originals'
+// programs, address arenas and line tables, which no fault writes into (see
+// the package comment).
 func CloneKernels(kernels []*trace.Kernel) []*trace.Kernel {
 	out := make([]*trace.Kernel, len(kernels))
 	for i, k := range kernels {
 		kk := *k
-		kk.CTAs = make([]trace.CTA, len(k.CTAs))
-		for c := range k.CTAs {
-			cta := k.CTAs[c]
-			warps := make([]trace.Warp, len(cta.Warps))
-			for w := range cta.Warps {
-				warps[w] = cta.Warps[w].Clone()
-			}
-			cta.Warps = warps
-			kk.CTAs[c] = cta
+		kk.CTAs = slices.Clone(k.CTAs)
+		for c := range kk.CTAs {
+			kk.CTAs[c].Warps = slices.Clone(k.CTAs[c].Warps)
 		}
 		out[i] = &kk
 	}

@@ -5,13 +5,16 @@ import (
 	"reflect"
 	"testing"
 
+	"crisp/internal/compute"
 	"crisp/internal/config"
 	"crisp/internal/gpu"
 	"crisp/internal/isa"
 	"crisp/internal/partition"
 	"crisp/internal/robust"
 	"crisp/internal/robust/inject"
+	"crisp/internal/snapshot"
 	"crisp/internal/trace"
+	"crisp/internal/trace/tracetest"
 )
 
 // workload builds a small two-kernel compute stream exercising every
@@ -86,6 +89,57 @@ func TestCloneKernelsIsolation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(orig, pristine) {
 		t.Fatal("faulting a clone mutated the original kernels")
+	}
+}
+
+// TestFaultsCopyOnWrite: a clone shares its original's programs and
+// streams, and NN's 4,968 warps share 7 programs, so a fault that wrote into
+// a program would reach every warp running it, in the clone and in the
+// original alike. Every catalog fault applied to a clone of NN must leave
+// the original's digest as it was and, in the clone, every warp but the one
+// it targets folding as before.
+func TestFaultsCopyOnWrite(t *testing.T) {
+	nn, err := compute.ByName("NN", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := func(ks []*trace.Kernel) uint64 {
+		h := snapshot.NewHasher()
+		tracetest.Fold(h, ks)
+		return h.Sum64()
+	}
+	perWarp := func(ks []*trace.Kernel) map[[3]int]uint64 {
+		out := map[[3]int]uint64{}
+		for ki, k := range ks {
+			for c := range k.CTAs {
+				for w := range k.CTAs[c].Warps {
+					h := snapshot.NewHasher()
+					tracetest.FoldWarp(h, &k.CTAs[c].Warps[w])
+					out[[3]int{ki, c, w}] = h.Sum64()
+				}
+			}
+		}
+		return out
+	}
+	want, before := digest(nn.Kernels), perWarp(nn.Kernels)
+	for _, f := range inject.Catalog() {
+		clone := inject.CloneKernels(nn.Kernels)
+		if !f.Apply(clone, rand.New(rand.NewSource(5))) {
+			t.Errorf("%s: not applicable to NN", f.Name)
+			continue
+		}
+		if got := digest(nn.Kernels); got != want {
+			t.Errorf("%s: the original's digest moved from %#x to %#x", f.Name, want, got)
+		}
+		changed := 0
+		for id, h := range perWarp(clone) {
+			if h != before[id] {
+				changed++
+			}
+		}
+		if changed > 1 {
+			t.Errorf("%s: %d warps of the clone fold differently, want at most the one it targets", f.Name, changed)
+		}
 	}
 }
 
@@ -193,13 +247,13 @@ func TestConfigCatalogRejected(t *testing.T) {
 // leave that warp without a line table (Warp.SetAddrs), so that a run which
 // gets past validation derives lines from the edited addresses instead of
 // replaying the ones the Builder derived; every other fault leaves the
-// tables alone, and a clone carries its own copy.
+// tables alone, and a clone keeps its original's.
 func TestAddrFaultsDropLineTables(t *testing.T) {
 	tabled := func(ks []*trace.Kernel) (with, without int) {
 		for _, k := range ks {
 			for c := range k.CTAs {
 				for w := range k.CTAs[c].Warps {
-					if _, ok := k.CTAs[c].Warps[w].LineTable(trace.CacheLineSize); ok {
+					if k.CTAs[c].Warps[w].HasLineTable(trace.CacheLineSize) {
 						with++
 					} else {
 						without++

@@ -232,7 +232,7 @@ func texAddrs(k *trace.Kernel) []uint64 {
 	for i := range w.Insts {
 		if w.Insts[i].Op == isa.OpTEX {
 			var buf [Lanes]uint64
-			return slices.Clone(w.Addrs(&w.Insts[i], &buf))
+			return slices.Clone(w.Addrs(w.CursorAt(i), &w.Insts[i], &buf))
 		}
 	}
 	return nil

@@ -180,7 +180,7 @@ func TestWarpRecordIsTwoCacheLines(t *testing.T) {
 	if n := unsafe.Sizeof(warpRT{}); n != 128 {
 		t.Errorf("warpRT is %d bytes; at 128 the allocator aligns it to its two cache lines, hot fields first", n)
 	}
-	if off := unsafe.Offsetof(warpRT{}.lines); off != 64 {
+	if off := unsafe.Offsetof(warpRT{}.tw); off != 64 {
 		t.Errorf("warpRT's second line starts at offset %d", off)
 	}
 }

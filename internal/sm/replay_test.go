@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"crisp/internal/compute"
+	"crisp/internal/config"
+	"crisp/internal/mem"
 )
 
 // TestStallReplayMatchesScan steps a core through NN's tiled matmul — LDG,
@@ -158,5 +160,38 @@ func TestIssueCTAAfterRetireDoesNotAllocate(t *testing.T) {
 	}
 	if len(c.scheds[0].sb) != blocks {
 		t.Errorf("the scoreboard grew from %d to %d entries across refills", blocks, len(c.scheds[0].sb))
+	}
+}
+
+// TestLegacyStepMidResidency: a warp that issues from the line table lets
+// its cursor's place in the address arena lag, so switching its core onto
+// the legacy path, which derives lines from the records, first walks every
+// resident warp's cursor to its PC. A run switched half-way must touch
+// memory exactly as one that never switched.
+func TestLegacyStepMidResidency(t *testing.T) {
+	k := compute.NN(1 << 20).Kernels[1] // LDG, STG, and STS/LDS with offsets
+	run := func(switchAt int64) (int64, mem.Counters) {
+		cfg := config.JetsonOrin()
+		ms, err := mem.NewSystem(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewCore(0, &cfg, ms, newCounter())
+		c.IssueCTA(0, k, 0, 1, nil)
+		now := int64(0)
+		for ; c.Busy(); now++ {
+			if now == switchAt {
+				c.SetLegacyStep(true)
+			}
+			c.Step(now)
+		}
+		return now, *ms.Counters(k.Stream)
+	}
+	cycles, counters := run(-1)
+	if cycles < 2000 {
+		t.Fatalf("the CTA ran %d cycles: too short to switch half-way", cycles)
+	}
+	if gotCycles, got := run(cycles / 2); gotCycles != cycles || got != counters {
+		t.Errorf("switched half-way: %d cycles, counters %+v; never switched: %d cycles, %+v", gotCycles, got, cycles, counters)
 	}
 }

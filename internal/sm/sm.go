@@ -142,11 +142,16 @@ type warpRT struct {
 	slot int
 	blk  int
 	// tabled: the trace carries a line table derived at this core's line
-	// size (see trace/linetable.go), and lines is the warp's arena.
+	// size (see trace/linetable.go).
 	tabled  bool
 	warpIdx int32 // index within the CTA's warp list (trace identity)
 
-	lines   []uint64
+	// tw is the warp's trace, whose streams hold what a memory instruction
+	// touches, and cur where the instruction at pc finds it there: its
+	// line-table entry always, its address record while the warp derives
+	// from records (see fromTable).
+	tw      *trace.Warp
+	cur     trace.Cursor
 	stream  int
 	task    int
 	cta     *ctaRT
@@ -501,13 +506,14 @@ func (c *Core) IssueCTA(now int64, k *trace.Kernel, ctaIdx, task int, onComplete
 		}
 		*w = warpRT{
 			insts:   tw.Insts,
+			tabled:  tw.HasLineTable(c.cfg.LineSize),
 			warpIdx: int32(wi),
+			tw:      tw,
 			stream:  k.Stream,
 			task:    task,
 			cta:     cta,
 			arrival: c.arrivalSeq,
 		}
-		w.lines, w.tabled = tw.LineTable(c.cfg.LineSize)
 		c.arrivalSeq++
 		c.scheds[wi%len(c.scheds)].admit(w)
 		a.warps++
@@ -543,7 +549,15 @@ func (c *Core) SetWakeAt(v int64) { c.wakeAt = v }
 // produced without trusting the memo invalidation it verifies.
 func (c *Core) SetLegacyStep(v bool) {
 	for i := range c.scheds {
-		c.scheds[i].legacy = v
+		s := &c.scheds[i]
+		if v && !s.legacy {
+			// Warps that issued from the line table let their cursors'
+			// places in the address arena lag; the legacy path reads it.
+			for _, w := range s.warps {
+				w.cur = w.tw.CursorAt(w.pc)
+			}
+		}
+		s.legacy = v
 	}
 }
 
@@ -806,33 +820,31 @@ func (s *scheduler) regCause(blk int, r isa.Reg) obs.StallCause {
 	return obs.StallScoreboard
 }
 
-// traced returns the warp's trace, where its address records live. Only the
-// derive-at-issue paths below want them, so the warp record holds no pointer
-// of its own.
-func (w *warpRT) traced() *trace.Warp {
-	return &w.cta.kernel.CTAs[w.cta.ctaIdx].Warps[w.warpIdx]
-}
+// fromTable reports whether w's memory instructions issue from the trace's
+// line table (see memLines); the ones that do not derive what they touch
+// from their address records.
+func (s *scheduler) fromTable(w *warpRT) bool { return w.tabled && !s.legacy }
 
 // memLines returns the unique cache lines in touches, in first-touch
 // order: the trace's line table when w has one for this core's line size,
 // else coalesced from the expanded lane addresses into buf (a WarpSize
 // stack buffer).
 func (s *scheduler) memLines(w *warpRT, in *trace.Inst, buf []uint64) []uint64 {
-	if w.tabled && !s.legacy {
-		return in.Lines(w.lines)
+	if s.fromTable(w) {
+		return w.tw.Lines(w.cur)
 	}
 	var lanes [isa.WarpSize]uint64
-	return trace.Coalesce(buf, w.traced().Addrs(in, &lanes), uint64(s.core.cfg.LineSize))
+	return trace.Coalesce(buf, w.tw.Addrs(w.cur, in, &lanes), uint64(s.core.cfg.LineSize))
 }
 
 // bankConflicts returns a shared-memory access's bank-conflict degree, by
 // the same rule.
 func (s *scheduler) bankConflicts(w *warpRT, in *trace.Inst) int {
-	if w.tabled && !s.legacy {
-		return in.ConflictDegree()
+	if s.fromTable(w) {
+		return w.tw.ConflictDegree(w.cur)
 	}
 	var lanes [isa.WarpSize]uint64
-	return trace.BankConflictDegree(w.traced().Addrs(in, &lanes))
+	return trace.BankConflictDegree(w.tw.Addrs(w.cur, in, &lanes))
 }
 
 // issue issues w's current instruction at cycle now. The caller has
@@ -914,6 +926,13 @@ func (s *scheduler) issue(w *warpRT, now int64) {
 
 	if core.stats != nil {
 		core.stats.OnIssue(core.ID, w.stream, w.task, in.Op, in.ActiveLanes())
+	}
+	switch {
+	case unit != isa.UnitLDST:
+	case s.fromTable(w):
+		w.cur = w.tw.NextEntry(w.cur, in) // the record is not read: its place may lag
+	default:
+		w.cur = w.tw.Next(w.cur, in)
 	}
 	w.pc++
 	// The next scan would refill w's memo before anything else could clear

@@ -475,12 +475,12 @@ func TestSharedConflictDegree(t *testing.T) {
 		b.SharedAddr(isa.OpLDS, b.NewReg(), trace.FullMask, offsets)
 		k := b.Finish()
 		tw := &k.CTAs[0].Warps[0]
-		tabled := &warpRT{}
-		if tabled.lines, tabled.tabled = tw.LineTable(c.cfg.LineSize); !tabled.tabled {
+		tabled := &warpRT{tw: tw, tabled: tw.HasLineTable(c.cfg.LineSize)}
+		if !tabled.tabled {
 			t.Fatal("a Builder-made warp carries no line table")
 		}
 		fromTable := s.bankConflicts(tabled, &tw.Insts[0])
-		derived := s.bankConflicts(&warpRT{cta: &ctaRT{kernel: k}}, &tw.Insts[0])
+		derived := s.bankConflicts(&warpRT{tw: tw}, &tw.Insts[0])
 		if fromTable != derived {
 			t.Errorf("the line table says degree %d, the offsets %d", fromTable, derived)
 		}

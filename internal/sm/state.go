@@ -215,21 +215,23 @@ func (c *Core) RestoreState(cs snapshot.CoreState, env RestoreEnv) error {
 			if ws.WarpIdx < 0 || ws.WarpIdx >= len(warps) {
 				return smStateErr("SM %d: warp index %d outside CTA of %d warps", c.ID, ws.WarpIdx, len(warps))
 			}
-			insts := warps[ws.WarpIdx].Insts
-			if ws.PC < 0 || ws.PC >= len(insts) {
-				return smStateErr("SM %d: warp pc %d outside trace of %d insts", c.ID, ws.PC, len(insts))
+			tw := &warps[ws.WarpIdx]
+			if ws.PC < 0 || ws.PC >= len(tw.Insts) {
+				return smStateErr("SM %d: warp pc %d outside trace of %d insts", c.ID, ws.PC, len(tw.Insts))
 			}
 			w := &warpRT{
-				insts:        insts,
+				insts:        tw.Insts,
+				tabled:       tw.HasLineTable(c.cfg.LineSize),
 				warpIdx:      int32(ws.WarpIdx),
 				pc:           ws.PC,
 				blockedUntil: ws.BlockedUntil,
+				tw:           tw,
+				cur:          tw.CursorAt(ws.PC), // the one walk a restored warp makes
 				stream:       cta.stream,
 				task:         cta.task,
 				cta:          cta,
 				arrival:      ws.Arrival,
 			}
-			w.lines, w.tabled = warps[ws.WarpIdx].LineTable(c.cfg.LineSize)
 			s.admit(w)
 			for _, rs := range ws.PendingRegs {
 				if rs.Reg < 0 || rs.Reg >= regsPerWarp {

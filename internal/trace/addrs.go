@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 
 	"crisp/internal/isa"
@@ -16,7 +15,8 @@ import (
 // are wanted only by the -no-skip oracle, a config with a foreign line size,
 // and tools. So they are not a []uint64 per instruction but one packed record
 // in a byte arena per warp, the records lying back to back in instruction
-// order:
+// order, where a Cursor finds them (an instruction holds only a flag saying
+// it owns the next one, so warps with different addresses share a program):
 //
 //	form byte | base, 8 bytes | one 8-byte stride         (FormAffine)
 //	form byte | base, 8 bytes | lanes-1 signed deltas     (FormDelta8…64)
@@ -125,12 +125,10 @@ func appendRecord(arena []byte, f AddrForm, addrs []uint64) []byte {
 	return arena
 }
 
-// record returns the bytes of in's address record — from its offset in the
-// warp's arena to the length its form byte and in's mask give — or ok false
-// when in has none, the form byte names no form, or the record does not lie
-// inside the arena.
-func (w *Warp) record(in *Inst) (rec []byte, ok bool) {
-	off := int(in.addrOff) - 1
+// record returns the bytes of the address record at byte off of the warp's
+// arena, as long as its form byte and in's mask say, or ok false when the
+// form byte names no form or the record does not lie inside the arena.
+func (w *Warp) record(off int, in *Inst) (rec []byte, ok bool) {
 	if off < 0 || off >= len(w.addrs) {
 		return nil, false
 	}
@@ -142,7 +140,7 @@ func (w *Warp) record(in *Inst) (rec []byte, ok bool) {
 }
 
 // HasAddrs reports whether in carries per-lane addresses.
-func (in *Inst) HasAddrs() bool { return in.addrOff != 0 }
+func (in *Inst) HasAddrs() bool { return in.rec }
 
 // AddrCensus counts a trace's address records and their bytes by form.
 type AddrCensus struct {
@@ -162,23 +160,26 @@ func (k *Kernel) AddrCensus() (c AddrCensus) {
 	for i := range k.CTAs {
 		for j := range k.CTAs[i].Warps {
 			w := &k.CTAs[i].Warps[j]
+			var cur Cursor
 			for l := range w.Insts {
-				if rec, ok := w.record(&w.Insts[l]); ok {
+				in := &w.Insts[l]
+				if rec, ok := w.recordAt(cur, in); ok {
 					c.Records[rec[0]]++
 					c.Bytes[rec[0]] += len(rec)
 				}
+				cur = w.Next(cur, in)
 			}
 		}
 	}
 	return c
 }
 
-// Addrs expands in's address record into buf and returns the addresses of
-// in's active lanes, in ascending lane order; nil when in, an instruction
-// of w, carries none (or a record that does not lie inside w's arena, which
-// Validate rejects).
-func (w *Warp) Addrs(in *Inst, buf *[isa.WarpSize]uint64) []uint64 {
-	rec, ok := w.record(in)
+// Addrs expands the address record of in, the instruction of w at cursor c,
+// into buf and returns the addresses of in's active lanes, in ascending lane
+// order; nil when in carries none (or a record that does not lie inside w's
+// arena, which Validate rejects).
+func (w *Warp) Addrs(c Cursor, in *Inst, buf *[isa.WarpSize]uint64) []uint64 {
+	rec, ok := w.recordAt(c, in)
 	out := buf[:in.ActiveLanes()]
 	if !ok || len(out) == 0 {
 		return nil
@@ -220,39 +221,41 @@ func (w *Warp) Addrs(in *Inst, buf *[isa.WarpSize]uint64) []uint64 {
 // SetAddrs gives instruction i of the warp the per-lane addresses addrs —
 // none when addrs is empty — by re-packing the warp's arena around the new
 // record, and drops the warp's line table so that a run derives lines from
-// the addresses as they now are. It is the slow path of tests, tools and
-// fault injection, which is why it takes what Builder.Mem refuses: an
-// instruction that is not a memory one, and a list that does not match the
-// instruction's mask. Such a list is packed in a delta form, the only kind
-// of record whose length can disagree with a mask (an affine record decodes
-// to as many lanes as it is asked for), so Validate sees the mismatch. The
-// warp loses its validation mark: Check walks it again.
+// the addresses as they now are. The warp gets a program of its own first:
+// the one it had may be shared, and stays as it was. It is the slow path of
+// tests, tools and fault injection, which is why it takes what Builder.Mem
+// refuses: an instruction that is not a memory one, and a list that does not
+// match the instruction's mask. Such a list is packed in a delta form, the
+// only kind of record whose length can disagree with a mask (an affine
+// record decodes to as many lanes as it is asked for), so Validate sees the
+// mismatch. The warp loses its validation mark: Check walks it again.
 func (w *Warp) SetAddrs(i int, addrs []uint64) {
+	prog := make([]Inst, len(w.Insts))
+	copy(prog, w.Insts)
 	var arena []byte
+	var c Cursor
 	for l := range w.Insts {
 		in := &w.Insts[l]
-		if l == i {
-			in.addrOff = 0
+		switch {
+		case l == i:
+			prog[l].rec = len(addrs) > 0
 			if len(addrs) > 0 {
 				f := pickForm(addrs)
 				if len(addrs) != in.ActiveLanes() {
 					f, _ = classify(addrs)
 				}
-				in.addrOff = uint32(len(arena)) + 1
 				arena = appendRecord(arena, f, addrs)
 			}
-			continue
+		case in.rec:
+			rec, ok := w.recordAt(c, in)
+			if !ok {
+				// A record that does not fit keeps not fitting: the rest of
+				// the arena goes along as it was.
+				rec = w.addrs[c.addr:]
+			}
+			arena = append(arena, rec...)
 		}
-		if in.addrOff == 0 {
-			continue
-		}
-		rec, ok := w.record(in)
-		if !ok {
-			in.addrOff = math.MaxUint32 // outside the arena it was, outside it stays
-			continue
-		}
-		in.addrOff = uint32(len(arena)) + 1
-		arena = append(arena, rec...)
+		c = w.Next(c, in)
 	}
-	w.addrs, w.lines, w.lineSize, w.valid = arena, nil, 0, nil
+	w.Insts, w.addrs, w.counts, w.lines, w.lineSize, w.valid = prog, arena, nil, nil, 0, nil
 }

@@ -41,8 +41,8 @@ func recordKernel(mask uint32, addrs []uint64) *Kernel {
 // every predicate — the form the Builder picks and the record's length, the
 // lanes it expands to, the line-table entries against a fresh derivation of
 // the expansion, Validate, a Save/Load round trip, and that every byte which
-// determines the record's length (its form byte, the mask, the offset) is
-// checked by Validate.
+// determines where a record lies and how long it is (its form byte, the
+// mask, which instructions own one) is checked by Validate.
 func TestAddrRecordForms(t *testing.T) {
 	// One lane has no step, so it packs to a bare Δ8 header; one stride
 	// packs affine once that is no longer than its deltas (7 one-byte steps
@@ -80,6 +80,7 @@ func TestAddrRecordForms(t *testing.T) {
 				k := recordKernel(mask, addrs)
 				w := &k.CTAs[0].Warps[0]
 				ldg, sts := &w.Insts[1], &w.Insts[2]
+				atLDG, atSTS := w.CursorAt(1), w.CursorAt(2)
 
 				// Encode: the form picked, the length it implies.
 				c := k.AddrCensus()
@@ -89,21 +90,22 @@ func TestAddrRecordForms(t *testing.T) {
 				}
 				// Expand: the lanes that went in.
 				var buf [isa.WarpSize]uint64
-				for _, in := range []*Inst{ldg, sts} {
-					if got := w.Addrs(in, &buf); !slices.Equal(got, addrs) {
-						t.Errorf("%s: %v expands to %#x, packed %#x", name, in.Op, got, addrs)
-					}
+				if got := w.Addrs(atLDG, ldg, &buf); !slices.Equal(got, addrs) {
+					t.Errorf("%s: the LDG expands to %#x, packed %#x", name, got, addrs)
 				}
-				if got := w.Addrs(&w.Insts[0], &buf); got != nil {
+				if got := w.Addrs(atSTS, sts, &buf); !slices.Equal(got, addrs) {
+					t.Errorf("%s: the STS expands to %#x, packed %#x", name, got, addrs)
+				}
+				if got := w.Addrs(Cursor{}, &w.Insts[0], &buf); got != nil {
 					t.Errorf("%s: the MOV expands to %#x", name, got)
 				}
 				// Table: what the expansion derives to.
-				arena, ok := w.LineTable(CacheLineSize)
-				if want := Coalesce(nil, addrs, CacheLineSize); !ok || !slices.Equal(ldg.Lines(arena), want) {
-					t.Errorf("%s: tabled lines %v (table %v), the lanes coalesce to %v", name, ldg.Lines(arena), ok, want)
+				ok := w.HasLineTable(CacheLineSize)
+				if want := Coalesce(nil, addrs, CacheLineSize); !ok || !slices.Equal(w.Lines(atLDG), want) {
+					t.Errorf("%s: tabled lines %v (table %v), the lanes coalesce to %v", name, w.Lines(atLDG), ok, want)
 				}
-				if want := BankConflictDegree(addrs); sts.ConflictDegree() != want {
-					t.Errorf("%s: tabled conflict degree %d, the lanes give %d", name, sts.ConflictDegree(), want)
+				if want := BankConflictDegree(addrs); w.ConflictDegree(atSTS) != want {
+					t.Errorf("%s: tabled conflict degree %d, the lanes give %d", name, w.ConflictDegree(atSTS), want)
 				}
 				if err := k.Validate(); err != nil {
 					t.Errorf("%s: %v", name, err)
@@ -116,18 +118,19 @@ func TestAddrRecordForms(t *testing.T) {
 				loaded, err := Load(&file)
 				if err != nil {
 					t.Errorf("%s: Load: %v", name, err)
-				} else if lw := &loaded[0].CTAs[0].Warps[0]; !bytes.Equal(lw.addrs, w.addrs) || !slices.Equal(lw.Insts, w.Insts) || !slices.Equal(lw.lines, w.lines) {
+				} else if lw := &loaded[0].CTAs[0].Warps[0]; !bytes.Equal(lw.addrs, w.addrs) || !slices.Equal(lw.Insts, w.Insts) ||
+					!slices.Equal(lw.counts, w.counts) || !slices.Equal(lw.lines, w.lines) {
 					t.Errorf("%s: the loaded warp differs from the built one", name)
 				}
 
 				// Every length-determining byte is Validate's to check.
 				breaks := map[string]func(){
-					"offset moved":     func() { sts.addrOff++ },
-					"record disowned":  func() { ldg.addrOff = 0 },
-					"unknown form":     func() { w.addrs[0] = byte(AddrFormCount) },
-					"arena cut short":  func() { w.addrs = w.addrs[:len(w.addrs)-1] },
-					"arena overlong":   func() { w.addrs = append(slices.Clone(w.addrs), 0) },
-					"non-memory owner": func() { w.Insts[3].addrOff = sts.addrOff },
+					"shared record disowned": func() { sts.rec = false },
+					"record disowned":        func() { ldg.rec = false },
+					"unknown form":           func() { w.addrs[0] = byte(AddrFormCount) },
+					"arena cut short":        func() { w.addrs = w.addrs[:len(w.addrs)-1] },
+					"arena overlong":         func() { w.addrs = append(slices.Clone(w.addrs), 0) },
+					"non-memory owner":       func() { w.Insts[3].rec = true },
 				}
 				for f := FormAffine; f < AddrFormCount; f++ {
 					if n, _ := recordLen(f, lanes); n != wantLen {
@@ -167,13 +170,13 @@ func TestAddrRecordFormsDecodeAtAnyLaneCount(t *testing.T) {
 			for i := range addrs {
 				addrs[i] = 0x5000 - uint64(i)*12
 			}
-			w := Warp{Insts: []Inst{{Op: isa.OpLDG, Mask: maskOf(lanes, false), addrOff: 1}}}
+			w := Warp{Insts: []Inst{{Op: isa.OpLDG, Mask: maskOf(lanes, false), rec: true}}}
 			w.addrs = appendRecord(nil, f, addrs)
 			if n, _ := recordLen(f, lanes); n != len(w.addrs) {
 				t.Errorf("%v × %d lanes: packed %d bytes, recordLen says %d", f, lanes, len(w.addrs), n)
 			}
 			var buf [isa.WarpSize]uint64
-			if got := w.Addrs(&w.Insts[0], &buf); !slices.Equal(got, addrs) {
+			if got := w.Addrs(Cursor{}, &w.Insts[0], &buf); !slices.Equal(got, addrs) {
 				t.Errorf("%v × %d lanes: expands to %#x, packed %#x", f, lanes, got, addrs)
 			}
 		}
@@ -182,7 +185,8 @@ func TestAddrRecordFormsDecodeAtAnyLaneCount(t *testing.T) {
 
 // TestSetAddrsRepacksTheWarp: SetAddrs replaces one instruction's record,
 // keeps the others', leaves the warp valid when the new list matches the
-// mask, and drops only that warp's line table.
+// mask, and drops only that warp's line table; a warp whose program is
+// shared gets one of its own, and its siblings keep theirs untouched.
 func TestSetAddrsRepacksTheWarp(t *testing.T) {
 	addrs := make([]uint64, isa.WarpSize)
 	for i := range addrs {
@@ -199,13 +203,13 @@ func TestSetAddrsRepacksTheWarp(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf [isa.WarpSize]uint64
-	if got := w.Addrs(&w.Insts[1], &buf); !slices.Equal(got, row) {
+	if got := w.Addrs(w.CursorAt(1), &w.Insts[1], &buf); !slices.Equal(got, row) {
 		t.Errorf("the edited LDG expands to %#x, want %#x", got, row)
 	}
-	if got := w.Addrs(&w.Insts[2], &buf); !slices.Equal(got, addrs) {
+	if got := w.Addrs(w.CursorAt(2), &w.Insts[2], &buf); !slices.Equal(got, addrs) {
 		t.Errorf("the untouched STS expands to %#x, want %#x", got, addrs)
 	}
-	if _, ok := w.LineTable(CacheLineSize); ok {
+	if w.HasLineTable(CacheLineSize) {
 		t.Error("SetAddrs left the warp's line table in place")
 	}
 	// A mismatched list stays visible to Validate even when it is a row an
@@ -213,5 +217,32 @@ func TestSetAddrsRepacksTheWarp(t *testing.T) {
 	w.SetAddrs(1, row[:31])
 	if err := k.Validate(); err == nil {
 		t.Error("Validate accepted 31 addresses under a 32-lane mask")
+	}
+
+	b := NewBuilder("shared", KindCompute, 0, 2*isa.WarpSize, 16, 64)
+	b.BeginCTA()
+	for i := 0; i < 2; i++ {
+		b.BeginWarp()
+		b.Mem(isa.OpLDG, b.NewReg(), FullMask, addrs, ClassCompute)
+		b.SharedAddr(isa.OpSTS, isa.RegNone, FullMask, row)
+	}
+	k = b.Finish()
+	edited, sibling := &k.CTAs[0].Warps[0], &k.CTAs[0].Warps[1]
+	if &edited.Insts[0] != &sibling.Insts[0] {
+		t.Fatal("two warps of one program hold two arrays")
+	}
+	program := slices.Clone(sibling.Insts)
+	edited.SetAddrs(1, nil) // the STS loses its offsets, and its record flag with them
+	if &edited.Insts[0] == &sibling.Insts[0] || edited.Insts[1].HasAddrs() {
+		t.Error("SetAddrs edited the shared program instead of a copy")
+	}
+	if !slices.Equal(sibling.Insts, program) || !sibling.marked() || !sibling.HasLineTable(CacheLineSize) {
+		t.Error("SetAddrs on one warp changed its sibling's program, mark or table")
+	}
+	if got := sibling.Addrs(sibling.CursorAt(1), &sibling.Insts[1], &buf); !slices.Equal(got, row) {
+		t.Errorf("the sibling's STS expands to %#x, want %#x", got, row)
+	}
+	if err := k.Validate(); err != nil {
+		t.Errorf("an STS without offsets beside its sibling's: %v", err)
 	}
 }

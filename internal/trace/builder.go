@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"crisp/internal/isa"
@@ -14,23 +15,22 @@ import (
 type Builder struct {
 	k       Kernel
 	curCTA  *CTA
-	curWarp *Warp
+	open    bool // a warp is open: its program is prog
 	nextReg int
-	// longest is the instruction count of the longest warp closed so far.
-	// A kernel's warps run one program, so the next warp is allocated at
-	// that length up front instead of regrowing by doubling: one allocation
-	// per warp, and no slack capacity in the retained trace.
-	longest int
-	// lines and addrs collect the open CTA's line table and address
-	// records, one warp after another (warp i's end at lineEnds[i] and
-	// addrEnds[i], the open warp's start at lineStart and addrStart);
+	// prog is the open warp's program, built in one reused array and
+	// interned when the warp closes: a kernel's warps mostly run one
+	// program, so most warps allocate none.
+	prog  []Inst
+	progs programs
+	// addrs and table collect the open CTA's address records and line
+	// table, one warp after another (warp i's records end at addrEnds[i]);
 	// closing the CTA copies each into one exactly-sized array the warps'
-	// arenas are cut from, so they cost two allocations per CTA and no
-	// slack.
-	lines                []uint64
-	addrs                []byte
-	lineEnds, addrEnds   []int
-	lineStart, addrStart int
+	// streams are cut from, so they cost one allocation per stream per CTA
+	// and no slack. progErrs holds the verdict on each warp's program.
+	addrs    []byte
+	addrEnds []int
+	table    tableBuf
+	progErrs []error
 }
 
 // NewBuilder starts a kernel trace with the given identity and per-CTA
@@ -51,7 +51,6 @@ func (b *Builder) BeginCTA() {
 	b.endCTA()
 	warps := max(0, b.k.WarpsPerCTA())
 	b.k.CTAs = append(b.k.CTAs, CTA{ID: len(b.k.CTAs), Warps: make([]Warp, 0, warps)})
-	b.lineEnds, b.addrEnds = slices.Grow(b.lineEnds, warps), slices.Grow(b.addrEnds, warps)
 	b.curCTA = &b.k.CTAs[len(b.k.CTAs)-1]
 }
 
@@ -62,46 +61,48 @@ func (b *Builder) BeginWarp() {
 		panic("trace.Builder: BeginWarp before BeginCTA")
 	}
 	b.EndWarp()
-	w := Warp{ID: len(b.curCTA.Warps)}
-	if b.longest > 0 {
-		w.Insts = make([]Inst, 0, b.longest)
-	}
-	b.lineStart, b.addrStart = len(b.lines), len(b.addrs)
-	b.curCTA.Warps = append(b.curCTA.Warps, w)
-	b.curWarp = &b.curCTA.Warps[len(b.curCTA.Warps)-1]
-	b.nextReg = 0
+	b.curCTA.Warps = append(b.curCTA.Warps, Warp{ID: len(b.curCTA.Warps)})
+	b.open, b.prog, b.nextReg = true, b.prog[:0], 0
 }
 
 // EndWarp closes the open warp, appending EXIT if the trace does not
-// already end with one. It is a no-op when no warp is open.
+// already end with one, and gives the warp the kernel's copy of its
+// program. It is a no-op when no warp is open.
 func (b *Builder) EndWarp() {
-	if b.curWarp == nil {
+	if !b.open {
 		return
 	}
-	n := len(b.curWarp.Insts)
-	if n == 0 || b.curWarp.Insts[n-1].Op != isa.OpEXIT {
+	n := len(b.prog)
+	if n == 0 || b.prog[n-1].Op != isa.OpEXIT {
 		mask := FullMask
 		if n > 0 {
-			mask = b.curWarp.Insts[n-1].Mask
+			mask = b.prog[n-1].Mask
 		}
-		b.curWarp.Insts = append(b.curWarp.Insts, Inst{Op: isa.OpEXIT, Dst: isa.RegNone, SrcA: isa.RegNone, SrcB: isa.RegNone, SrcC: isa.RegNone, Mask: mask})
+		b.prog = append(b.prog, Inst{Op: isa.OpEXIT, Dst: isa.RegNone, SrcA: isa.RegNone, SrcB: isa.RegNone, SrcC: isa.RegNone, Mask: mask})
 	}
-	b.longest = max(b.longest, len(b.curWarp.Insts))
-	b.lineEnds, b.addrEnds = append(b.lineEnds, len(b.lines)), append(b.addrEnds, len(b.addrs))
-	b.curWarp = nil
+	w := &b.curCTA.Warps[len(b.curCTA.Warps)-1]
+	var err error
+	w.Insts, err = b.progs.intern(b.prog)
+	b.progErrs = append(b.progErrs, err)
+	b.addrEnds = append(b.addrEnds, len(b.addrs))
+	b.table.endWarp()
+	b.open = false
 }
 
-// endCTA closes the open warp, hands the open CTA's warps their arenas and
-// validates them, on the goroutine that built them.
+// endCTA closes the open warp, hands the open CTA's warps their streams and
+// marks the ones that pass validation, on the goroutine that built them.
 func (b *Builder) endCTA() {
 	b.EndWarp()
-	if b.curCTA != nil {
-		carveLineArenas(b.curCTA.Warps, b.lines, b.lineEnds)
-		carveAddrArenas(b.curCTA.Warps, slices.Clone(b.addrs), b.addrEnds)
-		markWarps(b.curCTA.Warps)
-		b.lines, b.lineEnds = b.lines[:0], b.lineEnds[:0]
-		b.addrs, b.addrEnds = b.addrs[:0], b.addrEnds[:0]
+	if b.curCTA == nil {
+		return
 	}
+	warps := b.curCTA.Warps
+	carveAddrArenas(warps, slices.Clone(b.addrs), b.addrEnds)
+	b.table.carve(warps)
+	for i := range warps {
+		warps[i].mark(b.progErrs[i])
+	}
+	b.addrs, b.addrEnds, b.progErrs = b.addrs[:0], b.addrEnds[:0], b.progErrs[:0]
 }
 
 // NewReg allocates the next virtual register for the current warp.
@@ -181,10 +182,10 @@ func setSrcs(in *Inst, srcs []isa.Reg) {
 }
 
 func (b *Builder) append(in Inst) {
-	if b.curWarp == nil {
+	if !b.open {
 		panic("trace.Builder: instruction appended outside a warp")
 	}
-	b.curWarp.Insts = append(b.curWarp.Insts, in)
+	b.prog = append(b.prog, in)
 }
 
 // appendMem appends a memory instruction after packing its addresses and
@@ -197,12 +198,11 @@ func (b *Builder) appendMem(in Inst, addrs []uint64) int {
 		if len(addrs) != in.ActiveLanes() {
 			panic(fmt.Sprintf("trace.Builder: %v with %d addresses for %d active lanes", in.Op, len(addrs), in.ActiveLanes()))
 		}
-		in.addrOff = uint32(len(b.addrs)-b.addrStart) + 1
+		in.rec = true
 		b.addrs = appendRecord(b.addrs, pickForm(addrs), addrs)
 	}
-	b.lines = in.table(addrs, b.lines, b.lineStart)
 	b.append(in)
-	return int(in.nLines)
+	return b.table.add(&in, addrs)
 }
 
 // Finish closes any open warp and returns the completed kernel.
@@ -210,4 +210,52 @@ func (b *Builder) Finish() *Kernel {
 	b.endCTA()
 	b.curCTA = nil
 	return &b.k
+}
+
+// programs interns one kernel's programs by content, so that warps running
+// the same program share one exactly-sized array, and validates each once.
+// A program whose hash another one holds (a collision) takes its place: the
+// warps before it keep theirs, and sharing stays a matter of memory only.
+type programs struct {
+	byHash map[uint64]interned
+}
+
+// interned is one distinct program and the verdict on it.
+type interned struct {
+	insts []Inst
+	err   error
+}
+
+// intern returns the kernel's array holding p's instructions, adding a copy
+// of p (the caller may reuse it) when the kernel has none yet, and the
+// verdict of validateProgram on it.
+func (ps *programs) intern(p []Inst) ([]Inst, error) {
+	h := hashProgram(p)
+	if q, ok := ps.byHash[h]; ok && slices.Equal(q.insts, p) {
+		return q.insts, q.err
+	}
+	q := interned{make([]Inst, len(p)), validateProgram(p)}
+	copy(q.insts, p)
+	if ps.byHash == nil {
+		ps.byHash = make(map[uint64]interned)
+	}
+	ps.byHash[h] = q
+	return q.insts, q.err
+}
+
+// hashProgram hashes every field of every instruction of p.
+func hashProgram(p []Inst) uint64 {
+	const mul = 0x9E3779B97F4A7C15
+	h := uint64(len(p))
+	for i := range p {
+		in := &p[i]
+		x := uint64(in.Op) | uint64(in.Dst)<<8 | uint64(in.SrcA)<<16 | uint64(in.SrcB)<<24 |
+			uint64(in.SrcC)<<32 | uint64(in.Class)<<40
+		if in.rec {
+			x |= 1 << 48
+		}
+		h = bits.RotateLeft64((h^x)*mul, 29)
+		h = bits.RotateLeft64((h^uint64(in.Mask))*mul, 29)
+	}
+	return h
 }

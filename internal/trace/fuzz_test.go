@@ -124,10 +124,13 @@ func FuzzKernelValidate(f *testing.F) {
 			for i := range k.CTAs {
 				for j := range k.CTAs[i].Warps {
 					w := &k.CTAs[i].Warps[j]
+					var c trace.Cursor
 					for l := range w.Insts {
-						if in := &w.Insts[l]; in.HasAddrs() && len(w.Addrs(in, &lanes)) != in.ActiveLanes() {
-							t.Fatalf("kernel %q CTA %d warp %d inst %d: %d addresses for %d active lanes", k.Name, i, j, l, len(w.Addrs(in, &lanes)), in.ActiveLanes())
+						in := &w.Insts[l]
+						if n := len(w.Addrs(c, in, &lanes)); in.HasAddrs() && n != in.ActiveLanes() {
+							t.Fatalf("kernel %q CTA %d warp %d inst %d: %d addresses for %d active lanes", k.Name, i, j, l, n, in.ActiveLanes())
 						}
+						c = w.Next(c, in)
 					}
 				}
 			}

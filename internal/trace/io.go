@@ -107,7 +107,7 @@ func (e *encoder) kernel(k *Kernel) {
 			for l := range cta.Warps[j].Insts {
 				in := &cta.Warps[j].Insts[l]
 				owns := byte(0)
-				if in.addrOff != 0 {
+				if in.rec {
 					owns = 1
 				}
 				e.buf = append(e.buf, byte(in.Op), in.Dst, in.SrcA, in.SrcB, in.SrcC, byte(in.Class), owns)
@@ -121,10 +121,12 @@ func (e *encoder) kernel(k *Kernel) {
 	}
 }
 
-// Load reads kernels written by Save, places every address record, derives
-// the line tables, which the file does not carry, and validates each warp.
-// What it returns is safe to expand (Warp.Addrs); whether it is a
-// well-formed trace is still Validate's (or Check's) to say.
+// Load reads kernels written by Save, gives warps that ran the same program
+// one shared array of it, checks that every warp's address records tile its
+// arena, derives the line tables, which the file does not carry, and
+// validates each distinct program once and each warp's streams. What it
+// returns is safe to expand (Warp.Addrs); whether it is a well-formed trace
+// is still Validate's (or Check's) to say.
 func Load(r io.Reader) ([]*Kernel, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
@@ -149,13 +151,16 @@ func Load(r io.Reader) ([]*Kernel, error) {
 	// at the stream's end rather than OOM the host up front.
 	kernels := make([]*Kernel, 0, min(n, 1024))
 	for i := 0; i < n; i++ {
-		k := d.kernel()
+		k, progErrs := d.kernel()
 		if d.err != nil {
 			return nil, fmt.Errorf("trace: decode kernel %d: %w", i, d.err)
 		}
 		k.deriveLineTable()
 		for c := range k.CTAs {
-			markWarps(k.CTAs[c].Warps)
+			for j := range k.CTAs[c].Warps {
+				k.CTAs[c].Warps[j].mark(progErrs[0])
+				progErrs = progErrs[1:]
+			}
 		}
 		kernels = append(kernels, k)
 	}
@@ -171,6 +176,9 @@ type decoder struct {
 	scratch []byte // a CTA's warp headers, then its instructions
 	// Where each warp's instructions and address arena end in its CTA's.
 	instEnds, addrEnds []int
+	prog               []Inst   // the warp being decoded's program
+	progs              programs // the kernel's programs
+	progErrs           []error  // the verdict on each warp's program, in order
 }
 
 // read returns the next n bytes in buf's array, grown as needed. Memory is
@@ -222,7 +230,9 @@ func (d *decoder) fail(format string, args ...any) {
 	}
 }
 
-func (d *decoder) kernel() *Kernel {
+// kernel reads one kernel and returns it with the verdict on each of its
+// warps' programs, in order.
+func (d *decoder) kernel() (*Kernel, []error) {
 	k := &Kernel{}
 	k.Name = string(d.read(nil, d.u32()))
 	k.Kind = KernelKind(d.u8())
@@ -232,15 +242,16 @@ func (d *decoder) kernel() *Kernel {
 	k.SharedMem = d.i64()
 	n := d.u32()
 	k.CTAs = make([]CTA, 0, min(n, 1<<16))
+	d.progs, d.progErrs = programs{}, d.progErrs[:0]
 	for i := 0; i < n && d.err == nil; i++ {
 		k.CTAs = append(k.CTAs, d.cta())
 	}
-	return k
+	return k, d.progErrs
 }
 
-// cta reads one CTA into three allocations: its warp headers, one
-// instruction array and one address arena, each warp's share cut out of
-// them with its capacity clipped.
+// cta reads one CTA into two allocations, its warp headers and one address
+// arena each warp's share is cut out of, capacity clipped, plus a copy of
+// each program the kernel has not met before.
 func (d *decoder) cta() CTA {
 	cta := CTA{ID: d.i64()}
 	nWarps := d.u32()
@@ -264,51 +275,29 @@ func (d *decoder) cta() CTA {
 		return cta
 	}
 	carveAddrArenas(cta.Warps, addrs, d.addrEnds)
-	all := make([]Inst, insts)
-	for i := range all {
-		p := d.scratch[i*instBytes : (i+1)*instBytes]
-		if p[6] > 1 {
-			d.fail("CTA %d: instruction %d has address flag %d", cta.ID, i, p[6])
-			return cta
-		}
-		all[i] = Inst{Op: isa.Opcode(p[0]), Dst: p[1], SrcA: p[2], SrcB: p[3], SrcC: p[4], Class: MemClass(p[5]),
-			addrOff: uint32(p[6]), Mask: binary.LittleEndian.Uint32(p[7:])}
-	}
 	start := 0
 	for i, end := range d.instEnds {
-		w := &cta.Warps[i]
-		w.Insts = all[start:end:end]
+		d.prog = d.prog[:0]
+		for j := start; j < end; j++ {
+			p := d.scratch[j*instBytes : (j+1)*instBytes]
+			if p[6] > 1 {
+				d.fail("CTA %d: instruction %d has address flag %d", cta.ID, j, p[6])
+				return cta
+			}
+			d.prog = append(d.prog, Inst{Op: isa.Opcode(p[0]), Dst: p[1], SrcA: p[2], SrcB: p[3], SrcC: p[4], Class: MemClass(p[5]),
+				rec: p[6] == 1, Mask: binary.LittleEndian.Uint32(p[7:])})
+		}
 		start = end
-		if err := w.placeRecords(); err != nil {
+		w := &cta.Warps[i]
+		var err error
+		w.Insts, err = d.progs.intern(d.prog)
+		d.progErrs = append(d.progErrs, err)
+		if err := w.validateStreams(); err != nil { // the records only: no table yet
 			d.fail("CTA %d warp %d: %w", cta.ID, w.ID, err)
 			return cta
 		}
 	}
 	return cta
-}
-
-// placeRecords gives every instruction of w that owns an address record
-// (addrOff 1, as decoded) its offset: the records lie in the arena in
-// instruction order, each as long as its form byte and the instruction's
-// mask say, and must cover the arena exactly.
-func (w *Warp) placeRecords() error {
-	next := 0
-	for l := range w.Insts {
-		in := &w.Insts[l]
-		if in.addrOff == 0 {
-			continue
-		}
-		in.addrOff = uint32(next) + 1
-		rec, ok := w.record(in)
-		if !ok {
-			return fmt.Errorf("inst %d: address record at byte %d for %d active lanes does not fit the %d-byte arena", l, next, in.ActiveLanes(), len(w.addrs))
-		}
-		next += len(rec)
-	}
-	if next != len(w.addrs) {
-		return fmt.Errorf("address records cover %d of the arena's %d bytes", next, len(w.addrs))
-	}
-	return nil
 }
 
 // SaveFile writes kernels to the named file.

@@ -13,14 +13,16 @@ import (
 //
 // For an LDG/STG/TEX that is the list of unique cache lines the lanes touch,
 // in first-touch order (the order the LDST unit sends them to the L1); for
-// an LDS/STS it is the bank-conflict degree. Lines live in one arena per
-// warp, addressed by each instruction's (lineOff, nLines); the degree fits
-// the instruction itself. Builder fills the table as instructions are
-// appended and Load after decoding, both through Coalesce and
-// BankConflictDegree — the same two functions the timing model calls when a
-// warp has no table (a hand-built kernel, a fault-injected one, a config
-// with another line size) and when the -no-skip oracle refuses to trust it.
-// The table is derived state: never serialized, never hashed.
+// an LDS/STS it is the bank-conflict degree. The table is the warp's, not
+// its program's: one count byte per global, texture or shared access in
+// instruction order — its number of lines, or its degree — and the lines
+// themselves back to back, so a Cursor walking the warp finds each entry.
+// Builder fills the table as instructions are appended and Load after
+// decoding, both through Coalesce and BankConflictDegree — the same two
+// functions the timing model calls when a warp has no table (a hand-built
+// kernel, a fault-injected one, a config with another line size) and when
+// the -no-skip oracle refuses to trust it. The table is derived state:
+// never serialized, never hashed.
 
 // Coalesce reduces per-lane byte addresses to unique line numbers
 // (address / lineSize), appended to lines in first-touch order. Callers
@@ -101,37 +103,61 @@ next:
 	return degree
 }
 
-// table derives in's line-table entry from its per-lane addresses,
-// appending its lines to lines, where the instruction's warp starts at
-// warpStart.
-func (in *Inst) table(addrs, lines []uint64, warpStart int) []uint64 {
+// countsIn reports whether an access to space takes a line-table entry.
+func countsIn(space isa.Space) bool {
+	return space == isa.SpaceGlobal || space == isa.SpaceTexture || space == isa.SpaceShared
+}
+
+// tableBuf collects one CTA's line table, one warp after another; carve
+// cuts it into the warps.
+type tableBuf struct {
+	counts []uint8
+	lines  []uint64
+	ends   []tableEnd // where each closed warp's entries end
+}
+
+// tableEnd is where a warp's counts and lines end in its CTA's.
+type tableEnd struct{ count, line int }
+
+// add derives in's line-table entry, if it takes one, from its per-lane
+// addresses and returns its line count (0 for an instruction with none).
+func (t *tableBuf) add(in *Inst, addrs []uint64) int {
 	switch isa.SpaceOf(in.Op) {
 	case isa.SpaceGlobal, isa.SpaceTexture:
-		n := len(lines)
-		in.lineOff = uint32(n - warpStart)
-		lines = Coalesce(lines, addrs, CacheLineSize)
-		in.nLines = uint8(len(lines) - n)
+		n := len(t.lines)
+		t.lines = Coalesce(t.lines, addrs, CacheLineSize)
+		t.counts = append(t.counts, uint8(len(t.lines)-n))
+		return len(t.lines) - n
 	case isa.SpaceShared:
-		in.conflict = uint8(BankConflictDegree(addrs))
+		t.counts = append(t.counts, uint8(BankConflictDegree(addrs)))
 	}
-	return lines
+	return 0
 }
 
-// carveLineArenas gives each warp of one CTA its line arena: lines holds
-// the warps' lines back to back, warp i ending at ends[i]. The arenas are
-// cut, capacity clipped, from one array of exactly that size.
-func carveLineArenas(warps []Warp, lines []uint64, ends []int) {
-	arena := slices.Clone(lines)
-	start := 0
-	for i := range warps {
-		warps[i].lines, warps[i].lineSize = arena[start:ends[i]:ends[i]], CacheLineSize
-		start = ends[i]
-	}
+// endWarp closes the open warp's share.
+func (t *tableBuf) endWarp() {
+	t.ends = append(t.ends, tableEnd{len(t.counts), len(t.lines)})
 }
 
-// carveAddrArenas cuts the warps' address arenas the same way out of arena,
-// which the warps keep: the caller hands over an array of exactly their
-// total size.
+// carve gives each warp of one CTA its line table, its counts and its lines
+// each cut, capacity clipped, from one array of exactly the CTA's total, and
+// empties t for the next CTA.
+func (t *tableBuf) carve(warps []Warp) {
+	counts, lines := slices.Clone(t.counts), slices.Clone(t.lines)
+	var start tableEnd
+	for i, end := range t.ends {
+		w := &warps[i]
+		w.counts = counts[start.count:end.count:end.count]
+		w.lines = lines[start.line:end.line:end.line]
+		w.lineSize = CacheLineSize
+		start = end
+	}
+	t.counts, t.lines, t.ends = t.counts[:0], t.lines[:0], t.ends[:0]
+}
+
+// carveAddrArenas gives each warp of one CTA its address arena, cut,
+// capacity clipped, out of arena, which the warps keep: warp i's ends at
+// ends[i], where warp i+1's starts.
 func carveAddrArenas(warps []Warp, arena []byte, ends []int) {
 	start := 0
 	for i := range warps {
@@ -140,51 +166,53 @@ func carveAddrArenas(warps []Warp, arena []byte, ends []int) {
 	}
 }
 
-// LineTable returns the warp's line arena when the warp carries a table
-// derived at lineSize; ok is false when the lines (and the conflict
-// degrees) must be derived from the address records instead.
-func (w *Warp) LineTable(lineSize int) (arena []uint64, ok bool) {
-	return w.lines, w.lineSize != 0 && w.lineSize == lineSize
+// HasLineTable reports whether the warp carries a line table derived at
+// lineSize; when not, its lines (and conflict degrees) must be derived from
+// its address records instead.
+func (w *Warp) HasLineTable(lineSize int) bool {
+	return w.lineSize != 0 && w.lineSize == lineSize
 }
 
-// Lines returns the instruction's unique lines out of its warp's arena.
-func (in *Inst) Lines(arena []uint64) []uint64 {
-	return arena[in.lineOff : in.lineOff+uint32(in.nLines)]
+// Lines returns the unique lines of the LDG, STG or TEX at cursor c out of
+// the warp's line table.
+func (w *Warp) Lines(c Cursor) []uint64 {
+	return w.lines[c.line : c.line+uint32(w.counts[c.count])]
 }
 
-// ConflictDegree returns the tabled bank-conflict degree of an LDS/STS.
-func (in *Inst) ConflictDegree() int { return int(in.conflict) }
+// ConflictDegree returns the tabled bank-conflict degree of the LDS or STS
+// at cursor c.
+func (w *Warp) ConflictDegree(c Cursor) int { return int(w.counts[c.count]) }
 
 // deriveLineTable builds the line table of every warp of k from its
 // address records, as the Builder would have (Load's half of the
 // derivation).
 func (k *Kernel) deriveLineTable() {
-	var lines []uint64
-	var ends []int
+	var t tableBuf
 	var lanes [isa.WarpSize]uint64
 	for i := range k.CTAs {
 		warps := k.CTAs[i].Warps
-		lines, ends = lines[:0], ends[:0]
 		for j := range warps {
 			w := &warps[j]
-			start := len(lines)
+			var c Cursor
 			for l := range w.Insts {
 				in := &w.Insts[l]
-				lines = in.table(w.Addrs(in, &lanes), lines, start)
+				t.add(in, w.Addrs(c, in, &lanes))
+				c = w.Next(c, in)
 			}
-			ends = append(ends, len(lines))
+			t.endWarp()
 		}
-		carveLineArenas(warps, lines, ends)
+		t.carve(warps)
 	}
 }
 
-// Clone returns a deep copy of the warp: instructions, address arena and
-// line table. The copy is unmarked (its mark names the original's
+// Clone returns a deep copy of the warp: a program of its own, address
+// arena and line table. The copy is unmarked (its mark names the original's
 // instruction), so Check walks it: a clone exists to be edited.
 func (w *Warp) Clone() Warp {
 	c := *w
 	c.Insts = slices.Clone(w.Insts)
 	c.addrs = slices.Clone(w.addrs)
+	c.counts = slices.Clone(w.counts)
 	c.lines = slices.Clone(w.lines)
 	return c
 }
@@ -195,7 +223,7 @@ func (k *Kernel) DropLineTable() {
 	for i := range k.CTAs {
 		for j := range k.CTAs[i].Warps {
 			w := &k.CTAs[i].Warps[j]
-			w.lines, w.lineSize = nil, 0
+			w.counts, w.lines, w.lineSize = nil, nil, 0
 		}
 	}
 }

@@ -178,19 +178,19 @@ func TestHandBuiltKernelHasNoLineTable(t *testing.T) {
 	if err := hand.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := hand.CTAs[0].Warps[0].LineTable(trace.CacheLineSize); ok {
+	if hand.CTAs[0].Warps[0].HasLineTable(trace.CacheLineSize) {
 		t.Error("a hand-built warp claims a line table")
 	}
 	k := memKernel()
 	w := &k.CTAs[0].Warps[0]
-	if _, ok := w.LineTable(trace.CacheLineSize); !ok {
+	if !w.HasLineTable(trace.CacheLineSize) {
 		t.Error("a Builder-made warp has no table at the size it was derived at")
 	}
-	if _, ok := w.LineTable(64); ok {
+	if w.HasLineTable(64) {
 		t.Error("a table derived at 128 B answers for 64 B lines")
 	}
 	k.DropLineTable()
-	if _, ok := w.LineTable(trace.CacheLineSize); ok {
+	if w.HasLineTable(trace.CacheLineSize) {
 		t.Error("DropLineTable left a table behind")
 	}
 }

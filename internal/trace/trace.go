@@ -10,6 +10,14 @@
 // the program, so concurrent-execution studies can combine traces that
 // were collected independently (a rendering trace and a compute trace),
 // exactly as the paper prescribes.
+//
+// A warp is split in two. Its program — opcodes, registers, classes, masks
+// and which instructions own an address record — is what every warp of a
+// kernel mostly repeats, so warps that ran the same program share one
+// read-only array of it. What its addresses decide lies in the warp's own
+// streams, in instruction order: the address records (addrs.go) and the line
+// table derived from them (linetable.go). A Cursor walks a warp's program and
+// its streams in step.
 package trace
 
 import (
@@ -60,11 +68,13 @@ func (c MemClass) String() string {
 	return fmt.Sprintf("MemClass(%d)", uint8(c))
 }
 
-// Inst is one executed warp instruction: a pointer-free 20-byte record, so
-// that a warp's instruction array is memory the collector never scans. What
-// a memory instruction knows about its addresses lives in its warp's two
-// arenas, addressed from here: the packed per-lane addresses (addrs.go) and
-// the line table derived from them (linetable.go).
+// Inst is one instruction of a warp's program: what its program site fixes,
+// a pointer-free 12-byte record. Warps that ran the same program — most of
+// a kernel's — share one array of them (Builder and Load intern programs by
+// content), so an Inst holds nothing a warp's addresses decide. Those live
+// in the warp's own streams, in instruction order: its packed per-lane
+// addresses (addrs.go) and the line table derived from them (linetable.go),
+// which a Cursor walks.
 type Inst struct {
 	Op   isa.Opcode
 	Dst  isa.Reg
@@ -73,20 +83,12 @@ type Inst struct {
 	SrcC isa.Reg
 	// Class attributes memory traffic for cache-composition accounting.
 	Class MemClass
-	// nLines is how many unique cache lines an LDG/STG/TEX touches;
-	// conflict is an LDS/STS's bank-conflict degree (≥ 1 once derived).
-	nLines   uint8
-	conflict uint8
+	// rec is set when the instruction owns the next address record of its
+	// warp's arena: every global or texture access, and a shared one that
+	// carries offsets.
+	rec bool
 	// Mask is the active-lane mask; bit i set means lane i executed.
 	Mask uint32
-	// lineOff is where the instruction's nLines lines start in the warp's
-	// line arena.
-	lineOff uint32
-	// addrOff is one past where the instruction's address record starts in
-	// the warp's address arena; 0 means the instruction carries no
-	// addresses (every non-memory instruction, and a shared access modeled
-	// conflict-free).
-	addrOff uint32
 }
 
 // ActiveLanes reports the number of executing lanes.
@@ -95,25 +97,91 @@ func (in *Inst) ActiveLanes() int { return bits.OnesCount32(in.Mask) }
 // FullMask is the mask with all 32 lanes active.
 const FullMask uint32 = 0xFFFFFFFF
 
-// Warp is the trace of one warp: the instructions it executed, in order.
+// Warp is the trace of one warp: the program it executed and the addresses
+// its memory instructions touched.
 type Warp struct {
-	ID    int // warp index within its CTA
+	ID int // warp index within its CTA
+	// Insts is the program, in execution order. It may be shared with other
+	// warps of the kernel and is read-only: whatever edits a warp's program
+	// gives the warp a copy of its own first (Clone, SetAddrs).
 	Insts []Inst
 	// addrs is the warp's address arena: its memory instructions' packed
 	// address records, back to back in instruction order. See addrs.go.
 	addrs []byte
-	// lines is the warp's line arena and lineSize the line size it was
-	// derived at; lineSize 0 means the warp has no line table (hand-built
+	// counts and lines are the warp's line table and lineSize the line size
+	// it was derived at; lineSize 0 means the warp has no table (hand-built
 	// or marked stale). See linetable.go.
+	counts   []uint8
 	lines    []uint64
 	lineSize int
-	// valid is the validation mark: the address of the warp's last
-	// instruction when Builder or Load found the warp well formed, so it
-	// holds only while the warp keeps that instruction array at that length
-	// (a Clone, a truncation or a replaced Insts lose it by construction;
-	// SetAddrs clears it). It is written before the kernel is shared and
-	// only read afterwards.
+	// valid is the validation mark: the address of the last instruction of
+	// the program the warp had when Builder or Load found its program and
+	// its streams well formed, so it holds only while the warp keeps that
+	// array at that length (a Clone, a truncation or a replaced Insts lose it
+	// by construction; SetAddrs clears it). The mark is the warp's: a program
+	// shared by many warps carries none. It is written before the kernel is
+	// shared and only read afterwards.
 	valid *Inst
+}
+
+// Cursor is a place in a warp's streams: where the instruction at some
+// program counter finds its address record and its line-table entry. The
+// streams hold the warp's memory instructions' data back to back in
+// instruction order, so a cursor moves forward one instruction at a time
+// (Warp.Next) and CursorAt finds one by walking from the start. The zero
+// Cursor is the first instruction's.
+type Cursor struct {
+	count, line, addr uint32 // next line-table entry, line, and arena byte
+}
+
+// Next returns the cursor of the instruction after in, the instruction of w
+// at cursor c. A record that does not lie inside the arena (which Validate
+// rejects) moves the cursor to the arena's end: no record after it is
+// reachable.
+func (w *Warp) Next(c Cursor, in *Inst) Cursor {
+	if in.rec {
+		if rec, ok := w.recordAt(c, in); ok {
+			c.addr += uint32(len(rec))
+		} else {
+			c.addr = uint32(len(w.addrs))
+		}
+	}
+	return w.NextEntry(c, in)
+}
+
+// NextEntry is Next for a reader of the line table alone, the timing
+// model's issue path: it moves past in's table entry but leaves the cursor's
+// place in the address arena, which it never reads, where it was. The cursor
+// it returns serves Lines and ConflictDegree, not Addrs.
+func (w *Warp) NextEntry(c Cursor, in *Inst) Cursor {
+	switch isa.SpaceOf(in.Op) {
+	case isa.SpaceGlobal, isa.SpaceTexture:
+		if int(c.count) < len(w.counts) {
+			c.line += uint32(w.counts[c.count])
+		}
+		c.count++
+	case isa.SpaceShared:
+		c.count++
+	}
+	return c
+}
+
+// CursorAt returns the cursor of instruction pc, walking from the first.
+func (w *Warp) CursorAt(pc int) Cursor {
+	var c Cursor
+	for l := range w.Insts[:pc] {
+		c = w.Next(c, &w.Insts[l])
+	}
+	return c
+}
+
+// recordAt is record for in, the instruction at cursor c; ok is false too
+// when in owns no record.
+func (w *Warp) recordAt(c Cursor, in *Inst) ([]byte, bool) {
+	if !in.rec {
+		return nil, false
+	}
+	return w.record(int(c.addr), in)
 }
 
 // CTA is one thread block's trace.
@@ -194,18 +262,20 @@ func (k *Kernel) ThreadInstCount() int64 {
 }
 
 // Validate checks structural invariants of the trace: every CTA has at
-// least one warp, warps end with EXIT, a global or texture instruction
-// carries an address record and a non-memory one none, a warp's address
-// records tile its arena in instruction order — each as long as its form
-// byte and the instruction's mask say — and a warp's line table, where it
-// has one, stays inside its arena. It walks every instruction.
+// least one warp; every program ends with EXIT, runs no instruction without
+// active lanes, gives an address record to every global or texture
+// instruction and none to a non-memory one; a warp's address records tile
+// its arena in instruction order — each as long as its form byte and the
+// instruction's mask say — and a warp's line table, where it has one, holds
+// one entry per memory access and exactly the lines those entries list. A
+// program shared by many warps is checked once.
 func (k *Kernel) Validate() error { return k.check(true) }
 
 // Check is Validate for a trace about to run: the kernel and CTA checks in
-// full, and the instruction walk only in warps without the validation mark
-// — hand-built ones, and ones changed since Builder or Load made them, both
-// of which mark every warp that passes the walk. So a trace built or loaded
-// once is walked once, however many jobs replay it.
+// full, and the per-warp ones only in warps without the validation mark —
+// hand-built ones, and ones changed since Builder or Load made them, both
+// of which mark every warp that passes. So a trace built or loaded once is
+// walked once, however many jobs replay it.
 func (k *Kernel) Check() error { return k.check(false) }
 
 // check is Validate (all) and Check (!all).
@@ -216,6 +286,7 @@ func (k *Kernel) check(all bool) error {
 	if len(k.CTAs) == 0 {
 		return fmt.Errorf("kernel %q: no CTAs", k.Name)
 	}
+	var checked map[program]error // each program's verdict
 	for i := range k.CTAs {
 		cta := &k.CTAs[i]
 		if len(cta.Warps) == 0 {
@@ -229,7 +300,19 @@ func (k *Kernel) check(all bool) error {
 			if !all && w.marked() {
 				continue
 			}
-			if err := w.validate(); err != nil {
+			id := program{unsafe.SliceData(w.Insts), len(w.Insts)}
+			err, ok := checked[id]
+			if !ok {
+				err = validateProgram(w.Insts)
+				if checked == nil {
+					checked = make(map[program]error)
+				}
+				checked[id] = err
+			}
+			if err == nil {
+				err = w.validateStreams()
+			}
+			if err != nil {
 				return fmt.Errorf("kernel %q CTA %d warp %d: %w", k.Name, cta.ID, w.ID, err)
 			}
 		}
@@ -237,32 +320,99 @@ func (k *Kernel) check(all bool) error {
 	return nil
 }
 
-// validate is Validate's per-warp half.
-func (w *Warp) validate() error {
-	if len(w.Insts) == 0 {
+// program names an instruction array at a length: what warps share.
+type program struct {
+	first *Inst
+	n     int
+}
+
+// validateProgram checks what a program fixes, whichever warps run it.
+func validateProgram(p []Inst) error {
+	if len(p) == 0 {
 		return errors.New("empty")
 	}
-	if w.Insts[len(w.Insts)-1].Op != isa.OpEXIT {
+	if p[len(p)-1].Op != isa.OpEXIT {
 		return errors.New("trace does not end with EXIT")
 	}
-	next := 0 // where the next address record must start
+	for l := range p {
+		if err := p[l].validate(); err != nil {
+			return fmt.Errorf("inst %d (%v): %w", l, p[l].Op, err)
+		}
+	}
+	return nil
+}
+
+// validate is validateProgram's per-instruction half.
+func (in *Inst) validate() error {
+	if in.Mask == 0 {
+		return errors.New("empty active mask")
+	}
+	switch isa.SpaceOf(in.Op) {
+	case isa.SpaceNone:
+		if in.rec {
+			return errors.New("non-memory op carries addresses")
+		}
+	case isa.SpaceGlobal, isa.SpaceTexture:
+		if !in.rec {
+			return fmt.Errorf("no addresses for %d active lanes", in.ActiveLanes())
+		}
+	}
+	return nil
+}
+
+// validateStreams checks what the warp's addresses decide against the
+// program it runs: that the records of the instructions owning one fit the
+// arena back to back, in instruction order, and cover it exactly; and, where
+// the warp has a line table, that it holds one count per global, texture or
+// shared access — at least one line for each of the first, a conflict degree
+// of at least one for the last — and that the line counts add up to the
+// lines it holds. Records and table entries are bounds-checked only, never
+// decoded or re-derived: every trace a front end builds or Load reads is
+// walked once.
+func (w *Warp) validateStreams() error {
+	next, count, lines := 0, 0, 0 // where the next record, count and line start
+	tabled := w.lineSize != 0
 	for l := range w.Insts {
-		if err := w.Insts[l].validate(w, &next); err != nil {
-			return fmt.Errorf("inst %d (%v): %w", l, w.Insts[l].Op, err)
+		in := &w.Insts[l]
+		if in.rec {
+			rec, ok := w.record(next, in)
+			if !ok {
+				return fmt.Errorf("inst %d (%v): address record at byte %d for %d active lanes does not fit the warp's %d-byte arena", l, in.Op, next, in.ActiveLanes(), len(w.addrs))
+			}
+			next += len(rec)
+		}
+		space := isa.SpaceOf(in.Op)
+		if !tabled || !countsIn(space) {
+			continue
+		}
+		if count == len(w.counts) {
+			return fmt.Errorf("inst %d (%v): the line table's %d entries end before it", l, in.Op, len(w.counts))
+		}
+		n := int(w.counts[count])
+		count++
+		switch {
+		case n == 0 && space == isa.SpaceShared:
+			return fmt.Errorf("inst %d (%v): line table holds no bank-conflict degree", l, in.Op)
+		case n == 0:
+			return fmt.Errorf("inst %d (%v): line table lists no line for %d addresses", l, in.Op, in.ActiveLanes())
+		case space != isa.SpaceShared:
+			lines += n
 		}
 	}
 	if next != len(w.addrs) {
 		return fmt.Errorf("address records cover %d of the arena's %d bytes", next, len(w.addrs))
 	}
+	if tabled && (count != len(w.counts) || lines != len(w.lines)) {
+		return fmt.Errorf("line table holds %d entries and %d lines, the program's accesses use %d and %d", len(w.counts), len(w.lines), count, lines)
+	}
 	return nil
 }
 
-// markWarps gives every warp that passes validate the validation mark.
-func markWarps(warps []Warp) {
-	for i := range warps {
-		if w := &warps[i]; w.validate() == nil {
-			w.valid = &w.Insts[len(w.Insts)-1]
-		}
+// mark gives w the validation mark when its program passed (progErr nil)
+// and its streams pass.
+func (w *Warp) mark(progErr error) {
+	if progErr == nil && w.validateStreams() == nil {
+		w.valid = &w.Insts[len(w.Insts)-1]
 	}
 }
 
@@ -270,53 +420,6 @@ func markWarps(warps []Warp) {
 func (w *Warp) marked() bool {
 	n := len(w.Insts)
 	return n > 0 && w.valid == &w.Insts[n-1]
-}
-
-// validate is Validate's per-instruction half; w is the instruction's warp
-// and *next where its address record, if it has one, must start (advanced
-// past it). Records and line-table entries are bounds-checked only, never
-// decoded or re-derived: every trace a front end builds or Load reads is
-// walked once.
-func (in *Inst) validate(w *Warp, next *int) error {
-	if in.Mask == 0 {
-		return errors.New("empty active mask")
-	}
-	space := isa.SpaceOf(in.Op)
-	if in.addrOff != 0 {
-		if space == isa.SpaceNone {
-			return errors.New("non-memory op carries addresses")
-		}
-		rec, ok := w.record(in)
-		if !ok {
-			return fmt.Errorf("address record at byte %d for %d active lanes does not fit the warp's %d-byte arena", in.addrOff-1, in.ActiveLanes(), len(w.addrs))
-		}
-		if int(in.addrOff)-1 != *next {
-			return fmt.Errorf("address record at byte %d, the one before it ends at %d", in.addrOff-1, *next)
-		}
-		*next += len(rec)
-	}
-	switch space {
-	case isa.SpaceGlobal, isa.SpaceTexture:
-		if in.addrOff == 0 {
-			return fmt.Errorf("no addresses for %d active lanes", in.ActiveLanes())
-		}
-		if w.lineSize == 0 {
-			break
-		}
-		if int(in.lineOff)+int(in.nLines) > len(w.lines) {
-			return fmt.Errorf("line table entry [%d,+%d) past the warp's %d lines", in.lineOff, in.nLines, len(w.lines))
-		}
-		if in.nLines == 0 {
-			return fmt.Errorf("line table lists no line for %d addresses", in.ActiveLanes())
-		}
-	case isa.SpaceShared:
-		// A shared access carries either no offsets (modeled
-		// conflict-free) or one per active lane.
-		if w.lineSize != 0 && in.conflict == 0 {
-			return errors.New("line table holds no bank-conflict degree")
-		}
-	}
-	return nil
 }
 
 // OpHistogram counts warp instructions by opcode.
@@ -343,22 +446,23 @@ const CacheLineSize = 128
 func (k *Kernel) TexLinesPerCTA() []int {
 	out := make([]int, 0, len(k.CTAs))
 	var lines []uint64
+	var lanes [isa.WarpSize]uint64
 	for i := range k.CTAs {
 		lines = lines[:0]
 		for j := range k.CTAs[i].Warps {
 			w := &k.CTAs[i].Warps[j]
-			arena, tabled := w.LineTable(CacheLineSize)
+			tabled := w.HasLineTable(CacheLineSize)
+			var c Cursor
 			for l := range w.Insts {
 				in := &w.Insts[l]
-				if in.Op != isa.OpTEX {
-					continue
+				if in.Op == isa.OpTEX {
+					if tabled {
+						lines = append(lines, w.Lines(c)...)
+					} else {
+						lines = Coalesce(lines, w.Addrs(c, in, &lanes), CacheLineSize)
+					}
 				}
-				if tabled {
-					lines = append(lines, in.Lines(arena)...)
-				} else {
-					var lanes [isa.WarpSize]uint64
-					lines = Coalesce(lines, w.Addrs(in, &lanes), CacheLineSize)
-				}
+				c = w.Next(c, in)
 			}
 		}
 		slices.Sort(lines)
@@ -368,17 +472,22 @@ func (k *Kernel) TexLinesPerCTA() []int {
 }
 
 // SizeBytes reports the heap the kernel's trace holds: the kernel header,
-// its name, and every CTA, warp, instruction array, address arena and line
-// arena at its capacity. Instructions are pointer-free, so the walk is one
-// step per warp.
+// its name, and every CTA, warp, program, address arena and line table at
+// its capacity, a program shared by many warps once. Instructions are
+// pointer-free, so the walk is one step per warp.
 func (k *Kernel) SizeBytes() int64 {
 	n := int64(unsafe.Sizeof(*k)) + int64(len(k.Name)) + int64(cap(k.CTAs))*int64(unsafe.Sizeof(CTA{}))
+	counted := make(map[*Inst]bool)
 	for i := range k.CTAs {
 		warps := k.CTAs[i].Warps
 		n += int64(cap(warps)) * int64(unsafe.Sizeof(Warp{}))
 		for j := range warps {
 			w := &warps[j]
-			n += int64(cap(w.Insts))*int64(unsafe.Sizeof(Inst{})) + int64(cap(w.addrs)) + int64(cap(w.lines))*8
+			if p := unsafe.SliceData(w.Insts); p != nil && !counted[p] {
+				counted[p] = true
+				n += int64(cap(w.Insts)) * int64(unsafe.Sizeof(Inst{}))
+			}
+			n += int64(cap(w.addrs)) + int64(cap(w.counts)) + int64(cap(w.lines))*8
 		}
 	}
 	return n

@@ -43,7 +43,7 @@ func TestValidateCatchesMissingAddrs(t *testing.T) {
 	k := tinyKernel("k", 0)
 	w := &k.CTAs[0].Warps[0]
 	var lanes [isa.WarpSize]uint64
-	w.SetAddrs(1, w.Addrs(&w.Insts[1], &lanes)[:5])
+	w.SetAddrs(1, w.Addrs(w.CursorAt(1), &w.Insts[1], &lanes)[:5])
 	if err := k.Validate(); err == nil {
 		t.Fatal("Validate accepted address/lane mismatch")
 	}
@@ -267,49 +267,75 @@ func TestLoadRefusesRevision1(t *testing.T) {
 	}
 }
 
-// TestBuilderSizesWarpsFromTheLongestClosed: a kernel's warps run one
-// program, so after the first warp each one's Insts is allocated once, at
-// the length the longest closed warp had, and carries no slack.
-func TestBuilderSizesWarpsFromTheLongestClosed(t *testing.T) {
+// TestBuilderSharesOneArrayPerProgram: a kernel's warps mostly run one
+// program, so the Builder builds each warp's in one reused array and gives
+// every warp of the kernel that ran the same program one exactly-sized copy
+// — across CTAs too — and a warp that differs in any field its own. Once its
+// scratch has grown, a warp of a known program allocates nothing.
+func TestBuilderSharesOneArrayPerProgram(t *testing.T) {
 	const warps, insts = 8, 37
-	emit := func(b *Builder) {
+	emit := func(b *Builder, mask uint32) {
 		b.BeginWarp()
 		for i := 0; i < insts; i++ {
-			b.ALU(isa.OpFADD, b.NewReg(), FullMask)
+			b.ALU(isa.OpFADD, b.NewReg(), mask)
 		}
 	}
 	b := NewBuilder("k", KindCompute, 0, warps*isa.WarpSize, 16, 0)
 	b.BeginCTA()
-	emit(b) // the first warp grows by doubling and sets the hint
-	perWarp := testing.AllocsPerRun(warps-2, func() { emit(b) })
-	if perWarp != 1 {
-		t.Errorf("a warp of %d instructions took %v allocations, want 1", insts, perWarp)
+	for i := 0; i < warps; i++ {
+		emit(b, FullMask) // grows the scratch to a CTA's worth
 	}
+	b.BeginCTA()
+	if perWarp := testing.AllocsPerRun(warps-1, func() { emit(b, FullMask) }); perWarp != 0 {
+		t.Errorf("a warp of a known %d-instruction program took %v allocations, want 0", insts, perWarp)
+	}
+	b.BeginCTA()
+	emit(b, FullMask>>1)
 	k := b.Finish()
-	for i, w := range k.CTAs[0].Warps {
-		if len(w.Insts) != insts+1 { // + EXIT
-			t.Fatalf("warp %d: %d instructions", i, len(w.Insts))
-		}
-		if i > 0 && cap(w.Insts) != len(w.Insts) {
-			t.Errorf("warp %d: cap %d for %d instructions", i, cap(w.Insts), len(w.Insts))
+	first := &k.CTAs[0].Warps[0].Insts[0]
+	for c := 0; c < 2; c++ {
+		for i, w := range k.CTAs[c].Warps {
+			if len(w.Insts) != insts+1 || cap(w.Insts) != len(w.Insts) { // + EXIT
+				t.Fatalf("CTA %d warp %d: %d instructions, cap %d", c, i, len(w.Insts), cap(w.Insts))
+			}
+			if &w.Insts[0] != first {
+				t.Errorf("CTA %d warp %d runs the kernel's one program from an array of its own", c, i)
+			}
 		}
 	}
 	if got := cap(k.CTAs[0].Warps); got != warps {
 		t.Errorf("CTA holds room for %d warps, its kernel launches %d", got, warps)
 	}
-
-	// A shorter warp keeps the hint; a longer one raises it.
-	b = NewBuilder("k", KindCompute, 0, 4*isa.WarpSize, 16, 0)
-	b.BeginCTA()
-	for _, n := range []int{10, 3, 20, 20} {
-		b.BeginWarp()
-		for i := 0; i < n; i++ {
-			b.ALU(isa.OpFADD, b.NewReg(), FullMask)
-		}
+	if other := &k.CTAs[2].Warps[0]; &other.Insts[0] == first || other.Insts[0].Mask != FullMask>>1 {
+		t.Error("a warp under another mask shares the full-mask program")
 	}
-	ws := b.Finish().CTAs[0].Warps
-	if cap(ws[1].Insts) != 11 || cap(ws[3].Insts) != 21 {
-		t.Errorf("caps %d, %d, %d, %d: want the second at 11 and the fourth at 21", cap(ws[0].Insts), cap(ws[1].Insts), cap(ws[2].Insts), cap(ws[3].Insts))
+	if m, u := marks(k); m != 2*warps+1 || u != 0 {
+		t.Errorf("%d marked, %d unmarked warps", m, u)
+	}
+
+	// Length, registers, class and the record flag each tell programs apart.
+	b = NewBuilder("k", KindCompute, 0, 8*isa.WarpSize, 16, 64)
+	b.BeginCTA()
+	addrs := make([]uint64, isa.WarpSize)
+	variants := []func(){
+		func() { b.ALU(isa.OpFADD, b.NewReg(), FullMask) },
+		func() { b.ALU(isa.OpFADD, b.NewReg(), FullMask); b.ALU(isa.OpFADD, b.NewReg(), FullMask) },
+		func() { b.NewReg(); b.ALU(isa.OpFADD, b.NewReg(), FullMask) },
+		func() { b.Mem(isa.OpLDG, b.NewReg(), FullMask, addrs, ClassCompute) },
+		func() { b.Mem(isa.OpLDG, b.NewReg(), FullMask, addrs, ClassTexture) },
+		func() { b.Shared(isa.OpSTS, isa.RegNone, FullMask) },
+		func() { b.SharedAddr(isa.OpSTS, isa.RegNone, FullMask, addrs) },
+	}
+	for _, v := range variants {
+		b.BeginWarp()
+		v()
+	}
+	seen := map[*Inst]bool{}
+	for _, w := range b.Finish().CTAs[0].Warps {
+		seen[&w.Insts[0]] = true
+	}
+	if len(seen) != len(variants) {
+		t.Errorf("%d variants share %d arrays", len(variants), len(seen))
 	}
 }
 
@@ -329,7 +355,9 @@ func marks(k *Kernel) (marked, unmarked int) {
 
 // TestValidationMarkLifecycle: Builder.Finish and Load return marked warps;
 // a clone, SetAddrs and a replaced or truncated instruction list leave a
-// warp unmarked, and Check walks exactly the unmarked ones.
+// warp unmarked, and Check walks exactly the unmarked ones. The mark is the
+// warp's: of two warps sharing a program, one can lose it and the other
+// keep it.
 func TestValidationMarkLifecycle(t *testing.T) {
 	k := tinyKernel("k", 0)
 	if m, u := marks(k); m != 1 || u != 0 {
@@ -362,7 +390,7 @@ func TestValidationMarkLifecycle(t *testing.T) {
 		t.Error("a truncated warp kept the mark")
 	}
 	var lanes [isa.WarpSize]uint64
-	w.SetAddrs(1, w.Addrs(&w.Insts[1], &lanes))
+	w.SetAddrs(1, w.Addrs(w.CursorAt(1), &w.Insts[1], &lanes))
 	if w.marked() {
 		t.Error("SetAddrs kept the mark")
 	}
@@ -381,8 +409,27 @@ func TestValidationMarkLifecycle(t *testing.T) {
 		t.Error("Check accepted an unmarked warp with an empty mask")
 	}
 
+	// Two warps of one program, one of them re-homed onto a copy and broken
+	// there: only it is walked, and only it fails.
+	b := NewBuilder("two", KindCompute, 0, 64, 8, 0)
+	b.BeginCTA()
+	for i := 0; i < 2; i++ {
+		b.BeginWarp()
+		b.ALU(isa.OpMOV, b.NewReg(), FullMask)
+	}
+	two := b.Finish()
+	broken, kept := &two.CTAs[0].Warps[0], &two.CTAs[0].Warps[1]
+	*broken = broken.Clone()
+	broken.Insts[0].Mask = 0
+	if broken.marked() || !kept.marked() || kept.Insts[0].Mask != FullMask {
+		t.Error("breaking a clone of one warp reached its sibling's program or mark")
+	}
+	if err := two.Check(); err == nil || !strings.Contains(err.Error(), "warp 0") {
+		t.Errorf("Check: %v, want the empty mask of warp 0", err)
+	}
+
 	// A warp that fails validation where it is built is not marked.
-	b := NewBuilder("bad", KindCompute, 0, 32, 8, 0)
+	b = NewBuilder("bad", KindCompute, 0, 32, 8, 0)
 	b.BeginCTA()
 	b.BeginWarp()
 	b.ALU(isa.OpMOV, b.NewReg(), 0)

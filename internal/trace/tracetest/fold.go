@@ -14,10 +14,9 @@ import (
 // headers, the CTA/warp structure, and every instruction's opcode,
 // registers, mask, class and per-lane addresses, expanded from the packed
 // records — so the digests recorded when traces held one []uint64 per
-// instruction prove the packing lossless. Slice capacities and the form a
-// record is packed in are not part of it.
+// instruction prove the packing lossless. Slice capacities, the form a
+// record is packed in and which warps share a program are not part of it.
 func Fold(h *snapshot.Hasher, ks []*trace.Kernel) {
-	var lanes [isa.WarpSize]uint64
 	h.PutInt(len(ks))
 	for _, k := range ks {
 		h.PutStr(k.Name)
@@ -32,26 +31,33 @@ func Fold(h *snapshot.Hasher, ks []*trace.Kernel) {
 			h.PutInt(cta.ID)
 			h.PutInt(len(cta.Warps))
 			for j := range cta.Warps {
-				w := &cta.Warps[j]
-				h.PutInt(w.ID)
-				h.PutInt(len(w.Insts))
-				for l := range w.Insts {
-					in := &w.Insts[l]
-					h.PutU64(uint64(in.Op))
-					h.PutU64(uint64(in.Dst))
-					h.PutU64(uint64(in.SrcA))
-					h.PutU64(uint64(in.SrcB))
-					h.PutU64(uint64(in.SrcC))
-					h.PutU32(in.Mask)
-					h.PutU8(uint8(in.Class))
-					addrs := w.Addrs(in, &lanes)
-					h.PutInt(len(addrs))
-					for _, a := range addrs {
-						h.PutU64(a)
-					}
-				}
+				FoldWarp(h, &cta.Warps[j])
 			}
 		}
+	}
+}
+
+// FoldWarp is Fold's per-warp part: the warp's ID and every instruction.
+func FoldWarp(h *snapshot.Hasher, w *trace.Warp) {
+	var lanes [isa.WarpSize]uint64
+	h.PutInt(w.ID)
+	h.PutInt(len(w.Insts))
+	var c trace.Cursor
+	for l := range w.Insts {
+		in := &w.Insts[l]
+		h.PutU64(uint64(in.Op))
+		h.PutU64(uint64(in.Dst))
+		h.PutU64(uint64(in.SrcA))
+		h.PutU64(uint64(in.SrcB))
+		h.PutU64(uint64(in.SrcC))
+		h.PutU32(in.Mask)
+		h.PutU8(uint8(in.Class))
+		addrs := w.Addrs(c, in, &lanes)
+		h.PutInt(len(addrs))
+		for _, a := range addrs {
+			h.PutU64(a)
+		}
+		c = w.Next(c, in)
 	}
 }
 

@@ -57,45 +57,37 @@ func RefConflictDegree(offsets []uint64) int {
 }
 
 // CheckLineTable requires every warp of ks to carry a line table derived
-// at trace.CacheLineSize whose every entry equals the reference derivation
-// of the instruction's expanded addresses. It returns how many entries it
-// compared.
+// at trace.CacheLineSize whose every entry, read through a Cursor, equals
+// the reference derivation of the instruction's expanded addresses. It
+// returns how many entries it compared.
 func CheckLineTable(ks []*trace.Kernel) (lineEntries, conflictEntries int, err error) {
 	var lanes [isa.WarpSize]uint64
 	for _, k := range ks {
 		for i := range k.CTAs {
 			for j := range k.CTAs[i].Warps {
 				w := &k.CTAs[i].Warps[j]
-				arena, ok := w.LineTable(trace.CacheLineSize)
-				if !ok {
+				if !w.HasLineTable(trace.CacheLineSize) {
 					return 0, 0, fmt.Errorf("kernel %q CTA %d warp %d: no line table at %d B", k.Name, i, j, trace.CacheLineSize)
 				}
-				used := 0
+				var c trace.Cursor
 				for l := range w.Insts {
 					in := &w.Insts[l]
 					where := fmt.Sprintf("kernel %q CTA %d warp %d inst %d (%v)", k.Name, i, j, l, in.Op)
-					addrs := w.Addrs(in, &lanes)
+					addrs := w.Addrs(c, in, &lanes)
 					switch in.Op {
 					case isa.OpLDG, isa.OpSTG, isa.OpTEX:
-						got, want := in.Lines(arena), RefCoalesce(addrs, trace.CacheLineSize)
+						got, want := w.Lines(c), RefCoalesce(addrs, trace.CacheLineSize)
 						if !slices.Equal(got, want) {
 							return 0, 0, fmt.Errorf("%s: table lists lines %v, its addresses coalesce to %v", where, got, want)
 						}
-						used += len(got)
 						lineEntries++
 					case isa.OpLDS, isa.OpSTS:
-						if got, want := in.ConflictDegree(), RefConflictDegree(addrs); got != want {
+						if got, want := w.ConflictDegree(c), RefConflictDegree(addrs); got != want {
 							return 0, 0, fmt.Errorf("%s: table holds conflict degree %d, its offsets give %d", where, got, want)
 						}
 						conflictEntries++
-					default:
-						if n := len(in.Lines(arena)); n != 0 || in.ConflictDegree() != 0 {
-							return 0, 0, fmt.Errorf("%s: carries a table entry (%d lines, degree %d)", where, n, in.ConflictDegree())
-						}
 					}
-				}
-				if used != len(arena) {
-					return 0, 0, fmt.Errorf("kernel %q CTA %d warp %d: instructions use %d of the arena's %d lines", k.Name, i, j, used, len(arena))
+					c = w.Next(c, in)
 				}
 			}
 		}
