@@ -315,36 +315,3 @@ func TestFig3SweepPrefers96(t *testing.T) {
 		t.Errorf("batch-96 MAPE %v should beat batch-24 %v", r.MAPE[96], r.MAPE[24])
 	}
 }
-
-// TestGridScenarioAxis pins the sweep decomposition order with scenarios in
-// play: pair points first in GPU-major order, then scenario × policy points
-// per GPU, with empty scenario names skipped — the deterministic task-list
-// contract crispd's merged digest depends on.
-func TestGridScenarioAxis(t *testing.T) {
-	g := Grid{
-		GPUs:      []string{"JetsonOrin"},
-		Computes:  []string{"VIO"},
-		Policies:  []string{"EVEN", "MPS"},
-		Scenarios: []string{"n-way-fair", ""},
-	}
-	pts := g.Points()
-	want := []GridPoint{
-		{GPU: "JetsonOrin", Compute: "VIO", Policy: "EVEN"},
-		{GPU: "JetsonOrin", Compute: "VIO", Policy: "MPS"},
-		{GPU: "JetsonOrin", Scenario: "n-way-fair", Policy: "EVEN"},
-		{GPU: "JetsonOrin", Scenario: "n-way-fair", Policy: "MPS"},
-	}
-	if len(pts) != len(want) {
-		t.Fatalf("got %d points, want %d: %+v", len(pts), len(want), pts)
-	}
-	for i := range want {
-		if pts[i] != want[i] {
-			t.Errorf("point %d = %+v, want %+v", i, pts[i], want[i])
-		}
-	}
-	// A scenario-only grid expands too (no pair axes at all).
-	only := Grid{Scenarios: []string{"vr-frame-deadline"}}
-	if pts := only.Points(); len(pts) != 1 || pts[0].Scenario != "vr-frame-deadline" {
-		t.Errorf("scenario-only grid: %+v", pts)
-	}
-}

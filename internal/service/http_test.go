@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -217,6 +219,29 @@ func TestHTTPBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+
+	// A gpus element is a built-in name or an inline config; anything else,
+	// an unknown name, or an invalid config refuses the whole sweep.
+	broken, err := os.ReadFile("../../examples/configs/broken-zero-sms.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct{ gpus, want string }{
+		"number element": {`42`, "gpus[0]"},
+		"unknown name":   {`"NoSuchGPU"`, "grid point 0"},
+		"broken config":  {`"JetsonOrin",` + string(broken), "grid point 1"},
+	} {
+		body := `{"gpus":[` + c.gpus + `],"computes":["VIO"]}`
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), c.want) {
+			t.Errorf("sweep %s: %d %s, want 400 naming %q", name, resp.StatusCode, msg, c.want)
 		}
 	}
 

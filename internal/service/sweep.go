@@ -1,32 +1,36 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
+	"strings"
 	"time"
 
-	"crisp/internal/experiments"
 	"crisp/internal/obs"
 	"crisp/internal/snapshot"
 )
 
 // SweepSpec is the submission body of POST /v1/sweeps: a policy ×
-// workload × config grid (internal/experiments decomposition) plus the
-// per-job options every cell shares. The coordinator expands it into one
-// task per grid point, each content-addressed by the same
-// snapshot.Spec.JobDigest a direct submission of that cell would get —
-// which is what lets fleet results, single-node results, and cached
-// results merge under one key.
+// workload × config grid (see Grid) plus the per-job options every cell
+// shares. The coordinator expands it into one task per grid point, each
+// content-addressed by the same snapshot.Spec.JobDigest a direct
+// submission of that cell would get — which is what lets fleet results,
+// single-node results, and cached results merge under one key.
 type SweepSpec struct {
-	// GPUs, Scenes, Computes, Policies are the grid axes (see
-	// experiments.Grid): an empty axis contributes one default entry; a ""
-	// element inside Scenes/Computes means "no workload on this axis for
-	// that point".
-	GPUs     []string `json:"gpus,omitempty"`
+	// GPUs is the config axis. Each element is a JSON string naming a
+	// built-in configuration ("JetsonOrin", "RTX3070") or a JSON object
+	// holding an inline one, with the same semantics as a -config file;
+	// a cell gets the first as JobSpec.GPU and the second as
+	// JobSpec.Config.
+	GPUs []json.RawMessage `json:"gpus,omitempty"`
+	// Scenes, Computes, Policies are the other grid axes (see Grid): an
+	// empty axis contributes one default entry; a "" element inside
+	// Scenes/Computes means "no workload on this axis for that point".
 	Scenes   []string `json:"scenes,omitempty"`
 	Computes []string `json:"computes,omitempty"`
 	Policies []string `json:"policies,omitempty"`
 	// Scenarios lists N-tenant mix presets; each crosses with GPUs and
-	// Policies and expands after the pair points (see experiments.Grid).
+	// Policies and expands after the pair points (see Grid).
 	Scenarios []string `json:"scenarios,omitempty"`
 	// Shared per-cell options, forwarded into each JobSpec verbatim.
 	Width          int   `json:"width,omitempty"`
@@ -39,8 +43,17 @@ type SweepSpec struct {
 // decompose expands the grid into concrete job specs, in the grid's
 // deterministic order — decomposed twice (or on two coordinators), a
 // sweep yields the same task list and therefore the same merged digest.
+// The grid carries each GPUs element as its JSON text; only the element's
+// kind is checked here, its content when each cell resolves.
 func (sp *SweepSpec) decompose() ([]JobSpec, error) {
-	g := experiments.Grid{GPUs: sp.GPUs, Scenes: sp.Scenes, Computes: sp.Computes,
+	gpus := make([]string, len(sp.GPUs))
+	for i, el := range sp.GPUs {
+		gpus[i] = string(el)
+		if _, _, err := gpuOf(gpus[i]); err != nil {
+			return nil, fmt.Errorf("gpus[%d]: %w", i, err)
+		}
+	}
+	g := Grid{GPUs: gpus, Scenes: sp.Scenes, Computes: sp.Computes,
 		Policies: sp.Policies, Scenarios: sp.Scenarios}
 	pts := g.Points()
 	if len(pts) == 0 {
@@ -48,8 +61,7 @@ func (sp *SweepSpec) decompose() ([]JobSpec, error) {
 	}
 	specs := make([]JobSpec, 0, len(pts))
 	for _, pt := range pts {
-		specs = append(specs, JobSpec{
-			GPU:            pt.GPU,
+		js := JobSpec{
 			Scene:          pt.Scene,
 			Compute:        pt.Compute,
 			Scenario:       pt.Scenario,
@@ -59,9 +71,26 @@ func (sp *SweepSpec) decompose() ([]JobSpec, error) {
 			LoD:            sp.LoD,
 			CycleBudget:    sp.CycleBudget,
 			WatchdogWindow: sp.WatchdogWindow,
-		})
+		}
+		if pt.GPU != "" {
+			js.GPU, js.Config, _ = gpuOf(pt.GPU) // checked above
+		}
+		specs = append(specs, js)
 	}
 	return specs, nil
+}
+
+// gpuOf reads one GPUs element's JSON text: a string names a built-in
+// config, an object is an inline one.
+func gpuOf(el string) (name string, cfg json.RawMessage, err error) {
+	switch {
+	case strings.HasPrefix(el, "{"):
+		return "", json.RawMessage(el), nil
+	case strings.HasPrefix(el, `"`):
+		err = json.Unmarshal([]byte(el), &name)
+		return name, nil, err
+	}
+	return "", nil, fmt.Errorf("got %s, want a built-in config name (a JSON string) or an inline config (a JSON object)", el)
 }
 
 // Sweep is one tracked sweep submission. Mutable fields are guarded by
