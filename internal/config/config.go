@@ -6,41 +6,42 @@ package config
 
 import "fmt"
 
-// GPU describes one simulated GPU.
+// GPU describes one simulated GPU. The JSON keys are a configuration
+// file's (LoadFile).
 type GPU struct {
-	Name string
+	Name string `json:"name"`
 
 	// SM organization.
-	NumSMs          int
-	RegistersPerSM  int // 32-bit registers
-	MaxWarpsPerSM   int
-	MaxCTAsPerSM    int
-	SchedulersPerSM int
-	SharedMemPerSM  int // bytes available as shared memory
+	NumSMs          int `json:"num_sms"`
+	RegistersPerSM  int `json:"registers_per_sm"` // 32-bit registers
+	MaxWarpsPerSM   int `json:"max_warps_per_sm"`
+	MaxCTAsPerSM    int `json:"max_ctas_per_sm"`
+	SchedulersPerSM int `json:"schedulers_per_sm"`
+	SharedMemPerSM  int `json:"shared_mem_per_sm"` // bytes available as shared memory
 	// Execution units per SM (one pipeline each per scheduler in Ampere).
-	FPUnits     int
-	SFUUnits    int
-	INTUnits    int
-	TensorUnits int
+	FPUnits     int `json:"fp_units"`
+	SFUUnits    int `json:"sfu_units"`
+	INTUnits    int `json:"int_units"`
+	TensorUnits int `json:"tensor_units"`
 
 	// Cache hierarchy.
-	L1Size      int // bytes; unified data+texture (+ shared carve-out handled separately)
-	L1Assoc     int
-	L2Size      int // bytes, total across banks
-	L2Assoc     int
-	L2Banks     int
-	LineSize    int // bytes
-	L1MSHRs     int
-	L2MSHRs     int
-	L1Latency   int // hit latency, core cycles
-	L2Latency   int // hit latency beyond L1, core cycles
-	DRAMLatency int // row access latency beyond L2, core cycles
+	L1Size      int `json:"l1_size"` // bytes; unified data+texture (+ shared carve-out handled separately)
+	L1Assoc     int `json:"l1_assoc"`
+	L2Size      int `json:"l2_size"` // bytes, total across banks
+	L2Assoc     int `json:"l2_assoc"`
+	L2Banks     int `json:"l2_banks"`
+	LineSize    int `json:"line_size"` // bytes
+	L1MSHRs     int `json:"l1_mshrs"`
+	L2MSHRs     int `json:"l2_mshrs"`
+	L1Latency   int `json:"l1_latency"`   // hit latency, core cycles
+	L2Latency   int `json:"l2_latency"`   // hit latency beyond L1, core cycles
+	DRAMLatency int `json:"dram_latency"` // row access latency beyond L2, core cycles
 
 	// Clocks and memory system.
-	CoreClockMHz     int
-	MemBandwidthGBps float64
-	MemChannels      int
-	MemTech          string
+	CoreClockMHz     int     `json:"core_clock_mhz"`
+	MemBandwidthGBps float64 `json:"mem_bandwidth_gbps"`
+	MemChannels      int     `json:"mem_channels"`
+	MemTech          string  `json:"mem_tech"`
 }
 
 // BytesPerCycle is the aggregate DRAM bandwidth expressed in bytes per core

@@ -275,7 +275,7 @@ func (s *Server) viewOfSweep(sw *Sweep, withTasks bool) sweepView {
 				Digest:   t.digest,
 				State:    t.state,
 				Worker:   t.worker,
-				Attempts: t.attempts,
+				Attempts: t.started,
 				Resumed:  t.resumed,
 				Cached:   t.cacheHit,
 				Error:    t.errMsg,
@@ -350,7 +350,7 @@ func (c *coordinator) runTask(worker int, t *sweepTask) {
 	// already holds this digest (a prior job, a prior sweep, another
 	// task's commit, or a restored persisted cache) — commit without
 	// executing.
-	if sr, ok := c.s.cache.get(t.digest); ok {
+	if sr, ok := c.s.store.get(t.digest); ok {
 		c.fedHits.Add(1)
 		c.commitLocked(t, t.epoch, sr, true)
 		c.mu.Unlock()
@@ -359,6 +359,7 @@ func (c *coordinator) runTask(worker int, t *sweepTask) {
 	deaf := c.s.chaosCtrl.TakeHBDrop(t.digest)
 	epoch := c.leases.Grant(t.key(), worker, deaf)
 	t.state, t.epoch, t.worker = taskLeased, epoch, worker
+	t.started++
 	attempt := t.attempts + 1
 	c.s.attempts.Add(1)
 	if attempt > 1 {
@@ -465,7 +466,7 @@ func (c *coordinator) commitLocked(t *sweepTask, epoch uint64, stored *StoredRes
 	if !fromCache {
 		// Federation, write side: the result joins the shared store under
 		// its digest, visible to jobs, sweeps, and worker-local caches alike.
-		c.s.cache.put(stored)
+		c.s.store.put(stored)
 	}
 	t.owner.taskDone(t)
 }

@@ -35,7 +35,7 @@ func (s *Server) requestFor(t *sweepTask, n int, resumeFrom string, killAt int64
 		Spec:             t.spec,
 		ResumeDir:        resumeFrom,
 		CheckpointEvery:  s.cfg.CheckpointEvery,
-		ResultsDir:       s.resultsDir(),
+		ResultsDir:       s.store.dir,
 		Budget:           t.res.budget,
 		Watchdog:         t.res.watchdog,
 		ProgressInterval: s.cfg.ProgressInterval,
@@ -192,6 +192,7 @@ func (s *Server) runWorkerProcess(ctx context.Context, req workerRequest, h atte
 	var stored *StoredResult
 	var cached bool
 	var simErr *robust.SimError
+	var lastCycle int64 // of the newest sample read: where a crash struck
 	// A healthy child heartbeats every LeaseTTL/4; one silent for a whole
 	// TTL is hung, and holds this worker until it is reaped as a crash.
 	silent := time.AfterFunc(s.cfg.LeaseTTL, func() { cmd.Process.Kill() })
@@ -207,6 +208,7 @@ func (s *Server) runWorkerProcess(ctx context.Context, req workerRequest, h atte
 		}
 		switch ev.Type {
 		case evSample:
+			lastCycle = ev.Sample.Cycle
 			if h.onSample != nil {
 				h.onSample(*ev.Sample)
 			}
@@ -247,7 +249,7 @@ func (s *Server) runWorkerProcess(ctx context.Context, req workerRequest, h atte
 		// fault. Only this attempt dies; the supervisor retries from the
 		// last periodic checkpoint.
 		s.crashes.Add(1)
-		return nil, &robust.SimError{Kind: robust.KindCrash,
+		return nil, &robust.SimError{Kind: robust.KindCrash, Cycle: lastCycle,
 			Msg: fmt.Sprintf("worker process died without a result: %v", waitErr)}
 	}
 }

@@ -205,6 +205,29 @@ func TestSweepChaosKillConverges(t *testing.T) {
 	if v.Resumes < 1 {
 		t.Fatalf("Resumes = %d, want >= 1 (kill@%d with checkpoints every 512)", v.Resumes, killAt)
 	}
+	// A task's attempts count the attempts started: killed once, then
+	// finished, is two.
+	for _, tv := range v.Tasks {
+		if tv.Attempts != 2 {
+			t.Errorf("task %d: attempts = %d, want 2 (killed once, then finished)", tv.Index, tv.Attempts)
+		}
+	}
+	// A cell that finishes on its first try reads one.
+	clean, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	clean.Start()
+	defer clean.Drain(context.Background())
+	one := spec
+	one.Computes = one.Computes[:1]
+	csw, err := clean.SubmitSweep(one)
+	if err != nil {
+		t.Fatalf("SubmitSweep: %v", err)
+	}
+	if cv := waitSweep(t, clean, csw.ID, StateDone, time.Minute); len(cv.Tasks) != 1 || cv.Tasks[0].Attempts != 1 {
+		t.Errorf("first-try sweep tasks = %+v, want one task with attempts 1", cv.Tasks)
+	}
 }
 
 // TestSweepIsolatedWorkerSIGKILL is the fleet-chaos acceptance test in
@@ -316,7 +339,7 @@ func TestSweepHeartbeatDropConverges(t *testing.T) {
 	if fs.HeartbeatDrops != 1 {
 		t.Fatalf("HeartbeatDrops = %d, want 1", fs.HeartbeatDrops)
 	}
-	if got := s.cache.len(); got < 2 {
+	if got := s.store.len(); got < 2 {
 		t.Fatalf("cache has %d results after convergence, want >= 2", got)
 	}
 }

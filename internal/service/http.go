@@ -47,8 +47,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/jobs/{id}/timeline", s.handleTimeline)
 	mux.HandleFunc("GET /v1/jobs/{id}/series", s.handleJobSeries)
-	mux.HandleFunc("GET /v1/results/{digest}", s.handleResult)
-	mux.HandleFunc("GET /v1/series/{digest}", s.handleSeries)
+	s.store.mount(mux)
 	mux.HandleFunc("POST /v1/sweeps", s.handleSubmitSweep)
 	mux.HandleFunc("GET /v1/sweeps", s.handleListSweeps)
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweep)
@@ -137,7 +136,7 @@ func (s *Server) viewOf(j *Job) jobView {
 		}
 	}
 	if v.State == StateDone {
-		if sr, ok := s.cache.get(v.Digest); ok {
+		if sr, ok := s.store.get(v.Digest); ok {
 			v.Result = sr
 		}
 	}
@@ -221,16 +220,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	job, _ := s.Job(id)
 	writeJSON(w, http.StatusOK, s.viewOf(job))
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	digest := r.PathValue("digest")
-	sr, ok := s.Result(digest)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no cached result for digest "+digest)
-		return
-	}
-	writeJSON(w, http.StatusOK, sr)
 }
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {

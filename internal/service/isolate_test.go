@@ -126,6 +126,17 @@ func TestIsolatedCrashRecovery(t *testing.T) {
 		t.Errorf("crash-recovered result (cycles %d, digest %s) != uninterrupted (cycles %d, digest %s)",
 			sr.Cycles, sr.StatsDigest, wantCycles, wantDigest)
 	}
+	// The crash verdict keeps the cycle of the last sample the parent
+	// read: the child streamed up to the kill, so it is at least killAt.
+	crashAt := int64(-1)
+	for _, ev := range job.hub.Events(0, 0) {
+		if i := strings.Index(ev.Detail, "sim crash at cycle "); ev.Kind == obs.TimelineLifecycle && i >= 0 {
+			fmt.Sscanf(ev.Detail[i:], "sim crash at cycle %d", &crashAt)
+		}
+	}
+	if crashAt < killAt {
+		t.Errorf("recorded crash cycle = %d, want >= %d (the kill cycle)", crashAt, killAt)
+	}
 
 	// The daemon survived its worker's death: it still accepts and
 	// completes new work.

@@ -186,8 +186,7 @@ func (j *Job) taskDone(t *sweepTask) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !t.cacheHit {
-		s.series[j.Digest] = samples
-		s.persistSeries(j.Digest, samples)
+		s.store.putSeries(j.Digest, samples)
 	}
 	s.settle(j, StateDone, fmt.Sprintf("stats_digest=%s samples=%d series_digest=%016x",
 		t.result.StatsDigest, len(samples), obs.SamplesDigest(samples)), nil)

@@ -217,7 +217,7 @@ func TestCommitExactlyOnceAfterRevocation(t *testing.T) {
 			if _, _, ok := c.leases.Holder(task.key()); ok {
 				t.Fatal("lease survived both commits")
 			}
-			if sr, ok := c.s.cache.get(task.digest); !ok || sr != winner {
+			if sr, ok := c.s.store.get(task.digest); !ok || sr != winner {
 				t.Fatal("cache does not hold exactly the winning result")
 			}
 		})

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -136,44 +137,22 @@ func (s *Server) recordAttempt(job *Job, n int, err error) {
 // postmortems; the job directory (checkpoints included) is kept.
 func (s *Server) markQuarantined(job *Job, err error, attempts int) {
 	if se, ok := robust.AsSimError(err); ok && se.Dump != nil && s.cfg.StateDir != "" {
-		if f, cerr := os.Create(filepath.Join(s.jobDir(job), "crash.json")); cerr == nil {
-			se.Dump.WriteJSON(f)
-			f.Close()
-		}
+		snapshot.WriteAtomic(filepath.Join(s.jobDir(job), "crash.json"), se.Dump.WriteJSON)
 	}
 	kind, cycle := failureOf(err)
 	s.writeMarker(job, "quarantined.json", quarantineRecord{Attempts: attempts, Error: err.Error(), Kind: kind, Cycle: cycle})
 }
 
-// writeJSONAtomic writes v, indented, to path via temp + rename +
-// directory fsync, so a host crash can neither expose a partial file nor
-// lose the rename. Best effort: persistence failures never fail the
-// in-memory state change.
+// writeJSONAtomic publishes v, indented, at path (snapshot.WriteAtomic),
+// so a host crash can neither expose a partial file nor lose the rename.
+// Best effort: persistence failures never fail the in-memory state change.
 func writeJSONAtomic(path string, v any) {
 	if b, err := json.MarshalIndent(v, "", "  "); err == nil {
-		writeFileAtomic(path, b)
+		snapshot.WriteAtomic(path, func(w io.Writer) error {
+			_, err := w.Write(b)
+			return err
+		})
 	}
-}
-
-func writeFileAtomic(path string, b []byte) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	_, werr := tmp.Write(b)
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return
-	}
-	snapshot.SyncDir(dir)
 }
 
 // quarantineSuffix marks a job directory or persisted file set aside at

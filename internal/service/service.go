@@ -22,11 +22,8 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -194,18 +191,14 @@ type Server struct {
 	// and checkpoint handoff for every task (coordinator.go).
 	coord *coordinator
 
-	cache *resultCache
+	// store is the content-addressed result store, <StateDir>/results.
+	store *resultStore
 	// frontend is the second cache tier: trace key → front-end product.
 	// Every in-process attempt (of a job or a sweep task, first run or
 	// retry from a checkpoint) builds its frame and compute workload through it,
 	// so a scene is rendered once per server, not once per job. Isolated
 	// children are one process per attempt and stay uncached.
 	frontend *crisp.Frontend
-	// series holds completed jobs' interval series by job digest (the
-	// retained window of the primary execution's timeline), mirrored to
-	// <stateDir>/results/<digest>.series.json when persistence is on.
-	// Guarded by s.mu.
-	series map[string][]obs.Sample
 
 	// chaosCtrl plants Config.Chaos's faults (nil = no chaos).
 	chaosCtrl *chaos.Controller
@@ -236,35 +229,26 @@ type Server struct {
 // admission control deterministically).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	resultsDir := ""
+	if cfg.StateDir != "" {
+		resultsDir = filepath.Join(cfg.StateDir, "results")
+	}
 	s := &Server{
 		cfg:        cfg,
 		jobs:       make(map[string]*Job),
 		inflight:   make(map[string]*Job),
-		cache:      newResultCache(""),
+		store:      newResultStore(resultsDir),
 		frontend:   crisp.NewFrontend(),
-		series:     make(map[string][]obs.Sample),
 		chaosCtrl:  chaos.NewController(cfg.Chaos),
 		launchedAt: time.Now(),
 	}
 	s.coord = newCoordinator(s)
 	if cfg.StateDir != "" {
-		s.cache = newResultCache(s.resultsDir())
-		s.cache.load()
 		if err := s.scanJobs(); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
-}
-
-// resultsDir is the persisted content-addressed result store ("" when
-// memory-only) — the directory isolated workers consult as their local
-// cache (federation).
-func (s *Server) resultsDir() string {
-	if s.cfg.StateDir == "" {
-		return ""
-	}
-	return filepath.Join(s.cfg.StateDir, "results")
 }
 
 // Start launches the worker pools and marks the server ready: startup
@@ -312,7 +296,7 @@ func (s *Server) newJob(id, digest string, spec JobSpec) *Job {
 // queued for the worker pool. recovered marks a job read back from disk
 // at startup: already persisted, and admitted past the queue bound.
 func (s *Server) admit(job *Job, r *resolved, recovered bool) error {
-	if _, ok := s.cache.get(job.Digest); ok {
+	if _, ok := s.store.get(job.Digest); ok {
 		job.cacheHit = true
 		s.hits.Add(1)
 		s.register(job)
@@ -380,72 +364,7 @@ func (s *Server) Jobs() []*Job {
 }
 
 // Result returns a cached result by digest.
-func (s *Server) Result(digest string) (*StoredResult, bool) { return s.cache.get(digest) }
-
-// SeriesFor returns a completed job's retained interval series by job
-// digest — in-memory first, then the persisted mirror next to the cached
-// result (a restarted daemon serves yesterday's timelines too).
-func (s *Server) SeriesFor(digest string) ([]obs.Sample, bool) {
-	s.mu.Lock()
-	samples, ok := s.series[digest]
-	s.mu.Unlock()
-	if ok {
-		return samples, true
-	}
-	if s.cfg.StateDir == "" || !validDigest(digest) {
-		return nil, false
-	}
-	path := filepath.Join(s.resultsDir(), digest+".series.json")
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	if err := json.Unmarshal(b, &samples); err != nil {
-		// Corrupt persisted series: set it aside so it is not re-parsed on
-		// every request. The job's result is unaffected.
-		if aside := quarantineFile(path); aside != "" {
-			log.Printf("crispd: corrupt persisted series %s set aside as %s", path, aside)
-		}
-		return nil, false
-	}
-	s.mu.Lock()
-	s.series[digest] = samples
-	s.mu.Unlock()
-	return samples, true
-}
-
-// persistSeries mirrors a completed series to disk, best effort, atomic
-// (temp + rename), next to the cached result it belongs to (caller holds
-// s.mu).
-func (s *Server) persistSeries(digest string, samples []obs.Sample) {
-	if s.cfg.StateDir == "" || len(samples) == 0 || !validDigest(digest) {
-		return
-	}
-	dir := s.resultsDir()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	b, err := json.Marshal(samples)
-	if err != nil {
-		return
-	}
-	writeFileAtomic(filepath.Join(dir, digest+".series.json"), b)
-}
-
-// validDigest accepts exactly the canonical job-digest shape (16 hex
-// digits), keeping URL path values out of filesystem paths otherwise.
-func validDigest(d string) bool {
-	if len(d) != 16 {
-		return false
-	}
-	for i := 0; i < len(d); i++ {
-		c := d[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
+func (s *Server) Result(digest string) (*StoredResult, bool) { return s.store.get(digest) }
 
 // Cancel cancels a job: a queued job (or one waiting out a retry backoff)
 // is dropped before execution, a running one has its attempt's context
@@ -641,7 +560,7 @@ func (s *Server) Snapshot() Stats {
 	st.ChaosKills, st.ChaosCorruptions = s.chaosCtrl.Stats()
 	st.Fleet = s.coord.stats()
 	st.Frontend = s.frontend.Stats()
-	st.CachedResults = s.cache.len()
+	st.CachedResults = s.store.len()
 	st.Ready = s.Ready()
 	st.UptimeSec = time.Since(s.launchedAt).Seconds()
 	return st

@@ -4,11 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
-	"strings"
 
 	"crisp/internal/obs"
 )
@@ -197,34 +193,12 @@ func (s *Server) handleJobSeries(w http.ResponseWriter, r *http.Request) {
 	if len(v.Samples) == 0 && (state == StateDone) {
 		// A cache-hit or restarted-daemon job has an empty hub; its
 		// series lives under the digest.
-		if samples, ok := s.SeriesFor(job.Digest); ok {
+		if samples, ok := s.store.series(job.Digest); ok {
 			v.Samples = windowSamples(samples, from, to)
 		}
 	}
 	v.SeriesDigest = fmt.Sprintf("%016x", obs.SamplesDigest(v.Samples))
-	if sr, ok := s.cache.get(job.Digest); ok {
-		v.StatsDigest = sr.StatsDigest
-	}
-	writeJSON(w, http.StatusOK, v)
-}
-
-// handleSeries serves a completed job's interval series by content
-// digest — the data source of the UI's A/B diff view.
-func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
-	digest := r.PathValue("digest")
-	samples, ok := s.SeriesFor(digest)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no stored series for digest "+digest)
-		return
-	}
-	from, to, ok := cycleWindow(w, r)
-	if !ok {
-		return
-	}
-	samples = windowSamples(samples, from, to)
-	v := seriesView{Digest: digest, From: from, To: to, Samples: samples,
-		SeriesDigest: fmt.Sprintf("%016x", obs.SamplesDigest(samples))}
-	if sr, ok := s.cache.get(digest); ok {
+	if sr, ok := s.store.get(job.Digest); ok {
 		v.StatsDigest = sr.StatsDigest
 	}
 	writeJSON(w, http.StatusOK, v)
@@ -271,17 +245,17 @@ func windowSamples(samples []obs.Sample, from, to int64) []obs.Sample {
 // StaticSite serves the embedded exploration UI over a local results
 // directory (a crispd state dir's results/, or any directory of
 // <digest>.json + <digest>.series.json files) with no daemon running:
-// crispviz's serve mode. Completed results appear as done jobs keyed by
-// their digest; timelines replay from the persisted series.
+// crispviz's serve mode. It only reads the directory, through the same
+// store and by-digest routes as crispd. Completed results appear as done
+// jobs keyed by their digest; timelines replay from the persisted series.
 func StaticSite(dir string) http.Handler {
-	ss := &staticSite{dir: dir}
+	ss := staticSite{readResultStore(dir)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/jobs", ss.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id}", ss.handleJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/timeline", ss.handleTimeline)
 	mux.HandleFunc("GET /v1/jobs/{id}/series", ss.handleSeries)
-	mux.HandleFunc("GET /v1/results/{digest}", ss.handleResult)
-	mux.HandleFunc("GET /v1/series/{digest}", ss.handleSeries)
+	ss.mount(mux)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "mode": "static"})
 	})
@@ -289,51 +263,25 @@ func StaticSite(dir string) http.Handler {
 	return mux
 }
 
-type staticSite struct{ dir string }
+// staticSite is the job-shaped view of a read-only store: in static mode
+// a job id is its digest.
+type staticSite struct{ *resultStore }
 
-// result reads one persisted result by digest.
-func (ss *staticSite) result(digest string) (*StoredResult, bool) {
-	return localResult(ss.dir, digest)
-}
-
-// samples reads one persisted series by digest.
-func (ss *staticSite) samples(digest string) ([]obs.Sample, bool) {
-	if !validDigest(digest) {
-		return nil, false
-	}
-	b, err := os.ReadFile(filepath.Join(ss.dir, digest+".series.json"))
-	if err != nil {
-		return nil, false
-	}
-	var samples []obs.Sample
-	if err := json.Unmarshal(b, &samples); err != nil {
-		return nil, false
-	}
-	return samples, true
-}
-
-func (ss *staticSite) handleList(w http.ResponseWriter, r *http.Request) {
-	ents, err := os.ReadDir(ss.dir)
+func (ss staticSite) handleList(w http.ResponseWriter, r *http.Request) {
+	results, err := ss.list()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "results dir: "+err.Error())
 		return
 	}
 	views := []jobView{}
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasSuffix(name, ".series.json") {
-			continue
-		}
-		if sr, ok := ss.result(strings.TrimSuffix(name, ".json")); ok {
-			views = append(views, jobView{ID: sr.Digest, Digest: sr.Digest, State: StateDone, Cached: true})
-		}
+	for _, sr := range results {
+		views = append(views, jobView{ID: sr.Digest, Digest: sr.Digest, State: StateDone, Cached: true})
 	}
-	sort.Slice(views, func(i, j int) bool { return views[i].ID < views[j].ID })
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": views, "mode": "static"})
 }
 
-func (ss *staticSite) handleJob(w http.ResponseWriter, r *http.Request) {
-	sr, ok := ss.result(r.PathValue("id"))
+func (ss staticSite) handleJob(w http.ResponseWriter, r *http.Request) {
+	sr, ok := ss.get(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "no result "+r.PathValue("id"))
 		return
@@ -341,46 +289,20 @@ func (ss *staticSite) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, jobView{ID: sr.Digest, Digest: sr.Digest, State: StateDone, Cached: true, Result: sr})
 }
 
-func (ss *staticSite) handleResult(w http.ResponseWriter, r *http.Request) {
-	sr, ok := ss.result(r.PathValue("digest"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "no result "+r.PathValue("digest"))
-		return
+func (ss staticSite) handleSeries(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	if v, ok := ss.seriesView(w, r, id); ok {
+		v.ID, v.State = id, StateDone
+		writeJSON(w, http.StatusOK, v)
 	}
-	writeJSON(w, http.StatusOK, sr)
-}
-
-// handleSeries serves a persisted series (both the per-job and by-digest
-// routes: in static mode the job id IS the digest).
-func (ss *staticSite) handleSeries(w http.ResponseWriter, r *http.Request) {
-	digest := r.PathValue("digest")
-	if digest == "" {
-		digest = r.PathValue("id")
-	}
-	samples, ok := ss.samples(digest)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no stored series for "+digest)
-		return
-	}
-	from, to, ok := cycleWindow(w, r)
-	if !ok {
-		return
-	}
-	samples = windowSamples(samples, from, to)
-	v := seriesView{ID: digest, Digest: digest, State: StateDone, From: from, To: to,
-		Samples: samples, SeriesDigest: fmt.Sprintf("%016x", obs.SamplesDigest(samples))}
-	if sr, ok := ss.result(digest); ok {
-		v.StatsDigest = sr.StatsDigest
-	}
-	writeJSON(w, http.StatusOK, v)
 }
 
 // handleTimeline replays a persisted series in the live SSE framing, then
 // ends the stream — so the UI's streaming path works identically against
 // a static results directory.
-func (ss *staticSite) handleTimeline(w http.ResponseWriter, r *http.Request) {
+func (ss staticSite) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("id")
-	samples, ok := ss.samples(digest)
+	samples, ok := ss.series(digest)
 	if !ok {
 		httpError(w, http.StatusNotFound, "no stored series for "+digest)
 		return

@@ -224,7 +224,7 @@ type sweepTaskView struct {
 	Digest      string    `json:"digest"`
 	State       taskState `json:"state"`
 	Worker      int       `json:"worker,omitempty"`
-	Attempts    int       `json:"attempts,omitempty"`
+	Attempts    int       `json:"attempts,omitempty"` // attempts started
 	Resumed     bool      `json:"resumed,omitempty"`
 	Cached      bool      `json:"cached,omitempty"`
 	StatsDigest string    `json:"stats_digest,omitempty"`

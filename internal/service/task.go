@@ -43,6 +43,7 @@ type sweepTask struct {
 	epoch    uint64 // current lease epoch (meaningful while leased)
 	worker   int    // pool worker holding the lease
 	attempts int    // failed or revoked attempts so far
+	started  int    // attempts started (leases granted to an execution)
 	resumed  bool   // some committed or running attempt resumed from a checkpoint
 	cacheHit bool   // committed from a cache, not an execution
 	result   *StoredResult

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -57,7 +56,7 @@ func WorkerMain() int {
 	// local content-addressed store answers from it without simulating —
 	// the coordinator merges the result under the same digest key it
 	// would have computed.
-	if sr, ok := localResult(req.ResultsDir, r.digest); ok {
+	if sr, ok := readResultStore(req.ResultsDir).get(r.digest); ok {
 		enc.event(workerEvent{Type: evResult, Result: sr, Cached: true})
 		return 0
 	}
@@ -115,24 +114,6 @@ func WorkerMain() int {
 	}
 	enc.event(workerEvent{Type: evResult, Result: stored})
 	return 0
-}
-
-// localResult reads a worker-local cached result for digest from a
-// results directory ("" = no local cache). A malformed or mismatched
-// entry is ignored — the worker simulates instead.
-func localResult(dir, digest string) (*StoredResult, bool) {
-	if dir == "" || !validDigest(digest) {
-		return nil, false
-	}
-	b, err := os.ReadFile(filepath.Join(dir, digest+".json"))
-	if err != nil {
-		return nil, false
-	}
-	var sr StoredResult
-	if err := json.Unmarshal(b, &sr); err != nil || sr.Digest != digest {
-		return nil, false
-	}
-	return &sr, true
 }
 
 // workerKillDelay bounds how long a SIGTERMed worker may take to flush its

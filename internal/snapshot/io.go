@@ -228,34 +228,40 @@ func (s *Store) SaveFinal(env *Envelope) (string, error) {
 }
 
 func writeAtomic(final string, env *Envelope) error {
-	dir := filepath.Dir(final)
-	tmp, err := os.CreateTemp(dir, ".tmp-ckpt-*")
+	return WriteAtomic(final, func(w io.Writer) error { return Encode(w, env) })
+}
+
+// WriteAtomic publishes the file at path whole or not at all: write fills
+// a temp file in the same directory, which is fsynced before it is
+// renamed over path — the rename must never publish a name whose bytes
+// are still only in the page cache — and the directory is fsynced after,
+// so the rename itself survives a host crash. The one write path of every
+// file this program persists.
+func WriteAtomic(path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
-		return snapErr("creating checkpoint temp file", err)
+		return snapErr("creating temp file", err)
 	}
-	tmpName := tmp.Name()
-	if err := Encode(tmp, env); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	name := tmp.Name()
+	err = write(tmp)
+	if err == nil {
+		if serr := tmp.Sync(); serr != nil {
+			err = snapErr("syncing temp file", serr)
+		}
+	}
+	if cerr := tmp.Close(); err == nil && cerr != nil {
+		err = snapErr("closing temp file", cerr)
+	}
+	if err == nil {
+		if rerr := os.Rename(name, path); rerr != nil {
+			err = snapErr("publishing "+path, rerr)
+		}
+	}
+	if err != nil {
+		os.Remove(name)
 		return err
 	}
-	// fsync before the rename: the rename must never publish a checkpoint
-	// name whose bytes are still only in the page cache.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return snapErr("syncing checkpoint temp file", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return snapErr("closing checkpoint temp file", err)
-	}
-	if err := os.Rename(tmpName, final); err != nil {
-		os.Remove(tmpName)
-		return snapErr("publishing checkpoint", err)
-	}
-	// fsync the directory so the rename itself survives a host crash: an
-	// unsynced rename can be lost, leaving the previous (or no) entry.
 	SyncDir(dir)
 	return nil
 }
