@@ -21,16 +21,16 @@
 // newest checkpoint with backoff (-max-attempts bounds the budget; a job
 // beyond it is quarantined), and -isolate runs each attempt in a child
 // worker process so a hard crash kills one job, not the daemon. -chaos
-// plants seeded faults (kill@cycle, checkpoint corruption, delays) to
-// exercise exactly that machinery.
+// plants seeded faults (kill@cycle, checkpoint corruption) to exercise
+// exactly that machinery.
 //
 // Sweeps (POST /v1/sweeps) shard a policy × workload × config grid across
-// a fleet of -fleet shards under lease-based supervision: each shard
-// renews a time-bounded lease by heartbeat while it runs its task, a
-// missed heartbeat or crash revokes the lease, and the task is reassigned
-// to resume from the newest shipped checkpoint. -worker-mode runs the
-// bare worker protocol (one NDJSON request on stdin, events on stdout)
-// for use as a -worker-bin peer.
+// -fleet shards. An attempt is alive while its own process is: a child
+// that exits without a result is a crash verdict, one silent for four
+// -heartbeat-every periods is killed first, and the task is requeued to
+// resume from the newest shipped checkpoint. -worker-mode runs the bare
+// worker protocol (one NDJSON request on stdin, events on stdout) for use
+// as a -worker-bin peer.
 //
 // See docs/SERVICE.md for the API reference and lifecycle details.
 package main
@@ -79,10 +79,9 @@ func main() {
 	retrySeed := flag.Int64("retry-seed", 0, "seed for deterministic backoff jitter")
 	isolate := flag.Bool("isolate", false, "run each job attempt in a child worker process so a hard crash kills one job, not the daemon")
 	workerBin := flag.String("worker-bin", "", "worker executable for -isolate: any binary that calls service.WorkerMain, e.g. crispd -worker-mode (empty = re-exec this binary)")
-	chaosSpec := flag.String("chaos", "", "seeded fault injection spec, e.g. 'seed=7,kill@9000,corrupt=truncate,delay=20ms' (testing only)")
+	chaosSpec := flag.String("chaos", "", "seeded fault injection spec, e.g. 'seed=7,kill@9000,corrupt=truncate' (testing only)")
 	fleet := flag.Int("fleet", 0, "sweep-tier shard count: concurrent sweep tasks (0 = same as -workers)")
-	leaseTTL := flag.Duration("lease-ttl", 0, "sweep task lease duration; a lease not renewed within it is revoked and the task reassigned (0 = default 10s)")
-	hbEvery := flag.Duration("heartbeat-every", 0, "sweep lease renewal cadence (0 = lease-ttl/4)")
+	hbEvery := flag.Duration("heartbeat-every", 0, "isolated worker heartbeat cadence; a worker silent for 4 of them is killed and retried (0 = default 2.5s)")
 	maxSweeps := flag.Int("max-sweeps", 0, "max concurrently live sweeps; beyond it submissions get 429 (0 = default 16)")
 	maxSweepTasks := flag.Int("max-sweep-tasks", 0, "max grid cells one sweep may expand to (0 = default 512)")
 	timelineSubs := flag.Int("timeline-subs", 0, "max live SSE subscribers per timeline; beyond it requests get 503 (0 = default 256, negative = unlimited)")
@@ -125,7 +124,6 @@ func main() {
 		Chaos:            cspec,
 		MaxTimelineSubs:  *timelineSubs,
 		FleetWorkers:     *fleet,
-		LeaseTTL:         *leaseTTL,
 		HeartbeatEvery:   *hbEvery,
 		MaxSweeps:        *maxSweeps,
 		MaxSweepTasks:    *maxSweepTasks,

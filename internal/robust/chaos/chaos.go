@@ -3,7 +3,7 @@
 // the retry/recovery machinery can be exercised deterministically — in
 // tests, in CI's chaos-recovery gate, and interactively via `crispd -chaos`.
 //
-// Three fault kinds, all driven by one Spec:
+// Two fault kinds, both driven by one Spec:
 //
 //   - kill@N — the running simulation dies at simulated cycle N. In-process
 //     this is a panic carrying a KindInjected SimError (thrown from the
@@ -15,8 +15,6 @@
 //     newest checkpoint in the job's directory is damaged (truncated to
 //     half, or one body byte flipped), forcing snapshot.LoadNewest to fall
 //     back to the previous checkpoint.
-//   - delay=D — completion of every job is delayed by D (scheduling skew,
-//     slow-worker emulation).
 //
 // Faults are budgeted per job digest: a kill fires at most Kills times
 // (default 1) and a corruption at most once, so a retried job converges
@@ -32,7 +30,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"crisp/internal/robust"
 	"crisp/internal/snapshot"
@@ -52,22 +49,11 @@ type Spec struct {
 	// CorruptLatest, when non-empty, damages the newest checkpoint before
 	// the first post-kill resume: "truncate" or "flip".
 	CorruptLatest string
-	// Delay postpones every job completion by this duration.
-	Delay time.Duration
-	// HBDrop strikes this many fleet leases deaf: renewals for a deaf
-	// lease are swallowed (at most one lease per task digest, HBDrop
-	// digests total), so the lease expires mid-run and the coordinator
-	// must revoke it and reassign the task to a healthy worker.
-	HBDrop int
-	// HBDelay postpones every heartbeat renewal's delivery to the lease
-	// table by this duration — slow-RPC emulation on the
-	// coordinator↔worker supervision path.
-	HBDelay time.Duration
 }
 
 // ParseSpec parses the `-chaos` flag syntax: comma-separated tokens
 //
-//	seed=7,kill@9000,kills=2,corrupt=truncate,delay=20ms
+//	seed=7,kill@9000,kills=2,corrupt=truncate
 //
 // Every token is optional; an empty string is a valid no-op spec.
 func ParseSpec(s string) (Spec, error) {
@@ -102,24 +88,6 @@ func ParseSpec(s string) (Spec, error) {
 				return Spec{}, fmt.Errorf("chaos: corrupt mode %q (want truncate or flip)", mode)
 			}
 			spec.CorruptLatest = mode
-		case strings.HasPrefix(tok, "delay="):
-			d, err := time.ParseDuration(tok[len("delay="):])
-			if err != nil || d < 0 {
-				return Spec{}, fmt.Errorf("chaos: bad delay %q", tok)
-			}
-			spec.Delay = d
-		case strings.HasPrefix(tok, "hbdrop="):
-			n, err := strconv.Atoi(tok[len("hbdrop="):])
-			if err != nil || n < 0 {
-				return Spec{}, fmt.Errorf("chaos: bad heartbeat-drop count %q", tok)
-			}
-			spec.HBDrop = n
-		case strings.HasPrefix(tok, "hbdelay="):
-			d, err := time.ParseDuration(tok[len("hbdelay="):])
-			if err != nil || d < 0 {
-				return Spec{}, fmt.Errorf("chaos: bad heartbeat delay %q", tok)
-			}
-			spec.HBDelay = d
 		default:
 			return Spec{}, fmt.Errorf("chaos: unknown token %q", tok)
 		}
@@ -145,22 +113,12 @@ func (s Spec) String() string {
 	if s.CorruptLatest != "" {
 		parts = append(parts, "corrupt="+s.CorruptLatest)
 	}
-	if s.Delay > 0 {
-		parts = append(parts, "delay="+s.Delay.String())
-	}
-	if s.HBDrop > 0 {
-		parts = append(parts, fmt.Sprintf("hbdrop=%d", s.HBDrop))
-	}
-	if s.HBDelay > 0 {
-		parts = append(parts, "hbdelay="+s.HBDelay.String())
-	}
 	return strings.Join(parts, ",")
 }
 
 // Enabled reports whether the spec plants any fault at all.
 func (s Spec) Enabled() bool {
-	return s.KillCycle > 0 || s.CorruptLatest != "" || s.Delay > 0 ||
-		s.HBDrop > 0 || s.HBDelay > 0
+	return s.KillCycle > 0 || s.CorruptLatest != ""
 }
 
 // Controller budgets a Spec's faults across job attempts. All methods are
@@ -172,11 +130,9 @@ type Controller struct {
 	mu        sync.Mutex
 	kills     map[string]int  // digest → kills already fired
 	corrupted map[string]bool // digest → corruption already fired
-	hbDropped map[string]bool // digest → a lease was already struck deaf
 
 	killsFired       atomic.Int64
 	corruptionsFired atomic.Int64
-	hbDropsFired     atomic.Int64
 }
 
 // NewController builds a Controller for spec; nil when the spec is empty,
@@ -189,7 +145,6 @@ func NewController(spec Spec) *Controller {
 		spec:      spec,
 		kills:     make(map[string]int),
 		corrupted: make(map[string]bool),
-		hbDropped: make(map[string]bool),
 	}
 }
 
@@ -235,49 +190,6 @@ func (c *Controller) TakeCorrupt(digest string) (mode string, ok bool) {
 	c.corrupted[digest] = true
 	c.corruptionsFired.Add(1)
 	return c.spec.CorruptLatest, true
-}
-
-// CompletionDelay is the scheduled per-job completion delay (0 on nil).
-func (c *Controller) CompletionDelay() time.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.spec.Delay
-}
-
-// TakeHBDrop reserves one deaf lease for this task digest: when it
-// reports true, the lease granted for the starting attempt must swallow
-// its renewals so it expires mid-run. At most one lease per digest and
-// HBDrop digests total go deaf — the reassigned attempt's lease renews
-// normally, so every chaos schedule converges.
-func (c *Controller) TakeHBDrop(digest string) bool {
-	if c == nil || c.spec.HBDrop <= 0 {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.hbDropped[digest] || int(c.hbDropsFired.Load()) >= c.spec.HBDrop {
-		return false
-	}
-	c.hbDropped[digest] = true
-	c.hbDropsFired.Add(1)
-	return true
-}
-
-// HeartbeatDelay is the scheduled per-renewal delivery delay (0 on nil).
-func (c *Controller) HeartbeatDelay() time.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.spec.HBDelay
-}
-
-// HeartbeatDrops reports how many leases were struck deaf, for /metrics.
-func (c *Controller) HeartbeatDrops() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.hbDropsFired.Load()
 }
 
 // Stats reports total faults fired, for /metrics.

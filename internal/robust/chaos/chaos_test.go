@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"crisp/internal/config"
 	"crisp/internal/robust"
@@ -12,11 +11,11 @@ import (
 )
 
 func TestParseSpec(t *testing.T) {
-	spec, err := ParseSpec("seed=7,kill@9000,corrupt=truncate,delay=20ms,kills=2")
+	spec, err := ParseSpec("seed=7,kill@9000,corrupt=truncate,kills=2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Spec{Seed: 7, KillCycle: 9000, Kills: 2, CorruptLatest: "truncate", Delay: 20 * time.Millisecond}
+	want := Spec{Seed: 7, KillCycle: 9000, Kills: 2, CorruptLatest: "truncate"}
 	if spec != want {
 		t.Fatalf("spec = %+v, want %+v", spec, want)
 	}
@@ -42,7 +41,9 @@ func TestParseSpec(t *testing.T) {
 	if s, err := ParseSpec(""); err != nil || s.Enabled() {
 		t.Fatalf("empty spec: %+v, %v", s, err)
 	}
-	for _, bad := range []string{"kill@x", "kill@-1", "corrupt=explode", "delay=fast", "frobnicate", "kills=-2"} {
+	// delay=, hbdrop= and hbdelay= name no fault: refused, not ignored.
+	for _, bad := range []string{"kill@x", "kill@-1", "corrupt=explode", "frobnicate", "kills=-2",
+		"delay=20ms", "hbdrop=1", "hbdelay=5ms"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) should fail", bad)
 		}
@@ -95,9 +96,6 @@ func TestNilControllerIsInert(t *testing.T) {
 	}
 	if _, ok := ctrl.TakeCorrupt("x"); ok {
 		t.Fatal("nil TakeCorrupt fired")
-	}
-	if d := ctrl.CompletionDelay(); d != 0 {
-		t.Fatalf("nil delay = %v", d)
 	}
 	if k, c := ctrl.Stats(); k != 0 || c != 0 {
 		t.Fatal("nil stats nonzero")

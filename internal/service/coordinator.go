@@ -17,38 +17,31 @@ import (
 
 // The supervisor. Every simulation crispd runs — a submitted job or one
 // cell of a sweep — is a sweepTask, and runTask is the one state machine
-// that carries it: federated-cache check → lease grant → one attempt
-// (in-process, or a child worker process with Config.Isolate) → commit,
-// or one failure verdict. Three properties make losing a worker cost
-// throughput, never correctness:
+// that carries it: federated-cache check → one attempt (in-process, or a
+// child worker process with Config.Isolate) → commit, or one failure
+// verdict. Three properties make losing a worker cost throughput, never
+// correctness:
 //
-//   - Leases (lease.go). The holder renews by heartbeat and by sample from
-//     the grant until the commit. A crashed holder gives its lease up on
-//     the way out; a silent one is caught by the expiry monitor; either
-//     way the task is requeued after the deterministic backoff.
+//   - Liveness is the attempt's own process. An attempt that fails returns
+//     its error; an isolated child that exits without a result is a crash
+//     verdict, and one silent for silentHeartbeats heartbeats is killed
+//     first. Either way the task is requeued after the deterministic
+//     backoff.
 //   - Checkpoint handoff. Each attempt checkpoints into its own directory
 //     and the next one resumes from the newest readable checkpoint any
 //     attempt shipped.
-//   - Idempotent commit. A result is committed under the task's digest
-//     exactly once; a revoked-but-alive holder that finishes anyway has
-//     its bit-identical duplicate discarded.
+//   - One attempt at a time. A task in flight is no longer pending, so a
+//     second dispatch of it starts nothing, and its result is committed
+//     under its digest exactly once.
 //
 // What a Job and a Sweep each add — timeline text, persistence, what
 // terminal means — sits behind the owner seam (task.go).
 
 // Sweep admission defaults.
 const (
-	DefaultLeaseTTL      = 10 * time.Second
 	DefaultMaxSweeps     = 16
 	DefaultMaxSweepTasks = 512
 )
-
-// runningAttempt is one attempt in flight, registered under its lease
-// epoch from the grant until runTask returns.
-type runningAttempt struct {
-	t      *sweepTask
-	cancel context.CancelFunc
-}
 
 // coordinator supervises every task. One per server.
 type coordinator struct {
@@ -57,19 +50,17 @@ type coordinator struct {
 	mu      sync.Mutex
 	sweeps  map[string]*Sweep
 	order   []string
-	running map[uint64]runningAttempt // attempts in flight by lease epoch
+	running map[*sweepTask]context.CancelFunc // attempts in flight
 	nextID  int
 	active  int // sweeps not yet terminal (admission bound)
 
 	jobQueue   *taskQueue // feeds the Config.Workers pool
 	sweepQueue *taskQueue // feeds the Config.FleetWorkers shards
-	leases     *leaseTable
 	stop       chan struct{}
 	wg         sync.WaitGroup
 
-	revocations atomic.Int64 // leases revoked: crashes + expiries
+	revocations atomic.Int64 // attempts lost to a retryable failure and requeued
 	resumes     atomic.Int64 // attempts resuming from a shipped checkpoint
-	duplicates  atomic.Int64 // duplicate results discarded by digest
 	fedHits     atomic.Int64 // dispatches answered from a federated cache
 	tasksDone   atomic.Int64
 	tasksFailed atomic.Int64
@@ -79,25 +70,23 @@ func newCoordinator(s *Server) *coordinator {
 	return &coordinator{
 		s:          s,
 		sweeps:     make(map[string]*Sweep),
-		running:    make(map[uint64]runningAttempt),
+		running:    make(map[*sweepTask]context.CancelFunc),
 		jobQueue:   newTaskQueue(),
 		sweepQueue: newTaskQueue(),
-		leases:     newLeaseTable(s.cfg.LeaseTTL),
 		stop:       make(chan struct{}),
 	}
 }
 
-// start launches both worker pools and the lease-expiry monitor.
+// start launches both worker pools.
 func (c *coordinator) start() {
 	cfg := c.s.cfg
-	c.wg.Add(cfg.Workers + cfg.FleetWorkers + 1)
+	c.wg.Add(cfg.Workers + cfg.FleetWorkers)
 	for i := 0; i < cfg.Workers; i++ {
 		go c.pool(c.jobQueue, i)
 	}
 	for i := 0; i < cfg.FleetWorkers; i++ {
 		go c.pool(c.sweepQueue, i)
 	}
-	go c.monitor()
 }
 
 // drain stops dispatch, cancels running attempts (isolated children get
@@ -112,12 +101,12 @@ func (c *coordinator) drain() {
 	c.wg.Wait()
 }
 
-// cancelLocked cancels every attempt in flight for the matching tasks —
-// the current holder's and any revoked orphan's (caller holds c.mu).
+// cancelLocked cancels the attempt in flight of every matching task
+// (caller holds c.mu).
 func (c *coordinator) cancelLocked(match func(*sweepTask) bool) {
-	for _, r := range c.running {
-		if match(r.t) {
-			r.cancel()
+	for t, cancel := range c.running {
+		if match(t) {
+			cancel()
 		}
 	}
 }
@@ -186,7 +175,7 @@ func (c *coordinator) submit(spec SweepSpec) (*Sweep, error) {
 	c.sweeps[sw.ID] = sw
 	c.order = append(c.order, sw.ID)
 	c.active++
-	sw.lifecycle(StateRunning, fmt.Sprintf("sweep admitted: %d tasks across %d shards (lease ttl %v)", len(sw.tasks), c.s.cfg.FleetWorkers, c.s.cfg.LeaseTTL))
+	sw.lifecycle(StateRunning, fmt.Sprintf("sweep admitted: %d tasks across %d shards", len(sw.tasks), c.s.cfg.FleetWorkers))
 	c.mu.Unlock()
 
 	for _, t := range sw.tasks {
@@ -262,7 +251,6 @@ func (s *Server) viewOfSweep(sw *Sweep, withTasks bool) sweepView {
 		MergedDigest: sw.merged,
 		Revocations:  sw.revoked,
 		Resumes:      sw.resumes,
-		Duplicates:   sw.dups,
 		Created:      stamp(sw.created),
 		Started:      stamp(sw.started),
 		Finished:     stamp(sw.finished),
@@ -335,11 +323,10 @@ func (c *coordinator) pool(q *taskQueue, id int) {
 }
 
 // runTask is the one supervisor: one dispatch of one task on one worker —
-// federated cache check, lease grant, one attempt, then the commit or the
-// failure verdict, all keyed by the lease epoch so a revoked holder's late
-// report is recognized as stale. The lease is heartbeaten from the grant
-// until the commit (or the verdict) has landed: a completion held up
-// between the two is still a live holder.
+// federated cache check, one attempt, then the commit or the failure
+// verdict. A task that is not pending (already running, done or failed)
+// is left alone, so each task has at most one attempt in flight however
+// often it was queued.
 func (c *coordinator) runTask(worker int, t *sweepTask) {
 	c.mu.Lock()
 	if t.state != taskPending || c.stopped() || !t.owner.live() {
@@ -352,13 +339,11 @@ func (c *coordinator) runTask(worker int, t *sweepTask) {
 	// executing.
 	if sr, ok := c.s.store.get(t.digest); ok {
 		c.fedHits.Add(1)
-		c.commitLocked(t, t.epoch, sr, true)
+		c.commitLocked(t, sr, true)
 		c.mu.Unlock()
 		return
 	}
-	deaf := c.s.chaosCtrl.TakeHBDrop(t.digest)
-	epoch := c.leases.Grant(t.key(), worker, deaf)
-	t.state, t.epoch, t.worker = taskLeased, epoch, worker
+	t.state, t.worker = taskLeased, worker
 	t.started++
 	attempt := t.attempts + 1
 	c.s.attempts.Add(1)
@@ -369,7 +354,7 @@ func (c *coordinator) runTask(worker int, t *sweepTask) {
 	}
 	onFallback := func(corrupt []string) {
 		for _, p := range corrupt {
-			log.Printf("crispd: task %s: unloadable checkpoint %s renamed aside", t.key(), p)
+			log.Printf("crispd: task %s: unloadable checkpoint %s renamed aside", t.id, p)
 		}
 		c.s.fallbacks.Add(1)
 	}
@@ -381,82 +366,30 @@ func (c *coordinator) runTask(worker int, t *sweepTask) {
 		onFallback(aside)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	c.running[epoch] = runningAttempt{t, cancel}
+	c.running[t] = cancel
 	t.owner.attemptStarted(t, attempt, resumeFrom)
 	c.mu.Unlock()
 
-	// Renewal: a wall-clock ticker plus every interval sample and child
-	// heartbeat. A refused renewal means the lease was revoked under us —
-	// the attempt is abandoned via cancel (the epoch is a fencing token).
-	renewNow := func() {
-		if !c.leases.Renew(t.key(), epoch) {
-			cancel()
-		}
-	}
-	renew := func() {
-		if d := c.s.chaosCtrl.HeartbeatDelay(); d > 0 {
-			time.Sleep(d)
-		}
-		renewNow()
-	}
-	hbDone := make(chan struct{})
-	go func() {
-		defer close(hbDone)
-		tick := time.NewTicker(c.s.cfg.HeartbeatEvery)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-				renew()
-			}
-		}
-	}()
-	defer func() {
-		cancel()
-		<-hbDone
-		c.mu.Lock()
-		delete(c.running, epoch)
-		c.mu.Unlock()
-	}()
-
 	stored, err := c.s.attempt(ctx, t, attempt, resumeFrom, attemptHooks{
-		onSample: func(smp obs.Sample) {
-			t.owner.sample(smp)
-			renewNow()
-		},
-		onHeartbeat: renew,
-		onCached:    func() { c.fedHits.Add(1) },
-		onFallback:  onFallback,
+		onSample:   t.owner.sample,
+		onCached:   func() { c.fedHits.Add(1) },
+		onFallback: onFallback,
 	})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.running, t)
+	cancel()
 	if err != nil {
-		c.handleFailure(t, epoch, err)
+		c.failedLocked(t, err)
 		return
 	}
-	if d := c.s.chaosCtrl.CompletionDelay(); d > 0 {
-		select { // chaos: hold the completion, lease still renewing
-		case <-time.After(d):
-		case <-ctx.Done():
-		}
-	}
-	c.mu.Lock()
-	c.commitLocked(t, epoch, stored, false)
-	c.mu.Unlock()
+	c.commitLocked(t, stored, false)
 }
 
-// commitLocked commits one result for a task — exactly once. The caller
-// holds c.mu. A second result for an already-done task (a revoked holder
-// that finished anyway) is discarded as a duplicate; determinism
-// guarantees the discarded bytes equal the committed ones, which the
-// lease-expiry race test asserts literally.
-func (c *coordinator) commitLocked(t *sweepTask, epoch uint64, stored *StoredResult, fromCache bool) {
-	c.leases.Release(t.key(), epoch)
-	if t.state == taskDone {
-		c.duplicates.Add(1)
-		t.owner.duplicate(t, epoch)
-		return
-	}
+// commitLocked commits one result for a task (caller holds c.mu). Only
+// the task's one attempt, or the federated check that replaces it, gets
+// here, so a result is committed exactly once.
+func (c *coordinator) commitLocked(t *sweepTask, stored *StoredResult, fromCache bool) {
 	if !t.owner.live() {
 		t.state = taskPending
 		t.owner.attemptStopped(t, nil)
@@ -471,23 +404,11 @@ func (c *coordinator) commitLocked(t *sweepTask, epoch uint64, stored *StoredRes
 	t.owner.taskDone(t)
 }
 
-// handleFailure receives a failed attempt's report. One carrying a stale
-// epoch (the lease was revoked while the attempt ran, and the task was
-// already reassigned) is dropped.
-func (c *coordinator) handleFailure(t *sweepTask, epoch uint64, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.leases.Release(t.key(), epoch)
-	if t.state == taskLeased && t.epoch == epoch {
-		c.failedLocked(t, err)
-	}
-}
-
-// failedLocked applies the one failure verdict to the current holder's
-// lost attempt (caller holds c.mu): a permanent failure fails the task; a
-// retryable one revokes the lease, counts against the attempt budget and
-// — unless that is now exhausted — requeues the task after the
-// deterministic backoff, to resume from the newest shipped checkpoint.
+// failedLocked applies the one failure verdict to a task's lost attempt
+// (caller holds c.mu): a permanent failure fails the task; a retryable
+// one counts as a revocation and against the attempt budget and — unless
+// that is now exhausted — requeues the task after the deterministic
+// backoff, to resume from the newest shipped checkpoint.
 func (c *coordinator) failedLocked(t *sweepTask, err error) {
 	if c.stopped() || !t.owner.live() {
 		t.state = taskPending
@@ -497,8 +418,7 @@ func (c *coordinator) failedLocked(t *sweepTask, err error) {
 	v, delay := c.s.verdict(t.digest, t.attempts+1, err)
 	switch v {
 	case verdictCanceled:
-		// Nobody asked for this cancellation: a renewal found the lease
-		// revoked before the expiry path got here (fencing), or something
+		// Nobody asked for this cancellation: something outside crispd
 		// signaled the child. The attempt is lost like a crashed one's.
 		c.failedLocked(t, &robust.SimError{Kind: robust.KindCrash, Msg: "attempt canceled under a live owner: " + err.Error()})
 		return
@@ -515,19 +435,19 @@ func (c *coordinator) failedLocked(t *sweepTask, err error) {
 		t.owner.taskFailed(t, err, true)
 		return
 	}
-	t.state, t.epoch = taskPending, 0
+	t.state = taskPending
 	// Chaos: damage the newest checkpoint before the resume, forcing the
 	// fallback-to-previous path on the next attempt. The one-shot fault is
 	// only taken when there is a checkpoint to damage.
 	if dir := t.bestResume(); dir != "" {
 		if mode, ok := c.s.chaosCtrl.TakeCorrupt(t.digest); ok {
 			if p, cerr := chaos.Corrupt(dir, mode, c.s.cfg.Chaos.Seed); cerr == nil {
-				log.Printf("crispd: chaos: %s-corrupted checkpoint %s (task %s)", mode, p, t.key())
+				log.Printf("crispd: chaos: %s-corrupted checkpoint %s (task %s)", mode, p, t.id)
 			}
 		}
 	}
-	t.owner.note(t, fmt.Sprintf("lease revoked after attempt %d (%v); retrying in %v", t.attempts, err, delay))
-	log.Printf("crispd: task %s attempt %d/%d failed, retrying in %v: %v", t.key(), t.attempts, c.s.maxAttempts(), delay, err)
+	t.owner.note(t, fmt.Sprintf("attempt %d lost (%v); retrying in %v", t.attempts, err, delay))
+	log.Printf("crispd: task %s attempt %d/%d failed, retrying in %v: %v", t.id, t.attempts, c.s.maxAttempts(), delay, err)
 	// The wait holds no worker. A cancel or a drain in the meantime leaves
 	// the timer to fire into runTask's liveness check: no retry starts.
 	time.AfterFunc(delay, func() { t.queue.push(t) })
@@ -548,8 +468,8 @@ func (c *coordinator) maybeFinishLocked(sw *Sweep) {
 	} else {
 		sw.state = StateDone
 		sw.merged = sw.mergedDigest()
-		sw.lifecycle(StateDone, fmt.Sprintf("sweep done: %d tasks, merged_digest=%s, revocations=%d, resumes=%d, duplicates=%d",
-			len(sw.tasks), sw.merged, sw.revoked, sw.resumes, sw.dups))
+		sw.lifecycle(StateDone, fmt.Sprintf("sweep done: %d tasks, merged_digest=%s, revocations=%d, resumes=%d",
+			len(sw.tasks), sw.merged, sw.revoked, sw.resumes))
 	}
 	sw.hub.Close()
 	c.finishCleanupLocked(sw, sw.state == StateDone)
@@ -578,81 +498,32 @@ func (c *coordinator) finishCleanupLocked(sw *Sweep, removeDirs bool) {
 	}
 }
 
-// ---- lease expiry ----------------------------------------------------
-
-// monitor is the lease-expiry scanner: leases whose holders went silent
-// are revoked and their tasks reassigned.
-func (c *coordinator) monitor() {
-	defer c.wg.Done()
-	period := c.s.cfg.LeaseTTL / 4
-	if period < 5*time.Millisecond {
-		period = 5 * time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-tick.C:
-			for _, exp := range c.leases.Expired(time.Now()) {
-				c.expire(exp)
-			}
-		}
-	}
-}
-
-// expire revokes one expired lease: a holder silent for a whole TTL is
-// presumed crashed, and its task takes the crash verdict. The revoked
-// holder — if it is in fact still alive — keeps running until its next
-// renewal attempt fences it off (or it finishes, and its result is
-// discarded as a duplicate).
-func (c *coordinator) expire(exp expiredLease) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.running[exp.epoch]
-	if !ok || r.t.state != taskLeased || r.t.epoch != exp.epoch {
-		return
-	}
-	c.failedLocked(r.t, &robust.SimError{Kind: robust.KindCrash,
-		Msg: fmt.Sprintf("lease on worker %d expired (heartbeats missed for %v)", exp.worker, c.s.cfg.LeaseTTL)})
-}
-
 // ---- stats -----------------------------------------------------------
 
 // FleetStats is the coordinator's counter snapshot, embedded in the
 // server Stats.
 type FleetStats struct {
-	Shards           int
-	SweepsActive     int
-	SweepsByState    map[State]int
-	TasksDone        int64
-	TasksFailed      int64
-	LeaseGrants      int64
-	LeaseRenewals    int64
-	LeaseExpirations int64
+	Shards        int
+	SweepsActive  int
+	SweepsByState map[State]int
+	TasksDone     int64
+	TasksFailed   int64
+	// LeaseRevocations counts attempts lost to a retryable failure and
+	// requeued (wire name lease_revocations).
 	LeaseRevocations int64
 	FleetResumes     int64
-	DuplicateResults int64
 	FederatedHits    int64
-	HeartbeatDrops   int64
 }
 
 func (c *coordinator) stats() FleetStats {
-	grants, renewals, expirations := c.leases.Counters()
 	fs := FleetStats{
 		Shards:           c.s.cfg.FleetWorkers,
 		SweepsByState:    make(map[State]int),
 		TasksDone:        c.tasksDone.Load(),
 		TasksFailed:      c.tasksFailed.Load(),
-		LeaseGrants:      grants,
-		LeaseRenewals:    renewals,
-		LeaseExpirations: expirations,
 		LeaseRevocations: c.revocations.Load(),
 		FleetResumes:     c.resumes.Load(),
-		DuplicateResults: c.duplicates.Load(),
 		FederatedHits:    c.fedHits.Load(),
-		HeartbeatDrops:   c.s.chaosCtrl.HeartbeatDrops(),
 	}
 	c.mu.Lock()
 	fs.SweepsActive = c.active

@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -64,7 +65,7 @@ func (s *Server) attempt(ctx context.Context, t *sweepTask, n int, resumeFrom st
 	req := s.requestFor(t, n, resumeFrom, killAt)
 	t0 := time.Now()
 	if s.cfg.Isolate {
-		stored, err = s.runWorkerProcess(ctx, req, h, "task "+t.key())
+		stored, err = s.runWorkerProcess(ctx, req, h, "task "+t.id)
 	} else {
 		h.onKill = func(cycle int64) { panic(chaos.Injected(cycle)) }
 		stored, err = runDirect(ctx, req, t.res, s.frontend, h)
@@ -80,9 +81,6 @@ type attemptHooks struct {
 	onSample func(obs.Sample)
 	// onFallback reports checkpoints renamed aside during a resume.
 	onFallback func(corrupt []string)
-	// onHeartbeat fires on a child's wall-clock liveness events (isolated
-	// attempts only) — the fleet's lease-renewal signal.
-	onHeartbeat func()
 	// onCached fires when an isolated worker answered from its local
 	// result cache without simulating (cache federation).
 	onCached func()
@@ -157,12 +155,12 @@ func (s *Server) workerArgv() ([]string, error) {
 }
 
 // runWorkerProcess executes one attempt in a child worker process
-// speaking the wire protocol. The child's samples, heartbeats, and
-// fallback reports fire the hooks; its terminal event becomes this
-// function's return. A child that dies without a terminal event — the
-// SIGKILL/OOM case — is classified KindCrash (retryable), or KindCanceled
-// when its death was requested through ctx. logName labels protocol
-// complaints in the daemon log.
+// speaking the wire protocol. The child's samples and fallback reports
+// fire the hooks; its terminal event becomes this function's return. A
+// child that dies without a terminal event — the SIGKILL/OOM case, or one
+// killed for falling silent — is classified KindCrash (retryable), or
+// KindCanceled when its death was requested through ctx. logName labels
+// protocol complaints in the daemon log.
 func (s *Server) runWorkerProcess(ctx context.Context, req workerRequest, h attemptHooks, logName string) (*StoredResult, error) {
 	reqJSON, err := json.Marshal(req)
 	if err != nil {
@@ -193,14 +191,20 @@ func (s *Server) runWorkerProcess(ctx context.Context, req workerRequest, h atte
 	var cached bool
 	var simErr *robust.SimError
 	var lastCycle int64 // of the newest sample read: where a crash struck
-	// A healthy child heartbeats every LeaseTTL/4; one silent for a whole
-	// TTL is hung, and holds this worker until it is reaped as a crash.
-	silent := time.AfterFunc(s.cfg.LeaseTTL, func() { cmd.Process.Kill() })
+	// A healthy child says something at least every HeartbeatEvery; one
+	// silent for silentHeartbeats of them is hung, and holds this worker
+	// until it is killed and reaped as a crash.
+	bound := silentHeartbeats * s.cfg.HeartbeatEvery
+	var reaped atomic.Bool
+	silent := time.AfterFunc(bound, func() {
+		reaped.Store(true)
+		cmd.Process.Kill()
+	})
 	defer silent.Stop()
 	sc := bufio.NewScanner(stdout)
 	sc.Buffer(make([]byte, 64*1024), maxWireEvent)
 	for sc.Scan() {
-		silent.Reset(s.cfg.LeaseTTL)
+		silent.Reset(bound)
 		ev, err := decodeWorkerEvent(sc.Bytes())
 		if err != nil {
 			log.Printf("crispd: %s: dropped worker event: %v", logName, err)
@@ -211,10 +215,6 @@ func (s *Server) runWorkerProcess(ctx context.Context, req workerRequest, h atte
 			lastCycle = ev.Sample.Cycle
 			if h.onSample != nil {
 				h.onSample(*ev.Sample)
-			}
-		case evHeartbeat:
-			if h.onHeartbeat != nil {
-				h.onHeartbeat()
 			}
 		case evFallback:
 			if len(ev.Corrupt) > 0 && h.onFallback != nil {
@@ -245,11 +245,14 @@ func (s *Server) runWorkerProcess(ctx context.Context, req workerRequest, h atte
 		// terminal event out — SIGKILL escalation beat the snapshot flush.
 		return nil, &robust.SimError{Kind: robust.KindCanceled, Msg: "worker terminated by cancellation", Err: ctx.Err()}
 	default:
-		// The child vanished mid-protocol: SIGKILL, OOM kill, or a runtime
-		// fault. Only this attempt dies; the supervisor retries from the
-		// last periodic checkpoint.
+		// The child vanished mid-protocol: SIGKILL, OOM kill, a runtime
+		// fault, or the silence timer. Only this attempt dies; the
+		// supervisor retries from the last periodic checkpoint.
 		s.crashes.Add(1)
-		return nil, &robust.SimError{Kind: robust.KindCrash, Cycle: lastCycle,
-			Msg: fmt.Sprintf("worker process died without a result: %v", waitErr)}
+		msg := fmt.Sprintf("worker process died without a result: %v", waitErr)
+		if reaped.Load() {
+			msg = fmt.Sprintf("worker process silent for %v (%d heartbeats) was killed: %v", bound, silentHeartbeats, waitErr)
+		}
+		return nil, &robust.SimError{Kind: robust.KindCrash, Cycle: lastCycle, Msg: msg}
 	}
 }

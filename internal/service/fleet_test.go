@@ -154,8 +154,8 @@ func TestSweepFleetMatchesSingleNode(t *testing.T) {
 }
 
 // TestSweepChaosKillConverges kills each task's first attempt mid-run
-// (in-process injected crash), forcing a lease revocation and a
-// checkpoint-handoff reassignment — and the merged result must still be
+// (in-process injected crash), forcing a revocation and a
+// checkpoint-handoff retry — and the merged result must still be
 // bit-identical to the clean single-node sweep.
 func TestSweepChaosKillConverges(t *testing.T) {
 	if testing.Short() {
@@ -232,8 +232,8 @@ func TestSweepChaosKillConverges(t *testing.T) {
 
 // TestSweepIsolatedWorkerSIGKILL is the fleet-chaos acceptance test in
 // process-isolation mode: each task's first child worker is SIGKILLed
-// mid-simulation (no terminal event, classified as a crash), the lease is
-// revoked, and the reassigned worker resumes from the dead worker's
+// mid-simulation (no terminal event, classified as a crash), the attempt
+// is revoked, and the retried worker resumes from the dead worker's
 // shipped checkpoint — converging bit-identically to single-node.
 func TestSweepIsolatedWorkerSIGKILL(t *testing.T) {
 	if testing.Short() {
@@ -290,57 +290,89 @@ func TestSweepIsolatedWorkerSIGKILL(t *testing.T) {
 	}
 }
 
-// TestSweepHeartbeatDropConverges plants the hbdrop fault: one task's
-// lease goes deaf (renewals acknowledged, never applied), so it expires
-// mid-run and the task is reassigned while the original holder keeps
-// working. The orphan and the reassigned attempt race to commit; exactly
-// one lands, the loser is discarded by digest, and the merged result is
-// still bit-identical to single-node.
-func TestSweepHeartbeatDropConverges(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heartbeat-drop convergence is not short")
-	}
-	spec := twoTaskSweep()
-	want := expectedMergedDigest(t, spec)
+// TestTaskQueuedTwiceRunsOnce pins the invariant that makes a second
+// attempt of a running task impossible: a task leaves pending when its
+// attempt starts, and runTask starts nothing for a task that is not
+// pending. The task is pushed onto its queue twice before two pool
+// workers start, so both pop it; exactly one attempt and one execution
+// may follow — for a job's task and for a sweep's alike.
+func TestTaskQueuedTwiceRunsOnce(t *testing.T) {
+	for _, owner := range []string{"job", "sweep"} {
+		t.Run(owner, func(t *testing.T) {
+			s, err := New(Config{Workers: 2, FleetWorkers: 2, ProgressInterval: 512})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			spec := tinySpec("SPL", "", "serial")
+			var task *sweepTask
+			var wait func()
+			if owner == "job" {
+				job, err := s.Submit(spec)
+				if err != nil {
+					t.Fatalf("Submit: %v", err)
+				}
+				task = job.task
+				wait = func() { waitState(t, s, job.ID, StateDone, time.Minute) }
+			} else {
+				sw, err := s.SubmitSweep(oneCellSweep(spec))
+				if err != nil {
+					t.Fatalf("SubmitSweep: %v", err)
+				}
+				task = sw.tasks[0]
+				wait = func() { waitSweep(t, s, sw.ID, StateDone, time.Minute) }
+			}
+			task.queue.push(task)
+			s.Start()
+			defer s.Drain(context.Background())
+			wait()
 
-	s, err := New(Config{
-		Workers: 1, FleetWorkers: 2,
-		ProgressInterval: 256,
-		RetryBase:        time.Millisecond,
-		LeaseTTL:         60 * time.Millisecond,
-		HeartbeatEvery:   15 * time.Millisecond,
-		// Delay holds every completion long enough for the deaf lease to
-		// expire mid-attempt, guaranteeing the duplicate-commit race runs.
-		Chaos: chaos.Spec{Seed: 5, HBDrop: 1, Delay: 250 * time.Millisecond},
-	})
+			st := s.Snapshot()
+			if st.Attempts != 1 || st.Executions != 1 {
+				t.Fatalf("attempts %d, executions %d; want 1 and 1 (the task was queued twice)", st.Attempts, st.Executions)
+			}
+			s.coord.mu.Lock()
+			defer s.coord.mu.Unlock()
+			if task.started != 1 || task.state != taskDone {
+				t.Fatalf("task started %d attempts, state %s; want 1, done", task.started, task.state)
+			}
+		})
+	}
+}
+
+// TestSweepTimelineCountsSubscribers: the /metrics timeline counters sum
+// sweep hubs as well as job hubs, so an open sweep timeline is one live
+// subscriber. The server is never started: the sweep stays running and
+// its hub open.
+func TestSweepTimelineCountsSubscribers(t *testing.T) {
+	s, err := New(Config{Workers: 1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	s.Start()
-	defer s.Drain(context.Background())
-
-	sw, err := s.SubmitSweep(spec)
+	ts := newTestHTTP(t, s)
+	sw, err := s.SubmitSweep(twoTaskSweep())
 	if err != nil {
 		t.Fatalf("SubmitSweep: %v", err)
 	}
-	v := waitSweep(t, s, sw.ID, StateDone, 2*time.Minute)
-	if v.MergedDigest != want {
-		t.Fatalf("hbdrop sweep merged digest %s != clean single-node %s", v.MergedDigest, want)
+	res, err := http.Get(ts + "/v1/sweeps/" + sw.ID + "/timeline")
+	if err != nil {
+		t.Fatalf("sweep timeline: %v", err)
 	}
-	if v.Revocations < 1 {
-		t.Fatalf("Revocations = %d, want >= 1 (the deaf lease must expire)", v.Revocations)
+	defer res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("sweep timeline -> %d, want 200", res.StatusCode)
 	}
-	fs := s.coord.stats()
-	// A held completion keeps heartbeating, so only the planted deaf lease
-	// expires (a second expiry is a slow host missing a 60 ms TTL).
-	if fs.LeaseExpirations < 1 || fs.LeaseExpirations > 2 {
-		t.Fatalf("LeaseExpirations = %d, want 1 (at most 2)", fs.LeaseExpirations)
+	mres, err := http.Get(ts + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
 	}
-	if fs.HeartbeatDrops != 1 {
-		t.Fatalf("HeartbeatDrops = %d, want 1", fs.HeartbeatDrops)
+	defer mres.Body.Close()
+	subs := -1
+	sc := bufio.NewScanner(mres.Body)
+	for sc.Scan() {
+		fmt.Sscanf(sc.Text(), "crispd_timeline_subscribers %d", &subs)
 	}
-	if got := s.store.len(); got < 2 {
-		t.Fatalf("cache has %d results after convergence, want >= 2", got)
+	if subs < 1 {
+		t.Fatalf("crispd_timeline_subscribers = %d with a sweep timeline open, want >= 1", subs)
 	}
 }
 
@@ -533,9 +565,7 @@ func TestSweepHTTP(t *testing.T) {
 	res.Body.Close()
 	metrics := buf.String()
 	for _, name := range []string{
-		"crispd_lease_grants_total", "crispd_lease_renewals_total",
-		"crispd_lease_expirations_total", "crispd_lease_revocations_total",
-		"crispd_fleet_resumes_total", "crispd_duplicate_results_total",
+		"crispd_lease_revocations_total", "crispd_fleet_resumes_total",
 		"crispd_federated_cache_hits_total", "crispd_fleet_shards",
 		"crispd_sweeps_active", "crispd_sweep_tasks_total",
 	} {

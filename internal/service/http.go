@@ -30,7 +30,7 @@ import (
 //	                              config grid sharded across the fleet
 //	                              (201; 400 invalid; 429 too many sweeps)
 //	GET    /v1/sweeps             list sweeps
-//	GET    /v1/sweeps/{id}        sweep status: per-task states, lease
+//	GET    /v1/sweeps/{id}        sweep status: per-task states, retry
 //	                              accounting, merged digest when done
 //	DELETE /v1/sweeps/{id}        cancel a sweep (409 if finished)
 //	GET    /v1/sweeps/{id}/timeline merged sweep progress (SSE)
@@ -354,8 +354,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE crispd_checkpoint_fallbacks_total counter\ncrispd_checkpoint_fallbacks_total %d\n", st.CheckpointFallbacks)
 	fmt.Fprintf(w, "# TYPE crispd_chaos_kills_total counter\ncrispd_chaos_kills_total %d\n", st.ChaosKills)
 	fmt.Fprintf(w, "# TYPE crispd_chaos_corruptions_total counter\ncrispd_chaos_corruptions_total %d\n", st.ChaosCorruptions)
-	fmt.Fprintf(w, "# HELP crispd_chaos_hb_drops_total Chaos faults fired: leases made deaf to heartbeat renewals.\n")
-	fmt.Fprintf(w, "# TYPE crispd_chaos_hb_drops_total counter\ncrispd_chaos_hb_drops_total %d\n", st.Fleet.HeartbeatDrops)
 	fmt.Fprintf(w, "# HELP crispd_fleet_shards Sweep-tier shard pool size.\n")
 	fmt.Fprintf(w, "# TYPE crispd_fleet_shards gauge\ncrispd_fleet_shards %d\n", st.Fleet.Shards)
 	fmt.Fprintf(w, "# TYPE crispd_sweeps_active gauge\ncrispd_sweeps_active %d\n", st.Fleet.SweepsActive)
@@ -366,20 +364,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE crispd_sweep_tasks_total counter\n")
 	fmt.Fprintf(w, "crispd_sweep_tasks_total{state=\"done\"} %d\n", st.Fleet.TasksDone)
 	fmt.Fprintf(w, "crispd_sweep_tasks_total{state=\"failed\"} %d\n", st.Fleet.TasksFailed)
-	fmt.Fprintf(w, "# HELP crispd_lease_grants_total Task leases granted to fleet shards.\n")
-	fmt.Fprintf(w, "# TYPE crispd_lease_grants_total counter\ncrispd_lease_grants_total %d\n", st.Fleet.LeaseGrants)
-	fmt.Fprintf(w, "# TYPE crispd_lease_renewals_total counter\ncrispd_lease_renewals_total %d\n", st.Fleet.LeaseRenewals)
-	fmt.Fprintf(w, "# HELP crispd_lease_expirations_total Leases that expired after missed heartbeats.\n")
-	fmt.Fprintf(w, "# TYPE crispd_lease_expirations_total counter\ncrispd_lease_expirations_total %d\n", st.Fleet.LeaseExpirations)
-	fmt.Fprintf(w, "# HELP crispd_lease_revocations_total Leases revoked (worker crash or heartbeat expiry) and reassigned.\n")
+	fmt.Fprintf(w, "# HELP crispd_lease_revocations_total Attempts lost to a retryable failure (crash, kill, watchdog, ...) and requeued.\n")
 	fmt.Fprintf(w, "# TYPE crispd_lease_revocations_total counter\ncrispd_lease_revocations_total %d\n", st.Fleet.LeaseRevocations)
 	fmt.Fprintf(w, "# HELP crispd_fleet_resumes_total Reassigned sweep attempts that resumed from a shipped checkpoint.\n")
 	fmt.Fprintf(w, "# TYPE crispd_fleet_resumes_total counter\ncrispd_fleet_resumes_total %d\n", st.Fleet.FleetResumes)
-	fmt.Fprintf(w, "# HELP crispd_duplicate_results_total Results from revoked leases discarded by digest (exactly-once commit).\n")
-	fmt.Fprintf(w, "# TYPE crispd_duplicate_results_total counter\ncrispd_duplicate_results_total %d\n", st.Fleet.DuplicateResults)
 	fmt.Fprintf(w, "# HELP crispd_federated_cache_hits_total Sweep dispatches answered from a federated result cache.\n")
 	fmt.Fprintf(w, "# TYPE crispd_federated_cache_hits_total counter\ncrispd_federated_cache_hits_total %d\n", st.Fleet.FederatedHits)
-	fmt.Fprintf(w, "# HELP crispd_timeline_subscribers Live timeline (SSE) subscriptions across all job hubs.\n")
+	fmt.Fprintf(w, "# HELP crispd_timeline_subscribers Live timeline (SSE) subscriptions across all job and sweep hubs.\n")
 	fmt.Fprintf(w, "# TYPE crispd_timeline_subscribers gauge\ncrispd_timeline_subscribers %d\n", st.Subscribers)
 	fmt.Fprintf(w, "# TYPE crispd_timeline_events_total counter\ncrispd_timeline_events_total %d\n", st.TimelineEvents)
 	fmt.Fprintf(w, "# HELP crispd_timeline_dropped_subscribers_total Subscribers dropped for lagging behind the broadcast.\n")

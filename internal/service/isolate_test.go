@@ -110,11 +110,6 @@ func TestIsolatedCrashRecovery(t *testing.T) {
 	if st.Retries < 1 {
 		t.Errorf("retries = %d, want >= 1", st.Retries)
 	}
-	// A job's child is leased and watched like a sweep task's: its samples
-	// and heartbeat events renewed the lease.
-	if st.Fleet.LeaseRenewals < 1 {
-		t.Errorf("lease renewals = %d, want > 0 (an isolated job attempt must be heartbeating)", st.Fleet.LeaseRenewals)
-	}
 	sr, ok := s.Result(job.Digest)
 	if !ok {
 		t.Fatalf("no cached result after crash recovery")
@@ -240,11 +235,12 @@ func TestCancelDuringIsolatedSpawn(t *testing.T) {
 
 // TestIsolatedSilentChildIsReaped: a child that never says anything — no
 // sample, no heartbeat, no terminal event — must not hold its worker
-// forever: after one lease TTL of silence it is killed, the attempt takes
-// the crash verdict, and the job runs out its budget into quarantine.
+// forever: after four heartbeat periods of silence it is killed, the
+// attempt takes the crash verdict naming that cause, and the job runs out
+// its budget into quarantine.
 func TestIsolatedSilentChildIsReaped(t *testing.T) {
 	s, err := New(Config{Workers: 1, Isolate: true, WorkerCommand: []string{"sleep", "60"},
-		LeaseTTL: 100 * time.Millisecond, MaxAttempts: 2, RetryBase: time.Millisecond})
+		HeartbeatEvery: 25 * time.Millisecond, MaxAttempts: 2, RetryBase: time.Millisecond})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -257,6 +253,12 @@ func TestIsolatedSilentChildIsReaped(t *testing.T) {
 	waitState(t, s, job.ID, StateQuarantined, 30*time.Second)
 	if n := s.Snapshot().WorkerCrashes; n != 2 {
 		t.Errorf("worker crashes = %d, want 2 (one per silent attempt)", n)
+	}
+	job.mu.Lock()
+	msg := job.errMsg
+	job.mu.Unlock()
+	if want := "worker process silent for 100ms (4 heartbeats) was killed"; !strings.Contains(msg, want) {
+		t.Errorf("quarantine error %q does not name the silence (want %q)", msg, want)
 	}
 }
 

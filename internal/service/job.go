@@ -176,8 +176,6 @@ func (j *Job) attemptStopped(t *sweepTask, err error) {
 	}
 }
 
-func (j *Job) duplicate(t *sweepTask, epoch uint64) {}
-
 // taskDone retains the job's interval series under its digest (the
 // A/B-diff and crispviz-serve data source) and completes the job.
 func (j *Job) taskDone(t *sweepTask) {

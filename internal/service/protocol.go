@@ -58,8 +58,8 @@ type workerRequest struct {
 	// ProgressInterval is the sample cadence.
 	ProgressInterval int64 `json:"progress_interval,omitempty"`
 	// HeartbeatEvery, when positive, makes the worker emit heartbeat
-	// events on this wall-clock period — the lease-renewal signal a fleet
-	// coordinator watches between samples.
+	// events on this wall-clock period — the liveness signal the
+	// supervisor's silence timer watches between samples.
 	HeartbeatEvery int64 `json:"heartbeat_every_ns,omitempty"`
 	// KillAt is a chaos fault: the worker SIGKILLs itself at this
 	// simulated cycle (0 = none), leaving no final snapshot — the hardest

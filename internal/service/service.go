@@ -1,6 +1,6 @@
 // Package service is crispd's batch-simulation engine: bounded admission,
 // a content-addressed result cache keyed by the canonical job digest, and
-// one supervisor (coordinator.go) that runs every simulation as a leased,
+// one supervisor (coordinator.go) that runs every simulation as a
 // checkpointed task through the crisp facade.
 //
 // Identical submissions never simulate twice: a digest already cached
@@ -10,7 +10,7 @@
 // A job is a sweep of one: Submit builds one task owned by the Job where
 // SubmitSweep builds N owned by the Sweep, and both take the same path. A
 // retryable failure (watchdog, budget, panic, injected chaos fault, worker
-// crash, expired lease — robust.Kind.Retryable) is retried after an
+// crash — robust.Kind.Retryable) is retried after an
 // exponential backoff with seeded jitter, resuming from the newest
 // readable checkpoint; determinism makes the recovered run bit-identical
 // to an uninterrupted one. A job adds persistence (job.go): it survives a
@@ -78,11 +78,9 @@ type Config struct {
 	// FleetWorkers is the sweep pool's shard count: how many sweep tasks
 	// simulate concurrently. Default Workers.
 	FleetWorkers int
-	// LeaseTTL bounds how long a worker may go without renewing its task
-	// lease (heartbeats, samples) before the coordinator presumes it dead,
-	// revokes the lease, and reassigns the task. Default 10s.
-	LeaseTTL time.Duration
-	// HeartbeatEvery is the lease-renewal cadence. Default LeaseTTL/4.
+	// HeartbeatEvery is an isolated worker's heartbeat cadence. A child
+	// silent (no heartbeat, no sample) for 4 of these periods is presumed
+	// hung, killed, and retried as a crash. Default 2.5s.
 	HeartbeatEvery time.Duration
 	// MaxSweeps bounds concurrently live (non-terminal) sweeps; beyond it
 	// submissions get 429 + Retry-After. Default 16.
@@ -110,8 +108,8 @@ type Config struct {
 	// cmd/crispd and the test binary intercept that and run WorkerMain).
 	WorkerCommand []string
 	// Chaos plants seeded faults into the execution path (kill at cycle N,
-	// corrupt the newest checkpoint before a resume, delay completion) —
-	// the recovery machinery's test harness. Zero = no faults.
+	// corrupt the newest checkpoint before a resume) — the recovery
+	// machinery's test harness. Zero = no faults.
 	Chaos chaos.Spec
 }
 
@@ -134,14 +132,8 @@ func (c Config) withDefaults() Config {
 	if c.FleetWorkers <= 0 {
 		c.FleetWorkers = c.Workers
 	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = DefaultLeaseTTL
-	}
 	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = c.LeaseTTL / 4
-	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = time.Second
+		c.HeartbeatEvery = 2500 * time.Millisecond
 	}
 	if c.MaxSweeps <= 0 {
 		c.MaxSweeps = DefaultMaxSweeps
@@ -187,8 +179,8 @@ type Server struct {
 	nextID   int
 	draining bool
 
-	// coord is the supervisor: both worker pools, lease-based supervision
-	// and checkpoint handoff for every task (coordinator.go).
+	// coord is the supervisor: both worker pools, retries and checkpoint
+	// handoff for every task (coordinator.go).
 	coord *coordinator
 
 	// store is the content-addressed result store, <StateDir>/results.
@@ -501,21 +493,30 @@ type Stats struct {
 	DispatchSkipped int64
 	// StallReplays sums the scheduler slots answered from a stall record.
 	StallReplays int64
-	// Telemetry aggregates every job hub's counters: live timeline
-	// subscribers, events published, and the slow-subscriber drop
-	// counters.
+	// Telemetry aggregates every job and sweep hub's counters: live
+	// timeline subscribers, events published, and the slow-subscriber
+	// drop counters.
 	Subscribers    int
 	TimelineEvents uint64
 	SubsDropped    uint64
 	EvsDropped     uint64
 
-	// Fleet is the supervisor's counter snapshot (leases, revocations,
-	// checkpoint handoffs, federation).
+	// Fleet is the supervisor's counter snapshot (revocations, checkpoint
+	// handoffs, federation).
 	Fleet FleetStats
 
 	// Frontend is the trace cache's counter snapshot: lookups answered
 	// without building, builds, evictions, and bytes retained.
 	Frontend core.FrontendStats
+}
+
+// addHub adds one timeline hub's counters to the telemetry sums.
+func (st *Stats) addHub(hub *obs.Hub) {
+	hs := hub.Stats()
+	st.Subscribers += hs.Subscribers
+	st.TimelineEvents += hs.Published
+	st.SubsDropped += hs.SubsDropped
+	st.EvsDropped += hs.EvsDropped
 }
 
 // Snapshot returns current server statistics.
@@ -539,13 +540,12 @@ func (s *Server) Snapshot() Stats {
 		st.DispatchSkipped += j.last.DispatchSkipped
 		st.StallReplays += j.last.StallReplays
 		j.mu.Unlock()
-		hs := j.hub.Stats()
-		st.Subscribers += hs.Subscribers
-		st.TimelineEvents += hs.Published
-		st.SubsDropped += hs.SubsDropped
-		st.EvsDropped += hs.EvsDropped
+		st.addHub(j.hub)
 	}
 	s.mu.Unlock()
+	for _, sw := range s.Sweeps() {
+		st.addHub(sw.hub)
+	}
 	st.Executions = s.execs.Load()
 	st.CacheHits = s.hits.Load()
 	st.Coalesced = s.coalesced.Load()

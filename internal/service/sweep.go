@@ -101,7 +101,7 @@ type Sweep struct {
 	c    *coordinator
 
 	// hub is the sweep's merged progress stream: per-task lifecycle
-	// markers (dispatch, commit, revocation, duplicate discard) and the
+	// markers (dispatch, commit, revocation) and the
 	// shards' interval samples, interleaved — the same ring/SSE machinery
 	// jobs use.
 	hub *obs.Hub
@@ -120,9 +120,8 @@ type Sweep struct {
 	failedN int
 	// Per-sweep robustness accounting (mirrored by the server-wide
 	// counters; these make one sweep's story self-contained).
-	revoked int // leases revoked (crash or expiry) for this sweep's tasks
-	resumes int // reassigned attempts that resumed from a shipped checkpoint
-	dups    int // duplicate results discarded by digest
+	revoked int // attempts of this sweep's tasks lost and requeued
+	resumes int // retried attempts that resumed from a shipped checkpoint
 }
 
 // lifecycle publishes a lifecycle marker on the sweep's timeline.
@@ -148,7 +147,7 @@ func publishAtLatest(hub *obs.Hub, ev obs.TimelineEvent) {
 func (sw *Sweep) live() bool { return !sw.canceled && sw.state == StateRunning }
 
 func (sw *Sweep) attemptStarted(t *sweepTask, n int, resumeFrom string) {
-	detail := fmt.Sprintf("task %d (%s) leased to shard %d, attempt %d (epoch %d)", t.index, t.digest, t.worker, n, t.epoch)
+	detail := fmt.Sprintf("task %d (%s) on shard %d, attempt %d", t.index, t.digest, t.worker, n)
 	if resumeFrom != "" {
 		sw.resumes++
 		cyc, _ := snapshot.NewestCycle(resumeFrom, t.digest) // bestResume chose it by this cycle
@@ -168,11 +167,6 @@ func (sw *Sweep) note(t *sweepTask, detail string) {
 func (sw *Sweep) attemptFailed(t *sweepTask, err error) { sw.revoked++ }
 
 func (sw *Sweep) attemptStopped(t *sweepTask, err error) {}
-
-func (sw *Sweep) duplicate(t *sweepTask, epoch uint64) {
-	sw.dups++
-	sw.note(t, fmt.Sprintf("duplicate result from revoked lease (epoch %d) discarded by digest", epoch))
-}
 
 func (sw *Sweep) taskDone(t *sweepTask) {
 	sw.doneN++
@@ -243,7 +237,6 @@ type sweepView struct {
 	MergedDigest string          `json:"merged_digest,omitempty"`
 	Revocations  int             `json:"lease_revocations,omitempty"`
 	Resumes      int             `json:"checkpoint_resumes,omitempty"`
-	Duplicates   int             `json:"duplicates_discarded,omitempty"`
 	Created      string          `json:"created,omitempty"`
 	Started      string          `json:"started,omitempty"`
 	Finished     string          `json:"finished,omitempty"`

@@ -10,8 +10,8 @@ import (
 )
 
 // Task lifecycle states. Unlike jobs, tasks have no queued/running split
-// visible to clients — a leased task is running on some worker (or
-// presumed to be, until its lease says otherwise).
+// visible to clients — a leased task has its one attempt running on some
+// worker.
 type taskState string
 
 const (
@@ -26,7 +26,7 @@ const (
 // directly submitted job owns exactly one — a job is a sweep of one.
 // Mutable fields are guarded by the coordinator's mutex.
 type sweepTask struct {
-	id     string // lease key, unique across owners: "s000001/3", "j000007"
+	id     string // unique across owners: "s000001/3", "j000007"
 	owner  owner
 	queue  *taskQueue // the pool it runs on; retries requeue here
 	index  int        // grid position within the owner (0 for a job)
@@ -34,24 +34,20 @@ type sweepTask struct {
 	res    *resolved
 	digest string
 	// dir is the task's checkpoint root; each attempt writes into its own
-	// subdirectory (a1, a2, ...) so a reassigned attempt resumes from a
-	// dead worker's checkpoints without ever sharing a write path with a
-	// still-running orphan. "" = no checkpoints: retries restart at cycle 0.
+	// subdirectory (a1, a2, ...) so a retry resumes from a dead worker's
+	// checkpoints without ever writing into them. "" = no checkpoints:
+	// retries restart at cycle 0.
 	dir string
 
 	state    taskState
-	epoch    uint64 // current lease epoch (meaningful while leased)
-	worker   int    // pool worker holding the lease
-	attempts int    // failed or revoked attempts so far
-	started  int    // attempts started (leases granted to an execution)
-	resumed  bool   // some committed or running attempt resumed from a checkpoint
-	cacheHit bool   // committed from a cache, not an execution
+	worker   int  // pool worker running the newest attempt
+	attempts int  // failed attempts so far
+	started  int  // attempts started
+	resumed  bool // some committed or running attempt resumed from a checkpoint
+	cacheHit bool // committed from a cache, not an execution
 	result   *StoredResult
 	errMsg   string
 }
-
-// key is the lease-table key.
-func (t *sweepTask) key() string { return t.id }
 
 // resumeDirs lists where the task's attempts may have checkpointed: the
 // task's root (where a daemon older than the a<N> layout wrote) and every
@@ -107,24 +103,21 @@ type owner interface {
 	// live reports whether the owner still wants the task run: not
 	// canceled, not already terminal.
 	live() bool
-	// attemptStarted: attempt n was granted its lease; resumeFrom is the
-	// checkpoint directory it resumes from ("" = cycle 0).
+	// attemptStarted: attempt n is starting; resumeFrom is the checkpoint
+	// directory it resumes from ("" = cycle 0).
 	attemptStarted(t *sweepTask, n int, resumeFrom string)
 	// sample receives the running attempt's interval telemetry, on the
 	// simulation goroutine, no locks held.
 	sample(obs.Sample)
 	// note puts one supervision remark (a scheduled retry) on the timeline.
 	note(t *sweepTask, detail string)
-	// attemptFailed: a retryable failure or a revoked lease was counted
-	// against the budget; t.attempts is the new count.
+	// attemptFailed: a retryable failure was counted against the budget;
+	// t.attempts is the new count.
 	attemptFailed(t *sweepTask, err error)
 	// attemptStopped: an attempt ended after the owner stopped being live,
 	// or while the daemon drains. Nothing is retried; err is nil when the
 	// attempt had in fact succeeded.
 	attemptStopped(t *sweepTask, err error)
-	// duplicate: a revoked holder delivered a second result for a task
-	// already committed; it was discarded by digest.
-	duplicate(t *sweepTask, epoch uint64)
 	// taskDone: t.result was committed, exactly once.
 	taskDone(t *sweepTask)
 	// taskFailed: the task failed for good — permanently, or (exhausted)
@@ -134,7 +127,7 @@ type owner interface {
 
 // taskQueue is an unbounded FIFO of runnable tasks feeding one worker
 // pool. Admission control bounds what enters; the queue itself never
-// blocks a submitter, a retry timer or the expiry monitor.
+// blocks a submitter or a retry timer.
 type taskQueue struct {
 	mu    sync.Mutex
 	items []*sweepTask

@@ -73,8 +73,8 @@ func WorkerMain() int {
 	}()
 	defer signal.Stop(sigc)
 
-	// Wall-clock heartbeats: the lease-renewal signal a fleet coordinator
-	// watches between samples. Stops with the run.
+	// Wall-clock heartbeats: the liveness signal the supervisor's silence
+	// timer watches between samples. Stops with the run.
 	if req.HeartbeatEvery > 0 {
 		hbStop := make(chan struct{})
 		defer close(hbStop)
@@ -119,3 +119,7 @@ func WorkerMain() int {
 // workerKillDelay bounds how long a SIGTERMed worker may take to flush its
 // final snapshot before the supervisor escalates to SIGKILL.
 const workerKillDelay = 10 * time.Second
+
+// silentHeartbeats is how many heartbeat periods a worker may go without
+// a word before the supervisor presumes it hung and kills it.
+const silentHeartbeats = 4
