@@ -51,9 +51,10 @@ func FoldResult(res *Result) uint64 {
 	return h.Sum64()
 }
 
-// HasLevel0 reports whether tex holds its level 0: a generated texture
-// stores it only once a sample reads it. The level is unexported, so this
-// looks through reflection rather than widen texture's API for a test.
+// HasLevel0 reports whether tex holds its level 0: a NoiseFine texture
+// stores it only once a sample reads it, a computed one never. The level
+// is unexported, so this looks through reflection rather than widen
+// texture's API for a test.
 func HasLevel0(tex *texture.Texture) bool {
 	return reflect.ValueOf(tex).Elem().FieldByName("levels").Index(0).FieldByName("pix").Len() > 0
 }

@@ -1,26 +1,24 @@
 package render_test
 
 import (
-	"strings"
+	"regexp"
 	"testing"
 
 	"crisp/internal/render"
 	"crisp/internal/scene"
 )
 
-// TestFramesKeepOnlySampledLevelZero: a generated texture stores its level
-// 0 only once a frame samples it. At 320×180 the pistol's maps and SPH's
-// floor, columns, gallery and banner are read at coarser levels only,
-// while the pedestal and SPH's walls, seen up close, are read at level 0.
+// TestFramesKeepOnlySampledLevelZero: Noise, Checker and Gradient maps
+// compute their level-0 texels where they are sampled and never hold level
+// 0, whatever a frame reads; a NoiseFine map stores it only once a frame
+// samples it. At 320×180 the one NoiseFine maps read at level 0 are the
+// normal and prefilter maps of SPH's walls, seen up close; PT's pedestal
+// and SPH's walls are read at level 0 too, but their other maps are
+// computed.
 func TestFramesKeepOnlySampledLevelZero(t *testing.T) {
-	for _, c := range []struct {
-		scene string
-		want  func(tex string) bool // whether the map must hold level 0
-	}{
-		{"PT", func(tex string) bool { return tex == "PT.pedestal.albedo" }},
-		{"SPH", func(tex string) bool { return strings.HasPrefix(tex, "SPH.wall") }},
-	} {
-		f, err := scene.ByName(c.scene)
+	sampledFine := regexp.MustCompile(`^SPH\.wall[01]\.(normal|prefilter)$`)
+	for _, name := range scene.Names() {
+		f, err := scene.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,8 +27,8 @@ func TestFramesKeepOnlySampledLevelZero(t *testing.T) {
 		}
 		for _, d := range f.Draws {
 			for _, tex := range d.Mat.Textures() {
-				if has := render.HasLevel0(tex); has != c.want(tex.Name) {
-					t.Errorf("%s: %s holds level 0: %v, want %v", c.scene, tex.Name, has, !has)
+				if has, want := render.HasLevel0(tex), sampledFine.MatchString(tex.Name); has != want {
+					t.Errorf("%s: %s holds level 0: %v, want %v", name, tex.Name, has, want)
 				}
 			}
 		}

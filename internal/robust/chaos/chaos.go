@@ -159,7 +159,9 @@ func (c *Controller) Spec() Spec {
 // TakeKill reserves one kill for this job digest: it reports the cycle at
 // which the starting attempt must die, or ok=false when the digest's kill
 // budget is spent (or no kill is scheduled). The reservation is consumed —
-// the retry that follows a taken kill runs to completion.
+// the retry that follows a taken kill runs to completion — but a kill is
+// counted only when Killed reports it carried out: a run that ends before
+// the cycle was never killed.
 func (c *Controller) TakeKill(digest string) (cycle int64, ok bool) {
 	if c == nil || c.spec.KillCycle <= 0 {
 		return 0, false
@@ -170,12 +172,19 @@ func (c *Controller) TakeKill(digest string) (cycle int64, ok bool) {
 		return 0, false
 	}
 	c.kills[digest]++
-	c.killsFired.Add(1)
 	return c.spec.KillCycle, true
 }
 
+// Killed counts one reserved kill carried out: the attempt died at or past
+// its kill cycle.
+func (c *Controller) Killed() {
+	if c != nil {
+		c.killsFired.Add(1)
+	}
+}
+
 // TakeCorrupt reserves the one checkpoint corruption for this digest. It
-// only fires after a kill has fired for the same digest — corruption
+// only fires after a kill has been taken for the same digest — corruption
 // models damage discovered on the recovery path, so it is planted exactly
 // when a retry is about to resume.
 func (c *Controller) TakeCorrupt(digest string) (mode string, ok bool) {
@@ -192,7 +201,8 @@ func (c *Controller) TakeCorrupt(digest string) (mode string, ok bool) {
 	return c.spec.CorruptLatest, true
 }
 
-// Stats reports total faults fired, for /metrics.
+// Stats reports total faults fired, for /metrics: kills carried out, and
+// corruptions planted.
 func (c *Controller) Stats() (kills, corruptions int64) {
 	if c == nil {
 		return 0, 0

@@ -354,7 +354,7 @@ func (c *coordinator) runTask(worker int, t *sweepTask) {
 	}
 	onFallback := func(corrupt []string) {
 		for _, p := range corrupt {
-			log.Printf("crispd: task %s: unloadable checkpoint %s renamed aside", t.id, p)
+			log.Printf("task %s: unloadable checkpoint %s renamed aside", t.id, p)
 		}
 		c.s.fallbacks.Add(1)
 	}
@@ -442,12 +442,12 @@ func (c *coordinator) failedLocked(t *sweepTask, err error) {
 	if dir := t.bestResume(); dir != "" {
 		if mode, ok := c.s.chaosCtrl.TakeCorrupt(t.digest); ok {
 			if p, cerr := chaos.Corrupt(dir, mode, c.s.cfg.Chaos.Seed); cerr == nil {
-				log.Printf("crispd: chaos: %s-corrupted checkpoint %s (task %s)", mode, p, t.id)
+				log.Printf("chaos: %s-corrupted checkpoint %s (task %s)", mode, p, t.id)
 			}
 		}
 	}
 	t.owner.note(t, fmt.Sprintf("attempt %d lost (%v); retrying in %v", t.attempts, err, delay))
-	log.Printf("crispd: task %s attempt %d/%d failed, retrying in %v: %v", t.id, t.attempts, c.s.maxAttempts(), delay, err)
+	log.Printf("task %s attempt %d/%d failed, retrying in %v: %v", t.id, t.attempts, c.s.maxAttempts(), delay, err)
 	// The wait holds no worker. A cancel or a drain in the meantime leaves
 	// the timer to fire into runTask's liveness check: no retry starts.
 	time.AfterFunc(delay, func() { t.queue.push(t) })

@@ -59,15 +59,25 @@ func (s *Server) requestFor(t *sweepTask, n int, resumeFrom string, killAt int64
 // chaos kill and picking the transport from Config.Isolate. An in-process
 // chaos kill panics with a KindInjected SimError from the metrics sink on
 // the sim goroutine: the core's deferred recovery flushes a final snapshot
-// first, so the retry has the kill-time state to resume from.
+// first, so the retry has the kill-time state to resume from. A kill is
+// counted where it fires; an attempt that ends before its cycle counts
+// none.
 func (s *Server) attempt(ctx context.Context, t *sweepTask, n int, resumeFrom string, h attemptHooks) (stored *StoredResult, err error) {
 	killAt, _ := s.chaosCtrl.TakeKill(t.digest)
 	req := s.requestFor(t, n, resumeFrom, killAt)
 	t0 := time.Now()
 	if s.cfg.Isolate {
 		stored, err = s.runWorkerProcess(ctx, req, h, "task "+t.id)
+		// The child SIGKILLs itself right after sending its first sample
+		// at or past KillAt, so a crash heard after such a sample is it.
+		if se, ok := robust.AsSimError(err); ok && killAt > 0 && se.Kind == robust.KindCrash && se.Cycle >= killAt {
+			s.chaosCtrl.Killed()
+		}
 	} else {
-		h.onKill = func(cycle int64) { panic(chaos.Injected(cycle)) }
+		h.onKill = func(cycle int64) {
+			s.chaosCtrl.Killed()
+			panic(chaos.Injected(cycle))
+		}
 		stored, err = runDirect(ctx, req, t.res, s.frontend, h)
 	}
 	s.observeRunTime(time.Since(t0))
@@ -207,7 +217,7 @@ func (s *Server) runWorkerProcess(ctx context.Context, req workerRequest, h atte
 		silent.Reset(bound)
 		ev, err := decodeWorkerEvent(sc.Bytes())
 		if err != nil {
-			log.Printf("crispd: %s: dropped worker event: %v", logName, err)
+			log.Printf("%s: dropped worker event: %v", logName, err)
 			continue
 		}
 		switch ev.Type {

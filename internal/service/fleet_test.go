@@ -205,6 +205,9 @@ func TestSweepChaosKillConverges(t *testing.T) {
 	if v.Resumes < 1 {
 		t.Fatalf("Resumes = %d, want >= 1 (kill@%d with checkpoints every 512)", v.Resumes, killAt)
 	}
+	if kills := s.Snapshot().ChaosKills; kills != int64(len(specs)) || kills != int64(v.Revocations) {
+		t.Errorf("chaos kills = %d, want %d, one per cell, each revoking its attempt (revocations %d)", kills, len(specs), v.Revocations)
+	}
 	// A task's attempts count the attempts started: killed once, then
 	// finished, is two.
 	for _, tv := range v.Tasks {
@@ -212,21 +215,33 @@ func TestSweepChaosKillConverges(t *testing.T) {
 			t.Errorf("task %d: attempts = %d, want 2 (killed once, then finished)", tv.Index, tv.Attempts)
 		}
 	}
-	// A cell that finishes on its first try reads one.
-	clean, err := New(Config{Workers: 1})
+	// A cell that ends before its kill cycle is never killed: it reads no
+	// kill and finishes on its first try.
+	one := spec
+	one.Computes = one.Computes[:1]
+	oneSpecs, err := one.decompose()
+	if err != nil {
+		t.Fatalf("decompose: %v", err)
+	}
+	late, err := New(Config{
+		Workers:   1,
+		RetryBase: time.Millisecond,
+		Chaos:     chaos.Spec{Seed: 7, KillCycle: 2 * directRun(t, oneSpecs[0]).Cycles, Kills: 1},
+	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	clean.Start()
-	defer clean.Drain(context.Background())
-	one := spec
-	one.Computes = one.Computes[:1]
-	csw, err := clean.SubmitSweep(one)
+	late.Start()
+	defer late.Drain(context.Background())
+	csw, err := late.SubmitSweep(one)
 	if err != nil {
 		t.Fatalf("SubmitSweep: %v", err)
 	}
-	if cv := waitSweep(t, clean, csw.ID, StateDone, time.Minute); len(cv.Tasks) != 1 || cv.Tasks[0].Attempts != 1 {
-		t.Errorf("first-try sweep tasks = %+v, want one task with attempts 1", cv.Tasks)
+	if cv := waitSweep(t, late, csw.ID, StateDone, time.Minute); len(cv.Tasks) != 1 || cv.Tasks[0].Attempts != 1 {
+		t.Errorf("kill past the end: sweep tasks = %+v, want one task with attempts 1", cv.Tasks)
+	}
+	if kills := late.Snapshot().ChaosKills; kills != 0 {
+		t.Errorf("kill past the end: chaos kills = %d, want 0", kills)
 	}
 }
 
@@ -287,6 +302,10 @@ func TestSweepIsolatedWorkerSIGKILL(t *testing.T) {
 	fs := s.coord.stats()
 	if fs.LeaseRevocations < 1 {
 		t.Fatalf("LeaseRevocations = %d, want >= 1", fs.LeaseRevocations)
+	}
+	// A child's kill is counted when it dies after a sample at the cycle.
+	if kills := s.Snapshot().ChaosKills; kills != int64(v.Revocations) {
+		t.Errorf("chaos kills = %d, want one per revoked attempt (%d)", kills, v.Revocations)
 	}
 }
 

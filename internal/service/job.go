@@ -202,7 +202,7 @@ func (j *Job) taskFailed(t *sweepTask, err error, exhausted bool) {
 		return
 	}
 	msg := fmt.Sprintf("quarantined after %d failed attempts: %v", t.attempts, err)
-	log.Printf("crispd: job %s %s", j.ID, msg)
+	log.Printf("job %s %s", j.ID, msg)
 	s.settle(j, StateQuarantined, msg, err)
 }
 
@@ -343,14 +343,14 @@ func (s *Server) scanJobs() error {
 				continue // not a job dir; leave it alone
 			}
 			if aside := quarantineFile(dir); aside != "" {
-				log.Printf("crispd: unreadable persisted job %s set aside as %s: %v", dir, aside, err)
+				log.Printf("unreadable persisted job %s set aside as %s: %v", dir, aside, err)
 			}
 			continue
 		}
 		var pj persistedJob
 		if err := json.Unmarshal(b, &pj); err != nil || pj.ID == "" {
 			if aside := quarantineFile(dir); aside != "" {
-				log.Printf("crispd: corrupt persisted job %s set aside as %s", dir, aside)
+				log.Printf("corrupt persisted job %s set aside as %s", dir, aside)
 			}
 			continue
 		}
@@ -397,7 +397,7 @@ func (s *Server) scanJobs() error {
 				if rec.Attempts >= s.maxAttempts() {
 					qerr := fmt.Errorf("%s (recovered at the attempt limit)", rec.LastError)
 					msg := fmt.Sprintf("quarantined after %d failed attempts: %v", rec.Attempts, qerr)
-					log.Printf("crispd: recovered job %s %s", job.ID, msg)
+					log.Printf("recovered job %s %s", job.ID, msg)
 					terminal(StateQuarantined, msg, qerr)
 					continue
 				}

@@ -186,7 +186,7 @@ func load[T any](st *resultStore, m map[string]T, digest, ext string, valid func
 	if err := json.Unmarshal(b, &v); err != nil || !valid(v) {
 		if !st.readOnly {
 			if aside := quarantineFile(path); aside != "" {
-				log.Printf("crispd: corrupt %s set aside as %s", path, aside)
+				log.Printf("corrupt %s set aside as %s", path, aside)
 			}
 		}
 		var zero T

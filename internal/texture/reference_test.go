@@ -1,6 +1,7 @@
 package texture
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -79,6 +80,23 @@ func downsampleRef(src level, nw, nh, layers int) level {
 	return dst
 }
 
+// texels is level lv, layer-major, read the way the samplers read it: a
+// stored level through pixels, a computed level 0 texel by texel.
+func (t *Texture) texels(lv int) []gmath.Vec4 {
+	if lv > 0 || t.form == stored {
+		return t.pixels(lv)
+	}
+	pix := make([]gmath.Vec4, 0, t.W*t.H*t.Layers)
+	for layer := 0; layer < t.Layers; layer++ {
+		for y := 0; y < t.H; y++ {
+			for x := 0; x < t.W; x++ {
+				pix = append(pix, t.texel(0, layer, x, y))
+			}
+		}
+	}
+	return pix
+}
+
 // sameBits compares every level through the accessor the samplers use,
 // finest first or coarsest first: a level 0 generated after the chain
 // exists must hold the same bits as one read before anything else.
@@ -93,7 +111,7 @@ func sameBits(t *testing.T, what string, coarsestFirst bool, got, want *Texture)
 			lv = len(want.levels) - 1 - i
 		}
 		g, w := got.levels[lv], want.levels[lv]
-		gp, wp := got.pixels(lv), want.pixels(lv)
+		gp, wp := got.texels(lv), want.texels(lv)
 		if g.w != w.w || g.h != w.h || len(gp) != len(wp) {
 			t.Fatalf("%s level %d: %dx%d (%d texels), reference %dx%d (%d)", what, lv, g.w, g.h, len(gp), w.w, w.h, len(wp))
 		}
@@ -265,7 +283,8 @@ func sameVec4(a, b gmath.Vec4) bool {
 
 // TestSampleBilinearMatchesReference samples at random coordinates, well
 // outside [0, 1) too, and exactly on every level's texel edges and centres,
-// in every layer and in layers off either end.
+// in every layer and in layers off either end. A stored texture is its own
+// reference; a computed one's reference is New over its generator's rows.
 func TestSampleBilinearMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	for _, tex := range []*Texture{
@@ -274,30 +293,201 @@ func TestSampleBilinearMatchesReference(t *testing.T) {
 		NoiseFine("c", FormatR8, 4, 16, 2, 7),
 		NoiseFine("d", FormatRGBA16F, 1, 1, 1, 8),
 	} {
-		tex.Bind(0x10000)
-		check := func(u, v float32, layer, lv int) {
-			t.Helper()
-			c, a := tex.sampleBilinear(u, v, layer, lv)
-			rc, ra := tex.sampleBilinearRef(u, v, layer, lv)
-			if !sameVec4(c, rc) || a != ra {
-				t.Fatalf("%s level %d layer %d at (%v, %v): %v @%#x, reference %v @%#x", tex.Name, lv, layer, u, v, c, a, rc, ra)
+		sampleMatches(t, rng, tex, tex)
+	}
+	for _, c := range closedFormCases(true) {
+		sampleMatches(t, rng, c.tex(), c.ref(t))
+	}
+}
+
+// sampleMatches compares tex's bilinear samples and addresses with the
+// reference sampler's on ref.
+func sampleMatches(t *testing.T, rng *rand.Rand, tex, ref *Texture) {
+	t.Helper()
+	tex.Bind(0x10000)
+	ref.Bind(0x10000)
+	check := func(u, v float32, layer, lv int) {
+		t.Helper()
+		c, a := tex.sampleBilinear(u, v, layer, lv)
+		rc, ra := ref.sampleBilinearRef(u, v, layer, lv)
+		if !sameVec4(c, rc) || a != ra {
+			t.Fatalf("%s level %d layer %d at (%v, %v): %v @%#x, reference %v @%#x", tex.Name, lv, layer, u, v, c, a, rc, ra)
+		}
+	}
+	for lv := -1; lv <= tex.Levels(); lv++ {
+		w, h := tex.LevelDim(lv)
+		for _, layer := range []int{-2, 0, tex.Layers - 1, tex.Layers, 99} {
+			for i := 0; i < 200; i++ {
+				check(rng.Float32()*6-3, rng.Float32()*6-3, layer, lv)
+			}
+			// Edges and centres: k/(2n) for every k, and just past both ends.
+			for k := -1; k <= 2*w+1; k++ {
+				u := float32(k) / float32(2*w)
+				for j := -1; j <= 2*h+1; j += max(1, h/4) {
+					check(u, float32(j)/float32(2*h), layer, lv)
+				}
 			}
 		}
-		for lv := -1; lv <= tex.Levels(); lv++ {
-			w, h := tex.LevelDim(lv)
-			for _, layer := range []int{-2, 0, tex.Layers - 1, tex.Layers, 99} {
-				for i := 0; i < 200; i++ {
-					check(rng.Float32()*6-3, rng.Float32()*6-3, layer, lv)
-				}
-				// Edges and centres: k/(2n) for every k, and just past both ends.
-				for k := -1; k <= 2*w+1; k++ {
-					u := float32(k) / float32(2*w)
-					for j := -1; j <= 2*h+1; j += max(1, h/4) {
-						check(u, float32(j)/float32(2*h), layer, lv)
-					}
-				}
+	}
+}
+
+// The row generators Noise, Checker and Gradient had while level 0 was
+// stored, each collected into layer-major pixels. Their texels are now
+// computed where they are sampled, and must come out with these bits.
+
+// noiseRows is Noise's generator: a band table per layer, built from the
+// layer's lattice, and each row lerped between two of its rows.
+func noiseRows(w, h, layers int, seed int64) []gmath.Vec4 {
+	const lat = 9
+	type tap struct {
+		i0, i1 int
+		t      float32
+	}
+	axis := func(n int) []tap {
+		taps := make([]tap, n)
+		for i := range taps {
+			f := float32(i) / float32(n) * (lat - 1)
+			i0 := int(f)
+			taps[i] = tap{i0, gmath.ClampInt(i0+1, 0, lat-1), f - float32(i0)}
+		}
+		return taps
+	}
+	rng := rand.New(rand.NewSource(seed))
+	cols, rows := axis(w), axis(h)
+	lattice := make([]float32, lat*lat*3)
+	band := make([][3]float32, lat*w)
+	pix := make([]gmath.Vec4, 0, w*h*layers)
+	row := make([]gmath.Vec4, w)
+	for l := 0; l < layers; l++ {
+		for i := range lattice {
+			lattice[i] = rng.Float32()
+		}
+		for i := 0; i < lat; i++ {
+			lrow, brow := lattice[i*lat*3:(i+1)*lat*3], band[i*w:(i+1)*w]
+			for x, c := range cols {
+				v0, v1 := lrow[c.i0*3:][:3], lrow[c.i1*3:][:3]
+				brow[x] = [3]float32{gmath.Lerp(v0[0], v1[0], c.t), gmath.Lerp(v0[1], v1[1], c.t), gmath.Lerp(v0[2], v1[2], c.t)}
 			}
 		}
+		for _, r := range rows {
+			b0, b1 := band[r.i0*w:(r.i0+1)*w], band[r.i1*w:(r.i1+1)*w]
+			for x := range row {
+				row[x] = gmath.V4(gmath.Lerp(b0[x][0], b1[x][0], r.t), gmath.Lerp(b0[x][1], b1[x][1], r.t), gmath.Lerp(b0[x][2], b1[x][2], r.t), 1)
+			}
+			pix = append(pix, row...)
+		}
+	}
+	return pix
+}
+
+func checkerRows(w, h int, a, b gmath.Vec4, cells int) []gmath.Vec4 {
+	if cells < 1 {
+		cells = 8
+	}
+	cw, ch := max(1, w/cells), max(1, h/cells)
+	pix := make([]gmath.Vec4, 0, w*h)
+	row := make([]gmath.Vec4, w)
+	for y := 0; y < h; y++ {
+		for x := range row {
+			if ((x/cw)+(y/ch))%2 == 0 {
+				row[x] = a
+			} else {
+				row[x] = b
+			}
+		}
+		pix = append(pix, row...)
+	}
+	return pix
+}
+
+func gradientRows(w, h int, a, b gmath.Vec4) []gmath.Vec4 {
+	row := make([]gmath.Vec4, w)
+	for x := range row {
+		t := float32(0)
+		if w > 1 {
+			t = float32(x) / float32(w-1)
+		}
+		row[x] = a.Scale(1 - t).Add(b.Scale(t))
+	}
+	pix := make([]gmath.Vec4, 0, w*h)
+	for y := 0; y < h; y++ {
+		pix = append(pix, row...)
+	}
+	return pix
+}
+
+// closedFormCase is one computed texture and its generator's rows.
+type closedFormCase struct {
+	tex  func() *Texture
+	rows func() []gmath.Vec4
+}
+
+// ref is the case's texture built by New over its generator's rows.
+func (c closedFormCase) ref(t *testing.T) *Texture {
+	t.Helper()
+	tex := c.tex()
+	ref, err := New(tex.Name, tex.Fmt, tex.W, tex.H, tex.Layers, c.rows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// closedFormCases covers Noise square and not, in 1 and 8 layers (IT's
+// array); Checker with cells of 1, of 8 and not dividing the width; and
+// Gradient 1, 2 and 256 wide. small leaves out those over 64×64 texels.
+func closedFormCases(small bool) []closedFormCase {
+	a, b := gmath.V4(0.25, 0.22, 0.2, 1), gmath.V4(0.45, -0.42, 0.4, 0.5)
+	var cs []closedFormCase
+	for _, n := range []struct {
+		w, h, layers int
+		seed         int64
+	}{{64, 64, 1, 11}, {32, 8, 1, 3}, {4, 64, 2, 5}, {1, 1, 1, 9}, {2, 1, 3, 1}, {16, 16, 8, 211}, {256, 256, 8, 211}, {512, 512, 1, 401}} {
+		if small && n.w*n.h > 64*64 {
+			continue
+		}
+		cs = append(cs, closedFormCase{
+			func() *Texture { return Noise("noise", FormatRGBA8, n.w, n.h, n.layers, n.seed) },
+			func() []gmath.Vec4 { return noiseRows(n.w, n.h, n.layers, n.seed) },
+		})
+	}
+	for _, c := range []struct{ w, h, cells int }{{16, 16, 1}, {64, 64, 8}, {32, 8, 8}, {32, 32, 3}, {64, 16, 5}, {2, 2, 8}, {1, 4, 0}, {512, 512, 24}} {
+		if small && c.w*c.h > 64*64 {
+			continue
+		}
+		cs = append(cs, closedFormCase{
+			func() *Texture { return Checker("checker", FormatRGBA16F, c.w, c.h, a, b, c.cells) },
+			func() []gmath.Vec4 { return checkerRows(c.w, c.h, a, b, c.cells) },
+		})
+	}
+	for _, g := range []struct{ w, h int }{{1, 1}, {1, 8}, {2, 2}, {256, 4}, {256, 256}} {
+		if small && g.w*g.h > 64*64 {
+			continue
+		}
+		cs = append(cs, closedFormCase{
+			func() *Texture { return Gradient("gradient", FormatRG8, g.w, g.h, a, b) },
+			func() []gmath.Vec4 { return gradientRows(g.w, g.h, a, b) },
+		})
+	}
+	return cs
+}
+
+// TestClosedFormMatchesReference: every computed level-0 texel has the bits
+// its generator emitted, none is stored, and the chain filtered from the
+// computed rows is the chain New filters from the generator's.
+func TestClosedFormMatchesReference(t *testing.T) {
+	for _, c := range closedFormCases(testing.Short()) {
+		tex, rows := c.tex(), c.rows()
+		what := fmt.Sprintf("%s %dx%dx%d", tex.Name, tex.W, tex.H, tex.Layers)
+		for i, p := range tex.texels(0) {
+			if !sameVec4(p, rows[i]) {
+				t.Fatalf("%s texel %d: %v, generator %v", what, i, p, rows[i])
+			}
+		}
+		if len(tex.levels[0].pix) != 0 {
+			t.Fatalf("%s holds level 0", what)
+		}
+		inBothOrders(t, what, c.tex, func() *Texture { return c.ref(t) })
 	}
 }
 
@@ -314,13 +504,13 @@ func TestGradientEndpoints(t *testing.T) {
 	} {
 		g := Gradient("g", FormatRGBA8, c.w, c.h, a, b)
 		for lv := range g.levels {
-			for i, p := range g.pixels(lv) {
+			for i, p := range g.texels(lv) {
 				if p.X != p.X || p.Y != p.Y || p.Z != p.Z || p.W != p.W {
 					t.Fatalf("%dx%d level %d texel %d is NaN: %v", c.w, c.h, lv, i, p)
 				}
 			}
 		}
-		row := g.pixels(0)[:c.w]
+		row := g.texels(0)[:c.w]
 		if row[0] != c.first || row[c.w-1] != c.last {
 			t.Errorf("%dx%d: row runs %v … %v, want %v … %v", c.w, c.h, row[0], row[c.w-1], c.first, c.last)
 		}

@@ -9,7 +9,10 @@
 // a higher level makes neighboring fragments collide onto the same texel,
 // cutting L1 texture traffic by multiples (paper Figs. 7-9). The same fact
 // keeps host memory down: a frame reads only the levels its footprints
-// select, so a generated texture stores its level 0 only once it is read.
+// select. Noise, Checker and Gradient compute each level-0 texel where it
+// is sampled, from a band table, two colors or one row, and never store
+// level 0; NoiseFine, whose texels are one sequential random stream,
+// stores its level 0 only once it is read.
 package texture
 
 import (
@@ -95,19 +98,56 @@ type level struct {
 // bottom, the same rows on every call. A row is only read during emit.
 type rowGen func(emit func(row []gmath.Vec4))
 
+// form says where a texture's level-0 texels come from.
+type form uint8
+
+const (
+	// stored: levels[0].pix, New's pixels or NoiseFine's rows once read.
+	stored form = iota
+	// noise: lerped between two rows of the band table.
+	noise
+	// checker: a or b by the parity of the texel's cell.
+	checker
+	// gradient: the row every level-0 row repeats.
+	gradient
+)
+
+// lat is the side of Noise's random lattice.
+const lat = 9
+
+// tap is one axis coordinate's lattice cell [i0, i1] and weight t.
+type tap struct {
+	i0, i1 int
+	t      float32
+}
+
 // Texture is a (possibly layered) 2D texture with a full mip chain. Levels
-// 1…n are filtered at construction; level 0 of a generated texture is
-// stored only once something samples it (most frames read coarser levels
-// of most maps), by running its generator again.
+// 1…n are filtered at construction. Level 0 of Noise, Checker and Gradient
+// is never stored: its texels are computed where they are sampled, from a
+// table a few rows in size. NoiseFine stores its level 0 only once
+// something samples it (most frames read coarser levels of most maps), by
+// running its generator again.
 type Texture struct {
 	Name   string
 	Fmt    Format
 	W, H   int
 	Layers int
 	levels []level
-	// rows regenerates level 0 the first time fill runs.
-	rows rowGen
+	form   form
+	// gen regenerates a stored level 0 the first time fill runs.
+	gen  rowGen
 	fill sync.Once
+	// noise: texel (x, y) of layer l lerps band[(l*lat+i)*W+x] between
+	// i = taps[y].i0 and taps[y].i1 by taps[y].t; a band row is one lattice
+	// row already interpolated at every column.
+	taps []tap
+	band [][3]float32
+	// checker: a where the cw×ch cells' column and row indices sum to an
+	// even number, b elsewhere.
+	a, b   gmath.Vec4
+	cw, ch int
+	// gradient: level 0's one distinct row.
+	row []gmath.Vec4
 	// base is the virtual byte address of each level's storage.
 	base []uint64
 	size uint64
@@ -122,7 +162,8 @@ func New(name string, fmtc Format, w, h, layers int, pix []gmath.Vec4) (*Texture
 	if len(pix) != w*h*layers {
 		return nil, fmt.Errorf("texture %q: %d pixels for %dx%dx%d", name, len(pix), w, h, layers)
 	}
-	t := generate(name, fmtc, w, h, layers, func(emit func([]gmath.Vec4)) {
+	t := newTexture(name, fmtc, w, h, layers)
+	t.filter(func(emit func([]gmath.Vec4)) {
 		for i := 0; i < len(pix); i += w {
 			emit(pix[i : i+w])
 		}
@@ -141,25 +182,30 @@ func checkDims(name string, w, h, layers int) error {
 	return nil
 }
 
-// generate builds a texture whose level 0 is made row by row: the rows
-// stream through the mip filter into levels 1…n, and level 0 is not kept
-// until it is first read. Only the upper row of the pair being filtered
-// is copied; every coarser row is read back from its own level.
-func generate(name string, fmtc Format, w, h, layers int, rows rowGen) *Texture {
+// newTexture is a texture with its chain's levels 1…n allocated and level
+// 0 empty.
+func newTexture(name string, fmtc Format, w, h, layers int) *Texture {
 	if err := checkDims(name, w, h, layers); err != nil {
 		panic(err) // power-of-two inputs only; programmer error
 	}
-	t := &Texture{Name: name, Fmt: fmtc, W: w, H: h, Layers: layers, rows: rows}
+	t := &Texture{Name: name, Fmt: fmtc, W: w, H: h, Layers: layers}
 	t.levels = append(t.levels, level{w: w, h: h})
 	for lw, lh := w, h; lw > 1 || lh > 1; {
 		lw, lh = max(1, lw/2), max(1, lh/2)
 		t.levels = append(t.levels, level{w: lw, h: lh, pix: make([]gmath.Vec4, lw*lh*layers)})
 	}
+	return t
+}
+
+// filter streams level 0's rows through the mip filter into levels 1…n.
+// Only the upper row of the pair being filtered is copied; every coarser
+// row is read back from its own level.
+func (t *Texture) filter(rows rowGen) {
 	var upper []gmath.Vec4
 	r := 0
 	rows(func(row []gmath.Vec4) {
 		switch {
-		case h == 1:
+		case t.H == 1:
 			t.filterDown(r, row, nil)
 		case r%2 == 0:
 			upper = append(upper[:0], row...)
@@ -168,7 +214,6 @@ func generate(name string, fmtc Format, w, h, layers int, rows rowGen) *Texture 
 		}
 		r++
 	})
-	return t
 }
 
 // filterDown box-filters one row of level 1 from rows a and b of level 0
@@ -216,7 +261,8 @@ func boxRow(out, a, b []gmath.Vec4, sx int) {
 	}
 }
 
-// pixels is level lv's storage. Levels 1…n pay no check.
+// pixels is level lv's storage. Levels 1…n pay no check; level 0 is read
+// here only where its form is stored.
 func (t *Texture) pixels(lv int) []gmath.Vec4 {
 	if lv == 0 {
 		return t.level0()
@@ -224,7 +270,7 @@ func (t *Texture) pixels(lv int) []gmath.Vec4 {
 	return t.levels[lv].pix
 }
 
-// level0 is level 0's storage, generated on its first read.
+// level0 is a stored level 0, generated on its first read.
 func (t *Texture) level0() []gmath.Vec4 {
 	t.fill.Do(t.fillLevel0)
 	return t.levels[0].pix
@@ -232,8 +278,78 @@ func (t *Texture) level0() []gmath.Vec4 {
 
 func (t *Texture) fillLevel0() {
 	pix := make([]gmath.Vec4, 0, t.W*t.H*t.Layers)
-	t.rows(func(row []gmath.Vec4) { pix = append(pix, row...) })
-	t.levels[0].pix, t.rows = pix, nil
+	t.gen(func(row []gmath.Vec4) { pix = append(pix, row...) })
+	t.levels[0].pix, t.gen = pix, nil
+}
+
+// closedRows emits a computed level 0 row by row, as a rowGen.
+func (t *Texture) closedRows(emit func([]gmath.Vec4)) {
+	row := make([]gmath.Vec4, t.W)
+	for layer := 0; layer < t.Layers; layer++ {
+		for y := 0; y < t.H; y++ {
+			switch t.form {
+			case noise:
+				b0, b1, f := t.bands(layer, y)
+				for x := range row {
+					row[x] = noiseTexel(&b0[x], &b1[x], f)
+				}
+			case checker:
+				for x := range row {
+					row[x] = t.checkerTexel(x, y)
+				}
+			case gradient:
+				copy(row, t.row)
+			}
+			emit(row)
+		}
+	}
+}
+
+// texel0 is the computed level-0 texel (x, y) of a layer, all in range.
+func (t *Texture) texel0(layer, x, y int) gmath.Vec4 {
+	switch t.form {
+	case noise:
+		b0, b1, f := t.bands(layer, y)
+		return noiseTexel(&b0[x], &b1[x], f)
+	case checker:
+		return t.checkerTexel(x, y)
+	}
+	return t.row[x]
+}
+
+// quad0 is the computed level-0 2×2 quad at columns xa, xb and rows ya, yb
+// of a layer, all in range: each row's taps are looked up once.
+func (t *Texture) quad0(layer, xa, xb, ya, yb int) (p00, p10, p01, p11 gmath.Vec4) {
+	switch t.form {
+	case noise:
+		a0, a1, fa := t.bands(layer, ya)
+		b0, b1, fb := t.bands(layer, yb)
+		return noiseTexel(&a0[xa], &a1[xa], fa), noiseTexel(&a0[xb], &a1[xb], fa),
+			noiseTexel(&b0[xa], &b1[xa], fb), noiseTexel(&b0[xb], &b1[xb], fb)
+	case checker:
+		return t.checkerTexel(xa, ya), t.checkerTexel(xb, ya), t.checkerTexel(xa, yb), t.checkerTexel(xb, yb)
+	}
+	return t.row[xa], t.row[xb], t.row[xa], t.row[xb]
+}
+
+// bands is the two band rows Noise lerps for level-0 row y of a layer, and
+// the weight between them.
+func (t *Texture) bands(layer, y int) (b0, b1 [][3]float32, f float32) {
+	r := t.taps[y]
+	plane := t.band[layer*lat*t.W : (layer+1)*lat*t.W]
+	return plane[r.i0*t.W : (r.i0+1)*t.W], plane[r.i1*t.W : (r.i1+1)*t.W], r.t
+}
+
+// noiseTexel lerps two band entries by f.
+func noiseTexel(b0, b1 *[3]float32, f float32) gmath.Vec4 {
+	return gmath.V4(gmath.Lerp(b0[0], b1[0], f), gmath.Lerp(b0[1], b1[1], f), gmath.Lerp(b0[2], b1[2], f), 1)
+}
+
+func (t *Texture) checkerTexel(x, y int) gmath.Vec4 {
+	if (x/t.cw+y/t.ch)%2 == 0 {
+		return t.a
+	}
+	return t.b
 }
 
 // Levels reports the number of mip levels (log2(max dim)+1).
@@ -296,6 +412,9 @@ func (t *Texture) texel(lv, layer, x, y int) gmath.Vec4 {
 	x = gmath.ClampInt(x, 0, l.w-1)
 	y = gmath.ClampInt(y, 0, l.h-1)
 	layer = gmath.ClampInt(layer, 0, t.Layers-1)
+	if lv == 0 && t.form != stored {
+		return t.texel0(layer, x, y)
+	}
 	return t.pixels(lv)[layer*l.w*l.h+y*l.w+x]
 }
 
@@ -363,10 +482,16 @@ func (t *Texture) sampleBilinear(u, v float32, layer, lv int) (gmath.Vec4, uint6
 	xa, xb := gmath.ClampInt(x0, 0, l.w-1), gmath.ClampInt(x0+1, 0, l.w-1)
 	ya, yb := gmath.ClampInt(y0, 0, l.h-1), gmath.ClampInt(y0+1, 0, l.h-1)
 	layer = gmath.ClampInt(layer, 0, t.Layers-1)
-	plane := t.pixels(lv)[layer*l.w*l.h : (layer+1)*l.w*l.h]
-	r0, r1 := plane[ya*l.w:(ya+1)*l.w], plane[yb*l.w:(yb+1)*l.w]
-	top := r0[xa].Scale(1 - tx).Add(r0[xb].Scale(tx))
-	bot := r1[xa].Scale(1 - tx).Add(r1[xb].Scale(tx))
+	var p00, p10, p01, p11 gmath.Vec4
+	if lv == 0 && t.form != stored {
+		p00, p10, p01, p11 = t.quad0(layer, xa, xb, ya, yb)
+	} else {
+		plane := t.pixels(lv)[layer*l.w*l.h : (layer+1)*l.w*l.h]
+		r0, r1 := plane[ya*l.w:(ya+1)*l.w], plane[yb*l.w:(yb+1)*l.w]
+		p00, p10, p01, p11 = r0[xa], r0[xb], r1[xa], r1[xb]
+	}
+	top := p00.Scale(1 - tx).Add(p10.Scale(tx))
+	bot := p01.Scale(1 - tx).Add(p11.Scale(tx))
 	c := top.Scale(1 - ty).Add(bot.Scale(ty))
 	// Dominant tap: the nearest of the four.
 	nx, ny := xa, ya
@@ -397,35 +522,20 @@ func Checker(name string, fmtc Format, w, h int, a, b gmath.Vec4, cells int) *Te
 	if cells < 1 {
 		cells = 8
 	}
-	cw, ch := max(1, w/cells), max(1, h/cells)
-	return generate(name, fmtc, w, h, 1, func(emit func([]gmath.Vec4)) {
-		row := make([]gmath.Vec4, w)
-		for y := 0; y < h; y++ {
-			for x := range row {
-				if ((x/cw)+(y/ch))%2 == 0 {
-					row[x] = a
-				} else {
-					row[x] = b
-				}
-			}
-			emit(row)
-		}
-	})
+	t := newTexture(name, fmtc, w, h, 1)
+	t.form, t.a, t.b = checker, a, b
+	t.cw, t.ch = max(1, w/cells), max(1, h/cells)
+	t.filter(t.closedRows)
+	return t
 }
 
 // Noise builds a value-noise texture, deterministic in seed. Layered
 // variants (layers > 1) differ per layer — the Planets texture array.
 func Noise(name string, fmtc Format, w, h, layers int, seed int64) *Texture {
-	// Coarse lattice filled with random values, then bilinearly upsampled
+	// A coarse lattice filled with random values, then bilinearly upsampled
 	// for smooth variation. A texel's lattice cell and weights depend on
-	// its column or its row alone, so they are computed once per column
-	// and once per row, and each lattice row is interpolated along x once
-	// per column, not once per texel.
-	const lat = 9
-	type tap struct {
-		i0, i1 int
-		t      float32
-	}
+	// its column or its row alone, so each lattice row is interpolated
+	// along x once per column, into the band table the texels lerp.
 	axis := func(n int) []tap {
 		taps := make([]tap, n)
 		for i := range taps {
@@ -435,42 +545,36 @@ func Noise(name string, fmtc Format, w, h, layers int, seed int64) *Texture {
 		}
 		return taps
 	}
-	return generate(name, fmtc, w, h, layers, func(emit func([]gmath.Vec4)) {
-		rng := rand.New(rand.NewSource(seed))
-		cols, rows := axis(w), axis(h)
-		lattice := make([]float32, lat*lat*3)
-		// band[i*w+x] is lattice row i interpolated at column x: the inner
-		// lerp of every texel whose cell has i as its top or bottom row.
-		band := make([][3]float32, lat*w)
-		row := make([]gmath.Vec4, w)
-		for l := 0; l < layers; l++ {
-			for i := range lattice {
-				lattice[i] = rng.Float32()
-			}
-			for i := 0; i < lat; i++ {
-				lrow, brow := lattice[i*lat*3:(i+1)*lat*3], band[i*w:(i+1)*w]
-				for x, c := range cols {
-					v0, v1 := lrow[c.i0*3:][:3], lrow[c.i1*3:][:3]
-					brow[x] = [3]float32{gmath.Lerp(v0[0], v1[0], c.t), gmath.Lerp(v0[1], v1[1], c.t), gmath.Lerp(v0[2], v1[2], c.t)}
-				}
-			}
-			for _, r := range rows {
-				b0, b1 := band[r.i0*w:(r.i0+1)*w], band[r.i1*w:(r.i1+1)*w]
-				for x := range row {
-					row[x] = gmath.V4(gmath.Lerp(b0[x][0], b1[x][0], r.t), gmath.Lerp(b0[x][1], b1[x][1], r.t), gmath.Lerp(b0[x][2], b1[x][2], r.t), 1)
-				}
-				emit(row)
+	t := newTexture(name, fmtc, w, h, layers)
+	t.form, t.taps = noise, axis(h)
+	cols := axis(w)
+	rng := rand.New(rand.NewSource(seed))
+	lattice := make([]float32, lat*lat*3)
+	t.band = make([][3]float32, layers*lat*w)
+	for l := 0; l < layers; l++ {
+		for i := range lattice {
+			lattice[i] = rng.Float32()
+		}
+		for i := 0; i < lat; i++ {
+			lrow, brow := lattice[i*lat*3:(i+1)*lat*3], t.band[(l*lat+i)*w:(l*lat+i+1)*w]
+			for x, c := range cols {
+				v0, v1 := lrow[c.i0*3:][:3], lrow[c.i1*3:][:3]
+				brow[x] = [3]float32{gmath.Lerp(v0[0], v1[0], c.t), gmath.Lerp(v0[1], v1[1], c.t), gmath.Lerp(v0[2], v1[2], c.t)}
 			}
 		}
-	})
+	}
+	t.filter(t.closedRows)
+	return t
 }
 
 // NoiseFine builds a per-texel random texture (no spatial smoothing) —
 // the texel-granular content of detail normal maps and prefiltered
 // environment maps, whose samples scatter across the texture when driven
-// by per-pixel reflection vectors.
+// by per-pixel reflection vectors. Its texels are one sequential random
+// stream, so its level 0 is stored once read.
 func NoiseFine(name string, fmtc Format, w, h, layers int, seed int64) *Texture {
-	return generate(name, fmtc, w, h, layers, func(emit func([]gmath.Vec4)) {
+	t := newTexture(name, fmtc, w, h, layers)
+	t.gen = func(emit func([]gmath.Vec4)) {
 		src := rand.NewSource(seed)
 		row := make([]gmath.Vec4, w)
 		for r := 0; r < h*layers; r++ {
@@ -479,7 +583,9 @@ func NoiseFine(name string, fmtc Format, w, h, layers int, seed int64) *Texture 
 			}
 			emit(row)
 		}
-	})
+	}
+	t.filter(t.gen)
+	return t
 }
 
 // unitFloat32 is rand.New(src).Float32() without the calls in between, so
@@ -496,18 +602,16 @@ func unitFloat32(src rand.Source) float32 {
 
 // Gradient builds a horizontal gradient texture between two colors.
 func Gradient(name string, fmtc Format, w, h int, a, b gmath.Vec4) *Texture {
-	return generate(name, fmtc, w, h, 1, func(emit func([]gmath.Vec4)) {
-		row := make([]gmath.Vec4, w)
-		for x := range row {
-			// A one-texel gradient is all a: x/(w-1) would be 0/0.
-			t := float32(0)
-			if w > 1 {
-				t = float32(x) / float32(w-1)
-			}
-			row[x] = a.Scale(1 - t).Add(b.Scale(t))
+	t := newTexture(name, fmtc, w, h, 1)
+	t.form, t.row = gradient, make([]gmath.Vec4, w)
+	for x := range t.row {
+		// A one-texel gradient is all a: x/(w-1) would be 0/0.
+		f := float32(0)
+		if w > 1 {
+			f = float32(x) / float32(w-1)
 		}
-		for y := 0; y < h; y++ {
-			emit(row)
-		}
-	})
+		t.row[x] = a.Scale(1 - f).Add(b.Scale(f))
+	}
+	t.filter(t.closedRows)
+	return t
 }
