@@ -344,7 +344,7 @@ func BenchmarkAblation_WarpScheduler(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		run := func(lrr bool) int64 {
-			comp, err := experiments.BuildComputeForBench("VIO")
+			comp, err := compute.ByName("VIO", core.ComputeStreamBase)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -375,7 +375,7 @@ func BenchmarkSimulatorSpeed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	comp, err := experiments.BuildComputeForBench("VIO")
+	comp, err := compute.ByName("VIO", core.ComputeStreamBase)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func skipRatio(executed, skipped int64) float64 {
 // and reports the throughput of both plus the speedup — the acceptance
 // number tracked in docs/PERFORMANCE.md.
 func BenchmarkSimulatorSpeedMemBound(b *testing.B) {
-	comp, err := experiments.BuildComputeForBench("NN")
+	comp, err := compute.ByName("NN", core.ComputeStreamBase)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -735,7 +735,7 @@ func BenchmarkTracingOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	comp, err := experiments.BuildComputeForBench("VIO")
+	comp, err := compute.ByName("VIO", core.ComputeStreamBase)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -788,7 +788,7 @@ func BenchmarkHardeningOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	comp, err := experiments.BuildComputeForBench("VIO")
+	comp, err := compute.ByName("VIO", core.ComputeStreamBase)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -135,19 +135,6 @@ func (f *Frontend) Stats() FrontendStats {
 	return st
 }
 
-// Reset drops every retained entry. Builds in flight finish and are
-// retained as usual.
-func (f *Frontend) Reset() {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for f.lru.Len() > 0 {
-		f.drop(f.lru.Back())
-	}
-}
-
 // get returns the completed entry for key, running build on exactly one
 // of the callers that find it absent.
 func (f *Frontend) get(key frontendKey, build func(*frontendEntry)) *frontendEntry {

@@ -212,10 +212,6 @@ func TestFrontendLRUOrderAndBudget(t *testing.T) {
 	if st := fe.Stats(); st.Bytes > 100 || st.Entries != 2 {
 		t.Errorf("after d: %+v", st)
 	}
-	fe.Reset()
-	if st := fe.Stats(); st.Bytes != 0 || st.Entries != 0 {
-		t.Errorf("after Reset: %+v", st)
-	}
 }
 
 // TestFrontendOversizeNotRetained: an entry over half the budget is
@@ -386,7 +382,6 @@ func TestFrontendNilIsPassthrough(t *testing.T) {
 	if _, err := fe.Frame("NOPE", tinyOpts()); err == nil {
 		t.Error("unknown scene rendered")
 	}
-	fe.Reset()
 	if st := fe.Stats(); st != (FrontendStats{}) {
 		t.Errorf("nil Frontend stats: %+v", st)
 	}

@@ -6,6 +6,7 @@ import (
 	"crisp/internal/config"
 	"crisp/internal/core"
 	"crisp/internal/partition"
+	"crisp/internal/snapshot"
 	"crisp/internal/stats"
 )
 
@@ -28,8 +29,12 @@ type PairPerf struct {
 }
 
 // runPairs evaluates each (scene, compute) pair under the policies,
-// normalizing to baseline.
-func runPairs(cfg config.GPU, scenes, computes []string, policies []core.PolicyKind, baseline core.PolicyKind, sc Scale) ([]PairPerf, *stats.Table, error) {
+// normalizing to baseline, and takes each policy's geometric mean.
+func runPairs(cfg config.GPU, scenes, computes []string, policies []core.PolicyKind, baseline core.PolicyKind, sc Scale) ([]PairPerf, *stats.Table, map[core.PolicyKind]float64, error) {
+	results, err := Run(grid(cfg, scenes, computes, policies, frameOpts(sc.W2K, sc.H2K, true)))
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	header := []string{"pair"}
 	for _, p := range policies {
 		header = append(header, string(p))
@@ -40,15 +45,12 @@ func runPairs(cfg config.GPU, scenes, computes []string, policies []core.PolicyK
 		for _, cn := range computes {
 			pp := PairPerf{Scene: sn, Compute: cn, Norm: map[core.PolicyKind]float64{}, Cycles: map[core.PolicyKind]int64{}}
 			for _, pol := range policies {
-				res, err := Simulate(cfg, sn, sc.W2K, sc.H2K, true, cn, pol)
-				if err != nil {
-					return nil, nil, fmt.Errorf("%s+%s under %s: %w", sn, cn, pol, err)
-				}
-				pp.Cycles[pol] = res.Cycles
+				pp.Cycles[pol] = results[0].Cycles
+				results = results[1:]
 			}
 			base := pp.Cycles[baseline]
 			if base == 0 {
-				return nil, nil, fmt.Errorf("%s+%s: zero baseline cycles", sn, cn)
+				return nil, nil, nil, fmt.Errorf("%s+%s: zero baseline cycles", sn, cn)
 			}
 			row := []string{sn + "+" + cn}
 			for _, pol := range policies {
@@ -59,7 +61,15 @@ func runPairs(cfg config.GPU, scenes, computes []string, policies []core.PolicyK
 			out = append(out, pp)
 		}
 	}
-	return out, t, nil
+	geo := map[core.PolicyKind]float64{}
+	for _, pol := range policies {
+		var xs []float64
+		for _, p := range out {
+			xs = append(xs, p.Norm[pol])
+		}
+		geo[pol] = stats.GeoMean(xs)
+	}
+	return out, t, geo, nil
 }
 
 // Fig12Result is the warped-slicer study (paper Fig. 12) on the Jetson
@@ -79,18 +89,11 @@ type Fig12Result struct {
 // Fig12 runs the intra-SM partitioning study.
 func Fig12(sc Scale) (*Fig12Result, error) {
 	policies := []core.PolicyKind{core.PolicyMPS, core.PolicyEven, core.PolicyWarpedSlicer}
-	pairs, table, err := runPairs(config.JetsonOrin(), Fig12Pairs, ComputeWorkloads, policies, core.PolicyMPS, sc)
+	pairs, table, geo, err := runPairs(config.JetsonOrin(), Fig12Pairs, ComputeWorkloads, policies, core.PolicyMPS, sc)
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig12Result{Table: table, Pairs: pairs, GeoMean: map[core.PolicyKind]float64{}}
-	for _, pol := range policies {
-		var xs []float64
-		for _, p := range pairs {
-			xs = append(xs, p.Norm[pol])
-		}
-		out.GeoMean[pol] = stats.GeoMean(xs)
-	}
+	out := &Fig12Result{Table: table, Pairs: pairs, GeoMean: geo}
 	for _, p := range pairs {
 		if p.Compute == "NN" && p.Norm[core.PolicyEven] > out.BestNNSpeedup {
 			out.BestNNSpeedup = p.Norm[core.PolicyEven]
@@ -115,26 +118,13 @@ type Fig13Result struct {
 // Fig13 collects the occupancy timeline: the resident warps of each task
 // in the interval metrics series.
 func Fig13(sc Scale) (*Fig13Result, error) {
-	gfx, err := Frame("PT", sc.W2K, sc.H2K, true)
+	spec := core.SpecForPair(config.JetsonOrin(), "PT", "VIO", core.PolicyWarpedSlicer, frameOpts(sc.W2K, sc.H2K, true))
+	spec.MetricsInterval = 1024
+	results, err := Run([]snapshot.Spec{spec})
 	if err != nil {
 		return nil, err
 	}
-	comp, err := buildCompute("VIO")
-	if err != nil {
-		return nil, err
-	}
-	job := core.Job{
-		GPU:             config.JetsonOrin(),
-		Graphics:        gfx,
-		Compute:         comp,
-		Policy:          core.PolicyWarpedSlicer,
-		MetricsInterval: 1024,
-		NoSkip:          NoSkip,
-	}
-	res, err := job.Run()
-	if err != nil {
-		return nil, err
-	}
+	res := results[0]
 	t := &stats.Table{Header: []string{"cycle", "render-warps", "compute-warps"}}
 	out := &Fig13Result{Table: t, MinBusyWarps: 1 << 30}
 	for _, s := range res.Metrics.Samples {
@@ -171,19 +161,11 @@ var Fig14Pairs = []string{"SPH", "SPL"}
 // Fig14 runs the L2-partitioning study.
 func Fig14(sc Scale) (*Fig14Result, error) {
 	policies := []core.PolicyKind{core.PolicyMPS, core.PolicyMiG, core.PolicyTAP}
-	pairs, table, err := runPairs(config.RTX3070(), Fig14Pairs, ComputeWorkloads, policies, core.PolicyMPS, sc)
+	pairs, table, geo, err := runPairs(config.RTX3070(), Fig14Pairs, ComputeWorkloads, policies, core.PolicyMPS, sc)
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig14Result{Table: table, Pairs: pairs, GeoMean: map[core.PolicyKind]float64{}}
-	for _, pol := range policies {
-		var xs []float64
-		for _, p := range pairs {
-			xs = append(xs, p.Norm[pol])
-		}
-		out.GeoMean[pol] = stats.GeoMean(xs)
-	}
-	return out, nil
+	return &Fig14Result{Table: table, Pairs: pairs, GeoMean: geo}, nil
 }
 
 // Fig15Result is the L2 composition under TAP for SPH+HOLO (paper
@@ -198,10 +180,11 @@ type Fig15Result struct {
 
 // Fig15 measures the TAP L2 composition for SPH+HOLO.
 func Fig15(sc Scale) (*Fig15Result, error) {
-	res, err := Simulate(config.RTX3070(), "SPH", sc.W2K, sc.H2K, true, "HOLO", core.PolicyTAP)
+	results, err := Run([]snapshot.Spec{core.SpecForPair(config.RTX3070(), "SPH", "HOLO", core.PolicyTAP, frameOpts(sc.W2K, sc.H2K, true))})
 	if err != nil {
 		return nil, err
 	}
+	res := results[0]
 	total := res.L2Lines
 	if total == 0 {
 		return nil, fmt.Errorf("experiments: Fig15 empty L2")

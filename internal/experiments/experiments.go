@@ -4,18 +4,26 @@
 // the headline metrics its paper claim rests on, so benchmarks and tests
 // can assert the *shape* of the results — who wins, by roughly what
 // factor — without pinning absolute numbers.
+//
+// Every experiment that simulates reaches the simulator one way: it builds
+// a list of job specs (core.SpecForPair, core.SpecForMix), hands it to Run,
+// and reduces the results to its table and headline numbers.
 package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 
-	"crisp/internal/compute"
 	"crisp/internal/config"
 	"crisp/internal/core"
+	"crisp/internal/fanout"
 	"crisp/internal/render"
+	"crisp/internal/scenario"
 	"crisp/internal/scene"
+	"crisp/internal/snapshot"
 	"crisp/internal/stats"
 )
 
@@ -67,6 +75,20 @@ func frameOpts(w, h int, lod bool) render.Options {
 	return opts
 }
 
+// grid lists the pair specs of scenes × computes × policies, nested in
+// that order, every frame rendered with opts.
+func grid(cfg config.GPU, scenes, computes []string, policies []core.PolicyKind, opts render.Options) []snapshot.Spec {
+	var specs []snapshot.Spec
+	for _, sn := range scenes {
+		for _, cn := range computes {
+			for _, pol := range policies {
+				specs = append(specs, core.SpecForPair(cfg, sn, cn, pol, opts))
+			}
+		}
+	}
+	return specs
+}
+
 // Frame renders (and caches) a scene at the given size and LoD setting.
 func Frame(sceneName string, w, h int, lod bool) (*render.Result, error) {
 	return frontend.Frame(sceneName, frameOpts(w, h, lod))
@@ -86,52 +108,82 @@ func MaterialKinds(sceneName string) (map[string]render.MaterialKind, error) {
 	return kinds, nil
 }
 
-// simCache holds finished simulations by job digest. The digest keys the
-// configuration by content, not by name: a tweaked config that keeps its
-// preset's name (the narrowed RTX3070 of BenchmarkSimulatorSpeedMemBound)
-// is a different simulation.
-var (
-	simMu    sync.Mutex
-	simCache = map[string]*core.Result{}
-)
+// runKey is what Run memoizes a result under: the job digest, which
+// keys the configuration by content rather than by name (a tweaked config
+// that keeps its preset's name is a different simulation), plus the two
+// observability cadences the digest leaves out, so a run asked for a
+// metrics series is never answered with one that has none.
+type runKey struct {
+	digest                       string
+	metricsInterval, digestEvery int64
+}
 
-// Simulate runs (and caches) a graphics/compute pair under a policy.
-func Simulate(cfg config.GPU, sceneName string, w, h int, lod bool, computeName string, policy core.PolicyKind) (*core.Result, error) {
-	spec := core.SpecForPair(cfg, sceneName, computeName, policy, frameOpts(w, h, lod))
-	key := spec.JobDigest()
-	simMu.Lock()
-	r, ok := simCache[key]
-	simMu.Unlock()
-	if ok {
-		return r, nil
-	}
+func keyOf(spec snapshot.Spec) runKey {
+	return runKey{spec.JobDigest(), spec.MetricsInterval, spec.DigestEvery}
+}
+
+// memo holds every simulation this process has finished (runKey →
+// *core.Result). Figures rely on it: Figs. 11 and 15 read runs that
+// Figs. 6 and 14 already made.
+var memo sync.Map
+
+// Run simulates specs and returns their results in spec order. It is the
+// only route from a figure to the simulator. A spec this process already
+// ran, or one repeated in specs, is answered from the memo; the rest run
+// concurrently over the shared frontend, each an independent replay, so
+// the results are the ones a serial loop would get. On failure Run returns
+// the first failing spec's error, naming its workloads and policy; only
+// successes are memoized.
+func Run(specs []snapshot.Spec) ([]*core.Result, error) {
 	runOpts := []core.RunOption{core.WithFrontend(frontend)}
 	if NoSkip {
 		runOpts = append(runOpts, core.WithNoSkip())
 	}
-	res, err := core.RunSpec(context.Background(), spec, nil, runOpts...)
-	if err != nil {
-		return nil, err
+	var firstErr error
+	o := fanout.New(func(commit func()) { commit() })
+	defer o.Close()
+	started := map[runKey]bool{}
+	for _, spec := range specs {
+		k := keyOf(spec)
+		if _, done := memo.Load(k); done || started[k] {
+			continue
+		}
+		if firstErr != nil {
+			break
+		}
+		started[k] = true
+		o.Go(func() func() {
+			res, err := core.RunSpec(context.Background(), spec, nil, runOpts...)
+			return func() {
+				if err == nil {
+					memo.Store(k, res)
+				} else if firstErr == nil {
+					firstErr = fmt.Errorf("%s under %s: %w", specName(spec), spec.Policy, err)
+				}
+			}
+		})
 	}
-	simMu.Lock()
-	simCache[key] = res
-	simMu.Unlock()
-	return res, nil
+	o.Wait()
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	out := make([]*core.Result, len(specs))
+	for i, spec := range specs {
+		res, _ := memo.Load(keyOf(spec))
+		out[i] = res.(*core.Result)
+	}
+	return out, nil
 }
 
-// buildCompute constructs a compute workload on the conventional stream.
-// The result is the caller's own (case studies edit kernel lists).
-func buildCompute(name string) (*compute.Workload, error) {
-	return compute.ByName(name, core.ComputeStreamBase)
-}
-
-// ResetCaches drops all memoized renders and simulations (tests use this
-// to bound memory).
-func ResetCaches() {
-	frontend.Reset()
-	simMu.Lock()
-	simCache = map[string]*core.Result{}
-	simMu.Unlock()
+// specName names a spec's workloads as the figures do: "SCENE+COMPUTE"
+// for a pair, the mix's name for a mix.
+func specName(spec snapshot.Spec) string {
+	if len(spec.Mix) > 0 {
+		var mix scenario.MixSpec
+		_ = json.Unmarshal(spec.Mix, &mix) // SpecForMix wrote it; only the name is read
+		return "mix " + mix.Name
+	}
+	return strings.Trim(spec.Scene+"+"+spec.Compute, "+")
 }
 
 // Table2 renders the simulation-configuration table (paper Table II).
@@ -156,12 +208,3 @@ func Table2() *stats.Table {
 	row("Memory", func(g config.GPU) string { return fmt.Sprintf("%s, %.0fGB/s", g.MemTech, g.MemBandwidthGBps) })
 	return t
 }
-
-// BuildComputeForBench exposes compute-workload construction to the
-// benchmark harness at the conventional stream base.
-func BuildComputeForBench(name string) (*compute.Workload, error) {
-	return buildCompute(name)
-}
-
-// sceneByName re-exports scene lookup for experiment code in this package.
-func sceneByName(name string) (*render.FrameDef, error) { return scene.ByName(name) }

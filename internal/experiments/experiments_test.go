@@ -5,11 +5,16 @@ package experiments
 // default-scale numbers are produced by bench_test.go and cmd/crispbench.
 
 import (
+	"context"
+	"runtime"
 	"strings"
 	"testing"
 
 	"crisp/internal/config"
 	"crisp/internal/core"
+	"crisp/internal/render"
+	"crisp/internal/scenario"
+	"crisp/internal/snapshot"
 )
 
 var sc = QuickScale
@@ -44,29 +49,144 @@ func TestFrameCaching(t *testing.T) {
 	}
 }
 
-// TestSimulateKeysConfigByContent: a tweaked config that keeps its
-// preset's name is a different simulation. Keyed on the name, the second
-// call returned the preset's cached result.
-func TestSimulateKeysConfigByContent(t *testing.T) {
-	preset := config.JetsonOrin()
-	small := preset
-	small.L2Size = preset.L2Size / 16
-	a, err := Simulate(preset, "", 0, 0, true, "VIO", core.PolicySerial)
-	if err != nil {
-		t.Fatal(err)
+// TestRun: the figures' one runner memoizes by content and cadence, runs
+// misses concurrently, hands results back in spec order, and names the
+// first spec that fails. Each case uses a config of its own (L2 size) so
+// that no case is answered by another's memo.
+func TestRun(t *testing.T) {
+	ctx := context.Background()
+	orin := config.JetsonOrin()
+	withL2 := func(div int) config.GPU {
+		cfg := orin
+		cfg.L2Size = orin.L2Size / div
+		return cfg
 	}
-	b, err := Simulate(small, "", 0, 0, true, "VIO", core.PolicySerial)
-	if err != nil {
-		t.Fatal(err)
+	computeOnly := func(cfg config.GPU, name string, pol core.PolicyKind) snapshot.Spec {
+		return core.SpecForPair(cfg, "", name, pol, render.Options{})
 	}
-	if a == b {
-		t.Fatalf("configs named %q with L2Size %d and %d shared one cached result", preset.Name, preset.L2Size, small.L2Size)
+	run := func(t *testing.T, specs ...snapshot.Spec) []*core.Result {
+		t.Helper()
+		res, err := Run(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != len(specs) {
+			t.Fatalf("%d results for %d specs", len(res), len(specs))
+		}
+		return res
 	}
-	if a.Cycles == b.Cycles {
-		t.Errorf("a 16x smaller L2 left VIO at %d cycles: the second run did not use its own config", a.Cycles)
-	}
-	if again, _ := Simulate(small, "", 0, 0, true, "VIO", core.PolicySerial); again != b {
-		t.Error("Simulate did not memoize the tweaked config")
+	for _, c := range []struct {
+		name  string
+		check func(t *testing.T)
+	}{
+		// A tweaked config that keeps its preset's name is a different
+		// simulation: keyed on the name, it got the preset's result.
+		{"configs are keyed by content", func(t *testing.T) {
+			preset, small := computeOnly(orin, "VIO", core.PolicySerial), computeOnly(withL2(16), "VIO", core.PolicySerial)
+			res := run(t, preset, small)
+			if res[0] == res[1] {
+				t.Fatalf("configs named %q with L2Size %d and %d shared one result", orin.Name, orin.L2Size, small.GPU.L2Size)
+			}
+			if res[0].Cycles == res[1].Cycles {
+				t.Errorf("a 16x smaller L2 left VIO at %d cycles: the second run did not use its own config", res[0].Cycles)
+			}
+		}},
+		{"a repeated spec is memoized", func(t *testing.T) {
+			spec := computeOnly(withL2(2), "HOLO", core.PolicyEven)
+			res := run(t, spec, spec)
+			if res[0] != res[1] {
+				t.Error("one spec twice in a list ran twice")
+			}
+			if again := run(t, spec); again[0] != res[0] {
+				t.Error("a later Run of the same spec ran it again")
+			}
+		}},
+		{"results come back in spec order", func(t *testing.T) {
+			for _, at := range []struct{ procs, l2Div int }{{1, 4}, {2, 64}} { // a fresh memo key each
+				cfg := withL2(at.l2Div)
+				specs := []snapshot.Spec{
+					computeOnly(cfg, "VIO", core.PolicyEven),
+					computeOnly(cfg, "HOLO", core.PolicyMPS),
+					core.SpecForPair(cfg, "SPL", "HOLO", core.PolicyEven, frameOpts(sc.W2K, sc.H2K, true)),
+					computeOnly(cfg, "HOLO", core.PolicySerial),
+				}
+				prev := runtime.GOMAXPROCS(at.procs)
+				res, err := Run(specs)
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, spec := range specs {
+					want, err := core.RunSpec(ctx, spec, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res[i].Cycles != want.Cycles || res[i].Policy != want.Policy {
+						t.Errorf("GOMAXPROCS %d: result %d is %s at %d cycles, its spec runs %s at %d",
+							at.procs, i, res[i].Policy, res[i].Cycles, want.Policy, want.Cycles)
+					}
+				}
+			}
+		}},
+		// JobDigest leaves the cadences out, so a digest-only memo answered
+		// a metrics spec with the same job's series-less result.
+		{"a spec differing only by MetricsInterval gets its own series", func(t *testing.T) {
+			plain := computeOnly(withL2(8), "VIO", core.PolicyWarpedSlicer)
+			sampled := plain
+			sampled.MetricsInterval = 1024
+			res := run(t, plain, sampled)
+			if res[0].Metrics != nil {
+				t.Error("the spec without an interval has a series")
+			}
+			if res[1].Metrics == nil || len(res[1].Metrics.Samples) == 0 {
+				t.Fatal("the spec with MetricsInterval 1024 has no series")
+			}
+			if res[0].Cycles != res[1].Cycles {
+				t.Errorf("sampling moved the run: %d vs %d cycles", res[0].Cycles, res[1].Cycles)
+			}
+		}},
+		{"under NoSkip no result skipped a step", func(t *testing.T) {
+			NoSkip = true
+			defer func() { NoSkip = false }()
+			cfg := withL2(32)
+			mix, err := scenario.Preset("n-way-fair")
+			if err != nil {
+				t.Fatal(err)
+			}
+			mixSpec, err := core.SpecForMix(cfg, mix, core.PolicyMPS, render.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			metrics := computeOnly(cfg, "HOLO", core.PolicyEven)
+			metrics.MetricsInterval = 512
+			specs := []snapshot.Spec{
+				core.SpecForPair(cfg, "SPL", "VIO", core.PolicyEven, frameOpts(sc.W2K, sc.H2K, true)),
+				computeOnly(cfg, "VIO", core.PolicyEven),
+				mixSpec,
+				metrics,
+			}
+			for i, r := range run(t, specs...) {
+				if r.StepsSkipped != 0 {
+					t.Errorf("spec %d (%s under %s) skipped %d steps", i, specName(specs[i]), specs[i].Policy, r.StepsSkipped)
+				}
+			}
+		}},
+		{"a failing spec is named, and not memoized", func(t *testing.T) {
+			bad := computeOnly(orin, "NOPE1", core.PolicyEven)
+			specs := []snapshot.Spec{computeOnly(orin, "HOLO", core.PolicyEven), bad, computeOnly(orin, "NOPE2", core.PolicyTAP)}
+			res, err := Run(specs)
+			if err == nil || res != nil {
+				t.Fatalf("Run = %v, %v; want no results and an error", res, err)
+			}
+			if want := "NOPE1 under EVEN: "; !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("error %q does not start with %q", err, want)
+			}
+			if _, ok := memo.Load(keyOf(bad)); ok {
+				t.Error("the failed spec has a memo entry")
+			}
+		}},
+	} {
+		t.Run(c.name, c.check)
 	}
 }
 

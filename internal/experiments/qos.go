@@ -5,8 +5,8 @@ import (
 
 	"crisp/internal/config"
 	"crisp/internal/core"
-	"crisp/internal/render"
 	"crisp/internal/scenario"
+	"crisp/internal/snapshot"
 	"crisp/internal/stats"
 )
 
@@ -16,7 +16,7 @@ import (
 // The rendering task has a frame deadline (motion-to-photon budget); the
 // study measures when the frame finishes — not just aggregate throughput —
 // under each sharing policy. The accounting runs on the scenario engine
-// (core.RunMix → Result.QoS), the single source of truth for deadline
+// (Result.QoS of a mix run), the single source of truth for deadline
 // bookkeeping.
 type QoSResult struct {
 	Table *stats.Table
@@ -33,28 +33,12 @@ type QoSResult struct {
 	Slowdown map[core.PolicyKind]map[string]float64
 }
 
-// runQoSMix lowers and runs one mix under the experiment's NoSkip setting,
-// its workloads built through the experiment cache so repeated policies
-// reuse one rendered frame.
-func runQoSMix(cfg config.GPU, mix scenario.MixSpec, pol core.PolicyKind, opts render.Options) (*core.Result, error) {
-	job, err := core.BuildMixJobEnv(cfg, mix, pol, opts, frontend.MixEnv())
-	if err != nil {
-		return nil, err
-	}
-	job.NoSkip = NoSkip
-	return job.Run()
-}
-
 // CaseStudyQoS co-runs PT (the frame) with VIO (the tracking service) on
 // the Orin and compares frame-ready time, deadline outcome, and per-tenant
 // slowdown versus isolated execution across MPS, EVEN, and Priority.
 func CaseStudyQoS(sc Scale) (*QoSResult, error) {
 	cfg := config.JetsonOrin()
-	opts := render.DefaultOptions()
-	opts.W, opts.H = sc.W2K, sc.H2K
-	opts.LoD = true
-	opts.CollectRefTex = true
-
+	opts := frameOpts(sc.W2K, sc.H2K, true)
 	tenants := []scenario.Tenant{
 		{Name: "PT", Scene: "PT", Priority: 1},
 		{Name: "VIO", Compute: "VIO"},
@@ -63,18 +47,25 @@ func CaseStudyQoS(sc Scale) (*QoSResult, error) {
 	// Isolated baselines: each tenant alone on the whole GPU. Their
 	// turnarounds anchor the slowdown metric, and the isolated frame time
 	// sets the deadline at 2× (a 100% sharing budget).
-	isolated := make(map[string]int64, len(tenants))
+	var specs []snapshot.Spec
 	for _, tn := range tenants {
-		res, err := runQoSMix(cfg, scenario.MixSpec{Name: "isolated-" + tn.Name,
+		spec, err := core.SpecForMix(cfg, scenario.MixSpec{Name: "isolated-" + tn.Name,
 			Tenants: []scenario.Tenant{tn}}, core.PolicySerial, opts)
 		if err != nil {
 			return nil, err
 		}
-		tr := res.QoS.Tenants[0]
+		specs = append(specs, spec)
+	}
+	results, err := Run(specs)
+	if err != nil {
+		return nil, err
+	}
+	isolated := make(map[string]int64, len(tenants))
+	for i, tn := range tenants {
+		tr := results[i].QoS.Tenants[0]
 		isolated[tn.Name] = tr.LastDone - tr.FirstArrival
 	}
-	deadline := 2 * isolated["PT"]
-	tenants[0].Deadline = deadline
+	tenants[0].Deadline = 2 * isolated["PT"]
 
 	policies := []core.PolicyKind{core.PolicyMPS, core.PolicyEven, core.PolicyPriority}
 	out := &QoSResult{
@@ -84,12 +75,19 @@ func CaseStudyQoS(sc Scale) (*QoSResult, error) {
 		DeadlinesMet: map[core.PolicyKind]bool{},
 		Slowdown:     map[core.PolicyKind]map[string]float64{},
 	}
+	specs = nil
 	for _, pol := range policies {
-		mix := scenario.MixSpec{Name: "qos-case-study", Tenants: tenants}
-		res, err := runQoSMix(cfg, mix, pol, opts)
+		spec, err := core.SpecForMix(cfg, scenario.MixSpec{Name: "qos-case-study", Tenants: tenants}, pol, opts)
 		if err != nil {
 			return nil, err
 		}
+		specs = append(specs, spec)
+	}
+	if results, err = Run(specs); err != nil {
+		return nil, err
+	}
+	for i, pol := range policies {
+		res := results[i]
 		slow := make(map[string]float64, len(res.QoS.Tenants))
 		for _, tr := range res.QoS.Tenants {
 			if iso := isolated[tr.Name]; iso > 0 {

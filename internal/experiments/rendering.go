@@ -7,7 +7,9 @@ import (
 	"crisp/internal/core"
 	"crisp/internal/geom"
 	"crisp/internal/gmath"
+	"crisp/internal/scene"
 	"crisp/internal/silicon"
+	"crisp/internal/snapshot"
 	"crisp/internal/stats"
 	"crisp/internal/texture"
 	"crisp/internal/trace"
@@ -80,52 +82,49 @@ type Fig6Result struct {
 // Fig6 runs the frame-time correlation study.
 func Fig6(sc Scale) (*Fig6Result, error) {
 	cfg := config.RTX3070()
-	t := &stats.Table{Header: []string{"scene", "res", "sim-ms", "hw-ms", "sim/hw"}}
+	classes := []string{"2K", "4K"}
+	serial := []core.PolicyKind{core.PolicySerial}
+	var specs []snapshot.Spec
+	for _, class := range classes {
+		w, h := sc.Res(class)
+		specs = append(specs, grid(cfg, RenderScenes, []string{""}, serial, frameOpts(w, h, true))...)
+	}
+	results, err := Run(specs)
+	if err != nil {
+		return nil, err
+	}
+	out := &Fig6Result{Table: &stats.Table{Header: []string{"scene", "res", "sim-ms", "hw-ms", "sim/hw"}}}
 	var simT, hwT []float64
 	simHigh := 0
-	ratio2K := map[string]float64{}
-	ratio4K := map[string]float64{}
-	for _, name := range RenderScenes {
+	n := len(RenderScenes)
+	for i, name := range RenderScenes {
 		kinds, err := MaterialKinds(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, class := range []string{"2K", "4K"} {
+		for c, class := range classes {
 			w, h := sc.Res(class)
-			res, err := Simulate(cfg, name, w, h, true, "", core.PolicySerial)
-			if err != nil {
-				return nil, err
-			}
 			frame, err := Frame(name, w, h, true)
 			if err != nil {
 				return nil, err
 			}
 			hwMS := silicon.FrameTime(frame, &cfg, kinds)
-			simMS := res.FrameTimeMS
+			simMS := results[c*n+i].FrameTimeMS
 			simT = append(simT, simMS)
 			hwT = append(hwT, hwMS)
 			if simMS > hwMS {
 				simHigh++
 			}
-			if class == "2K" {
-				ratio2K[name] = simMS
-			} else {
-				ratio4K[name] = simMS
-			}
-			t.AddRow(name, class, stats.F(simMS), stats.F(hwMS), stats.F(simMS/hwMS))
+			out.Table.AddRow(name, class, stats.F(simMS), stats.F(hwMS), stats.F(simMS/hwMS))
 		}
-	}
-	out := &Fig6Result{
-		Table:           t,
-		R:               stats.Pearson(simT, hwT),
-		SimHighFraction: float64(simHigh) / float64(len(simT)),
-	}
-	out.ITScaling = ratio4K["IT"] / ratio2K["IT"]
-	for name := range ratio2K {
-		if r := ratio4K[name] / ratio2K[name]; r > out.MaxScaling {
-			out.MaxScaling = r
+		scaling := results[n+i].FrameTimeMS / results[i].FrameTimeMS
+		if name == "IT" {
+			out.ITScaling = scaling
 		}
+		out.MaxScaling = max(out.MaxScaling, scaling)
 	}
+	out.R = stats.Pearson(simT, hwT)
+	out.SimHighFraction = float64(simHigh) / float64(len(simT))
 	return out, nil
 }
 
@@ -310,11 +309,13 @@ func Fig11(sc Scale) (*Fig11Result, error) {
 		L2Hit:       map[string]float64{},
 	}
 	shading := map[string]string{"PT": "PBR", "SPL": "basic"}
-	for _, name := range []string{"PT", "SPL"} {
-		res, err := Simulate(cfg, name, sc.W2K, sc.H2K, true, "", core.PolicySerial)
-		if err != nil {
-			return nil, err
-		}
+	scenes := []string{"PT", "SPL"}
+	results, err := Run(grid(cfg, scenes, []string{""}, []core.PolicyKind{core.PolicySerial}, frameOpts(sc.W2K, sc.H2K, true)))
+	if err != nil {
+		return nil, err
+	}
+	for i, name := range scenes {
+		res := results[i]
 		total := res.L2Lines
 		if total == 0 {
 			return nil, fmt.Errorf("experiments: Fig11 %s has empty L2", name)
@@ -365,7 +366,7 @@ func Fig3Sweep(sc Scale) (*Fig3SweepResult, error) {
 			refByDraw[m.Name] = float64(m.ShadedVertices)
 		}
 	}
-	f, err := sceneByName("SPL")
+	f, err := scene.ByName("SPL")
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"strconv"
+
 	"crisp/internal/config"
 	"crisp/internal/core"
 	"crisp/internal/stats"
@@ -28,40 +30,15 @@ func CaseStudyAsyncUpscale(sc Scale) (*UpscaleResult, error) {
 		Table: &stats.Table{Header: []string{"policy", "cycles", "vs MPS"}},
 		Norm:  map[core.PolicyKind]float64{},
 	}
-	var base int64
-	for _, pol := range policies {
-		res, err := Simulate(cfg, "SPL", sc.W2K, sc.H2K, true, "UPSCALE", pol)
-		if err != nil {
-			return nil, err
-		}
-		if pol == core.PolicyMPS {
-			base = res.Cycles
-		}
-		n := float64(base) / float64(res.Cycles)
+	results, err := Run(grid(cfg, []string{"SPL"}, []string{"UPSCALE"}, policies, frameOpts(sc.W2K, sc.H2K, true)))
+	if err != nil {
+		return nil, err
+	}
+	base := results[0].Cycles // MPS
+	for i, pol := range policies {
+		n := float64(base) / float64(results[i].Cycles)
 		out.Norm[pol] = n
-		out.Table.AddRow(string(pol), itoa64(res.Cycles), stats.F(n))
+		out.Table.AddRow(string(pol), strconv.FormatInt(results[i].Cycles, 10), stats.F(n))
 	}
 	return out, nil
-}
-
-func itoa64(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

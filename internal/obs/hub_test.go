@@ -267,8 +267,10 @@ func TestIntervalSeriesPublishChurn(t *testing.T) {
 		}})
 	}
 	close(done)
-	churn.Wait()
+	// Close first: a churner that subscribed after the last Append is
+	// released only by the hub closing its channel.
 	hub.Close()
+	churn.Wait()
 
 	if len(series.Samples) != n {
 		t.Fatalf("buffered series has %d samples, want %d", len(series.Samples), n)

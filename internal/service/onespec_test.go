@@ -17,8 +17,8 @@ import (
 // TestOneEntryPoint: every by-name way into the simulator is RunSpec on one
 // description, so for a pair, a compute-only pair and an N-tenant scenario
 // the facade's RunPair/RunMix, RunSpec itself, a resume from a mid-run
-// checkpoint, experiments.Simulate (pairs) and crispd's runDirect report
-// the same cycles and stats digest.
+// checkpoint, experiments.Run (the figures' runner) and crispd's runDirect
+// report the same cycles and stats digest.
 func TestOneEntryPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs each job five ways")
@@ -87,10 +87,11 @@ func TestOneEntryPoint(t *testing.T) {
 				t.Error("Resume ran from cycle 0")
 			}
 
-			if c.spec.Scenario == "" {
-				res, err = experiments.Simulate(crisp.JetsonOrin(), c.spec.Scene, 128, 72, true, c.spec.Compute, policy)
-				checkResult("experiments.Simulate", res, err)
+			results, err := experiments.Run([]snapshot.Spec{r.spec})
+			if err == nil {
+				res = results[0]
 			}
+			checkResult("experiments.Run", res, err)
 
 			sr, err := runDirect(ctx, workerRequest{Spec: c.spec, ProgressInterval: 256}, r, nil, attemptHooks{})
 			if err != nil {
