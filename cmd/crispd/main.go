@@ -28,9 +28,10 @@
 // -fleet shards. An attempt is alive while its own process is: a child
 // that exits without a result is a crash verdict, one silent for four
 // -heartbeat-every periods is killed first, and the task is requeued to
-// resume from the newest shipped checkpoint. -worker-mode runs the bare
-// worker protocol (one NDJSON request on stdin, events on stdout) for use
-// as a -worker-bin peer.
+// resume from the newest shipped checkpoint. A worker reads one NDJSON
+// request on stdin and streams events on stdout; crispd runs as one when
+// its supervisor starts it with CRISPD_WORKER=1, as it does every
+// -worker-bin.
 //
 // See docs/SERVICE.md for the API reference and lifecycle details.
 package main
@@ -78,19 +79,14 @@ func main() {
 	retryMax := flag.Duration("retry-max", 0, "retry backoff cap (0 = default 30s)")
 	retrySeed := flag.Int64("retry-seed", 0, "seed for deterministic backoff jitter")
 	isolate := flag.Bool("isolate", false, "run each job attempt in a child worker process so a hard crash kills one job, not the daemon")
-	workerBin := flag.String("worker-bin", "", "worker executable for -isolate: any binary that calls service.WorkerMain, e.g. crispd -worker-mode (empty = re-exec this binary)")
+	workerBin := flag.String("worker-bin", "", "worker executable for -isolate: any binary that calls service.WorkerMain when CRISPD_WORKER=1, e.g. another crispd (empty = re-exec this binary)")
 	chaosSpec := flag.String("chaos", "", "seeded fault injection spec, e.g. 'seed=7,kill@9000,corrupt=truncate' (testing only)")
 	fleet := flag.Int("fleet", 0, "sweep-tier shard count: concurrent sweep tasks (0 = same as -workers)")
 	hbEvery := flag.Duration("heartbeat-every", 0, "isolated worker heartbeat cadence; a worker silent for 4 of them is killed and retried (0 = default 2.5s)")
 	maxSweeps := flag.Int("max-sweeps", 0, "max concurrently live sweeps; beyond it submissions get 429 (0 = default 16)")
 	maxSweepTasks := flag.Int("max-sweep-tasks", 0, "max grid cells one sweep may expand to (0 = default 512)")
 	timelineSubs := flag.Int("timeline-subs", 0, "max live SSE subscribers per timeline; beyond it requests get 503 (0 = default 256, negative = unlimited)")
-	workerMode := flag.Bool("worker-mode", false, "run as a bare fleet worker: read one job request from stdin, stream NDJSON events to stdout, exit (for -worker-bin peers)")
 	flag.Parse()
-
-	if *workerMode {
-		os.Exit(service.WorkerMain())
-	}
 
 	var cspec chaos.Spec
 	if *chaosSpec != "" {

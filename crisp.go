@@ -58,12 +58,10 @@ func GPUByName(name string) (GPUConfig, error) { return config.ByName(name) }
 func GPUFromFile(path string) (GPUConfig, error) { return config.LoadFile(path) }
 
 // ConfigDigest returns the canonical content hash of a GPU configuration
-// (16 hex digits): field-order-stable, provenance-independent (a config
-// loaded from a file digests identically to the structurally equal
-// preset). It keys the batch service's content-addressed result cache and
-// stamps snapshot-file headers, so both layers agree on configuration
-// identity.
-func ConfigDigest(cfg GPUConfig) string { return config.Digest(cfg) }
+// (16 hex digits), provenance-independent: a config loaded from a file
+// digests identically to the structurally equal preset. Stored results
+// carry it as their config_digest.
+func ConfigDigest(cfg GPUConfig) string { return snapshot.ConfigDigest(cfg) }
 
 // RenderOptions configure the graphics pipeline (resolution, batch size,
 // LoD, filtering).

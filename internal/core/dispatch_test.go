@@ -135,7 +135,7 @@ func TestDispatchParity(t *testing.T) {
 // memo were rewritten — computed for them. Three have moved since, each on
 // purpose: the n-way-fair WarpedSlicer digest when the cap search replaced
 // the water-fill at four tasks, and both job digests when config.GPU lost
-// its sector size. The parity suites compare the fast paths with the
+// its sector size and again when JobDigest became the walk of the spec. The parity suites compare the fast paths with the
 // -no-skip oracle, which shares the fill table and the bank-conflict count
 // with them; these constants do not. The third job is the mem-bound
 // benchmark's (4 L1 MSHRs, 8x DRAM latency), where the MSHR file is truly
@@ -160,8 +160,8 @@ func TestHotPathDigestsPinned(t *testing.T) {
 		t.Errorf("closing sample reads %d sweeps / %d skipped, the result %d / %d",
 			last.DispatchSweeps, last.DispatchSkipped, pair.DispatchSweeps, pair.DispatchSkipped)
 	}
-	if spec := SpecForPair(config.JetsonOrin(), "SPL", "VIO", PolicyTAP, tinyOpts()); spec.JobDigest() != "9491210f06136a10" {
-		t.Errorf("pair job digest %s, pinned 9491210f06136a10", spec.JobDigest())
+	if spec := SpecForPair(config.JetsonOrin(), "SPL", "VIO", PolicyTAP, tinyOpts()); spec.JobDigest() != "317d323b62f7f78f" {
+		t.Errorf("pair job digest %s, pinned 317d323b62f7f78f", spec.JobDigest())
 	}
 
 	preset, err := scenario.Preset("n-way-fair")
@@ -179,8 +179,8 @@ func TestHotPathDigestsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec := mixJob.buildSpec(); spec.JobDigest() != "fca779620546ee34" {
-		t.Errorf("mix job digest %s, pinned fca779620546ee34", spec.JobDigest())
+	if spec := mixJob.buildSpec(); spec.JobDigest() != "b16c16423f81d4f9" {
+		t.Errorf("mix job digest %s, pinned b16c16423f81d4f9", spec.JobDigest())
 	}
 
 	narrow := config.RTX3070()

@@ -104,15 +104,9 @@ type StreamDef struct {
 // extension), and eight is far beyond any experiment here.
 const maxTasks = 8
 
-// KernelStat records one kernel launch's timing.
-type KernelStat struct {
-	Name     string
-	Stream   int
-	Task     int
-	Launched int64 // cycle the kernel entered the running set
-	Done     int64 // cycle its last CTA committed
-	CTAs     int
-}
+// KernelStat records one kernel launch's timing; it is its own checkpoint
+// record.
+type KernelStat = snapshot.KernelStatState
 
 // launch tracks a kernel that is currently issuing or executing CTAs.
 type launch struct {

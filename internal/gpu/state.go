@@ -77,10 +77,7 @@ func (g *GPU) CaptureState() (*snapshot.GPUState, error) {
 		}
 	}
 
-	a.Kernels = make([]snapshot.KernelStatState, len(g.kernelStats))
-	for i, ks := range g.kernelStats {
-		a.Kernels[i] = snapshot.KernelStatState(ks)
-	}
+	a.Kernels = append(make([]KernelStat, 0, len(g.kernelStats)), g.kernelStats...)
 
 	a.InstsBySMTask = make([][]int64, len(g.instsBySMTask))
 	for i, row := range g.instsBySMTask {
@@ -219,10 +216,7 @@ func (g *GPU) RestoreState(st *snapshot.GPUState) error {
 		launchByStream[ls.StreamID] = l
 	}
 
-	g.kernelStats = make([]KernelStat, len(a.Kernels))
-	for i, ks := range a.Kernels {
-		g.kernelStats[i] = KernelStat(ks)
-	}
+	g.kernelStats = append(make([]KernelStat, 0, len(a.Kernels)), a.Kernels...)
 
 	for i, row := range a.InstsBySMTask {
 		if len(row) != len(g.instsBySMTask[i]) {

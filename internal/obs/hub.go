@@ -1,10 +1,9 @@
 package obs
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"math"
 	"sync"
+
+	"crisp/internal/snapshot"
 )
 
 // Timeline event kinds. A hub's history interleaves interval-metrics
@@ -319,34 +318,18 @@ func (h *Hub) Stats() HubStats {
 	return st
 }
 
-// SamplesDigest hashes a sample series canonically: FNV-1a over every
-// sample's cycle and every point's stream id, label, counters, and the
-// IEEE-754 bit patterns of its rates, in order. Two series share a digest
-// iff they are bit-identical, which is how a streamed timeline is checked
-// against the buffered series it was broadcast from.
+// SamplesDigest hashes a sample series canonically: each sample's cycle,
+// then the walk of its points (every field, in declaration order) into a
+// snapshot.Hasher. Two series share a digest iff their cycles and points
+// are bit-identical, which is how a streamed timeline is checked against
+// the buffered series it was broadcast from. The sample-level engine
+// counters (StepsExecuted and the rest) are left out: they count host
+// work, which -no-skip changes, not simulated results.
 func SamplesDigest(samples []Sample) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
+	h := snapshot.NewHasher()
 	for _, s := range samples {
-		u64(uint64(s.Cycle))
-		u64(uint64(len(s.Points)))
-		for _, p := range s.Points {
-			u64(uint64(p.Stream))
-			h.Write([]byte(p.Label))
-			f64(p.IPC)
-			u64(uint64(p.Warps))
-			f64(p.L1Hit)
-			f64(p.L2Hit)
-			f64(p.DRAMBytesPerCycle)
-			for _, n := range p.Stalls {
-				u64(uint64(n))
-			}
-		}
+		h.PutI64(s.Cycle)
+		h.Put(s.Points)
 	}
 	return h.Sum64()
 }

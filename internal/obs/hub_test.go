@@ -308,3 +308,37 @@ func TestSamplesDigest(t *testing.T) {
 		t.Fatal("nil and empty series must agree")
 	}
 }
+
+// TestSamplesDigestSeesQoS: scenario series that differ only in one tenant
+// QoS counter — deadline outcomes included — are different results.
+func TestSamplesDigestSeesQoS(t *testing.T) {
+	mk := func() []Sample {
+		return []Sample{{Cycle: 100, Points: []SeriesPoint{{Stream: 1, Label: "VIO", IPC: 0.5,
+			QoSArrived: 3, QoSDone: 2, DeadlinesMet: 2, DeadlinesMissed: 1}}}}
+	}
+	for name, edit := range map[string]func(*SeriesPoint){
+		"QoSArrived":      func(p *SeriesPoint) { p.QoSArrived++ },
+		"QoSDone":         func(p *SeriesPoint) { p.QoSDone++ },
+		"DeadlinesMet":    func(p *SeriesPoint) { p.DeadlinesMet++ },
+		"DeadlinesMissed": func(p *SeriesPoint) { p.DeadlinesMissed++ },
+	} {
+		a, b := mk(), mk()
+		edit(&b[0].Points[0])
+		if SamplesDigest(a) == SamplesDigest(b) {
+			t.Errorf("series differing only in %s digest alike", name)
+		}
+	}
+}
+
+// TestSamplesDigestIgnoresEngineCounters: the sample-level engine counters
+// count host work (-no-skip changes them), so they do not key the series.
+func TestSamplesDigestIgnoresEngineCounters(t *testing.T) {
+	a := []Sample{{Cycle: 100, CyclesSimulated: 100, StepsExecuted: 40, StepsSkipped: 60,
+		Points: []SeriesPoint{{Stream: 0, Label: "graphics", Warps: 8}}}}
+	b := []Sample{{Cycle: 100, CyclesSimulated: 100, StepsExecuted: 100, BulkStallSlots: 7,
+		DispatchSweeps: 100, DispatchSkipped: 0, StallReplays: 9,
+		Points: []SeriesPoint{{Stream: 0, Label: "graphics", Warps: 8}}}}
+	if SamplesDigest(a) != SamplesDigest(b) {
+		t.Fatal("series differing only in engine counters digest differently")
+	}
+}

@@ -136,7 +136,7 @@ func TestForeignJobCheckpointIsNotAResume(t *testing.T) {
 	}
 
 	// Only foreign snapshots: all set aside, one fallback, cycle 0.
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "a1")
 	plantCheckpoints(t, foreign, dir, foreignAt)
 	if sr, fallbacks := attempt(dir); sr.Resumed || fallbacks != 1 {
 		t.Errorf("resumed %v with %d fallbacks; want a run from cycle 0 and one fallback", sr.Resumed, fallbacks)
@@ -146,7 +146,8 @@ func TestForeignJobCheckpointIsNotAResume(t *testing.T) {
 	}
 
 	// A newer foreign snapshot beside the job's own: the own one is resumed.
-	own := t.TempDir()
+	root := t.TempDir()
+	own := filepath.Join(root, "a1")
 	plantCheckpoints(t, victim, own, clean.Cycles/2)
 	final, err := os.ReadFile(filepath.Join(dir, "final"+snapshot.Ext+".corrupt"))
 	if err != nil {
@@ -156,10 +157,10 @@ func TestForeignJobCheckpointIsNotAResume(t *testing.T) {
 	if err := os.WriteFile(intruder, final, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := (&sweepTask{dir: own, digest: "0000000000000000"}).bestResume(); got != "" {
+	if got := (&sweepTask{dir: root, digest: "0000000000000000"}).bestResume(); got != "" {
 		t.Errorf("bestResume = %q for a job with no snapshot there", got)
 	}
-	if got := (&sweepTask{dir: own, digest: r.digest}).bestResume(); got != own {
+	if got := (&sweepTask{dir: root, digest: r.digest}).bestResume(); got != own {
 		t.Errorf("bestResume = %q, want %q", got, own)
 	}
 	if sr, fallbacks := attempt(own); !sr.Resumed || fallbacks != 1 {

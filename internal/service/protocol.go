@@ -17,10 +17,9 @@ import (
 // one workerRequest JSON document on the child's stdin; the child streams
 // newline-delimited workerEvent JSON on stdout — any number of "sample",
 // "heartbeat", and "fallback" events, then exactly one terminal "result"
-// or "error" event. The same framing works unchanged over a socket to a
-// remote `crispd -worker-mode` peer: the protocol carries summaries,
-// never simulator internals, so both ends rebuild the job independently
-// from the same by-value JobSpec.
+// or "error" event. The protocol carries summaries, never simulator
+// internals, so both ends rebuild the job independently from the same
+// by-value JobSpec.
 //
 // Every inbound line passes through decodeWorkerEvent, which enforces the
 // never-panic contract fuzzed by FuzzWireDecode: arbitrary bytes produce

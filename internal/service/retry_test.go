@@ -456,75 +456,60 @@ func plantCheckpoints(t *testing.T, spec JobSpec, dir string, budget int64) {
 	}
 }
 
-// TestRestartAcrossCheckpointLayouts boots over a state dir holding one
-// job the way a daemon older than the a<N> layout left it (checkpoints
-// directly in jobs/<id>/) and one holding two attempt directories: both
-// must resume from their newest checkpoint and finish bit-identical to an
-// uninterrupted run.
+// TestRestartAcrossCheckpointLayouts boots over a state dir holding a job
+// whose two attempt directories (a1, a2) both hold checkpoints: it must
+// resume from the newest one and finish bit-identical to an uninterrupted
+// run.
 func TestRestartAcrossCheckpointLayouts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("restart round trip is not short")
 	}
 	dir := t.TempDir()
-	flat, nested := tinySpec("SPL", "VIO", "EVEN"), tinySpec("SPL", "VIO", "MPS")
-	persist := func(id string, spec JobSpec) string {
-		r, err := spec.resolve()
-		if err != nil {
-			t.Fatalf("resolve: %v", err)
-		}
-		jdir := filepath.Join(dir, "jobs", id)
-		if err := os.MkdirAll(jdir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		pj, _ := json.Marshal(persistedJob{ID: id, Digest: r.digest, Spec: spec})
-		if err := os.WriteFile(filepath.Join(jdir, "job.json"), pj, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return jdir
+	spec := tinySpec("SPL", "VIO", "MPS")
+	r, err := spec.resolve()
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
 	}
-	cycles := directRun(t, flat).Cycles
-	if c := directRun(t, nested).Cycles; c < cycles {
-		cycles = c
+	jdir := filepath.Join(dir, "jobs", "j000001")
+	if err := os.MkdirAll(jdir, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	if cycles < 4096 {
-		t.Skipf("runs too short to checkpoint twice (%d cycles)", cycles)
+	pj, _ := json.Marshal(persistedJob{ID: "j000001", Digest: r.digest, Spec: spec})
+	if err := os.WriteFile(filepath.Join(jdir, "job.json"), pj, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	flatDir := persist("j000001", flat)
-	plantCheckpoints(t, flat, flatDir, cycles/2)
-	nestedDir := persist("j000002", nested)
-	plantCheckpoints(t, nested, filepath.Join(nestedDir, "a1"), cycles/4)
-	plantCheckpoints(t, nested, filepath.Join(nestedDir, "a2"), cycles/2)
+	direct := directRun(t, spec)
+	if direct.Cycles < 4096 {
+		t.Skipf("run too short to checkpoint twice (%d cycles)", direct.Cycles)
+	}
+	plantCheckpoints(t, spec, filepath.Join(jdir, "a1"), direct.Cycles/4)
+	plantCheckpoints(t, spec, filepath.Join(jdir, "a2"), direct.Cycles/2)
 
 	s, err := New(Config{Workers: 1, StateDir: dir, ProgressInterval: 256, CheckpointEvery: 512})
 	if err != nil {
-		t.Fatalf("New over both layouts: %v", err)
+		t.Fatalf("New over two attempt directories: %v", err)
 	}
-	for id, want := range map[string]string{"j000001": flatDir, "j000002": filepath.Join(nestedDir, "a2")} {
-		job, ok := s.Job(id)
-		if !ok {
-			t.Fatalf("job %s not recovered", id)
-		}
-		if got := job.task.bestResume(); got != want {
-			t.Errorf("job %s resumes from %q, want the newest checkpoint's directory %q", id, got, want)
-		}
+	job, ok := s.Job("j000001")
+	if !ok {
+		t.Fatal("job not recovered")
+	}
+	if got, want := job.task.bestResume(), filepath.Join(jdir, "a2"); got != want {
+		t.Errorf("job resumes from %q, want the newest checkpoint's directory %q", got, want)
 	}
 	s.Start()
 	defer s.Drain(context.Background())
-	for id, spec := range map[string]JobSpec{"j000001": flat, "j000002": nested} {
-		job := waitState(t, s, id, StateDone, 2*time.Minute)
-		sr, ok := s.Result(job.Digest)
-		if !ok {
-			t.Fatalf("job %s: no cached result", id)
-		}
-		direct := directRun(t, spec)
-		dd, _ := direct.StatsDigest()
-		if !sr.Resumed {
-			t.Errorf("job %s re-simulated from cycle 0", id)
-		}
-		if sr.Cycles != direct.Cycles || sr.StatsDigest != fmt.Sprintf("%016x", dd) {
-			t.Errorf("job %s resumed to (cycles %d, digest %s), direct run (cycles %d, digest %016x)",
-				id, sr.Cycles, sr.StatsDigest, direct.Cycles, dd)
-		}
+	waitState(t, s, "j000001", StateDone, 2*time.Minute)
+	sr, ok := s.Result(r.digest)
+	if !ok {
+		t.Fatal("no cached result")
+	}
+	dd, _ := direct.StatsDigest()
+	if !sr.Resumed {
+		t.Error("job re-simulated from cycle 0")
+	}
+	if sr.Cycles != direct.Cycles || sr.StatsDigest != fmt.Sprintf("%016x", dd) {
+		t.Errorf("job resumed to (cycles %d, digest %s), direct run (cycles %d, digest %016x)",
+			sr.Cycles, sr.StatsDigest, direct.Cycles, dd)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	crisp "crisp"
-	"crisp/internal/config"
 	"crisp/internal/obs"
 	"crisp/internal/scenario"
 	"crisp/internal/snapshot"
@@ -74,7 +73,7 @@ func storedFromResult(r *resolved, res *crisp.Result, wallMS float64) (*StoredRe
 	sr := &StoredResult{
 		Digest:       r.digest,
 		GPU:          r.spec.GPU.Name,
-		ConfigDigest: config.Digest(r.spec.GPU),
+		ConfigDigest: snapshot.ConfigDigest(r.spec.GPU),
 		Scene:        r.spec.Scene,
 		Compute:      r.spec.Compute,
 		Policy:       string(res.Policy),

@@ -50,14 +50,9 @@ type sweepTask struct {
 }
 
 // resumeDirs lists where the task's attempts may have checkpointed: the
-// task's root (where a daemon older than the a<N> layout wrote) and every
-// attempt directory under it.
-func (t *sweepTask) resumeDirs() []string {
-	if t.dir == "" {
-		return nil
-	}
-	dirs := []string{t.dir}
-	ents, _ := os.ReadDir(t.dir)
+// attempt directories (a1, a2, ...) under the task's root.
+func (t *sweepTask) resumeDirs() (dirs []string) {
+	ents, _ := os.ReadDir(t.dir) // none when t.dir is "" (no checkpoints)
 	for _, e := range ents {
 		if e.IsDir() {
 			dirs = append(dirs, filepath.Join(t.dir, e.Name()))

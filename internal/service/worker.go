@@ -26,18 +26,17 @@ import (
 
 // WorkerEnv marks a process as a crispd worker: when the variable is "1",
 // cmd/crispd (and the service test binary) run WorkerMain instead of the
-// daemon. The supervisor re-execs its own binary with this set, so no
-// separate worker binary needs to be installed; `crispd -worker-mode`
-// enters the same loop explicitly for fleet peers launched by hand.
+// daemon. The supervisor sets it for every worker it starts, its own
+// binary re-exec'ed or a -worker-bin, so no separate worker binary needs
+// to be installed and a worker needs no flag.
 const WorkerEnv = "CRISPD_WORKER"
 
 // WorkerMain is the worker entry point: it reads one workerRequest from
 // stdin, runs the attempt, and streams workerEvents to stdout. It is
-// called by cmd/crispd (or a test binary) when WorkerEnv is set or
-// -worker-mode is passed. Returns the process exit
-// code: 0 when the protocol completed (including reported simulation
-// failures — the supervisor classifies those from the error event),
-// nonzero only when the protocol itself broke.
+// called by cmd/crispd (or a test binary) when WorkerEnv is set. Returns
+// the process exit code: 0 when the protocol completed (including
+// reported simulation failures — the supervisor classifies those from the
+// error event), nonzero only when the protocol itself broke.
 func WorkerMain() int {
 	var req workerRequest
 	if err := json.NewDecoder(os.Stdin).Decode(&req); err != nil {

@@ -349,9 +349,10 @@ func NewestCycle(dir, job string) (cycle int64, ok bool) {
 	return 0, false
 }
 
-// LoadNewest loads the newest snapshot of job in dir (its Spec.JobDigest;
-// "" = any job), falling back to progressively older checkpoints when the
-// newest is corrupt or truncated — the supervised-retry recovery path. Each
+// LoadNewest loads the newest snapshot of job in dir (by its header's
+// SpecDigest, as NewestCycle reads it; "" = any job), falling back to
+// progressively older checkpoints when the newest is corrupt, truncated or
+// another job's — the supervised-retry recovery path. Each
 // file passed over on the way, undecodable or another job's, is renamed
 // aside to <name>.corrupt (so the next attempt does not re-try it) and
 // reported in corrupt. When no snapshot in dir qualifies, env is nil and
@@ -363,9 +364,12 @@ func LoadNewest(dir, job string) (env *Envelope, corrupt []string, err error) {
 		return nil, nil, snapErr(fmt.Sprintf("no snapshots in %s", dir), nil)
 	}
 	for _, path := range cands {
-		env, lerr := LoadFile(path)
-		if lerr == nil && job != "" && env.Spec.JobDigest() != job {
-			lerr = snapErr(fmt.Sprintf("%s is a snapshot of job %s, not %s", path, env.Spec.JobDigest(), job), nil)
+		hdr, lerr := PeekHeader(path)
+		if lerr == nil && job != "" && hdr.SpecDigest != job {
+			lerr = snapErr(fmt.Sprintf("%s is a snapshot of job %s, not %s", path, hdr.SpecDigest, job), nil)
+		}
+		if lerr == nil {
+			env, lerr = LoadFile(path)
 		}
 		if lerr == nil {
 			return env, corrupt, nil

@@ -166,3 +166,35 @@ func TestForeignJobIsNotAResumePoint(t *testing.T) {
 		t.Fatalf("foreign snapshot not renamed: %v", err)
 	}
 }
+
+// TestHeaderDigestNamesTheJob: a snapshot belongs to the job its header's
+// spec_digest names, for LoadNewest as for NewestCycle. One whose header
+// an older JobDigest stamped is another job's, though its body is this
+// job's spec: it is set aside, not loaded.
+func TestHeaderDigestNamesTheJob(t *testing.T) {
+	dir := t.TempDir()
+	env := sampleEnvelope(100)
+	path, err := (&Store{Dir: dir}).Save(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := env.Spec.JobDigest()
+	old := strings.Replace(string(raw), `"spec_digest":"`+job+`"`, `"spec_digest":"0123456789abcdef"`, 1)
+	if old == string(raw) {
+		t.Fatal("header carries no spec_digest")
+	}
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := NewestCycle(dir, job); ok {
+		t.Fatal("NewestCycle ranked a snapshot whose header names another job")
+	}
+	got, aside, err := LoadNewest(dir, job)
+	if got != nil || err == nil || len(aside) != 1 || aside[0] != path {
+		t.Fatalf("LoadNewest loaded %v, set aside %v, err %v; want nothing loaded and %s set aside", got != nil, aside, err, path)
+	}
+}

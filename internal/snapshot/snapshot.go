@@ -179,13 +179,14 @@ type LaunchState struct {
 	LastDone  int64
 }
 
-// KernelStatState is one completed kernel launch's timing record.
+// KernelStatState is one completed kernel launch's timing record (the
+// simulator's own gpu.KernelStat).
 type KernelStatState struct {
 	Name     string
 	Stream   int
 	Task     int
-	Launched int64
-	Done     int64
+	Launched int64 // cycle the kernel entered the running set
+	Done     int64 // cycle its last CTA committed
 	CTAs     int
 }
 
