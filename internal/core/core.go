@@ -413,11 +413,10 @@ func renumber(kernels []*trace.Kernel, id int) []*trace.Kernel {
 
 // BuildPolicy constructs the named partitioning policy for a GPU hosting
 // totalTasks tasks (nil for PolicySerial). The policies are one family,
-// each written once and taking the task count: MPS, MiG, EVEN and Priority
-// are the same code at every n; TAP and WarpedSlicer additionally carry the
-// two-task decision rule the paper's figures were reproduced with beside
-// their n-way one (package partition says why the two are not merged). The
-// count is clamped to at least two: a graphics-only or compute-only job
+// each written once and taking the task count, with one decision rule per
+// policy at every n — at two tasks TAP's and WarpedSlicer's rules reduce to
+// the ones the paper's figures were reproduced with (package partition
+// says how). The count is clamped to at least two: a graphics-only or compute-only job
 // keeps the pair's two-slot partition — half the SMs under MPS, a half
 // envelope under EVEN.
 func BuildPolicy(g *gpu.GPU, kind PolicyKind, totalTasks int) (gpu.Policy, error) {

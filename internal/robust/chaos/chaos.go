@@ -12,7 +12,7 @@
 //     SIGKILLs itself, leaving no final snapshot at all and forcing the
 //     supervisor onto the periodic-checkpoint fallback.
 //   - corrupt=truncate|flip — after a kill, before the retry resumes, the
-//     newest checkpoint in the job's directory is damaged (truncated to
+//     newest checkpoint in the job's attempt directories is damaged (cut to
 //     half, or one body byte flipped), forcing snapshot.LoadNewest to fall
 //     back to the previous checkpoint.
 //
@@ -222,16 +222,16 @@ func Injected(cycle int64) *robust.SimError {
 	}
 }
 
-// Corrupt damages the newest checkpoint in dir according to mode
+// Corrupt damages the newest checkpoint in dirs according to mode
 // ("truncate" cuts the body in half, "flip" inverts one body byte) and
 // returns the damaged path. Both aim past the header line, wherever it
 // ends, so the file still ranks as the newest candidate and the damage is
 // exactly what snapshot.LoadNewest must survive: detect, rename aside,
 // fall back.
-func Corrupt(dir, mode string, seed int64) (string, error) {
-	cands := snapshot.Candidates(dir)
+func Corrupt(mode string, seed int64, dirs ...string) (string, error) {
+	cands := snapshot.Candidates(dirs...)
 	if len(cands) == 0 {
-		return "", fmt.Errorf("chaos: no checkpoint to corrupt in %s", dir)
+		return "", fmt.Errorf("chaos: no checkpoint to corrupt in %s", strings.Join(dirs, ", "))
 	}
 	path := cands[0]
 	data, err := os.ReadFile(path)

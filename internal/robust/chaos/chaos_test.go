@@ -152,7 +152,7 @@ func TestCorruptForcesFallback(t *testing.T) {
 	for _, mode := range []string{"truncate", "flip"} {
 		t.Run(mode, func(t *testing.T) {
 			dir := ckptDir(t)
-			damaged, err := Corrupt(dir, mode, 7)
+			damaged, err := Corrupt(mode, 7, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +165,7 @@ func TestCorruptForcesFallback(t *testing.T) {
 			if _, err := snapshot.LoadFile(damaged); err == nil {
 				t.Fatalf("%s-damaged checkpoint still loads", mode)
 			}
-			env, corrupt, err := snapshot.LoadNewest(dir, "")
+			env, corrupt, err := snapshot.LoadNewest("", dir)
 			if err != nil {
 				t.Fatalf("LoadNewest after %s: %v", mode, err)
 			}
@@ -180,7 +180,7 @@ func TestCorruptForcesFallback(t *testing.T) {
 }
 
 func TestCorruptEmptyDir(t *testing.T) {
-	if _, err := Corrupt(t.TempDir(), "truncate", 0); err == nil {
+	if _, err := Corrupt("truncate", 0, t.TempDir()); err == nil {
 		t.Fatal("Corrupt on empty dir should fail")
 	}
 }

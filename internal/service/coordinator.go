@@ -6,6 +6,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"crisp/internal/obs"
 	"crisp/internal/robust"
 	"crisp/internal/robust/chaos"
+	"crisp/internal/snapshot"
 )
 
 // The supervisor. Every simulation crispd runs — a submitted job or one
@@ -60,8 +62,8 @@ type coordinator struct {
 	wg         sync.WaitGroup
 
 	revocations atomic.Int64 // attempts lost to a retryable failure and requeued
-	resumes     atomic.Int64 // attempts resuming from a shipped checkpoint
-	fedHits     atomic.Int64 // dispatches answered from a federated cache
+	resumes     atomic.Int64 // attempts that restored a shipped checkpoint
+	fedHits     atomic.Int64 // dispatches answered from the shared result store
 	tasksDone   atomic.Int64
 	tasksFailed atomic.Int64
 }
@@ -202,6 +204,18 @@ func (c *coordinator) sweepDir(sw *Sweep) string {
 	}
 	sw.scratch = dir
 	return dir
+}
+
+// scanSweeps seeds the sweep id counter past every sweep directory a
+// previous daemon left under the state dir, so a new sweep never reuses
+// (and, on success, removes) a failed one's postmortem directory.
+func (c *coordinator) scanSweeps() {
+	ents, _ := os.ReadDir(filepath.Join(c.s.cfg.StateDir, "sweeps"))
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), "s") {
+			c.nextID = max(c.nextID, idNumber(e.Name()))
+		}
+	}
 }
 
 func (c *coordinator) stopped() bool {
@@ -352,28 +366,14 @@ func (c *coordinator) runTask(worker int, t *sweepTask) {
 	} else {
 		c.s.execs.Add(1)
 	}
-	onFallback := func(corrupt []string) {
-		for _, p := range corrupt {
-			log.Printf("task %s: unloadable checkpoint %s renamed aside", t.id, p)
-		}
-		c.s.fallbacks.Add(1)
-	}
-	resumeFrom := t.bestResume()
-	if resumeFrom != "" {
-		t.resumed = true
-		c.resumes.Add(1)
-	} else if aside := t.setAsideRefused(); len(aside) > 0 {
-		onFallback(aside)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c.running[t] = cancel
-	t.owner.attemptStarted(t, attempt, resumeFrom)
+	t.owner.attemptStarted(t, attempt)
 	c.mu.Unlock()
 
-	stored, err := c.s.attempt(ctx, t, attempt, resumeFrom, attemptHooks{
-		onSample:   t.owner.sample,
-		onCached:   func() { c.fedHits.Add(1) },
-		onFallback: onFallback,
+	stored, err := c.s.attempt(ctx, t, attempt, attemptHooks{
+		onSample: t.owner.sample,
+		onResume: func(cycle int64, aside []string) { c.resumeReported(t, attempt, cycle, aside) },
 	})
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -384,6 +384,25 @@ func (c *coordinator) runTask(worker int, t *sweepTask) {
 		return
 	}
 	c.commitLocked(t, stored, false)
+}
+
+// resumeReported takes attempt n's report of where it started: the
+// checkpoint it restored (noResume for none) and the ones it set aside on
+// the way.
+func (c *coordinator) resumeReported(t *sweepTask, n int, cycle int64, aside []string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, p := range aside {
+		log.Printf("task %s: unloadable checkpoint %s renamed aside", t.id, p)
+	}
+	if len(aside) > 0 {
+		c.s.fallbacks.Add(1)
+	}
+	if cycle != noResume {
+		t.resumed = true
+		c.resumes.Add(1)
+		t.owner.attemptResumed(t, n, cycle)
+	}
 }
 
 // commitLocked commits one result for a task (caller holds c.mu). Only
@@ -398,7 +417,7 @@ func (c *coordinator) commitLocked(t *sweepTask, stored *StoredResult, fromCache
 	t.state, t.result, t.cacheHit, t.errMsg = taskDone, stored, fromCache, ""
 	if !fromCache {
 		// Federation, write side: the result joins the shared store under
-		// its digest, visible to jobs, sweeps, and worker-local caches alike.
+		// its digest, visible to jobs and sweeps alike.
 		c.s.store.put(stored)
 	}
 	t.owner.taskDone(t)
@@ -439,9 +458,9 @@ func (c *coordinator) failedLocked(t *sweepTask, err error) {
 	// Chaos: damage the newest checkpoint before the resume, forcing the
 	// fallback-to-previous path on the next attempt. The one-shot fault is
 	// only taken when there is a checkpoint to damage.
-	if dir := t.bestResume(); dir != "" {
+	if dirs := attemptDirs(t.dir); len(snapshot.Candidates(dirs...)) > 0 {
 		if mode, ok := c.s.chaosCtrl.TakeCorrupt(t.digest); ok {
-			if p, cerr := chaos.Corrupt(dir, mode, c.s.cfg.Chaos.Seed); cerr == nil {
+			if p, cerr := chaos.Corrupt(mode, c.s.cfg.Chaos.Seed, dirs...); cerr == nil {
 				log.Printf("chaos: %s-corrupted checkpoint %s (task %s)", mode, p, t.id)
 			}
 		}

@@ -31,12 +31,10 @@ import (
 // requestFor describes attempt n of t: the task's spec by value plus every
 // server-default-merged knob. runDirect executes it as is; an isolated
 // child decodes the same document from stdin.
-func (s *Server) requestFor(t *sweepTask, n int, resumeFrom string, killAt int64) workerRequest {
+func (s *Server) requestFor(t *sweepTask, n int, killAt int64) workerRequest {
 	req := workerRequest{
 		Spec:             t.spec,
-		ResumeDir:        resumeFrom,
 		CheckpointEvery:  s.cfg.CheckpointEvery,
-		ResultsDir:       s.store.dir,
 		Budget:           t.res.budget,
 		Watchdog:         t.res.watchdog,
 		ProgressInterval: s.cfg.ProgressInterval,
@@ -62,9 +60,9 @@ func (s *Server) requestFor(t *sweepTask, n int, resumeFrom string, killAt int64
 // first, so the retry has the kill-time state to resume from. A kill is
 // counted where it fires; an attempt that ends before its cycle counts
 // none.
-func (s *Server) attempt(ctx context.Context, t *sweepTask, n int, resumeFrom string, h attemptHooks) (stored *StoredResult, err error) {
+func (s *Server) attempt(ctx context.Context, t *sweepTask, n int, h attemptHooks) (stored *StoredResult, err error) {
 	killAt, _ := s.chaosCtrl.TakeKill(t.digest)
-	req := s.requestFor(t, n, resumeFrom, killAt)
+	req := s.requestFor(t, n, killAt)
 	t0 := time.Now()
 	if s.cfg.Isolate {
 		stored, err = s.runWorkerProcess(ctx, req, h, "task "+t.id)
@@ -89,16 +87,31 @@ type attemptHooks struct {
 	// onSample receives interval telemetry from the simulation (or, for an
 	// isolated attempt, forwarded from the child).
 	onSample func(obs.Sample)
-	// onFallback reports checkpoints renamed aside during a resume.
-	onFallback func(corrupt []string)
-	// onCached fires when an isolated worker answered from its local
-	// result cache without simulating (cache federation).
-	onCached func()
+	// onResume reports where the attempt starts: the cycle of the
+	// checkpoint it restored (noResume for none) and the checkpoints it
+	// renamed aside on the way. It fires once, before the first sample,
+	// unless the attempt found no checkpoint at all.
+	onResume func(cycle int64, aside []string)
 	// onKill implements the chaos kill at workerRequest.KillAt for the
 	// direct path: in-process supervision panics with an injected SimError (the
 	// core's deferred recovery flushes a final snapshot first); a worker
 	// process SIGKILLs itself (no snapshot — the hardest crash).
 	onKill func(cycle int64)
+}
+
+// noResume is onResume's cycle when the attempt restored no checkpoint.
+const noResume = -1
+
+// attemptDirs lists where a task's attempts may have checkpointed: the
+// attempt directories (a1, a2, ...) under its checkpoint root.
+func attemptDirs(root string) (dirs []string) {
+	ents, _ := os.ReadDir(root) // none when root is "" (no checkpoints)
+	for _, e := range ents {
+		if e.IsDir() {
+			dirs = append(dirs, filepath.Join(root, e.Name()))
+		}
+	}
+	return dirs
 }
 
 // runDirect executes one attempt in-process through the crisp facade and
@@ -133,15 +146,20 @@ func runDirect(ctx context.Context, req workerRequest, r *resolved, fe *crisp.Fr
 
 	t0 := time.Now()
 	var restore *crisp.Snapshot
-	if req.ResumeDir != "" {
-		// Resume from this job's newest readable snapshot; corrupt ones and
-		// other jobs' are renamed aside and skipped (fallback-to-previous).
-		// A directory with nothing usable leaves restore nil, a fresh run —
-		// losing progress, never the job.
-		var corrupt []string
-		restore, corrupt, _ = snapshot.LoadNewest(req.ResumeDir, r.digest)
-		if len(corrupt) > 0 && h.onFallback != nil {
-			h.onFallback(corrupt)
+	if req.CheckpointDir != "" {
+		// Resume from this job's newest readable snapshot that any of the
+		// task's attempts shipped, a drained one's included; corrupt ones
+		// and other jobs' are renamed aside and skipped
+		// (fallback-to-previous). Nothing usable leaves restore nil, a
+		// fresh run — losing progress, never the job.
+		var aside []string
+		restore, aside, _ = snapshot.LoadNewest(r.digest, attemptDirs(filepath.Dir(req.CheckpointDir))...)
+		if (restore != nil || len(aside) > 0) && h.onResume != nil {
+			cycle := int64(noResume)
+			if restore != nil {
+				cycle = restore.State.Arch.Cycle
+			}
+			h.onResume(cycle, aside)
 		}
 	}
 	res, err := crisp.RunSpec(ctx, r.spec, restore, runOpts...)
@@ -165,8 +183,8 @@ func (s *Server) workerArgv() ([]string, error) {
 }
 
 // runWorkerProcess executes one attempt in a child worker process
-// speaking the wire protocol. The child's samples and fallback reports
-// fire the hooks; its terminal event becomes this function's return. A
+// speaking the wire protocol. The child's resume report and samples fire
+// the hooks; its terminal event becomes this function's return. A
 // child that dies without a terminal event — the SIGKILL/OOM case, or one
 // killed for falling silent — is classified KindCrash (retryable), or
 // KindCanceled when its death was requested through ctx. logName labels
@@ -198,7 +216,6 @@ func (s *Server) runWorkerProcess(ctx context.Context, req workerRequest, h atte
 	}
 
 	var stored *StoredResult
-	var cached bool
 	var simErr *robust.SimError
 	var lastCycle int64 // of the newest sample read: where a crash struck
 	// A healthy child says something at least every HeartbeatEvery; one
@@ -226,12 +243,12 @@ func (s *Server) runWorkerProcess(ctx context.Context, req workerRequest, h atte
 			if h.onSample != nil {
 				h.onSample(*ev.Sample)
 			}
-		case evFallback:
-			if len(ev.Corrupt) > 0 && h.onFallback != nil {
-				h.onFallback(ev.Corrupt)
+		case evResume:
+			if h.onResume != nil {
+				h.onResume(ev.Cycle, ev.Corrupt)
 			}
 		case evResult:
-			stored, cached = ev.Result, ev.Cached
+			stored = ev.Result
 		case evError:
 			kind, ok := robust.KindFromString(ev.ErrKind)
 			if !ok {
@@ -244,9 +261,6 @@ func (s *Server) runWorkerProcess(ctx context.Context, req workerRequest, h atte
 
 	switch {
 	case stored != nil:
-		if cached && h.onCached != nil {
-			h.onCached()
-		}
 		return stored, nil
 	case simErr != nil:
 		return nil, simErr

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -664,5 +666,43 @@ func TestTimelineSubscriberCap(t *testing.T) {
 			t.Fatalf("slot never freed: still %d", code)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestSweepIDsContinueAcrossRestarts: a restarted daemon numbers its
+// sweeps past every sweep directory the state dir holds, so a new sweep
+// never reuses — and, when it succeeds, removes — an earlier daemon's
+// postmortem directory.
+func TestSweepIDsContinueAcrossRestarts(t *testing.T) {
+	dir := t.TempDir()
+	spec := oneCellSweep(tinySpec("SPL", "", "serial"))
+	s1, err := New(Config{Workers: 1, FleetWorkers: 1, StateDir: dir})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	sw1, err := s1.SubmitSweep(spec)
+	if err != nil {
+		t.Fatalf("SubmitSweep: %v", err)
+	}
+	postmortem := filepath.Join(dir, "sweeps", sw1.ID, "kept")
+	if err := os.WriteFile(postmortem, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := New(Config{Workers: 1, FleetWorkers: 1, StateDir: dir})
+	if err != nil {
+		t.Fatalf("restart New: %v", err)
+	}
+	sw2, err := s2.SubmitSweep(spec)
+	if err != nil {
+		t.Fatalf("SubmitSweep after restart: %v", err)
+	}
+	if sw1.ID != "s000001" || sw2.ID != "s000002" {
+		t.Errorf("sweep ids %s then %s across a restart, want s000001 then s000002", sw1.ID, sw2.ID)
+	}
+	s2.Start()
+	waitSweep(t, s2, sw2.ID, StateDone, 2*time.Minute)
+	s2.Drain(context.Background())
+	if _, err := os.Stat(postmortem); err != nil {
+		t.Errorf("the first daemon's sweep directory did not survive the second's sweep: %v", err)
 	}
 }

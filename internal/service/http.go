@@ -350,7 +350,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE crispd_quarantined_total counter\ncrispd_quarantined_total %d\n", st.Quarantined)
 	fmt.Fprintf(w, "# HELP crispd_worker_crashes_total Isolated worker processes that died without reporting a result.\n")
 	fmt.Fprintf(w, "# TYPE crispd_worker_crashes_total counter\ncrispd_worker_crashes_total %d\n", st.WorkerCrashes)
-	fmt.Fprintf(w, "# HELP crispd_checkpoint_fallbacks_total Resumes that skipped at least one corrupt checkpoint.\n")
+	fmt.Fprintf(w, "# HELP crispd_checkpoint_fallbacks_total Attempts whose resume scan set aside at least one unloadable checkpoint.\n")
 	fmt.Fprintf(w, "# TYPE crispd_checkpoint_fallbacks_total counter\ncrispd_checkpoint_fallbacks_total %d\n", st.CheckpointFallbacks)
 	fmt.Fprintf(w, "# TYPE crispd_chaos_kills_total counter\ncrispd_chaos_kills_total %d\n", st.ChaosKills)
 	fmt.Fprintf(w, "# TYPE crispd_chaos_corruptions_total counter\ncrispd_chaos_corruptions_total %d\n", st.ChaosCorruptions)
@@ -366,9 +366,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "crispd_sweep_tasks_total{state=\"failed\"} %d\n", st.Fleet.TasksFailed)
 	fmt.Fprintf(w, "# HELP crispd_lease_revocations_total Attempts lost to a retryable failure (crash, kill, watchdog, ...) and requeued.\n")
 	fmt.Fprintf(w, "# TYPE crispd_lease_revocations_total counter\ncrispd_lease_revocations_total %d\n", st.Fleet.LeaseRevocations)
-	fmt.Fprintf(w, "# HELP crispd_fleet_resumes_total Reassigned sweep attempts that resumed from a shipped checkpoint.\n")
+	fmt.Fprintf(w, "# HELP crispd_fleet_resumes_total Attempts (of jobs and sweep tasks) that restored a checkpoint an earlier attempt shipped.\n")
 	fmt.Fprintf(w, "# TYPE crispd_fleet_resumes_total counter\ncrispd_fleet_resumes_total %d\n", st.Fleet.FleetResumes)
-	fmt.Fprintf(w, "# HELP crispd_federated_cache_hits_total Sweep dispatches answered from a federated result cache.\n")
+	fmt.Fprintf(w, "# HELP crispd_federated_cache_hits_total Task dispatches (jobs and sweep cells) answered from the shared result store without executing.\n")
 	fmt.Fprintf(w, "# TYPE crispd_federated_cache_hits_total counter\ncrispd_federated_cache_hits_total %d\n", st.Fleet.FederatedHits)
 	fmt.Fprintf(w, "# HELP crispd_timeline_subscribers Live timeline (SSE) subscriptions across all job and sweep hubs.\n")
 	fmt.Fprintf(w, "# TYPE crispd_timeline_subscribers gauge\ncrispd_timeline_subscribers %d\n", st.Subscribers)

@@ -264,7 +264,7 @@ func TestIsolatedSilentChildIsReaped(t *testing.T) {
 
 // TestRequestSameForJobAndSweepTask pins the one attempt description: a
 // job-owned and a sweep-owned task of the same spec build the same
-// request — heartbeat cadence, federated results dir and default-merged
+// request — heartbeat cadence, checkpoint cadence and default-merged
 // limits included — apart from where they checkpoint.
 func TestRequestSameForJobAndSweepTask(t *testing.T) {
 	dir := t.TempDir()
@@ -282,8 +282,8 @@ func TestRequestSameForJobAndSweepTask(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SubmitSweep: %v", err)
 	}
-	jr := s.requestFor(job.task, 2, "resume-here", 9000)
-	sr := s.requestFor(sw.tasks[0], 2, "resume-here", 9000)
+	jr := s.requestFor(job.task, 2, 9000)
+	sr := s.requestFor(sw.tasks[0], 2, 9000)
 	if want := filepath.Join(dir, "jobs", job.ID, "a2"); jr.CheckpointDir != want {
 		t.Errorf("job attempt 2 checkpoints into %q, want %q", jr.CheckpointDir, want)
 	}
@@ -294,7 +294,7 @@ func TestRequestSameForJobAndSweepTask(t *testing.T) {
 	if !reflect.DeepEqual(jr, sr) {
 		t.Errorf("requests differ beyond their directories:\n job   %+v\n sweep %+v", jr, sr)
 	}
-	want := workerRequest{Spec: spec, ResumeDir: "resume-here", CheckpointEvery: 512, ResultsDir: filepath.Join(dir, "results"),
+	want := workerRequest{Spec: spec, CheckpointEvery: 512,
 		Budget: 1 << 40, Watchdog: 1 << 20, ProgressInterval: 256, HeartbeatEvery: int64(20 * time.Millisecond), KillAt: 9000}
 	if !reflect.DeepEqual(jr, want) {
 		t.Errorf("request %+v, want %+v", jr, want)
@@ -306,7 +306,7 @@ func TestRequestSameForJobAndSweepTask(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if r := s.requestFor(oj.task, 1, "", 0); r.Budget != 777 || r.Watchdog != -1 {
+	if r := s.requestFor(oj.task, 1, 0); r.Budget != 777 || r.Watchdog != -1 {
 		t.Errorf("spec limits lost to the defaults: budget %d watchdog %d", r.Budget, r.Watchdog)
 	}
 }

@@ -119,7 +119,7 @@ func (j *Job) live() bool {
 
 // attemptStarted moves a queued job to running on its first dispatch, and
 // marks every attempt — 1 is the first run, higher numbers are retries.
-func (j *Job) attemptStarted(t *sweepTask, n int, resumeFrom string) {
+func (j *Job) attemptStarted(t *sweepTask, n int) {
 	s := j.srv
 	s.mu.Lock()
 	j.mu.Lock()
@@ -130,14 +130,16 @@ func (j *Job) attemptStarted(t *sweepTask, n int, resumeFrom string) {
 	}
 	j.mu.Unlock()
 	s.mu.Unlock()
-	detail, attempt := "", "fresh run"
-	if resumeFrom != "" {
-		detail, attempt = "resuming from snapshot", "resuming from "+resumeFrom
-	}
 	if first {
-		j.noteLifecycle(StateRunning, detail)
+		j.noteLifecycle(StateRunning, "")
 	}
-	publishAtLatest(j.hub, obs.TimelineEvent{Kind: obs.TimelineAttempt, Attempt: n, Detail: attempt})
+	publishAtLatest(j.hub, obs.TimelineEvent{Kind: obs.TimelineAttempt, Attempt: n, Detail: "started"})
+}
+
+// attemptResumed marks the attempt's restored checkpoint on the timeline.
+func (j *Job) attemptResumed(t *sweepTask, n int, cycle int64) {
+	publishAtLatest(j.hub, obs.TimelineEvent{Kind: obs.TimelineAttempt, Attempt: n,
+		Detail: fmt.Sprintf("resuming from checkpoint at cycle %d", cycle)})
 }
 
 func (j *Job) note(t *sweepTask, detail string) { j.noteLifecycle(StateRunning, detail) }
@@ -408,8 +410,11 @@ func (s *Server) scanJobs() error {
 	return nil
 }
 
+// idNumber is the serial number of a job or sweep id (j000007, s000003).
 func idNumber(id string) int {
 	n := 0
-	fmt.Sscanf(strings.TrimPrefix(id, "j"), "%d", &n)
+	if len(id) > 1 {
+		fmt.Sscanf(id[1:], "%d", &n)
+	}
 	return n
 }

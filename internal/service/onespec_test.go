@@ -103,10 +103,10 @@ func TestOneEntryPoint(t *testing.T) {
 }
 
 // TestForeignJobCheckpointIsNotAResume: a snapshot of another job — left by
-// a copied state dir, or named by a hand-launched worker's resume_dir — is
-// not a resume point. The attempt sets it aside, counts one fallback, and
-// finishes from its own newest snapshot or from cycle 0 with the clean
-// run's result; it used to restore the foreign state and report that.
+// a copied state dir, or restored from the wrong backup — is not a resume
+// point. The attempt sets it aside, counts one fallback, and finishes from
+// its own newest snapshot or from cycle 0 with the clean run's result; it
+// used to restore the foreign state and report that.
 func TestForeignJobCheckpointIsNotAResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the victim job four times")
@@ -120,25 +120,33 @@ func TestForeignJobCheckpointIsNotAResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	foreignAt := directRun(t, foreign).Cycles / 2
-	attempt := func(resumeDir string) (*StoredResult, int) {
+	// attempt runs the victim as a new attempt beside the attempt
+	// directory planted, reporting how many resume reports set files
+	// aside and the cycle it restored.
+	attempt := func(planted string) (sr *StoredResult, fallbacks int, from int64) {
 		t.Helper()
-		fallbacks := 0
-		sr, err := runDirect(ctx, workerRequest{Spec: victim, ResumeDir: resumeDir, ProgressInterval: 256}, r, nil,
-			attemptHooks{onFallback: func([]string) { fallbacks++ }})
+		from = noResume
+		req := workerRequest{Spec: victim, CheckpointDir: filepath.Join(filepath.Dir(planted), "a9"), ProgressInterval: 256}
+		sr, err := runDirect(ctx, req, r, nil, attemptHooks{onResume: func(cycle int64, aside []string) {
+			from = cycle
+			if len(aside) > 0 {
+				fallbacks++
+			}
+		}})
 		if err != nil {
-			t.Fatalf("runDirect over %s: %v", resumeDir, err)
+			t.Fatalf("runDirect beside %s: %v", planted, err)
 		}
 		if sr.Cycles != clean.Cycles || sr.StatsDigest != fmt.Sprintf("%016x", cd) || sr.Policy != "EVEN" {
 			t.Errorf("got (policy %s, cycles %d, stats %s), the clean run is (EVEN, %d, %016x)",
 				sr.Policy, sr.Cycles, sr.StatsDigest, clean.Cycles, cd)
 		}
-		return sr, fallbacks
+		return sr, fallbacks, from
 	}
 
 	// Only foreign snapshots: all set aside, one fallback, cycle 0.
 	dir := filepath.Join(t.TempDir(), "a1")
 	plantCheckpoints(t, foreign, dir, foreignAt)
-	if sr, fallbacks := attempt(dir); sr.Resumed || fallbacks != 1 {
+	if sr, fallbacks, _ := attempt(dir); sr.Resumed || fallbacks != 1 {
 		t.Errorf("resumed %v with %d fallbacks; want a run from cycle 0 and one fallback", sr.Resumed, fallbacks)
 	}
 	if left := snapshot.Candidates(dir); len(left) != 0 {
@@ -157,14 +165,16 @@ func TestForeignJobCheckpointIsNotAResume(t *testing.T) {
 	if err := os.WriteFile(intruder, final, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := (&sweepTask{dir: root, digest: "0000000000000000"}).bestResume(); got != "" {
-		t.Errorf("bestResume = %q for a job with no snapshot there", got)
+	if got := newestCycle(t, "0000000000000000", attemptDirs(root)...); got >= 0 {
+		t.Errorf("newest snapshot at cycle %d for a job with no snapshot there", got)
 	}
-	if got := (&sweepTask{dir: root, digest: r.digest}).bestResume(); got != own {
-		t.Errorf("bestResume = %q, want %q", got, own)
+	ownAt := newestCycle(t, r.digest, attemptDirs(root)...)
+	if ownAt < 0 {
+		t.Fatal("the job's own snapshots are not ranked")
 	}
-	if sr, fallbacks := attempt(own); !sr.Resumed || fallbacks != 1 {
-		t.Errorf("resumed %v with %d fallbacks; want a resume from the job's own snapshot and one fallback", sr.Resumed, fallbacks)
+	if sr, fallbacks, from := attempt(own); !sr.Resumed || fallbacks != 1 || from != ownAt {
+		t.Errorf("resumed %v from cycle %d with %d fallbacks; want a resume from the job's own snapshot at %d and one fallback",
+			sr.Resumed, from, fallbacks, ownAt)
 	}
 	if _, err := os.Stat(intruder + ".corrupt"); err != nil {
 		t.Errorf("foreign snapshot not set aside: %v", err)

@@ -15,11 +15,11 @@ import (
 // The coordinator↔worker wire protocol. A supervisor (the per-job
 // isolation path in worker.go, or a fleet shard in coordinator.go) sends
 // one workerRequest JSON document on the child's stdin; the child streams
-// newline-delimited workerEvent JSON on stdout — any number of "sample",
-// "heartbeat", and "fallback" events, then exactly one terminal "result"
-// or "error" event. The protocol carries summaries, never simulator
-// internals, so both ends rebuild the job independently from the same
-// by-value JobSpec.
+// newline-delimited workerEvent JSON on stdout — at most one "resume"
+// event first, any number of "sample" and "heartbeat" events, then
+// exactly one terminal "result" or "error" event. The protocol carries
+// summaries, never simulator internals, so both ends rebuild the job
+// independently from the same by-value JobSpec.
 //
 // Every inbound line passes through decodeWorkerEvent, which enforces the
 // never-panic contract fuzzed by FuzzWireDecode: arbitrary bytes produce
@@ -29,7 +29,7 @@ import (
 // Protocol event types (workerEvent.Type).
 const (
 	evSample    = "sample"
-	evFallback  = "fallback"
+	evResume    = "resume"
 	evHeartbeat = "heartbeat"
 	evResult    = "result"
 	evError     = "error"
@@ -38,19 +38,13 @@ const (
 // workerRequest is everything one attempt needs, resolved by the parent.
 type workerRequest struct {
 	Spec JobSpec `json:"spec"`
-	// ResumeDir, when set, resumes from the newest readable snapshot in
-	// the directory (corrupt ones renamed aside, reported via "fallback").
-	ResumeDir string `json:"resume_dir,omitempty"`
 	// CheckpointDir/CheckpointEvery enable periodic checkpoints — the
-	// supervisor's recovery points if this worker dies.
+	// supervisor's recovery points if this worker dies. CheckpointDir is
+	// the attempt's own a<N> directory; the attempt resumes from the
+	// newest readable checkpoint in any a<N> beside it (reported via
+	// "resume").
 	CheckpointDir   string `json:"checkpoint_dir,omitempty"`
 	CheckpointEvery int64  `json:"checkpoint_every,omitempty"`
-	// ResultsDir, when set, is a content-addressed result cache the worker
-	// consults before simulating: a hit for the job digest is returned as
-	// a result event with Cached set, without re-executing. This is how
-	// the fleet federates caches — a worker that already computed a digest
-	// answers from its local store.
-	ResultsDir string `json:"results_dir,omitempty"`
 	// Budget and Watchdog are the server-default-merged limits.
 	Budget   int64 `json:"budget,omitempty"`
 	Watchdog int64 `json:"watchdog,omitempty"`
@@ -68,18 +62,17 @@ type workerRequest struct {
 
 // workerEvent is one newline-delimited protocol message from the child.
 type workerEvent struct {
-	Type string `json:"type"` // evSample | evFallback | evHeartbeat | evResult | evError
+	Type string `json:"type"` // evSample | evResume | evHeartbeat | evResult | evError
 	// Sample carries interval telemetry (Type "sample"), forwarded to the
 	// job's hub so isolation is invisible to timeline subscribers.
 	Sample *obs.Sample `json:"sample,omitempty"`
-	// Corrupt lists checkpoints renamed aside during resume (Type
-	// "fallback").
+	// Cycle is the checkpoint the attempt restored (Type "resume"), or
+	// noResume when it restored none; Corrupt lists the checkpoints it
+	// renamed aside on the way.
+	Cycle   int64    `json:"cycle,omitempty"`
 	Corrupt []string `json:"corrupt,omitempty"`
-	// Result is the completed attempt's cache entry (Type "result");
-	// Cached marks it as answered from the worker's local result cache
-	// without simulating.
+	// Result is the completed attempt's cache entry (Type "result").
 	Result *StoredResult `json:"result,omitempty"`
-	Cached bool          `json:"cached,omitempty"`
 	// ErrKind/ErrCycle/ErrMsg reconstruct the SimError (Type "error").
 	ErrKind  string `json:"err_kind,omitempty"`
 	ErrCycle int64  `json:"err_cycle,omitempty"`
@@ -114,7 +107,11 @@ func decodeWorkerEvent(line []byte) (*workerEvent, error) {
 		if ev.Sample == nil {
 			return nil, fmt.Errorf("protocol: sample event without a sample")
 		}
-	case evFallback, evHeartbeat:
+	case evResume:
+		if ev.Cycle < noResume {
+			return nil, fmt.Errorf("protocol: resume event at cycle %d", ev.Cycle)
+		}
+	case evHeartbeat:
 		// No required payload.
 	case evResult:
 		if ev.Result == nil {

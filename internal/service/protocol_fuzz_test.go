@@ -15,10 +15,11 @@ import (
 func TestDecodeWorkerEvent(t *testing.T) {
 	valid := []workerEvent{
 		{Type: evSample, Sample: &obs.Sample{Cycle: 4096}},
-		{Type: evFallback, Corrupt: []string{"ckpt-000001.crisp"}},
+		{Type: evResume, Cycle: 2048, Corrupt: []string{"ckpt-000001.crisp"}},
+		{Type: evResume, Cycle: noResume, Corrupt: []string{"ckpt-000001.crisp"}},
+		{Type: evResume, Cycle: 4096},
 		{Type: evHeartbeat},
 		{Type: evResult, Result: &StoredResult{Digest: "0123456789abcdef", StatsDigest: "feedfacefeedface"}},
-		{Type: evResult, Result: &StoredResult{Digest: "0123456789abcdef"}, Cached: true},
 		{Type: evError, ErrKind: "crash", ErrCycle: 9000, ErrMsg: "sim crash at cycle 9000"},
 	}
 	for _, want := range valid {
@@ -31,7 +32,7 @@ func TestDecodeWorkerEvent(t *testing.T) {
 			t.Errorf("valid %s event rejected: %v", want.Type, err)
 			continue
 		}
-		if got.Type != want.Type || got.Cached != want.Cached {
+		if got.Type != want.Type || got.Cycle != want.Cycle || len(got.Corrupt) != len(want.Corrupt) {
 			t.Errorf("round trip mangled %s event: %+v", want.Type, got)
 		}
 	}
@@ -49,6 +50,9 @@ func TestDecodeWorkerEvent(t *testing.T) {
 		"result digest short":  `{"type":"result","result":{"digest":"abc"}}`,
 		"result digest upper":  `{"type":"result","result":{"digest":"0123456789ABCDEF"}}`,
 		"error sans kind":      `{"type":"error","err_msg":"boom"}`,
+		"resume before zero":   `{"type":"resume","cycle":-2}`,
+		"fallback type":        `{"type":"fallback","corrupt":["ckpt-000001.crisp"]}`,
+		"result with cached":   `{"type":"result","result":{"digest":"0123456789abcdef"},"cached":true}`,
 		"type wrong json kind": `{"type":7}`,
 		"truncated":            `{"type":"sample","sample":{"cycle":`,
 	}
@@ -73,10 +77,11 @@ func FuzzWireDecode(f *testing.F) {
 	// Seed corpus: every valid event shape plus the interesting rejections.
 	seeds := []string{
 		`{"type":"sample","sample":{"cycle":4096,"frames":1}}`,
-		`{"type":"fallback","corrupt":["ckpt-000001.crisp","ckpt-000002.crisp"]}`,
+		`{"type":"resume","cycle":2048,"corrupt":["ckpt-000001.crisp","ckpt-000002.crisp"]}`,
+		`{"type":"resume","cycle":-1,"corrupt":["ckpt-000001.crisp"]}`,
+		`{"type":"resume","cycle":-7}`,
 		`{"type":"heartbeat"}`,
 		`{"type":"result","result":{"digest":"0123456789abcdef","stats_digest":"feedfacefeedface","cycles":65536}}`,
-		`{"type":"result","result":{"digest":"0123456789abcdef"},"cached":true}`,
 		`{"type":"error","err_kind":"crash","err_cycle":9000,"err_msg":"sim crash at cycle 9000"}`,
 		`{"type":"gossip"}`,
 		`{"type":"sample"}`,
@@ -118,7 +123,11 @@ func FuzzWireDecode(f *testing.F) {
 			if ev.ErrKind == "" {
 				t.Fatal("error event decoded without a kind")
 			}
-		case evFallback, evHeartbeat:
+		case evResume:
+			if ev.Cycle < noResume {
+				t.Fatalf("resume event decoded at cycle %d", ev.Cycle)
+			}
+		case evHeartbeat:
 		default:
 			t.Fatalf("unknown type %q decoded without error", ev.Type)
 		}

@@ -4,13 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	crisp "crisp"
+	"crisp/internal/obs"
 	"crisp/internal/robust"
 	"crisp/internal/robust/chaos"
 	"crisp/internal/snapshot"
@@ -451,9 +455,21 @@ func plantCheckpoints(t *testing.T, spec JobSpec, dir string, budget int64) {
 	if err == nil {
 		t.Fatalf("budget %d did not interrupt the run", budget)
 	}
-	if _, ok := snapshot.NewestCycle(dir, r.digest); !ok {
+	if newestCycle(t, r.digest, dir) < 0 {
 		t.Fatalf("no checkpoint planted in %s", dir)
 	}
+}
+
+// newestCycle is the header cycle of job's newest snapshot in dirs, the
+// one the resume scan tries first (-1 = none).
+func newestCycle(t *testing.T, job string, dirs ...string) int64 {
+	t.Helper()
+	for _, path := range snapshot.Candidates(dirs...) {
+		if hdr, err := snapshot.PeekHeader(path); err == nil && hdr.SpecDigest == job {
+			return hdr.Cycle
+		}
+	}
+	return -1
 }
 
 // TestRestartAcrossCheckpointLayouts boots over a state dir holding a job
@@ -493,8 +509,9 @@ func TestRestartAcrossCheckpointLayouts(t *testing.T) {
 	if !ok {
 		t.Fatal("job not recovered")
 	}
-	if got, want := job.task.bestResume(), filepath.Join(jdir, "a2"); got != want {
-		t.Errorf("job resumes from %q, want the newest checkpoint's directory %q", got, want)
+	a2At := newestCycle(t, r.digest, filepath.Join(jdir, "a2"))
+	if got := newestCycle(t, r.digest, attemptDirs(job.task.dir)...); got != a2At {
+		t.Errorf("newest checkpoint at cycle %d, want a2's at %d", got, a2At)
 	}
 	s.Start()
 	defer s.Drain(context.Background())
@@ -511,6 +528,92 @@ func TestRestartAcrossCheckpointLayouts(t *testing.T) {
 		t.Errorf("job resumed to (cycles %d, digest %s), direct run (cycles %d, digest %016x)",
 			sr.Cycles, sr.StatsDigest, direct.Cycles, dd)
 	}
+	if got, want := resumeMarkers(job), []string{fmt.Sprintf("resuming from checkpoint at cycle %d", a2At)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("timeline resume markers %q, want %q", got, want)
+	}
+}
+
+// TestResumeFallsBackAcrossAttemptDirs boots over a job whose newest
+// attempt directory (a2) holds only checkpoints with intact headers and
+// truncated bodies, as chaos corrupt=truncate leaves them, and whose older
+// one (a1) holds readable ones. In-process and isolated alike, the attempt
+// must pass over a2's files, resume from a1's newest to the uninterrupted
+// run's digest, and be the only thing that reports a resume: one on the
+// timeline and on /metrics, with the passed-over files one fallback.
+func TestResumeFallsBackAcrossAttemptDirs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	spec := tinySpec("", "HOLO", "EVEN")
+	r, err := spec.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := directRun(t, spec)
+	cd, _ := clean.StatsDigest()
+	for _, isolate := range []bool{false, true} {
+		dir := t.TempDir()
+		jdir := filepath.Join(dir, "jobs", "j000001")
+		plantCheckpoints(t, spec, filepath.Join(jdir, "a1"), clean.Cycles/3)
+		plantCheckpoints(t, spec, filepath.Join(jdir, "a2"), 2*clean.Cycles/3)
+		a1At := newestCycle(t, r.digest, filepath.Join(jdir, "a1"))
+		damaged := snapshot.Candidates(filepath.Join(jdir, "a2"))
+		for _, path := range damaged {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hdr := strings.IndexByte(string(raw), '\n') + 1
+			if err := os.WriteFile(path, raw[:hdr+(len(raw)-hdr)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := newestCycle(t, r.digest, attemptDirs(jdir)...); got <= a1At {
+			t.Fatalf("isolate=%v: a2's damaged checkpoints rank at %d, not above a1's %d", isolate, got, a1At)
+		}
+		pj, _ := json.Marshal(persistedJob{ID: "j000001", Digest: r.digest, Spec: spec})
+		if err := os.WriteFile(filepath.Join(jdir, "job.json"), pj, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		s, err := New(Config{Workers: 1, StateDir: dir, ProgressInterval: 256, CheckpointEvery: 512, Isolate: isolate})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		s.Start()
+		job := waitState(t, s, "j000001", StateDone, 2*time.Minute)
+		s.Drain(context.Background())
+		sr, ok := s.Result(r.digest)
+		if !ok {
+			t.Fatalf("isolate=%v: no cached result", isolate)
+		}
+		if !sr.Resumed || sr.Cycles != clean.Cycles || sr.StatsDigest != fmt.Sprintf("%016x", cd) {
+			t.Errorf("isolate=%v: got (resumed %v, cycles %d, stats %s), want a resume to the clean run's (%d, %016x)",
+				isolate, sr.Resumed, sr.Cycles, sr.StatsDigest, clean.Cycles, cd)
+		}
+		// The done job's directory is gone; its resume point and the
+		// fallback count say which files the scan passed over.
+		if got, want := resumeMarkers(job), []string{fmt.Sprintf("resuming from checkpoint at cycle %d", a1At)}; !reflect.DeepEqual(got, want) {
+			t.Errorf("isolate=%v: timeline resume markers %q, want %q", isolate, got, want)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		for _, line := range []string{"crispd_fleet_resumes_total 1\n", "crispd_checkpoint_fallbacks_total 1\n", "crispd_retries_total 0\n"} {
+			if !strings.Contains(rec.Body.String(), line) {
+				t.Errorf("isolate=%v: /metrics lacks %q", isolate, strings.TrimSpace(line))
+			}
+		}
+	}
+}
+
+// resumeMarkers lists the resume markers on a job's timeline.
+func resumeMarkers(j *Job) (details []string) {
+	for _, ev := range j.hub.Events(0, 0) {
+		if ev.Kind == obs.TimelineAttempt && strings.HasPrefix(ev.Detail, "resuming") {
+			details = append(details, ev.Detail)
+		}
+	}
+	return details
 }
 
 // plantVersion1 leaves in dir what a build before snapshot format version 2
@@ -556,8 +659,8 @@ func TestRestartAcrossFormatVersions(t *testing.T) {
 	if !ok {
 		t.Fatal("job not re-registered")
 	}
-	if got := job.task.bestResume(); got != "" {
-		t.Fatalf("bestResume = %q, want none: the only snapshot is version 1", got)
+	if got := newestCycle(t, r.digest, attemptDirs(job.task.dir)...); got >= 0 {
+		t.Fatalf("newest checkpoint at cycle %d, want none: the only snapshot is version 1", got)
 	}
 	s.Start()
 	defer s.Drain(context.Background())
@@ -572,16 +675,21 @@ func TestRestartAcrossFormatVersions(t *testing.T) {
 		t.Errorf("got (resumed %v, cycles %d, digest %s), want a run from cycle 0 equal to the direct one (cycles %d, digest %016x)",
 			sr.Resumed, sr.Cycles, sr.StatsDigest, direct.Cycles, dd)
 	}
-	if st := s.Snapshot(); st.CheckpointFallbacks != 1 || st.Retries != 0 {
-		t.Errorf("fallbacks = %d, retries = %d; want the refused file counted once and no retry", st.CheckpointFallbacks, st.Retries)
+	if st := s.Snapshot(); st.CheckpointFallbacks != 1 || st.Retries != 0 || st.Fleet.FleetResumes != 0 {
+		t.Errorf("fallbacks = %d, retries = %d, resumes = %d; want the refused file counted once, no retry and no resume",
+			st.CheckpointFallbacks, st.Retries, st.Fleet.FleetResumes)
+	}
+
+	if got := resumeMarkers(job); len(got) != 0 {
+		t.Errorf("timeline announces resumes that did not happen: %q", got)
 	}
 
 	// The finished job's directory is gone, so watch the set-aside itself
-	// on a task of our own: the same call the attempt above made.
+	// on a directory of our own: the same call the attempt above made.
 	again := plantVersion1(t, filepath.Join(dir, "again", "a1"))
-	aside := (&sweepTask{dir: filepath.Join(dir, "again")}).setAsideRefused()
-	if len(aside) != 1 || aside[0] != again {
-		t.Errorf("setAsideRefused = %v, want [%s]", aside, again)
+	env, aside, _ := snapshot.LoadNewest(r.digest, attemptDirs(filepath.Join(dir, "again"))...)
+	if env != nil || len(aside) != 1 || aside[0] != again {
+		t.Errorf("LoadNewest = %v, set aside %v; want nothing loaded and [%s] set aside", env != nil, aside, again)
 	}
 	if _, err := os.Stat(again + ".corrupt"); err != nil {
 		t.Errorf("refused snapshot not set aside: %v", err)

@@ -210,7 +210,7 @@ type Server struct {
 	attempts   atomic.Int64 // execution attempts started (≥ execs)
 	retries    atomic.Int64 // retry attempts (attempt number > 1)
 	crashes    atomic.Int64 // isolated workers that died without a result
-	fallbacks  atomic.Int64 // resumes that skipped ≥1 corrupt checkpoint
+	fallbacks  atomic.Int64 // attempts whose resume scan set ≥1 checkpoint aside
 	avgRunNS   atomic.Int64 // EWMA of execution wall time
 	launchedAt time.Time
 }
@@ -236,6 +236,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.coord = newCoordinator(s)
 	if cfg.StateDir != "" {
+		s.coord.scanSweeps()
 		if err := s.scanJobs(); err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ import (
 
 	crisp "crisp"
 	"crisp/internal/obs"
+	"crisp/internal/snapshot"
 )
 
 // tinySpec is a fast job: the 128×72 resolution the core tests use.
@@ -279,7 +280,7 @@ func TestDrainAndResume(t *testing.T) {
 	if !ok {
 		t.Fatalf("restarted server lost job %s", job.ID)
 	}
-	if recovered.task.bestResume() == "" {
+	if len(snapshot.Candidates(attemptDirs(recovered.task.dir)...)) == 0 {
 		t.Errorf("recovered job has no snapshot to resume from")
 	}
 	s2.Start()

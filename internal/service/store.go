@@ -130,9 +130,8 @@ func storedFromResult(r *resolved, res *crisp.Result, wallMS float64) (*StoredRe
 //
 // The daemon's store (newResultStore) is the directory's one writer, and
 // sets a file that no longer parses aside as *.corrupt so it is not read
-// again. A reader's store (readResultStore: crispviz -serve, an isolated
-// worker's cache federation) writes and renames nothing: a corrupt file
-// is a miss there, left where it is.
+// again. A reader's store (readResultStore: crispviz -serve) writes and
+// renames nothing: a corrupt file is a miss there, left where it is.
 type resultStore struct {
 	dir      string
 	readOnly bool

@@ -121,7 +121,7 @@ type Sweep struct {
 	// Per-sweep robustness accounting (mirrored by the server-wide
 	// counters; these make one sweep's story self-contained).
 	revoked int // attempts of this sweep's tasks lost and requeued
-	resumes int // retried attempts that resumed from a shipped checkpoint
+	resumes int // attempts that restored a shipped checkpoint
 }
 
 // lifecycle publishes a lifecycle marker on the sweep's timeline.
@@ -146,14 +146,13 @@ func publishAtLatest(hub *obs.Hub, ev obs.TimelineEvent) {
 
 func (sw *Sweep) live() bool { return !sw.canceled && sw.state == StateRunning }
 
-func (sw *Sweep) attemptStarted(t *sweepTask, n int, resumeFrom string) {
-	detail := fmt.Sprintf("task %d (%s) on shard %d, attempt %d", t.index, t.digest, t.worker, n)
-	if resumeFrom != "" {
-		sw.resumes++
-		cyc, _ := snapshot.NewestCycle(resumeFrom, t.digest) // bestResume chose it by this cycle
-		detail += fmt.Sprintf(", resuming from shipped checkpoint at cycle %d", cyc)
-	}
-	sw.lifecycle(StateRunning, detail)
+func (sw *Sweep) attemptStarted(t *sweepTask, n int) {
+	sw.lifecycle(StateRunning, fmt.Sprintf("task %d (%s) on shard %d, attempt %d", t.index, t.digest, t.worker, n))
+}
+
+func (sw *Sweep) attemptResumed(t *sweepTask, n int, cycle int64) {
+	sw.resumes++
+	sw.lifecycle(StateRunning, fmt.Sprintf("task %d (%s) attempt %d resuming from shipped checkpoint at cycle %d", t.index, t.digest, n, cycle))
 }
 
 func (sw *Sweep) sample(smp obs.Sample) {

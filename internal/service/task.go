@@ -1,12 +1,9 @@
 package service
 
 import (
-	"os"
-	"path/filepath"
 	"sync"
 
 	"crisp/internal/obs"
-	"crisp/internal/snapshot"
 )
 
 // Task lifecycle states. Unlike jobs, tasks have no queued/running split
@@ -49,46 +46,6 @@ type sweepTask struct {
 	errMsg   string
 }
 
-// resumeDirs lists where the task's attempts may have checkpointed: the
-// attempt directories (a1, a2, ...) under the task's root.
-func (t *sweepTask) resumeDirs() (dirs []string) {
-	ents, _ := os.ReadDir(t.dir) // none when t.dir is "" (no checkpoints)
-	for _, e := range ents {
-		if e.IsDir() {
-			dirs = append(dirs, filepath.Join(t.dir, e.Name()))
-		}
-	}
-	return dirs
-}
-
-// bestResume scans the task's root for the directory holding the newest
-// checkpoint of this task's job that this build can load — the handoff
-// point the next attempt resumes from. Scanning, not counting, also finds
-// the checkpoints of an attempt a drain interrupted and no restart counted
-// as failed. "" when nothing usable was shipped (the attempt starts at
-// cycle 0, losing progress but never the task).
-func (t *sweepTask) bestResume() string {
-	best, bestCycle := "", int64(-1)
-	for _, dir := range t.resumeDirs() {
-		if cyc, ok := snapshot.NewestCycle(dir, t.digest); ok && cyc > bestCycle {
-			best, bestCycle = dir, cyc
-		}
-	}
-	return best
-}
-
-// setAsideRefused is for the attempt bestResume found no checkpoint for:
-// the snapshots the task's directories still hold have headers this build
-// refuses (another format version's, another job's, or damaged), so each is
-// renamed *.corrupt, as a resume would have done, and returned.
-func (t *sweepTask) setAsideRefused() (aside []string) {
-	for _, dir := range t.resumeDirs() {
-		_, corrupt, _ := snapshot.LoadNewest(dir, t.digest)
-		aside = append(aside, corrupt...)
-	}
-	return aside
-}
-
 // owner is everything about a task that is not supervision, and so the
 // only place a *Job and a *Sweep differ: how progress reaches a timeline,
 // whether anyone still wants the result, what is persisted, and what
@@ -98,9 +55,10 @@ type owner interface {
 	// live reports whether the owner still wants the task run: not
 	// canceled, not already terminal.
 	live() bool
-	// attemptStarted: attempt n is starting; resumeFrom is the checkpoint
-	// directory it resumes from ("" = cycle 0).
-	attemptStarted(t *sweepTask, n int, resumeFrom string)
+	// attemptStarted: attempt n is starting.
+	attemptStarted(t *sweepTask, n int)
+	// attemptResumed: attempt n restored the checkpoint at cycle.
+	attemptResumed(t *sweepTask, n int, cycle int64)
 	// sample receives the running attempt's interval telemetry, on the
 	// simulation goroutine, no locks held.
 	sample(obs.Sample)

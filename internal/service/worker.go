@@ -51,15 +51,6 @@ func WorkerMain() int {
 		return 0
 	}
 
-	// Cache federation: a worker that already holds this digest in its
-	// local content-addressed store answers from it without simulating —
-	// the coordinator merges the result under the same digest key it
-	// would have computed.
-	if sr, ok := readResultStore(req.ResultsDir).get(r.digest); ok {
-		enc.event(workerEvent{Type: evResult, Result: sr, Cached: true})
-		return 0
-	}
-
 	// SIGTERM is the supervisor's graceful stop (cancel, drain): cancel
 	// the run so it stops at a cycle boundary and flushes a final
 	// snapshot through the checkpoint layer.
@@ -93,8 +84,8 @@ func WorkerMain() int {
 
 	stored, rerr := runDirect(ctx, req, r, nil, attemptHooks{
 		onSample: enc.sample,
-		onFallback: func(corrupt []string) {
-			enc.event(workerEvent{Type: evFallback, Corrupt: corrupt})
+		onResume: func(cycle int64, aside []string) {
+			enc.event(workerEvent{Type: evResume, Cycle: cycle, Corrupt: aside})
 		},
 		onKill: func(cycle int64) {
 			// Chaos hard-kill: die without flushing anything, exactly like

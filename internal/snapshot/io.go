@@ -311,57 +311,46 @@ func listCheckpoints(dir string) []string {
 	return names
 }
 
-// Candidates returns every snapshot path in dir in resume preference
-// order: newest first by header cycle, final.crispsnap participating like
-// any periodic checkpoint (it is normally the newest). A file whose header
-// this build cannot load — unreadable, or another format's — sorts last: a
-// caller walking the list still visits it (and sets it aside) before
-// giving up.
-func Candidates(dir string) []string {
-	names := listCheckpoints(dir)
-	if _, err := os.Stat(filepath.Join(dir, "final"+Ext)); err == nil {
-		names = append(names, "final"+Ext)
-	}
-	cycle := make(map[string]int64, len(names))
-	out := make([]string, len(names))
-	for i, n := range names {
-		out[i] = filepath.Join(dir, n)
-		cycle[out[i]] = -1
-		if hdr, err := PeekHeader(out[i]); err == nil {
-			cycle[out[i]] = hdr.Cycle
+// Candidates returns every snapshot path in dirs in resume preference
+// order: newest first by header cycle across all of them, final.crispsnap
+// participating like any periodic checkpoint (it is normally the newest).
+// A file whose header this build cannot load — unreadable, or another
+// format's — sorts last: a caller walking the list still visits it (and
+// sets it aside) before giving up.
+func Candidates(dirs ...string) []string {
+	var out []string
+	cycle := make(map[string]int64)
+	for _, dir := range dirs {
+		names := listCheckpoints(dir)
+		if _, err := os.Stat(filepath.Join(dir, "final"+Ext)); err == nil {
+			names = append(names, "final"+Ext)
+		}
+		for _, n := range names {
+			path := filepath.Join(dir, n)
+			cycle[path] = -1
+			if hdr, err := PeekHeader(path); err == nil {
+				cycle[path] = hdr.Cycle
+			}
+			out = append(out, path)
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return cycle[out[i]] > cycle[out[j]] })
 	return out
 }
 
-// NewestCycle is the header cycle of the newest snapshot in dir that this
-// build can load and that job wrote (its header's SpecDigest; "" = any
-// job), without decoding any body — what a coordinator ranks resume points
-// by and reports ("resuming from cycle N"). ok is false when dir holds no
-// such snapshot.
-func NewestCycle(dir, job string) (cycle int64, ok bool) {
-	for _, path := range Candidates(dir) {
-		if hdr, err := PeekHeader(path); err == nil && (job == "" || hdr.SpecDigest == job) {
-			return hdr.Cycle, true
-		}
-	}
-	return 0, false
-}
-
-// LoadNewest loads the newest snapshot of job in dir (by its header's
-// SpecDigest, as NewestCycle reads it; "" = any job), falling back to
+// LoadNewest loads the newest snapshot of job (by its header's SpecDigest;
+// "" = any job) that dirs hold, ranked by Candidates, falling back to
 // progressively older checkpoints when the newest is corrupt, truncated or
-// another job's — the supervised-retry recovery path. Each
-// file passed over on the way, undecodable or another job's, is renamed
-// aside to <name>.corrupt (so the next attempt does not re-try it) and
-// reported in corrupt. When no snapshot in dir qualifies, env is nil and
-// err carries the last failure (KindSnapshot); the caller falls back to a
-// fresh run.
-func LoadNewest(dir, job string) (env *Envelope, corrupt []string, err error) {
-	cands := Candidates(dir)
+// another job's — the supervised-retry recovery path, one scan over every
+// directory a task's attempts checkpointed into. Each file passed over on
+// the way is renamed aside to <name>.corrupt (so the next attempt does not
+// re-try it) and reported in aside. When no snapshot qualifies, env is nil
+// and err carries the last failure (KindSnapshot); the caller falls back
+// to a fresh run.
+func LoadNewest(job string, dirs ...string) (env *Envelope, aside []string, err error) {
+	cands := Candidates(dirs...)
 	if len(cands) == 0 {
-		return nil, nil, snapErr(fmt.Sprintf("no snapshots in %s", dir), nil)
+		return nil, nil, snapErr(fmt.Sprintf("no snapshots in %s", strings.Join(dirs, ", ")), nil)
 	}
 	for _, path := range cands {
 		hdr, lerr := PeekHeader(path)
@@ -372,14 +361,14 @@ func LoadNewest(dir, job string) (env *Envelope, corrupt []string, err error) {
 			env, lerr = LoadFile(path)
 		}
 		if lerr == nil {
-			return env, corrupt, nil
+			return env, aside, nil
 		}
 		err = lerr
 		if renameErr := os.Rename(path, path+".corrupt"); renameErr == nil {
-			corrupt = append(corrupt, path)
+			aside = append(aside, path)
 		}
 	}
-	return nil, corrupt, err
+	return nil, aside, err
 }
 
 // Resolve turns a -resume argument into a snapshot path: a file path is
