@@ -13,9 +13,10 @@
 // The CTA scheduler is event-driven: stream activation, kernel launch and
 // CTA placement each end at a fixpoint, and the run loop reruns one only
 // after an event that could move it (a warp retired, a kernel launched or
-// finished, the policy ticked, a tenant arrived) — see dispatch. NoSkip
-// reruns all three every iteration, which is the oracle the event-driven
-// path is diffed against.
+// finished, the policy ticked, a tenant arrived), and placement after a
+// retire probes only the SMs that retired one — see dispatch. NoSkip
+// reruns all three over every SM every iteration, which is the oracle the
+// event-driven path is diffed against.
 package gpu
 
 import (
@@ -23,6 +24,7 @@ import (
 	"fmt"
 	"sort"
 
+	"crisp/internal/band"
 	"crisp/internal/config"
 	"crisp/internal/isa"
 	"crisp/internal/mem"
@@ -66,9 +68,10 @@ type StateSnapshotter interface {
 // AllowSM and Limit must be pure functions of state the policy writes only
 // in OnLaunch and Tick: they may not read the cycle, SM counters or
 // anything else that moves between those calls. The CTA dispatcher relies
-// on it — after a sweep it re-asks only after an OnLaunch, a Tick, a warp
-// retire or a new launch — and a policy that breaks it diverges from the
-// -no-skip oracle, which re-asks every iteration.
+// on it — after a sweep it re-asks about every SM only after an OnLaunch, a
+// Tick or a new launch, and about an SM only after a warp retires there —
+// and a policy that breaks it diverges from the -no-skip oracle, which
+// re-asks about every SM every iteration.
 type Policy interface {
 	Name() string
 	// AllowSM reports whether the task may place CTAs on the SM. Its
@@ -104,6 +107,11 @@ type StreamDef struct {
 // extension), and eight is far beyond any experiment here.
 const maxTasks = 8
 
+// streamBand bounds the dense band of the stream-stats table: the facade's
+// compute-stream spacing (core.ComputeStreamBase), above every graphics
+// batch id.
+const streamBand = 1 << 20
+
 // KernelStat records one kernel launch's timing; it is its own checkpoint
 // record.
 type KernelStat = snapshot.KernelStatState
@@ -138,9 +146,10 @@ type GPU struct {
 	streams []*streamRT
 	running []*launch
 
-	statsByStream map[int]*stats.Stream
-	lastStream    int
-	lastStat      *stats.Stream
+	// streamStats finds a stream's counters for OnIssue/OnStall, called
+	// once per scheduler slot: graphics batch ids index a slice, the few
+	// compute ids sit in a short list.
+	streamStats band.Table[stats.Stream]
 
 	// instsBySMTask[sm][task] counts warp instructions, for policies that
 	// sample per-SM progress (warped-slicer).
@@ -220,13 +229,14 @@ type GPU struct {
 	// time jumps to it so arrivals behave as wake events.
 	nextArrival int64
 
-	// Event flags of the CTA scheduler (see dispatch): which of its passes
-	// has an input that moved since the pass last ran. Derived state —
-	// never serialized or digested — and set at the top of RunContext, so
-	// a resumed run's first iteration runs every pass.
-	streamsDirty bool  // a stream advanced: rerun activateStreams and launchReady
-	placeDirty   bool  // a launch, a retire or the policy moved placement: rerun issueCTAs
-	retiredSeen  int64 // Σ cores' RetiredWarps when placeDirty was last derived from it
+	// Event marks of the CTA scheduler (see dispatch): which of its passes
+	// has an input that moved since the pass last ran, and on which SMs.
+	// Derived state — never serialized or digested — and set at the top of
+	// RunContext, so a resumed run's first iteration runs every pass over
+	// every SM.
+	streamsDirty bool       // a stream advanced: rerun activateStreams and launchReady
+	placeAll     bool       // a launch or a policy tick moved placement: probe every SM
+	freed        []*sm.Core // SMs that retired a warp since the last sweep, ascending id
 	// dispatchSweeps/dispatchSkipped count run-loop iterations whose CTA
 	// placement sweep ran / was skipped at a fixpoint. Observability only.
 	dispatchSweeps  int64
@@ -267,13 +277,12 @@ func New(cfg config.GPU) (*GPU, error) {
 		return nil, err
 	}
 	g := &GPU{
-		cfg:           cfg,
-		memsys:        memsys,
-		statsByStream: make(map[int]*stats.Stream),
-		TaskWindows:   make(map[int]int),
-		taskLabels:    make(map[int]string),
-		lastStream:    -1,
-		epoch:         2048,
+		cfg:         cfg,
+		memsys:      memsys,
+		TaskWindows: make(map[int]int),
+		taskLabels:  make(map[int]string),
+		epoch:       2048,
+		streamStats: band.New[stats.Stream](streamBand),
 	}
 	g.cores = make([]*sm.Core, cfg.NumSMs)
 	g.instsBySMTask = make([][]int64, cfg.NumSMs)
@@ -402,7 +411,7 @@ func (g *GPU) AddStream(def StreamDef) error {
 	}
 	st := &streamRT{def: def, stat: &stats.Stream{Stream: def.ID, Label: def.Label}}
 	g.streams = append(g.streams, st)
-	g.statsByStream[def.ID] = st.stat
+	g.streamStats.Put(def.ID, st.stat)
 	if def.Task > g.maxTask {
 		g.maxTask = def.Task
 	}
@@ -426,11 +435,7 @@ func (g *GPU) AddStream(def StreamDef) error {
 // OnIssue implements sm.InstStats.
 func (g *GPU) OnIssue(smID, stream, task int, op isa.Opcode, lanes int) {
 	g.totalIssued++
-	st := g.lastStat
-	if stream != g.lastStream || st == nil {
-		st = g.statsByStream[stream]
-		g.lastStream, g.lastStat = stream, st
-	}
+	st := g.streamStats.Peek(stream)
 	if st == nil {
 		return
 	}
@@ -447,11 +452,7 @@ func (g *GPU) OnIssue(smID, stream, task int, op isa.Opcode, lanes int) {
 // OnStall implements sm.InstStats: one scheduler issue slot in which the
 // stream's earliest-ready warp could not issue.
 func (g *GPU) OnStall(smID, stream, task int, cause obs.StallCause) {
-	st := g.lastStat
-	if stream != g.lastStream || st == nil {
-		st = g.statsByStream[stream]
-		g.lastStream, g.lastStat = stream, st
-	}
+	st := g.streamStats.Peek(stream)
 	if st == nil {
 		return
 	}
@@ -462,11 +463,7 @@ func (g *GPU) OnStall(smID, stream, task int, cause obs.StallCause) {
 // by a waking core's FlushSkipDebt. Pure counter increments, so the effect
 // equals n OnStall calls.
 func (g *GPU) OnStallN(smID, stream, task int, cause obs.StallCause, n int64) {
-	st := g.lastStat
-	if stream != g.lastStream || st == nil {
-		st = g.statsByStream[stream]
-		g.lastStream, g.lastStat = stream, st
-	}
+	st := g.streamStats.Peek(stream)
 	if st == nil {
 		return
 	}
@@ -527,7 +524,7 @@ func (g *GPU) launchReady() {
 		k := st.def.Kernels[st.idx]
 		l := &launch{k: k, task: st.def.Task, stream: st, started: g.now}
 		g.running = append(g.running, l)
-		g.placeDirty = true
+		g.placeAll = true
 		if t := g.tracer; t != nil {
 			if !st.started && k.Kind.IsGraphics() {
 				t.Emit(obs.Event{Cycle: g.now, Kind: obs.EvBatchStart, Stream: st.def.ID,
@@ -557,14 +554,18 @@ func (g *GPU) launchReady() {
 //     has reached a NotBefore — the earliest pending one is nextArrival.
 //   - issueCTAs reads the running launches' pending CTAs, the policy's
 //     AllowSM/Limit — pure functions of state the policy writes only in
-//     OnLaunch and Tick — and CanAccept, which reads per-SM resource usage
-//     and resident-warp counts: raised only by issueCTAs itself, lowered
-//     only by a warp's retire. Placing one launch's CTAs can only take
-//     resources from the others, so when the sweep stops, no pending CTA
-//     fits anywhere until a launch is added, a warp retires or the policy
-//     ticks.
+//     OnLaunch and Tick — and Fits, which reads one SM's own resource
+//     usage and resident-warp count: raised only by issueCTAs itself,
+//     lowered only by a warp's retire on that SM. Placing one launch's
+//     CTAs can only take resources from the others, so when the sweep
+//     stops, no pending CTA fits anywhere until a launch is added or the
+//     policy ticks — then every SM is probed — or a warp retires, and
+//     then only the SMs that retired one can have room.
 //
-// NoSkip reruns every pass every iteration, as the loop always used to.
+// The SMs probed are probed in ascending id, as a sweep over all of them
+// would reach them, so breadth-first placement comes out the same. NoSkip
+// reruns every pass over every SM every iteration, as the loop always
+// used to.
 func (g *GPU) dispatch() {
 	streams := g.NoSkip || g.streamsDirty || g.now >= g.nextArrival
 	if streams {
@@ -575,36 +576,34 @@ func (g *GPU) dispatch() {
 	if streams {
 		g.launchReady()
 	}
-	if g.NoSkip || g.placeDirty {
-		g.placeDirty = false
+	switch {
+	case g.NoSkip || g.placeAll:
+		g.placeAll = false
 		g.dispatchSweeps++
-		g.issueCTAs()
-	} else {
+		g.issueCTAs(g.cores)
+	case len(g.freed) > 0:
+		g.dispatchSweeps++
+		g.issueCTAs(g.freed)
+	default:
 		g.dispatchSkipped++
 	}
-}
-
-// retiredWarps sums the cores' retire counters.
-func (g *GPU) retiredWarps() int64 {
-	var n int64
-	for _, c := range g.cores {
-		n += c.RetiredWarps()
-	}
-	return n
+	g.freed = g.freed[:0]
 }
 
 // DispatchCounters reports how many run-loop iterations ran the CTA
-// placement sweep and how many skipped it because placement was at a
-// fixpoint (always zero under NoSkip). Observability only, like
-// SkipCounters: never serialized, digested, or carried across a resume.
+// placement sweep, over every SM or only those that freed room, and how
+// many skipped it because placement was at a fixpoint (always zero under
+// NoSkip). Observability only, like SkipCounters: never serialized,
+// digested, or carried across a resume.
 func (g *GPU) DispatchCounters() (sweeps, skipped int64) {
 	return g.dispatchSweeps, g.dispatchSkipped
 }
 
-// issueCTAs places as many pending CTAs as fit, in launch order, spreading
-// each kernel breadth-first across its allowed SMs (one CTA per SM per
-// sweep, as hardware CTA schedulers do) before stacking SMs deeper.
-func (g *GPU) issueCTAs() {
+// issueCTAs places as many pending CTAs as fit on cores (in ascending id),
+// in launch order, spreading each kernel breadth-first across its allowed
+// SMs (one CTA per SM per sweep, as hardware CTA schedulers do) before
+// stacking SMs deeper.
+func (g *GPU) issueCTAs(cores []*sm.Core) {
 	for _, l := range g.placementOrder() {
 		if l.nextCTA >= len(l.k.CTAs) {
 			continue
@@ -615,7 +614,7 @@ func (g *GPU) issueCTAs() {
 		placed := true
 		for placed && l.nextCTA < len(l.k.CTAs) {
 			placed = false
-			for _, core := range g.cores {
+			for _, core := range cores {
 				if l.nextCTA >= len(l.k.CTAs) {
 					break
 				}
@@ -707,10 +706,13 @@ func (g *GPU) Run() (int64, error) { return g.RunContext(context.Background()) }
 // stall disposition does not depend on the cycle, so it is charged one unit
 // of skip debt, which FlushSkipDebt settles into the counters the skipped
 // steps would have written when the core wakes. NoSkip steps every busy
-// core but maintains wakeAt identically, so the two modes digest alike. It
-// returns the earliest cycle at which any busy core could do useful work
-// (>= sm.Never when all are blocked for good: the livelock signal) and
-// whether any core is busy.
+// core but maintains wakeAt identically, so the two modes digest alike. A
+// core whose step retires a warp — which frees a warp slot and, with its
+// CTA's last warp, threads, registers and shared memory — joins freed,
+// still in ascending id, for the next dispatch to probe. It returns the
+// earliest cycle at which any busy core could do useful work (>= sm.Never
+// when all are blocked for good: the livelock signal) and whether any core
+// is busy.
 func (g *GPU) stepCores() (next int64, anyBusy bool) {
 	next = sm.Never
 	for _, c := range g.cores {
@@ -721,8 +723,12 @@ func (g *GPU) stepCores() (next int64, anyBusy bool) {
 		w := c.WakeAt()
 		if g.NoSkip || g.now >= w {
 			c.FlushSkipDebt()
+			r := c.RetiredWarps()
 			w = c.Step(g.now)
 			c.SetWakeAt(w)
+			if c.RetiredWarps() != r {
+				g.freed = append(g.freed, c)
+			}
 		} else {
 			c.Skip()
 		}
@@ -781,8 +787,7 @@ func (g *GPU) RunContext(ctx context.Context) (int64, error) {
 	for _, c := range g.cores {
 		c.SetLegacyStep(g.NoSkip)
 	}
-	g.streamsDirty, g.placeDirty = true, true
-	g.retiredSeen = g.retiredWarps()
+	g.streamsDirty, g.placeAll = true, true
 	ls := &g.loop
 	for {
 		ls.Iter++
@@ -803,12 +808,6 @@ func (g *GPU) RunContext(ctx context.Context) (int64, error) {
 		}
 
 		next, anyBusy := g.stepCores()
-		// Every retire frees something CanAccept reads (a warp slot; with
-		// the CTA's last warp, its threads, registers and shared memory).
-		if r := g.retiredWarps(); r != g.retiredSeen {
-			g.retiredSeen = r
-			g.placeDirty = true
-		}
 		if !anyBusy {
 			// CTAs are pending but none was placeable and nothing is
 			// executing: the partition is infeasible.
@@ -860,7 +859,7 @@ func (g *GPU) RunContext(ctx context.Context) (int64, error) {
 		if g.policy != nil && g.now-ls.LastTick >= g.epoch {
 			g.policy.Tick(g.now)
 			ls.LastTick = g.now
-			g.placeDirty = true
+			g.placeAll = true
 			// A repartition can change what a sleeping core could do (CTA
 			// placement limits), so force every core awake for the next
 			// step. Unconditional in both skip modes — the digest below
@@ -1218,7 +1217,7 @@ func (g *GPU) fillQoSPoint(task int, pt *obs.SeriesPoint) {
 // stream stats.
 func (g *GPU) foldMemCounters() {
 	for _, id := range g.memsys.Streams() {
-		st := g.statsByStream[id]
+		st := g.streamStats.Peek(id)
 		if st == nil {
 			continue
 		}
@@ -1234,7 +1233,7 @@ func (g *GPU) foldMemCounters() {
 
 // StreamStats returns per-stream statistics sorted by stream id.
 func (g *GPU) StreamStats() []*stats.Stream {
-	out := make([]*stats.Stream, 0, len(g.statsByStream))
+	out := make([]*stats.Stream, 0, len(g.streams))
 	for _, st := range g.streams {
 		out = append(out, st.stat)
 	}

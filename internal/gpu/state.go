@@ -269,7 +269,6 @@ func (g *GPU) RestoreState(st *snapshot.GPUState) error {
 
 	g.now = a.Cycle
 	g.totalIssued = a.TotalIssued
-	g.lastStream, g.lastStat = -1, nil
 
 	g.loop = st.Obs.Loop
 	g.mPrev = cloneTaskSnaps(st.Obs.MPrev)

@@ -115,7 +115,7 @@ func (s *System) CaptureState() snapshot.MemState {
 	ids := s.Streams()
 	ms.Counters = make([]snapshot.StreamCounterState, 0, len(ids))
 	for _, id := range ids {
-		c := s.counters.peek(id)
+		c := s.counters.Peek(id)
 		ms.Counters = append(ms.Counters, snapshot.StreamCounterState{
 			Stream:     id,
 			L1Accesses: c.L1Accesses,
@@ -155,9 +155,9 @@ func (s *System) RestoreState(ms snapshot.MemState) error {
 	copy(s.l2NextFree, ms.L2NextFree)
 	copy(s.dramNextFree, ms.DRAMNextFree)
 
-	s.counters.reset()
+	s.counters.Reset()
 	for _, cs := range ms.Counters {
-		*s.counters.get(cs.Stream) = Counters{
+		*s.counters.Get(cs.Stream) = Counters{
 			L1Accesses: cs.L1Accesses,
 			L1Misses:   cs.L1Misses,
 			L2Accesses: cs.L2Accesses,

@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 
+	"crisp/internal/band"
 	"crisp/internal/config"
 	"crisp/internal/obs"
 	"crisp/internal/trace"
@@ -45,8 +46,16 @@ type System struct {
 	lastL2Cont   []int64
 	lastDramCont []int64
 
-	counters counterStore
+	counters band.Table[Counters]
 }
+
+// streamBand bounds the dense band of the per-stream counter table. It
+// matches the facade's compute-stream spacing (core.ComputeStreamBase):
+// every graphics stream id is below it, every compute stream id at or
+// above it. Counter lookups are on the hot path — two per load — so
+// graphics streams index a slice and only the few compute streams fall
+// back to the table's short sorted list.
+const streamBand = 1 << 20
 
 // Contention-marker thresholds: a request queueing at least contentionMin
 // cycles behind an L2 bank or DRAM channel emits an EvMemContention event
@@ -69,6 +78,7 @@ func NewSystem(cfg *config.GPU) (*System, error) {
 		lastL2Cont:   make([]int64, cfg.L2Banks),
 		lastDramCont: make([]int64, cfg.MemChannels),
 		mapper:       SharedMapper{},
+		counters:     band.New[Counters](streamBand),
 	}
 	for i := range s.l1 {
 		c, err := NewCache(cfg.L1Size, cfg.L1Assoc, cfg.LineSize)
@@ -113,14 +123,14 @@ func (s *System) SetTracer(t obs.Tracer) { s.tracer = t }
 func (s *System) SetsPerBank() int { return s.setsPer }
 
 // Counters returns (creating if needed) the counter block for a stream.
-func (s *System) Counters(stream int) *Counters { return s.counters.get(stream) }
+func (s *System) Counters(stream int) *Counters { return s.counters.Get(stream) }
 
 // PeekCounters returns the counter block for a stream without creating
 // one; nil means the stream has produced no memory traffic.
-func (s *System) PeekCounters(stream int) *Counters { return s.counters.peek(stream) }
+func (s *System) PeekCounters(stream int) *Counters { return s.counters.Peek(stream) }
 
 // Streams lists the stream ids with recorded activity, sorted.
-func (s *System) Streams() []int { return s.counters.streams() }
+func (s *System) Streams() []int { return s.counters.IDs() }
 
 const xbarLatency = 16 // SM→L2 crossbar traversal, core cycles
 

@@ -33,6 +33,7 @@ import (
 // child decodes the same document from stdin.
 func (s *Server) requestFor(t *sweepTask, n int, killAt int64) workerRequest {
 	req := workerRequest{
+		Protocol:         wireProtocol,
 		Spec:             t.spec,
 		CheckpointEvery:  s.cfg.CheckpointEvery,
 		Budget:           t.res.budget,
@@ -216,7 +217,7 @@ func (s *Server) runWorkerProcess(ctx context.Context, req workerRequest, h atte
 	}
 
 	var stored *StoredResult
-	var simErr *robust.SimError
+	var simErr, mismatch *robust.SimError
 	var lastCycle int64 // of the newest sample read: where a crash struck
 	// A healthy child says something at least every HeartbeatEvery; one
 	// silent for silentHeartbeats of them is hung, and holds this worker
@@ -235,6 +236,20 @@ func (s *Server) runWorkerProcess(ctx context.Context, req workerRequest, h atte
 		ev, err := decodeWorkerEvent(sc.Bytes())
 		if err != nil {
 			log.Printf("%s: dropped worker event: %v", logName, err)
+			continue
+		}
+		if mismatch != nil {
+			continue // the child is being killed: nothing it says counts
+		}
+		if (ev.Type == evResume || ev.Type == evResult || ev.Type == evError) && ev.Protocol != wireProtocol {
+			// A -worker-bin of another build: what it reports need not mean
+			// what this build means, so the attempt ends here, once, and is
+			// not retried.
+			mismatch = &robust.SimError{Kind: robust.KindValidation, Cycle: lastCycle, Msg: fmt.Sprintf(
+				"worker's %s event carries wire protocol %d (0: none), this crispd speaks %d: run crispd and its -worker-bin from one build",
+				ev.Type, ev.Protocol, wireProtocol)}
+			log.Printf("%s: %s", logName, mismatch.Msg)
+			cmd.Process.Kill()
 			continue
 		}
 		switch ev.Type {
@@ -260,6 +275,8 @@ func (s *Server) runWorkerProcess(ctx context.Context, req workerRequest, h atte
 	waitErr := cmd.Wait()
 
 	switch {
+	case mismatch != nil:
+		return nil, mismatch
 	case stored != nil:
 		return stored, nil
 	case simErr != nil:

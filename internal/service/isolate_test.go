@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -262,6 +264,57 @@ func TestIsolatedSilentChildIsReaped(t *testing.T) {
 	}
 }
 
+// TestWorkerProtocolMismatchRefused: a -worker-bin of another build must
+// cost one refused attempt with a message, not a silent misreading. A
+// stub child whose result event lacks the protocol number fails its job
+// at once — a validation error naming both numbers, no retry — and this
+// build's worker answers a request of another protocol with an error
+// event naming both.
+func TestWorkerProtocolMismatchRefused(t *testing.T) {
+	stub := `cat >/dev/null; echo '{"type":"result","result":{"digest":"0123456789abcdef","stats_digest":"feedfacefeedface"}}'`
+	s, err := New(Config{Workers: 1, Isolate: true, WorkerCommand: []string{"sh", "-c", stub},
+		MaxAttempts: 3, RetryBase: time.Millisecond})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	s.Start()
+	defer s.Drain(context.Background())
+	job, err := s.Submit(tinySpec("SPL", "", "serial"))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitState(t, s, job.ID, StateFailed, 30*time.Second)
+	job.mu.Lock()
+	msg := job.errMsg
+	job.mu.Unlock()
+	if want := fmt.Sprintf("carries wire protocol 0 (0: none), this crispd speaks %d", wireProtocol); !strings.Contains(msg, want) {
+		t.Errorf("job error %q does not name both protocol numbers (want %q)", msg, want)
+	}
+	if st := s.Snapshot(); st.Attempts != 1 || st.Retries != 0 || st.WorkerCrashes != 0 {
+		t.Errorf("%d attempts, %d retries, %d crashes; want one refused attempt", st.Attempts, st.Retries, st.WorkerCrashes)
+	}
+
+	self, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(self)
+	cmd.Env = append(os.Environ(), WorkerEnv+"=1")
+	cmd.Stdin = strings.NewReader(`{"protocol":1,"spec":{"scene":"SPL","policy":"serial"}}`)
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	ev, err := decodeWorkerEvent(bytes.TrimSpace(out))
+	if err != nil {
+		t.Fatalf("worker answered %q: %v", out, err)
+	}
+	want := fmt.Sprintf("worker speaks wire protocol %d, the request carries 1", wireProtocol)
+	if ev.Type != evError || ev.ErrKind != "validation" || ev.Protocol != wireProtocol || !strings.Contains(ev.ErrMsg, want) {
+		t.Errorf("worker answered %+v, want a validation error event carrying protocol %d and naming %q", ev, wireProtocol, want)
+	}
+}
+
 // TestRequestSameForJobAndSweepTask pins the one attempt description: a
 // job-owned and a sweep-owned task of the same spec build the same
 // request — heartbeat cadence, checkpoint cadence and default-merged
@@ -294,7 +347,7 @@ func TestRequestSameForJobAndSweepTask(t *testing.T) {
 	if !reflect.DeepEqual(jr, sr) {
 		t.Errorf("requests differ beyond their directories:\n job   %+v\n sweep %+v", jr, sr)
 	}
-	want := workerRequest{Spec: spec, CheckpointEvery: 512,
+	want := workerRequest{Protocol: wireProtocol, Spec: spec, CheckpointEvery: 512,
 		Budget: 1 << 40, Watchdog: 1 << 20, ProgressInterval: 256, HeartbeatEvery: int64(20 * time.Millisecond), KillAt: 9000}
 	if !reflect.DeepEqual(jr, want) {
 		t.Errorf("request %+v, want %+v", jr, want)

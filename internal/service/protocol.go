@@ -21,10 +21,20 @@ import (
 // summaries, never simulator internals, so both ends rebuild the job
 // independently from the same by-value JobSpec.
 //
+// The request and the child's resume, result and error events carry
+// wireProtocol. A child answers a request of another protocol with an
+// error event naming both; the supervisor fails an attempt whose events
+// lack the number or carry another (runWorkerProcess), so a -worker-bin
+// from another build is refused instead of misread.
+//
 // Every inbound line passes through decodeWorkerEvent, which enforces the
 // never-panic contract fuzzed by FuzzWireDecode: arbitrary bytes produce
 // an error, never a crash, and a structurally valid event always carries
 // the fields its type promises.
+
+// wireProtocol numbers this revision of the protocol. Bump it whenever a
+// field of workerRequest or workerEvent changes meaning or disappears.
+const wireProtocol = 2
 
 // Protocol event types (workerEvent.Type).
 const (
@@ -37,7 +47,8 @@ const (
 
 // workerRequest is everything one attempt needs, resolved by the parent.
 type workerRequest struct {
-	Spec JobSpec `json:"spec"`
+	Protocol int     `json:"protocol"` // wireProtocol
+	Spec     JobSpec `json:"spec"`
 	// CheckpointDir/CheckpointEvery enable periodic checkpoints — the
 	// supervisor's recovery points if this worker dies. CheckpointDir is
 	// the attempt's own a<N> directory; the attempt resumes from the
@@ -63,6 +74,9 @@ type workerRequest struct {
 // workerEvent is one newline-delimited protocol message from the child.
 type workerEvent struct {
 	Type string `json:"type"` // evSample | evResume | evHeartbeat | evResult | evError
+	// Protocol is the child's wireProtocol, on resume, result and error
+	// events.
+	Protocol int `json:"protocol,omitempty"`
 	// Sample carries interval telemetry (Type "sample"), forwarded to the
 	// job's hub so isolation is invisible to timeline subscribers.
 	Sample *obs.Sample `json:"sample,omitempty"`
@@ -145,6 +159,10 @@ func newEventWriter(w io.Writer) *eventWriter {
 }
 
 func (e *eventWriter) event(ev workerEvent) {
+	switch ev.Type {
+	case evResume, evResult, evError:
+		ev.Protocol = wireProtocol
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.enc.Encode(ev) // Encode appends the newline framing

@@ -15,12 +15,12 @@ import (
 func TestDecodeWorkerEvent(t *testing.T) {
 	valid := []workerEvent{
 		{Type: evSample, Sample: &obs.Sample{Cycle: 4096}},
-		{Type: evResume, Cycle: 2048, Corrupt: []string{"ckpt-000001.crisp"}},
-		{Type: evResume, Cycle: noResume, Corrupt: []string{"ckpt-000001.crisp"}},
-		{Type: evResume, Cycle: 4096},
+		{Type: evResume, Protocol: wireProtocol, Cycle: 2048, Corrupt: []string{"ckpt-000001.crisp"}},
+		{Type: evResume, Protocol: wireProtocol, Cycle: noResume, Corrupt: []string{"ckpt-000001.crisp"}},
+		{Type: evResume, Protocol: wireProtocol, Cycle: 4096},
 		{Type: evHeartbeat},
-		{Type: evResult, Result: &StoredResult{Digest: "0123456789abcdef", StatsDigest: "feedfacefeedface"}},
-		{Type: evError, ErrKind: "crash", ErrCycle: 9000, ErrMsg: "sim crash at cycle 9000"},
+		{Type: evResult, Protocol: wireProtocol, Result: &StoredResult{Digest: "0123456789abcdef", StatsDigest: "feedfacefeedface"}},
+		{Type: evError, Protocol: wireProtocol, ErrKind: "crash", ErrCycle: 9000, ErrMsg: "sim crash at cycle 9000"},
 	}
 	for _, want := range valid {
 		line, err := json.Marshal(want)
@@ -32,7 +32,7 @@ func TestDecodeWorkerEvent(t *testing.T) {
 			t.Errorf("valid %s event rejected: %v", want.Type, err)
 			continue
 		}
-		if got.Type != want.Type || got.Cycle != want.Cycle || len(got.Corrupt) != len(want.Corrupt) {
+		if got.Type != want.Type || got.Protocol != want.Protocol || got.Cycle != want.Cycle || len(got.Corrupt) != len(want.Corrupt) {
 			t.Errorf("round trip mangled %s event: %+v", want.Type, got)
 		}
 	}
@@ -77,12 +77,14 @@ func FuzzWireDecode(f *testing.F) {
 	// Seed corpus: every valid event shape plus the interesting rejections.
 	seeds := []string{
 		`{"type":"sample","sample":{"cycle":4096,"frames":1}}`,
-		`{"type":"resume","cycle":2048,"corrupt":["ckpt-000001.crisp","ckpt-000002.crisp"]}`,
-		`{"type":"resume","cycle":-1,"corrupt":["ckpt-000001.crisp"]}`,
-		`{"type":"resume","cycle":-7}`,
+		`{"type":"resume","protocol":2,"cycle":2048,"corrupt":["ckpt-000001.crisp","ckpt-000002.crisp"]}`,
+		`{"type":"resume","protocol":2,"cycle":-1,"corrupt":["ckpt-000001.crisp"]}`,
+		`{"type":"resume","protocol":2,"cycle":-7}`,
 		`{"type":"heartbeat"}`,
-		`{"type":"result","result":{"digest":"0123456789abcdef","stats_digest":"feedfacefeedface","cycles":65536}}`,
-		`{"type":"error","err_kind":"crash","err_cycle":9000,"err_msg":"sim crash at cycle 9000"}`,
+		`{"type":"result","protocol":2,"result":{"digest":"0123456789abcdef","stats_digest":"feedfacefeedface","cycles":65536}}`,
+		`{"type":"result","result":{"digest":"0123456789abcdef"}}`,
+		`{"type":"error","protocol":2,"err_kind":"crash","err_cycle":9000,"err_msg":"sim crash at cycle 9000"}`,
+		`{"type":"error","protocol":1,"err_kind":"validation","err_msg":"worker speaks wire protocol 1"}`,
 		`{"type":"gossip"}`,
 		`{"type":"sample"}`,
 		`{"type":"result","result":{"digest":"xyz"}}`,

@@ -44,6 +44,11 @@ func WorkerMain() int {
 		return 2
 	}
 	enc := newEventWriter(os.Stdout)
+	if req.Protocol != wireProtocol {
+		enc.error(&robust.SimError{Kind: robust.KindValidation, Msg: fmt.Sprintf(
+			"worker speaks wire protocol %d, the request carries %d: run crispd and its -worker-bin from one build", wireProtocol, req.Protocol)})
+		return 0
+	}
 
 	r, err := req.Spec.resolve()
 	if err != nil {

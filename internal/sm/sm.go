@@ -14,6 +14,7 @@ package sm
 import (
 	"math"
 
+	"crisp/internal/band"
 	"crisp/internal/config"
 	"crisp/internal/isa"
 	"crisp/internal/mem"
@@ -314,10 +315,9 @@ type Core struct {
 
 	scheds []scheduler
 
-	// tasks tracks per-task resource usage and resident-warp counts in a
-	// dense lo-band array (task ids are small) with a sorted hi-band
-	// fallback, keeping map ops off the CTA issue/retire path.
-	tasks      taskAccounts
+	// tasks tracks per-task resource usage and resident-warp counts,
+	// keeping map ops off the CTA issue/retire path.
+	tasks      band.Table[taskAccount]
 	usageTotal Resources
 	// LimitFor returns the resource envelope available to a task on this
 	// SM. Policies install it; nil means the full SM for every task.
@@ -384,6 +384,7 @@ func NewCore(id int, cfg *config.GPU, memsys *mem.System, stats InstStats) *Core
 		memsys:           memsys,
 		stats:            stats,
 		scheds:           make([]scheduler, cfg.SchedulersPerSM),
+		tasks:            band.New[taskAccount](taskBand),
 		TexFilterLatency: 24,
 	}
 	for i := range c.scheds {
@@ -400,7 +401,7 @@ func (c *Core) EmptySlots() int64 { return c.emptySlots }
 
 // ResidentWarps reports the warps currently resident for a task.
 func (c *Core) ResidentWarps(task int) int {
-	if a := c.tasks.peek(task); a != nil {
+	if a := c.tasks.Peek(task); a != nil {
 		return a.warps
 	}
 	return 0
@@ -414,7 +415,7 @@ func (c *Core) RetiredWarps() int64 { return c.retired }
 
 // Usage reports the resources currently used by a task.
 func (c *Core) Usage(task int) Resources {
-	if a := c.tasks.peek(task); a != nil {
+	if a := c.tasks.Peek(task); a != nil {
 		return a.usage
 	}
 	return Resources{}
@@ -460,7 +461,7 @@ func (c *Core) Fits(need Resources, warps, task int) bool {
 		return false
 	}
 	taskUsage := Resources{}
-	if a := c.tasks.peek(task); a != nil {
+	if a := c.tasks.Peek(task); a != nil {
 		taskUsage = a.usage
 	}
 	return fits(taskUsage, need, c.limitFor(task)) && fits(c.usageTotal, need, c.full)
@@ -492,7 +493,7 @@ func (c *Core) IssueCTA(now int64, k *trace.Kernel, ctaIdx, task int, onComplete
 		barWaiting: cta.barWaiting[:0],
 		onComplete: onComplete,
 	}
-	a := c.tasks.get(task)
+	a := c.tasks.Get(task)
 	a.usage.add(need)
 	c.usageTotal.add(need)
 
@@ -955,7 +956,7 @@ func (s *scheduler) retire(w *warpRT, now int64) {
 	s.drop(w)
 	core := s.core
 	core.freeWarps = append(core.freeWarps, w)
-	if a := core.tasks.peek(w.task); a != nil {
+	if a := core.tasks.Peek(w.task); a != nil {
 		a.warps--
 	}
 	core.resident--
@@ -963,7 +964,7 @@ func (s *scheduler) retire(w *warpRT, now int64) {
 	cta := w.cta
 	cta.warpsLeft--
 	if cta.warpsLeft == 0 {
-		if a := core.tasks.peek(cta.task); a != nil {
+		if a := core.tasks.Peek(cta.task); a != nil {
 			a.usage.sub(cta.res)
 		}
 		core.usageTotal.sub(cta.res)

@@ -151,7 +151,7 @@ func (c *Core) RestoreState(cs snapshot.CoreState, env RestoreEnv) error {
 	c.emptySlots = cs.EmptySlots
 	c.wakeAt = cs.WakeAt
 	c.pendingSkipped = 0
-	c.tasks.reset()
+	c.tasks.Reset()
 	c.usageTotal = Resources{}
 	c.resident = 0
 
@@ -184,7 +184,7 @@ func (c *Core) RestoreState(cs snapshot.CoreState, env RestoreEnv) error {
 			cta.onComplete = env.OnComplete(st.StreamID, st.KernelIdx, st.CTAIdx, c.ID)
 		}
 		ctas[i] = cta
-		c.tasks.get(cta.task).usage.add(cta.res)
+		c.tasks.Get(cta.task).usage.add(cta.res)
 		c.usageTotal.add(cta.res)
 	}
 
@@ -243,7 +243,7 @@ func (c *Core) RestoreState(cs snapshot.CoreState, env RestoreEnv) error {
 				return smStateErr("SM %d: duplicate warp ref %d", c.ID, ws.Ref)
 			}
 			warpByRef[ws.Ref] = w
-			c.tasks.get(cta.task).warps++
+			c.tasks.Get(cta.task).warps++
 			c.resident++
 		}
 	}

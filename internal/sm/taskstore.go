@@ -1,7 +1,5 @@
 package sm
 
-import "sort"
-
 // taskAccount is one task's per-SM accounting: the resources its
 // resident CTAs occupy and how many of its warps are resident.
 type taskAccount struct {
@@ -9,63 +7,7 @@ type taskAccount struct {
 	warps int
 }
 
-// taskDenseLimit bounds the dense lo-band of taskAccounts. Task ids are
+// taskBand bounds the dense band of a core's task accounts. Task ids are
 // small integers assigned in stream-registration order, so virtually
-// every lookup hits the lo-band array.
-const taskDenseLimit = 256
-
-// taskAccounts maps task id -> taskAccount without a Go map on the CTA
-// issue/retire path: a dense slice covers ids below taskDenseLimit and
-// a tiny sorted hi-band (binary search + ordered insert) absorbs any
-// outliers, mirroring internal/mem's counterStore.
-type taskAccounts struct {
-	lo    []taskAccount
-	hiIDs []int
-	hi    []*taskAccount
-}
-
-// get returns the account for task, creating it if absent.
-func (t *taskAccounts) get(task int) *taskAccount {
-	if task >= 0 && task < taskDenseLimit {
-		if task >= len(t.lo) {
-			grown := make([]taskAccount, task+1)
-			copy(grown, t.lo)
-			t.lo = grown
-		}
-		return &t.lo[task]
-	}
-	i := sort.SearchInts(t.hiIDs, task)
-	if i < len(t.hiIDs) && t.hiIDs[i] == task {
-		return t.hi[i]
-	}
-	a := &taskAccount{}
-	t.hiIDs = append(t.hiIDs, 0)
-	t.hi = append(t.hi, nil)
-	copy(t.hiIDs[i+1:], t.hiIDs[i:])
-	copy(t.hi[i+1:], t.hi[i:])
-	t.hiIDs[i] = task
-	t.hi[i] = a
-	return a
-}
-
-// peek returns the account for task, or nil when it was never touched.
-func (t *taskAccounts) peek(task int) *taskAccount {
-	if task >= 0 && task < taskDenseLimit {
-		if task < len(t.lo) {
-			return &t.lo[task]
-		}
-		return nil
-	}
-	i := sort.SearchInts(t.hiIDs, task)
-	if i < len(t.hiIDs) && t.hiIDs[i] == task {
-		return t.hi[i]
-	}
-	return nil
-}
-
-// reset drops all accounts (restore rebuilds them from scratch).
-func (t *taskAccounts) reset() {
-	t.lo = nil
-	t.hiIDs = nil
-	t.hi = nil
-}
+// every lookup indexes the slice.
+const taskBand = 256
