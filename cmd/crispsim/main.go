@@ -195,7 +195,9 @@ func main() {
 	fmt.Printf("cycles      : %d\n", res.Cycles)
 	fmt.Printf("frame time  : %.4f ms\n", res.FrameTimeMS)
 	if res.CheckpointSaves > 0 {
-		fmt.Printf("checkpoints : %d saved in %v\n", res.CheckpointSaves, res.CheckpointSaveTime)
+		// The files are written beside the run; the time is what the run
+		// loop spent blocked: capturing, and waiting for the previous write.
+		fmt.Printf("checkpoints : %d saved, run loop blocked %v\n", res.CheckpointSaves, res.CheckpointSaveTime)
 	}
 	// How the host got there goes to stderr: these counts differ between
 	// the default run and -no-skip (and restart at a resume), and stdout is

@@ -12,12 +12,15 @@ import (
 // at the default 100k-cycle cadence, and armed at a dense cadence that
 // actually produces saves — and reports:
 //
-//	%overhead      — wall-time overhead of arming at the 100k default
-//	%save-at-100k  — one save's cost as a fraction of the time it takes to
-//	                 simulate 100k cycles (i.e. the steady-state overhead a
-//	                 long run pays at the default cadence)
+//	%overhead         — wall-time overhead of arming at the 100k default
+//	%blocked-at-100k  — the run loop's time blocked per save (the capture
+//	                    plus any wait for the previous write, which runs
+//	                    beside the simulation) as a fraction of the time it
+//	                    takes to simulate 100k cycles: the steady-state
+//	                    overhead a long run pays at the default cadence
+//	ms-blocked/save   — the same blocked time, per save
 //
-// The acceptance bar for the checkpoint subsystem is %save-at-100k < 2.
+// The acceptance bar for the checkpoint subsystem is %blocked-at-100k < 2.
 func BenchmarkCheckpointOverhead(b *testing.B) {
 	const defaultEvery = 100_000
 	const denseEvery = 2_000
@@ -62,6 +65,6 @@ func BenchmarkCheckpointOverhead(b *testing.B) {
 	b.ReportMetric(100*(armed-base).Seconds()/base.Seconds(), "%overhead")
 	perSave := saveTime.Seconds() / float64(saves)
 	per100kSim := base.Seconds() / float64(b.N) * float64(defaultEvery) / float64(cycles)
-	b.ReportMetric(100*perSave/per100kSim, "%save-at-100k")
-	b.ReportMetric(perSave*1e3, "ms/save")
+	b.ReportMetric(100*perSave/per100kSim, "%blocked-at-100k")
+	b.ReportMetric(perSave*1e3, "ms-blocked/save")
 }

@@ -2,14 +2,17 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"crisp/internal/gpu"
+	"crisp/internal/robust"
 	"crisp/internal/snapshot"
 )
 
-// This file is the job-level half of checkpoint/restore: writing the final
-// snapshot on failure, loading snapshots, and resuming an interrupted run
-// in a fresh process (spec.go builds the spec every snapshot embeds).
+// This file is the job-level half of checkpoint/restore: writing periodic
+// checkpoints beside the run and the final snapshot on failure, loading
+// snapshots, and resuming an interrupted run in a fresh process (spec.go
+// builds the spec every snapshot embeds).
 
 // saveFinal writes the failure-time snapshot (final.crispsnap). Best
 // effort: a capture or write failure here must never mask the primary
@@ -22,6 +25,27 @@ func (j *Job) saveFinal(g *gpu.GPU, store *snapshot.Store) {
 		return
 	}
 	store.SaveFinal(&snapshot.Envelope{Version: snapshot.FormatVersion, Spec: j.buildSpec(), State: *st})
+}
+
+// saveBehind writes env into store on its own goroutine, so the run loop
+// pays only for the capture. The channel yields the write's error, naming
+// the checkpoint's cycle, once the file is durable or the write has failed;
+// a panic in the write is recovered into that error instead of taking the
+// process down.
+func saveBehind(store *snapshot.Store, env *snapshot.Envelope) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		defer func() {
+			if err != nil {
+				err = fmt.Errorf("checkpoint at cycle %d: %w", env.State.Arch.Cycle, err)
+			}
+			done <- err
+		}()
+		defer robust.RecoverAsError(&err, "checkpoint write")
+		_, err = store.Save(env)
+	}()
+	return done
 }
 
 // LoadSnapshot resolves arg (a snapshot file, or a checkpoint directory

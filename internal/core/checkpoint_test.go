@@ -2,15 +2,18 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"crisp/internal/config"
 	"crisp/internal/obs"
 	"crisp/internal/robust"
+	"crisp/internal/robust/chaos"
 	"crisp/internal/snapshot"
 )
 
@@ -236,6 +239,139 @@ func TestCheckpointTimingsReported(t *testing.T) {
 	}
 	if res.CheckpointSaveTime <= 0 {
 		t.Errorf("CheckpointSaveTime = %v, want > 0", res.CheckpointSaveTime)
+	}
+}
+
+// checkpointEvery512 runs SPL+VIO under EVEN checkpointing into dir every
+// 512 cycles, keeping every file the run writes.
+func checkpointEvery512(dir string, opts ...RunOption) (*Result, error) {
+	return RunPair(config.JetsonOrin(), "SPL", "VIO", PolicyEven, tinyOpts(), append([]RunOption{
+		WithCheckpointDir(dir), WithCheckpointEvery(512), WithCheckpointRetain(1000)}, opts...)...)
+}
+
+// periodicFiles lists dir's ckpt-*.crispsnap names in cycle order.
+func periodicFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "ckpt-*"+snapshot.Ext))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range paths {
+		paths[i] = filepath.Base(p)
+	}
+	return paths
+}
+
+// checkpointCycle reads the cycle a checkpoint file was captured at.
+func checkpointCycle(t *testing.T, path string) int64 {
+	t.Helper()
+	h, err := snapshot.PeekHeader(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.Cycle
+}
+
+// TestCheckpointsDurableOnReturn: checkpoint files are written beside the
+// run, but a run returns only once every one it captured is on disk — no
+// temp file left, and each resumes to the straight run's result.
+func TestCheckpointsDurableOnReturn(t *testing.T) {
+	straight, err := RunPair(config.JetsonOrin(), "SPL", "VIO", PolicyEven, tinyOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	res, err := checkpointEvery512(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := periodicFiles(t, dir)
+	if len(files) != res.CheckpointSaves || len(files) < 3 {
+		t.Fatalf("%d checkpoint files on disk at return, CheckpointSaves = %d (want equal, >= 3)", len(files), res.CheckpointSaves)
+	}
+	if tmp, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(tmp) > 0 {
+		t.Errorf("temp files left behind: %v", tmp)
+	}
+	for _, name := range []string{files[0], files[len(files)/2], files[len(files)-1]} {
+		r, err := ResumeFile(context.Background(), filepath.Join(dir, name))
+		if err != nil {
+			t.Fatalf("resume %s: %v", name, err)
+		}
+		if r.Cycles != straight.Cycles || statsDigestOf(t, r) != statsDigestOf(t, straight) {
+			t.Errorf("resume %s: %d cycles / %016x, straight run %d / %016x",
+				name, r.Cycles, statsDigestOf(t, r), straight.Cycles, statsDigestOf(t, straight))
+		}
+	}
+}
+
+// TestCheckpointWriteFailureFailsRun: a checkpoint that cannot be written
+// fails the run with a snapshot SimError naming the cycle that checkpoint
+// was captured at, however much later the failure is noticed.
+func TestCheckpointWriteFailureFailsRun(t *testing.T) {
+	good := t.TempDir()
+	if _, err := checkpointEvery512(good); err != nil {
+		t.Fatal(err)
+	}
+	first := checkpointCycle(t, filepath.Join(good, periodicFiles(t, good)[0]))
+
+	// The checkpoint directory runs through a regular file: MkdirAll fails.
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := checkpointEvery512(filepath.Join(file, "ck"))
+	se, ok := robust.AsSimError(err)
+	if !ok || se.Kind != robust.KindSnapshot {
+		t.Fatalf("err = %v, want a snapshot SimError", err)
+	}
+	if res != nil {
+		t.Errorf("a failed run returned a result: %+v", res)
+	}
+	if want := fmt.Sprintf("checkpoint at cycle %d:", first); !strings.Contains(se.Msg, want) {
+		t.Errorf("message %q does not name the first checkpoint (%q)", se.Msg, want)
+	}
+}
+
+// TestPanicAfterCheckpointKeepsEveryFile: a panic on the sim goroutine — an
+// injected kill, thrown from the metrics sink — waits for the write in
+// flight, so every checkpoint captured before the panic is on disk next to
+// final.crispsnap.
+func TestPanicAfterCheckpointKeepsEveryFile(t *testing.T) {
+	good := t.TempDir()
+	if _, err := checkpointEvery512(good); err != nil {
+		t.Fatal(err)
+	}
+	// Kill just past the middle checkpoint, while its write is in flight.
+	files := periodicFiles(t, good)
+	killAt := checkpointCycle(t, filepath.Join(good, files[len(files)/2])) + 1
+
+	dir := t.TempDir()
+	var p any
+	func() {
+		defer func() { p = recover() }()
+		checkpointEvery512(dir, WithMetrics(16), WithMetricsSink(func(s obs.Sample) {
+			if s.Cycle >= killAt {
+				panic(chaos.Injected(s.Cycle))
+			}
+		}))
+	}()
+	se, ok := p.(*robust.SimError)
+	if !ok || se.Kind != robust.KindInjected {
+		t.Fatalf("recovered %v, want the injected kill", p)
+	}
+	// The sink samples before the checkpoint hook runs, so the kill
+	// iteration's own checkpoint is never captured.
+	var want []string
+	for _, name := range files {
+		if checkpointCycle(t, filepath.Join(good, name)) < se.Cycle {
+			want = append(want, name)
+		}
+	}
+	if got := periodicFiles(t, dir); len(want) < 2 || !slices.Equal(got, want) {
+		t.Errorf("checkpoints after a panic at cycle %d: %v, want %v (at least two)", se.Cycle, got, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "final"+snapshot.Ext)); err != nil {
+		t.Errorf("no final snapshot after the panic: %v", err)
 	}
 }
 

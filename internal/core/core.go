@@ -16,6 +16,7 @@ import (
 	"crisp/internal/obs"
 	"crisp/internal/partition"
 	"crisp/internal/render"
+	"crisp/internal/robust"
 	"crisp/internal/scenario"
 	"crisp/internal/scene"
 	"crisp/internal/sm"
@@ -172,8 +173,9 @@ type Job struct {
 }
 
 // DefaultCheckpointEvery is the checkpoint cadence used when CheckpointDir
-// is set but CheckpointEvery is zero. At 100k cycles the save overhead is
-// under the hardening layer's 2% envelope (BenchmarkCheckpointOverhead).
+// is set but CheckpointEvery is zero. At 100k cycles the time the run loop
+// spends blocked on saves is under the hardening layer's 2% envelope
+// (BenchmarkCheckpointOverhead).
 const DefaultCheckpointEvery = 100_000
 
 // Result is a completed simulation.
@@ -230,8 +232,10 @@ type Result struct {
 	// was restored from a snapshot.
 	Resumed     bool
 	ResumedFrom int64
-	// CheckpointSaves counts periodic snapshots written;
-	// CheckpointSaveTime is the wall-clock time they cost.
+	// CheckpointSaves counts periodic snapshots written. CheckpointSaveTime
+	// is the wall-clock time the run loop spent blocked on them: each
+	// capture plus any wait for the previous write. The encode, gzip and
+	// fsync run beside the simulation and count only where it waited.
 	CheckpointSaves    int
 	CheckpointSaveTime time.Duration
 }
@@ -319,6 +323,16 @@ func (j *Job) runOn(ctx context.Context, g *gpu.GPU, res *Result) (*Result, erro
 	g.DigestEvery = j.DigestEvery
 
 	var store *snapshot.Store
+	// write is the one checkpoint write in flight, if any; await blocks
+	// until it has reached disk and returns its error. Every exit below
+	// awaits it, so a run never returns before its checkpoints are durable.
+	var write <-chan error
+	await := func() (err error) {
+		if write != nil {
+			err, write = <-write, nil
+		}
+		return err
+	}
 	if j.CheckpointDir != "" {
 		store = &snapshot.Store{Dir: j.CheckpointDir, Retain: j.CheckpointRetain}
 		spec := j.buildSpec()
@@ -326,23 +340,29 @@ func (j *Job) runOn(ctx context.Context, g *gpu.GPU, res *Result) (*Result, erro
 		if g.CheckpointEvery <= 0 {
 			g.CheckpointEvery = DefaultCheckpointEvery
 		}
+		// The sink captures state on the run loop, where it must read the
+		// live machine, and leaves the encode, gzip and fsync to a write
+		// beside the simulation. Waiting for the previous write first keeps
+		// files in cycle order and one captured state in memory.
 		g.CheckpointSink = func() error {
 			t0 := time.Now()
+			defer func() { res.CheckpointSaveTime += time.Since(t0) }()
+			if err := await(); err != nil {
+				return err
+			}
 			st, err := g.CaptureState()
 			if err != nil {
-				return err
+				return fmt.Errorf("checkpoint at cycle %d: %w", g.Now(), err)
 			}
-			if _, err := store.Save(&snapshot.Envelope{Version: snapshot.FormatVersion, Spec: spec, State: *st}); err != nil {
-				return err
-			}
+			write = saveBehind(store, &snapshot.Envelope{Version: snapshot.FormatVersion, Spec: spec, State: *st})
 			res.CheckpointSaves++
-			res.CheckpointSaveTime += time.Since(t0)
 			return nil
 		}
 		// A panic escaping the simulator still leaves a resumable final
 		// snapshot next to the crash dump, like any other failure.
 		defer func() {
 			if r := recover(); r != nil {
+				await()
 				j.saveFinal(g, store)
 				panic(r)
 			}
@@ -358,6 +378,9 @@ func (j *Job) runOn(ctx context.Context, g *gpu.GPU, res *Result) (*Result, erro
 	}
 
 	cycles, err := g.RunContext(ctx)
+	if werr := await(); err == nil && werr != nil {
+		err = &robust.SimError{Kind: robust.KindSnapshot, Cycle: cycles, Msg: fmt.Sprintf("core: %v", werr)}
+	}
 	if err != nil {
 		if store != nil {
 			// The simulator state is intact after a structured failure:

@@ -179,7 +179,9 @@ type GPU struct {
 	// CheckpointEvery and CheckpointSink arm periodic checkpointing: every
 	// CheckpointEvery cycles the run loop invokes the sink at an iteration
 	// boundary (post policy-tick), where the captured state resumes
-	// bit-identically. Sink errors abort the run with a snapshot SimError.
+	// bit-identically. Sink errors abort the run with a snapshot SimError
+	// whose message is the sink's: it names the checkpoint it concerns,
+	// which may be an earlier one than the current cycle's.
 	CheckpointEvery int64
 	CheckpointSink  func() error
 
@@ -891,7 +893,7 @@ func (g *GPU) RunContext(ctx context.Context) (int64, error) {
 			ls.NextCheckpoint = g.now + g.CheckpointEvery
 			if err := g.CheckpointSink(); err != nil {
 				return g.now, g.fail(robust.KindSnapshot, "",
-					"checkpoint write failed", "gpu: checkpoint at cycle %d: %v", g.now, err)
+					"checkpoint write failed", "gpu: %v", err)
 			}
 		}
 

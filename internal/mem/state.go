@@ -1,9 +1,10 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"crisp/internal/robust"
 	"crisp/internal/snapshot"
@@ -24,6 +25,16 @@ func stateErr(format string, args ...any) error {
 // index (the iteration is already deterministic; the order is the array's).
 func (c *Cache) captureState() snapshot.CacheState {
 	var cs snapshot.CacheState
+	n := 0
+	for _, t := range c.tags {
+		if t != 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return cs
+	}
+	cs.Lines = make([]snapshot.LineState, 0, n)
 	for i, t := range c.tags {
 		if t == 0 {
 			continue
@@ -80,7 +91,7 @@ func capturePending(t *fillTable) snapshot.PendingFills {
 			p.Fills = append(p.Fills, snapshot.Fill{Granule: t.keys[i], Ready: t.ready[i]})
 		}
 	}
-	sort.Slice(p.Fills, func(i, j int) bool { return p.Fills[i].Granule < p.Fills[j].Granule })
+	slices.SortFunc(p.Fills, func(a, b snapshot.Fill) int { return cmp.Compare(a.Granule, b.Granule) })
 	return p
 }
 
@@ -189,7 +200,7 @@ func (u *UMON) CaptureState() snapshot.UMONState {
 	for k := range u.stacks {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	us.Stacks = make([]snapshot.UMONStack, 0, len(keys))
 	for _, k := range keys {
 		us.Stacks = append(us.Stacks, snapshot.UMONStack{

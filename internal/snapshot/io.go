@@ -55,8 +55,8 @@ func snapErr(msg string, cause error) error {
 // walk of env (visit.go) the header integrity-checks.
 func Encode(w io.Writer, env *Envelope) error {
 	var body bytes.Buffer
-	// BestSpeed: checkpoints are written every few hundred thousand cycles
-	// on the run's critical path, and gzip dominates the save cost. The
+	// BestSpeed: gzip dominates the save cost, and a run whose next
+	// checkpoint comes due before this one is written waits for it. The
 	// body is mostly small integers, which compress well at any level.
 	zw, _ := gzip.NewWriterLevel(&body, gzip.BestSpeed)
 	zw.Write(encodeBody(env))
